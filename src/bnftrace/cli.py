@@ -9,7 +9,6 @@ All file formats are defined in :mod:`bnftrace.jsonio`.
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -18,7 +17,8 @@ from .classical import birkhoff_normal_form, classify_eigenvalues
 from .config import RunConfig
 from .errors import MathError, SchemaError
 from .fields import field_from_name
-from .qbnf import TraceData, make_trace_data, trace_power
+from .hypcalc import DEFAULT_POLE_TOL
+from .qbnf import TraceEngine, make_trace_data
 from .recover import recover_qbnf
 from .series import MultiSeries, Orders
 
@@ -37,17 +37,16 @@ def _add_common(p):
     p.add_argument("--orders", default=None,
                    help="IOTA,Z,H truncation orders")
     p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--tol-pole", type=float, default=1e-9, dest="tol_pole")
+    p.add_argument("--tol-pole", type=float, default=DEFAULT_POLE_TOL,
+                   dest="tol_pole")
     p.add_argument("--tol-resonance", type=float, default=1e-8,
                    dest="tol_resonance")
     p.add_argument("--tol-conditioning", type=float, default=1e8,
                    dest="tol_conditioning")
     p.add_argument("--tol-residual", type=float, default=1e-8,
                    dest="tol_residual")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.add_argument("--report", default=None)
-    p.add_argument("--parallel", action="store_true")
 
 
 def _config_from_args(args):
@@ -66,8 +65,6 @@ def _config_from_args(args):
         tol_resonance=args.tol_resonance,
         tol_conditioning=args.tol_conditioning,
         tol_residual=args.tol_residual,
-        seed=args.seed,
-        parallel=args.parallel,
     )
 
 
@@ -82,24 +79,11 @@ def _load_action(path, field, n_z):
     return action, maslov
 
 
-def _forward_tracedata(bnf, action, maslov, cfg):
-    n_z, n_h = cfg.orders[1], cfg.orders[2]
-    if not cfg.parallel:
-        return make_trace_data(bnf, action, maslov, cfg.k_max, (n_z, n_h),
-                               pole_tol=cfg.tol_pole,
-                               resonance_order=cfg.resonance_order,
-                               resonance_tol=cfg.tol_resonance)
-    from .blocks import require_nonresonant
-
-    require_nonresonant(bnf.blocks, cfg.resonance_order, cfg.tol_resonance)
-    with ThreadPoolExecutor() as pool:
-        results = list(pool.map(
-            lambda k: trace_power(bnf, k, (n_z, n_h), cfg.tol_pole),
-            range(1, cfg.k_max + 1)))
-    coeffs = {tp.k: tp.coeffs for tp in results}
-    maslov = {k: maslov.get(k, 0) for k in range(1, cfg.k_max + 1)}
-    return TraceData(bnf.field, cfg.k_max, action, maslov, results[0].phase,
-                     coeffs)
+def _forward_tracedata(bnf, action, maslov, cfg, engine=None):
+    return make_trace_data(bnf, action, maslov, cfg.k_max, cfg.orders[1:],
+                           pole_tol=cfg.tol_pole,
+                           resonance_order=cfg.resonance_order,
+                           resonance_tol=cfg.tol_resonance, engine=engine)
 
 
 def cmd_forward(args):
@@ -139,9 +123,13 @@ def cmd_roundtrip(args):
     cfg = _config_from_args(args)
     bnf = jsonio.qbnf_from_json(jsonio.load(args.bnf), cfg.float_precision)
     action, maslov = _load_action(args.action, bnf.field, cfg.orders[1])
-    td = _forward_tracedata(bnf, action, maslov, cfg)
+    # the recovery reuses the forward engine for every stage whose state
+    # it serves: all the late ones, when the round trip is exact
+    engine = TraceEngine(bnf.blocks, bnf.mu_jets, cfg.orders[1], cfg.tol_pole)
+    td = _forward_tracedata(bnf, action, maslov, cfg, engine)
     rep = recover_qbnf(td, bnf.n, tol=cfg.tol_residual,
-                       cond_gate=cfg.tol_conditioning, pole_tol=cfg.tol_pole)
+                       cond_gate=cfg.tol_conditioning, pole_tol=cfg.tol_pole,
+                       engine=engine)
     if args.report:
         jsonio.dump(args.report, jsonio.recovery_report_to_json(rep))
     print(jsonio.render_report_text(rep))

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 from .errors import SchemaError
 from .fields import field_from_name
+from .hypcalc import DEFAULT_POLE_TOL
 
 
 @dataclass
@@ -12,13 +13,11 @@ class RunConfig:
     float_precision: int = 64
     orders: tuple = (4, 3, 3)      # (N_iota, N_z, N_h)
     k_max: int = 8
-    tol_pole: float = 1e-9
+    tol_pole: float = DEFAULT_POLE_TOL
     tol_resonance: float = 1e-8
     tol_conditioning: float = 1e8
     tol_residual: float = 1e-8
     resonance_order: int = 10
-    seed: int = 0
-    parallel: bool = False
 
     def __post_init__(self):
         for name in ("tol_pole", "tol_resonance", "tol_conditioning",

@@ -96,9 +96,37 @@ def apply_derivatives(expr, alpha):
     return expr
 
 
-def mu_to_exp_half(field, mu):
-    """E_j = exp(mu_j/2) for numeric mu (floating backends only)."""
-    return [field.exp(m * 0.5) for m in mu]
+class CschTowers:
+    """The derivatives d^alpha prod_j (1/2)csch(k mu_j/2) for one (field, n).
+
+    Each d^alpha is one :func:`apply_derivative` step on the cached
+    d^(alpha - e_J), J the last index with alpha_J > 0.  That is the step
+    order of :func:`apply_derivatives`, so the results are identical to
+    it, term order included.  The towers do not depend on mu, so every
+    engine of one recovery can share them.
+    """
+
+    def __init__(self, field, n):
+        self.field = field
+        self.n = n
+        self._exprs = {}
+
+    def get(self, k, alpha):
+        alpha = tuple(alpha)
+        expr = self._exprs.get((k, alpha))
+        if expr is None:
+            if len(alpha) != self.n:
+                raise SchemaError(
+                    f"derivative index {alpha} has wrong arity for n={self.n}")
+            nonzero = [j for j, a in enumerate(alpha) if a]
+            if not nonzero:
+                expr = csch_product(self.field, self.n, k)
+            else:
+                j = nonzero[-1]
+                lower = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]
+                expr = apply_derivative(self.get(k, lower), j)
+            self._exprs[(k, alpha)] = expr
+        return expr
 
 
 def _sinh_cosh_from_exp_half(field, E, k, pole_tol):
@@ -158,7 +186,7 @@ def _zintegrate(s):
 
 
 def coth_csch_series(field, E0, delta, k, n_z, pole_tol=DEFAULT_POLE_TOL):
-    """z-series of t(z) = coth(k mu(z)/2) and s2(z) = 2 sinh(k mu(z)/2)^{-1}...
+    """z-series of coth(k mu(z)/2) and csch(k mu(z)/2).
 
     Returns ``(T, C)`` where ``T`` expands coth(k mu(z)/2) and ``C`` expands
     csch(k mu(z)/2), for mu(z) = mu(0) + delta(z) with delta(0) = 0.  The
@@ -191,45 +219,71 @@ def coth_csch_series(field, E0, delta, k, n_z, pole_tol=DEFAULT_POLE_TOL):
     return T, C
 
 
-def eval_series_in_z(expr, exp_half0, deltas, n_z, pole_tol=DEFAULT_POLE_TOL):
+class ZExpansion:
+    """The z-series one power k needs along mu_j(z) = mu_j(0) + delta_j(z):
+    the coth series T_j(z), the base product prod_j (1/2) csch(k mu_j(z)/2)
+    and the powers of each T_j, extended on demand.  Shared by every
+    derivative d^alpha at this k.
+    """
+
+    def __init__(self, field, exp_half0, deltas, k, n_z,
+                 pole_tol=DEFAULT_POLE_TOL):
+        self.field = field
+        self.n = len(exp_half0)
+        self.k = k
+        self.n_z = n_z
+        self.orders = Orders(0, n_z, 0)
+        Ts, Cs = [], []
+        for j in range(self.n):
+            d = deltas[j] if deltas is not None else None
+            T, C = coth_csch_series(field, exp_half0[j], d, k, n_z, pole_tol)
+            Ts.append(T)
+            Cs.append(C)
+        half = field.inv(field.from_int(2))
+        one = MultiSeries.scalar(field, 0, self.orders, field.one)
+        self.base = one
+        for C in Cs:
+            self.base = self.base * C.scale(half)
+        self._T = Ts
+        self._tpow = [[one] for _ in range(self.n)]
+
+    def t_power(self, j, d):
+        """T_j(z)^d."""
+        powers = self._tpow[j]
+        while len(powers) <= d:
+            powers.append(powers[-1] * self._T[j])
+        return powers[d]
+
+    def expand(self, expr):
+        """z-series of the expression: sum_d c_d prod_j T_j^d_j times base."""
+        f = self.field
+        total = MultiSeries.zero(f, 0, self.orders)
+        for exps, c in expr.poly.items():
+            term = MultiSeries.scalar(f, 0, self.orders, c)
+            for j, d in enumerate(exps):
+                if d:
+                    term = term * self.t_power(j, d)
+            total = total + term
+        return total * self.base
+
+
+def eval_series_in_z(expr, exp_half0, deltas, n_z, pole_tol=DEFAULT_POLE_TOL,
+                     expansion=None):
     """Taylor-expand the expression in z along mu_j(z) = mu_j(0) + delta_j(z).
 
     ``exp_half0`` are the E_j = exp(mu_j(0)/2); ``deltas`` the jets above the
-    constant (z-series with zero constant term, or None).  Returns a z-series.
+    constant (z-series with zero constant term, or None).  ``expansion`` is
+    a :class:`ZExpansion` already built for these arguments at ``expr.k``;
+    without it one is built here.  Returns a z-series.
     """
-    f = expr.field
     if len(exp_half0) != expr.n:
         raise SchemaError(f"expected {expr.n} exponents, got {len(exp_half0)}")
-    orders = Orders(0, n_z, 0)
-    Ts, Cs = [], []
-    for j in range(expr.n):
-        d = deltas[j] if deltas is not None else None
-        T, C = coth_csch_series(f, exp_half0[j], d, expr.k, n_z, pole_tol)
-        Ts.append(T)
-        Cs.append(C)
-    half = f.inv(f.from_int(2))
-    base = MultiSeries.scalar(f, 0, orders, f.one)
-    for C in Cs:
-        base = base * C.scale(half)
-    # powers of each T as needed by the polynomial part
-    max_deg = [0] * expr.n
-    for exps in expr.poly:
-        for j, d in enumerate(exps):
-            max_deg[j] = max(max_deg[j], d)
-    tpow = []
-    for j in range(expr.n):
-        powers = [MultiSeries.scalar(f, 0, orders, f.one)]
-        for _ in range(max_deg[j]):
-            powers.append(powers[-1] * Ts[j])
-        tpow.append(powers)
-    total = MultiSeries.zero(f, 0, orders)
-    for exps, c in expr.poly.items():
-        term = MultiSeries.scalar(f, 0, orders, c)
-        for j, d in enumerate(exps):
-            if d:
-                term = term * tpow[j][d]
-        total = total + term
-    return total * base
+    if expansion is None:
+        expansion = ZExpansion(expr.field, exp_half0, deltas, expr.k, n_z,
+                               pole_tol)
+    elif (expansion.k, expansion.n, expansion.n_z) != (expr.k, expr.n, n_z):
+        raise SchemaError("z-expansion was built for another k, n or z-order")
+    return expansion.expand(expr)
 
 
 def lattice_sum_oracle(poly, mu=None, exp_half=None, k=1, truncation=60,

@@ -9,10 +9,18 @@ O(iota^2).  Writing G = <iota, mu(z)> + F, the k-th power trace expands as
                 prod_j (1/2) csch(k mu_j / 2) |_{mu = mu(z)},
 
 where f_j(z, y) = sum_{l + |alpha| = j+1} (F_l coefficient of iota^alpha) y^alpha
-regroups F and f0(z) = F_1(z, 0).  The engine expands the exponential of
-the (nilpotent) operator part, applies the resulting polynomial
-differential operators through :mod:`bnftrace.hypcalc`, and Taylor-expands
-along mu(z).
+regroups F and f0(z) = F_1(z, 0).  :func:`trace_power` expands the
+exponential of the (nilpotent) operator part and applies the resulting
+polynomial differential operators to the csch product along mu(z).
+
+The csch side does not depend on F, only on the blocks, the mu-jets, the
+z-order and the pole tolerance.  A :class:`TraceEngine` holds it for one
+such mu-jet state: per k the coth/csch z-series with their base product
+and coth powers, per (k, alpha) the derivative tower d^alpha (built from
+d^(alpha - e_j) by one step; the towers can be shared between engines),
+its z-series along mu(z) and its value at mu(0).  The caches live as long
+as the engine: :func:`make_trace_data` uses one for all powers, and the
+recovery one per mu-jet state, so no evaluation is repeated within it.
 
 Phase conventions: the oscillatory prefactor e^{ikS(z)/h} is never mixed
 into the h-expansion (the action series travels as metadata), and the
@@ -26,9 +34,8 @@ and is multiplied into the stored series.
 from . import hypcalc
 from .blocks import require_nonresonant
 from .errors import MathError, SchemaError
+from .hypcalc import DEFAULT_POLE_TOL
 from .series import MultiSeries, Orders
-
-DEFAULT_POLE_TOL = 1e-9
 
 
 class QuantumBNF:
@@ -194,18 +201,83 @@ def _check_trace_orders(bnf, orders):
         )
 
 
-def trace_power(bnf, k, orders, pole_tol=DEFAULT_POLE_TOL):
+class TraceEngine:
+    """The F-independent csch side of the trace expansion for one mu-jet
+    state (see the module docstring), cached for the engine's lifetime.
+
+    ``towers`` is a :class:`~bnftrace.hypcalc.CschTowers` to share with
+    other engines of the same field and n; by default the engine has its
+    own.
+    """
+
+    def __init__(self, blocks, mu_jets, n_z, pole_tol=DEFAULT_POLE_TOL,
+                 towers=None):
+        self.field = blocks.field
+        self.n = blocks.n
+        self.exp_half = list(blocks.exp_half)
+        self.mu_jets = list(mu_jets)
+        self.n_z = n_z
+        self.pole_tol = pole_tol
+        if towers is None:
+            towers = hypcalc.CschTowers(self.field, self.n)
+        self.towers = towers
+        self._expansions = {}
+        self._series = {}
+        self._values = {}
+
+    def serves(self, blocks, mu_jets, n_z, pole_tol):
+        """True when the engine was built for exactly this state."""
+        return (blocks.field is self.field and n_z == self.n_z
+                and pole_tol == self.pole_tol
+                and list(blocks.exp_half) == self.exp_half
+                and list(mu_jets) == self.mu_jets)
+
+    def zseries(self, k, alpha):
+        """z-series of d^alpha prod_j (1/2)csch(k mu_j/2) along mu(z)."""
+        s = self._series.get((k, alpha))
+        if s is None:
+            expansion = self._expansions.get(k)
+            if expansion is None:
+                expansion = hypcalc.ZExpansion(
+                    self.field, self.exp_half, self.mu_jets, k, self.n_z,
+                    self.pole_tol)
+                self._expansions[k] = expansion
+            s = hypcalc.eval_series_in_z(
+                self.towers.get(k, alpha), self.exp_half, self.mu_jets,
+                self.n_z, self.pole_tol, expansion=expansion)
+            self._series[(k, alpha)] = s
+        return s
+
+    def value_at_mu0(self, k, alpha):
+        """d^alpha prod_j (1/2)csch(k mu_j/2) at mu(0)."""
+        v = self._values.get((k, alpha))
+        if v is None:
+            v = hypcalc.eval_csch(self.towers.get(k, alpha),
+                                  exp_half=self.exp_half,
+                                  pole_tol=self.pole_tol)
+            self._values[(k, alpha)] = v
+        return v
+
+
+def trace_power(bnf, k, orders, pole_tol=DEFAULT_POLE_TOL, engine=None):
     """Expansion of tr U(z)^k to the given (N_z, N_h) orders.
 
     Returns a :class:`TracePower`; see the module docstring for the exact
-    phase convention.
+    phase convention.  ``engine`` is a :class:`TraceEngine` built for the
+    blocks and mu-jets of ``bnf``; without it a throwaway one is used.
     """
     if k < 1:
         raise SchemaError("k must be a positive integer")
     n_z, n_h = orders
     _check_trace_orders(bnf, orders)
+    if engine is None:
+        engine = TraceEngine(bnf.blocks, bnf.mu_jets, n_z, pole_tol)
+    elif not engine.serves(bnf.blocks, bnf.mu_jets, n_z, pole_tol):
+        raise SchemaError(
+            "trace engine was built for other blocks, mu-jets, z-order or "
+            "pole tolerance"
+        )
     f = bnf.field
-    n = bnf.n
 
     fs = bnf.f_series(n_h, n_z)
 
@@ -228,7 +300,7 @@ def trace_power(bnf, k, orders, pole_tol=DEFAULT_POLE_TOL):
 
     # operator part: exp(-ik sum_{j>=1} h^j f_j(z, y))
     x_terms = {key: c for key, c in fs.terms.items() if key[2] >= 1}
-    X = MultiSeries(f, n, fs.orders, x_terms)
+    X = MultiSeries(f, bnf.n, fs.orders, x_terms)
     op = X.scale(minus_ik).exp_series()
 
     # z-dependent scalar phase
@@ -236,23 +308,14 @@ def trace_power(bnf, k, orders, pole_tol=DEFAULT_POLE_TOL):
 
     # apply the operator monomials to the csch product along mu(z)
     ik_inv = f.i * f.inv(f.from_int(k))
-    ealpha_cache = {}
-
-    def e_alpha(alpha):
-        if alpha not in ealpha_cache:
-            expr = hypcalc.apply_derivatives(
-                hypcalc.csch_product(f, n, k), alpha
-            )
-            ealpha_cache[alpha] = hypcalc.eval_series_in_z(
-                expr, bnf.blocks.exp_half, bnf.mu_jets, n_z, pole_tol
-            )
-        return ealpha_cache[alpha]
-
+    ik_pow = {}
     out = {}
     for (alpha, m, l), c in op.terms.items():
         da = sum(alpha)
-        factor = c * ik_inv**da if da else c
-        for ((), m2, _), ec in e_alpha(alpha).terms.items():
+        if da and da not in ik_pow:
+            ik_pow[da] = ik_inv**da
+        factor = c * ik_pow[da] if da else c
+        for ((), m2, _), ec in engine.zseries(k, alpha).terms.items():
             mm = m + m2
             if mm > n_z:
                 continue
@@ -320,15 +383,21 @@ def leading_term(action, maslov_nu, blocks, k, n_z, tol=DEFAULT_POLE_TOL,
 
 def make_trace_data(bnf, action, maslov, k_max, orders,
                     pole_tol=DEFAULT_POLE_TOL, resonance_order=10,
-                    resonance_tol=1e-8):
-    """Bundle trace_power outputs for k = 1..k_max into a TraceData."""
+                    resonance_tol=1e-8, engine=None):
+    """Bundle trace_power outputs for k = 1..k_max into a TraceData.
+
+    All powers share one :class:`TraceEngine`: ``engine`` if given (it must
+    serve ``bnf``), else a new one.
+    """
     if k_max < 1:
         raise SchemaError("k_max must be >= 1")
     require_nonresonant(bnf.blocks, resonance_order, resonance_tol)
+    if engine is None:
+        engine = TraceEngine(bnf.blocks, bnf.mu_jets, orders[0], pole_tol)
     coefficients = {}
     phase = None
     for k in range(1, k_max + 1):
-        tp = trace_power(bnf, k, orders, pole_tol)
+        tp = trace_power(bnf, k, orders, pole_tol, engine=engine)
         coefficients[k] = tp.coeffs
         phase = tp.phase
     maslov = {k: maslov.get(k, 0) if isinstance(maslov, dict) else maslov[k]

@@ -20,6 +20,16 @@ The matrix entries are (i/k)^{|alpha|} d^alpha_mu prod (1/2)csch(k mu_j/2)
 evaluated at mu(0); a finite k-set stands in for the k -> infinity
 separation limit that guarantees generic solvability, so condition
 numbers are reported rather than assumed.
+
+The forward runs go through :class:`~bnftrace.qbnf.TraceEngine`, whose
+caches (coth/csch z-series per k; derivative tower, its z-series along
+mu(z) and its value at mu(0) per (k, alpha)) are valid for one mu-jet
+state.  The jets change only in the (0, m) stages, so there is one engine
+per (0, m) stage and one more shared by every later stage and the final
+self-check; all of them share one set of derivative towers, and the
+matrix entries above come from the same caches.  A caller may hand in an
+engine it already has (the round trip passes its forward engine), and it
+is used for every stage whose state it serves.
 """
 
 import cmath
@@ -31,8 +41,9 @@ from .blocks import (COMPLEX_HYPERBOLIC, ELLIPTIC, REAL_HYPERBOLIC,
                      SpectrumBlocks)
 from .errors import (ConditioningError, FieldError, MathError,
                      RankDeficiencyError, SchemaError)
+from .hypcalc import DEFAULT_POLE_TOL
 from .linalg import poly_roots, solve_lstsq
-from .qbnf import QuantumBNF, trace_power
+from .qbnf import QuantumBNF, TraceEngine, trace_power
 from .series import MultiSeries, Orders
 
 # Tolerance for the combinatorial root-matching decisions.  It only has to
@@ -573,11 +584,24 @@ def recover_frequencies(field, a0, n, tol=DEFAULT_MATCH_TOL,
 
 def recover_polynomial(field, values, exp_half, max_degree=None,
                        alpha_set=None, k_set=None, residual_tol=1e-8,
-                       cond_gate=None):
+                       cond_gate=None, engine=None):
     """Solve for the coefficients a_alpha of p from the values of
     p(i k^{-1} d/dmu) prod_j (1/2)csch(k mu_j/2) at mu(0), over k in k_set.
+
+    ``engine`` is a :class:`~bnftrace.qbnf.TraceEngine` at these
+    ``exp_half``; the matrix entries then come from its cached towers and
+    values, else from a throwaway set of towers.
     """
     n = len(exp_half)
+    if engine is None:
+        towers = hypcalc.CschTowers(field, n)
+
+        def entry(k, alpha):
+            return hypcalc.eval_csch(towers.get(k, alpha), exp_half=exp_half)
+    elif list(exp_half) != engine.exp_half:
+        raise SchemaError("trace engine was built for other exponents")
+    else:
+        entry = engine.value_at_mu0
     if alpha_set is None:
         if max_degree is None:
             raise SchemaError("need max_degree or alpha_set")
@@ -598,10 +622,7 @@ def recover_polynomial(field, values, exp_half, max_degree=None,
         ik_inv = field.i * field.inv(field.from_int(k))
         row = []
         for alpha in alpha_set:
-            expr = hypcalc.apply_derivatives(
-                hypcalc.csch_product(field, n, k), alpha
-            )
-            d = hypcalc.eval_csch(expr, exp_half=exp_half)
+            d = entry(k, alpha)
             da = sum(alpha)
             row.append(d * ik_inv ** da if da else d)
         rows.append(row)
@@ -637,13 +658,18 @@ class RecoveryReport:
 
 
 def recover_qbnf(tdata, n, orders=None, tol=1e-8, cond_gate=1e8,
-                 match_tol=DEFAULT_MATCH_TOL, pole_tol=1e-9):
+                 match_tol=DEFAULT_MATCH_TOL, pole_tol=DEFAULT_POLE_TOL,
+                 engine=None):
     """Full order-by-order recovery of (mu(z), F) from TraceData.
 
     Follows the staged scheme: Prony on the constant coefficients, then at
     each (h^j, z^m) the residual against the forward engine run on the
     partially recovered data is linear in the new unknowns.  The recovered
     F covers the trace-order-limited set l + |alpha| <= N_h + 1.
+
+    ``engine`` is an optional :class:`~bnftrace.qbnf.TraceEngine` already
+    built for some state, such as the forward engine of a round trip; the
+    stages whose state it serves use it instead of a new one.
     """
     f = tdata.field
     t_orders = tdata.orders()
@@ -695,14 +721,36 @@ def recover_qbnf(tdata, n, orders=None, tol=1e-8, cond_gate=1e8,
         F = MultiSeries(f, n, orders, fhat_terms)
         return QuantumBNF(blocks, jets, F, validate=False)
 
-    def residuals_at(m, j):
+    # one engine per mu-jet state (see the module docstring)
+    if engine is not None and engine.field is f and engine.n == n:
+        towers = engine.towers
+    else:
+        towers = hypcalc.CschTowers(f, n)
+    latest = None
+
+    def engine_for(bnf):
+        nonlocal latest
+        for e in (engine, latest):
+            if e is not None and e.serves(bnf.blocks, bnf.mu_jets, n_z,
+                                          pole_tol):
+                return e
+        latest = TraceEngine(bnf.blocks, bnf.mu_jets, n_z, pole_tol, towers)
+        return latest
+
+    def solve_stage(m, j, alphas):
         bnf = current_bnf()
-        out = {}
+        eng = engine_for(bnf)
+        values = {}
         for k in ks:
-            fwd = trace_power(bnf, k, (n_z, n_h), pole_tol).coeffs
+            fwd = trace_power(bnf, k, (n_z, n_h), pole_tol, engine=eng).coeffs
             delta = coeffs[k].get((), m, j) - fwd.get((), m, j)
-            out[k] = delta * f.inv(-(f.i * f.from_int(k)))
-        return out
+            values[k] = delta * f.inv(-(f.i * f.from_int(k)))
+        sol, cond = recover_polynomial(
+            f, values, blocks.exp_half, alpha_set=alphas, k_set=ks,
+            residual_tol=max(tol, 1e-8), cond_gate=cond_gate, engine=eng,
+        )
+        conditioning[f"h{j}:z{m}"] = cond
+        return sol
 
     # -- Stage (0, m): f_{0m} and the mu jets ---------------------------
     unit_alphas = []
@@ -711,12 +759,7 @@ def recover_qbnf(tdata, n, orders=None, tol=1e-8, cond_gate=1e8,
         a[j] = 1
         unit_alphas.append(tuple(a))
     for m in range(1, n_z + 1):
-        v = residuals_at(m, 0)
-        sol, cond = recover_polynomial(
-            f, v, blocks.exp_half, alpha_set=[alpha0] + unit_alphas,
-            k_set=ks, residual_tol=max(tol, 1e-8), cond_gate=cond_gate,
-        )
-        conditioning[f"h0:z{m}"] = cond
+        sol = solve_stage(m, 0, [alpha0] + unit_alphas)
         if not f.is_zero(sol[alpha0]):
             fhat_terms[(alpha0, m, 1)] = sol[alpha0]
         for j, ua in enumerate(unit_alphas):
@@ -734,12 +777,7 @@ def recover_qbnf(tdata, n, orders=None, tol=1e-8, cond_gate=1e8,
         if not alphas:
             continue
         for m in range(0, orders.z + 1):
-            v = residuals_at(m, j)
-            sol, cond = recover_polynomial(
-                f, v, blocks.exp_half, alpha_set=alphas, k_set=ks,
-                residual_tol=max(tol, 1e-8), cond_gate=cond_gate,
-            )
-            conditioning[f"h{j}:z{m}"] = cond
+            sol = solve_stage(m, j, alphas)
             for alpha, val in sol.items():
                 if not f.is_zero(val):
                     l = j + 1 - sum(alpha)
@@ -749,10 +787,12 @@ def recover_qbnf(tdata, n, orders=None, tol=1e-8, cond_gate=1e8,
     recovered = QuantumBNF(recovered.blocks, recovered.mu_jets, recovered.F)
 
     # -- self check: forward the recovered data and compare --------------
+    eng = engine_for(recovered)
     residuals = {}
     worst = 0.0
     for k in ks:
-        fwd = trace_power(recovered, k, (n_z, n_h), pole_tol).coeffs
+        fwd = trace_power(recovered, k, (n_z, n_h), pole_tol,
+                          engine=eng).coeffs
         for m in range(n_z + 1):
             for j in range(n_h + 1):
                 a = coeffs[k].get((), m, j)

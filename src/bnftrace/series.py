@@ -254,15 +254,6 @@ class MultiSeries:
         return MultiSeries(self.field, self.n_actions,
                            Orders(self.orders.iota, self.orders.z, 0), terms)
 
-    def z_coefficient(self, m):
-        terms = {
-            (alpha, 0, l): c
-            for (alpha, mm, l), c in self.terms.items()
-            if mm == m
-        }
-        return MultiSeries(self.field, self.n_actions,
-                           Orders(self.orders.iota, 0, self.orders.h), terms)
-
     def __repr__(self):
         if not self.terms:
             return "<MultiSeries 0>"

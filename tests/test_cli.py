@@ -54,16 +54,6 @@ def test_forward_then_recover_files(rt1_file, tmp_path, capsys):
     assert "prony" in rep["conditioning"]
 
 
-def test_forward_parallel_matches_sequential(rt1_file, tmp_path):
-    t1 = str(tmp_path / "t1.json")
-    t2 = str(tmp_path / "t2.json")
-    assert main(["forward", "--bnf", rt1_file, "--orders", "4,3,3",
-                 "--kmax", "6", "--out", t1]) == 0
-    assert main(["forward", "--bnf", rt1_file, "--orders", "4,3,3",
-                 "--kmax", "6", "--out", t2, "--parallel"]) == 0
-    assert json.load(open(t1)) == json.load(open(t2))
-
-
 def test_malformed_json_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"not json')

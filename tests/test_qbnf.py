@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 
@@ -11,7 +12,7 @@ from bnftrace.blocks import (COMPLEX_HYPERBOLIC, ELLIPTIC, REAL_HYPERBOLIC,
                              SpectrumBlocks)
 from bnftrace.errors import MathError, ResonanceError, SchemaError
 from bnftrace.fields import FloatField, RationalField
-from bnftrace.qbnf import (QuantumBNF, TraceData, leading_term,
+from bnftrace.qbnf import (QuantumBNF, TraceData, TraceEngine, leading_term,
                            make_trace_data, trace_power)
 from bnftrace.series import MultiSeries, Orders, zseries
 from bnftrace import hypcalc as hc
@@ -222,3 +223,100 @@ def test_mixed_fixture_forward_runs():
     td = make_trace_data(b, zseries(F, 2, {1: F.one}), {}, 6, (2, 2))
     assert td.k_max == 6
     assert abs(F.to_complex(td.phase).imag) < 10  # phase is a scalar
+
+
+class _ScratchEngine:
+    """Stands in for TraceEngine with no caches at all: every z-series is
+    built from scratch by apply_derivatives + eval_series_in_z."""
+
+    def __init__(self, bnf, n_z):
+        self.bnf = bnf
+        self.n_z = n_z
+
+    def serves(self, *_state):
+        return True
+
+    def zseries(self, k, alpha):
+        b = self.bnf
+        expr = hc.apply_derivatives(hc.csch_product(b.field, b.n, k), alpha)
+        return hc.eval_series_in_z(expr, b.blocks.exp_half, b.mu_jets,
+                                   self.n_z)
+
+
+def _rational_fixtures():
+    """rt1 with a z^2 term in its mu-jet, and an exact n=2 fixture (rh E=2,
+    elliptic E=(3+4i)/5) with jets and F coupling both actions."""
+    _F, b1, _a = rt1()
+    jet = zseries(FR, 3, {1: FR.one, 2: FR.from_rational("-2/5")})
+    b1 = QuantumBNF(b1.blocks, [jet], b1.F)
+    blocks = SpectrumBlocks(FR, [REAL_HYPERBOLIC, ELLIPTIC],
+                            [FR.from_int(2), FR.from_rational("3/5", "4/5")])
+    jets = [zseries(FR, 3, {1: FR.from_rational("1/3")}),
+            zseries(FR, 3, {1: FR.from_rational(0, "-1/2"),
+                            2: FR.from_rational(0, "1/7")})]
+    F2 = MultiSeries(FR, 2, Orders(4, 3, 3), {
+        ((2, 0), 0, 0): FR.from_rational("1/7"),
+        ((1, 1), 0, 0): FR.from_rational("-2/3"),
+        ((0, 2), 1, 0): FR.from_rational("1/5"),
+        ((1, 0), 0, 1): FR.from_rational("3/4"),
+        ((0, 1), 2, 1): FR.from_rational("-1/9"),
+        ((0, 0), 0, 1): FR.from_rational("2/9"),
+        ((2, 1), 0, 1): FR.from_rational("5/6"),
+        ((1, 0), 1, 3): FR.from_rational("-1/2"),
+    })
+    return [b1, QuantumBNF(blocks, jets, F2)]
+
+
+def _alphas_up_to(n, degree):
+    return [a for a in itertools.product(range(degree + 1), repeat=n)
+            if sum(a) <= degree]
+
+
+def test_engine_trace_power_matches_scratch_reference():
+    for b in _rational_fixtures():
+        engine = TraceEngine(b.blocks, b.mu_jets, 3)
+        for k in range(1, 9):
+            ref = trace_power(b, k, (3, 3), engine=_ScratchEngine(b, 3))
+            got = trace_power(b, k, (3, 3), engine=engine)
+            again = trace_power(b, k, (3, 3), engine=engine)  # from cache
+            assert got.phase == ref.phase
+            assert list(got.coeffs.terms.items()) == \
+                list(ref.coeffs.terms.items())
+            assert list(again.coeffs.terms.items()) == \
+                list(ref.coeffs.terms.items())
+
+
+def test_engine_matches_scratch_for_every_alpha():
+    for b in _rational_fixtures():
+        engine = TraceEngine(b.blocks, b.mu_jets, 3)
+        scratch = _ScratchEngine(b, 3)
+        for k in (1, 2, 5):
+            for alpha in _alphas_up_to(b.n, 4):
+                assert engine.zseries(k, alpha) == scratch.zseries(k, alpha)
+                expr = hc.apply_derivatives(hc.csch_product(FR, b.n, k), alpha)
+                assert engine.value_at_mu0(k, alpha) == hc.eval_csch(
+                    expr, exp_half=b.blocks.exp_half)
+
+
+def test_incremental_towers_equal_apply_derivatives():
+    for field in (FR, FF):
+        for n in (1, 2, 3):
+            towers = hc.CschTowers(field, n)
+            for k in (1, 3):
+                # highest alphas first, so lower ones come out of the cache
+                for alpha in sorted(_alphas_up_to(n, 4), key=sum,
+                                    reverse=True):
+                    ref = hc.apply_derivatives(hc.csch_product(field, n, k),
+                                               alpha)
+                    got = towers.get(k, alpha)
+                    assert (got.n, got.k) == (n, k)
+                    assert list(got.poly.items()) == list(ref.poly.items())
+
+
+def test_trace_power_rejects_engine_of_another_state():
+    _F, b, _a = rt1()
+    engine = TraceEngine(b.blocks, [zseries(FR, 3)], 3)
+    with pytest.raises(SchemaError):
+        trace_power(b, 1, (3, 3), engine=engine)
+    with pytest.raises(SchemaError):
+        trace_power(b, 1, (2, 3), engine=TraceEngine(b.blocks, b.mu_jets, 3))

@@ -266,3 +266,24 @@ def test_recover_qbnf_insufficient_kmax():
     with pytest.raises(RankDeficiencyError) as exc:
         recover_qbnf(td, 1)
     assert "1..6" in str(exc.value)
+
+
+def test_recovery_evaluates_each_z_series_once(monkeypatch):
+    """Within one recovery every (mu-jets, k, alpha) z-series is evaluated
+    at most once: one engine per mu-jet state, reused by later stages and
+    the self-check."""
+    F, bnf, action = rt1()
+    td = make_trace_data(bnf, action, {}, 8, (3, 3))
+    original = hc.eval_series_in_z
+    calls = []
+
+    def counting(expr, exp_half0, deltas, n_z, *args, **kwargs):
+        jets = tuple(tuple(sorted(d.terms.items())) for d in deltas)
+        calls.append((jets, expr.k, tuple(sorted(expr.poly.items()))))
+        return original(expr, exp_half0, deltas, n_z, *args, **kwargs)
+
+    monkeypatch.setattr(hc, "eval_series_in_z", counting)
+    rep = recover_qbnf(td, 1)
+    assert not rep.failed
+    assert calls
+    assert len(calls) == len(set(calls))
