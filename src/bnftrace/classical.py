@@ -515,7 +515,6 @@ def birkhoff_normal_form(tmap, iota_degree, tol=DEFAULT_TOL,
     R_terms = {}
     generators = []
     min_denom = math.inf
-    pats_cache = {}
 
     def lam_power(M):
         v = f.one

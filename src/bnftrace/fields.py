@@ -3,9 +3,11 @@
 Two families are provided:
 
 * :class:`RationalField` -- complex numbers with exact rational real and
-  imaginary parts (``fractions.Fraction`` pairs).  Field axioms hold
-  exactly; equality is bit-exact.  Used by the round-trip fixtures whose
-  data is rational (hyperbolic exponents of the form mu = 2 log(p/q)).
+  imaginary parts, each held as one canonical integer triple ``(a, b, d)``
+  meaning ``(a + b*i) / d`` with ``d > 0`` and ``gcd(a, b, d) == 1``.
+  Field axioms hold exactly; equality is bit-exact.  Used by the
+  round-trip fixtures whose data is rational (hyperbolic exponents of the
+  form mu = 2 log(p/q)).
 * :class:`FloatField` -- binary floating point complex numbers.  The
   default precision of 64 bits is plain ``complex``; higher precisions are
   backed by ``mpmath.mpc``.  Comparisons always go through a tolerance.
@@ -18,6 +20,7 @@ operations that depend on the backend (exact zero test, sqrt, exp).
 import cmath
 import math
 from fractions import Fraction
+from math import gcd
 
 from .errors import FieldError
 
@@ -42,47 +45,87 @@ def _sqrt_fraction(q):
 
 
 class RationalComplex:
-    """A complex number with exact rational real/imaginary parts."""
+    """A complex rational ``(a + b*i) / d`` held as one integer triple.
 
-    __slots__ = ("re", "im")
+    Invariant: ``a``, ``b`` and ``d`` are ints, ``d > 0`` and
+    ``gcd(a, b, d) == 1``.  Every value has exactly one such triple, so
+    equality compares triples and the hash of a real value is that of the
+    equal ``Fraction``.  Results are reduced with a single gcd; the hot
+    dunders take fast paths for operands of this type and for ``int``
+    before falling back to ``Fraction`` coercion.  ``re`` and ``im`` are
+    read-only ``Fraction`` views for cold callers.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        re = Fraction(re)
+        im = Fraction(im)
+        # the lcm of two reduced denominators leaves gcd(a, b, d) == 1
+        re_d, im_d = re.denominator, im.denominator
+        d = re_d * im_d // gcd(re_d, im_d)
+        self.a = re.numerator * (d // re_d)
+        self.b = im.numerator * (d // im_d)
+        self.d = d
+
+    @property
+    def re(self):
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self):
+        return Fraction(self.b, self.d)
 
     def __add__(self, other):
-        other = _coerce(other)
-        return RationalComplex(self.re + other.re, self.im + other.im)
+        if type(other) is not RationalComplex:
+            if type(other) is int:
+                # gcd(a + n*d, b, d) == gcd(a, b, d) == 1
+                return _triple(self.a + other * self.d, self.b, self.d)
+            other = _coerce(other)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _reduced(self.a + other.a, self.b + other.b, d1)
+        return _reduced(self.a * d2 + other.a * d1,
+                        self.b * d2 + other.b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalComplex(-self.re, -self.im)
+        return _triple(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        return self + (-_coerce(other))
+        if type(other) is not RationalComplex:
+            other = _coerce(other)
+        return self + (-other)
 
     def __rsub__(self, other):
-        return _coerce(other) + (-self)
+        return (-self) + other
 
     def __mul__(self, other):
-        other = _coerce(other)
-        return RationalComplex(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not RationalComplex:
+            if type(other) is int:
+                return _reduced(self.a * other, self.b * other, self.d)
+            other = _coerce(other)
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2,
+                        self.d * other.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        n = other.re * other.re + other.im * other.im
+        if type(other) is not RationalComplex:
+            other = _coerce(other)
+        a2, b2 = other.a, other.b
+        n = a2 * a2 + b2 * b2
         if n == 0:
             raise ZeroDivisionError("division by zero RationalComplex")
-        return RationalComplex(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        # (x/d1) / (y/d2) = x * d2 * conj(y) / (d1 * |y|^2)
+        a1, b1, d2 = self.a, self.b, other.d
+        return _reduced((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2,
+                        self.d * n)
 
     def __rtruediv__(self, other):
         return _coerce(other) / self
@@ -102,32 +145,60 @@ class RationalComplex:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, RationalComplex)):
-            other = _coerce(other)
-            return self.re == other.re and self.im == other.im
+        if type(other) is RationalComplex:
+            return (self.a == other.a and self.b == other.b
+                    and self.d == other.d)
+        if isinstance(other, int):
+            return self.b == 0 and self.d == 1 and self.a == other
+        if isinstance(other, Fraction):
+            return (self.b == 0 and self.d == other.denominator
+                    and self.a == other.numerator)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        if self.b == 0:
+            return hash(Fraction(self.a, self.d))
+        return hash((self.a, self.b, self.d))
 
     def conjugate(self):
-        return RationalComplex(self.re, -self.im)
+        return _triple(self.a, -self.b, self.d)
 
     def norm_sq(self):
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        # int / int is correctly rounded, as Fraction.__float__ is
+        return complex(self.a / self.d, self.b / self.d)
 
     def __repr__(self):
         return f"({self.re})+({self.im})i"
+
+
+_new = object.__new__
+
+
+def _triple(a, b, d):
+    """A RationalComplex from a triple that already meets the invariant."""
+    x = _new(RationalComplex)
+    x.a = a
+    x.b = b
+    x.d = d
+    return x
+
+
+def _reduced(a, b, d):
+    """A RationalComplex from any triple with ``d > 0``, by one gcd."""
+    g = gcd(a, b, d)
+    if g != 1:
+        return _triple(a // g, b // g, d // g)
+    return _triple(a, b, d)
 
 
 def _coerce(x):
     if isinstance(x, RationalComplex):
         return x
     if isinstance(x, (int, Fraction)):
-        return RationalComplex(x)
+        return _triple(x.numerator, 0, x.denominator)
     raise TypeError(f"cannot coerce {type(x).__name__} into RationalComplex")
 
 
@@ -159,7 +230,7 @@ class RationalField:
         return _format_fraction(x.re), _format_fraction(x.im)
 
     def is_zero(self, x, tol=None):
-        return x.re == 0 and x.im == 0
+        return x.a == 0 and x.b == 0
 
     def close(self, x, y, tol=None):
         return x == y
@@ -206,10 +277,7 @@ class RationalField:
         raise FieldError("exp is not exact on the rational field")
 
     def factorial_inv(self, m):
-        return RationalComplex(Fraction(1, math.factorial(m)))
-
-    def from_pyint_fraction(self, p, q=1):
-        return RationalComplex(Fraction(p, q))
+        return _triple(1, 0, math.factorial(m))
 
 
 class FloatField:

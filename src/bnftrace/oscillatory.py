@@ -26,8 +26,6 @@ from .linalg import solve_lstsq
 from .qbnf import TraceData
 from .series import MultiSeries, Orders
 
-TWO_PI = 6.283185307179586476925287
-
 
 class TestJet:
     """Finite Taylor data of a test function at the base point I'(0)."""
@@ -254,7 +252,6 @@ def traces_from_pairings(bundles, order, maslov=None, phase=None,
     n_z = z_order if z_order is not None else order
     n_h = h_order if h_order is not None else order
     action_terms = {}
-    ref = orbits[1] if 1 in orbits else None
     for k, orb in orbits.items():
         inv_k = f.inv(f.from_int(k))
         for m, c in enumerate(orb.i_jets):

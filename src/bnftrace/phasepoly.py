@@ -213,18 +213,6 @@ class PolyMap:
             rows.append(row)
         return rows
 
-    def max_degree_part(self, d):
-        return [c.degree_part(d) for c in self.comps]
-
-    def min_degree_above_linear(self):
-        best = None
-        for comp in self.comps:
-            for e in comp.terms:
-                s = sum(e)
-                if s >= 2 and (best is None or s < best):
-                    best = s
-        return best
-
     def __repr__(self):
         return f"<PolyMap n={self.n} deg<={self.degree}>"
 
