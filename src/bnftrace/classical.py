@@ -507,10 +507,14 @@ def birkhoff_normal_form(tmap, iota_degree, tol=DEFAULT_TOL,
     kc = _snap_linear_to_diagonal(kc, lam_slots, tol)
     lam_inv = [f.inv(l) for l in lam_slots]
 
-    def reduced(pm):
-        """Lambda^{-1} o pm."""
+    def defect(pm, r_terms):
+        """Lambda^{-1} o pm - exp H_R, R given by its iota terms."""
         comps = [c.scale(lam_inv[i]) for i, c in enumerate(pm.comps)]
-        return PolyMap(f, n, D, comps)
+        if r_terms:
+            target = exp_ham(iota_poly_to_phase(f, n, D, r_terms), n, D)
+        else:
+            target = PolyMap.identity(f, n, D)
+        return PolyMap(f, n, D, comps).sub(target)
 
     R_terms = {}
     generators = []
@@ -545,10 +549,7 @@ def birkhoff_normal_form(tmap, iota_degree, tol=DEFAULT_TOL,
         return total * f.inv(f.from_int(len(values)))
 
     for d in range(2, D + 1):
-        R_phase = iota_poly_to_phase(f, n, D, R_terms)
-        target = exp_ham(R_phase, n, D) if R_terms else PolyMap.identity(f, n, D)
-        eps = reduced(kc).sub(target)
-        eps_d = [c.degree_part(d) for c in eps.comps]
+        eps_d = [c.degree_part(d) for c in defect(kc, R_terms).comps]
         # collect chi-monomial estimates; chi has degree d+1
         chi_est = {}
         rho_est = {}
@@ -595,11 +596,8 @@ def birkhoff_normal_form(tmap, iota_degree, tol=DEFAULT_TOL,
             kc = bwd.compose(kc.compose(fwd))
             kc = _snap_linear_to_diagonal(kc, lam_slots, tol)
 
-    # final defect
-    R_phase = iota_poly_to_phase(f, n, D, R_terms)
-    target = exp_ham(R_phase, n, D) if R_terms else PolyMap.identity(f, n, D)
-    eps = reduced(kc).sub(target)
-    residual = max((c.max_coeff_abs() for c in eps.comps), default=0.0)
+    residual = max((c.max_coeff_abs() for c in defect(kc, R_terms).comps),
+                   default=0.0)
 
     p_complex = {}
     if not f.exact:

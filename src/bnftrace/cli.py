@@ -8,6 +8,7 @@ All file formats are defined in :mod:`bnftrace.jsonio`.
 """
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -17,7 +18,6 @@ from .classical import birkhoff_normal_form, classify_eigenvalues
 from .config import RunConfig
 from .errors import MathError, SchemaError
 from .fields import field_from_name
-from .hypcalc import DEFAULT_POLE_TOL
 from .qbnf import TraceEngine, make_trace_data
 from .recover import recover_qbnf
 from .series import MultiSeries, Orders
@@ -31,41 +31,41 @@ def _fmt_value(field, v):
     return f"{re} + {im} i   (~ {c.real:.6g} + {c.imag:.6g} i)"
 
 
-def _add_common(p):
-    p.add_argument("--backend", choices=["rational", "float"], default=None)
-    p.add_argument("--precision", type=int, default=64)
-    p.add_argument("--orders", default=None,
-                   help="IOTA,Z,H truncation orders")
-    p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--tol-pole", type=float, default=DEFAULT_POLE_TOL,
-                   dest="tol_pole")
-    p.add_argument("--tol-resonance", type=float, default=1e-8,
-                   dest="tol_resonance")
-    p.add_argument("--tol-conditioning", type=float, default=1e8,
-                   dest="tol_conditioning")
-    p.add_argument("--tol-residual", type=float, default=1e-8,
-                   dest="tol_residual")
-    p.add_argument("--out", default=None)
-    p.add_argument("--report", default=None)
+# every option a subcommand can take, keyed by its destination: a RunConfig
+# field, whose default it shares, or an argument read by the command itself
+_OPTIONS = {
+    "backend": ("--backend", {"choices": ["rational", "float"]}),
+    "float_precision": ("--precision", {"type": int}),
+    "orders": ("--orders", {"help": "IOTA,Z,H truncation orders"}),
+    "k_max": ("--kmax", {"type": int}),
+    "tol_pole": ("--tol-pole", {"type": float}),
+    "tol_resonance": ("--tol-resonance", {"type": float}),
+    "tol_conditioning": ("--tol-conditioning", {"type": float}),
+    "tol_residual": ("--tol-residual", {"type": float}),
+    "out": ("--out", {}),
+    "report": ("--report", {}),
+}
+_CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+
+
+def _add_options(p, *dests):
+    """Give subcommand ``p`` the options it reads, and only those."""
+    for dest in dests:
+        flag, kwargs = _OPTIONS[dest]
+        p.add_argument(flag, dest=dest, default=getattr(RunConfig, dest, None),
+                       **kwargs)
 
 
 def _config_from_args(args):
-    orders = (4, 3, 3)
-    if args.orders:
-        parts = [int(x) for x in args.orders.split(",")]
-        if len(parts) != 3:
+    """The RunConfig of a subcommand's options; RunConfig's defaults stand
+    for the options it does not take."""
+    opts = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS}
+    if isinstance(opts.get("orders"), str):
+        parts = opts["orders"].split(",")
+        if len(parts) != 3 or not all(x.strip().isdigit() for x in parts):
             raise SchemaError("--orders expects IOTA,Z,H")
-        orders = tuple(parts)
-    return RunConfig(
-        backend=args.backend or "float",
-        float_precision=args.precision,
-        orders=orders,
-        k_max=args.kmax or 8,
-        tol_pole=args.tol_pole,
-        tol_resonance=args.tol_resonance,
-        tol_conditioning=args.tol_conditioning,
-        tol_residual=args.tol_residual,
-    )
+        opts["orders"] = tuple(int(x) for x in parts)
+    return RunConfig(**opts)
 
 
 def _load_action(path, field, n_z):
@@ -82,7 +82,6 @@ def _load_action(path, field, n_z):
 def _forward_tracedata(bnf, action, maslov, cfg, engine=None):
     return make_trace_data(bnf, action, maslov, cfg.k_max, cfg.orders[1:],
                            pole_tol=cfg.tol_pole,
-                           resonance_order=cfg.resonance_order,
                            resonance_tol=cfg.tol_resonance, engine=engine)
 
 
@@ -197,9 +196,9 @@ def _parse_exp_half(field, text):
 
 
 def cmd_oracle(args):
-    field = field_from_name(args.backend or "rational", args.precision)
+    field = field_from_name(args.backend or "rational", args.float_precision)
     if args.mu is not None:
-        field = field_from_name(args.backend or "float", args.precision)
+        field = field_from_name(args.backend or "float", args.float_precision)
         mus = [complex(s) for s in args.mu.split(";")]
         ehm = [field.exp(m * 0.5) for m in mus]
     elif args.exp_half is not None:
@@ -238,20 +237,24 @@ def build_parser():
     p = sub.add_parser("forward", help="QuantumBNF file -> TraceData file")
     p.add_argument("--bnf", required=True)
     p.add_argument("--action", default=None)
-    _add_common(p)
+    _add_options(p, "float_precision", "orders", "k_max", "tol_pole",
+                 "tol_resonance", "out")
     p.set_defaults(func=cmd_forward)
 
     p = sub.add_parser("recover", help="TraceData file -> QuantumBNF file")
     p.add_argument("--traces", required=True)
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
+    _add_options(p, "float_precision", "tol_pole", "tol_conditioning",
+                 "tol_residual", "out", "report")
     p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("roundtrip",
                        help="forward then recover; exit 0 iff equal")
     p.add_argument("--bnf", required=True)
     p.add_argument("--action", default=None)
-    _add_common(p)
+    _add_options(p, "float_precision", "orders", "k_max", "tol_pole",
+                 "tol_resonance", "tol_conditioning", "tol_residual",
+                 "report")
     p.set_defaults(func=cmd_roundtrip)
 
     p = sub.add_parser("classical-bnf",
@@ -259,12 +262,11 @@ def build_parser():
     p.add_argument("--map", required=True)
     p.add_argument("--degree", type=int, default=2,
                    help="iota degree of the reported normal form")
-    _add_common(p)
+    _add_options(p, "float_precision", "tol_resonance", "report")
     p.set_defaults(func=cmd_classical_bnf)
 
     p = sub.add_parser("classify", help="classify a symplectic matrix")
     p.add_argument("--matrix", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("oracle", help="desk-check oracles")
@@ -277,7 +279,7 @@ def build_parser():
     p.add_argument("--truncation", type=int, default=60)
     p.add_argument("--alpha", default=None,
                    help="derivative/monomial multi-index 'a1,a2,...'")
-    _add_common(p)
+    _add_options(p, "backend", "float_precision", "tol_pole")
     p.set_defaults(func=cmd_oracle)
     return ap
 

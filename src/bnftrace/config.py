@@ -3,13 +3,11 @@
 from dataclasses import dataclass
 
 from .errors import SchemaError
-from .fields import field_from_name
 from .hypcalc import DEFAULT_POLE_TOL
 
 
 @dataclass
 class RunConfig:
-    backend: str = "float"
     float_precision: int = 64
     orders: tuple = (4, 3, 3)      # (N_iota, N_z, N_h)
     k_max: int = 8
@@ -17,7 +15,6 @@ class RunConfig:
     tol_resonance: float = 1e-8
     tol_conditioning: float = 1e8
     tol_residual: float = 1e-8
-    resonance_order: int = 10
 
     def __post_init__(self):
         for name in ("tol_pole", "tol_resonance", "tol_conditioning",
@@ -26,8 +23,3 @@ class RunConfig:
                 raise SchemaError(f"{name} must be positive")
         if any(o < 0 for o in self.orders):
             raise SchemaError("orders must be nonnegative")
-        if self.backend not in ("rational", "float"):
-            raise SchemaError(f"unknown backend {self.backend!r}")
-
-    def make_field(self):
-        return field_from_name(self.backend, self.float_precision)

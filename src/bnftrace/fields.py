@@ -247,9 +247,6 @@ class RationalField:
     def to_complex(self, x):
         return complex(x)
 
-    def real_part(self, x):
-        return x.re
-
     def sqrt(self, x):
         """Exact square root in Q(i); raises FieldError when none exists."""
         if x.im == 0:
@@ -350,9 +347,6 @@ class FloatField:
 
     def to_complex(self, x):
         return complex(x)
-
-    def real_part(self, x):
-        return x.real
 
     def sqrt(self, x):
         if self._mp is None:

@@ -259,10 +259,11 @@ class ZExpansion:
         f = self.field
         total = MultiSeries.zero(f, 0, self.orders)
         for exps, c in expr.poly.items():
-            term = MultiSeries.scalar(f, 0, self.orders, c)
-            for j, d in enumerate(exps):
-                if d:
-                    term = term * self.t_power(j, d)
+            factors = [self.t_power(j, d) for j, d in enumerate(exps) if d]
+            term = (factors[0].scale(c) if factors
+                    else MultiSeries.scalar(f, 0, self.orders, c))
+            for g in factors[1:]:
+                term = term * g
             total = total + term
         return total * self.base
 

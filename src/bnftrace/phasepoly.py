@@ -10,36 +10,53 @@ matching H_p = sum d_xi p d_x - d_x p d_xi.  Everything is truncated at a
 total polynomial degree carried explicitly, and coefficients live in a
 field object from :mod:`bnftrace.fields`, so the same engine serves float
 maps and exact rational fixtures.
+
+:class:`PhasePoly` is a layout of the sparse core
+:class:`bnftrace.series.TruncatedPoly`, which does all its arithmetic.  Its
+keys are flat exponent tuples, its graded degree is the total degree, and
+its bound is that degree alone, so a product whose degree fits always
+fits.  ``derive`` keeps the degree rather than lowering it as
+``MultiSeries.derive`` does: ``poisson`` and the Lie series in ``exp_ham``
+add brackets at one fixed degree.
 """
 
+from collections import namedtuple
+
 from .errors import DimensionMismatchError, SchemaError
+from .series import TruncatedPoly
+
+Degree = namedtuple("Degree", ["total"])
 
 
-class PhasePoly:
+class PhasePoly(TruncatedPoly):
     """Polynomial in ``nvars`` variables truncated at total degree."""
 
-    __slots__ = ("field", "nvars", "degree", "terms")
+    __slots__ = ()
+    nvars = property(lambda self: self.arity)
+    degree = property(lambda self: self.bound.total)
 
     def __init__(self, field, nvars, degree, terms=None):
-        self.field = field
-        self.nvars = nvars
-        self.degree = degree
-        clean = {}
-        if terms:
-            for exps, c in terms.items():
-                exps = tuple(exps)
-                if len(exps) != nvars:
-                    raise DimensionMismatchError(
-                        f"exponent {exps} has arity != {nvars}"
-                    )
-                if sum(exps) > degree or field.is_zero(c):
-                    continue
-                clean[exps] = c
-        self.terms = clean
+        super().__init__(field, nvars, Degree(degree), terms)
 
-    @classmethod
-    def zero(cls, field, nvars, degree):
-        return cls(field, nvars, degree, {})
+    def _key(self, exps):
+        exps = tuple(exps)
+        if len(exps) != self.arity:
+            raise DimensionMismatchError(
+                f"exponent {exps} has arity != {self.arity}"
+            )
+        if any(e < 0 for e in exps):
+            raise SchemaError(f"negative exponent {exps}")
+        return exps
+
+    _degree = staticmethod(sum)
+
+    @staticmethod
+    def _join(e1, e2, bound):
+        return tuple(a + b for a, b in zip(e1, e2))
+
+    @staticmethod
+    def _fits(exps, bound):
+        return sum(exps) <= bound.total
 
     @classmethod
     def scalar(cls, field, nvars, degree, value):
@@ -51,37 +68,6 @@ class PhasePoly:
         e[i] = 1
         return cls(field, nvars, degree, {tuple(e): field.one})
 
-    def __add__(self, other):
-        deg = min(self.degree, other.degree)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms[e] + c if e in terms else c
-        return PhasePoly(self.field, self.nvars, deg, terms)
-
-    def __neg__(self):
-        return PhasePoly(self.field, self.nvars, self.degree,
-                         {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        deg = min(self.degree, other.degree)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2) > deg:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = c1 * c2
-                terms[e] = terms[e] + v if e in terms else v
-        return PhasePoly(self.field, self.nvars, deg, terms)
-
-    def scale(self, value):
-        return PhasePoly(self.field, self.nvars, self.degree,
-                         {e: value * c for e, c in self.terms.items()})
-
     def derive(self, i):
         terms = {}
         for e, c in self.terms.items():
@@ -89,7 +75,7 @@ class PhasePoly:
                 ne = list(e)
                 ne[i] -= 1
                 terms[tuple(ne)] = c * self.field.from_int(e[i])
-        return PhasePoly(self.field, self.nvars, self.degree, terms)
+        return self._make(self.field, self.arity, self.bound, terms)
 
     def eval(self, values):
         f = self.field
@@ -103,17 +89,14 @@ class PhasePoly:
         return total
 
     def degree_part(self, d):
-        return PhasePoly(self.field, self.nvars, self.degree,
-                         {e: c for e, c in self.terms.items() if sum(e) == d})
+        return self._make(self.field, self.arity, self.bound,
+                          {e: c for e, c in self.terms.items() if sum(e) == d})
 
     def min_degree(self):
         return min((sum(e) for e in self.terms), default=None)
 
     def max_coeff_abs(self):
         return max((self.field.abs(c) for c in self.terms.values()), default=0.0)
-
-    def is_zero(self):
-        return not self.terms
 
     def __repr__(self):
         return f"<PhasePoly {len(self.terms)} terms deg<={self.degree}>"
@@ -184,10 +167,11 @@ class PolyMap:
         for comp in self.comps:
             acc = PhasePoly.zero(f, nv, deg)
             for e, c in comp.terms.items():
-                term = PhasePoly.scalar(f, nv, deg, c)
-                for j, p in enumerate(e):
-                    if p:
-                        term = term * pows[j][p]
+                factors = [pows[j][p] for j, p in enumerate(e) if p]
+                term = (factors[0].scale(c) if factors
+                        else PhasePoly.scalar(f, nv, deg, c))
+                for g in factors[1:]:
+                    term = term * g
                 acc = acc + term
             out.append(acc)
         return PolyMap(f, self.n, deg, out)
@@ -215,12 +199,6 @@ class PolyMap:
 
     def __repr__(self):
         return f"<PolyMap n={self.n} deg<={self.degree}>"
-
-
-def ham_vector_field(chi, n):
-    """Components of H_chi: (d_xi chi, -d_x chi)."""
-    return [chi.derive(n + j) for j in range(n)] + \
-           [-chi.derive(j) for j in range(n)]
 
 
 def exp_ham(chi, n, degree):

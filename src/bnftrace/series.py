@@ -1,15 +1,23 @@
-"""Truncated multivariate formal power series.
+"""Sparse truncated polynomials over a pluggable field.
 
-A :class:`MultiSeries` lives in the variables (iota_1..iota_n, z, h) over a
-coefficient field from :mod:`bnftrace.fields`.  Truncation orders are
-explicit data: total iota-degree <= orders.iota, z-power <= orders.z,
-h-power <= orders.h.  Mixed-order arithmetic truncates to the minimum of
-the operand orders, so a result never claims more precision than was
-computed.
+:class:`TruncatedPoly` is the one arithmetic core: a dict from monomial
+keys to nonzero coefficients of a field from :mod:`bnftrace.fields`, cut
+off by a bound.  The bound is a namedtuple of orders; its first field caps
+the graded degree, and mixed-bound arithmetic takes the fieldwise minimum,
+so a result never claims more precision than was computed.  The core owns
+construction, ``+``, ``-``, ``*``, ``scale``, ``is_zero`` and the arity
+check; a subclass supplies only its key layout through four hooks:
+``_key`` (canonical key of outside input, checking arity and signs),
+``_degree`` (graded degree of a key), ``_join`` (product key, or None when
+it leaves the bound beyond the degree) and ``_fits`` (key inside a bound).
+No stored coefficient equals the field zero, so equality is structural,
+and every operation is a pure function.
 
-Representation is normalized: no stored coefficient equals the field zero,
-which makes equality testing structural.  All values are immutable after
-construction and every operation is a pure function.
+:class:`MultiSeries` is the layout in (iota_1..iota_n, z, h), bound by
+``Orders``; ``phasepoly.PhasePoly`` is the other.  ``derive`` is not
+shared: ``MultiSeries.derive`` lowers the order in its variable, so the
+product rule holds exactly under truncation, while ``PhasePoly.derive``
+keeps the degree, as the Poisson bracket and the Lie series need.
 """
 
 from collections import namedtuple
@@ -19,54 +27,141 @@ from .errors import DimensionMismatchError, SchemaError
 Orders = namedtuple("Orders", ["iota", "z", "h"])
 
 
-def _as_orders(orders):
-    if isinstance(orders, Orders):
-        return orders
-    return Orders(*orders)
+class TruncatedPoly:
+    """Sparse polynomial over ``field`` in ``arity`` variables, truncated
+    at ``bound``; see the module docstring for the layout hooks."""
+
+    __slots__ = ("field", "arity", "bound", "terms")
+
+    def __init__(self, field, arity, bound, terms=None):
+        self.field = field
+        self.arity = arity
+        self.bound = bound
+        self.terms = {}
+        for raw, coeff in (terms or {}).items():
+            key = self._key(raw)
+            if self._fits(key, bound) and not field.is_zero(coeff):
+                self.terms[key] = coeff
+
+    @classmethod
+    def _make(cls, field, arity, bound, terms):
+        """An arithmetic result: its keys are canonical and inside
+        ``bound`` already, so only zero coefficients are pruned."""
+        poly = object.__new__(cls)
+        poly.field = field
+        poly.arity = arity
+        poly.bound = bound
+        is_zero = field.is_zero
+        poly.terms = {k: c for k, c in terms.items() if not is_zero(c)}
+        return poly
+
+    @classmethod
+    def zero(cls, field, arity, bound):
+        return cls(field, arity, bound, {})
+
+    def _check_arity(self, other):
+        if self.arity != other.arity:
+            raise DimensionMismatchError(
+                f"arity mismatch: {self.arity} vs {other.arity}"
+            )
+
+    def _joint(self, other):
+        self._check_arity(other)
+        b = self.bound
+        return b if other.bound == b else b._make(map(min, b, other.bound))
+
+    def __add__(self, other):
+        bound = self._joint(other)
+        terms = dict(self.terms)
+        for key, coeff in other.terms.items():
+            terms[key] = terms[key] + coeff if key in terms else coeff
+        if self.bound != other.bound:
+            terms = {k: c for k, c in terms.items() if self._fits(k, bound)}
+        return self._make(self.field, self.arity, bound, terms)
+
+    def __neg__(self):
+        return self._make(self.field, self.arity, self.bound,
+                          {k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        # each term's degree is computed once; the pairs run in the dict
+        # order of both operands, so sums accumulate in a fixed order
+        bound = self._joint(other)
+        degree, join = self._degree, self._join
+        right = [(k2, c2, degree(k2)) for k2, c2 in other.terms.items()]
+        terms = {}
+        for k1, c1 in self.terms.items():
+            room = bound[0] - degree(k1)
+            for k2, c2, d2 in right:
+                if d2 > room:
+                    continue
+                key = join(k1, k2, bound)
+                if key is None:
+                    continue
+                prod = c1 * c2
+                terms[key] = terms[key] + prod if key in terms else prod
+        return self._make(self.field, self.arity, bound, terms)
+
+    def scale(self, value):
+        return self._make(self.field, self.arity, self.bound,
+                          {k: value * c for k, c in self.terms.items()})
+
+    def is_zero(self):
+        return not self.terms
 
 
-class MultiSeries:
+class MultiSeries(TruncatedPoly):
     """Truncated formal power series in (iota_1..iota_n, z, h).
 
     Terms are keyed by ``(alpha, m, l)`` with ``alpha`` a length-n tuple of
-    iota exponents, ``m`` the z power and ``l`` the h power.  ``n_actions``
-    may be zero, which gives plain (z, h) series; those are used for action
-    series, trace coefficients and all other scalar-series bookkeeping.
+    iota exponents, ``m`` the z power and ``l`` the h power, truncated by
+    total iota-degree <= orders.iota, m <= orders.z and l <= orders.h.
+    ``n_actions`` may be zero, which gives plain (z, h) series; those are
+    used for action series, trace coefficients and all other scalar-series
+    bookkeeping.
     """
 
-    __slots__ = ("field", "n_actions", "orders", "terms")
+    __slots__ = ()
+    n_actions = property(lambda self: self.arity)
+    orders = property(lambda self: self.bound)
 
     def __init__(self, field, n_actions, orders, terms=None):
-        self.field = field
-        self.n_actions = n_actions
-        self.orders = _as_orders(orders)
-        clean = {}
-        if terms:
-            for key, coeff in terms.items():
-                alpha, m, l = key
-                alpha = tuple(alpha)
-                if len(alpha) != n_actions:
-                    raise DimensionMismatchError(
-                        f"iota exponent {alpha} has wrong arity for n={n_actions}"
-                    )
-                if any(a < 0 for a in alpha) or m < 0 or l < 0:
-                    raise SchemaError(f"negative exponent in term {key}")
-                if not self._inside((alpha, m, l)):
-                    continue
-                if field.is_zero(coeff):
-                    continue
-                clean[(alpha, m, l)] = coeff
-        self.terms = clean
+        super().__init__(field, n_actions, Orders(*orders), terms)
 
-    def _inside(self, key):
+    # -- layout -----------------------------------------------------------
+
+    def _key(self, key):
         alpha, m, l = key
-        return sum(alpha) <= self.orders.iota and m <= self.orders.z and l <= self.orders.h
+        alpha = tuple(alpha)
+        if len(alpha) != self.arity:
+            raise DimensionMismatchError(
+                f"iota exponent {alpha} has wrong arity for n={self.arity}"
+            )
+        if any(a < 0 for a in alpha) or m < 0 or l < 0:
+            raise SchemaError(f"negative exponent in term {key}")
+        return (alpha, m, l)
+
+    @staticmethod
+    def _degree(key):
+        return sum(key[0])
+
+    @staticmethod
+    def _join(k1, k2, orders):
+        m = k1[1] + k2[1]
+        l = k1[2] + k2[2]
+        if m > orders.z or l > orders.h:
+            return None
+        return (tuple(x + y for x, y in zip(k1[0], k2[0])), m, l)
+
+    @staticmethod
+    def _fits(key, orders):
+        alpha, m, l = key
+        return sum(alpha) <= orders.iota and m <= orders.z and l <= orders.h
 
     # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def zero(cls, field, n_actions, orders):
-        return cls(field, n_actions, orders, {})
 
     @classmethod
     def scalar(cls, field, n_actions, orders, value):
@@ -91,61 +186,6 @@ class MultiSeries:
             raise SchemaError(f"unknown variable {var!r}")
         return cls(field, n_actions, orders, {(tuple(alpha), m, l): field.one})
 
-    # -- ring operations ------------------------------------------------
-
-    def _check_compatible(self, other):
-        if self.n_actions != other.n_actions:
-            raise DimensionMismatchError(
-                f"n_actions mismatch: {self.n_actions} vs {other.n_actions}"
-            )
-
-    def _joint_orders(self, other):
-        return Orders(
-            min(self.orders.iota, other.orders.iota),
-            min(self.orders.z, other.orders.z),
-            min(self.orders.h, other.orders.h),
-        )
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        orders = self._joint_orders(other)
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            terms[key] = terms[key] + coeff if key in terms else coeff
-        return MultiSeries(self.field, self.n_actions, orders, terms)
-
-    def __neg__(self):
-        return MultiSeries(
-            self.field, self.n_actions, self.orders,
-            {k: -c for k, c in self.terms.items()},
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        self._check_compatible(other)
-        orders = self._joint_orders(other)
-        terms = {}
-        for (a1, m1, l1), c1 in self.terms.items():
-            for (a2, m2, l2), c2 in other.terms.items():
-                m, l = m1 + m2, l1 + l2
-                if m > orders.z or l > orders.h:
-                    continue
-                alpha = tuple(x + y for x, y in zip(a1, a2))
-                if sum(alpha) > orders.iota:
-                    continue
-                key = (alpha, m, l)
-                prod = c1 * c2
-                terms[key] = terms[key] + prod if key in terms else prod
-        return MultiSeries(self.field, self.n_actions, orders, terms)
-
-    def scale(self, value):
-        return MultiSeries(
-            self.field, self.n_actions, self.orders,
-            {k: value * c for k, c in self.terms.items()},
-        )
-
     # -- queries ----------------------------------------------------------
 
     def get(self, alpha, m, l):
@@ -154,24 +194,16 @@ class MultiSeries:
     def constant_term(self):
         return self.get((0,) * self.n_actions, 0, 0)
 
-    def is_zero(self):
-        return not self.terms
-
     def __eq__(self, other):
         if not isinstance(other, MultiSeries):
             return NotImplemented
-        return (
-            self.n_actions == other.n_actions
-            and self.terms.keys() == other.terms.keys()
-            and all(self.terms[k] == other.terms[k] for k in self.terms)
-        )
+        return self.n_actions == other.n_actions and self.terms == other.terms
 
-    def __hash__(self):
-        return None  # unhashable; equality is structural
+    __hash__ = None  # unhashable; equality is structural
 
     def close_to(self, other, tol=None):
         """Coefficientwise comparison through the field tolerance."""
-        self._check_compatible(other)
+        self._check_arity(other)
         keys = set(self.terms) | set(other.terms)
         z = self.field.zero
         return all(
@@ -180,14 +212,9 @@ class MultiSeries:
         )
 
     def truncate(self, orders):
-        orders = _as_orders(orders)
-        if (
-            orders.iota > self.orders.iota
-            or orders.z > self.orders.z
-            or orders.h > self.orders.h
-        ):
+        if any(o > mine for o, mine in zip(orders, self.orders)):
             raise SchemaError("cannot truncate to higher orders than computed")
-        return MultiSeries(self.field, self.n_actions, orders, self.terms)
+        return MultiSeries(self.field, self.arity, orders, self.terms)
 
     # -- calculus ---------------------------------------------------------
 
@@ -199,8 +226,8 @@ class MultiSeries:
         """
         if ((0,) * self.n_actions, 0, 0) in self.terms:
             raise SchemaError("exp_series requires a zero constant term")
-        result = MultiSeries.scalar(self.field, self.n_actions, self.orders, self.field.one)
-        power = MultiSeries.scalar(self.field, self.n_actions, self.orders, self.field.one)
+        result = power = MultiSeries.scalar(self.field, self.n_actions,
+                                            self.orders, self.field.one)
         max_steps = self.orders.iota + self.orders.z + self.orders.h
         for m in range(1, max_steps + 1):
             power = power * self
@@ -240,7 +267,7 @@ class MultiSeries:
                     terms[(tuple(new), m, l)] = c * self.field.from_int(alpha[j])
         else:
             raise SchemaError(f"unknown variable {var!r}")
-        return MultiSeries(self.field, self.n_actions, orders, terms)
+        return self._make(self.field, self.arity, orders, terms)
 
     # -- views --------------------------------------------------------------
 
@@ -251,8 +278,8 @@ class MultiSeries:
             for (alpha, m, ll), c in self.terms.items()
             if ll == l
         }
-        return MultiSeries(self.field, self.n_actions,
-                           Orders(self.orders.iota, self.orders.z, 0), terms)
+        return self._make(self.field, self.arity,
+                          Orders(self.orders.iota, self.orders.z, 0), terms)
 
     def __repr__(self):
         if not self.terms:
@@ -269,8 +296,5 @@ class MultiSeries:
 
 def zseries(field, orders_z, coeffs=None):
     """Convenience: a series in z alone (n_actions = 0, h-order 0)."""
-    terms = {}
-    if coeffs:
-        for m, c in coeffs.items():
-            terms[((), m, 0)] = c
+    terms = {((), m, 0): c for m, c in (coeffs or {}).items()}
     return MultiSeries(field, 0, Orders(0, orders_z, 0), terms)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -7,7 +8,7 @@ import pytest
 from helpers import mixed_float_fixture, rt1
 
 from bnftrace import jsonio
-from bnftrace.cli import main
+from bnftrace.cli import build_parser, main
 from bnftrace.fields import FloatField, RationalField
 from bnftrace.oscillatory import OrbitExpansion, TestJet
 from bnftrace.qbnf import make_trace_data
@@ -172,6 +173,55 @@ def test_classical_bnf_rejects_non_symplectic(tmp_path, capsys):
     })
     rc = main(["classical-bnf", "--map", str(path)])
     assert rc == 2
+
+
+# each subcommand takes the options it reads, and no others
+SUBCOMMAND_OPTIONS = {
+    "forward": {"--bnf", "--action", "--precision", "--orders", "--kmax",
+                "--tol-pole", "--tol-resonance", "--out"},
+    "recover": {"--traces", "--n", "--precision", "--tol-pole",
+                "--tol-conditioning", "--tol-residual", "--out", "--report"},
+    "roundtrip": {"--bnf", "--action", "--precision", "--orders", "--kmax",
+                  "--tol-pole", "--tol-resonance", "--tol-conditioning",
+                  "--tol-residual", "--report"},
+    "classical-bnf": {"--map", "--degree", "--precision", "--tol-resonance",
+                      "--report"},
+    "classify": {"--matrix"},
+    "oracle": {"--mu", "--exp-half", "--k", "--truncation", "--alpha",
+               "--backend", "--precision", "--tol-pole"},
+}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    ap = build_parser()
+    sub = next(a for a in ap._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(SUBCOMMAND_OPTIONS)
+    for name, parser in sub.choices.items():
+        flags = {s for a in parser._actions for s in a.option_strings}
+        assert flags - {"-h", "--help"} == SUBCOMMAND_OPTIONS[name], name
+
+
+def test_dropped_option_is_rejected(tmp_path, capsys):
+    path = tmp_path / "mat.json"
+    jsonio.dump(path, {"matrix": [[1.0, 0.0], [0.0, 1.0]]})
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--matrix", str(path), "--backend", "float"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("opts, message", [
+    (["--kmax", "0"], "k_max"),
+    (["--orders", "a,b,c"], "--orders"),
+    (["--orders", "4,3"], "--orders"),
+])
+def test_bad_truncation_options_are_input_errors(rt1_file, tmp_path, capsys,
+                                                 opts, message):
+    rc = main(["forward", "--bnf", rt1_file, "--out", str(tmp_path / "t.json")]
+              + opts)
+    assert rc == 2
+    assert message in capsys.readouterr().err
 
 
 def test_serialization_round_trips_exact():

@@ -3,9 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnftrace.errors import DimensionMismatchError, SchemaError
 from bnftrace.fields import RationalField
+from bnftrace.phasepoly import PhasePoly
 from bnftrace.series import MultiSeries, Orders, zseries
 
 F = RationalField()
@@ -188,3 +191,146 @@ def test_zseries_helper():
     s = zseries(F, 3, {1: F.one, 2: F.from_rational("1/2")})
     assert s.get((), 1, 0) == F.one
     assert s.n_actions == 0
+
+
+# -- the shared core, on both layouts -----------------------------------------
+
+def test_mixed_order_sum_and_product_drop_terms_beyond_joint_orders():
+    z, h = (MultiSeries.variable(F, 1, (3, 3, 3), v) for v in ("z", "h"))
+    i1 = MultiSeries.variable(F, 1, (3, 3, 3), ("iota", 0))
+    big = z * z * z + h * h + i1 * i1 * i1 + z
+    small = MultiSeries.scalar(F, 1, (2, 1, 2), F.one)
+    for s in (big + small, small + big, big * small, small * big):
+        assert s.orders == Orders(2, 1, 2)
+        assert all(sum(alpha) <= 2 and m <= 1 and l <= 2
+                   for alpha, m, l in s.terms)
+    assert (big + small).terms == {((0,), 0, 2): F.one, ((0,), 1, 0): F.one,
+                                   ((0,), 0, 0): F.one}
+    assert (big * small).terms == {((0,), 0, 2): F.one, ((0,), 1, 0): F.one}
+
+    x = PhasePoly.variable(F, 2, 4, 0)
+    p = x * x * x + x
+    q = PhasePoly.scalar(F, 2, 2, F.one)
+    for s in (p + q, q + p, p * q, q * p):
+        assert s.degree == 2
+        assert all(sum(e) <= 2 for e in s.terms)
+    assert (p + q).terms == {(1, 0): F.one, (0, 0): F.one}
+    assert (p * q).terms == {(1, 0): F.one}
+
+
+def test_phasepoly_arity_mismatch():
+    a = PhasePoly.variable(F, 2, 3, 0)
+    b = PhasePoly.variable(F, 4, 3, 0)
+    with pytest.raises(DimensionMismatchError):
+        a * b
+    with pytest.raises(DimensionMismatchError):
+        a + b
+    with pytest.raises(DimensionMismatchError):
+        PhasePoly(F, 2, 3, {(1, 0, 0): F.one})
+    with pytest.raises(SchemaError):
+        PhasePoly(F, 2, 3, {(-1, 0): F.one})
+
+
+# Reference algorithms: the per-pair loops each class ran before the core,
+# followed by the public constructor's truncation and zero pruning.
+
+def _ref_clean(terms, fits):
+    return {k: c for k, c in terms.items() if fits(k) and not F.is_zero(c)}
+
+
+def _ref_add(a, b, fits):
+    terms = dict(a.terms)
+    for key, coeff in b.terms.items():
+        terms[key] = terms[key] + coeff if key in terms else coeff
+    return _ref_clean(terms, fits)
+
+
+def _ref_scale(a, value):
+    return _ref_clean({k: value * c for k, c in a.terms.items()},
+                      lambda k: True)
+
+
+def _ref_series_mul(a, b, orders):
+    terms = {}
+    for (a1, m1, l1), c1 in a.terms.items():
+        for (a2, m2, l2), c2 in b.terms.items():
+            m, l = m1 + m2, l1 + l2
+            if m > orders.z or l > orders.h:
+                continue
+            alpha = tuple(x + y for x, y in zip(a1, a2))
+            if sum(alpha) > orders.iota:
+                continue
+            key = (alpha, m, l)
+            prod = c1 * c2
+            terms[key] = terms[key] + prod if key in terms else prod
+    return _ref_clean(terms, lambda k: True)
+
+
+def _ref_phase_mul(a, b, deg):
+    terms = {}
+    for e1, c1 in a.terms.items():
+        d1 = sum(e1)
+        for e2, c2 in b.terms.items():
+            if d1 + sum(e2) > deg:
+                continue
+            e = tuple(x + y for x, y in zip(e1, e2))
+            v = c1 * c2
+            terms[e] = terms[e] + v if e in terms else v
+    return _ref_clean(terms, lambda k: True)
+
+
+# few distinct values, so that sums cancel to zero and get pruned
+_coeffs = st.sampled_from([F.one, -F.one, F.from_rational("1/2"),
+                           F.from_rational("-1/2"), F.i, F.from_int(3)])
+_exp = st.integers(0, 3)
+
+
+@st.composite
+def _series_pair(draw):
+    n = draw(st.integers(0, 2))
+    key = st.tuples(st.tuples(*[_exp] * n), _exp, _exp)
+    ords = st.tuples(*[st.integers(0, 4)] * 3)
+    return [MultiSeries(F, n, draw(ords),
+                        draw(st.dictionaries(key, _coeffs, max_size=8)))
+            for _ in range(2)]
+
+
+@st.composite
+def _phase_pair(draw):
+    nv = draw(st.integers(1, 4))
+    key = st.tuples(*[_exp] * nv)
+    return [PhasePoly(F, nv, draw(st.integers(0, 5)),
+                      draw(st.dictionaries(key, _coeffs, max_size=8)))
+            for _ in range(2)]
+
+
+def _items(d):
+    return list(d.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_series_pair(), _coeffs)
+def test_series_core_matches_reference(pair, value):
+    a, b = pair
+    orders = Orders(*map(min, a.orders, b.orders))
+    fits = lambda k: (sum(k[0]) <= orders.iota and k[1] <= orders.z
+                      and k[2] <= orders.h)
+    assert _items((a + b).terms) == _items(_ref_add(a, b, fits))
+    assert _items((a - b).terms) == _items(_ref_add(a, -b, fits))
+    assert _items((a * b).terms) == _items(_ref_series_mul(a, b, orders))
+    assert _items(a.scale(value).terms) == _items(_ref_scale(a, value))
+    assert _items(a.scale(F.zero).terms) == []
+    assert (a * b).orders == (a + b).orders == orders
+
+
+@settings(max_examples=150, deadline=None)
+@given(_phase_pair(), _coeffs)
+def test_phasepoly_core_matches_reference(pair, value):
+    a, b = pair
+    deg = min(a.degree, b.degree)
+    fits = lambda e: sum(e) <= deg
+    assert _items((a + b).terms) == _items(_ref_add(a, b, fits))
+    assert _items((a - b).terms) == _items(_ref_add(a, -b, fits))
+    assert _items((a * b).terms) == _items(_ref_phase_mul(a, b, deg))
+    assert _items(a.scale(value).terms) == _items(_ref_scale(a, value))
+    assert (a * b).degree == (a + b).degree == deg
