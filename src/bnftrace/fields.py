@@ -88,8 +88,21 @@ class RationalComplex:
         d1, d2 = self.d, other.d
         if d1 == d2:
             return _reduced(self.a + other.a, self.b + other.b, d1)
-        return _reduced(self.a * d2 + other.a * d1,
-                        self.b * d2 + other.b * d1, d1 * d2)
+        # as Fraction._add.  A prime of d1 alone that divided both parts
+        # of the numerator would divide a1 and b1 too, so with g the gcd
+        # of the denominators only g can share a factor with the sum; and
+        # equal values share d, so the sum here is never zero
+        g = gcd(d1, d2)
+        if g == 1:
+            return _triple(self.a * d2 + other.a * d1,
+                           self.b * d2 + other.b * d1, d1 * d2)
+        s, t = d1 // g, d2 // g
+        ta = self.a * t + other.a * s
+        tb = self.b * t + other.b * s
+        g2 = gcd(ta, tb, g)
+        if g2 == 1:
+            return _triple(ta, tb, s * d2)
+        return _triple(ta // g2, tb // g2, s * (d2 // g2))
 
     __radd__ = __add__
 

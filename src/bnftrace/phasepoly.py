@@ -145,36 +145,57 @@ class PolyMap:
         return cls(field, n, degree, comps)
 
     def compose(self, other):
-        """self(other(w)), truncated."""
+        """self(other(w)), truncated.
+
+        Each monomial is built once for all components that hold it.  The
+        union of their keys runs in lexicographic order over a prefix
+        stack, ``stack[j]`` = prod_{i<=j} other_i^{e_i} (None while that
+        product is still 1), so a key recomputes only the levels from its
+        first exponent that differs from the previous key.  The stack
+        holds O(nvars) polynomials; no monomial value outlives its key.
+        """
         if self.n != other.n:
             raise DimensionMismatchError("half-dimension mismatch")
         deg = min(self.degree, other.degree)
         f = self.field
         nv = 2 * self.n
+        # which components hold each monomial, with their coefficients
+        holders = {}
+        for i, comp in enumerate(self.comps):
+            for e, c in comp.terms.items():
+                holders.setdefault(e, []).append((i, c))
         # cache powers of the inner components
-        max_exp = [0] * nv
-        for comp in self.comps:
-            for e in comp.terms:
-                for j, p in enumerate(e):
-                    max_exp[j] = max(max_exp[j], p)
         pows = []
         for j in range(nv):
             lst = [PhasePoly.scalar(f, nv, deg, f.one)]
-            for _ in range(max_exp[j]):
+            for _ in range(max((e[j] for e in holders), default=0)):
                 lst.append(lst[-1] * other.comps[j])
             pows.append(lst)
-        out = []
-        for comp in self.comps:
-            acc = PhasePoly.zero(f, nv, deg)
-            for e, c in comp.terms.items():
-                factors = [pows[j][p] for j, p in enumerate(e) if p]
-                term = (factors[0].scale(c) if factors
-                        else PhasePoly.scalar(f, nv, deg, c))
-                for g in factors[1:]:
-                    term = term * g
-                acc = acc + term
-            out.append(acc)
-        return PolyMap(f, self.n, deg, out)
+        out = [{} for _ in self.comps]
+        stack = [None] * nv
+        prev = None
+        for e in sorted(holders):
+            start = 0
+            if prev is not None:
+                while e[start] == prev[start]:
+                    start += 1
+            value = stack[start - 1] if start else None
+            for j in range(start, nv):
+                p = e[j]
+                if p:
+                    value = pows[j][p] if value is None else value * pows[j][p]
+                stack[j] = value
+            prev = e
+            value_terms = (value.terms if value is not None
+                           else {(0,) * nv: f.one})
+            for i, c in holders[e]:
+                acc = out[i]
+                for key, v in value_terms.items():
+                    t = c * v
+                    acc[key] = acc[key] + t if key in acc else t
+        bound = Degree(deg)
+        return PolyMap(f, self.n, deg,
+                       [PhasePoly._make(f, nv, bound, acc) for acc in out])
 
     def sub(self, other):
         return PolyMap(self.field, self.n, min(self.degree, other.degree),

@@ -22,6 +22,15 @@ its z-series along mu(z) and its value at mu(0).  The caches live as long
 as the engine: :func:`make_trace_data` uses one for all powers, and the
 recovery one per mu-jet state, so no evaluation is repeated within it.
 
+The F side does not depend on k.  With X = sum_{j>=1} h^j f_j(z, y),
+exp(-ik X) = sum_m ((-ik)^m / m!) X^m, and likewise for the z-dependent
+phase, so each normal form computes the constant phase and the powers of
+X and of f0(z) - f0(0) once per (N_z, N_h) (:meth:`QuantumBNF.trace_side`),
+and every k only scales and adds them.  The csch side is computed once
+per engine, the F side once per normal form: once for all powers in
+:func:`make_trace_data`, once per recovery stage and once for the
+self-check.
+
 Phase conventions: the oscillatory prefactor e^{ikS(z)/h} is never mixed
 into the h-expansion (the action series travels as metadata), and the
 constant scalar phase e^{-ik f0(0)} is likewise factored out and stored in
@@ -45,13 +54,14 @@ class QuantumBNF:
     the constants live in ``blocks`` as half-exponentials.
     """
 
-    __slots__ = ("field", "blocks", "mu_jets", "F")
+    __slots__ = ("field", "blocks", "mu_jets", "F", "_trace_sides")
 
     def __init__(self, blocks, mu_jets, F, validate=True):
         self.field = blocks.field
         self.blocks = blocks
         self.mu_jets = list(mu_jets)
         self.F = F
+        self._trace_sides = {}
         if validate:
             self._validate()
 
@@ -102,6 +112,42 @@ class QuantumBNF:
                 continue
             terms[(alpha, m, j)] = c
         return MultiSeries(f, self.n, orders, terms)
+
+    def trace_side(self, n_z, n_h):
+        """The k-independent F side of :func:`trace_power` at orders
+        (n_z, n_h), built on first use and kept for the instance's life.
+
+        Returns ``(phase, x_powers, f0_powers)``: the constant phase
+        f0(0), and the powers [1, X, X^2, ...] of the operator part
+        X = sum_{j>=1} h^j f_j(z, y) and of f0plus = f0(z) - f0(0), each up
+        to the first power that truncates to zero.
+        """
+        side = self._trace_sides.get((n_z, n_h))
+        if side is None:
+            side = self._build_trace_side(n_z, n_h)
+            self._trace_sides[(n_z, n_h)] = side
+        return side
+
+    def _build_trace_side(self, n_z, n_h):
+        f = self.field
+        fs = self.f_series(n_h, n_z)
+        # split off f_0(z): the h^0 layer, which must be y-independent
+        f0_terms = {}
+        for (alpha, m, l), c in fs.terms.items():
+            if l == 0:
+                if sum(alpha) != 0:
+                    raise SchemaError(
+                        "h^0 layer of F(hy,z;h)/h must be y-independent; "
+                        "the QuantumBNF is malformed"
+                    )
+                f0_terms[((), m, 0)] = c
+        # full order budget so later products do not truncate the h direction
+        f0 = MultiSeries(f, 0, Orders(0, n_z, n_h), f0_terms)
+        phase = f0.constant_term()
+        f0plus = f0 - MultiSeries.scalar(f, 0, f0.orders, phase)
+        x_terms = {key: c for key, c in fs.terms.items() if key[2] >= 1}
+        X = MultiSeries(f, self.n, fs.orders, x_terms)
+        return phase, _powers(X), _powers(f0plus)
 
     def close_to(self, other, tol=None):
         if self.n != other.n or self.blocks.tags != other.blocks.tags:
@@ -278,33 +324,11 @@ def trace_power(bnf, k, orders, pole_tol=DEFAULT_POLE_TOL, engine=None):
             "pole tolerance"
         )
     f = bnf.field
-
-    fs = bnf.f_series(n_h, n_z)
-
-    # split off f_0(z): the h^0 layer, which must be y-independent
-    f0_terms = {}
-    for (alpha, m, l), c in fs.terms.items():
-        if l == 0:
-            if sum(alpha) != 0:
-                raise SchemaError(
-                    "h^0 layer of F(hy,z;h)/h must be y-independent; "
-                    "the QuantumBNF is malformed"
-                )
-            f0_terms[((), m, 0)] = c
-    # full order budget so later products do not truncate the h direction
-    f0 = MultiSeries(f, 0, Orders(0, n_z, n_h), f0_terms)
-    phase = f0.constant_term()
-    f0plus = f0 - MultiSeries.scalar(f, 0, f0.orders, phase)
-
+    phase, x_powers, f0_powers = bnf.trace_side(n_z, n_h)
     minus_ik = -(f.i * f.from_int(k))
-
-    # operator part: exp(-ik sum_{j>=1} h^j f_j(z, y))
-    x_terms = {key: c for key, c in fs.terms.items() if key[2] >= 1}
-    X = MultiSeries(f, bnf.n, fs.orders, x_terms)
-    op = X.scale(minus_ik).exp_series()
-
-    # z-dependent scalar phase
-    pz = f0plus.scale(minus_ik).exp_series()
+    # operator part exp(-ik X) and z-dependent scalar phase exp(-ik f0plus)
+    op = _exp_from_powers(x_powers, minus_ik)
+    pz = _exp_from_powers(f0_powers, minus_ik)
 
     # apply the operator monomials to the csch product along mu(z)
     ik_inv = f.i * f.inv(f.from_int(k))
@@ -324,6 +348,31 @@ def trace_power(bnf, k, orders, pole_tol=DEFAULT_POLE_TOL, engine=None):
             out[key] = out[key] + v if key in out else v
     coeffs = MultiSeries(f, 0, Orders(0, n_z, n_h), out) * pz
     return TracePower(k, phase, coeffs)
+
+
+def _powers(s):
+    """[1, s, s^2, ...] up to the first power that truncates to zero, for
+    a series with zero constant term (at most as many steps as
+    ``MultiSeries.exp_series`` takes)."""
+    out = [MultiSeries.scalar(s.field, s.n_actions, s.orders, s.field.one)]
+    for _ in range(sum(s.orders)):
+        p = out[-1] * s
+        if p.is_zero():
+            break
+        out.append(p)
+    return out
+
+
+def _exp_from_powers(powers, t):
+    """exp(t s) = sum_m (t^m / m!) s^m from ``powers`` = :func:`_powers`(s):
+    scalings and sums only."""
+    f = powers[0].field
+    result = powers[0]
+    tm = f.one
+    for m in range(1, len(powers)):
+        tm = tm * t
+        result = result + powers[m].scale(tm * f.factorial_inv(m))
+    return result
 
 
 def leading_term(action, maslov_nu, blocks, k, n_z, tol=DEFAULT_POLE_TOL,

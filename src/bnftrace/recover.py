@@ -213,6 +213,14 @@ def _principal_exp_half(field, q, tag, tol):
     ec = field.to_complex(E)
     if ec.real < -tol:
         E = -E
+    return _snap_to_class(field, E, tag)
+
+
+def _snap_to_class(field, E, tag):
+    """A real hyperbolic E is real by its classification, so on a float
+    field the rounding residue of its imaginary part is dropped."""
+    if tag == REAL_HYPERBOLIC and not field.exact:
+        return field.one * E.real
     return E
 
 
@@ -405,7 +413,7 @@ def _polish_cube(field, samples, c, slots, max_iter=40):
     new_c = field.one * complex(np.exp(u[0]))
     new_slots = []
     for j, (tag, _q, _E) in enumerate(slots):
-        E = field.one * complex(np.exp(u[1 + j]))
+        E = _snap_to_class(field, field.one * complex(np.exp(u[1 + j])), tag)
         new_slots.append((tag, E * E, E))
     return new_c, new_slots
 

@@ -1,9 +1,13 @@
 import cmath
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from helpers import random_symplectic_2x2
@@ -383,3 +387,94 @@ def test_normal_form_flow_is_symplectic():
     R = iota_real_to_complex(blocks.tags, {(2,): 0.2 + 0j}, FF)
     tm = normal_form_flow(blocks, R, 6)
     assert tm.symplectic_residual() < 1e-12
+
+
+# -- composition ------------------------------------------------------------
+
+def _reference_compose(outer, inner):
+    """outer(inner(w)) the way PolyMap.compose did it before the prefix
+    stack: every monomial of every component rebuilt from full powers."""
+    deg = min(outer.degree, inner.degree)
+    f = outer.field
+    nv = 2 * outer.n
+    max_exp = [0] * nv
+    for comp in outer.comps:
+        for e in comp.terms:
+            for j, p in enumerate(e):
+                max_exp[j] = max(max_exp[j], p)
+    pows = []
+    for j in range(nv):
+        lst = [PhasePoly.scalar(f, nv, deg, f.one)]
+        for _ in range(max_exp[j]):
+            lst.append(lst[-1] * inner.comps[j])
+        pows.append(lst)
+    out = []
+    for comp in outer.comps:
+        acc = PhasePoly.zero(f, nv, deg)
+        for e, c in comp.terms.items():
+            factors = [pows[j][p] for j, p in enumerate(e) if p]
+            term = (factors[0].scale(c) if factors
+                    else PhasePoly.scalar(f, nv, deg, c))
+            for g in factors[1:]:
+                term = term * g
+            acc = acc + term
+        out.append(acc)
+    return PolyMap(f, outer.n, deg, out)
+
+
+_coeffs = st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                    st.integers(1, 7))
+
+
+@st.composite
+def _poly_map(draw, n, degree, unused=None):
+    """A random exact PolyMap; monomials avoid variable ``unused``."""
+    nv = 2 * n
+    monos = [e for e in itertools.product(range(degree + 1), repeat=nv)
+             if sum(e) <= degree and (unused is None or e[unused] == 0)]
+    comps = []
+    for _ in range(nv):
+        keys = draw(st.lists(st.sampled_from(monos), max_size=6, unique=True))
+        comps.append(PhasePoly(FR, nv, degree, {
+            e: FR.from_rational(draw(_coeffs)) for e in keys}))
+    return PolyMap(FR, n, degree, comps)
+
+
+@st.composite
+def _composable_pair(draw):
+    n = draw(st.integers(1, 2))
+    outer = draw(_poly_map(n, draw(st.integers(1, 5)),
+                           unused=draw(st.integers(0, 2 * n - 1))))
+    outer.comps[draw(st.integers(0, 2 * n - 1))] = PhasePoly.zero(
+        FR, 2 * n, outer.degree)
+    # the inner map may carry constant terms and has its own degree
+    inner = draw(_poly_map(n, draw(st.integers(1, 5))))
+    return outer, inner
+
+
+@settings(max_examples=150, deadline=None)
+@given(_composable_pair())
+def test_compose_matches_per_component_reference(pair):
+    outer, inner = pair
+    got = outer.compose(inner)
+    ref = _reference_compose(outer, inner)
+    assert got.degree == ref.degree == min(outer.degree, inner.degree)
+    assert [c.degree for c in got.comps] == [c.degree for c in ref.comps]
+    assert [c.terms for c in got.comps] == [c.terms for c in ref.comps]
+
+
+def test_compose_of_flows_matches_reference_on_floats():
+    blocks = SpectrumBlocks.from_mu(FF, [(REAL_HYPERBOLIC, 0.7),
+                                         (ELLIPTIC, 1.1j)])
+    R = iota_real_to_complex(blocks.tags, {(2, 0): 0.2 + 0j,
+                                           (1, 1): -0.1 + 0j}, FF)
+    flow = normal_form_flow(blocks, R, 5).pmap
+    chi = PhasePoly(FF, 4, 5, {(3, 0, 0, 0): 0.1 + 0j, (1, 1, 1, 0): -0.05 + 0j,
+                               (0, 0, 0, 3): 0.12 + 0j})
+    gen = exp_ham(chi, 2, 5)
+    got = flow.compose(gen)
+    ref = _reference_compose(flow, gen)
+    for a, b in zip(got.comps, ref.comps):
+        keys = set(a.terms) | set(b.terms)
+        assert all(abs(a.terms.get(e, 0) - b.terms.get(e, 0)) <= 1e-15
+                   for e in keys)

@@ -258,3 +258,19 @@ def test_taylor_map_serialization_roundtrip():
     tm2 = jsonio.taylor_map_from_json(jsonio.taylor_map_to_json(tm))
     for c1, c2 in zip(tm.pmap.comps, tm2.pmap.comps):
         assert c1.terms == c2.terms
+
+
+def test_float_roundtrip_real_hyperbolic_exponent_is_real(tmp_path, capsys):
+    _F, bnf = mixed_float_fixture(31, with_jets=True)
+    path = tmp_path / "bnf.json"
+    report = tmp_path / "report.json"
+    jsonio.dump(path, jsonio.qbnf_to_json(bnf))
+    rc = main(["roundtrip", "--bnf", str(path), "--orders", "3,2,2",
+               "--kmax", "12", "--report", str(report)])
+    assert rc == 0
+    assert "round trip ok" in capsys.readouterr().out
+    blocks = json.load(open(report))["recovered"]["blocks"]
+    rh = [b for b in blocks if b["type"] == "real_hyperbolic"]
+    assert len(rh) == 1
+    assert float(rh[0]["exp_half_mu"]["im"]) == 0.0
+    assert rh[0]["mu_display"][1] == 0.0

@@ -230,6 +230,26 @@ def test_rational_mixed_operands():
     assert x != 1.5 and x != "x"
 
 
+def test_rational_add_shared_denominator_factors():
+    # denominators sharing a factor: the sum cancels to zero (equal
+    # denominators), or reduces by a factor of their gcd
+    def rc(a, b, d):
+        return RationalComplex(Fraction(a, d), Fraction(b, d))
+
+    x = rc(5, -7, 12)
+    assert _canonical(x + (-x)) == RationalComplex(0)
+    for x, y, want in [
+        (rc(1, 0, 6), rc(1, 0, 3), rc(1, 0, 2)),
+        (rc(1, 1, 6), rc(1, -1, 10), rc(4, 1, 15)),
+        (rc(1, 1, 6), rc(1, -2, 12), rc(1, 0, 4)),
+        (rc(1, 1, 6), rc(-1, -1, 6) + rc(1, 0, 35), rc(1, 0, 35)),
+    ]:
+        assert _agrees(x + y, PairRC.of(x) + y)
+        assert _agrees(y + x, PairRC.of(y) + x)
+        got = x + y
+        assert (got.a, got.b, got.d) == (want.a, want.b, want.d)
+
+
 @PROPS
 @given(scalars, scalars.filter(lambda y: y.re or y.im))
 def test_rational_canonical_form(x, y):

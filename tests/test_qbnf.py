@@ -320,3 +320,87 @@ def test_trace_power_rejects_engine_of_another_state():
         trace_power(b, 1, (3, 3), engine=engine)
     with pytest.raises(SchemaError):
         trace_power(b, 1, (2, 3), engine=TraceEngine(b.blocks, b.mu_jets, 3))
+
+
+def _per_k_trace_power(bnf, k, orders, engine):
+    """trace_power with its F side rebuilt for this k: the operator
+    exponential and the z-dependent phase come from exp_series of the
+    k-scaled series, as before the F side was shared between powers."""
+    f = bnf.field
+    n_z, n_h = orders
+    fs = bnf.f_series(n_h, n_z)
+    f0 = MultiSeries(f, 0, Orders(0, n_z, n_h),
+                     {((), m, 0): c for (_a, m, l), c in fs.terms.items()
+                      if l == 0})
+    phase = f0.constant_term()
+    f0plus = f0 - MultiSeries.scalar(f, 0, f0.orders, phase)
+    minus_ik = -(f.i * f.from_int(k))
+    X = MultiSeries(f, bnf.n, fs.orders,
+                    {key: c for key, c in fs.terms.items() if key[2] >= 1})
+    op = X.scale(minus_ik).exp_series()
+    pz = f0plus.scale(minus_ik).exp_series()
+    ik_inv = f.i * f.inv(f.from_int(k))
+    out = {}
+    for (alpha, m, l), c in op.terms.items():
+        factor = c * ik_inv ** sum(alpha) if sum(alpha) else c
+        for ((), m2, _), ec in engine.zseries(k, alpha).terms.items():
+            if m + m2 <= n_z:
+                key = ((), m + m2, l)
+                out[key] = out[key] + factor * ec if key in out \
+                    else factor * ec
+    return phase, MultiSeries(f, 0, Orders(0, n_z, n_h), out) * pz
+
+
+def _with_z_dependent_f0(b, c1, c2):
+    """``b`` with f0(z) = f0(0) + c1 z + c2 z^2 (h^1 terms, alpha = 0)."""
+    terms = dict(b.F.terms)
+    zero = (0,) * b.n
+    terms[(zero, 1, 1)] = c1
+    terms[(zero, 2, 1)] = c2
+    F = MultiSeries(b.field, b.n, b.F.orders, terms)
+    return QuantumBNF(b.blocks, b.mu_jets, F)
+
+
+def test_trace_power_matches_per_k_exp_series_exact():
+    for b in _rational_fixtures():
+        b = _with_z_dependent_f0(b, FR.from_rational("-3/4"),
+                                 FR.from_rational("2/5"))
+        engine = TraceEngine(b.blocks, b.mu_jets, 3)
+        for k in range(1, 9):
+            phase, coeffs = _per_k_trace_power(b, k, (3, 3), engine)
+            got = trace_power(b, k, (3, 3), engine=engine)
+            assert got.phase == phase
+            assert got.coeffs.terms == coeffs.terms
+
+
+def test_trace_power_matches_per_k_exp_series_float():
+    _F, b = mixed_float_fixture(31, with_jets=True)
+    b = _with_z_dependent_f0(b, 0.3 - 0.1j, -0.2 + 0j)
+    engine = TraceEngine(b.blocks, b.mu_jets, 2)
+    for k in range(1, 9):
+        phase, coeffs = _per_k_trace_power(b, k, (2, 2), engine)
+        got = trace_power(b, k, (2, 2), engine=engine)
+        assert FF.close(got.phase, phase, 1e-13)
+        assert got.coeffs.close_to(coeffs, 1e-13)
+
+
+def test_make_trace_data_builds_the_f_side_once(monkeypatch):
+    builds = []
+    build = QuantumBNF._build_trace_side
+
+    def counting(self, n_z, n_h):
+        builds.append((n_z, n_h))
+        return build(self, n_z, n_h)
+
+    def no_exp(self):
+        raise AssertionError("trace_power must not call exp_series")
+
+    monkeypatch.setattr(QuantumBNF, "_build_trace_side", counting)
+    monkeypatch.setattr(MultiSeries, "exp_series", no_exp)
+    for b in _rational_fixtures():
+        builds.clear()
+        td = make_trace_data(b, zseries(FR, 3, {1: FR.one}), {}, 8, (3, 3))
+        assert builds == [(3, 3)]
+        assert sorted(td.coefficients) == list(range(1, 9))
+        trace_power(b, 2, (2, 3))
+        assert builds == [(3, 3), (2, 3)]
