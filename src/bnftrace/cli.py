@@ -121,6 +121,15 @@ def cmd_recover(args):
 def cmd_roundtrip(args):
     cfg = _config_from_args(args)
     bnf = jsonio.qbnf_from_json(jsonio.load(args.bnf), cfg.float_precision)
+    # the recovery returns the blocks in canonical order, and the comparison
+    # below goes slot by slot
+    perm = bnf.blocks.canonical_order()
+    if perm != list(range(bnf.n)):
+        raise SchemaError(
+            "roundtrip needs the blocks in canonical order (complex "
+            "hyperbolic pairs, real hyperbolic, elliptic, each sorted): "
+            f"list the given blocks in the order {perm}"
+        )
     action, maslov = _load_action(args.action, bnf.field, cfg.orders[1])
     # the recovery reuses the forward engine for every stage whose state
     # it serves: all the late ones, when the round trip is exact

@@ -11,7 +11,10 @@ number, purely as a diagnostic.
 
 import numpy as np
 
-from .errors import RankDeficiencyError
+from .errors import ConvergenceError, RankDeficiencyError
+
+# iteration cap of mpmath's polyroots on extended-precision fields
+_MP_ROOT_STEPS = 200
 
 
 def _cond_of(field, rows):
@@ -176,9 +179,16 @@ def poly_roots(field, monic_tail):
     r = len(monic_tail)
     if not field.exact:
         if getattr(field, "_mp", None) is not None:
+            mp = field._mp
             coeffs = [field.one] + list(reversed(list(monic_tail)))
-            return list(field._mp.polyroots(
-                [field._mp.mpc(c) for c in coeffs], maxsteps=200))
+            try:
+                return list(mp.polyroots([mp.mpc(c) for c in coeffs],
+                                         maxsteps=_MP_ROOT_STEPS))
+            except mp.NoConvergence:
+                raise ConvergenceError(
+                    f"mpmath polyroots found no roots of the degree-{r} "
+                    f"polynomial in maxsteps={_MP_ROOT_STEPS} steps"
+                ) from None
         coeffs = [1.0] + [field.to_complex(c) for c in reversed(monic_tail)]
         return [complex(z) for z in np.roots(coeffs)]
     if r == 1:

@@ -4,13 +4,21 @@ Stage 0 applies exponential analysis (Prony: Hankel system, annihilating
 polynomial, companion roots) to the constant trace coefficients.  Writing
 s_k = 1/a_{0k}(0), the model is the finite exponential sum
 
-    s_k = sum_{eps in {+-1}^n} (prod_j eps_j) * lambda_eps^k,
-    lambda_eps = exp(<eps, mu>/2 + i phi),
+    s_k = sum_{eps in {+-1}^n} sigma(eps) * lambda_eps^k,
+    lambda_eps = c * prod_j E_j^{eps_j},  sigma(eps) = prod_j eps_j,
 
-the expansion of e^{ik phi} prod_j 2 sinh(k mu_j/2).  The 2^n roots form a
-multiplicative hypercube {c prod rho_j^{eps_j}}; sign patterns are matched
-greedily against the fitted weights, every candidate assignment is checked
-for hypercube consistency, and any surviving ambiguity is an error.
+with c = e^{i phi} and E_j = exp(mu_j/2): the expansion of
+e^{ik phi} prod_j 2 sinh(k mu_j/2).  The 2^n roots are the vertices of a
+parallelotope, so they are read off by structure, not by search.  Roots
+whose fitted weight is not near +-1 are dropped; two kept roots of
+opposite weight differ in an odd number of coordinates, and their ratio,
+oriented to the block normalization, is e^{mu_j} when they differ in
+coordinate j alone.  Each generator thus labels 2^{n-1} edges, and the n
+most frequent ratio classes are the generators; fewer classes or a tie at
+rank n is an error that lists the classes.  c is the value most kept
+roots agree on.  On double precision a Gauss-Newton refit of (c, E)
+against all samples restores full accuracy, and the residual of the
+fitted exponential sum gates the result on every field.
 
 Later stages are finite linear systems: the z^m coefficient at h^j of the
 stored trace differs from the same coefficient of the forward engine run
@@ -36,6 +44,8 @@ import cmath
 import itertools
 import math
 
+import numpy as np
+
 from . import hypcalc
 from .blocks import (COMPLEX_HYPERBOLIC, ELLIPTIC, REAL_HYPERBOLIC,
                      SpectrumBlocks)
@@ -46,11 +56,18 @@ from .linalg import poly_roots, solve_lstsq
 from .qbnf import QuantumBNF, TraceEngine, trace_power
 from .series import MultiSeries, Orders
 
-# Tolerance for the combinatorial root-matching decisions.  It only has to
-# separate genuinely distinct roots (pairwise gaps >= 0.3 in log scale in
-# the supported regime) from Hankel-stage errors; the final numerical
-# accuracy comes from the structured Gauss-Newton refit afterwards.
-DEFAULT_MATCH_TOL = 1e-4
+# Relative tolerance of the stage-0 grouping decisions: the classes of edge
+# ratios, the vote on c and the conjugate pairing.  It only has to separate
+# genuinely distinct roots (pairwise gaps >= 0.3 in log scale in the
+# supported regime) from Hankel-stage errors; the final numerical accuracy
+# comes from the structured Gauss-Newton refit afterwards.
+MATCH_TOL = 0.1
+# Tolerance of the block-normalization decisions on a generator e^mu: the
+# unit circle, the real axis and eigenvalues at +-1.  The strongest roots give
+# each generator far more accurately; at MATCH_TOL these decisions would
+# refuse a real hyperbolic mu below ~0.1 and an elliptic theta within 0.1 of
+# 0 or pi.
+NORMALIZATION_TOL = 1e-2
 
 
 def _patterns(n):
@@ -64,20 +81,30 @@ def _sigma(eps):
     return s
 
 
-class ExponentialSum:
-    """Samples with their fitted exponential model (roots + sign weights)."""
+def _cube(field, c, exp_half):
+    """The vertices c prod_j E_j^{eps_j}, keyed by sign pattern eps."""
+    vertices = {}
+    for eps in _patterns(len(exp_half)):
+        v = c
+        for E, e in zip(exp_half, eps):
+            v = v * (E if e > 0 else field.inv(E))
+        vertices[eps] = v
+    return vertices
 
-    def __init__(self, field, samples, roots, assignment):
+
+class ExponentialSum:
+    """Samples with their fitted exponential model: the root of sign
+    pattern eps is c prod_j E_j^{eps_j}, with weight sigma(eps)."""
+
+    def __init__(self, field, samples, c, exp_half):
         self.field = field
         self.samples = dict(samples)
-        self.roots = list(roots)
-        self.assignment = dict(assignment)  # pattern -> root index
+        self.roots = _cube(field, c, exp_half)
 
     def reconstruct(self, k):
-        f = self.field
-        total = f.zero
-        for eps, idx in self.assignment.items():
-            term = self.roots[idx] ** k
+        total = self.field.zero
+        for eps, root in self.roots.items():
+            term = root ** k
             total = total + (term if _sigma(eps) > 0 else -term)
         return total
 
@@ -102,92 +129,58 @@ class FrequencyResult:
 
 
 def _prony(field, samples, r, residual_tol):
-    """Annihilating-filter Prony on samples s_1..s_K with r frequencies."""
+    """Annihilating-filter Prony on samples s_1..s_K with r frequencies:
+    the roots, their fitted weights and the Hankel condition number."""
     K = len(samples)
     if K < 2 * r:
         raise RankDeficiencyError(
             f"Prony with {r} frequencies needs at least {2 * r} samples, "
             f"have {K}"
         )
+    tol = max(residual_tol, 1e-6)
     rows = [samples[t:t + r] for t in range(K - r)]
     rhs = [-samples[t + r] for t in range(K - r)]
-    tail, cond, _res = solve_lstsq(field, rows, rhs,
-                                   residual_tol=max(residual_tol, 1e-6))
+    tail, cond, _res = solve_lstsq(field, rows, rhs, residual_tol=tol)
     roots = poly_roots(field, tail)
-    weights = _fit_weights(field, samples, roots, residual_tol)
+    vrows = [[root ** k for root in roots] for k in range(1, K + 1)]
+    weights, _wc, _wres = solve_lstsq(field, vrows, samples, residual_tol=tol)
     return roots, weights, cond
 
 
-def _fit_weights(field, samples, roots, residual_tol):
-    vrows = [[root ** k for root in roots] for k in range(1, len(samples) + 1)]
-    weights, _wc, _wres = solve_lstsq(field, vrows, samples,
-                                      residual_tol=max(residual_tol, 1e-6))
-    return weights
+def _close(field, a, b):
+    return field.abs(a - b) <= MATCH_TOL * max(1.0, field.abs(a), field.abs(b))
 
 
-def _repair_roots(field, samples, roots, weights, n, residual_tol):
-    """Rebuild the root set from its reliable half and the cube structure.
-
-    The weakest root's geometric track dies into the double-precision
-    noise after a few samples, so the Hankel stage can trade it away
-    (leaving spurious roots with near-zero fitted weight); but antipodal
-    pairs multiply to the same c^2, and the strongest genuine roots are
-    always well determined.  Keep the trusted top-magnitude half, estimate
-    c^2 as the densest cluster of trusted pairwise products, and
-    synthesize the missing antipodes as c^2 / lambda.
-    """
-    r = len(roots)
-    trusted = [rt for rt, w in zip(roots, weights)
-               if 0.4 <= field.abs(w) <= 2.5]
-    if len(trusted) < r // 2:
-        raise RankDeficiencyError(
-            "root repair failed: fewer than half the roots carry a "
-            "credible sign weight"
-        )
-    prods = []
-    for i in range(len(trusted)):
-        for j in range(i + 1, len(trusted)):
-            prods.append(trusted[i] * trusted[j])
-    best_cluster = None
-    for p in prods:
-        cluster = [q for q in prods if _close(field, p, q, 5e-2)]
-        if best_cluster is None or len(cluster) > len(best_cluster):
-            best_cluster = cluster
-    if not best_cluster:
-        raise RankDeficiencyError("root repair failed: no product cluster")
-    c2 = best_cluster[0]
-    for q in best_cluster[1:]:
-        c2 = c2 + q
-    c2 = c2 * field.inv(field.from_int(len(best_cluster)))
-    top = sorted(trusted, key=lambda z: -field.abs(z))[: r // 2]
-    repaired = list(top) + [c2 * field.inv(t) for t in top]
-    new_weights = _fit_weights(field, samples, repaired, residual_tol)
-    return repaired, new_weights
+def _count_into(field, classes, value, member):
+    """Add ``member`` to the class of ``value`` in ``classes`` (a list of
+    [representative, members]), opening a new class if none is close."""
+    for cls in classes:
+        if _close(field, cls[0], value):
+            cls[1].add(member)
+            return
+    classes.append([value, {member}])
 
 
-def _perfect_matchings(items):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for i in range(len(rest)):
-        for m in _perfect_matchings(rest[:i] + rest[i + 1:]):
-            yield [(first, rest[i])] + m
+def _oriented(field, q):
+    """q or 1/q, whichever meets the block normalization: |q| > 1, or
+    arg q in (0, pi) on the unit circle."""
+    qc = field.to_complex(q)
+    if abs(abs(qc) - 1.0) <= NORMALIZATION_TOL:
+        flip = qc.imag < 0
+    else:
+        flip = abs(qc) < 1.0
+    return field.inv(q) if flip else q
 
 
-def _close(field, a, b, tol):
-    return field.abs(a - b) <= tol * max(1.0, field.abs(a), field.abs(b))
-
-
-def _classify_exponent(field, q, tol):
+def _classify_exponent(field, q):
     """Tag for e^mu = q under the block normalizations; raises otherwise."""
     qc = field.to_complex(q)
     mod = abs(qc)
     if field.exact and q.im == 0 and q.re < 0:
         raise MathError("negative real eigenvalue: outside the classification")
-    if abs(mod - 1.0) <= tol:
+    if abs(mod - 1.0) <= NORMALIZATION_TOL:
         th = cmath.phase(qc)
-        if not (tol < th < math.pi - tol):
+        if not (NORMALIZATION_TOL < th < math.pi - NORMALIZATION_TOL):
             raise MathError(
                 f"elliptic exponent with theta = {th:.6g} outside (0, pi): "
                 "normalization violated or eigenvalue at +-1"
@@ -198,20 +191,20 @@ def _classify_exponent(field, q, tol):
             "recovered exponent with |e^mu| < 1: Re mu < 0 violates the "
             "hyperbolic normalization"
         )
-    if abs(qc.imag) <= tol * mod:
+    if abs(qc.imag) <= NORMALIZATION_TOL * mod:
         if qc.real < 0:
             raise MathError("negative real eigenvalue: outside the classification")
         return REAL_HYPERBOLIC
     return COMPLEX_HYPERBOLIC
 
 
-def _principal_exp_half(field, q, tag, tol):
+def _principal_exp_half(field, q, tag):
     """E = exp(mu/2) from q = exp(mu), principal branch.
 
     Safe because every normalized class has arg(q) in [0, pi)."""
     E = field.sqrt(q)
     ec = field.to_complex(E)
-    if ec.real < -tol:
+    if ec.real < 0:
         E = -E
     return _snap_to_class(field, E, tag)
 
@@ -224,138 +217,71 @@ def _snap_to_class(field, E, tag):
     return E
 
 
-def _match_hypercube(field, roots, weights, n, tol, all_solutions=False,
-                     use_weights=True):
-    """Identify c = e^{i phi} and the exponents from the 2^n Prony roots.
+def _cube_from_roots(field, roots, weights, n):
+    """Fit (c, tags, E) to the Prony roots c prod_j E_j^{eps_j}.
 
-    Returns (c, slots, assignment) where slots is a list of (tag, q, E).
-    Every candidate passes three gates: antipodal pairing with a common
-    product, sign-pattern weights, and half-exponential consistency
-    t_eps = prod E_j^{eps_j}.  Multiple inequivalent survivors are an
-    error, unless ``all_solutions`` asks for the list of candidates (used
-    by the repair path, which validates them against the samples instead;
-    it also disables the weight gate, meaningless on repaired roots).
+    Only roots whose fitted weight lies within 0.5 of +-1 are trusted.  Two
+    trusted roots of opposite weight differ in an odd number of
+    coordinates; their ratio, oriented to the block normalization, is
+    q_j = E_j^2 when they differ in coordinate j alone, so each generator
+    labels 2^{n-1} such edges and the n most frequent ratio classes are the
+    generators.  c is then the value root / prod_j E_j^{eps_j} that a
+    majority of the trusted roots agree on, over the eps whose sign
+    sigma(eps) is the root's weight.
     """
-    r = 2 ** n
-    pats = _patterns(n)
-    solutions = []
-
-    pair_candidates = []
-    for matching in _perfect_matchings(list(range(r))):
-        prods = [roots[i] * roots[j] for i, j in matching]
-        if all(_close(field, prods[0], p, tol) for p in prods[1:]):
-            pair_candidates.append(prods[0])
-    if not pair_candidates:
+    kept = [(root, sig) for root, w in zip(roots, weights) for sig in (1, -1)
+            if field.abs(w - sig) <= 0.5]
+    # strongest roots first, so each class is represented by its most
+    # accurate ratio
+    kept.sort(key=lambda rs: -field.abs(rs[0]))
+    classes = []
+    for i, (a, sa) in enumerate(kept):
+        for j in range(i + 1, len(kept)):
+            b, sb = kept[j]
+            if sa != sb:
+                _count_into(field, classes, _oriented(field, a * field.inv(b)),
+                            (i, j))
+    classes.sort(key=lambda cls: -len(cls[1]))
+    if len(classes) < n or (len(classes) > n and
+                            len(classes[n - 1][1]) == len(classes[n][1])):
+        listing = ", ".join(f"{field.to_complex(q):.6g} x{len(members)}"
+                            for q, members in classes)
         raise RankDeficiencyError(
-            "root-matching failure: no antipodal pairing of the Prony roots"
+            f"cannot single out {n} generators from the edge classes of "
+            f"{len(kept)} trusted Prony roots (ratio x count): "
+            f"{listing or 'none'}"
         )
-    seen_c2 = []
-    c_candidates = []
-    for c2 in pair_candidates:
-        if any(_close(field, c2, s, tol) for s in seen_c2):
-            continue
-        seen_c2.append(c2)
-        try:
-            c = field.sqrt(c2)
-        except FieldError:
-            continue
-        c_candidates.extend([c, -c])
-
-    for c in c_candidates:
-        cinv = field.inv(c)
-        t = [rt * cinv for rt in roots]
-        for ref in range(r):
-            others = [i for i in range(r) if i != ref]
-            for nbrs in itertools.permutations(others, n):
-                q = [t[ref] * field.inv(t[b]) for b in nbrs]
-                assign = {}
-                used = set()
-                ok = True
-                for eps in pats:
-                    pred = field.inv(t[ref])
-                    for j, e in enumerate(eps):
-                        if e > 0:
-                            pred = pred * q[j]
-                    sig = _sigma(eps)
-                    found = None
-                    for i in range(r):
-                        if i in used:
-                            continue
-                        if use_weights:
-                            w = field.to_complex(weights[i])
-                            if w.real * sig <= 0 or abs(w - sig) > 0.5:
-                                continue
-                        if _close(field, t[i], pred, tol):
-                            found = i
-                            break
-                    if found is None:
-                        ok = False
-                        break
-                    assign[eps] = found
-                    used.add(found)
-                if not ok:
-                    continue
-                # classification + half-exponential consistency
-                try:
-                    slots = []
-                    for qj in q:
-                        tag = _classify_exponent(field, qj, tol)
-                        slots.append((tag, qj, _principal_exp_half(field, qj, tag, tol)))
-                except MathError:
-                    continue
-                good = True
-                for eps in pats:
-                    pred = field.one
-                    for (tag, qj, Ej), e in zip(slots, eps):
-                        pred = pred * (Ej if e > 0 else field.inv(Ej))
-                    if not _close(field, t[assign[eps]], pred, tol):
-                        good = False
-                        break
-                if good:
-                    solutions.append((c, slots, assign))
-
-    if not solutions:
+    tags, exp_half = [], []
+    for q, _members in classes[:n]:
+        tag = _classify_exponent(field, q)
+        tags.append(tag)
+        exp_half.append(_principal_exp_half(field, q, tag))
+    unit_cube = _cube(field, field.one, exp_half)
+    votes = []
+    for idx, (root, sig) in enumerate(kept):
+        for eps, v in unit_cube.items():
+            if _sigma(eps) == sig:
+                _count_into(field, votes, root * field.inv(v), idx)
+    c, voters = max(votes, key=lambda vote: len(vote[1]))
+    if 2 * len(voters) <= len(kept):
         raise RankDeficiencyError(
-            "root-matching failure: no sign-pattern assignment consistent "
-            "with the fitted weights and normalizations"
+            f"no phase constant shared by a majority of the {len(kept)} "
+            f"trusted Prony roots: at most {len(voters)} agree"
         )
-
-    def canon_key(sol):
-        c, slots, _ = sol
-        cc = field.to_complex(c)
-        es = sorted(
-            (round(field.to_complex(E).real, 6), round(field.to_complex(E).imag, 6))
-            for _t, _q, E in slots
-        )
-        return (round(cc.real, 6), round(cc.imag, 6), tuple(es))
-
-    groups = {}
-    for s in solutions:
-        groups.setdefault(canon_key(s), s)
-    if all_solutions:
-        return list(groups.values())
-    if len(groups) > 1:
-        raise RankDeficiencyError(
-            f"ambiguous sign-pattern matching: {len(groups)} inequivalent "
-            "assignments survive; refusing to choose silently"
-        )
-    return solutions[0]
+    return c, tags, exp_half
 
 
-def _polish_cube(field, samples, c, slots, max_iter=40):
+def _polish_cube(field, samples, c, tags, exp_half, max_iter=40):
     """Damped Gauss-Newton refit of (c, E_1..E_n) against the samples.
 
     Works in log parameters u = (log c, log E_j), where the structured
     model is lambda_eps^k = exp(k(u_0 + <eps, u>)); rows are weighted to
     relative size and steps are halved whenever they would not decrease
-    the misfit, so the refit converges from the coarse (percent-level)
-    starting points the repair path produces.  Float backend only.
+    the misfit, so the refit converges from coarse starting points.  Float
+    backend only.  A refit that leaves the finite nonzero numbers is a
+    RankDeficiencyError.
     """
-    import cmath as _cm
-
-    import numpy as np
-
-    n = len(slots)
+    n = len(exp_half)
     pats = _patterns(n)
     sigs = np.array([_sigma(eps) for eps in pats], dtype=float)
     eps_mat = np.array(pats, dtype=float)          # (2^n, n)
@@ -363,8 +289,7 @@ def _polish_cube(field, samples, c, slots, max_iter=40):
     K = len(s)
     kk = np.arange(1, K + 1)
     wgt = 1.0 / np.maximum(1.0, np.abs(s))
-    u = np.array([_cm.log(field.to_complex(c))] +
-                 [_cm.log(field.to_complex(E)) for _t, _q, E in slots],
+    u = np.array([cmath.log(field.to_complex(v)) for v in [c] + exp_half],
                  dtype=complex)
 
     def model_and_jac(uvec):
@@ -387,7 +312,6 @@ def _polish_cube(field, samples, c, slots, max_iter=40):
     cur = misfit(u)
     for _ in range(max_iter):
         model, jac = model_and_jac(u)
-        r = (model - s) * wgt
         try:
             delta, *_ = np.linalg.lstsq(jac * wgt[:, None], -(model - s) * wgt,
                                         rcond=1e-14)
@@ -410,16 +334,46 @@ def _polish_cube(field, samples, c, slots, max_iter=40):
             break
         if np.max(np.abs(step * delta)) < 1e-15:
             break
-    new_c = field.one * complex(np.exp(u[0]))
-    new_slots = []
-    for j, (tag, _q, _E) in enumerate(slots):
-        E = _snap_to_class(field, field.one * complex(np.exp(u[1 + j])), tag)
-        new_slots.append((tag, E * E, E))
-    return new_c, new_slots
+    fitted = [complex(v) for v in np.exp(u)]
+    if not all(cmath.isfinite(v) and v != 0 for v in fitted):
+        raise RankDeficiencyError(
+            f"stage-0 refit diverged: c, E = {fitted}"
+        )
+    new_c = fitted[0]
+    new_E = []
+    for tag, E in zip(tags, fitted[1:]):
+        if E.real < 0:  # (c, E_j) and (-c, -E_j) give the same cube
+            E, new_c = -E, -new_c
+        new_E.append(_snap_to_class(field, field.one * E, tag))
+    return field.one * new_c, new_E
 
 
-def recover_frequencies(field, a0, n, tol=DEFAULT_MATCH_TOL,
-                        residual_tol=1e-6):
+def _canonical_blocks(field, tags, exp_half):
+    """Canonically ordered blocks.  Each complex hyperbolic principal
+    member (Im E > 0) is paired with a member near its conjugate, which
+    then becomes its exact conjugate."""
+    tagged = [(t, E) for t, E in zip(tags, exp_half) if t != COMPLEX_HYPERBOLIC]
+    ch = [E for t, E in zip(tags, exp_half) if t == COMPLEX_HYPERBOLIC]
+    upper = [E for E in ch if field.to_complex(E).imag > 0]
+    lower = [E for E in ch if field.to_complex(E).imag < 0]
+    unpaired = RankDeficiencyError(
+        "complex hyperbolic exponent without conjugate partner"
+    )
+    if len(upper) != len(lower):
+        raise unpaired
+    for E in upper:
+        partner = [i for i, E2 in enumerate(lower)
+                   if _close(field, E2, field.conj(E))]
+        if not partner:
+            raise unpaired
+        del lower[partner[0]]
+        tagged += [(COMPLEX_HYPERBOLIC, E),
+                   (COMPLEX_HYPERBOLIC, field.conj(E))]
+    blocks = SpectrumBlocks.from_exp_half(field, tagged)
+    return blocks.reordered(blocks.canonical_order())
+
+
+def recover_frequencies(field, a0, n, residual_tol=1e-6):
     """Recover mu(0) and the common phase from the constant coefficients.
 
     ``a0`` maps k = 1..K to a_{0k}(0); requires K >= 2^{n+1} + 2.  Forms
@@ -448,9 +402,8 @@ def recover_frequencies(field, a0, n, tol=DEFAULT_MATCH_TOL,
     # The double-precision Hankel stage can degenerate when the root
     # magnitudes spread over many decades (the weakest antipode's signal
     # then sits below machine epsilon in all but the first few samples).
-    # In that case rerun it in extended precision, and if the root set is
-    # still structurally broken, repair it from the reliable half plus the
-    # antipodal product; the structured refit restores full accuracy.
+    # In that case rerun it in extended precision; the cube fit drops the
+    # roots it cannot trust, and the structured refit restores accuracy.
     plain_double = not field.exact and getattr(field, "_mp", None) is None
     try:
         roots, weights, cond = _prony(field, samples, 2 ** n, residual_tol)
@@ -459,7 +412,6 @@ def recover_frequencies(field, a0, n, tol=DEFAULT_MATCH_TOL,
         if not plain_double:
             raise
         retry = True
-        roots = weights = None
         cond = float("inf")
     if retry:
         from .fields import FloatField
@@ -471,101 +423,16 @@ def recover_frequencies(field, a0, n, tol=DEFAULT_MATCH_TOL,
         roots = [complex(r) for r in mroots]
         weights = [complex(w) for w in mweights]
 
-    def _build(c, slots, assign, rts):
-        if plain_double:
-            c, slots = _polish_cube(field, samples, c, slots)
-            pats = _patterns(n)
-            rts = []
-            assign = {}
-            for idx, eps in enumerate(pats):
-                v = c
-                for (_t, _q, E), e in zip(slots, eps):
-                    v = v * (E if e > 0 else field.inv(E))
-                rts.append(v)
-                assign[eps] = idx
-        exp_sum = ExponentialSum(field, dict(zip(ks, samples)), rts, assign)
-        res = exp_sum.residual()
-        if res > residual_tol:
-            raise RankDeficiencyError(
-                f"inconsistent samples: exponential model residual {res:.3e}"
-            )
-        return c, slots, exp_sum
-
-    try:
-        c, slots, assign = _match_hypercube(field, roots, weights, n, tol)
-        c, slots, exp_sum = _build(c, slots, assign, roots)
-    except RankDeficiencyError:
-        if not plain_double:
-            raise
-        # Structural repair: rebuild the root set from its trustworthy
-        # half, enumerate loosely-consistent assignments, and let the
-        # structured refit against all samples arbitrate.  Two surviving
-        # inequivalent refits would be a genuine ambiguity.
-        roots, weights = _repair_roots(field, samples, roots, weights, n,
-                                       residual_tol)
-        candidates = _match_hypercube(field, roots, weights, n,
-                                      max(tol, 2e-1), all_solutions=True,
-                                      use_weights=False)
-        survivors = []
-        for cand in candidates:
-            try:
-                survivors.append(_build(*cand, roots))
-            except (RankDeficiencyError, MathError, FieldError,
-                    ZeroDivisionError, OverflowError, ValueError):
-                continue
-        if not survivors:
-            raise RankDeficiencyError(
-                "root repair failed: no candidate assignment reproduces "
-                "the samples"
-            )
-        keys = {
-            tuple(sorted((round(field.to_complex(E).real, 8),
-                          round(field.to_complex(E).imag, 8))
-                         for _t, _q, E in s[1]))
-            for s in survivors
-        }
-        if len(keys) > 1:
-            raise RankDeficiencyError(
-                "ambiguous repair: several inequivalent exponent sets "
-                "reproduce the samples"
-            )
-        c, slots, exp_sum = survivors[0]
-
-    # group complex hyperbolic slots into conjugate pairs, canonical order
-    ch = [s for s in slots if s[0] == COMPLEX_HYPERBOLIC]
-    rh = [s for s in slots if s[0] == REAL_HYPERBOLIC]
-    el = [s for s in slots if s[0] == ELLIPTIC]
-    pairs = []
-    pool = list(ch)
-    while pool:
-        tag, q, E = pool.pop(0)
-        qc = field.to_complex(q)
-        partner = None
-        for i, (t2, q2, E2) in enumerate(pool):
-            if _close(field, q2, field.conj(q), tol):
-                partner = i
-                break
-        if partner is None:
-            raise RankDeficiencyError(
-                "complex hyperbolic exponent without conjugate partner"
-            )
-        t2, q2, E2 = pool.pop(partner)
-        if qc.imag > 0:
-            pairs.append(((tag, q, E), (t2, field.conj(q), field.conj(E))))
-        else:
-            pairs.append(((t2, q2, E2), (tag, field.conj(q2), field.conj(E2))))
-    pairs.sort(key=lambda p: (field.abs(p[0][1]),
-                              cmath.phase(field.to_complex(p[0][1]))))
-    rh.sort(key=lambda s: field.to_complex(s[1]).real)
-    el.sort(key=lambda s: cmath.phase(field.to_complex(s[1])))
-
-    tagged = []
-    for a, b in pairs:
-        tagged.append((a[0], a[2]))
-        tagged.append((b[0], b[2]))
-    tagged.extend((t, E) for t, _q, E in rh)
-    tagged.extend((t, E) for t, _q, E in el)
-    blocks = SpectrumBlocks.from_exp_half(field, tagged)
+    c, tags, exp_half = _cube_from_roots(field, roots, weights, n)
+    if plain_double:
+        c, exp_half = _polish_cube(field, samples, c, tags, exp_half)
+    exp_sum = ExponentialSum(field, dict(zip(ks, samples)), c, exp_half)
+    res = exp_sum.residual()
+    if res > residual_tol:
+        raise RankDeficiencyError(
+            f"inconsistent samples: exponential model residual {res:.3e}"
+        )
+    blocks = _canonical_blocks(field, tags, exp_half)
 
     # phase: c = e^{i phi}
     if field.exact:
@@ -666,8 +533,7 @@ class RecoveryReport:
 
 
 def recover_qbnf(tdata, n, orders=None, tol=1e-8, cond_gate=1e8,
-                 match_tol=DEFAULT_MATCH_TOL, pole_tol=DEFAULT_POLE_TOL,
-                 engine=None):
+                 pole_tol=DEFAULT_POLE_TOL, engine=None):
     """Full order-by-order recovery of (mu(z), F) from TraceData.
 
     Follows the staged scheme: Prony on the constant coefficients, then at
@@ -697,7 +563,7 @@ def recover_qbnf(tdata, n, orders=None, tol=1e-8, cond_gate=1e8,
     # -- Stage 0: frequencies and phase constant -------------------------
     a0 = {k: tdata.coefficients[k].get((), 0, 0)
           for k in range(1, tdata.k_max + 1)}
-    freq = recover_frequencies(f, a0, n, tol=match_tol, residual_tol=max(tol, 1e-8))
+    freq = recover_frequencies(f, a0, n, residual_tol=max(tol, 1e-8))
     blocks = freq.blocks
     conditioning["prony"] = freq.conditioning
     f00 = tdata.phase + freq.phi

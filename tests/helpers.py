@@ -1,6 +1,7 @@
 """Shared fixture builders and independent oracles for the test suite."""
 
 import cmath
+import itertools
 import math
 import random
 
@@ -156,3 +157,32 @@ def random_symplectic_2x2(rng):
     from scipy.linalg import expm
 
     return expm(A)
+
+
+def well_separated_mus(spec, rng, gap=0.3, tries=60):
+    """Random exponents of the block kinds in ``spec`` (a complex
+    hyperbolic entry gives a conjugate pair) whose 2^n half-sums
+    <eps, mu>/2 lie at least ``gap`` apart; None after ``tries`` draws."""
+    for _ in range(tries):
+        mus = []
+        for kind in spec:
+            if kind == REAL_HYPERBOLIC:
+                mus.append(complex(rng.uniform(0.4, 2.2)))
+            elif kind == ELLIPTIC:
+                mus.append(1j * rng.uniform(0.4, math.pi - 0.4))
+            else:
+                m = complex(rng.uniform(0.5, 1.8),
+                            rng.uniform(0.4, math.pi - 0.4))
+                mus.extend([m, m.conjugate()])
+        n = len(mus)
+        logs = []
+        for eps in itertools.product((1, -1), repeat=n):
+            logs.append(sum(e * m for e, m in zip(eps, mus)) / 2)
+        ok = True
+        for i in range(len(logs)):
+            for j in range(i + 1, len(logs)):
+                if abs(logs[i] - logs[j]) < gap:
+                    ok = False
+        if ok:
+            return mus
+    return None

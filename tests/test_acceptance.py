@@ -15,7 +15,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 from helpers import (brute_force_trace_coeffs, mixed_float_fixture,
-                     random_F_total_degree, rt1)
+                     random_F_total_degree, rt1, well_separated_mus)
 
 from bnftrace import jsonio
 from bnftrace.blocks import (COMPLEX_HYPERBOLIC, ELLIPTIC, REAL_HYPERBOLIC,
@@ -115,7 +115,7 @@ def test_criterion_4_fried_prony_recovery():
         (3, [COMPLEX_HYPERBOLIC, REAL_HYPERBOLIC]),
     ]:
         for _ in range(3):
-            mus = _well_separated_mus(spec, rng)
+            mus = well_separated_mus(spec, rng)
             if mus is None:
                 continue
             phi = rng.uniform(-math.pi, math.pi)
@@ -139,32 +139,6 @@ def test_criterion_4_fried_prony_recovery():
             cases += 1
     assert cases >= 10
     _report(4, "Fried/Prony frequency recovery", f"{cases} cases")
-
-
-def _well_separated_mus(spec, rng, gap=0.3, tries=60):
-    for _ in range(tries):
-        mus = []
-        for kind in spec:
-            if kind == REAL_HYPERBOLIC:
-                mus.append(complex(rng.uniform(0.4, 2.2)))
-            elif kind == ELLIPTIC:
-                mus.append(1j * rng.uniform(0.4, math.pi - 0.4))
-            else:
-                m = complex(rng.uniform(0.5, 1.8),
-                            rng.uniform(0.4, math.pi - 0.4))
-                mus.extend([m, m.conjugate()])
-        n = len(mus)
-        logs = []
-        for eps in __import__("itertools").product((1, -1), repeat=n):
-            logs.append(sum(e * m for e, m in zip(eps, mus)) / 2)
-        ok = True
-        for i in range(len(logs)):
-            for j in range(i + 1, len(logs)):
-                if abs(logs[i] - logs[j]) < gap:
-                    ok = False
-        if ok:
-            return mus
-    return None
 
 
 def test_criterion_5_classical_normal_forms():

@@ -8,11 +8,12 @@ import pytest
 from helpers import mixed_float_fixture, rt1
 
 from bnftrace import jsonio
+from bnftrace.blocks import SpectrumBlocks
 from bnftrace.cli import build_parser, main
 from bnftrace.fields import FloatField, RationalField
 from bnftrace.oscillatory import OrbitExpansion, TestJet
-from bnftrace.qbnf import make_trace_data
-from bnftrace.series import zseries
+from bnftrace.qbnf import QuantumBNF, make_trace_data
+from bnftrace.series import MultiSeries, zseries
 
 FR = RationalField()
 FF = FloatField()
@@ -274,3 +275,34 @@ def test_float_roundtrip_real_hyperbolic_exponent_is_real(tmp_path, capsys):
     assert len(rh) == 1
     assert float(rh[0]["exp_half_mu"]["im"]) == 0.0
     assert rh[0]["mu_display"][1] == 0.0
+
+
+def _blocks_swapped(bnf):
+    """The same n=2 normal form with its two blocks listed the other way."""
+    f = bnf.field
+    blocks = SpectrumBlocks(f, bnf.blocks.tags[::-1], bnf.blocks.exp_half[::-1])
+    F = MultiSeries(f, 2, bnf.F.orders,
+                    {(alpha[::-1], m, l): c
+                     for (alpha, m, l), c in bnf.F.terms.items()})
+    return QuantumBNF(blocks, bnf.mu_jets[::-1], F)
+
+
+@pytest.mark.parametrize("swapped", [False, True])
+def test_roundtrip_refuses_non_canonical_block_order(tmp_path, capsys,
+                                                     swapped):
+    # canonical: (rh E=sqrt 3, elliptic E=e^{0.5i}); swapped: elliptic first
+    _F, bnf = mixed_float_fixture(7)
+    if swapped:
+        bnf = _blocks_swapped(bnf)
+    path = tmp_path / "bnf.json"
+    jsonio.dump(path, jsonio.qbnf_to_json(bnf))
+    rc = main(["roundtrip", "--bnf", str(path), "--orders", "3,2,2",
+               "--kmax", "12"])
+    out, err = capsys.readouterr()
+    if swapped:
+        assert rc == 2
+        assert "canonical order" in err and "[1, 0]" in err
+        assert out == ""
+    else:
+        assert rc == 0
+        assert "round trip ok" in out

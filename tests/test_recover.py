@@ -1,20 +1,24 @@
 import cmath
+import itertools
 import math
 import random
 import time
 
 import pytest
 
-from helpers import mixed_float_fixture, rt1
+from helpers import mixed_float_fixture, rt1, well_separated_mus
 
 from bnftrace.blocks import (COMPLEX_HYPERBOLIC, ELLIPTIC, REAL_HYPERBOLIC,
                              SpectrumBlocks)
-from bnftrace.errors import FieldError, MathError, RankDeficiencyError
+from bnftrace.errors import (ConvergenceError, FieldError, MathError,
+                             RankDeficiencyError)
 from bnftrace.fields import FloatField, RationalField
 from bnftrace import hypcalc as hc
 from bnftrace.qbnf import QuantumBNF, TraceData, make_trace_data
-from bnftrace.recover import (ExponentialSum, recover_frequencies,
-                              recover_polynomial, recover_qbnf)
+from bnftrace.linalg import poly_roots
+from bnftrace.recover import (_cube_from_roots, _polish_cube,
+                              recover_frequencies, recover_polynomial,
+                              recover_qbnf)
 from bnftrace.series import MultiSeries, Orders, zseries
 
 FR = RationalField()
@@ -112,6 +116,113 @@ def test_exponential_sum_model_validation():
     a0[5] *= 1.5  # corrupt one sample
     with pytest.raises(RankDeficiencyError):
         recover_frequencies(FF, a0, 1)
+
+
+_RH, _EL, _CH = REAL_HYPERBOLIC, ELLIPTIC, COMPLEX_HYPERBOLIC
+_MIXES = {
+    "rh": [_RH], "el": [_EL], "rh+el": [_RH, _EL], "rh+rh": [_RH, _RH],
+    "el+el": [_EL, _EL], "ch": [_CH], "rh+rh+el": [_RH, _RH, _EL],
+    "ch+rh": [_CH, _RH], "ch+el": [_CH, _EL], "rh+el+el": [_RH, _EL, _EL],
+    "el+el+el": [_EL, _EL, _EL], "rh+rh+rh": [_RH, _RH, _RH],
+}
+# on the other three mixes the weakest roots can drown in double-precision
+# noise, and a refusal is an acceptable outcome
+_ALWAYS_RECOVERED = {"rh", "el", "rh+el", "rh+rh", "el+el", "ch", "rh+rh+el",
+                     "rh+el+el", "el+el+el"}
+
+
+@pytest.mark.parametrize("mix", sorted(_MIXES))
+def test_stage0_recovers_or_refuses_on_block_mixes(mix):
+    """Five seeded well-separated inputs per mix, K = 2^{n+1} + 2: each one
+    recovers e^mu (best order) and e^{i phi} within 1e-8 or raises a
+    MathError, and the mixes in _ALWAYS_RECOVERED never refuse."""
+    rng = random.Random("stage0/" + mix)
+    for _ in range(5):
+        mus = well_separated_mus(_MIXES[mix], rng)
+        assert mus is not None
+        phi = rng.uniform(-math.pi, math.pi)
+        n = len(mus)
+        a0 = _a0_from_sinh(FF, mus, phi, 2 ** (n + 1) + 2)
+        try:
+            fr = recover_frequencies(FF, a0, n)
+        except MathError:
+            assert mix not in _ALWAYS_RECOVERED, mus
+            continue
+        got = [cmath.exp(m) for m in fr.blocks.mu()]
+        want = [cmath.exp(m) for m in mus]
+        err = min(max(abs(g - w) / max(1.0, abs(w)) for g, w in zip(p, want))
+                  for p in itertools.permutations(got))
+        assert err <= 1e-8, mus
+        assert abs(cmath.exp(1j * fr.phi_value) - cmath.exp(1j * phi)) <= 1e-8
+
+
+@pytest.mark.parametrize("mus", [[0.05j], [3.1j], [0.05], [0.5, 0.1j]])
+def test_stage0_near_the_normalization_boundaries(mus):
+    """Generators near 1 (small real mu) or near +-1 on the unit circle are
+    still classified: the normalization decisions use a band finer than
+    the 0.1 of the ratio classes."""
+    n = len(mus)
+    a0 = _a0_from_sinh(FF, mus, 0.3, 2 ** (n + 1) + 2)
+    fr = recover_frequencies(FF, a0, n)
+    for got, want in zip(sorted(fr.blocks.mu(), key=abs), sorted(mus, key=abs)):
+        assert abs(got - want) <= 1e-8
+    assert abs(fr.phi_value - 0.3) <= 1e-8
+
+
+def test_cube_fit_names_the_edge_classes_when_ambiguous():
+    # two trusted roots for n = 2 give one edge, so one class: E_2^2 = 9
+    roots = [6 + 0j, 2 / 3 + 0j]
+    with pytest.raises(RankDeficiencyError) as exc:
+        _cube_from_roots(FF, roots, [1 + 0j, -1 + 0j], 2)
+    msg = str(exc.value)
+    assert "2 generators" in msg and "2 trusted" in msg
+    assert "9+0j x1" in msg
+
+
+def test_cube_fit_drops_roots_with_untrusted_weights():
+    # c = 1, E = 2: roots 2 (+) and 1/2 (-), plus a spurious root of weight 0.1
+    c, tags, exp_half = _cube_from_roots(
+        FR, [FR.from_int(2), FR.from_rational("1/2"), FR.from_int(7)],
+        [FR.one, -FR.one, FR.from_rational("1/10")], 1)
+    assert c == FR.one
+    assert tags == [REAL_HYPERBOLIC]
+    assert exp_half == [FR.from_int(2)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverged_refit_is_rank_deficiency():
+    samples = [FF.one * (2 ** k - 2.0 ** -k) for k in range(1, 7)]
+    with pytest.raises(RankDeficiencyError):
+        _polish_cube(FF, samples, complex("inf"), [REAL_HYPERBOLIC], [2 + 0j])
+
+
+def test_mpmath_root_nonconvergence_is_convergence_error():
+    # (z - 1)^3: a triple root stalls polyroots within its step cap
+    mpf = FloatField(precision=240)
+    tail = [mpf.from_int(-1), mpf.from_int(3), mpf.from_int(-3)]
+    with pytest.raises(ConvergenceError) as exc:
+        poly_roots(mpf, tail)
+    assert "degree-3" in str(exc.value) and "maxsteps=200" in str(exc.value)
+
+
+def test_wide_real_hyperbolic_triple_recovers_or_refuses():
+    """Three real hyperbolic exponents whose weakest roots drown in double
+    precision: stage 0 goes to its 240-bit retry, where mpmath's root
+    finder can give up (with numpy 2.4 it does); that, like any refusal,
+    must be a MathError, not mpmath's own exception."""
+    mus = [0.7024822914919275, 2.1161459174609334, 1.0221501252364096]
+    phi = 1.420136041895475
+    a0 = {k: cmath.exp(-1j * k * phi)
+          / math.prod(2 * cmath.sinh(k * m / 2) for m in mus)
+          for k in range(1, 19)}
+    try:
+        fr = recover_frequencies(FF, a0, 3)
+    except MathError:
+        return
+    got = sorted(cmath.exp(m).real for m in fr.blocks.mu())
+    want = sorted(math.exp(m) for m in mus)
+    assert all(abs(g - w) <= 1e-8 * w for g, w in zip(got, want))
+    assert abs(cmath.exp(1j * fr.phi_value) - cmath.exp(1j * phi)) <= 1e-8
 
 
 def test_recover_polynomial_linear():
