@@ -17,8 +17,10 @@ Unit convention: every pairing coefficient is stored in units of 2*pi
 and carrying it symbolically keeps rational round trips bit-exact.
 
 The inverse direction recovers the jets I_{p+1} and a_{jl} level by
-level; the known lower-order contributions are always produced by the
-forward engine on the partially recovered data, never re-derived.
+level as a linear solve per level.  Forward and inverse share one pairing
+path: the zeta-moments of phase * amp, paired with the test jets.  The
+known part of level p is the h^p moment vector of the jets recovered so
+far, built once per level; each new unknown adds one moment column.
 """
 
 from .errors import MathError, RankDeficiencyError, SchemaError
@@ -91,6 +93,36 @@ class OrbitExpansion:
         )
 
 
+def _moments(f, i_jets, a_jets, order):
+    """zeta-moments of phase * amp: one dict {q: coefficient of zeta^q} per
+    power h^p, p = 0..order.
+
+    phase = exp(i sum_{j>=1} I_{j+1} zeta^{j+1} h^j) and amp =
+    sum a_jl zeta^l h^{j+l}; the h^p slice only reaches zeta^{2p}, so the
+    zeta cutoff 2*order + 1 truncates nothing.
+    """
+    orders = Orders(2 * order + 1, 0, order)
+    exp_terms = {((j + 1,), 0, j): f.i * i_jets[j + 1]
+                 for j in range(1, min(order + 1, len(i_jets) - 1))}
+    phase = MultiSeries(f, 1, orders, exp_terms).exp_series()
+    amp = MultiSeries(f, 1, orders, {((l,), 0, j + l): c
+                                     for (j, l), c in a_jets.items()
+                                     if j + l <= order})
+    moments = [{} for _ in range(order + 1)]
+    for ((q,), _m, p), c in (phase * amp).terms.items():
+        moments[p][q] = c
+    return moments
+
+
+def _pair(f, moments, g):
+    """sum_q c_q (-i)^q g^(q): one level's moments against a test jet."""
+    minus_i = -f.i
+    total = f.zero
+    for q, c in moments.items():
+        total = total + c * minus_i ** (q % 4) * g.derivative(q)
+    return total
+
+
 def forward_pairing(u, g, order):
     """Coefficients b_0..b_order of the pairing, in units of 2*pi.
 
@@ -98,31 +130,7 @@ def forward_pairing(u, g, order):
     growth comes from the products inside exp(i sum h^j I_{j+1} zeta^{j+1})).
     """
     f = u.field
-    zmax = 2 * order + 1
-    orders = Orders(zmax, 0, order)
-    # exponent: i sum_{j>=1} I_{j+1} zeta^{j+1} h^j
-    exp_terms = {}
-    for j in range(1, order + 1):
-        c = u.i_jet(j + 1)
-        if not f.is_zero(c):
-            exp_terms[((j + 1,), 0, j)] = f.i * c
-    phase = MultiSeries(f, 1, orders, exp_terms).exp_series()
-    amp_terms = {}
-    for (j, l), c in u.a_jets.items():
-        if j + l <= order:
-            amp_terms[((l,), 0, j + l)] = c
-    amp = MultiSeries(f, 1, orders, amp_terms)
-    S = phase * amp
-    minus_i = -f.i
-    out = []
-    for p in range(order + 1):
-        total = f.zero
-        for ((q,), _m, l), c in S.terms.items():
-            if l != p:
-                continue
-            total = total + c * minus_i ** (q % 4) * g.derivative(q)
-        out.append(total)
-    return out
+    return [_pair(f, m, g) for m in _moments(f, u.i_jets, u.a_jets, order)]
 
 
 def extract_jets(pairings, basis, order, i0=None, residual_tol=1e-9):
@@ -130,10 +138,11 @@ def extract_jets(pairings, basis, order, i0=None, residual_tol=1e-9):
 
     ``pairings[b]`` lists the coefficients (units of 2*pi) produced with
     ``basis[b]``.  The solve is triangular in the level p = j + l: the new
-    unknowns {a_{jl} : j + l = p} and I_{p+1} enter linearly, with all
-    lower-order structure supplied by forward_pairing on the partial data.
-    I_0 is invisible to the coefficients (it sits in the e^{iI_0/h}
-    prefactor) and is taken from ``i0``.
+    unknowns {a_{jl} : j + l = p} and I_{p+1} enter the h^p slice exactly
+    linearly, as the unit moment at zeta^l and as i a_00 at zeta^{p+1}
+    (I_{p+1}^2 first appears at h^{2p}); the known part is the h^p moments
+    of the jets recovered so far.  I_0 is invisible to the coefficients (it
+    sits in the e^{iI_0/h} prefactor) and is taken from ``i0``.
     """
     f = basis[0].field
     if len(pairings) != len(basis):
@@ -152,52 +161,31 @@ def extract_jets(pairings, basis, order, i0=None, residual_tol=1e-9):
     a_jets = {}
 
     for p in range(order + 1):
-        if p == 0:
-            unknowns = [("a", (0, 0))]
-        else:
-            unknowns = [("a", (p - l, l)) for l in range(p + 1)]
-            unknowns.append(("i", p + 1))
-        base_vals = []
-        rows = []
-        rhs = []
-        cur = OrbitExpansion(f, i_jets, a_jets or {(0, 0): f.zero},
-                             validate=False)
-        for b, g in enumerate(basis):
-            fw = forward_pairing(cur, g, p)
-            base_vals.append(fw[p])
-            row = []
-            for kind, key in unknowns:
-                if kind == "a":
-                    probe = dict(a_jets)
-                    probe[key] = probe.get(key, f.zero) + f.one
-                    pert = OrbitExpansion(f, i_jets, probe, validate=False)
-                else:
-                    ij = list(i_jets)
-                    while len(ij) <= key:
-                        ij.append(f.zero)
-                    ij[key] = ij[key] + f.one
-                    pert = OrbitExpansion(f, ij, a_jets or {(0, 0): f.zero},
-                                          validate=False)
-                col = forward_pairing(pert, g, p)[p] - fw[p]
-                row.append(col)
-            rows.append(row)
-            rhs.append(pairings[b][p] - fw[p])
+        known = _moments(f, i_jets, a_jets, p)[p]
+        columns = [{l: f.one} for l in range(p + 1)]
+        if p:
+            columns.append({p + 1: f.i * a_jets[(0, 0)]})
+        rows = [[_pair(f, col, g) for col in columns] for g in basis]
+        rhs = [pairings[b][p] - _pair(f, known, g)
+               for b, g in enumerate(basis)]
         sol, _cond, _res = solve_lstsq(f, rows, rhs, residual_tol=residual_tol)
-        for (kind, key), val in zip(unknowns, sol):
-            if kind == "a":
-                if not f.is_zero(val):
-                    a_jets[key] = val
-            else:
-                im = f.to_complex(val).imag
-                if abs(im) > 1e-9:
-                    raise MathError(
-                        f"inconsistent pairings: recovered I_{key} has "
-                        f"imaginary part {im:.3e}"
-                    )
-                while len(i_jets) <= key:
-                    i_jets.append(f.zero)
-                i_jets[key] = val
-        if p == 0:
+        for l in range(p + 1):
+            if not f.is_zero(sol[l]):
+                a_jets[(p - l, l)] = sol[l]
+        if p:
+            im = f.to_complex(sol[p + 1]).imag
+            if abs(im) > 1e-9:
+                raise MathError(
+                    f"inconsistent pairings: recovered I_{p + 1} has "
+                    f"imaginary part {im:.3e}"
+                )
+            val = sol[p + 1]
+            if not f.exact:
+                # drop the rounding residue the test above allows, which the
+                # 1e-12 reality check of OrbitExpansion would refuse
+                val = (val + f.conj(val)) * f.inv(f.from_int(2))
+            i_jets.append(val)
+        else:
             a00 = a_jets.get((0, 0), f.zero)
             if f.is_zero(a00) or (not f.exact and f.abs(a00) < 1e-12):
                 raise MathError(

@@ -21,6 +21,7 @@ add brackets at one fixed degree.
 """
 
 from collections import namedtuple
+from operator import add
 
 from .errors import DimensionMismatchError, SchemaError
 from .series import TruncatedPoly
@@ -52,7 +53,7 @@ class PhasePoly(TruncatedPoly):
 
     @staticmethod
     def _join(e1, e2, bound):
-        return tuple(a + b for a, b in zip(e1, e2))
+        return tuple(map(add, e1, e2))
 
     @staticmethod
     def _fits(exps, bound):

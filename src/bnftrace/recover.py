@@ -109,11 +109,16 @@ class ExponentialSum:
         return total
 
     def residual(self):
+        """Worst relative misfit over the samples; inf when a sample or the
+        model is not finite (``max`` would pass over a NaN)."""
         worst = 0.0
         for k, s in self.samples.items():
             rec = self.reconstruct(k)
             scale = max(1.0, self.field.abs(s))
-            worst = max(worst, self.field.abs(rec - s) / scale)
+            err = self.field.abs(rec - s) / scale
+            if not math.isfinite(err):
+                return math.inf
+            worst = max(worst, err)
         return worst
 
 

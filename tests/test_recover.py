@@ -16,9 +16,9 @@ from bnftrace.fields import FloatField, RationalField
 from bnftrace import hypcalc as hc
 from bnftrace.qbnf import QuantumBNF, TraceData, make_trace_data
 from bnftrace.linalg import poly_roots
-from bnftrace.recover import (_cube_from_roots, _polish_cube,
-                              recover_frequencies, recover_polynomial,
-                              recover_qbnf)
+from bnftrace.recover import (ExponentialSum, _cube_from_roots,
+                              _polish_cube, recover_frequencies,
+                              recover_polynomial, recover_qbnf)
 from bnftrace.series import MultiSeries, Orders, zseries
 
 FR = RationalField()
@@ -116,6 +116,11 @@ def test_exponential_sum_model_validation():
     a0[5] *= 1.5  # corrupt one sample
     with pytest.raises(RankDeficiencyError):
         recover_frequencies(FF, a0, 1)
+
+
+def test_exponential_sum_residual_fails_on_nan():
+    model = ExponentialSum(FF, {1: 1, 2: 2}, float("nan"), [2])
+    assert model.residual() == math.inf
 
 
 _RH, _EL, _CH = REAL_HYPERBOLIC, ELLIPTIC, COMPLEX_HYPERBOLIC
