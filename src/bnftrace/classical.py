@@ -301,6 +301,14 @@ def linear_normalize(tmap, tol=DEFAULT_TOL):
     Returns (normalized TaylorMap, T) with T the real symplectic matrix of
     the change of variables: normalized = T^{-1} o kappa o T.
     """
+    normalized, T, _units = _linear_normalize(tmap, tol)
+    return normalized, T
+
+
+def _linear_normalize(tmap, tol):
+    """:func:`linear_normalize` plus the eigenbasis units it was built
+    from, so the caller can classify the blocks without a second
+    eigendecomposition."""
     f = tmap.field
     if f.exact:
         raise SchemaError(
@@ -316,7 +324,7 @@ def linear_normalize(tmap, tol=DEFAULT_TOL):
                               [[f.one * complex(x) for x in row] for row in Tinv])
     conj = tmi.compose(tmap.pmap.compose(tm))
     out = TaylorMap(f, tmap.n, tmap.degree, conj.comps, validate=False)
-    return out, T
+    return out, T, units
 
 
 class BNFResult:
@@ -490,10 +498,8 @@ def birkhoff_normal_form(tmap, iota_degree, tol=DEFAULT_TOL,
                 "the numeric eigendecomposition needs the float backend; "
                 "pass blocks and assume_normalized for exact fixtures"
             )
-        normalized, T = linear_normalize(tmap, tol)
-        transform = T
-        blocks = classify_eigenvalues(tmap.linear_matrix_complex().real,
-                                      tol, field=f)
+        normalized, transform, units = _linear_normalize(tmap, tol)
+        blocks = _blocks_from_units(units, f)
     order = resonance_order or 2 * iota_degree
     w = nonresonance_witness(blocks.mu(), order, small_denominator_tol)
     if w is not None:

@@ -204,34 +204,41 @@ def _parse_exp_half(field, text):
     return out
 
 
+def _parse_oracle_input(args, field):
+    """(field, exp_half, alpha) from the oracle flags; a malformed flag is
+    an input error."""
+    try:
+        if args.mu is not None:
+            field = field_from_name(args.backend or "float",
+                                    args.float_precision)
+            ehm = [field.exp(complex(s) * 0.5) for s in args.mu.split(";")]
+        elif args.exp_half is not None:
+            ehm = _parse_exp_half(field, args.exp_half)
+        else:
+            raise SchemaError("need --mu or --exp-half")
+        alpha = (tuple(int(x) for x in args.alpha.split(","))
+                 if args.alpha else (0,) * len(ehm))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"malformed oracle input: {exc}") from None
+    if len(alpha) != len(ehm):
+        raise SchemaError("alpha arity must match the exponent count")
+    if min(alpha) < 0:
+        raise SchemaError(f"alpha entries must be >= 0, got {alpha}")
+    return field, ehm, alpha
+
+
 def cmd_oracle(args):
     field = field_from_name(args.backend or "rational", args.float_precision)
-    if args.mu is not None:
-        field = field_from_name(args.backend or "float", args.float_precision)
-        mus = [complex(s) for s in args.mu.split(";")]
-        ehm = [field.exp(m * 0.5) for m in mus]
-    elif args.exp_half is not None:
-        ehm = _parse_exp_half(field, args.exp_half)
-    else:
-        raise SchemaError("need --mu or --exp-half")
+    field, ehm, alpha = _parse_oracle_input(args, field)
     if args.oracle_cmd == "lattice-sum":
-        alpha = tuple(int(x) for x in args.alpha.split(",")) if args.alpha \
-            else (0,) * len(ehm)
-        if len(alpha) != len(ehm):
-            raise SchemaError("alpha arity must match the exponent count")
         v = hypcalc.lattice_sum_oracle({alpha: field.one}, exp_half=ehm,
                                        k=args.k, truncation=args.truncation,
                                        field=field)
-        print(_fmt_value(field, v))
     else:  # csch-derivative
-        alpha = tuple(int(x) for x in args.alpha.split(",")) if args.alpha \
-            else (0,) * len(ehm)
-        if len(alpha) != len(ehm):
-            raise SchemaError("alpha arity must match the exponent count")
         expr = hypcalc.apply_derivatives(
             hypcalc.csch_product(field, len(ehm), args.k), alpha)
         v = hypcalc.eval_csch(expr, exp_half=ehm, pole_tol=args.tol_pole)
-        print(_fmt_value(field, v))
+    print(_fmt_value(field, v))
     return 0
 
 

@@ -16,6 +16,13 @@ closed on :class:`CschExpression`.  Evaluation happens last, through the
 half-exponentials E_j = exp(mu_j/2): every hyperbolic value is a Laurent
 monomial in E_j, which keeps the rational fixtures (E_j rational) exact.
 
+B_k is a product over blocks, so d^alpha B_k = prod_j d^{alpha_j}
+(1/2)csch(k mu_j/2), each factor (k/2)^a q_a(t_j) (1/2)csch(k mu_j/2) with
+an integer polynomial q_a (:func:`coth_poly`).  :func:`csch_block` gives
+one factor, as a value at E_j or as a z-series along mu_j(z); the trace
+engine is built on it.  The n-variable calculus above serves the
+csch-derivative oracle and is the reference the tests compare against.
+
 The lattice sum of the geometric expansion
 
     B_k(mu) = sum_{m in N^n} exp(-<m + e0/2, k mu>),   Re mu_j > 0,
@@ -94,39 +101,6 @@ def apply_derivatives(expr, alpha):
         for _ in range(a):
             expr = apply_derivative(expr, j)
     return expr
-
-
-class CschTowers:
-    """The derivatives d^alpha prod_j (1/2)csch(k mu_j/2) for one (field, n).
-
-    Each d^alpha is one :func:`apply_derivative` step on the cached
-    d^(alpha - e_J), J the last index with alpha_J > 0.  That is the step
-    order of :func:`apply_derivatives`, so the results are identical to
-    it, term order included.  The towers do not depend on mu, so every
-    engine of one recovery can share them.
-    """
-
-    def __init__(self, field, n):
-        self.field = field
-        self.n = n
-        self._exprs = {}
-
-    def get(self, k, alpha):
-        alpha = tuple(alpha)
-        expr = self._exprs.get((k, alpha))
-        if expr is None:
-            if len(alpha) != self.n:
-                raise SchemaError(
-                    f"derivative index {alpha} has wrong arity for n={self.n}")
-            nonzero = [j for j, a in enumerate(alpha) if a]
-            if not nonzero:
-                expr = csch_product(self.field, self.n, k)
-            else:
-                j = nonzero[-1]
-                lower = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]
-                expr = apply_derivative(self.get(k, lower), j)
-            self._exprs[(k, alpha)] = expr
-        return expr
 
 
 def _sinh_cosh_from_exp_half(field, E, k, pole_tol):
@@ -219,72 +193,85 @@ def coth_csch_series(field, E0, delta, k, n_z, pole_tol=DEFAULT_POLE_TOL):
     return T, C
 
 
-class ZExpansion:
-    """The z-series one power k needs along mu_j(z) = mu_j(0) + delta_j(z):
-    the coth series T_j(z), the base product prod_j (1/2) csch(k mu_j(z)/2)
-    and the powers of each T_j, extended on demand.  Shared by every
-    derivative d^alpha at this k.
+def coth_poly(a):
+    """Integer coefficients of q_a, lowest degree first, where
+
+        d^a/dmu^a (1/2)csch(k mu/2) = (k/2)^a q_a(t) (1/2)csch(k mu/2),
+        t = coth(k mu/2).
+
+    By the two rules of the module docstring, q_0 = 1 and
+    q_{a+1} = (1 - t^2) q_a' - t q_a; q_a depends on neither k nor the
+    field.
     """
-
-    def __init__(self, field, exp_half0, deltas, k, n_z,
-                 pole_tol=DEFAULT_POLE_TOL):
-        self.field = field
-        self.n = len(exp_half0)
-        self.k = k
-        self.n_z = n_z
-        self.orders = Orders(0, n_z, 0)
-        Ts, Cs = [], []
-        for j in range(self.n):
-            d = deltas[j] if deltas is not None else None
-            T, C = coth_csch_series(field, exp_half0[j], d, k, n_z, pole_tol)
-            Ts.append(T)
-            Cs.append(C)
-        half = field.inv(field.from_int(2))
-        one = MultiSeries.scalar(field, 0, self.orders, field.one)
-        self.base = one
-        for C in Cs:
-            self.base = self.base * C.scale(half)
-        self._T = Ts
-        self._tpow = [[one] for _ in range(self.n)]
-
-    def t_power(self, j, d):
-        """T_j(z)^d."""
-        powers = self._tpow[j]
-        while len(powers) <= d:
-            powers.append(powers[-1] * self._T[j])
-        return powers[d]
-
-    def expand(self, expr):
-        """z-series of the expression: sum_d c_d prod_j T_j^d_j times base."""
-        f = self.field
-        total = MultiSeries.zero(f, 0, self.orders)
-        for exps, c in expr.poly.items():
-            factors = [self.t_power(j, d) for j, d in enumerate(exps) if d]
-            term = (factors[0].scale(c) if factors
-                    else MultiSeries.scalar(f, 0, self.orders, c))
-            for g in factors[1:]:
-                term = term * g
-            total = total + term
-        return total * self.base
+    q = (1,)
+    for _ in range(a):
+        nxt = [0] * (len(q) + 1)
+        for d, c in enumerate(q):
+            if d:
+                nxt[d - 1] += d * c
+            nxt[d + 1] -= (d + 1) * c
+        q = tuple(nxt)
+    return q
 
 
-def eval_series_in_z(expr, exp_half0, deltas, n_z, pole_tol=DEFAULT_POLE_TOL,
-                     expansion=None):
+def csch_block(field, k, a, exp_half=None, t_powers=None,
+               pole_tol=DEFAULT_POLE_TOL):
+    """d^a (1/2)csch(k mu/2) of one block, as (k/2)^a q_a(t) (1/2)csch(k mu/2)
+    (:func:`coth_poly`).
+
+    With ``t_powers`` = [B, T B, T^2 B, ...] (at least a+1 of them), where
+    T and 2B are the coth and csch z-series of :func:`coth_csch_series`,
+    the result is the z-series along mu(z); otherwise it is the value at
+    ``exp_half`` = exp(mu/2).  The product over j of the blocks'
+    d^alpha_j is d^alpha prod_j (1/2)csch(k mu_j/2).
+    """
+    f = field
+    scale = (f.from_int(k) * f.inv(f.from_int(2))) ** a
+    q = coth_poly(a)
+    if t_powers is None:
+        s2, c2 = _sinh_cosh_from_exp_half(f, exp_half, k, pole_tol)
+        inv_s2 = f.inv(s2)             # (1/2)csch = 1/s2
+        t = c2 * inv_s2
+        acc = f.zero
+        for c in reversed(q):
+            acc = acc * t + f.from_int(c)
+        return acc * scale * inv_s2
+    total = None
+    for d, c in enumerate(q):
+        if c:
+            term = t_powers[d].scale(f.from_int(c) * scale)
+            total = term if total is None else total + term
+    return total
+
+
+def eval_series_in_z(expr, exp_half0, deltas, n_z, pole_tol=DEFAULT_POLE_TOL):
     """Taylor-expand the expression in z along mu_j(z) = mu_j(0) + delta_j(z).
 
     ``exp_half0`` are the E_j = exp(mu_j(0)/2); ``deltas`` the jets above the
-    constant (z-series with zero constant term, or None).  ``expansion`` is
-    a :class:`ZExpansion` already built for these arguments at ``expr.k``;
-    without it one is built here.  Returns a z-series.
+    constant (z-series with zero constant term, or None).  Each term
+    c prod_j t_j^d_j becomes c prod_j T_j(z)^d_j, times the base product
+    prod_j C_j(z)/2 (:func:`coth_csch_series`).  Returns a z-series.
     """
+    f = expr.field
     if len(exp_half0) != expr.n:
         raise SchemaError(f"expected {expr.n} exponents, got {len(exp_half0)}")
-    if expansion is None:
-        expansion = ZExpansion(expr.field, exp_half0, deltas, expr.k, n_z,
-                               pole_tol)
-    elif (expansion.k, expansion.n, expansion.n_z) != (expr.k, expr.n, n_z):
-        raise SchemaError("z-expansion was built for another k, n or z-order")
-    return expansion.expand(expr)
+    orders = Orders(0, n_z, 0)
+    half = f.inv(f.from_int(2))
+    base = MultiSeries.scalar(f, 0, orders, f.one)
+    Ts = []
+    for j, E in enumerate(exp_half0):
+        d = deltas[j] if deltas is not None else None
+        T, C = coth_csch_series(f, E, d, expr.k, n_z, pole_tol)
+        Ts.append(T)
+        base = base * C.scale(half)
+    total = MultiSeries.zero(f, 0, orders)
+    for exps, c in expr.poly.items():
+        term = MultiSeries.scalar(f, 0, orders, c)
+        for T, d in zip(Ts, exps):
+            for _ in range(d):
+                term = term * T
+        total = total + term
+    return total * base
 
 
 def lattice_sum_oracle(poly, mu=None, exp_half=None, k=1, truncation=60,
@@ -296,6 +283,10 @@ def lattice_sum_oracle(poly, mu=None, exp_half=None, k=1, truncation=60,
     tail beyond the box max(m_j) <= truncation is geometric in
     exp(-k min_j Re mu_j * truncation).
     """
+    if k < 1:
+        raise SchemaError(f"need k >= 1, got {k}")
+    if truncation < 0:
+        raise SchemaError(f"need truncation >= 0, got {truncation}")
     if exp_half is None:
         if mu is None:
             raise SchemaError("need mu or exp_half")

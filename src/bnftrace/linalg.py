@@ -5,8 +5,9 @@ number read off the singular values).  The exact backend runs plain
 Gauss-Jordan elimination on the augmented system and then *verifies* the
 remaining equations, which is exact least squares for consistent
 overdetermined systems -- the only kind a correct recovery stage produces.
-A float snapshot of the matrix always supplies the reported condition
-number, purely as a diagnostic.
+On the exact and extended-precision paths a float snapshot of the
+matrix supplies the reported condition number, purely as a diagnostic;
+the double path reads it off the equilibrated least-squares solve.
 """
 
 import numpy as np
@@ -43,8 +44,6 @@ def solve_lstsq(field, rows, rhs, residual_tol=1e-9):
             f"underdetermined recovery stage: {ncols} unknowns need at least "
             f"{ncols} trace powers, have {m}"
         )
-    cond = _cond_of(field, rows)
-
     if not field.exact and field.name == "float" and getattr(field, "_mp", None) is None:
         a = np.array([[field.to_complex(x) for x in row] for row in rows],
                      dtype=complex)
@@ -77,6 +76,7 @@ def solve_lstsq(field, rows, rhs, residual_tol=1e-9):
         sol = sol3 / cs
         return [complex(v) for v in sol], cond, rnorm
 
+    cond = _cond_of(field, rows)
     if not field.exact:
         # extended precision: genuine least squares via normal equations on
         # row-normalized data (the precision absorbs the squared condition)

@@ -14,13 +14,15 @@ exponential of the (nilpotent) operator part and applies the resulting
 polynomial differential operators to the csch product along mu(z).
 
 The csch side does not depend on F, only on the blocks, the mu-jets, the
-z-order and the pole tolerance.  A :class:`TraceEngine` holds it for one
-such mu-jet state: per k the coth/csch z-series with their base product
-and coth powers, per (k, alpha) the derivative tower d^alpha (built from
-d^(alpha - e_j) by one step; the towers can be shared between engines),
-its z-series along mu(z) and its value at mu(0).  The caches live as long
-as the engine: :func:`make_trace_data` uses one for all powers, and the
-recovery one per mu-jet state, so no evaluation is repeated within it.
+z-order and the pole tolerance, and it is a product over blocks:
+d^alpha prod_j (1/2)csch(k mu_j/2) = prod_j d^{alpha_j} (1/2)csch(k mu_j/2).
+A :class:`TraceEngine` holds it for one such mu-jet state: per (k, j) the
+powers coth^d (1/2)csch along mu_j(z), per (k, j, a) the block factor
+d^a (1/2)csch(k mu_j/2) (:func:`~bnftrace.hypcalc.csch_block`) as a
+z-series along mu_j(z) and as a value at mu_j(0), and per (k, alpha) the
+product of the z-series over j.  The caches live as long as the engine:
+:func:`make_trace_data` uses one for all powers, and the recovery one per
+mu-jet state, so no evaluation is repeated within it.
 
 The F side does not depend on k.  With X = sum_{j>=1} h^j f_j(z, y),
 exp(-ik X) = sum_m ((-ik)^m / m!) X^m, and likewise for the z-dependent
@@ -250,26 +252,20 @@ def _check_trace_orders(bnf, orders):
 class TraceEngine:
     """The F-independent csch side of the trace expansion for one mu-jet
     state (see the module docstring), cached for the engine's lifetime.
-
-    ``towers`` is a :class:`~bnftrace.hypcalc.CschTowers` to share with
-    other engines of the same field and n; by default the engine has its
-    own.
     """
 
-    def __init__(self, blocks, mu_jets, n_z, pole_tol=DEFAULT_POLE_TOL,
-                 towers=None):
+    def __init__(self, blocks, mu_jets, n_z, pole_tol=DEFAULT_POLE_TOL):
         self.field = blocks.field
         self.n = blocks.n
         self.exp_half = list(blocks.exp_half)
         self.mu_jets = list(mu_jets)
         self.n_z = n_z
         self.pole_tol = pole_tol
-        if towers is None:
-            towers = hypcalc.CschTowers(self.field, self.n)
-        self.towers = towers
-        self._expansions = {}
+        self._half = self.field.inv(self.field.from_int(2))
+        self._t_powers = {}
+        self._block_series = {}
+        self._block_values = {}
         self._series = {}
-        self._values = {}
 
     def serves(self, blocks, mu_jets, n_z, pole_tol):
         """True when the engine was built for exactly this state."""
@@ -278,30 +274,46 @@ class TraceEngine:
                 and list(blocks.exp_half) == self.exp_half
                 and list(mu_jets) == self.mu_jets)
 
+    def _block_zseries(self, k, j, a):
+        s = self._block_series.get((k, j, a))
+        if s is None:
+            tp = self._t_powers.get((k, j))
+            if tp is None:
+                T, C = hypcalc.coth_csch_series(
+                    self.field, self.exp_half[j], self.mu_jets[j], k,
+                    self.n_z, self.pole_tol)
+                tp = self._t_powers[(k, j)] = (T, [C.scale(self._half)])
+            T, powers = tp
+            while len(powers) <= a:
+                powers.append(powers[-1] * T)
+            s = hypcalc.csch_block(self.field, k, a, t_powers=powers)
+            self._block_series[(k, j, a)] = s
+        return s
+
+    def _block_value(self, k, j, a):
+        v = self._block_values.get((k, j, a))
+        if v is None:
+            v = hypcalc.csch_block(self.field, k, a,
+                                   exp_half=self.exp_half[j],
+                                   pole_tol=self.pole_tol)
+            self._block_values[(k, j, a)] = v
+        return v
+
     def zseries(self, k, alpha):
         """z-series of d^alpha prod_j (1/2)csch(k mu_j/2) along mu(z)."""
         s = self._series.get((k, alpha))
         if s is None:
-            expansion = self._expansions.get(k)
-            if expansion is None:
-                expansion = hypcalc.ZExpansion(
-                    self.field, self.exp_half, self.mu_jets, k, self.n_z,
-                    self.pole_tol)
-                self._expansions[k] = expansion
-            s = hypcalc.eval_series_in_z(
-                self.towers.get(k, alpha), self.exp_half, self.mu_jets,
-                self.n_z, self.pole_tol, expansion=expansion)
+            s = self._block_zseries(k, 0, alpha[0])
+            for j in range(1, self.n):
+                s = s * self._block_zseries(k, j, alpha[j])
             self._series[(k, alpha)] = s
         return s
 
     def value_at_mu0(self, k, alpha):
         """d^alpha prod_j (1/2)csch(k mu_j/2) at mu(0)."""
-        v = self._values.get((k, alpha))
-        if v is None:
-            v = hypcalc.eval_csch(self.towers.get(k, alpha),
-                                  exp_half=self.exp_half,
-                                  pole_tol=self.pole_tol)
-            self._values[(k, alpha)] = v
+        v = self._block_value(k, 0, alpha[0])
+        for j in range(1, self.n):
+            v = v * self._block_value(k, j, alpha[j])
         return v
 
 
@@ -390,23 +402,25 @@ def leading_term(action, maslov_nu, blocks, k, n_z, tol=DEFAULT_POLE_TOL,
     kk = abs(int(k))
     f = blocks.field
     orders = Orders(0, n_z, 0)
-    deltas = mu_jets
 
-    result = MultiSeries.scalar(f, 0, orders, f.i ** (int(maslov_nu) % 4))
     half = f.inv(f.from_int(2))
-    j = 0
-    while j < blocks.n:
-        tag = blocks.tags[j]
-        expr = hypcalc.csch_product(f, 1, kk)
-        delta_j = [deltas[j]] if deltas is not None else None
+
+    def half_csch(j):
+        delta = mu_jets[j] if mu_jets is not None else None
         try:
-            C = hypcalc.eval_series_in_z(
-                expr, [blocks.exp_half[j]], delta_j, n_z, tol
-            )
+            _T, C = hypcalc.coth_csch_series(f, blocks.exp_half[j], delta,
+                                             kk, n_z, tol)
         except MathError as exc:
             raise MathError(
                 f"degenerate orbit: |2 sinh(k mu_{j}/2)| below tolerance at k={k}"
             ) from exc
+        return C.scale(half)
+
+    result = MultiSeries.scalar(f, 0, orders, f.i ** (int(maslov_nu) % 4))
+    j = 0
+    while j < blocks.n:
+        tag = blocks.tags[j]
+        C = half_csch(j)
         if tag == "elliptic":
             # (1/2)csch(ik theta/2) = -i/(2 sin(k theta/2)); restore the
             # positive real magnitude 1/(2|sin|)
@@ -419,12 +433,7 @@ def leading_term(action, maslov_nu, blocks, k, n_z, tol=DEFAULT_POLE_TOL,
             result = result * C
             j += 1
         else:  # complex hyperbolic pair: the pair product is already |.|^2
-            delta_j2 = [deltas[j + 1]] if deltas is not None else None
-            C2 = hypcalc.eval_series_in_z(
-                hypcalc.csch_product(f, 1, kk),
-                [blocks.exp_half[j + 1]], delta_j2, n_z, tol,
-            )
-            result = result * C * C2
+            result = result * C * half_csch(j + 1)
             j += 2
     iprime = MultiSeries(f, 0, orders, action.derive("z").terms)
     return LeadingTerm(result * iprime, k, int(maslov_nu) % 4)

@@ -30,14 +30,14 @@ separation limit that guarantees generic solvability, so condition
 numbers are reported rather than assumed.
 
 The forward runs go through :class:`~bnftrace.qbnf.TraceEngine`, whose
-caches (coth/csch z-series per k; derivative tower, its z-series along
-mu(z) and its value at mu(0) per (k, alpha)) are valid for one mu-jet
-state.  The jets change only in the (0, m) stages, so there is one engine
-per (0, m) stage and one more shared by every later stage and the final
-self-check; all of them share one set of derivative towers, and the
-matrix entries above come from the same caches.  A caller may hand in an
-engine it already has (the round trip passes its forward engine), and it
-is used for every stage whose state it serves.
+per-block caches (coth/csch z-series per (k, j); each block factor
+d^a (1/2)csch(k mu_j/2) as a z-series along mu_j(z) and as a value at
+mu_j(0)) are valid for one mu-jet state.  The jets change only in the
+(0, m) stages, so there is one engine per (0, m) stage and one more shared
+by every later stage and the final self-check, and the matrix entries
+above come from the same caches.  A caller may hand in an engine it
+already has (the round trip passes its forward engine), and it is used for
+every stage whose state it serves.
 """
 
 import cmath
@@ -469,15 +469,16 @@ def recover_polynomial(field, values, exp_half, max_degree=None,
     p(i k^{-1} d/dmu) prod_j (1/2)csch(k mu_j/2) at mu(0), over k in k_set.
 
     ``engine`` is a :class:`~bnftrace.qbnf.TraceEngine` at these
-    ``exp_half``; the matrix entries then come from its cached towers and
-    values, else from a throwaway set of towers.
+    ``exp_half``; the matrix entries then come from its cached values, else
+    straight from the block factors.
     """
     n = len(exp_half)
     if engine is None:
-        towers = hypcalc.CschTowers(field, n)
-
         def entry(k, alpha):
-            return hypcalc.eval_csch(towers.get(k, alpha), exp_half=exp_half)
+            v = field.one
+            for E, a in zip(exp_half, alpha):
+                v = v * hypcalc.csch_block(field, k, a, exp_half=E)
+            return v
     elif list(exp_half) != engine.exp_half:
         raise SchemaError("trace engine was built for other exponents")
     else:
@@ -601,10 +602,6 @@ def recover_qbnf(tdata, n, orders=None, tol=1e-8, cond_gate=1e8,
         return QuantumBNF(blocks, jets, F, validate=False)
 
     # one engine per mu-jet state (see the module docstring)
-    if engine is not None and engine.field is f and engine.n == n:
-        towers = engine.towers
-    else:
-        towers = hypcalc.CschTowers(f, n)
     latest = None
 
     def engine_for(bnf):
@@ -613,7 +610,7 @@ def recover_qbnf(tdata, n, orders=None, tol=1e-8, cond_gate=1e8,
             if e is not None and e.serves(bnf.blocks, bnf.mu_jets, n_z,
                                           pole_tol):
                 return e
-        latest = TraceEngine(bnf.blocks, bnf.mu_jets, n_z, pole_tol, towers)
+        latest = TraceEngine(bnf.blocks, bnf.mu_jets, n_z, pole_tol)
         return latest
 
     def solve_stage(m, j, alphas):

@@ -12,6 +12,7 @@ from scipy.linalg import expm
 
 from helpers import random_symplectic_2x2
 
+from bnftrace import classical
 from bnftrace.blocks import (COMPLEX_HYPERBOLIC, ELLIPTIC, REAL_HYPERBOLIC,
                              SpectrumBlocks)
 from bnftrace.classical import (TaylorMap, birkhoff_normal_form,
@@ -192,6 +193,27 @@ def test_bnf_recovers_twist_from_flow():
     real = res.real_twist_coefficients()
     assert abs(FF.to_complex(real[(2,)]) - 0.1) < 1e-10
     assert abs(FF.to_complex(real[(1,)]) + 1.0) < 1e-12
+
+
+def test_bnf_runs_one_eigendecomposition(monkeypatch):
+    """The blocks come from the units linear_normalize computed, not from
+    a second classification of the same matrix."""
+    original = classical._symplectic_eigenbasis
+    calls = []
+
+    def counting(M, tol):
+        calls.append(M)
+        return original(M, tol)
+
+    monkeypatch.setattr(classical, "_symplectic_eigenbasis", counting)
+    blocks = SpectrumBlocks.from_mu(FF, [(COMPLEX_HYPERBOLIC, 0.4 + 0.9j),
+                                         (COMPLEX_HYPERBOLIC, 0.4 - 0.9j)])
+    R = iota_real_to_complex(blocks.tags, {(1, 1): FF.one * 0.2}, FF)
+    res = birkhoff_normal_form(normal_form_flow(blocks, R, 3), 2)
+    assert len(calls) == 1
+    assert res.blocks.tags == blocks.tags
+    assert all(FF.close(a, b, 1e-10)
+               for a, b in zip(res.blocks.exp_half, blocks.exp_half))
 
 
 def test_bnf_twist_against_rotation_number_fit():

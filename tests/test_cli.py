@@ -137,6 +137,20 @@ def test_oracle_nonconvergent_exits_three(capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("flags", [
+    ["--exp-half", "2", "--k", "0"],
+    ["--exp-half", "2", "--k", "-1"],
+    ["--exp-half", "2", "--truncation", "-1"],
+    ["--exp-half", "2", "--alpha", "x"],
+    ["--mu", "abc"],
+    ["--exp-half", "2/0"],
+])
+def test_oracle_bad_input_exits_two(flags, capsys):
+    rc = main(["oracle", "lattice-sum"] + flags)
+    assert rc == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def test_classify_command(tmp_path, capsys):
     path = tmp_path / "mat.json"
     th = 1.0

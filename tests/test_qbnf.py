@@ -2,8 +2,11 @@ import cmath
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (brute_force_trace_coeffs, mixed_float_fixture,
                      random_F_total_degree, random_hyperbolic_exp_half, rt1)
@@ -298,19 +301,109 @@ def test_engine_matches_scratch_for_every_alpha():
                     expr, exp_half=b.blocks.exp_half)
 
 
-def test_incremental_towers_equal_apply_derivatives():
+def test_coth_polys_equal_apply_derivatives():
+    """d^a (1/2)csch(k mu/2) = (k/2)^a q_a(t) (1/2)csch(k mu/2): the
+    recurrence for q_a against the one-variable CschExpression calculus,
+    and the block value against eval_csch."""
     for field in (FR, FF):
-        for n in (1, 2, 3):
-            towers = hc.CschTowers(field, n)
-            for k in (1, 3):
-                # highest alphas first, so lower ones come out of the cache
-                for alpha in sorted(_alphas_up_to(n, 4), key=sum,
-                                    reverse=True):
-                    ref = hc.apply_derivatives(hc.csch_product(field, n, k),
-                                               alpha)
-                    got = towers.get(k, alpha)
-                    assert (got.n, got.k) == (n, k)
-                    assert list(got.poly.items()) == list(ref.poly.items())
+        E = field.from_rational("5/3")
+        for k in (1, 2, 3):
+            kh = field.from_int(k) * field.inv(field.from_int(2))
+            for a in range(9):
+                ref = hc.apply_derivatives(hc.csch_product(field, 1, k), (a,))
+                scale = kh**a if a else field.one
+                got = {(d,): field.from_int(c) * scale
+                       for d, c in enumerate(hc.coth_poly(a)) if c}
+                assert got.keys() == ref.poly.keys()
+                assert all(field.close(got[e], ref.poly[e], 1e-14)
+                           for e in got)
+                value = hc.csch_block(field, k, a, exp_half=E)
+                assert field.close(value, hc.eval_csch(ref, exp_half=[E]),
+                                   1e-13)
+    assert hc.coth_poly(2) == (-1, 0, 2)
+
+
+@st.composite
+def _block_mix(draw):
+    """Exact blocks for n <= 3: rational rh E > 1, Pythagorean elliptic E,
+    complex hyperbolic conjugate pairs in Q(i); tags and (re, im) pairs."""
+    small = st.integers(1, 6)
+    tags, exps = [], []
+    while True:
+        room = 3 - len(tags)
+        kinds = ["rh", "el"] + (["ch"] if room >= 2 else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "rh":
+            q = draw(small)
+            tags.append(REAL_HYPERBOLIC)
+            exps.append((Fraction(q + draw(small), q), Fraction(0)))
+        elif kind == "el":
+            m = draw(st.integers(2, 6))
+            n = draw(st.integers(1, m - 1))
+            a, b, c = m * m - n * n, 2 * m * n, m * m + n * n
+            if draw(st.booleans()):
+                a, b = b, a
+            tags.append(ELLIPTIC)
+            exps.append((Fraction(a, c), Fraction(b, c)))
+        else:
+            re, im = draw(small), draw(small)
+            r = draw(small.filter(lambda r: r * r < re * re + im * im))
+            E = (Fraction(re, r), Fraction(im, r))
+            tags += [COMPLEX_HYPERBOLIC] * 2
+            exps += [E, (E[0], -E[1])]
+        if len(tags) == 3 or draw(st.booleans()):
+            return tags, exps
+
+
+@st.composite
+def _factorization_case(draw):
+    tags, exps = draw(_block_mix())
+    n_z = draw(st.integers(0, 3))
+    coeff = st.fractions(-3, 3, max_denominator=5)
+    jets = [{m: (draw(coeff), draw(coeff)) for m in range(1, n_z + 1)
+             if draw(st.booleans())} for _ in tags]
+    k = draw(st.integers(1, 5))
+    alpha = tuple(draw(st.integers(0, 4)) for _ in tags)
+    while sum(alpha) > 4:
+        j = alpha.index(max(alpha))
+        alpha = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]
+    return tags, exps, jets, n_z, k, alpha
+
+
+def _rel_close(field, got, ref, scale):
+    return field.abs(got - ref) <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(_factorization_case())
+def test_engine_factorization_matches_n_variable_calculus(case):
+    """The per-block engine equals the n-variable reference: exactly on
+    the rational field, within 1e-12 relative on doubles."""
+    tags, exps, jets, n_z, k, alpha = case
+    for field in (FR, FF):
+        blocks = SpectrumBlocks(field, tags,
+                                [field.from_rational(re, im)
+                                 for re, im in exps])
+        mu_jets = [zseries(field, n_z, {m: field.from_rational(*c)
+                                        for m, c in jet.items()})
+                   for jet in jets]
+        engine = TraceEngine(blocks, mu_jets, n_z)
+        expr = hc.apply_derivatives(hc.csch_product(field, len(tags), k),
+                                    alpha)
+        ref_series = hc.eval_series_in_z(expr, blocks.exp_half, mu_jets, n_z)
+        ref_value = hc.eval_csch(expr, exp_half=blocks.exp_half)
+        got_series = engine.zseries(k, alpha)
+        got_value = engine.value_at_mu0(k, alpha)
+        if field.exact:
+            assert got_series == ref_series
+            assert got_value == ref_value
+            continue
+        assert _rel_close(field, got_value, ref_value, field.abs(ref_value))
+        scale = max(field.abs(c) for c in ref_series.terms.values())
+        keys = set(got_series.terms) | set(ref_series.terms)
+        assert all(_rel_close(field, got_series.terms.get(key, 0),
+                              ref_series.terms.get(key, 0), scale)
+                   for key in keys)
 
 
 def test_trace_power_rejects_engine_of_another_state():

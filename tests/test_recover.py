@@ -14,6 +14,7 @@ from bnftrace.errors import (ConvergenceError, FieldError, MathError,
                              RankDeficiencyError)
 from bnftrace.fields import FloatField, RationalField
 from bnftrace import hypcalc as hc
+from bnftrace import linalg
 from bnftrace.qbnf import QuantumBNF, TraceData, make_trace_data
 from bnftrace.linalg import poly_roots
 from bnftrace.recover import (ExponentialSum, _cube_from_roots,
@@ -243,6 +244,18 @@ def test_recover_polynomial_linear():
     assert sol[(0,)] == FR.zero
 
 
+def test_double_solve_reads_cond_off_lstsq(monkeypatch):
+    """The double path takes one SVD, inside lstsq; the float snapshot
+    for the condition number serves only the exact and mpmath paths."""
+    def no_snapshot(field, rows):
+        raise AssertionError("separate SVD on the double path")
+
+    monkeypatch.setattr(linalg, "_cond_of", no_snapshot)
+    x, cond, res = linalg.solve_lstsq(FF, [[1, 0], [0, 2], [1, 1]], [1, 4, 3])
+    assert max(abs(a - b) for a, b in zip(x, [1, 2])) < 1e-14
+    assert 1 <= cond < 10 and res < 1e-14
+
+
 def test_recover_polynomial_zero():
     vals = {k: FR.zero for k in (1, 2, 3)}
     sol, _ = recover_polynomial(FR, vals, [FR.from_int(2)], max_degree=1)
@@ -385,20 +398,20 @@ def test_recover_qbnf_insufficient_kmax():
 
 
 def test_recovery_evaluates_each_z_series_once(monkeypatch):
-    """Within one recovery every (mu-jets, k, alpha) z-series is evaluated
-    at most once: one engine per mu-jet state, reused by later stages and
-    the self-check."""
+    """Within one recovery the coth/csch z-series of every (mu-jets, k,
+    block) is built at most once: one engine per mu-jet state, reused by
+    later stages and the self-check."""
     F, bnf, action = rt1()
     td = make_trace_data(bnf, action, {}, 8, (3, 3))
-    original = hc.eval_series_in_z
+    original = hc.coth_csch_series
     calls = []
 
-    def counting(expr, exp_half0, deltas, n_z, *args, **kwargs):
-        jets = tuple(tuple(sorted(d.terms.items())) for d in deltas)
-        calls.append((jets, expr.k, tuple(sorted(expr.poly.items()))))
-        return original(expr, exp_half0, deltas, n_z, *args, **kwargs)
+    def counting(field, E0, delta, k, n_z, *args, **kwargs):
+        jet = None if delta is None else tuple(sorted(delta.terms.items()))
+        calls.append((jet, k, E0))
+        return original(field, E0, delta, k, n_z, *args, **kwargs)
 
-    monkeypatch.setattr(hc, "eval_series_in_z", counting)
+    monkeypatch.setattr(hc, "coth_csch_series", counting)
     rep = recover_qbnf(td, 1)
     assert not rep.failed
     assert calls
