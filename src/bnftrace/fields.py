@@ -316,6 +316,8 @@ class FloatField:
             ctx = mpmath.mp.clone()
             ctx.prec = precision
             self._mp = ctx
+            # decimal digits that round-trip every mantissa of this width
+            self._digits = mpmath.libmp.repr_dps(precision)
             self.zero = ctx.mpc(0)
             self.one = ctx.mpc(1)
             self.i = ctx.mpc(0, 1)
@@ -339,7 +341,10 @@ class FloatField:
         return self._mp.mpc(re_str, im_str)
 
     def format(self, x):
-        return repr(float(x.real)), repr(float(x.imag))
+        if self._mp is None:
+            return repr(float(x.real)), repr(float(x.imag))
+        return (self._mp.nstr(x.real, self._digits),
+                self._mp.nstr(x.imag, self._digits))
 
     def is_zero(self, x, tol=None):
         # Normalisation prunes only exact zeros; tolerances are for comparisons.

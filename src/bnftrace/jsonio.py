@@ -1,8 +1,9 @@
 """JSON formats for every serialized type.
 
-Numbers travel as strings: exact rationals as "p/q", floats as full-repr
-decimal strings, so parse(serialize(x)) == x on both backends.  Variable
-order inside series terms is fixed as (iota_1..iota_n, z, h).
+Numbers travel as strings: exact rationals as "p/q", floats as decimal
+strings with enough digits for their precision, so parse(serialize(x)) == x
+on both backends.  Variable order inside series terms is fixed as
+(iota_1..iota_n, z, h).
 
 Exponent data in blocks is stored through exp_half_mu = exp(mu_j/2); the
 exponent itself is mu_j = 2 Log exp_half_mu (principal branch, safe under

@@ -1,13 +1,19 @@
 """Small field-generic linear algebra used by the recovery stages.
 
-The float backend goes through numpy least squares (with the condition
-number read off the singular values).  The exact backend runs plain
-Gauss-Jordan elimination on the augmented system and then *verifies* the
-remaining equations, which is exact least squares for consistent
-overdetermined systems -- the only kind a correct recovery stage produces.
-On the exact and extended-precision paths a float snapshot of the
-matrix supplies the reported condition number, purely as a diagnostic;
-the double path reads it off the equilibrated least-squares solve.
+Float systems, double or extended precision, take one path: a double
+snapshot of the matrix is equilibrated once, by rows and then by columns,
+which removes the geometric k-decay of the csch entries that otherwise
+dominates the condition number; the condition number is read off that
+equilibrated matrix, and the solution passes one residual test.  Only the
+solve differs by precision: numpy least squares on doubles (its SVD gives
+the condition number), mpmath's ``lu_solve`` on the same equilibration at
+full precision, which for a non-square matrix solves the normal equations.
+
+The exact backend runs plain Gauss-Jordan elimination on the augmented
+system and then *verifies* the remaining equations, which is exact least
+squares for consistent overdetermined systems -- the only kind a correct
+recovery stage produces.  There a float snapshot of the raw matrix
+supplies the reported condition number, purely as a diagnostic.
 """
 
 import numpy as np
@@ -44,73 +50,11 @@ def solve_lstsq(field, rows, rhs, residual_tol=1e-9):
             f"underdetermined recovery stage: {ncols} unknowns need at least "
             f"{ncols} trace powers, have {m}"
         )
-    if not field.exact and field.name == "float" and getattr(field, "_mp", None) is None:
-        a = np.array([[field.to_complex(x) for x in row] for row in rows],
-                     dtype=complex)
-        b = np.array([field.to_complex(x) for x in rhs], dtype=complex)
-        # equilibrate rows then columns; removes the geometric k-decay of the
-        # csch entries, which otherwise dominates the condition number
-        rs = np.max(np.abs(a), axis=1)
-        rs[rs == 0] = 1.0
-        a2 = a / rs[:, None]
-        b2 = b / rs
-        cs = np.max(np.abs(a2), axis=0)
-        cs[cs == 0] = 1.0
-        a3 = a2 / cs[None, :]
-        # explicit tiny cutoff: ill-conditioned systems are solved and
-        # reported, only near-exact rank collapse is an error here
-        sol3, _res, rank, sv = np.linalg.lstsq(a3, b2, rcond=1e-14)
-        if rank < ncols:
-            raise RankDeficiencyError(
-                f"rank-deficient recovery stage: rank {rank} < {ncols} unknowns"
-            )
-        cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
-        resid = a3 @ sol3 - b2
-        scale = max(1.0, float(np.max(np.abs(b2))))
-        rnorm = float(np.max(np.abs(resid))) / scale
-        if rnorm > residual_tol:
-            raise RankDeficiencyError(
-                f"inconsistent linear system: residual {rnorm:.3e} "
-                f"exceeds {residual_tol:.1e}"
-            )
-        sol = sol3 / cs
-        return [complex(v) for v in sol], cond, rnorm
-
-    cond = _cond_of(field, rows)
     if not field.exact:
-        # extended precision: genuine least squares via normal equations on
-        # row-normalized data (the precision absorbs the squared condition)
-        arows = []
-        brow = []
-        for i, row in enumerate(rows):
-            big = max((field.abs(x) for x in row), default=0.0)
-            if big > 0:
-                inv = field.inv(field.one * big)
-                arows.append([x * inv for x in row])
-                brow.append(rhs[i] * inv)
-            else:
-                arows.append(list(row))
-                brow.append(rhs[i])
-        G = [[field.zero] * ncols for _ in range(ncols)]
-        g = [field.zero] * ncols
-        for t in range(m):
-            for i in range(ncols):
-                ci = field.conj(arows[t][i])
-                g[i] = g[i] + ci * brow[t]
-                for j in range(ncols):
-                    G[i][j] = G[i][j] + ci * arows[t][j]
-        x = _eliminate_square(field, G, g)
-        worst = 0.0
-        for t in range(m):
-            v = sum((arows[t][j] * x[j] for j in range(ncols)), field.zero)
-            worst = max(worst, field.abs(v - brow[t]))
-        if worst > residual_tol:
-            raise RankDeficiencyError(
-                f"inconsistent linear system: residual {worst:.3e}"
-            )
-        return x, cond, worst
+        return _solve_float(field, rows, rhs, residual_tol)
 
     # exact path: Gauss-Jordan + verification of the leftover equations
+    cond = _cond_of(field, rows)
     aug = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
     piv_rows = []
     r = 0
@@ -143,31 +87,51 @@ def solve_lstsq(field, rows, rhs, residual_tol=1e-9):
     return x, cond, 0.0
 
 
-def _eliminate_square(field, G, g):
-    n = len(g)
-    aug = [list(G[i]) + [g[i]] for i in range(n)]
-    for col in range(n):
-        pivot = None
-        best = -1.0
-        for i in range(col, n):
-            mag = field.abs(aug[i][col])
-            if mag > best:
-                best = mag
-                pivot = i
-        if pivot is None or best == 0.0:
-            raise RankDeficiencyError(
-                f"rank-deficient normal equations at column {col}"
-            )
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = field.inv(aug[col][col])
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col:
-                factor = aug[i][col]
-                if field.abs(factor) > 0:
-                    aug[i] = [x - factor * y
-                              for x, y in zip(aug[i], aug[col])]
-    return [aug[i][n] for i in range(n)]
+def _solve_float(field, rows, rhs, residual_tol):
+    ncols = len(rows[0])
+    a = np.array([[field.to_complex(x) for x in row] for row in rows],
+                 dtype=complex)
+    b = np.array([field.to_complex(x) for x in rhs], dtype=complex)
+    rs = np.max(np.abs(a), axis=1)
+    rs[rs == 0] = 1.0
+    a2 = a / rs[:, None]
+    b2 = b / rs
+    cs = np.max(np.abs(a2), axis=0)
+    cs[cs == 0] = 1.0
+    a3 = a2 / cs[None, :]
+    mp = field._mp
+    if mp is None:
+        # explicit tiny cutoff: ill-conditioned systems are solved and
+        # reported, only near-exact rank collapse is an error here
+        x3, _res, rank, sv = np.linalg.lstsq(a3, b2, rcond=1e-14)
+        resid = a3 @ x3 - b2 if rank == ncols else None
+    else:
+        sv = np.linalg.svd(a3, compute_uv=False)
+        # not qr_solve: with mpmath 1.3 its Householder step can divide by
+        # zero on a well-conditioned matrix with a purely imaginary column
+        A3 = mp.matrix([[x / r / c for x, c in zip(row, cs.tolist())]
+                        for row, r in zip(rows, rs.tolist())])
+        B2 = mp.matrix([y / r for y, r in zip(rhs, rs.tolist())])
+        try:
+            x3 = mp.lu_solve(A3, B2)
+            resid = A3 * x3 - B2
+        except (ValueError, ZeroDivisionError):  # numerically singular
+            resid = None
+    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
+    if resid is None:
+        raise RankDeficiencyError(
+            f"rank-deficient recovery stage: {ncols} unknowns, "
+            f"condition number {cond:.3e}"
+        )
+    scale = max(1.0, float(np.max(np.abs(b2))))
+    rnorm = float(max(abs(v) for v in resid)) / scale
+    if not rnorm <= residual_tol:
+        raise RankDeficiencyError(
+            f"inconsistent linear system: residual {rnorm:.3e} "
+            f"exceeds {residual_tol:.1e}"
+        )
+    x = [x3[j] / c for j, c in enumerate(cs.tolist())]
+    return ([complex(v) for v in x] if mp is None else x), cond, rnorm
 
 
 def poly_roots(field, monic_tail):
@@ -178,8 +142,8 @@ def poly_roots(field, monic_tail):
     """
     r = len(monic_tail)
     if not field.exact:
-        if getattr(field, "_mp", None) is not None:
-            mp = field._mp
+        mp = field._mp
+        if mp is not None:
             coeffs = [field.one] + list(reversed(list(monic_tail)))
             try:
                 return list(mp.polyroots([mp.mpc(c) for c in coeffs],

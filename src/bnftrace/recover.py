@@ -409,7 +409,7 @@ def recover_frequencies(field, a0, n, residual_tol=1e-6):
     # then sits below machine epsilon in all but the first few samples).
     # In that case rerun it in extended precision; the cube fit drops the
     # roots it cannot trust, and the structured refit restores accuracy.
-    plain_double = not field.exact and getattr(field, "_mp", None) is None
+    plain_double = not field.exact and field._mp is None
     try:
         roots, weights, cond = _prony(field, samples, 2 ** n, residual_tol)
         retry = plain_double and cond > 1e12
@@ -470,7 +470,8 @@ def recover_polynomial(field, values, exp_half, max_degree=None,
 
     ``engine`` is a :class:`~bnftrace.qbnf.TraceEngine` at these
     ``exp_half``; the matrix entries then come from its cached values, else
-    straight from the block factors.
+    straight from the block factors.  ``cond_gate`` caps the condition
+    number of a float solve; exact solves are not gated.
     """
     n = len(exp_half)
     if engine is None:
@@ -509,7 +510,8 @@ def recover_polynomial(field, values, exp_half, max_degree=None,
         rows.append(row)
         rhs.append(values[k])
     sol, cond, _res = solve_lstsq(field, rows, rhs, residual_tol=residual_tol)
-    if cond_gate is not None and cond > cond_gate:
+    # an exact solve verifies every equation, so only float solves are gated
+    if cond_gate is not None and not field.exact and cond > cond_gate:
         raise ConditioningError(
             f"recovery system condition number {cond:.3e} exceeds the gate "
             f"{cond_gate:.1e}"

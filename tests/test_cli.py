@@ -8,12 +8,12 @@ import pytest
 from helpers import mixed_float_fixture, rt1
 
 from bnftrace import jsonio
-from bnftrace.blocks import SpectrumBlocks
+from bnftrace.blocks import REAL_HYPERBOLIC, SpectrumBlocks
 from bnftrace.cli import build_parser, main
 from bnftrace.fields import FloatField, RationalField
 from bnftrace.oscillatory import OrbitExpansion, TestJet
 from bnftrace.qbnf import QuantumBNF, make_trace_data
-from bnftrace.series import MultiSeries, zseries
+from bnftrace.series import MultiSeries, Orders, zseries
 
 FR = RationalField()
 FF = FloatField()
@@ -320,3 +320,49 @@ def test_roundtrip_refuses_non_canonical_block_order(tmp_path, capsys,
     else:
         assert rc == 0
         assert "round trip ok" in out
+
+
+def test_exact_roundtrip_is_not_gated_on_conditioning(tmp_path, capsys):
+    """rt1's normal form at orders (5, 1, 4): stage h3 has condition number
+    3.2e8, above the default gate, and the exact recovery is still
+    bit-exact, so the gate does not refuse it."""
+    q = FR.from_rational
+    blocks = SpectrumBlocks(FR, [REAL_HYPERBOLIC], [FR.from_int(2)])
+    F = MultiSeries(FR, 1, Orders(5, 1, 4), {
+        ((2,), 0, 0): q("1/7"), ((1,), 0, 1): q("1/3"), ((0,), 0, 1): q("1/5"),
+    })
+    bnf = QuantumBNF(blocks, [zseries(FR, 1, {1: FR.one})], F)
+    path = tmp_path / "bnf.json"
+    report = tmp_path / "report.json"
+    jsonio.dump(path, jsonio.qbnf_to_json(bnf))
+    rc = main(["roundtrip", "--bnf", str(path), "--orders", "5,1,4",
+               "--kmax", "10", "--report", str(report)])
+    assert rc == 0
+    assert "equals the input exactly" in capsys.readouterr().out
+    rep = json.load(open(report))
+    assert max(rep["conditioning"].values()) > 1e8
+    assert rep["max_residual"] == 0
+
+
+def test_forward_at_128_bits_writes_every_bit(tmp_path, capsys):
+    """Traces written at 128 bits read back equal to the ones computed in
+    memory, not rounded through doubles."""
+    G = FloatField()
+    blocks = SpectrumBlocks(G, [REAL_HYPERBOLIC], [G.from_rational("3/2")])
+    F = MultiSeries(G, 1, Orders(3, 1, 2), {
+        ((2,), 0, 0): G.from_rational("1/4"), ((1,), 0, 1): G.from_rational("1/2"),
+    })
+    path = tmp_path / "bnf.json"
+    traces = tmp_path / "traces.json"
+    jsonio.dump(path, jsonio.qbnf_to_json(
+        QuantumBNF(blocks, [zseries(G, 1, {1: G.one})], F)))
+    rc = main(["forward", "--bnf", str(path), "--precision", "128",
+               "--orders", "3,1,2", "--kmax", "6", "--out", str(traces)])
+    assert rc == 0
+    bnf = jsonio.qbnf_from_json(jsonio.load(path), 128)
+    action = zseries(bnf.field, 1, {1: bnf.field.one})
+    want = make_trace_data(bnf, action, {}, 6, (1, 2))
+    got = jsonio.trace_data_from_json(jsonio.load(traces), 128)
+    assert got.phase == want.phase
+    for k in range(1, 7):
+        assert got.coefficients[k] == want.coefficients[k]

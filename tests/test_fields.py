@@ -105,6 +105,23 @@ def test_extended_precision_field():
     assert F.abs(F.exp(F.zero) - F.one) == 0
 
 
+@pytest.mark.parametrize("precision", [65, 128, 240])
+def test_extended_precision_format_round_trips(precision):
+    """parse(format(x)) == x: the decimal strings carry every bit."""
+    F = FloatField(precision=precision)
+    mp = F._mp
+    values = [F.from_rational("1/3"), F.zero, F.from_int(-7),
+              F.from_rational("-1/7", "1/11") * mp.mpf(2) ** -70,
+              F.exp(F.from_rational("1/2", "2/3")) * mp.mpf(10) ** 30]
+    for x in values:
+        assert F.parse(*F.format(x)) == x
+    assert len(F.format(values[0])[0]) > 20
+
+
+def test_double_format_is_the_float_repr():
+    assert FloatField().format(1 / 3 - 0.1j) == (repr(1 / 3), repr(-0.1))
+
+
 # -- property tests of the exact scalar ------------------------------------
 
 class PairRC:

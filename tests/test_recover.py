@@ -5,6 +5,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import mixed_float_fixture, rt1, well_separated_mus
 
@@ -14,7 +16,7 @@ from bnftrace.errors import (ConvergenceError, FieldError, MathError,
                              RankDeficiencyError)
 from bnftrace.fields import FloatField, RationalField
 from bnftrace import hypcalc as hc
-from bnftrace import linalg
+from bnftrace import jsonio, linalg
 from bnftrace.qbnf import QuantumBNF, TraceData, make_trace_data
 from bnftrace.linalg import poly_roots
 from bnftrace.recover import (ExponentialSum, _cube_from_roots,
@@ -245,8 +247,8 @@ def test_recover_polynomial_linear():
 
 
 def test_double_solve_reads_cond_off_lstsq(monkeypatch):
-    """The double path takes one SVD, inside lstsq; the float snapshot
-    for the condition number serves only the exact and mpmath paths."""
+    """The double path takes one SVD, inside lstsq; the snapshot of the
+    raw matrix for the condition number serves only the exact path."""
     def no_snapshot(field, rows):
         raise AssertionError("separate SVD on the double path")
 
@@ -254,6 +256,73 @@ def test_double_solve_reads_cond_off_lstsq(monkeypatch):
     x, cond, res = linalg.solve_lstsq(FF, [[1, 0], [0, 2], [1, 1]], [1, 4, 3])
     assert max(abs(a - b) for a, b in zip(x, [1, 2])) < 1e-14
     assert 1 <= cond < 10 and res < 1e-14
+
+
+F128 = FloatField(precision=128)
+_unit = st.complex_numbers(max_magnitude=1, allow_nan=False,
+                           allow_infinity=False)
+
+
+@st.composite
+def _well_conditioned_systems(draw):
+    """A consistent m x n complex system, n <= 6, m <= n + 4: a strictly
+    diagonally dominant top block with further rows below, its rows
+    scaled over twelve decades and its columns over two."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(n, n + 4))
+    rows = []
+    for i in range(m):
+        row = [draw(_unit) / n for _ in range(n)]
+        if i < n:
+            row[i] += 2
+        r = 10.0 ** draw(st.integers(-6, 6))
+        rows.append([v * r for v in row])
+    for j in range(n):
+        c = 10.0 ** draw(st.integers(-1, 1))
+        for row in rows:
+            row[j] *= c
+    x = [draw(_unit) for _ in range(n)]
+    return rows, [sum(a * v for a, v in zip(row, x)) for row in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_well_conditioned_systems())
+def test_double_and_extended_solves_agree(system):
+    rows, rhs = system
+    x64, c64, _ = linalg.solve_lstsq(FF, rows, rhs)
+    x128, c128, _ = linalg.solve_lstsq(
+        F128, [[F128.one * v for v in row] for row in rows],
+        [F128.one * v for v in rhs])
+    size = max(abs(v) for v in x128)
+    assert max(abs(a - b) for a, b in zip(x64, x128)) <= 1e-10 * size
+    assert abs(c64 - c128) <= 1e-9 * c128
+
+
+@pytest.mark.parametrize("rows, rhs", [
+    ([[1, 2], [2, 4], [3, 6]], [1, 2, 3]),  # rank 1, consistent
+    ([[1, 2], [2, 4]], [1, 2]),             # square and singular
+    ([[1, 0], [2, 0], [3, 0]], [1, 2, 3]),  # a zero column
+    ([[1, 0], [0, 1], [1, 1]], [1, 1, 5]),  # inconsistent
+])
+def test_extended_solve_refuses_with_rank_deficiency(rows, rhs):
+    with pytest.raises(RankDeficiencyError):
+        linalg.solve_lstsq(F128, [[F128.from_int(v) for v in r] for r in rows],
+                           [F128.from_int(v) for v in rhs])
+
+
+@pytest.mark.parametrize("precision", [128, 240])
+def test_extended_recovery_reports_the_double_condition_numbers(precision):
+    F, bnf = mixed_float_fixture(7)
+    td = make_trace_data(bnf, zseries(F, 2, {1: F.one}), {}, 12, (2, 2))
+    want = recover_qbnf(td, 2).conditioning
+    ext = jsonio.qbnf_from_json(jsonio.qbnf_to_json(bnf), precision)
+    G = ext.field
+    td = make_trace_data(ext, zseries(G, 2, {1: G.one}), {}, 12, (2, 2))
+    rep = recover_qbnf(td, 2)
+    assert not rep.failed
+    assert rep.conditioning.keys() == want.keys()
+    for stage, cond in want.items():
+        assert abs(rep.conditioning[stage] - cond) <= 1e-6 * cond, stage
 
 
 def test_recover_polynomial_zero():
