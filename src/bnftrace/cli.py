@@ -228,6 +228,7 @@ def _parse_oracle_input(args, field):
 
 
 def cmd_oracle(args):
+    _config_from_args(args)  # validates --precision and --tol-pole
     field = field_from_name(args.backend or "rational", args.float_precision)
     field, ehm, alpha = _parse_oracle_input(args, field)
     if args.oracle_cmd == "lattice-sum":

@@ -17,6 +17,10 @@ class RunConfig:
     tol_residual: float = 1e-8
 
     def __post_init__(self):
+        # 64 bits select native doubles, more select mpmath: none is narrower
+        if self.float_precision < 64:
+            raise SchemaError("float_precision must be >= 64 bits, got "
+                              f"{self.float_precision}")
         for name in ("tol_pole", "tol_resonance", "tol_conditioning",
                      "tol_residual"):
             if getattr(self, name) <= 0:

@@ -29,9 +29,11 @@ exp(-ik X) = sum_m ((-ik)^m / m!) X^m, and likewise for the z-dependent
 phase, so each normal form computes the constant phase and the powers of
 X and of f0(z) - f0(0) once per (N_z, N_h) (:meth:`QuantumBNF.trace_side`),
 and every k only scales and adds them.  The csch side is computed once
-per engine, the F side once per normal form: once for all powers in
-:func:`make_trace_data`, once per recovery stage and once for the
-self-check.
+per engine, the F side once per normal form and orders: once for all
+powers in :func:`make_trace_data`, once per recovery stage (h^j, z^m) at
+that stage's own orders (m, j), whose coefficient depends on nothing of
+higher order, and once at the full orders for the self-check.  An engine
+serves every z-order up to its own, so the stages share it.
 
 Phase conventions: the oscillatory prefactor e^{ikS(z)/h} is never mixed
 into the h-expansion (the action series travels as metadata), and the
@@ -268,8 +270,9 @@ class TraceEngine:
         self._series = {}
 
     def serves(self, blocks, mu_jets, n_z, pole_tol):
-        """True when the engine was built for exactly this state."""
-        return (blocks.field is self.field and n_z == self.n_z
+        """True when the engine was built for this state, at z-order
+        ``n_z`` or above: its series then hold every term up to ``n_z``."""
+        return (blocks.field is self.field and n_z <= self.n_z
                 and pole_tol == self.pole_tol
                 and list(blocks.exp_half) == self.exp_half
                 and list(mu_jets) == self.mu_jets)
@@ -322,7 +325,8 @@ def trace_power(bnf, k, orders, pole_tol=DEFAULT_POLE_TOL, engine=None):
 
     Returns a :class:`TracePower`; see the module docstring for the exact
     phase convention.  ``engine`` is a :class:`TraceEngine` built for the
-    blocks and mu-jets of ``bnf``; without it a throwaway one is used.
+    blocks and mu-jets of ``bnf`` at z-order N_z or above; without it a
+    throwaway one is used.
     """
     if k < 1:
         raise SchemaError("k must be a positive integer")
@@ -332,8 +336,8 @@ def trace_power(bnf, k, orders, pole_tol=DEFAULT_POLE_TOL, engine=None):
         engine = TraceEngine(bnf.blocks, bnf.mu_jets, n_z, pole_tol)
     elif not engine.serves(bnf.blocks, bnf.mu_jets, n_z, pole_tol):
         raise SchemaError(
-            "trace engine was built for other blocks, mu-jets, z-order or "
-            "pole tolerance"
+            "trace engine was built for other blocks, mu-jets or pole "
+            "tolerance, or a lower z-order"
         )
     f = bnf.field
     phase, x_powers, f0_powers = bnf.trace_side(n_z, n_h)

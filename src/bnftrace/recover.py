@@ -35,9 +35,10 @@ d^a (1/2)csch(k mu_j/2) as a z-series along mu_j(z) and as a value at
 mu_j(0)) are valid for one mu-jet state.  The jets change only in the
 (0, m) stages, so there is one engine per (0, m) stage and one more shared
 by every later stage and the final self-check, and the matrix entries
-above come from the same caches.  A caller may hand in an engine it
-already has (the round trip passes its forward engine), and it is used for
-every stage whose state it serves.
+above come from the same caches.  Each engine is built at the full
+z-order and serves the lower orders (m, j) that the stages run at.  A
+caller may hand in an engine it already has (the round trip passes its
+forward engine), and it is used for every stage whose state it serves.
 """
 
 import cmath
@@ -385,6 +386,8 @@ def recover_frequencies(field, a0, n, residual_tol=1e-6):
     s_k = 1/a0(k) and runs the exponential analysis.  Returns a
     :class:`FrequencyResult` with canonically ordered blocks.
     """
+    if n < 1:
+        raise SchemaError("n must be >= 1")
     ks = sorted(a0)
     if ks != list(range(1, len(ks) + 1)):
         raise SchemaError("a0 must cover k = 1..K without gaps")
@@ -546,13 +549,18 @@ def recover_qbnf(tdata, n, orders=None, tol=1e-8, cond_gate=1e8,
 
     Follows the staged scheme: Prony on the constant coefficients, then at
     each (h^j, z^m) the residual against the forward engine run on the
-    partially recovered data is linear in the new unknowns.  The recovered
-    F covers the trace-order-limited set l + |alpha| <= N_h + 1.
+    partially recovered data is linear in the new unknowns.  That
+    coefficient depends only on terms of lower (z, h) order, so each stage
+    runs the forward pass at its own orders (m, j); only the self-check
+    runs at the full trace orders.  The recovered F covers the
+    trace-order-limited set l + |alpha| <= N_h + 1.
 
     ``engine`` is an optional :class:`~bnftrace.qbnf.TraceEngine` already
     built for some state, such as the forward engine of a round trip; the
     stages whose state it serves use it instead of a new one.
     """
+    if n < 1:
+        raise SchemaError("n must be >= 1")
     f = tdata.field
     t_orders = tdata.orders()
     n_z, n_h = t_orders.z, t_orders.h
@@ -620,7 +628,7 @@ def recover_qbnf(tdata, n, orders=None, tol=1e-8, cond_gate=1e8,
         eng = engine_for(bnf)
         values = {}
         for k in ks:
-            fwd = trace_power(bnf, k, (n_z, n_h), pole_tol, engine=eng).coeffs
+            fwd = trace_power(bnf, k, (m, j), pole_tol, engine=eng).coeffs
             delta = coeffs[k].get((), m, j) - fwd.get((), m, j)
             values[k] = delta * f.inv(-(f.i * f.from_int(k)))
         sol, cond = recover_polynomial(
@@ -679,8 +687,6 @@ def recover_qbnf(tdata, n, orders=None, tol=1e-8, cond_gate=1e8,
                 residuals[(j, k, m)] = dev
                 worst = max(worst, dev)
     failed = worst > (0 if f.exact else tol)
-    if f.exact:
-        failed = any(r != 0 for r in residuals.values())
     notes.append("blocks in canonical order: ch pairs, rh, elliptic")
     return RecoveryReport(recovered, residuals, worst, conditioning, notes,
                           failed)

@@ -239,6 +239,29 @@ def test_bad_truncation_options_are_input_errors(rt1_file, tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_recover_block_count_below_one_is_an_input_error(rt1_file, tmp_path,
+                                                          capsys, n):
+    traces = str(tmp_path / "traces.json")
+    assert main(["forward", "--bnf", rt1_file, "--out", traces]) == 0
+    capsys.readouterr()
+    rc = main(["recover", "--traces", traces, "--n", n])
+    assert rc == 2
+    assert "n must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("precision", ["0", "32"])
+def test_precision_below_64_is_an_input_error(rt1_file, tmp_path, capsys,
+                                              precision):
+    rc = main(["forward", "--bnf", rt1_file, "--precision", precision,
+               "--out", str(tmp_path / "t.json")])
+    assert rc == 2
+    assert "precision must be >= 64" in capsys.readouterr().err
+    rc = main(["oracle", "lattice-sum", "--mu", "1.5",
+               "--precision", precision])
+    assert rc == 2
+
+
 def test_serialization_round_trips_exact():
     F, bnf, action = rt1()
     # QuantumBNF

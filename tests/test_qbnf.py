@@ -407,12 +407,65 @@ def test_engine_factorization_matches_n_variable_calculus(case):
 
 
 def test_trace_power_rejects_engine_of_another_state():
+    """An engine serves its own mu-jet state at any z-order up to its own,
+    giving the full series truncated there; it refuses another state and a
+    higher z-order."""
     _F, b, _a = rt1()
     engine = TraceEngine(b.blocks, [zseries(FR, 3)], 3)
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="trace engine"):
         trace_power(b, 1, (3, 3), engine=engine)
+    own = TraceEngine(b.blocks, b.mu_jets, 3)
+    full = trace_power(b, 1, (3, 3), engine=own).coeffs
+    low = trace_power(b, 1, (2, 3), engine=own).coeffs
+    assert low.orders == Orders(0, 2, 3)
+    assert low == full.truncate(Orders(0, 2, 3))
     with pytest.raises(SchemaError):
-        trace_power(b, 1, (2, 3), engine=TraceEngine(b.blocks, b.mu_jets, 3))
+        trace_power(b, 1, (4, 3), engine=own)
+    with pytest.raises(SchemaError, match="trace engine"):
+        trace_power(b, 1, (3, 3), engine=TraceEngine(b.blocks, b.mu_jets, 2))
+
+
+@st.composite
+def _truncation_case(draw):
+    """An exact normal form over an n <= 2 block mix with z-dependent jets
+    and a random F at orders (n_h + 1, n_z, n_h), and a power k."""
+    tags, exps = draw(_block_mix().filter(lambda mix: len(mix[0]) <= 2))
+    n = len(tags)
+    n_z, n_h = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    coeff = st.fractions(-3, 3, max_denominator=5)
+    jets = [{m: (draw(coeff), draw(coeff)) for m in range(1, n_z + 1)
+             if draw(st.booleans())} for _ in tags]
+    keys = [(alpha, m, l)
+            for alpha in itertools.product(range(n_h + 2), repeat=n)
+            for m in range(n_z + 1) for l in range(n_h + 1)
+            if 1 <= l + sum(alpha) <= n_h + 1 and (l or sum(alpha) >= 2)]
+    chosen = draw(st.lists(st.sampled_from(keys), max_size=6, unique=True)
+                  if keys else st.just([]))
+    F_terms = {key: (draw(coeff), draw(coeff)) for key in chosen}
+    return tags, exps, jets, F_terms, n_z, n_h, draw(st.integers(1, 3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_truncation_case())
+def test_trace_power_at_lower_orders_is_the_truncation(case):
+    """For every (m, j) up to (n_z, n_h), trace_power at (m, j) through
+    the full-order engine equals the full series truncated to (m, j)."""
+    tags, exps, jets, F_terms, n_z, n_h, k = case
+    blocks = SpectrumBlocks(FR, tags, [FR.from_rational(re, im)
+                                       for re, im in exps])
+    mu_jets = [zseries(FR, n_z, {m: FR.from_rational(*c)
+                                 for m, c in jet.items()})
+               for jet in jets]
+    F = MultiSeries(FR, len(tags), Orders(n_h + 1, n_z, n_h),
+                    {key: FR.from_rational(*c) for key, c in F_terms.items()})
+    bnf = QuantumBNF(blocks, mu_jets, F)
+    engine = TraceEngine(blocks, mu_jets, n_z)
+    full = trace_power(bnf, k, (n_z, n_h), engine=engine)
+    for m in range(n_z + 1):
+        for j in range(n_h + 1):
+            low = trace_power(bnf, k, (m, j), engine=engine)
+            assert low.phase == full.phase
+            assert low.coeffs == full.coeffs.truncate(Orders(0, m, j))
 
 
 def _per_k_trace_power(bnf, k, orders, engine):

@@ -17,6 +17,7 @@ from bnftrace.errors import (ConvergenceError, FieldError, MathError,
 from bnftrace.fields import FloatField, RationalField
 from bnftrace import hypcalc as hc
 from bnftrace import jsonio, linalg
+from bnftrace import recover as recover_module
 from bnftrace.qbnf import QuantumBNF, TraceData, make_trace_data
 from bnftrace.linalg import poly_roots
 from bnftrace.recover import (ExponentialSum, _cube_from_roots,
@@ -464,6 +465,31 @@ def test_recover_qbnf_insufficient_kmax():
     with pytest.raises(RankDeficiencyError) as exc:
         recover_qbnf(td, 1)
     assert "1..6" in str(exc.value)
+
+
+def test_each_recovery_stage_runs_at_its_own_orders(monkeypatch):
+    """Stage (h^j, z^m) runs the forward pass at orders (m, j) for every
+    k; only the K self-check calls run at the full trace orders."""
+    F, bnf, action = rt1()
+    K = 8
+    td = make_trace_data(bnf, action, {}, K, (3, 3))
+    original = recover_module.trace_power
+    calls = []
+
+    def recording(b, k, orders, *args, **kwargs):
+        calls.append(tuple(orders))
+        return original(b, k, orders, *args, **kwargs)
+
+    monkeypatch.setattr(recover_module, "trace_power", recording)
+    rep = recover_qbnf(td, 1)
+    assert not rep.failed
+    stages = [key for key in rep.conditioning if key != "prony"]
+    assert len(stages) == 15
+    expected = []
+    for key in stages:
+        j, m = (int(part[1:]) for part in key.split(":"))
+        expected += [(m, j)] * K
+    assert calls == expected + [(3, 3)] * K
 
 
 def test_recovery_evaluates_each_z_series_once(monkeypatch):
