@@ -10,7 +10,8 @@ from .classical import (TaylorMap, birkhoff_normal_form, check_nonresonance,
 from .fields import FloatField, RationalField, field_from_name
 from .oscillatory import (OrbitExpansion, TestJet, extract_jets,
                           forward_pairing, traces_from_pairings)
-from .qbnf import QuantumBNF, TraceData, leading_term, make_trace_data, trace_power
+from .qbnf import (QuantumBNF, TraceData, leading_term, make_trace_data,
+                   trace_coefficient, trace_power)
 from .recover import (recover_frequencies, recover_polynomial, recover_qbnf,
                       RecoveryReport)
 from .series import MultiSeries, Orders, zseries
@@ -23,8 +24,9 @@ __all__ = [
     "OrbitExpansion", "TestJet", "extract_jets", "forward_pairing",
     "traces_from_pairings",
     "QuantumBNF", "TraceData", "leading_term", "make_trace_data",
-    "trace_power", "recover_frequencies", "recover_polynomial",
-    "recover_qbnf", "RecoveryReport", "MultiSeries", "Orders", "zseries",
+    "trace_coefficient", "trace_power", "recover_frequencies",
+    "recover_polynomial", "recover_qbnf", "RecoveryReport", "MultiSeries",
+    "Orders", "zseries",
 ]
 
 __version__ = "0.1.0"

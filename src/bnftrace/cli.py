@@ -118,6 +118,29 @@ def cmd_recover(args):
     return 0
 
 
+def _require_recoverable(bnf, n_z, n_h):
+    """Refuse a normal form with a term that a recovery from traces at
+    orders (n_z, n_h) does not solve for: an F term with
+    l + |alpha| > n_h + 1, l > n_h or m > n_z, or a mu-jet term above
+    z^n_z.  The first such term is named."""
+    scope = (f"at trace orders z<={n_z}, h<={n_h} the recovery solves for "
+             f"the F terms with l + |alpha| <= {n_h + 1}, l <= {n_h} and "
+             f"z^m, m <= {n_z}, and the mu-jets up to z^{n_z}")
+    for alpha, m, l in sorted(bnf.F.terms):
+        if l + sum(alpha) > n_h + 1 or l > n_h or m > n_z:
+            raise SchemaError(
+                f"roundtrip cannot recover the F term iota^{list(alpha)} "
+                f"z^{m} h^{l}: {scope}"
+            )
+    for j, jet in enumerate(bnf.mu_jets):
+        for _alpha, m, _l in sorted(jet.terms):
+            if m > n_z:
+                raise SchemaError(
+                    f"roundtrip cannot recover the z^{m} term of mu-jet "
+                    f"{j}: {scope}"
+                )
+
+
 def cmd_roundtrip(args):
     cfg = _config_from_args(args)
     bnf = jsonio.qbnf_from_json(jsonio.load(args.bnf), cfg.float_precision)
@@ -130,6 +153,7 @@ def cmd_roundtrip(args):
             "hyperbolic pairs, real hyperbolic, elliptic, each sorted): "
             f"list the given blocks in the order {perm}"
         )
+    _require_recoverable(bnf, *cfg.orders[1:])
     action, maslov = _load_action(args.action, bnf.field, cfg.orders[1])
     # the recovery reuses the forward engine for every stage whose state
     # it serves: all the late ones, when the round trip is exact

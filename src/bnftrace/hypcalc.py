@@ -149,48 +149,56 @@ def eval_csch(expr, mu=None, exp_half=None, pole_tol=DEFAULT_POLE_TOL):
     return total * base
 
 
-def _zintegrate(s):
-    """Antiderivative in z with zero constant, same z-order budget."""
-    f = s.field
-    terms = {}
-    for ((), m, _l), c in s.terms.items():
-        if m + 1 <= s.orders.z:
-            terms[((), m + 1, 0)] = c * f.inv(f.from_int(m + 1))
-    return MultiSeries(f, 0, s.orders, terms)
-
-
 def coth_csch_series(field, E0, delta, k, n_z, pole_tol=DEFAULT_POLE_TOL):
     """z-series of coth(k mu(z)/2) and csch(k mu(z)/2).
 
     Returns ``(T, C)`` where ``T`` expands coth(k mu(z)/2) and ``C`` expands
     csch(k mu(z)/2), for mu(z) = mu(0) + delta(z) with delta(0) = 0.  The
-    constant terms come from E0 = exp(mu(0)/2); higher orders propagate the
-    closed rules  t' = (k/2)(1 - t^2) delta',  c' = -(k/2) t c delta'.
+    constant terms come from E0 = exp(mu(0)/2).  The closed rules
+    t' = (k/2)(1 - t^2) delta' and c' = -(k/2) t c delta' give the higher
+    ones order by order: with delta'(z) = sum_n d_n z^n,
+
+        (n+1) t_{n+1} = (k/2) sum_{i<=n} (1 - t^2)_i d_{n-i},
+        (n+1) c_{n+1} = -(k/2) sum_{i<=n} (t c)_i d_{n-i},
+
+    whose right-hand sides need t and c only up to order n, so one pass of
+    O(n_z^2) field operations gives both series.
     """
     f = field
-    orders = Orders(0, n_z, 0)
     s2, c2 = _sinh_cosh_from_exp_half(f, E0, k, pole_tol)
-    t0 = c2 * f.inv(s2)
-    c0 = f.from_int(2) * f.inv(s2)  # csch(k mu0 / 2)
+    t = [c2 * f.inv(s2)]
+    c = [f.from_int(2) * f.inv(s2)]  # csch(k mu0 / 2)
     if delta is not None and not f.is_zero(delta.constant_term()):
         raise SchemaError("delta jet must have zero constant term")
-    one = MultiSeries.scalar(f, 0, orders, f.one)
-    T = MultiSeries.scalar(f, 0, orders, t0)
-    C = MultiSeries.scalar(f, 0, orders, c0)
-    if delta is None or delta.is_zero() or n_z == 0:
-        return T, C
-    # the jet is exact polynomial data; re-embed it and its derivative at the
-    # full z-order budget so the integration step keeps the top order
-    dp = MultiSeries(f, 0, orders, delta.terms)
-    dprime = MultiSeries(f, 0, orders, dp.derive("z").terms)
-    kh = f.from_int(k) * f.inv(f.from_int(2))
-    for _ in range(n_z):
-        rhs = (one - T * T).scale(kh) * dprime
-        T = MultiSeries.scalar(f, 0, orders, t0) + _zintegrate(rhs)
-    for _ in range(n_z):
-        rhs = (T * C).scale(-kh) * dprime
-        C = MultiSeries.scalar(f, 0, orders, c0) + _zintegrate(rhs)
-    return T, C
+    # the nonzero d_n = (n+1) delta_{n+1} below the z-order, in order of n
+    d = []
+    if delta is not None:
+        for n in range(n_z):
+            v = delta.get((), n + 1, 0)
+            if not f.is_zero(v):
+                d.append((n, f.from_int(n + 1) * v))
+    if d:
+        kh = f.from_int(k) * f.inv(f.from_int(2))
+        u, tc = [], []  # coefficients of 1 - t^2 and of t c
+        for n in range(n_z):
+            sq = tcn = f.zero
+            for a in range(n + 1):
+                sq = sq + t[a] * t[n - a]
+                tcn = tcn + t[a] * c[n - a]
+            u.append(f.one - sq if n == 0 else -sq)
+            tc.append(tcn)
+            ut = uc = f.zero
+            for i, dv in d:
+                if i > n:
+                    break
+                ut = ut + u[n - i] * dv
+                uc = uc + tc[n - i] * dv
+            w = kh * f.inv(f.from_int(n + 1))
+            t.append(w * ut)
+            c.append(-(w * uc))
+    orders = Orders(0, n_z, 0)
+    return (MultiSeries(f, 0, orders, {((), m, 0): v for m, v in enumerate(t)}),
+            MultiSeries(f, 0, orders, {((), m, 0): v for m, v in enumerate(c)}))
 
 
 def coth_poly(a):

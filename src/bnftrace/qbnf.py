@@ -29,11 +29,14 @@ exp(-ik X) = sum_m ((-ik)^m / m!) X^m, and likewise for the z-dependent
 phase, so each normal form computes the constant phase and the powers of
 X and of f0(z) - f0(0) once per (N_z, N_h) (:meth:`QuantumBNF.trace_side`),
 and every k only scales and adds them.  The csch side is computed once
-per engine, the F side once per normal form and orders: once for all
-powers in :func:`make_trace_data`, once per recovery stage (h^j, z^m) at
-that stage's own orders (m, j), whose coefficient depends on nothing of
-higher order, and once at the full orders for the self-check.  An engine
-serves every z-order up to its own, so the stages share it.
+per engine, the F side once per normal form and orders.
+:func:`make_trace_data` and the recovery's self-check take the whole
+expansion from :func:`trace_power`.  A recovery stage (h^j, z^m) reads one
+coefficient, which depends on nothing of higher order, so
+:func:`trace_coefficient` computes only that one at the stage's orders
+(m, j): it forms the h^j layer of exp(-ik X) alone and convolves it with
+the z-phase, with no series product, through the kernel trace_power runs
+on.  An engine serves every z-order up to its own, so the stages share it.
 
 Phase conventions: the oscillatory prefactor e^{ikS(z)/h} is never mixed
 into the h-expansion (the action series travels as metadata), and the
@@ -328,6 +331,41 @@ def trace_power(bnf, k, orders, pole_tol=DEFAULT_POLE_TOL, engine=None):
     blocks and mu-jets of ``bnf`` at z-order N_z or above; without it a
     throwaway one is used.
     """
+    phase, pz, applied = _forward(bnf, k, orders, pole_tol, engine)
+    f = bnf.field
+    series_orders = Orders(0, *orders)
+    coeffs = (MultiSeries(f, 0, series_orders, applied)
+              * MultiSeries(f, 0, series_orders, pz))
+    return TracePower(k, phase, coeffs)
+
+
+def trace_coefficient(bnf, k, m, j, pole_tol=DEFAULT_POLE_TOL, engine=None):
+    """The z^m h^j coefficient of ``trace_power(bnf, k, (m, j)).coeffs``.
+
+    The z-phase exp(-ik f0plus) has z-terms only, so the coefficient is
+    sum_{m2} pz_{m2} A_{m-m2}, where A is the h^j layer of the operator
+    exponential applied to the csch product: only that layer is formed,
+    and no series product is taken.  ``engine`` is as for
+    :func:`trace_power`.
+    """
+    _phase, pz, applied = _forward(bnf, k, (m, j), pole_tol, engine, layer=j)
+    total = bnf.field.zero
+    for ((), m2, _l), c in pz.items():
+        a = applied.get(((), m - m2, j))
+        if a is not None:
+            total = total + c * a
+    return total
+
+
+def _forward(bnf, k, orders, pole_tol, engine, layer=None):
+    """The kernel of :func:`trace_power` and :func:`trace_coefficient`.
+
+    Returns ``(phase, pz, applied)``: the constant phase f0(0), the terms
+    of the z-phase exp(-ik f0plus), and the terms ((), m, l) of the
+    operator exponential exp(-ik sum_j h^j f_j(z, i k^{-1} d/dmu)) applied
+    to prod_j (1/2)csch(k mu_j/2) along mu(z).  With ``layer`` = l only
+    the h^l layer of the operator is formed and applied.
+    """
     if k < 1:
         raise SchemaError("k must be a positive integer")
     n_z, n_h = orders
@@ -343,14 +381,14 @@ def trace_power(bnf, k, orders, pole_tol=DEFAULT_POLE_TOL, engine=None):
     phase, x_powers, f0_powers = bnf.trace_side(n_z, n_h)
     minus_ik = -(f.i * f.from_int(k))
     # operator part exp(-ik X) and z-dependent scalar phase exp(-ik f0plus)
-    op = _exp_from_powers(x_powers, minus_ik)
+    op = _exp_from_powers(x_powers, minus_ik, layer)
     pz = _exp_from_powers(f0_powers, minus_ik)
 
     # apply the operator monomials to the csch product along mu(z)
     ik_inv = f.i * f.inv(f.from_int(k))
     ik_pow = {}
-    out = {}
-    for (alpha, m, l), c in op.terms.items():
+    applied = {}
+    for (alpha, m, l), c in op.items():
         da = sum(alpha)
         if da and da not in ik_pow:
             ik_pow[da] = ik_inv**da
@@ -361,9 +399,8 @@ def trace_power(bnf, k, orders, pole_tol=DEFAULT_POLE_TOL, engine=None):
                 continue
             key = ((), mm, l)
             v = factor * ec
-            out[key] = out[key] + v if key in out else v
-    coeffs = MultiSeries(f, 0, Orders(0, n_z, n_h), out) * pz
-    return TracePower(k, phase, coeffs)
+            applied[key] = applied[key] + v if key in applied else v
+    return phase, pz, applied
 
 
 def _powers(s):
@@ -379,16 +416,22 @@ def _powers(s):
     return out
 
 
-def _exp_from_powers(powers, t):
-    """exp(t s) = sum_m (t^m / m!) s^m from ``powers`` = :func:`_powers`(s):
-    scalings and sums only."""
+def _exp_from_powers(powers, t, layer=None):
+    """The terms of exp(t s) = sum_p (t^p / p!) s^p from ``powers`` =
+    :func:`_powers`(s), merged by key: scalings and sums only.  With
+    ``layer`` = l, only the terms of h-order l."""
     f = powers[0].field
-    result = powers[0]
-    tm = f.one
-    for m in range(1, len(powers)):
-        tm = tm * t
-        result = result + powers[m].scale(tm * f.factorial_inv(m))
-    return result
+    out = {}
+    w = tp = f.one
+    for p, power in enumerate(powers):
+        if p:
+            tp = tp * t
+            w = tp * f.factorial_inv(p)
+        for key, c in power.terms.items():
+            if layer is None or key[2] == layer:
+                v = w * c
+                out[key] = out[key] + v if key in out else v
+    return out
 
 
 def leading_term(action, maslov_nu, blocks, k, n_z, tol=DEFAULT_POLE_TOL,

@@ -36,9 +36,12 @@ mu_j(0)) are valid for one mu-jet state.  The jets change only in the
 (0, m) stages, so there is one engine per (0, m) stage and one more shared
 by every later stage and the final self-check, and the matrix entries
 above come from the same caches.  Each engine is built at the full
-z-order and serves the lower orders (m, j) that the stages run at.  A
-caller may hand in an engine it already has (the round trip passes its
-forward engine), and it is used for every stage whose state it serves.
+z-order and serves the lower orders (m, j) of the stages.  A stage
+computes only the coefficient it reads
+(:func:`~bnftrace.qbnf.trace_coefficient` at (m, j)); only the
+self-check runs the whole expansion.  A caller may hand in an engine it
+already has (the round trip passes its forward engine), and it is used
+for every stage whose state it serves.
 """
 
 import cmath
@@ -54,7 +57,7 @@ from .errors import (ConditioningError, FieldError, MathError,
                      RankDeficiencyError, SchemaError)
 from .hypcalc import DEFAULT_POLE_TOL
 from .linalg import poly_roots, solve_lstsq
-from .qbnf import QuantumBNF, TraceEngine, trace_power
+from .qbnf import QuantumBNF, TraceEngine, trace_coefficient, trace_power
 from .series import MultiSeries, Orders
 
 # Relative tolerance of the stage-0 grouping decisions: the classes of edge
@@ -551,9 +554,9 @@ def recover_qbnf(tdata, n, orders=None, tol=1e-8, cond_gate=1e8,
     each (h^j, z^m) the residual against the forward engine run on the
     partially recovered data is linear in the new unknowns.  That
     coefficient depends only on terms of lower (z, h) order, so each stage
-    runs the forward pass at its own orders (m, j); only the self-check
-    runs at the full trace orders.  The recovered F covers the
-    trace-order-limited set l + |alpha| <= N_h + 1.
+    computes it alone at its own orders (m, j); only the self-check runs
+    the whole forward expansion at the full trace orders.  The recovered F
+    covers the trace-order-limited set l + |alpha| <= N_h + 1.
 
     ``engine`` is an optional :class:`~bnftrace.qbnf.TraceEngine` already
     built for some state, such as the forward engine of a round trip; the
@@ -628,8 +631,8 @@ def recover_qbnf(tdata, n, orders=None, tol=1e-8, cond_gate=1e8,
         eng = engine_for(bnf)
         values = {}
         for k in ks:
-            fwd = trace_power(bnf, k, (m, j), pole_tol, engine=eng).coeffs
-            delta = coeffs[k].get((), m, j) - fwd.get((), m, j)
+            fwd = trace_coefficient(bnf, k, m, j, pole_tol, engine=eng)
+            delta = coeffs[k].get((), m, j) - fwd
             values[k] = delta * f.inv(-(f.i * f.from_int(k)))
         sol, cond = recover_polynomial(
             f, values, blocks.exp_half, alpha_set=alphas, k_set=ks,

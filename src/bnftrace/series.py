@@ -271,16 +271,6 @@ class MultiSeries(TruncatedPoly):
 
     # -- views --------------------------------------------------------------
 
-    def h_coefficient(self, l):
-        """The z-(and iota-)series multiplying h^l, as a series with h-order 0."""
-        terms = {
-            (alpha, m, 0): c
-            for (alpha, m, ll), c in self.terms.items()
-            if ll == l
-        }
-        return self._make(self.field, self.arity,
-                          Orders(self.orders.iota, self.orders.z, 0), terms)
-
     def __repr__(self):
         if not self.terms:
             return "<MultiSeries 0>"

@@ -9,6 +9,7 @@ import numpy as np
 
 from bnftrace.blocks import ELLIPTIC, REAL_HYPERBOLIC, SpectrumBlocks
 from bnftrace.fields import FloatField, RationalField
+from bnftrace.hypcalc import DEFAULT_POLE_TOL, _sinh_cosh_from_exp_half
 from bnftrace.qbnf import QuantumBNF
 from bnftrace.series import MultiSeries, Orders, zseries
 
@@ -58,6 +59,40 @@ def mixed_float_fixture(seed, with_jets=False):
     else:
         jets = [zseries(F, 2), zseries(F, 2)]
     return F, QuantumBNF(blocks, jets, Fser)
+
+
+def picard_coth_csch_series(field, E0, delta, k, n_z,
+                            pole_tol=DEFAULT_POLE_TOL):
+    """Reference for :func:`bnftrace.hypcalc.coth_csch_series`: the same
+    (T, C) from Picard sweeps of the integral forms of
+    t' = (k/2)(1 - t^2) delta' and c' = -(k/2) t c delta', n_z full
+    series sweeps per function, each gaining one exact z-order."""
+    f = field
+    orders = Orders(0, n_z, 0)
+    s2, c2 = _sinh_cosh_from_exp_half(f, E0, k, pole_tol)
+    t0 = c2 * f.inv(s2)
+    c0 = f.from_int(2) * f.inv(s2)
+    one = MultiSeries.scalar(f, 0, orders, f.one)
+    T = MultiSeries.scalar(f, 0, orders, t0)
+    C = MultiSeries.scalar(f, 0, orders, c0)
+    if delta is None or delta.is_zero() or n_z == 0:
+        return T, C
+    dp = MultiSeries(f, 0, orders, delta.terms)
+    dprime = MultiSeries(f, 0, orders, dp.derive("z").terms)
+    kh = f.from_int(k) * f.inv(f.from_int(2))
+
+    def zintegrate(s):
+        return MultiSeries(f, 0, orders, {
+            ((), m + 1, 0): c * f.inv(f.from_int(m + 1))
+            for ((), m, _l), c in s.terms.items() if m + 1 <= n_z})
+
+    for _ in range(n_z):
+        T = MultiSeries.scalar(f, 0, orders, t0) + zintegrate(
+            (one - T * T).scale(kh) * dprime)
+    for _ in range(n_z):
+        C = MultiSeries.scalar(f, 0, orders, c0) + zintegrate(
+            (T * C).scale(-kh) * dprime)
+    return T, C
 
 
 def random_hyperbolic_exp_half(field, n, rng, re_range=(0.5, 2.0)):

@@ -389,3 +389,49 @@ def test_forward_at_128_bits_writes_every_bit(tmp_path, capsys):
     assert got.phase == want.phase
     for k in range(1, 7):
         assert got.coefficients[k] == want.coefficients[k]
+
+
+def _n1_file(tmp_path, F_terms, jet):
+    """n=1 normal form (rh E=3) at F orders (4, 3, 3) as a file."""
+    blocks = SpectrumBlocks(FR, [REAL_HYPERBOLIC], [FR.from_int(3)])
+    F = MultiSeries(FR, 1, Orders(4, 3, 3),
+                    {key: FR.from_rational(c) for key, c in F_terms.items()})
+    bnf = QuantumBNF(blocks, [zseries(FR, 3, jet)], F)
+    path = tmp_path / "bnf.json"
+    jsonio.dump(path, jsonio.qbnf_to_json(bnf))
+    return str(path)
+
+
+@pytest.mark.parametrize("F_terms, jet, orders, named", [
+    # F = iota^2/7 + h/5 with jet z at h-order 0: the recovered F holds no
+    # h^1 term and no iota^2 term, and the jet's z term is above z^0
+    ({((2,), 0, 0): "1/7", ((0,), 0, 1): "1/5"}, {1: 1}, "2,0,0",
+     "F term iota^[0] z^0 h^1"),
+    ({((2,), 0, 0): "1/7"}, {}, "2,1,0", "F term iota^[2] z^0 h^0"),
+    # l + |alpha| = 2 = N_h + 1, but l = 2 > N_h
+    ({((2,), 0, 0): "1/7", ((0,), 0, 2): "1/9"}, {1: 1}, "2,1,1",
+     "F term iota^[0] z^0 h^2"),
+    ({((2,), 0, 0): "1/7", ((1,), 2, 1): "1/3"}, {1: 1}, "2,1,1",
+     "F term iota^[1] z^2 h^1"),
+    ({((2,), 0, 0): "1/7"}, {1: 1, 2: "1/3"}, "2,1,1",
+     "z^2 term of mu-jet 0"),
+])
+def test_roundtrip_refuses_terms_it_cannot_recover(tmp_path, capsys, F_terms,
+                                                   jet, orders, named):
+    path = _n1_file(tmp_path, F_terms,
+                    {m: FR.from_rational(c) for m, c in jet.items()})
+    rc = main(["roundtrip", "--bnf", path, "--orders", orders, "--kmax", "8"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert f"cannot recover the {named}:" in err
+    assert out == ""
+
+
+def test_roundtrip_accepts_the_recoverable_set(tmp_path, capsys):
+    """Every term at the edge of the recoverable set at orders (1, 1):
+    l + |alpha| = 2, l = 1 and m = 1, with the jet up to z^1."""
+    path = _n1_file(tmp_path, {((2,), 1, 0): "1/7", ((1,), 1, 1): "1/3",
+                               ((0,), 1, 1): "1/5"}, {1: FR.one})
+    rc = main(["roundtrip", "--bnf", path, "--orders", "2,1,1", "--kmax", "8"])
+    assert rc == 0
+    assert "equals the input exactly" in capsys.readouterr().out

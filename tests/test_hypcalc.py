@@ -3,7 +3,12 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import picard_coth_csch_series
 
 from bnftrace.errors import ConvergenceError, PoleError, SchemaError
 from bnftrace.fields import FloatField, RationalField
@@ -119,6 +124,108 @@ def test_series_order_zero_equals_eval():
         deltas = [zseries(FF, 2, {1: 0.3 + 0j}) for _ in range(n)]
         s = hc.eval_series_in_z(e, ehm, deltas, 2)
         assert abs(s.get((), 0, 0) - hc.eval_csch(e, exp_half=ehm)) < 1e-13
+
+
+@st.composite
+def _coth_csch_case(draw):
+    """An exponent E (rational rh, Pythagorean elliptic, or complex in
+    Q(i)), a jet delta with zero constant term, a power k and a z-order."""
+    small = st.integers(1, 6)
+    kind = draw(st.sampled_from(["rh", "el", "ch"]))
+    if kind == "rh":
+        q = draw(small)
+        E = (Fraction(q + draw(small), q), Fraction(0))
+    elif kind == "el":
+        m = draw(st.integers(2, 6))
+        n = draw(st.integers(1, m - 1))
+        E = (Fraction(m * m - n * n, m * m + n * n),
+             Fraction(2 * m * n, m * m + n * n))
+    else:
+        re, im = draw(small), draw(small)
+        r = draw(small.filter(lambda r: r * r < re * re + im * im))
+        E = (Fraction(re, r), Fraction(im, r))
+    n_z = draw(st.integers(0, 4))
+    coeff = st.fractions(-3, 3, max_denominator=5)
+    jet = {m: (draw(coeff), draw(coeff))
+           for m in range(1, draw(st.integers(0, n_z + 1)) + 1)
+           if draw(st.booleans())}
+    return E, jet, draw(st.integers(1, 5)), n_z
+
+
+@settings(max_examples=40, deadline=None)
+@given(_coth_csch_case())
+def test_coth_csch_recurrence_equals_picard_sweeps(case):
+    """The one-pass recurrence gives the Picard sweeps' series: exactly on
+    the rational field, within 1e-13 relative on doubles."""
+    E, jet, k, n_z = case
+    for field in (FR, FF):
+        E0 = field.from_rational(*E)
+        delta = zseries(field, max(jet, default=0),
+                        {m: field.from_rational(*c) for m, c in jet.items()})
+        got = hc.coth_csch_series(field, E0, delta, k, n_z)
+        ref = picard_coth_csch_series(field, E0, delta, k, n_z)
+        for g, r in zip(got, ref):
+            assert g.orders == r.orders
+            if field.exact:
+                assert g == r
+                continue
+            scale = max(field.abs(c) for c in r.terms.values())
+            keys = set(g.terms) | set(r.terms)
+            assert all(field.abs(g.terms.get(key, 0) - r.terms.get(key, 0))
+                       <= 1e-13 * scale for key in keys)
+
+
+def _to_mpc(x):
+    return mpmath.mpc(mpmath.mpf(x.a) / x.d, mpmath.mpf(x.b) / x.d)
+
+
+@pytest.mark.parametrize("E", [
+    FR.from_int(3), FR.from_rational("5/4"), FR.from_rational("3/5", "4/5"),
+    FR.from_rational("5/13", "12/13"),
+])
+@pytest.mark.parametrize("jet", [
+    {1: FR.one},
+    {1: FR.from_rational("1/2"), 2: FR.from_rational("-2/5")},
+    {2: FR.from_rational("1/3"), 4: FR.from_rational("-3/7")},
+    {1: FR.from_rational(0, "1/2"), 3: FR.from_rational("1/4", "1/3"),
+     4: FR.from_rational("2/9")},
+])
+def test_coth_csch_series_against_mpmath_taylor(E, jet):
+    """The exact series equal the Taylor coefficients of coth and csch of
+    k (mu0 + delta(z)) / 2, mu0 = 2 log E, from mpmath at 50 digits."""
+    n_z = 4
+    delta = zseries(FR, n_z, jet)
+    with mpmath.workdps(50):
+        mu0 = 2 * mpmath.log(_to_mpc(E))
+        djet = {m: _to_mpc(c) for m, c in jet.items()}
+
+        def arg(k, z):
+            return k * (mu0 + sum(c * z**m for m, c in djet.items())) / 2
+
+        for k in (1, 2, 3):
+            T, C = hc.coth_csch_series(FR, E, delta, k, n_z)
+            want_T = mpmath.taylor(lambda z: mpmath.coth(arg(k, z)), 0, n_z)
+            want_C = mpmath.taylor(lambda z: mpmath.csch(arg(k, z)), 0, n_z)
+            for got, want in ((T, want_T), (C, want_C)):
+                scale = max(abs(w) for w in want)
+                for m, w in enumerate(want):
+                    assert abs(_to_mpc(got.get((), m, 0)) - w) <= \
+                        mpmath.mpf("1e-35") * scale
+
+
+def test_coth_csch_series_without_jet_is_constant():
+    E = FR.from_int(2)
+    T0, C0 = hc.coth_csch_series(FR, E, None, 1, 0)
+    for delta, n_z in ((None, 3), (zseries(FR, 3), 3),
+                       (zseries(FR, 3, {1: FR.one}), 0),
+                       (zseries(FR, 3, {4: FR.one}), 3)):
+        T, C = hc.coth_csch_series(FR, E, delta, 1, n_z)
+        assert T.terms == T0.terms and C.terms == C0.terms
+        assert T.orders.z == C.orders.z == n_z
+    assert T0.get((), 0, 0) == FR.from_rational("5/3")
+    assert C0.get((), 0, 0) == FR.from_rational("4/3")
+    with pytest.raises(SchemaError):
+        hc.coth_csch_series(FR, E, zseries(FR, 2, {0: FR.one}), 1, 2)
 
 
 def test_third_derivative_vs_finite_differences():

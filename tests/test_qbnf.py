@@ -16,7 +16,7 @@ from bnftrace.blocks import (COMPLEX_HYPERBOLIC, ELLIPTIC, REAL_HYPERBOLIC,
 from bnftrace.errors import MathError, ResonanceError, SchemaError
 from bnftrace.fields import FloatField, RationalField
 from bnftrace.qbnf import (QuantumBNF, TraceData, TraceEngine, leading_term,
-                           make_trace_data, trace_power)
+                           make_trace_data, trace_coefficient, trace_power)
 from bnftrace.series import MultiSeries, Orders, zseries
 from bnftrace import hypcalc as hc
 
@@ -466,6 +466,73 @@ def test_trace_power_at_lower_orders_is_the_truncation(case):
             low = trace_power(bnf, k, (m, j), engine=engine)
             assert low.phase == full.phase
             assert low.coeffs == full.coeffs.truncate(Orders(0, m, j))
+
+
+@st.composite
+def _stage_case(draw):
+    """Rational data of a normal form over an n <= 3 block mix: z-jets, a
+    random F at orders (n_h + 1, n_z, n_h) with z-dependent f0 terms
+    drawn on their own, and a power k."""
+    tags, exps = draw(_block_mix())
+    n = len(tags)
+    n_z, n_h = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    coeff = st.fractions(-3, 3, max_denominator=5)
+    jets = [{m: (draw(coeff), draw(coeff)) for m in range(1, n_z + 1)
+             if draw(st.booleans())} for _ in tags]
+    zero = (0,) * n
+    keys = [(alpha, m, l)
+            for alpha in itertools.product(range(n_h + 2), repeat=n)
+            for m in range(n_z + 1) for l in range(n_h + 1)
+            if 1 <= l + sum(alpha) <= n_h + 1 and (l or sum(alpha) >= 2)]
+    f0_keys = [(zero, m, 1) for m in range(n_z + 1) if n_h >= 1]
+    chosen = set()
+    for pool, size in ((keys, 5), (f0_keys, 2)):
+        if pool:
+            chosen.update(draw(st.lists(st.sampled_from(pool),
+                                        max_size=size)))
+    F_terms = {key: (draw(coeff), draw(coeff)) for key in sorted(chosen)}
+    return tags, exps, jets, F_terms, n_z, n_h, draw(st.integers(1, 4))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_stage_case())
+def test_trace_coefficient_is_the_trace_power_coefficient(case):
+    """trace_coefficient(bnf, k, m, j) is the z^m h^j coefficient of
+    trace_power at (m, j) for every (m, j) up to the orders: exactly on
+    the rational field, within 1e-12 relative on doubles."""
+    tags, exps, jets, F_terms, n_z, n_h, k = case
+    for field in (FR, FF):
+        q = field.from_rational
+        blocks = SpectrumBlocks(field, tags, [q(*e) for e in exps])
+        mu_jets = [zseries(field, n_z, {m: q(*c) for m, c in jet.items()})
+                   for jet in jets]
+        F = MultiSeries(field, len(tags), Orders(n_h + 1, n_z, n_h),
+                        {key: q(*c) for key, c in F_terms.items()})
+        bnf = QuantumBNF(blocks, mu_jets, F)
+        engine = TraceEngine(blocks, mu_jets, n_z)
+        for m in range(n_z + 1):
+            for j in range(n_h + 1):
+                series = trace_power(bnf, k, (m, j), engine=engine).coeffs
+                want = series.get((), m, j)
+                got = trace_coefficient(bnf, k, m, j, engine=engine)
+                if field.exact:
+                    assert got == want
+                    continue
+                scale = max(field.abs(c) for c in series.terms.values())
+                assert field.abs(got - want) <= 1e-12 * scale
+
+
+def test_trace_coefficient_checks_like_trace_power():
+    _F, b, _a = rt1()
+    with pytest.raises(SchemaError, match="trace engine"):
+        trace_coefficient(b, 1, 2, 2,
+                          engine=TraceEngine(b.blocks, [zseries(FR, 3)], 3))
+    with pytest.raises(SchemaError):
+        trace_coefficient(b, 1, 4, 2)
+    with pytest.raises(SchemaError):
+        trace_coefficient(b, 0, 1, 1)
+    assert trace_coefficient(b, 3, 2, 2) == \
+        trace_power(b, 3, (3, 3)).coeffs.get((), 2, 2)
 
 
 def _per_k_trace_power(bnf, k, orders, engine):

@@ -468,19 +468,27 @@ def test_recover_qbnf_insufficient_kmax():
 
 
 def test_each_recovery_stage_runs_at_its_own_orders(monkeypatch):
-    """Stage (h^j, z^m) runs the forward pass at orders (m, j) for every
-    k; only the K self-check calls run at the full trace orders."""
+    """Stage (h^j, z^m) computes only its own coefficient, one
+    trace_coefficient call at (m, j) per k; the K full trace_power calls
+    at the trace orders are the self-check's alone."""
     F, bnf, action = rt1()
     K = 8
     td = make_trace_data(bnf, action, {}, K, (3, 3))
-    original = recover_module.trace_power
+    power, coefficient = recover_module.trace_power, \
+        recover_module.trace_coefficient
     calls = []
 
-    def recording(b, k, orders, *args, **kwargs):
-        calls.append(tuple(orders))
-        return original(b, k, orders, *args, **kwargs)
+    def recording_power(b, k, orders, *args, **kwargs):
+        calls.append(("power", tuple(orders)))
+        return power(b, k, orders, *args, **kwargs)
 
-    monkeypatch.setattr(recover_module, "trace_power", recording)
+    def recording_coefficient(b, k, m, j, *args, **kwargs):
+        calls.append(("coefficient", (m, j)))
+        return coefficient(b, k, m, j, *args, **kwargs)
+
+    monkeypatch.setattr(recover_module, "trace_power", recording_power)
+    monkeypatch.setattr(recover_module, "trace_coefficient",
+                        recording_coefficient)
     rep = recover_qbnf(td, 1)
     assert not rep.failed
     stages = [key for key in rep.conditioning if key != "prony"]
@@ -488,8 +496,8 @@ def test_each_recovery_stage_runs_at_its_own_orders(monkeypatch):
     expected = []
     for key in stages:
         j, m = (int(part[1:]) for part in key.split(":"))
-        expected += [(m, j)] * K
-    assert calls == expected + [(3, 3)] * K
+        expected += [("coefficient", (m, j))] * K
+    assert calls == expected + [("power", (3, 3))] * K
 
 
 def test_recovery_evaluates_each_z_series_once(monkeypatch):
