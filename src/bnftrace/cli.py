@@ -36,7 +36,9 @@ def _fmt_value(field, v):
 _OPTIONS = {
     "backend": ("--backend", {"choices": ["rational", "float"]}),
     "float_precision": ("--precision", {"type": int}),
-    "orders": ("--orders", {"help": "IOTA,Z,H truncation orders"}),
+    "orders": ("--orders", {"help": "IOTA,Z,H truncation orders; the "
+                            "trace at h-order H reads F through iota^(H+1), "
+                            "so IOTA >= H + 1"}),
     "k_max": ("--kmax", {"type": int}),
     "tol_pole": ("--tol-pole", {"type": float}),
     "tol_resonance": ("--tol-resonance", {"type": float}),
@@ -121,13 +123,14 @@ def cmd_recover(args):
 def _require_recoverable(bnf, n_z, n_h):
     """Refuse a normal form with a term that a recovery from traces at
     orders (n_z, n_h) does not solve for: an F term with
-    l + |alpha| > n_h + 1, l > n_h or m > n_z, or a mu-jet term above
-    z^n_z.  The first such term is named."""
+    l + |alpha| > n_h + 1, l > max(n_h, 1) or m > n_z, or a mu-jet term
+    above z^n_z.  The first such term is named."""
+    h_cap = max(n_h, 1)
     scope = (f"at trace orders z<={n_z}, h<={n_h} the recovery solves for "
-             f"the F terms with l + |alpha| <= {n_h + 1}, l <= {n_h} and "
+             f"the F terms with l + |alpha| <= {n_h + 1}, l <= {h_cap} and "
              f"z^m, m <= {n_z}, and the mu-jets up to z^{n_z}")
     for alpha, m, l in sorted(bnf.F.terms):
-        if l + sum(alpha) > n_h + 1 or l > n_h or m > n_z:
+        if l + sum(alpha) > n_h + 1 or l > h_cap or m > n_z:
             raise SchemaError(
                 f"roundtrip cannot recover the F term iota^{list(alpha)} "
                 f"z^{m} h^{l}: {scope}"

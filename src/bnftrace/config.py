@@ -27,3 +27,8 @@ class RunConfig:
                 raise SchemaError(f"{name} must be positive")
         if any(o < 0 for o in self.orders):
             raise SchemaError("orders must be nonnegative")
+        # the trace at h-order H reads F through iota^(H+1)
+        iota, _z, h = self.orders
+        if iota < h + 1:
+            raise SchemaError(f"orders IOTA,Z,H need IOTA >= H + 1 = {h + 1}, "
+                              f"got IOTA = {iota}")

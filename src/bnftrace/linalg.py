@@ -92,12 +92,14 @@ def _solve_float(field, rows, rhs, residual_tol):
     a = np.array([[field.to_complex(x) for x in row] for row in rows],
                  dtype=complex)
     b = np.array([field.to_complex(x) for x in rhs], dtype=complex)
+    # a zero or subnormal scale would overflow numpy's complex division
+    tiny = np.finfo(float).tiny
     rs = np.max(np.abs(a), axis=1)
-    rs[rs == 0] = 1.0
+    rs[rs < tiny] = 1.0
     a2 = a / rs[:, None]
     b2 = b / rs
     cs = np.max(np.abs(a2), axis=0)
-    cs[cs == 0] = 1.0
+    cs[cs < tiny] = 1.0
     a3 = a2 / cs[None, :]
     mp = field._mp
     if mp is None:

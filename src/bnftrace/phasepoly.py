@@ -105,9 +105,14 @@ class PhasePoly(TruncatedPoly):
 
 def poisson(f, g, n):
     """{f, g} with the (x_1..x_n, xi_1..xi_n) variable layout."""
-    out = PhasePoly.zero(f.field, f.nvars, min(f.degree, g.degree))
+    return _bracket([f.derive(i) for i in range(2 * n)], f.degree, g, n)
+
+
+def _bracket(df, degree, g, n):
+    """{f, g} from the 2n partials ``df`` of f, which has degree ``degree``."""
+    out = PhasePoly.zero(g.field, g.nvars, min(degree, g.degree))
     for j in range(n):
-        out = out + f.derive(n + j) * g.derive(j) - f.derive(j) * g.derive(n + j)
+        out = out + df[n + j] * g.derive(j) - df[j] * g.derive(n + j)
     return out
 
 
@@ -234,6 +239,7 @@ def exp_ham(chi, n, degree):
     if md is not None and md < 3:
         raise SchemaError("exp_ham needs a generator of degree >= 3")
     nv = 2 * n
+    dchi = [chi.derive(i) for i in range(nv)]
     comps = []
     for i in range(nv):
         w = PhasePoly.variable(f, nv, degree, i)
@@ -241,7 +247,7 @@ def exp_ham(chi, n, degree):
         cur = w
         m = 1
         while True:
-            cur = poisson(chi, cur, n)
+            cur = _bracket(dchi, chi.degree, cur, n)
             if cur.is_zero():
                 break
             acc = acc + cur.scale(f.factorial_inv(m))

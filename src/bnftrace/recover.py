@@ -555,8 +555,11 @@ def recover_qbnf(tdata, n, orders=None, tol=1e-8, cond_gate=1e8,
     partially recovered data is linear in the new unknowns.  That
     coefficient depends only on terms of lower (z, h) order, so each stage
     computes it alone at its own orders (m, j); only the self-check runs
-    the whole forward expansion at the full trace orders.  The recovered F
-    covers the trace-order-limited set l + |alpha| <= N_h + 1.
+    the whole forward expansion at the full trace orders, and it also
+    compares the constant phase of the recovered form with the traces'.
+    The recovered F covers the trace-order-limited set l + |alpha| <= N_h + 1
+    and is bounded at h <= max(N_h, 1): at N_h = 0 the f00 and f0m terms
+    of stage 0 and the (0, m) stages are h^1 terms.
 
     ``engine`` is an optional :class:`~bnftrace.qbnf.TraceEngine` already
     built for some state, such as the forward engine of a round trip; the
@@ -567,14 +570,16 @@ def recover_qbnf(tdata, n, orders=None, tol=1e-8, cond_gate=1e8,
     f = tdata.field
     t_orders = tdata.orders()
     n_z, n_h = t_orders.z, t_orders.h
+    # f00 and the f0m are h^1 terms, which trace h-order 0 already fixes
+    h_cap = max(n_h, 1)
     if orders is None:
-        orders = Orders(n_h + 1, n_z, n_h)
+        orders = Orders(n_h + 1, n_z, h_cap)
     else:
         orders = Orders(*orders)
-    if orders.z > n_z or orders.h > n_h:
+    if orders.z > n_z or orders.h > h_cap:
         raise SchemaError(
             f"target orders {tuple(orders)} exceed trace orders "
-            f"(z<={n_z}, h<={n_h})"
+            f"(z<={n_z}, h<={h_cap})"
         )
     notes = []
     conditioning = {}
@@ -680,8 +685,8 @@ def recover_qbnf(tdata, n, orders=None, tol=1e-8, cond_gate=1e8,
     residuals = {}
     worst = 0.0
     for k in ks:
-        fwd = trace_power(recovered, k, (n_z, n_h), pole_tol,
-                          engine=eng).coeffs
+        tp = trace_power(recovered, k, (n_z, n_h), pole_tol, engine=eng)
+        fwd = tp.coeffs
         for m in range(n_z + 1):
             for j in range(n_h + 1):
                 a = coeffs[k].get((), m, j)
@@ -689,7 +694,15 @@ def recover_qbnf(tdata, n, orders=None, tol=1e-8, cond_gate=1e8,
                 dev = f.abs(a - b) / max(1.0, f.abs(a))
                 residuals[(j, k, m)] = dev
                 worst = max(worst, dev)
-    failed = worst > (0 if f.exact else tol)
+    # the constant phase, against the traces' phase with the residual
+    # sample phase folded in, as the coefficients above were rebased by it
+    limit = 0 if f.exact else tol
+    dev = f.abs(tp.phase - f00) / max(1.0, f.abs(f00))
+    if dev > limit:
+        notes.append(f"recovered constant phase {tp.phase!r} differs from "
+                     f"the traces' phase {f00!r}")
+    worst = max(worst, dev)
+    failed = worst > limit
     notes.append("blocks in canonical order: ch pairs, rh, elliptic")
     return RecoveryReport(recovered, residuals, worst, conditioning, notes,
                           failed)

@@ -13,6 +13,15 @@ it leaves the bound beyond the degree) and ``_fits`` (key inside a bound).
 No stored coefficient equals the field zero, so equality is structural,
 and every operation is a pure function.
 
+A product pairs each left term only with the right terms whose graded
+degree fits its room, the bound's degree minus its own.  The right
+operand lists its (key, coeff) pairs per room, in its own dict order,
+the first time a product asks for that room, and keeps the lists: a
+polynomial is never changed after it is made, and a power or component
+is often the right operand of many products.  The visited pairs run in
+the same order as a scan of every pair would, so sums accumulate in the
+same order and results are bit-identical on floats too.
+
 :class:`MultiSeries` is the layout in (iota_1..iota_n, z, h), bound by
 ``Orders``; ``phasepoly.PhasePoly`` is the other.  ``derive`` is not
 shared: ``MultiSeries.derive`` lowers the order in its variable, so the
@@ -31,12 +40,13 @@ class TruncatedPoly:
     """Sparse polynomial over ``field`` in ``arity`` variables, truncated
     at ``bound``; see the module docstring for the layout hooks."""
 
-    __slots__ = ("field", "arity", "bound", "terms")
+    __slots__ = ("field", "arity", "bound", "terms", "_rooms")
 
     def __init__(self, field, arity, bound, terms=None):
         self.field = field
         self.arity = arity
         self.bound = bound
+        self._rooms = None
         self.terms = {}
         for raw, coeff in (terms or {}).items():
             key = self._key(raw)
@@ -51,6 +61,7 @@ class TruncatedPoly:
         poly.field = field
         poly.arity = arity
         poly.bound = bound
+        poly._rooms = None
         is_zero = field.is_zero
         poly.terms = {k: c for k, c in terms.items() if not is_zero(c)}
         return poly
@@ -86,18 +97,46 @@ class TruncatedPoly:
     def __sub__(self, other):
         return self + (-other)
 
+    def _rooms_index(self):
+        """Start the per-room lists that products read this polynomial
+        through as a right operand: ``None`` maps to the top degree and
+        each term's degree, the top degree to the full list.  Kept on the
+        instance, as ``terms`` never changes."""
+        degs = [self._degree(k) for k in self.terms]
+        top = max(degs, default=0)
+        self._rooms = {None: (top, degs), top: list(self.terms.items())}
+        return self._rooms
+
+    def _upto(self, room):
+        """Add the list for a new ``room``: the (key, coeff) pairs of
+        graded degree <= room, in dict order; a room at or above the top
+        degree shares the full list."""
+        rooms = self._rooms
+        top, degs = rooms[None]
+        if room >= top:
+            pairs = rooms[top]
+        else:
+            pairs = [kc for kc, d in zip(self.terms.items(), degs)
+                     if d <= room]
+        rooms[room] = pairs
+        return pairs
+
     def __mul__(self, other):
-        # each term's degree is computed once; the pairs run in the dict
-        # order of both operands, so sums accumulate in a fixed order
+        # each left term meets only the right terms whose degree fits its
+        # room, from the right operand's cached list for that room; the
+        # visited pairs run in the dict order of both operands, so sums
+        # accumulate in a fixed order
         bound = self._joint(other)
         degree, join = self._degree, self._join
-        right = [(k2, c2, degree(k2)) for k2, c2 in other.terms.items()]
+        rooms = other._rooms or other._rooms_index()
+        cap = bound[0]
         terms = {}
         for k1, c1 in self.terms.items():
-            room = bound[0] - degree(k1)
-            for k2, c2, d2 in right:
-                if d2 > room:
-                    continue
+            room = cap - degree(k1)
+            pairs = rooms.get(room)
+            if pairs is None:
+                pairs = other._upto(room)
+            for k2, c2 in pairs:
                 key = join(k1, k2, bound)
                 if key is None:
                     continue

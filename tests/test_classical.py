@@ -127,6 +127,21 @@ def test_taylor_map_symplectic_validation():
                              {(0, 1): FR.from_rational("1/3")}])
 
 
+def test_symplectic_residual_reads_the_top_jacobian_degree():
+    """x' = x + x^3/5 at degree 3: D^T J D - J = (3/5) x^2, of degree
+    2 = degree - 1, the last one the check covers."""
+    for field in (FR, FF):
+        comps = [{(1, 0): field.one, (3, 0): field.from_rational("1/5")},
+                 {(0, 1): field.one}]
+        tm = TaylorMap(field, 1, 3, comps, validate=False)
+        assert tm.symplectic_residual() == pytest.approx(
+            1 if field.exact else 0.6, rel=1e-15)
+        with pytest.raises(SchemaError):
+            TaylorMap(field, 1, 3, comps)
+        # at degree 2 the cubic term is truncated away
+        TaylorMap(field, 1, 2, comps)
+
+
 def test_taylor_map_requires_fixed_origin():
     with pytest.raises(SchemaError):
         TaylorMap(FF, 1, 3, [{(0, 0): FF.one, (1, 0): FF.one},

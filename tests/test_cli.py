@@ -403,10 +403,10 @@ def _n1_file(tmp_path, F_terms, jet):
 
 
 @pytest.mark.parametrize("F_terms, jet, orders, named", [
-    # F = iota^2/7 + h/5 with jet z at h-order 0: the recovered F holds no
-    # h^1 term and no iota^2 term, and the jet's z term is above z^0
+    # F = iota^2/7 + h/5 with jet z at h-order 0: the recovered F holds the
+    # h^1 term but no iota^2 term, and the jet's z term is above z^0
     ({((2,), 0, 0): "1/7", ((0,), 0, 1): "1/5"}, {1: 1}, "2,0,0",
-     "F term iota^[0] z^0 h^1"),
+     "F term iota^[2] z^0 h^0"),
     ({((2,), 0, 0): "1/7"}, {}, "2,1,0", "F term iota^[2] z^0 h^0"),
     # l + |alpha| = 2 = N_h + 1, but l = 2 > N_h
     ({((2,), 0, 0): "1/7", ((0,), 0, 2): "1/9"}, {1: 1}, "2,1,1",
@@ -435,3 +435,31 @@ def test_roundtrip_accepts_the_recoverable_set(tmp_path, capsys):
     rc = main(["roundtrip", "--bnf", path, "--orders", "2,1,1", "--kmax", "8"])
     assert rc == 0
     assert "equals the input exactly" in capsys.readouterr().out
+
+
+def test_roundtrip_recovers_h1_terms_at_h_order_zero(tmp_path, capsys):
+    """At h-order 0 the recovery still solves for f00 and f01, which are
+    h^1 terms: F = h/5 + z h/3 with jet z round-trips at orders (1, 1, 0)."""
+    path = _n1_file(tmp_path, {((0,), 0, 1): "1/5", ((0,), 1, 1): "1/3"},
+                    {1: FR.one})
+    rc = main(["roundtrip", "--bnf", path, "--orders", "1,1,0", "--kmax", "8"])
+    assert rc == 0
+    assert "equals the input exactly" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cmd", ["forward", "roundtrip"])
+@pytest.mark.parametrize("orders, minimum", [("1,1,2", 3), ("3,3,3", 4),
+                                             ("0,0,0", 1)])
+def test_iota_order_below_h_plus_one_is_an_input_error(
+        rt1_file, tmp_path, capsys, cmd, orders, minimum):
+    """The trace at h-order H reads F through iota^(H+1), so a smaller
+    IOTA would be ignored; the error names the minimum."""
+    argv = [cmd, "--bnf", rt1_file, "--orders", orders, "--kmax", "6"]
+    if cmd == "forward":
+        argv += ["--out", str(tmp_path / "t.json")]
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert f"IOTA >= H + 1 = {minimum}" in err
+    assert out == ""
+    assert not (tmp_path / "t.json").exists()

@@ -5,7 +5,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import mixed_float_fixture, rt1, well_separated_mus
@@ -288,6 +288,8 @@ def _well_conditioned_systems(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_well_conditioned_systems())
+# a row whose scale is subnormal: dividing by it overflowed to nan
+@example(system=([[2 + 0j], [2.225073858507e-311 + 0j]], [0j, 0j]))
 def test_double_and_extended_solves_agree(system):
     rows, rhs = system
     x64, c64, _ = linalg.solve_lstsq(FF, rows, rhs)
@@ -519,3 +521,37 @@ def test_recovery_evaluates_each_z_series_once(monkeypatch):
     assert not rep.failed
     assert calls
     assert len(calls) == len(set(calls))
+
+
+def _h_order_zero_traces(F_terms):
+    """rh E=3, jet z and F = F_terms, traced at orders (z<=1, h<=0)."""
+    blocks = SpectrumBlocks(FR, [REAL_HYPERBOLIC], [FR.from_int(3)])
+    F = MultiSeries(FR, 1, Orders(1, 1, 1),
+                    {k: FR.from_rational(c) for k, c in F_terms.items()})
+    bnf = QuantumBNF(blocks, [zseries(FR, 1, {1: FR.one})], F)
+    return F, make_trace_data(bnf, zseries(FR, 1, {1: FR.one}), {}, 6, (1, 0))
+
+
+@pytest.mark.parametrize("F_terms", [
+    {((0,), 0, 1): "1/5"},
+    {((0,), 0, 1): "1/5", ((0,), 1, 1): "1/3"},
+])
+def test_recovery_keeps_h1_terms_at_h_order_zero(F_terms):
+    """Traces at h-order 0 fix f00 and f01, which are h^1 terms of F: the
+    recovered F holds them, term for term."""
+    F, td = _h_order_zero_traces(F_terms)
+    rep = recover_qbnf(td, 1)
+    assert not rep.failed
+    assert list(rep.recovered.F.terms.items()) == list(F.terms.items())
+    assert rep.recovered.F.orders.h == 1
+
+
+def test_self_check_compares_the_constant_phase():
+    """A recovery bounded at h^0 drops f00 = 1/5; every coefficient still
+    matches, and only the constant phase tells."""
+    _F, td = _h_order_zero_traces({((0,), 0, 1): "1/5"})
+    rep = recover_qbnf(td, 1, orders=(1, 1, 0))
+    assert rep.recovered.F.is_zero()
+    assert rep.failed
+    assert all(v == 0 for v in rep.residuals.values())
+    assert any("constant phase" in note for note in rep.normalization_notes)

@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnftrace.errors import DimensionMismatchError, SchemaError
-from bnftrace.fields import RationalField
+from bnftrace.fields import FloatField, RationalField
 from bnftrace.phasepoly import PhasePoly
 from bnftrace.series import MultiSeries, Orders, zseries
 
 F = RationalField()
+FF = FloatField()
 
 
 def _z(orders=(0, 4, 0)):
@@ -231,22 +232,25 @@ def test_phasepoly_arity_mismatch():
 
 
 # Reference algorithms: the per-pair loops each class ran before the core,
-# followed by the public constructor's truncation and zero pruning.
+# followed by the public constructor's truncation and zero pruning.  They
+# visit every pair, so they also stand for the product before it skipped
+# the right terms beyond a left term's room.
 
-def _ref_clean(terms, fits):
-    return {k: c for k, c in terms.items() if fits(k) and not F.is_zero(c)}
+def _ref_clean(terms, fits, field):
+    return {k: c for k, c in terms.items()
+            if fits(k) and not field.is_zero(c)}
 
 
 def _ref_add(a, b, fits):
     terms = dict(a.terms)
     for key, coeff in b.terms.items():
         terms[key] = terms[key] + coeff if key in terms else coeff
-    return _ref_clean(terms, fits)
+    return _ref_clean(terms, fits, a.field)
 
 
 def _ref_scale(a, value):
     return _ref_clean({k: value * c for k, c in a.terms.items()},
-                      lambda k: True)
+                      lambda k: True, a.field)
 
 
 def _ref_series_mul(a, b, orders):
@@ -262,7 +266,7 @@ def _ref_series_mul(a, b, orders):
             key = (alpha, m, l)
             prod = c1 * c2
             terms[key] = terms[key] + prod if key in terms else prod
-    return _ref_clean(terms, lambda k: True)
+    return _ref_clean(terms, lambda k: True, a.field)
 
 
 def _ref_phase_mul(a, b, deg):
@@ -275,42 +279,44 @@ def _ref_phase_mul(a, b, deg):
             e = tuple(x + y for x, y in zip(e1, e2))
             v = c1 * c2
             terms[e] = terms[e] + v if e in terms else v
-    return _ref_clean(terms, lambda k: True)
+    return _ref_clean(terms, lambda k: True, a.field)
 
 
 # few distinct values, so that sums cancel to zero and get pruned
 _coeffs = st.sampled_from([F.one, -F.one, F.from_rational("1/2"),
                            F.from_rational("-1/2"), F.i, F.from_int(3)])
+# doubles whose products and sums round, with some exact cancellations
+_double_coeffs = st.sampled_from([1.0 + 0j, -1.0 + 0j, 0.1 + 0j, -0.1 + 0j,
+                                  1 / 3 + 0j, 0.7 - 0.2j, -0.3j, 1e-3 + 2.5j])
 _exp = st.integers(0, 3)
 
 
 @st.composite
-def _series_pair(draw):
-    n = draw(st.integers(0, 2))
+def _series_pair(draw, field=F, coeffs=_coeffs, count=2, n=None):
+    if n is None:
+        n = draw(st.integers(0, 2))
     key = st.tuples(st.tuples(*[_exp] * n), _exp, _exp)
     ords = st.tuples(*[st.integers(0, 4)] * 3)
-    return [MultiSeries(F, n, draw(ords),
-                        draw(st.dictionaries(key, _coeffs, max_size=8)))
-            for _ in range(2)]
+    return [MultiSeries(field, n, draw(ords),
+                        draw(st.dictionaries(key, coeffs, max_size=8)))
+            for _ in range(count)]
 
 
 @st.composite
-def _phase_pair(draw):
-    nv = draw(st.integers(1, 4))
+def _phase_pair(draw, field=F, coeffs=_coeffs, count=2, nv=None):
+    if nv is None:
+        nv = draw(st.integers(1, 4))
     key = st.tuples(*[_exp] * nv)
-    return [PhasePoly(F, nv, draw(st.integers(0, 5)),
-                      draw(st.dictionaries(key, _coeffs, max_size=8)))
-            for _ in range(2)]
+    return [PhasePoly(field, nv, draw(st.integers(0, 5)),
+                      draw(st.dictionaries(key, coeffs, max_size=8)))
+            for _ in range(count)]
 
 
 def _items(d):
     return list(d.items())
 
 
-@settings(max_examples=150, deadline=None)
-@given(_series_pair(), _coeffs)
-def test_series_core_matches_reference(pair, value):
-    a, b = pair
+def _check_series_core(a, b, value):
     orders = Orders(*map(min, a.orders, b.orders))
     fits = lambda k: (sum(k[0]) <= orders.iota and k[1] <= orders.z
                       and k[2] <= orders.h)
@@ -318,14 +324,11 @@ def test_series_core_matches_reference(pair, value):
     assert _items((a - b).terms) == _items(_ref_add(a, -b, fits))
     assert _items((a * b).terms) == _items(_ref_series_mul(a, b, orders))
     assert _items(a.scale(value).terms) == _items(_ref_scale(a, value))
-    assert _items(a.scale(F.zero).terms) == []
+    assert _items(a.scale(a.field.zero).terms) == []
     assert (a * b).orders == (a + b).orders == orders
 
 
-@settings(max_examples=150, deadline=None)
-@given(_phase_pair(), _coeffs)
-def test_phasepoly_core_matches_reference(pair, value):
-    a, b = pair
+def _check_phasepoly_core(a, b, value):
     deg = min(a.degree, b.degree)
     fits = lambda e: sum(e) <= deg
     assert _items((a + b).terms) == _items(_ref_add(a, b, fits))
@@ -333,3 +336,61 @@ def test_phasepoly_core_matches_reference(pair, value):
     assert _items((a * b).terms) == _items(_ref_phase_mul(a, b, deg))
     assert _items(a.scale(value).terms) == _items(_ref_scale(a, value))
     assert (a * b).degree == (a + b).degree == deg
+
+
+@settings(max_examples=150, deadline=None)
+@given(_series_pair(), _coeffs)
+def test_series_core_matches_reference(pair, value):
+    _check_series_core(*pair, value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_phase_pair(), _coeffs)
+def test_phasepoly_core_matches_reference(pair, value):
+    _check_phasepoly_core(*pair, value)
+
+
+# the double twins: the reference sums in the same order, so the rounded
+# coefficients must agree bit for bit, and in the same key order
+
+@settings(max_examples=150, deadline=None)
+@given(_series_pair(FF, _double_coeffs), _double_coeffs)
+def test_series_core_matches_reference_on_doubles(pair, value):
+    _check_series_core(*pair, value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_phase_pair(FF, _double_coeffs), _double_coeffs)
+def test_phasepoly_core_matches_reference_on_doubles(pair, value):
+    _check_phasepoly_core(*pair, value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_reused_right_operand_matches_reference(data):
+    """One right operand times several left operands of mixed bounds, on
+    both layouts and both fields: the later products read the room lists
+    that the earlier ones left on the operand."""
+    field, coeffs = data.draw(st.sampled_from([(F, _coeffs),
+                                               (FF, _double_coeffs)]))
+    n = data.draw(st.integers(0, 2))
+    right, *lefts = data.draw(_series_pair(field, coeffs, count=5, n=n))
+    before = _items(right.terms)
+    for left in lefts + lefts[::-1]:
+        orders = Orders(*map(min, left.orders, right.orders))
+        assert (_items((left * right).terms)
+                == _items(_ref_series_mul(left, right, orders)))
+    assert _items(right.terms) == before
+
+    nv = data.draw(st.integers(1, 4))
+    right, *lefts = data.draw(_phase_pair(field, coeffs, count=5, nv=nv))
+    before = _items(right.terms)
+    for left in lefts + lefts[::-1]:
+        deg = min(left.degree, right.degree)
+        assert (_items((left * right).terms)
+                == _items(_ref_phase_mul(left, right, deg)))
+    assert _items(right.terms) == before
+    # the same operand on the left reads its terms directly
+    assert (_items((right * lefts[0]).terms)
+            == _items(_ref_phase_mul(right, lefts[0],
+                                     min(right.degree, lefts[0].degree))))
