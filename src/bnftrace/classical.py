@@ -302,17 +302,10 @@ def check_nonresonance(blocks, max_order, tol=1e-8):
 def linear_normalize(tmap, tol=DEFAULT_TOL):
     """Bring the linear part to the standard block form.
 
-    Returns (normalized TaylorMap, T) with T the real symplectic matrix of
-    the change of variables: normalized = T^{-1} o kappa o T.
+    Returns (normalized TaylorMap, T, blocks) with T the real symplectic
+    matrix of the change of variables, normalized = T^{-1} o kappa o T,
+    and the SpectrumBlocks of the same eigendecomposition.
     """
-    normalized, T, _units = _linear_normalize(tmap, tol)
-    return normalized, T
-
-
-def _linear_normalize(tmap, tol):
-    """:func:`linear_normalize` plus the eigenbasis units it was built
-    from, so the caller can classify the blocks without a second
-    eigendecomposition."""
     f = tmap.field
     if f.exact:
         raise SchemaError(
@@ -328,7 +321,7 @@ def _linear_normalize(tmap, tol):
                               [[f.one * complex(x) for x in row] for row in Tinv])
     conj = tmi.compose(tmap.pmap.compose(tm))
     out = TaylorMap(f, tmap.n, tmap.degree, conj.comps, validate=False)
-    return out, T, units
+    return out, T, _blocks_from_units(units, f)
 
 
 class BNFResult:
@@ -502,8 +495,7 @@ def birkhoff_normal_form(tmap, iota_degree, tol=DEFAULT_TOL,
                 "the numeric eigendecomposition needs the float backend; "
                 "pass blocks and assume_normalized for exact fixtures"
             )
-        normalized, transform, units = _linear_normalize(tmap, tol)
-        blocks = _blocks_from_units(units, f)
+        normalized, transform, blocks = linear_normalize(tmap, tol)
     order = resonance_order or 2 * iota_degree
     w = nonresonance_witness(blocks.mu(), order, small_denominator_tol)
     if w is not None:

@@ -19,9 +19,10 @@ monomial in E_j, which keeps the rational fixtures (E_j rational) exact.
 B_k is a product over blocks, so d^alpha B_k = prod_j d^{alpha_j}
 (1/2)csch(k mu_j/2), each factor (k/2)^a q_a(t_j) (1/2)csch(k mu_j/2) with
 an integer polynomial q_a (:func:`coth_poly`).  :func:`csch_block` gives
-one factor, as a value at E_j or as a z-series along mu_j(z); the trace
-engine is built on it.  The n-variable calculus above serves the
-csch-derivative oracle and is the reference the tests compare against.
+one factor as a z-series along mu_j(z), whose constant term is its value
+at mu_j(0); the trace engine is built on it.  The n-variable calculus
+above serves the csch-derivative oracle and is the reference the tests
+compare against.
 
 The lattice sum of the geometric expansion
 
@@ -222,30 +223,19 @@ def coth_poly(a):
     return q
 
 
-def csch_block(field, k, a, exp_half=None, t_powers=None,
-               pole_tol=DEFAULT_POLE_TOL):
+def csch_block(field, k, a, t_powers):
     """d^a (1/2)csch(k mu/2) of one block, as (k/2)^a q_a(t) (1/2)csch(k mu/2)
-    (:func:`coth_poly`).
+    (:func:`coth_poly`), a z-series along mu(z).
 
-    With ``t_powers`` = [B, T B, T^2 B, ...] (at least a+1 of them), where
-    T and 2B are the coth and csch z-series of :func:`coth_csch_series`,
-    the result is the z-series along mu(z); otherwise it is the value at
-    ``exp_half`` = exp(mu/2).  The product over j of the blocks'
-    d^alpha_j is d^alpha prod_j (1/2)csch(k mu_j/2).
+    ``t_powers`` = [B, T B, T^2 B, ...] (at least a+1 of them), where T and
+    2B are the coth and csch z-series of :func:`coth_csch_series`.  The
+    constant term is the value at mu(0), and the product over j of the
+    blocks' d^alpha_j is d^alpha prod_j (1/2)csch(k mu_j/2).
     """
     f = field
     scale = (f.from_int(k) * f.inv(f.from_int(2))) ** a
-    q = coth_poly(a)
-    if t_powers is None:
-        s2, c2 = _sinh_cosh_from_exp_half(f, exp_half, k, pole_tol)
-        inv_s2 = f.inv(s2)             # (1/2)csch = 1/s2
-        t = c2 * inv_s2
-        acc = f.zero
-        for c in reversed(q):
-            acc = acc * t + f.from_int(c)
-        return acc * scale * inv_s2
     total = None
-    for d, c in enumerate(q):
+    for d, c in enumerate(coth_poly(a)):
         if c:
             term = t_powers[d].scale(f.from_int(c) * scale)
             total = term if total is None else total + term

@@ -19,8 +19,9 @@ d^alpha prod_j (1/2)csch(k mu_j/2) = prod_j d^{alpha_j} (1/2)csch(k mu_j/2).
 A :class:`TraceEngine` holds it for one such mu-jet state: per (k, j) the
 powers coth^d (1/2)csch along mu_j(z), per (k, j, a) the block factor
 d^a (1/2)csch(k mu_j/2) (:func:`~bnftrace.hypcalc.csch_block`) as a
-z-series along mu_j(z) and as a value at mu_j(0), and per (k, alpha) the
-product of the z-series over j.  The caches live as long as the engine:
+z-series along mu_j(z), and per (k, alpha) the product of the z-series
+over j; a value at mu(0) is the product of the blocks' constant terms.
+The caches live as long as the engine:
 :func:`make_trace_data` uses one for all powers, and the recovery one per
 mu-jet state, so no evaluation is repeated within it.
 
@@ -269,7 +270,6 @@ class TraceEngine:
         self._half = self.field.inv(self.field.from_int(2))
         self._t_powers = {}
         self._block_series = {}
-        self._block_values = {}
         self._series = {}
 
     def serves(self, blocks, mu_jets, n_z, pole_tol):
@@ -296,15 +296,6 @@ class TraceEngine:
             self._block_series[(k, j, a)] = s
         return s
 
-    def _block_value(self, k, j, a):
-        v = self._block_values.get((k, j, a))
-        if v is None:
-            v = hypcalc.csch_block(self.field, k, a,
-                                   exp_half=self.exp_half[j],
-                                   pole_tol=self.pole_tol)
-            self._block_values[(k, j, a)] = v
-        return v
-
     def zseries(self, k, alpha):
         """z-series of d^alpha prod_j (1/2)csch(k mu_j/2) along mu(z)."""
         s = self._series.get((k, alpha))
@@ -316,10 +307,11 @@ class TraceEngine:
         return s
 
     def value_at_mu0(self, k, alpha):
-        """d^alpha prod_j (1/2)csch(k mu_j/2) at mu(0)."""
-        v = self._block_value(k, 0, alpha[0])
+        """d^alpha prod_j (1/2)csch(k mu_j/2) at mu(0): the product of the
+        constant terms of the blocks' z-series."""
+        v = self._block_zseries(k, 0, alpha[0]).constant_term()
         for j in range(1, self.n):
-            v = v * self._block_value(k, j, alpha[j])
+            v = v * self._block_zseries(k, j, alpha[j]).constant_term()
         return v
 
 

@@ -31,17 +31,16 @@ numbers are reported rather than assumed.
 
 The forward runs go through :class:`~bnftrace.qbnf.TraceEngine`, whose
 per-block caches (coth/csch z-series per (k, j); each block factor
-d^a (1/2)csch(k mu_j/2) as a z-series along mu_j(z) and as a value at
-mu_j(0)) are valid for one mu-jet state.  The jets change only in the
-(0, m) stages, so there is one engine per (0, m) stage and one more shared
-by every later stage and the final self-check, and the matrix entries
-above come from the same caches.  Each engine is built at the full
-z-order and serves the lower orders (m, j) of the stages.  A stage
-computes only the coefficient it reads
-(:func:`~bnftrace.qbnf.trace_coefficient` at (m, j)); only the
-self-check runs the whole expansion.  A caller may hand in an engine it
-already has (the round trip passes its forward engine), and it is used
-for every stage whose state it serves.
+d^a (1/2)csch(k mu_j/2) as a z-series along mu_j(z)) are valid for one
+mu-jet state.  The jets change only in the (0, m) stages, so there is one
+engine per (0, m) stage and one more shared by every later stage and the
+final self-check.  The matrix entries above are the constant terms of the
+same block series.  Each engine is built at the full z-order and serves
+the lower orders (m, j) of the stages.  A stage computes only the
+coefficient it reads (:func:`~bnftrace.qbnf.trace_coefficient` at
+(m, j)); only the self-check runs the whole expansion.  A caller may
+hand in an engine it already has (the round trip passes its forward
+engine), and it is used for every stage whose state it serves.
 """
 
 import cmath
@@ -50,7 +49,6 @@ import math
 
 import numpy as np
 
-from . import hypcalc
 from .blocks import (COMPLEX_HYPERBOLIC, ELLIPTIC, REAL_HYPERBOLIC,
                      SpectrumBlocks)
 from .errors import (ConditioningError, FieldError, MathError,
@@ -468,38 +466,20 @@ def recover_frequencies(field, a0, n, residual_tol=1e-6):
     return FrequencyResult(blocks, phi, phi_value, cond, exp_sum)
 
 
-def recover_polynomial(field, values, exp_half, max_degree=None,
-                       alpha_set=None, k_set=None, residual_tol=1e-8,
-                       cond_gate=None, engine=None):
-    """Solve for the coefficients a_alpha of p from the values of
-    p(i k^{-1} d/dmu) prod_j (1/2)csch(k mu_j/2) at mu(0), over k in k_set.
+def recover_polynomial(engine, values, alpha_set, residual_tol=1e-8,
+                       cond_gate=None):
+    """Solve for the coefficients a_alpha, alpha in ``alpha_set``, of p from
+    the values of p(i k^{-1} d/dmu) prod_j (1/2)csch(k mu_j/2) at mu(0),
+    over the powers k of ``values``.
 
-    ``engine`` is a :class:`~bnftrace.qbnf.TraceEngine` at these
-    ``exp_half``; the matrix entries then come from its cached values, else
-    straight from the block factors.  ``cond_gate`` caps the condition
-    number of a float solve; exact solves are not gated.
+    The field, the exponents mu(0) and the matrix entries come from
+    ``engine``, a :class:`~bnftrace.qbnf.TraceEngine`
+    (:meth:`~bnftrace.qbnf.TraceEngine.value_at_mu0`).  ``cond_gate`` caps
+    the condition number of a float solve; exact solves are not gated.
     """
-    n = len(exp_half)
-    if engine is None:
-        def entry(k, alpha):
-            v = field.one
-            for E, a in zip(exp_half, alpha):
-                v = v * hypcalc.csch_block(field, k, a, exp_half=E)
-            return v
-    elif list(exp_half) != engine.exp_half:
-        raise SchemaError("trace engine was built for other exponents")
-    else:
-        entry = engine.value_at_mu0
-    if alpha_set is None:
-        if max_degree is None:
-            raise SchemaError("need max_degree or alpha_set")
-        alpha_set = [
-            a for a in itertools.product(range(max_degree + 1), repeat=n)
-            if sum(a) <= max_degree
-        ]
+    field = engine.field
     alpha_set = [tuple(a) for a in alpha_set]
-    if k_set is None:
-        k_set = sorted(values)
+    k_set = sorted(values)
     if len(k_set) < len(alpha_set):
         raise RankDeficiencyError(
             f"{len(alpha_set)} unknown coefficients need at least "
@@ -510,7 +490,7 @@ def recover_polynomial(field, values, exp_half, max_degree=None,
         ik_inv = field.i * field.inv(field.from_int(k))
         row = []
         for alpha in alpha_set:
-            d = entry(k, alpha)
+            d = engine.value_at_mu0(k, alpha)
             da = sum(alpha)
             row.append(d * ik_inv ** da if da else d)
         rows.append(row)
@@ -546,6 +526,36 @@ class RecoveryReport:
                 f"max_cond={max(self.conditioning.values()):.3e}>")
 
 
+def _h_cap(n_h):
+    """The top h-power of the F that traces at h-order n_h recover: f00
+    and the f0m are h^1 terms, which h-order 0 already fixes."""
+    return max(n_h, 1)
+
+
+def require_recoverable(bnf, n_z, n_h):
+    """Refuse a normal form with a term that a recovery from traces at
+    orders (n_z, n_h) does not solve for: an F term with
+    l + |alpha| > n_h + 1, l > max(n_h, 1) or m > n_z, or a mu-jet term
+    above z^n_z.  The first such term is named."""
+    h_cap = _h_cap(n_h)
+    scope = (f"at trace orders z<={n_z}, h<={n_h} the recovery solves for "
+             f"the F terms with l + |alpha| <= {n_h + 1}, l <= {h_cap} and "
+             f"z^m, m <= {n_z}, and the mu-jets up to z^{n_z}")
+    for alpha, m, l in sorted(bnf.F.terms):
+        if l + sum(alpha) > n_h + 1 or l > h_cap or m > n_z:
+            raise SchemaError(
+                f"roundtrip cannot recover the F term iota^{list(alpha)} "
+                f"z^{m} h^{l}: {scope}"
+            )
+    for j, jet in enumerate(bnf.mu_jets):
+        for _alpha, m, _l in sorted(jet.terms):
+            if m > n_z:
+                raise SchemaError(
+                    f"roundtrip cannot recover the z^{m} term of mu-jet "
+                    f"{j}: {scope}"
+                )
+
+
 def recover_qbnf(tdata, n, orders=None, tol=1e-8, cond_gate=1e8,
                  pole_tol=DEFAULT_POLE_TOL, engine=None):
     """Full order-by-order recovery of (mu(z), F) from TraceData.
@@ -570,8 +580,7 @@ def recover_qbnf(tdata, n, orders=None, tol=1e-8, cond_gate=1e8,
     f = tdata.field
     t_orders = tdata.orders()
     n_z, n_h = t_orders.z, t_orders.h
-    # f00 and the f0m are h^1 terms, which trace h-order 0 already fixes
-    h_cap = max(n_h, 1)
+    h_cap = _h_cap(n_h)
     if orders is None:
         orders = Orders(n_h + 1, n_z, h_cap)
     else:
@@ -639,10 +648,9 @@ def recover_qbnf(tdata, n, orders=None, tol=1e-8, cond_gate=1e8,
             fwd = trace_coefficient(bnf, k, m, j, pole_tol, engine=eng)
             delta = coeffs[k].get((), m, j) - fwd
             values[k] = delta * f.inv(-(f.i * f.from_int(k)))
-        sol, cond = recover_polynomial(
-            f, values, blocks.exp_half, alpha_set=alphas, k_set=ks,
-            residual_tol=max(tol, 1e-8), cond_gate=cond_gate, engine=eng,
-        )
+        sol, cond = recover_polynomial(eng, values, alphas,
+                                       residual_tol=max(tol, 1e-8),
+                                       cond_gate=cond_gate)
         conditioning[f"h{j}:z{m}"] = cond
         return sol
 

@@ -155,7 +155,7 @@ def test_linear_normalize_block_form_is_fixed():
     # a map already in block form commutes with the normalizing rotation,
     # so the conjugated map equals the input
     tm = _map_from_matrix(FF, rotation(0.9))
-    out, T = linear_normalize(tm)
+    out, T, _blocks = linear_normalize(tm)
     M = out.linear_matrix_complex().real
     assert np.max(np.abs(M - rotation(0.9))) < 1e-12
     J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -167,11 +167,13 @@ def test_linear_normalize_conjugated_rotation():
     S = random_symplectic_2x2(rng)
     M = S @ rotation(1.3) @ np.linalg.inv(S)
     tm = _map_from_matrix(FF, M)
-    out, T = linear_normalize(tm)
+    out, T, blocks = linear_normalize(tm)
     J = np.array([[0.0, 1.0], [-1.0, 0.0]])
     assert np.max(np.abs(T.T @ J @ T - J)) < 1e-12
     B = out.linear_matrix_complex().real
     assert np.max(np.abs(B - rotation(1.3))) < 1e-10
+    assert blocks.tags == (ELLIPTIC,)
+    assert abs(blocks.mu()[0] - 1.3j) < 1e-10
 
 
 def test_linear_normalize_hyperbolic_mixed_axes():
@@ -179,9 +181,11 @@ def test_linear_normalize_hyperbolic_mixed_axes():
     S = random_symplectic_2x2(rng)
     M = S @ np.diag([3.0, 1 / 3.0]) @ np.linalg.inv(S)
     tm = _map_from_matrix(FF, M)
-    out, T = linear_normalize(tm)
+    out, T, blocks = linear_normalize(tm)
     B = out.linear_matrix_complex().real
     assert np.max(np.abs(B - np.diag([3.0, 1 / 3.0]))) < 1e-12
+    assert blocks.tags == (REAL_HYPERBOLIC,)
+    assert abs(blocks.mu()[0] - math.log(3.0)) < 1e-12
     J = np.array([[0.0, 1.0], [-1.0, 0.0]])
     assert np.max(np.abs(T.T @ J @ T - J)) < 1e-12
 

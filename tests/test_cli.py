@@ -7,7 +7,7 @@ import pytest
 
 from helpers import mixed_float_fixture, rt1
 
-from bnftrace import jsonio
+from bnftrace import cli, jsonio
 from bnftrace.blocks import REAL_HYPERBOLIC, SpectrumBlocks
 from bnftrace.cli import build_parser, main
 from bnftrace.fields import FloatField, RationalField
@@ -445,6 +445,33 @@ def test_roundtrip_recovers_h1_terms_at_h_order_zero(tmp_path, capsys):
     rc = main(["roundtrip", "--bnf", path, "--orders", "1,1,0", "--kmax", "8"])
     assert rc == 0
     assert "equals the input exactly" in capsys.readouterr().out
+
+
+def test_exact_roundtrip_mismatch_in_one_coefficient_exits_three(
+        rt1_file, capsys, monkeypatch):
+    """The exact round trip compares through QuantumBNF.close_to, which is
+    equality on the rational field: a recovered F off by 1/1000 in one
+    coefficient is a mismatch."""
+    recover = cli.recover_qbnf
+
+    def off_by_one_coefficient(*args, **kwargs):
+        rep = recover(*args, **kwargs)
+        F = rep.recovered.F
+        key = ((1,), 0, 1)
+        terms = dict(F.terms)
+        terms[key] = terms[key] + FR.from_rational("1/1000")
+        rep.recovered = QuantumBNF(rep.recovered.blocks,
+                                   rep.recovered.mu_jets,
+                                   MultiSeries(FR, 1, F.orders, terms))
+        return rep
+
+    monkeypatch.setattr(cli, "recover_qbnf", off_by_one_coefficient)
+    rc = main(["roundtrip", "--bnf", rt1_file, "--orders", "4,3,3",
+               "--kmax", "8"])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert "round trip mismatch" in err
+    assert "round trip ok" not in out
 
 
 @pytest.mark.parametrize("cmd", ["forward", "roundtrip"])

@@ -18,7 +18,7 @@ from bnftrace.fields import FloatField, RationalField
 from bnftrace import hypcalc as hc
 from bnftrace import jsonio, linalg
 from bnftrace import recover as recover_module
-from bnftrace.qbnf import QuantumBNF, TraceData, make_trace_data
+from bnftrace.qbnf import QuantumBNF, TraceData, TraceEngine, make_trace_data
 from bnftrace.linalg import poly_roots
 from bnftrace.recover import (ExponentialSum, _cube_from_roots,
                               _polish_cube, recover_frequencies,
@@ -234,6 +234,12 @@ def test_wide_real_hyperbolic_triple_recovers_or_refuses():
     assert abs(cmath.exp(1j * fr.phi_value) - cmath.exp(1j * phi)) <= 1e-8
 
 
+def _engine_at(E):
+    """A trace engine at z-order 0 for one real hyperbolic block."""
+    blocks = SpectrumBlocks(FR, [REAL_HYPERBOLIC], [E])
+    return TraceEngine(blocks, [zseries(FR, 0)], 0)
+
+
 def test_recover_polynomial_linear():
     vals = {}
     for k in (1, 2, 3):
@@ -242,7 +248,8 @@ def test_recover_polynomial_linear():
             exp_half=[FR.from_int(2)])
         vals[k] = (FR.i * FR.inv(FR.from_int(k))) * d
     assert vals[1] == FR.i.conjugate() * FR.from_rational("5/9")  # -5i/9
-    sol, cond = recover_polynomial(FR, vals, [FR.from_int(2)], max_degree=1)
+    sol, cond = recover_polynomial(_engine_at(FR.from_int(2)), vals,
+                                   [(0,), (1,)])
     assert sol[(1,)] == FR.one
     assert sol[(0,)] == FR.zero
 
@@ -330,7 +337,8 @@ def test_extended_recovery_reports_the_double_condition_numbers(precision):
 
 def test_recover_polynomial_zero():
     vals = {k: FR.zero for k in (1, 2, 3)}
-    sol, _ = recover_polynomial(FR, vals, [FR.from_int(2)], max_degree=1)
+    sol, _ = recover_polynomial(_engine_at(FR.from_int(2)), vals,
+                                [(0,), (1,)])
     assert all(v == FR.zero for v in sol.values())
 
 
@@ -346,14 +354,16 @@ def test_recover_polynomial_quadratic_exact():
                 exp_half=[FR.from_int(2)])
             total = total + c * (FR.i * FR.inv(FR.from_int(k))) ** sum(alpha) * d
         vals[k] = total
-    sol, _ = recover_polynomial(FR, vals, [FR.from_int(2)], max_degree=2)
+    sol, _ = recover_polynomial(_engine_at(FR.from_int(2)), vals,
+                                [(0,), (1,), (2,)])
     assert sol == coeffs
 
 
 def test_recover_polynomial_needs_enough_powers():
     vals = {1: FR.one, 2: FR.one}
     with pytest.raises(RankDeficiencyError):
-        recover_polynomial(FR, vals, [FR.from_int(2)], max_degree=2)
+        recover_polynomial(_engine_at(FR.from_int(2)), vals,
+                           [(0,), (1,), (2,)])
 
 
 def test_recover_qbnf_trivial_fixture():
@@ -445,6 +455,34 @@ def test_recovery_triangularity_on_rt1():
     # the perturbed coefficient moves by exactly eps
     assert pert.recovered.F.get(key[0], key[1], key[2]) == \
         base.recovered.F.get(key[0], key[1], key[2]) + eps
+
+
+def test_recovery_evaluates_each_block_once_per_engine(monkeypatch):
+    """The stage matrices read the engines' block series, so sinh and cosh
+    are formed from E^k once per (engine, k, block) and never again."""
+    F, bnf, action = rt1()
+    K = 8
+    td = make_trace_data(bnf, action, {}, K, (3, 3))
+    engines, calls = [], []
+
+    class RecordingEngine(TraceEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    sinh_cosh = hc._sinh_cosh_from_exp_half
+
+    def counting(field, E, k, pole_tol):
+        calls.append((E, k))
+        return sinh_cosh(field, E, k, pole_tol)
+
+    monkeypatch.setattr(recover_module, "TraceEngine", RecordingEngine)
+    monkeypatch.setattr(hc, "_sinh_cosh_from_exp_half", counting)
+    rep = recover_qbnf(td, 1)
+    assert not rep.failed
+    # one engine per mu-jet state: none, then the recovered jet z
+    assert len(engines) == 2
+    assert len(calls) == len(engines) * K * bnf.n
 
 
 def test_recovery_normalization_idempotent():
