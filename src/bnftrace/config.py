@@ -1,5 +1,6 @@
 """Run configuration shared by the CLI commands."""
 
+import math
 from dataclasses import dataclass
 
 from .errors import SchemaError
@@ -23,8 +24,11 @@ class RunConfig:
                               f"{self.float_precision}")
         for name in ("tol_pole", "tol_resonance", "tol_conditioning",
                      "tol_residual"):
-            if getattr(self, name) <= 0:
-                raise SchemaError(f"{name} must be positive")
+            # a nan would turn a gate off and an inf would pass anything
+            v = getattr(self, name)
+            if not (v > 0 and math.isfinite(v)):
+                raise SchemaError(f"{name} must be positive and finite, "
+                                  f"got {v!r}")
         if any(o < 0 for o in self.orders):
             raise SchemaError("orders must be nonnegative")
         # the trace at h-order H reads F through iota^(H+1)

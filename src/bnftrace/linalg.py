@@ -1,19 +1,25 @@
 """Small field-generic linear algebra used by the recovery stages.
 
-Float systems, double or extended precision, take one path: a double
-snapshot of the matrix is equilibrated once, by rows and then by columns,
-which removes the geometric k-decay of the csch entries that otherwise
-dominates the condition number; the condition number is read off that
-equilibrated matrix, and the solution passes one residual test.  Only the
-solve differs by precision: numpy least squares on doubles (its SVD gives
-the condition number), mpmath's ``lu_solve`` on the same equilibration at
-full precision, which for a non-square matrix solves the normal equations.
+A least-squares system is factored once (``factor_lstsq``) and then solved
+for any number of right-hand sides; ``solve_lstsq`` is one factorization
+and one solve.  Every solve runs its own consistency or residual test.
 
-The exact backend runs plain Gauss-Jordan elimination on the augmented
-system and then *verifies* the remaining equations, which is exact least
-squares for consistent overdetermined systems -- the only kind a correct
-recovery stage produces.  There a float snapshot of the raw matrix
-supplies the reported condition number, purely as a diagnostic.
+Float systems, double or extended precision, take one path: the
+factorization equilibrates a double snapshot of the matrix once, by rows
+and then by columns, which removes the geometric k-decay of the csch
+entries that otherwise dominates the condition number; the condition
+number is read off that equilibrated matrix, and each solution passes one
+residual test.  Only the solve differs by precision: numpy least squares
+on the kept equilibrated doubles (its SVD gives the condition number),
+mpmath's ``lu_solve`` on the same equilibration at full precision, built
+once, which for a non-square matrix solves the normal equations.
+
+The exact backend runs plain Gauss-Jordan elimination on the matrix,
+recording its row operations, and each solve replays them on b and then
+*verifies* the remaining equations, which is exact least squares for
+consistent overdetermined systems -- the only kind a correct recovery
+stage produces.  There a float snapshot of the raw matrix supplies the
+reported condition number, purely as a diagnostic.
 """
 
 import numpy as np
@@ -41,6 +47,17 @@ def solve_lstsq(field, rows, rhs, residual_tol=1e-9):
     Raises RankDeficiencyError when the system cannot determine x or the
     equations are inconsistent beyond ``residual_tol`` (exact: beyond zero).
     """
+    return factor_lstsq(field, rows).solve(rhs, residual_tol)
+
+
+def factor_lstsq(field, rows):
+    """Factor A (len(rows) >= unknowns) for solves with any number of
+    right-hand sides: an object whose ``solve(rhs, residual_tol=1e-9)``
+    returns what ``solve_lstsq(field, rows, rhs, residual_tol)`` returns.
+
+    An exact A that cannot determine x raises RankDeficiencyError here, a
+    float one at each solve.
+    """
     m = len(rows)
     if m == 0:
         raise RankDeficiencyError("empty linear system")
@@ -50,90 +67,121 @@ def solve_lstsq(field, rows, rhs, residual_tol=1e-9):
             f"underdetermined recovery stage: {ncols} unknowns need at least "
             f"{ncols} trace powers, have {m}"
         )
-    if not field.exact:
-        return _solve_float(field, rows, rhs, residual_tol)
+    return (_ExactFactor if field.exact else _FloatFactor)(field, rows)
 
-    # exact path: Gauss-Jordan + verification of the leftover equations
-    cond = _cond_of(field, rows)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
-    piv_rows = []
-    r = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(r, m):
-            if not field.is_zero(aug[i][col]):
-                pivot = i
-                break
-        if pivot is None:
-            raise RankDeficiencyError(
-                f"rank-deficient recovery stage at column {col}: "
-                f"{ncols} unknowns"
-            )
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = field.inv(aug[r][col])
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(m):
-            if i != r and not field.is_zero(aug[i][col]):
-                factor = aug[i][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[r])]
-        piv_rows.append(r)
-        r += 1
-    x = [aug[i][ncols] for i in piv_rows]
-    for i in range(r, m):
-        if not field.is_zero(aug[i][ncols]):
+
+class _ExactFactor:
+    """Gauss-Jordan elimination of A alone, recorded as the row operations
+    that each solve replays on b before it verifies the leftover
+    equations."""
+
+    def __init__(self, field, rows):
+        self.field = field
+        self.cond = _cond_of(field, rows)
+        m, ncols = len(rows), len(rows[0])
+        a = [list(row) for row in rows]
+        # per pivot column: (pivot row, inverse, [(row, elimination factor)])
+        self.ops = []
+        for r in range(ncols):
+            pivot = None
+            for i in range(r, m):
+                if not field.is_zero(a[i][r]):
+                    pivot = i
+                    break
+            if pivot is None:
+                raise RankDeficiencyError(
+                    f"rank-deficient recovery stage at column {r}: "
+                    f"{ncols} unknowns"
+                )
+            a[r], a[pivot] = a[pivot], a[r]
+            inv = field.inv(a[r][r])
+            # only the columns right of the pivot are read again
+            a[r][r + 1:] = [x * inv for x in a[r][r + 1:]]
+            factors = []
+            for i in range(m):
+                if i != r and not field.is_zero(a[i][r]):
+                    factor = a[i][r]
+                    a[i][r + 1:] = [x - factor * y for x, y in
+                                    zip(a[i][r + 1:], a[r][r + 1:])]
+                    factors.append((i, factor))
+            self.ops.append((pivot, inv, factors))
+
+    def solve(self, rhs, residual_tol=1e-9):
+        field = self.field
+        b = list(rhs)
+        for r, (pivot, inv, factors) in enumerate(self.ops):
+            b[r], b[pivot] = b[pivot], b[r]
+            b[r] = b[r] * inv
+            for i, factor in factors:
+                b[i] = b[i] - factor * b[r]
+        r = len(self.ops)
+        if not all(field.is_zero(v) for v in b[r:]):
             raise RankDeficiencyError(
                 "inconsistent linear system on the exact backend"
             )
-    return x, cond, 0.0
+        return b[:r], self.cond, 0.0
 
 
-def _solve_float(field, rows, rhs, residual_tol):
-    ncols = len(rows[0])
-    a = np.array([[field.to_complex(x) for x in row] for row in rows],
-                 dtype=complex)
-    b = np.array([field.to_complex(x) for x in rhs], dtype=complex)
-    # a zero or subnormal scale would overflow numpy's complex division
-    tiny = np.finfo(float).tiny
-    rs = np.max(np.abs(a), axis=1)
-    rs[rs < tiny] = 1.0
-    a2 = a / rs[:, None]
-    b2 = b / rs
-    cs = np.max(np.abs(a2), axis=0)
-    cs[cs < tiny] = 1.0
-    a3 = a2 / cs[None, :]
-    mp = field._mp
-    if mp is None:
-        # explicit tiny cutoff: ill-conditioned systems are solved and
-        # reported, only near-exact rank collapse is an error here
-        x3, _res, rank, sv = np.linalg.lstsq(a3, b2, rcond=1e-14)
-        resid = a3 @ x3 - b2 if rank == ncols else None
-    else:
-        sv = np.linalg.svd(a3, compute_uv=False)
-        # not qr_solve: with mpmath 1.3 its Householder step can divide by
-        # zero on a well-conditioned matrix with a purely imaginary column
-        A3 = mp.matrix([[x / r / c for x, c in zip(row, cs.tolist())]
-                        for row, r in zip(rows, rs.tolist())])
-        B2 = mp.matrix([y / r for y, r in zip(rhs, rs.tolist())])
-        try:
-            x3 = mp.lu_solve(A3, B2)
-            resid = A3 * x3 - B2
-        except (ValueError, ZeroDivisionError):  # numerically singular
-            resid = None
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
-    if resid is None:
-        raise RankDeficiencyError(
-            f"rank-deficient recovery stage: {ncols} unknowns, "
-            f"condition number {cond:.3e}"
-        )
-    scale = max(1.0, float(np.max(np.abs(b2))))
-    rnorm = float(max(abs(v) for v in resid)) / scale
-    if not rnorm <= residual_tol:
-        raise RankDeficiencyError(
-            f"inconsistent linear system: residual {rnorm:.3e} "
-            f"exceeds {residual_tol:.1e}"
-        )
-    x = [x3[j] / c for j, c in enumerate(cs.tolist())]
-    return ([complex(v) for v in x] if mp is None else x), cond, rnorm
+class _FloatFactor:
+    """The equilibrated double snapshot of A and, on mpmath fields, the
+    equilibrated full-precision A with its condition number."""
+
+    def __init__(self, field, rows):
+        self.field = field
+        a = np.array([[field.to_complex(x) for x in row] for row in rows],
+                     dtype=complex)
+        # a zero or subnormal scale would overflow numpy's complex division
+        tiny = np.finfo(float).tiny
+        rs = np.max(np.abs(a), axis=1)
+        rs[rs < tiny] = 1.0
+        a2 = a / rs[:, None]
+        cs = np.max(np.abs(a2), axis=0)
+        cs[cs < tiny] = 1.0
+        self.a3 = a2 / cs[None, :]
+        self.rs, self.cs = rs, cs
+        mp = self.mp = field._mp
+        if mp is not None:
+            sv = np.linalg.svd(self.a3, compute_uv=False)
+            self.cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
+            # not qr_solve: with mpmath 1.3 its Householder step can divide
+            # by zero on a well-conditioned matrix with a purely imaginary
+            # column
+            self.A3 = mp.matrix([[x / r / c for x, c in zip(row, cs.tolist())]
+                                 for row, r in zip(rows, rs.tolist())])
+
+    def solve(self, rhs, residual_tol=1e-9):
+        field, mp, rs, cs = self.field, self.mp, self.rs, self.cs
+        ncols = len(cs)
+        b = np.array([field.to_complex(x) for x in rhs], dtype=complex)
+        b2 = b / rs
+        if mp is None:
+            # explicit tiny cutoff: ill-conditioned systems are solved and
+            # reported, only near-exact rank collapse is an error here
+            x3, _res, rank, sv = np.linalg.lstsq(self.a3, b2, rcond=1e-14)
+            resid = self.a3 @ x3 - b2 if rank == ncols else None
+            cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
+        else:
+            cond = self.cond
+            B2 = mp.matrix([y / r for y, r in zip(rhs, rs.tolist())])
+            try:
+                x3 = mp.lu_solve(self.A3, B2)
+                resid = self.A3 * x3 - B2
+            except (ValueError, ZeroDivisionError):  # numerically singular
+                resid = None
+        if resid is None:
+            raise RankDeficiencyError(
+                f"rank-deficient recovery stage: {ncols} unknowns, "
+                f"condition number {cond:.3e}"
+            )
+        scale = max(1.0, float(np.max(np.abs(b2))))
+        rnorm = float(max(abs(v) for v in resid)) / scale
+        if not rnorm <= residual_tol:
+            raise RankDeficiencyError(
+                f"inconsistent linear system: residual {rnorm:.3e} "
+                f"exceeds {residual_tol:.1e}"
+            )
+        x = [x3[j] / c for j, c in enumerate(cs.tolist())]
+        return ([complex(v) for v in x] if mp is None else x), cond, rnorm
 
 
 def poly_roots(field, monic_tail):

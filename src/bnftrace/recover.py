@@ -35,12 +35,18 @@ d^a (1/2)csch(k mu_j/2) as a z-series along mu_j(z)) are valid for one
 mu-jet state.  The jets change only in the (0, m) stages, so there is one
 engine per (0, m) stage and one more shared by every later stage and the
 final self-check.  The matrix entries above are the constant terms of the
-same block series.  Each engine is built at the full z-order and serves
-the lower orders (m, j) of the stages.  A stage computes only the
-coefficient it reads (:func:`~bnftrace.qbnf.trace_coefficient` at
-(m, j)); only the self-check runs the whole expansion.  A caller may
-hand in an engine it already has (the round trip passes its forward
-engine), and it is used for every stage whose state it serves.
+same block series.  They depend only on mu(0), the k-set and the alpha
+set, not on the jets or the stage's right-hand side, so a recovery builds
+and factors each distinct stage matrix once, from the first engine that
+needs it, and every m-stage of that alpha set solves its own right-hand
+side with the factorization, in order of m: stage (m, j) reads the terms
+that stage (m - 1, j) found.  Each engine is built at the
+full z-order and serves the lower orders (m, j) of the stages.  A stage
+computes only the coefficient it reads
+(:func:`~bnftrace.qbnf.trace_coefficient` at (m, j)); only the self-check
+runs the whole expansion.  A caller may hand in an engine it already has
+(the round trip passes its forward engine), and it is used for every
+stage whose state it serves.
 """
 
 import cmath
@@ -54,7 +60,7 @@ from .blocks import (COMPLEX_HYPERBOLIC, ELLIPTIC, REAL_HYPERBOLIC,
 from .errors import (ConditioningError, FieldError, MathError,
                      RankDeficiencyError, SchemaError)
 from .hypcalc import DEFAULT_POLE_TOL
-from .linalg import poly_roots, solve_lstsq
+from .linalg import factor_lstsq, poly_roots, solve_lstsq
 from .qbnf import QuantumBNF, TraceEngine, trace_coefficient, trace_power
 from .series import MultiSeries, Orders
 
@@ -467,7 +473,7 @@ def recover_frequencies(field, a0, n, residual_tol=1e-6):
 
 
 def recover_polynomial(engine, values, alpha_set, residual_tol=1e-8,
-                       cond_gate=None):
+                       cond_gate=None, systems=None):
     """Solve for the coefficients a_alpha, alpha in ``alpha_set``, of p from
     the values of p(i k^{-1} d/dmu) prod_j (1/2)csch(k mu_j/2) at mu(0),
     over the powers k of ``values``.
@@ -476,6 +482,14 @@ def recover_polynomial(engine, values, alpha_set, residual_tol=1e-8,
     ``engine``, a :class:`~bnftrace.qbnf.TraceEngine`
     (:meth:`~bnftrace.qbnf.TraceEngine.value_at_mu0`).  ``cond_gate`` caps
     the condition number of a float solve; exact solves are not gated.
+
+    The matrix is factored once and solved for this right-hand side
+    (:func:`~bnftrace.linalg.factor_lstsq`).  ``systems`` is a dict that
+    keeps the factored matrix of each (k-set, alpha set) across calls that
+    share the field and mu(0), as the stages of one recovery do: a matrix
+    found there is not built again, and one built here is stored there.
+    The consistency or residual test, the gate and the returned condition
+    number belong to each call.
     """
     field = engine.field
     alpha_set = [tuple(a) for a in alpha_set]
@@ -485,17 +499,23 @@ def recover_polynomial(engine, values, alpha_set, residual_tol=1e-8,
             f"{len(alpha_set)} unknown coefficients need at least "
             f"{len(alpha_set)} trace powers, have {len(k_set)}"
         )
-    rows, rhs = [], []
-    for k in k_set:
-        ik_inv = field.i * field.inv(field.from_int(k))
-        row = []
-        for alpha in alpha_set:
-            d = engine.value_at_mu0(k, alpha)
-            da = sum(alpha)
-            row.append(d * ik_inv ** da if da else d)
-        rows.append(row)
-        rhs.append(values[k])
-    sol, cond, _res = solve_lstsq(field, rows, rhs, residual_tol=residual_tol)
+    if systems is None:
+        systems = {}
+    key = (tuple(k_set), tuple(alpha_set))
+    system = systems.get(key)
+    if system is None:
+        rows = []
+        for k in k_set:
+            ik_inv = field.i * field.inv(field.from_int(k))
+            row = []
+            for alpha in alpha_set:
+                d = engine.value_at_mu0(k, alpha)
+                da = sum(alpha)
+                row.append(d * ik_inv ** da if da else d)
+            rows.append(row)
+        system = systems[key] = factor_lstsq(field, rows)
+    sol, cond, _res = system.solve([values[k] for k in k_set],
+                                   residual_tol=residual_tol)
     # an exact solve verifies every equation, so only float solves are gated
     if cond_gate is not None and not field.exact and cond > cond_gate:
         raise ConditioningError(
@@ -628,8 +648,10 @@ def recover_qbnf(tdata, n, orders=None, tol=1e-8, cond_gate=1e8,
         F = MultiSeries(f, n, orders, fhat_terms)
         return QuantumBNF(blocks, jets, F, validate=False)
 
-    # one engine per mu-jet state (see the module docstring)
+    # one engine per mu-jet state and one factored matrix per alpha set
+    # (see the module docstring)
     latest = None
+    systems = {}
 
     def engine_for(bnf):
         nonlocal latest
@@ -650,7 +672,7 @@ def recover_qbnf(tdata, n, orders=None, tol=1e-8, cond_gate=1e8,
             values[k] = delta * f.inv(-(f.i * f.from_int(k)))
         sol, cond = recover_polynomial(eng, values, alphas,
                                        residual_tol=max(tol, 1e-8),
-                                       cond_gate=cond_gate)
+                                       cond_gate=cond_gate, systems=systems)
         conditioning[f"h{j}:z{m}"] = cond
         return sol
 

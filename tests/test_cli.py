@@ -262,6 +262,40 @@ def test_precision_below_64_is_an_input_error(rt1_file, tmp_path, capsys,
     assert rc == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("cmd, option", [
+    ("forward", "--tol-pole"),
+    ("forward", "--tol-resonance"),
+    ("recover", "--tol-pole"),
+    ("recover", "--tol-conditioning"),
+    ("recover", "--tol-residual"),
+    ("roundtrip", "--tol-pole"),
+    ("roundtrip", "--tol-resonance"),
+    ("roundtrip", "--tol-conditioning"),
+    ("roundtrip", "--tol-residual"),
+])
+def test_non_finite_tolerance_is_an_input_error(rt1_file, tmp_path, capsys,
+                                                cmd, option, value):
+    """A nan tolerance would turn its check off and an inf one would pass
+    anything, so both are refused before any work, naming the option."""
+    traces = str(tmp_path / "traces.json")
+    if cmd == "recover":
+        assert main(["forward", "--bnf", rt1_file, "--out", traces]) == 0
+        capsys.readouterr()
+    out = str(tmp_path / "out.json")
+    argv = {"forward": ["forward", "--bnf", rt1_file, "--out", out],
+            "recover": ["recover", "--traces", traces, "--n", "1",
+                        "--out", out],
+            "roundtrip": ["roundtrip", "--bnf", rt1_file]}[cmd]
+    rc = main(argv + [f"{option}={value}"])
+    stdout, err = capsys.readouterr()
+    assert rc == 2
+    name = option[2:].replace("-", "_")
+    assert f"{name} must be positive and finite, got {float(value)!r}" in err
+    assert stdout == ""
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_serialization_round_trips_exact():
     F, bnf, action = rt1()
     # QuantumBNF

@@ -320,6 +320,66 @@ def test_extended_solve_refuses_with_rank_deficiency(rows, rhs):
                            [F128.from_int(v) for v in rhs])
 
 
+@st.composite
+def _systems_with_solutions(draw):
+    """Rows of a well-conditioned system and three solution vectors."""
+    rows, _rhs = draw(_well_conditioned_systems())
+    xs = [[draw(_unit) for _ in rows[0]] for _ in range(3)]
+    return rows, xs
+
+
+_TO_FIELD = {
+    "rational": (FR, lambda v: FR.from_rational(v.real, v.imag)),
+    "double": (FF, lambda v: FF.one * v),
+    "128-bit": (F128, lambda v: F128.one * v),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TO_FIELD))
+@settings(max_examples=20, deadline=None)
+@given(system=_systems_with_solutions())
+# a zero pivot candidate: the elimination swaps rows
+@example(system=([[0j, 1 + 0j], [1 + 0j, 0j], [1 + 0j, 1 + 0j]],
+                 [[1 + 0j, 2 + 0j], [0.5j, -1 + 0j], [0j, 0j]]))
+def test_one_factorization_solves_each_rhs_like_a_fresh_solve(name, system):
+    """Right-hand sides solved in turn with one factorization give, bit for
+    bit, what a fresh solve_lstsq gives; an inconsistent one after them is
+    still refused, and the refusal leaves the factorization as it was."""
+    field, conv = _TO_FIELD[name]
+    raw_rows, xs = system
+    rows = [[conv(v) for v in row] for row in raw_rows]
+    factored = linalg.factor_lstsq(field, rows)
+    rhs_list = []
+    for x in xs:
+        x = [conv(v) for v in x]
+        rhs = []
+        for row in rows:
+            total = field.zero
+            for a, v in zip(row, x):
+                total = total + a * v
+            rhs.append(total)
+        rhs_list.append(rhs)
+        got = factored.solve(rhs)
+        assert got == linalg.solve_lstsq(field, rows, rhs)
+        # the top block fixes x: exactly on the rational field
+        tol = 0 if field.exact else 1e-9
+        assert all(field.abs(a - v) <= tol for a, v in zip(got[0], x))
+    n = len(rows[0])
+    if len(rows) > n:
+        # the top n x n block fixes x, so a change in a row below it is
+        # inconsistent; scaled to the row, it is one unit after
+        # equilibration
+        bad = list(rhs_list[-1])
+        bad[n] = bad[n] + conv(max(abs(v) for v in raw_rows[n]))
+        for solve in (factored.solve,
+                      lambda b: linalg.solve_lstsq(field, rows, b)):
+            with pytest.raises(RankDeficiencyError,
+                               match="inconsistent linear system"):
+                solve(bad)
+    assert factored.solve(rhs_list[0]) == linalg.solve_lstsq(field, rows,
+                                                             rhs_list[0])
+
+
 @pytest.mark.parametrize("precision", [128, 240])
 def test_extended_recovery_reports_the_double_condition_numbers(precision):
     F, bnf = mixed_float_fixture(7)
@@ -559,6 +619,80 @@ def test_recovery_evaluates_each_z_series_once(monkeypatch):
     assert not rep.failed
     assert calls
     assert len(calls) == len(set(calls))
+
+
+def test_recovery_factors_each_alpha_set_once(monkeypatch):
+    """A stage matrix depends on mu(0), the k-set and the alpha set only, so
+    it is built and factored once per distinct alpha set: K entries per
+    alpha, read from the engine.  Every stage still reports its own
+    condition number."""
+    F, bnf, action = rt1()
+    K = 8
+    td = make_trace_data(bnf, action, {}, K, (3, 3))
+    value, factor, polynomial = (TraceEngine.value_at_mu0,
+                                 recover_module.factor_lstsq,
+                                 recover_module.recover_polynomial)
+    values, factored, alpha_sets = [], [], []
+
+    def counting_value(self, k, alpha):
+        values.append((k, alpha))
+        return value(self, k, alpha)
+
+    def counting_factor(field, rows):
+        factored.append(len(rows[0]))
+        return factor(field, rows)
+
+    def recording_polynomial(engine, vals, alpha_set, *args, **kwargs):
+        alpha_sets.append(tuple(alpha_set))
+        return polynomial(engine, vals, alpha_set, *args, **kwargs)
+
+    monkeypatch.setattr(TraceEngine, "value_at_mu0", counting_value)
+    monkeypatch.setattr(recover_module, "factor_lstsq", counting_factor)
+    monkeypatch.setattr(recover_module, "recover_polynomial",
+                        recording_polynomial)
+    rep = recover_qbnf(td, 1)
+    assert not rep.failed
+    distinct = set(alpha_sets)
+    assert len(alpha_sets) == 15 and len(distinct) == 4
+    assert len(values) == K * sum(len(s) for s in distinct)
+    assert sorted(factored) == sorted(len(s) for s in distinct)
+    stages = {f"h0:z{m}" for m in (1, 2, 3)} | {
+        f"h{j}:z{m}" for j in (1, 2, 3) for m in range(4)}
+    assert set(rep.conditioning) == {"prony"} | stages
+
+
+def _bumped(td, k, m, j, eps):
+    """A copy of ``td`` with ``eps`` added to the z^m h^j coefficient of
+    power k."""
+    coeffs = dict(td.coefficients)
+    c = coeffs[k]
+    terms = dict(c.terms)
+    terms[((), m, j)] = terms.get(((), m, j), td.field.zero) + eps
+    coeffs[k] = MultiSeries(td.field, 0, c.orders, terms)
+    return TraceData(td.field, td.k_max, td.action, td.maslov, td.phase,
+                     coeffs)
+
+
+def test_exact_late_stage_with_a_bumped_coefficient_is_inconsistent():
+    """Stage h1:z2 solves with the factorization that stages h1:z0 and
+    h1:z1 made and used; one coefficient off by 1/1000 still makes its
+    system inconsistent, which the exact backend refuses."""
+    F, bnf, action = rt1()
+    td = make_trace_data(bnf, action, {}, 8, (3, 3))
+    bad = _bumped(td, 5, 2, 1, F.from_rational("1/1000"))
+    with pytest.raises(RankDeficiencyError,
+                       match="inconsistent linear system on the exact"):
+        recover_qbnf(bad, 1)
+
+
+def test_float_late_stage_with_a_bumped_coefficient_fails_the_residual():
+    F, bnf = mixed_float_fixture(7)
+    td = make_trace_data(bnf, zseries(F, 2, {1: F.one}), {}, 12, (2, 2))
+    assert not recover_qbnf(td, 2).failed
+    bad = _bumped(td, 5, 2, 1, F.one * 1e-3)
+    with pytest.raises(RankDeficiencyError,
+                       match="inconsistent linear system: residual"):
+        recover_qbnf(bad, 2)
 
 
 def _h_order_zero_traces(F_terms):
