@@ -459,7 +459,7 @@ def _snap_linear_to_diagonal(pmap, lam_slots, tol):
 
 def birkhoff_normal_form(tmap, iota_degree, tol=DEFAULT_TOL,
                          small_denominator_tol=1e-8, resonance_order=None,
-                         blocks=None, assume_normalized=False):
+                         blocks=None):
     """Degree-by-degree Lie normalization to kappa = exp H_p + O(degree+).
 
     At map degree d the residual against Lambda o exp H_R is cancelled by a
@@ -469,10 +469,11 @@ def birkhoff_normal_form(tmap, iota_degree, tol=DEFAULT_TOL,
     per map component); disagreement -- i.e. a non-symplectic input --
     is an error.
 
-    With ``blocks`` given and ``assume_normalized`` the numeric
-    eigendecomposition is skipped and the map (already in standard block
-    form) is processed field-generically, which keeps rational fixtures
-    exact.
+    With ``blocks`` given, the map is taken to be in standard block form
+    with those blocks: the numeric eigendecomposition is skipped and the
+    map is processed field-generically, which keeps rational fixtures
+    exact.  Without, ``linear_normalize`` finds the blocks and the
+    normalizing transform (float fields only).
     """
     f = tmap.field
     n = tmap.n
@@ -485,16 +486,15 @@ def birkhoff_normal_form(tmap, iota_degree, tol=DEFAULT_TOL,
             f"need degree >= {2 * iota_degree - 1}"
         )
     transform = None
-    if assume_normalized:
-        if blocks is None:
-            raise SchemaError("assume_normalized requires blocks")
+    if blocks is not None:
         normalized = tmap
+    elif f.exact:
+        raise SchemaError(
+            "the numeric eigendecomposition needs the float backend; "
+            "pass the blocks of a map in standard block form for exact "
+            "fixtures"
+        )
     else:
-        if f.exact:
-            raise SchemaError(
-                "the numeric eigendecomposition needs the float backend; "
-                "pass blocks and assume_normalized for exact fixtures"
-            )
         normalized, transform, blocks = linear_normalize(tmap, tol)
     order = resonance_order or 2 * iota_degree
     w = nonresonance_witness(blocks.mu(), order, small_denominator_tol)

@@ -77,7 +77,7 @@ def _load_action(path, field, n_z):
                            {((), 1, 0): field.one}), {}
     obj = jsonio.load(path)
     action = jsonio.series_from_json(jsonio._need(obj, "action", dict), field)
-    maslov = {int(k): int(v) for k, v in obj.get("maslov", {}).items()}
+    maslov = jsonio.maslov_from_json(obj.get("maslov", {}))
     return action, maslov
 
 

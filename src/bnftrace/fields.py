@@ -6,15 +6,17 @@ Two families are provided:
   imaginary parts, each held as one canonical integer triple ``(a, b, d)``
   meaning ``(a + b*i) / d`` with ``d > 0`` and ``gcd(a, b, d) == 1``.
   Field axioms hold exactly; equality is bit-exact.  Used by the
-  round-trip fixtures whose data is rational (hyperbolic exponents of the
-  form mu = 2 log(p/q)).
+  round-trip fixtures whose data is rational (exponents whose
+  E = exp(mu/2) lies in Q(i)).
 * :class:`FloatField` -- binary floating point complex numbers.  The
   default precision of 64 bits is plain ``complex``; higher precisions are
   backed by ``mpmath.mpc``.  Comparisons always go through a tolerance.
 
 Field *values* are ordinary objects with arithmetic dunders; the field
 object itself only provides construction, conversion and the few
-operations that depend on the backend (exact zero test, sqrt, exp).
+operations that depend on the backend (exact zero test, sqrt, exp).  The
+rational field has no sqrt: stage 0 of the recovery fits exact samples in
+floating point and verifies the rationalized fit exactly instead.
 """
 
 import cmath
@@ -23,25 +25,6 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import FieldError
-
-
-def _isqrt_exact(n):
-    """Integer square root if ``n`` is a perfect square, else None."""
-    if n < 0:
-        return None
-    r = math.isqrt(n)
-    return r if r * r == n else None
-
-
-def _sqrt_fraction(q):
-    """Exact square root of a nonnegative Fraction, or None."""
-    if q < 0:
-        return None
-    num = _isqrt_exact(q.numerator)
-    den = _isqrt_exact(q.denominator)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
 
 
 class RationalComplex:
@@ -255,33 +238,11 @@ class RationalField:
         return x.conjugate()
 
     def abs(self, x):
-        return math.sqrt(float(x.norm_sq()))
+        # the parts are rounded first, so no square overflows
+        return math.hypot(x.a / x.d, x.b / x.d)
 
     def to_complex(self, x):
         return complex(x)
-
-    def sqrt(self, x):
-        """Exact square root in Q(i); raises FieldError when none exists."""
-        if x.im == 0:
-            r = _sqrt_fraction(x.re)
-            if r is not None:
-                return RationalComplex(r)
-            r = _sqrt_fraction(-x.re)
-            if r is not None:
-                return RationalComplex(0, r)
-            raise FieldError(f"no exact square root of {x!r} in Q(i)")
-        s = _sqrt_fraction(x.norm_sq())
-        if s is None:
-            raise FieldError(f"no exact square root of {x!r} in Q(i)")
-        u2 = (x.re + s) / 2
-        u = _sqrt_fraction(u2)
-        if u is None or u == 0:
-            raise FieldError(f"no exact square root of {x!r} in Q(i)")
-        v = x.im / (2 * u)
-        cand = RationalComplex(u, v)
-        if cand * cand == x:
-            return cand
-        raise FieldError(f"no exact square root of {x!r} in Q(i)")
 
     def exp(self, x):
         raise FieldError("exp is not exact on the rational field")

@@ -31,13 +31,30 @@ def _need(obj, key, kind=None):
     return val
 
 
+def _parsed(key, parse, *text):
+    """``parse(*text)``, where ``text`` is the value of ``key``; a malformed
+    number is an input error that names both."""
+    try:
+        return parse(*text)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"malformed number under key {key}: "
+                          f"{', '.join(map(repr, text))} ({exc})") from None
+
+
 def scalar_to_json(field, x):
     re, im = field.format(x)
     return {"re": re, "im": im}
 
 
 def scalar_from_json(field, obj):
-    return field.parse(str(_need(obj, "re")), str(obj.get("im", "0")))
+    return _parsed("'re'/'im'", field.parse, str(_need(obj, "re")),
+                   str(obj.get("im", "0")))
+
+
+def maslov_from_json(obj):
+    """The Maslov indices k -> m of a trace or action file."""
+    return {_parsed("'maslov'", int, k): _parsed(f"'maslov'/{k!r}", int, v)
+            for k, v in obj.items()}
 
 
 def series_to_json(s):
@@ -65,7 +82,7 @@ def series_from_json(obj, field=None):
     for t in _need(obj, "terms", list):
         alpha = tuple(_need(t, "iota", list))
         key = (alpha, _need(t, "z", int), _need(t, "h", int))
-        terms[key] = field.parse(str(_need(t, "re")), str(t.get("im", "0")))
+        terms[key] = scalar_from_json(field, t)
     return MultiSeries(field, n, orders, terms)
 
 
@@ -127,10 +144,10 @@ def trace_data_from_json(obj, precision=64):
     k_max = _need(obj, "k_max", int)
     action = series_from_json(_need(obj, "action", dict), field)
     phase = scalar_from_json(field, _need(obj, "phase", dict))
-    maslov = {int(k): int(v) for k, v in _need(obj, "maslov", dict).items()}
+    maslov = maslov_from_json(_need(obj, "maslov", dict))
     coeffs = {}
     for k, s in _need(obj, "coefficients", dict).items():
-        coeffs[int(k)] = series_from_json(s, field)
+        coeffs[_parsed("'coefficients'", int, k)] = series_from_json(s, field)
     return TraceData(field, k_max, action, maslov, phase, coeffs)
 
 
@@ -157,8 +174,7 @@ def taylor_map_from_json(obj, precision=64, tol=1e-8):
     for entries in _need(obj, "components", list):
         terms = {}
         for e in entries:
-            terms[tuple(_need(e, "exps", list))] = field.parse(
-                str(_need(e, "re")), str(e.get("im", "0")))
+            terms[tuple(_need(e, "exps", list))] = scalar_from_json(field, e)
         comps.append(terms)
     return TaylorMap(field, n, degree, comps, tol=tol)
 

@@ -185,35 +185,23 @@ class _FloatFactor:
 
 
 def poly_roots(field, monic_tail):
-    """Roots of z^r + c_{r-1} z^{r-1} + ... + c_0, coefficients in the field.
-
-    Float backend: numpy.  Exact backend: closed forms through degree 2
-    (enough for the n = 1 exponential fixtures, where exactness is claimed).
+    """Roots of z^r + c_{r-1} z^{r-1} + ... + c_0 on a float field: numpy on
+    doubles, mpmath's ``polyroots`` above, at twice the field's precision
+    (``extraprec``), without which roots that spread over many decades,
+    such as E and 1/E with E = 1e12/7, are not found in ``_MP_ROOT_STEPS``.
     """
     r = len(monic_tail)
-    if not field.exact:
-        mp = field._mp
-        if mp is not None:
-            coeffs = [field.one] + list(reversed(list(monic_tail)))
-            try:
-                return list(mp.polyroots([mp.mpc(c) for c in coeffs],
-                                         maxsteps=_MP_ROOT_STEPS))
-            except mp.NoConvergence:
-                raise ConvergenceError(
-                    f"mpmath polyroots found no roots of the degree-{r} "
-                    f"polynomial in maxsteps={_MP_ROOT_STEPS} steps"
-                ) from None
+    mp = field._mp
+    if mp is None:
         coeffs = [1.0] + [field.to_complex(c) for c in reversed(monic_tail)]
         return [complex(z) for z in np.roots(coeffs)]
-    if r == 1:
-        return [-monic_tail[0]]
-    if r == 2:
-        c0, c1 = monic_tail
-        disc = c1 * c1 - field.from_int(4) * c0
-        s = field.sqrt(disc)
-        half = field.inv(field.from_int(2))
-        return [(-c1 + s) * half, (-c1 - s) * half]
-    raise RankDeficiencyError(
-        "exact root extraction is only provided through degree 2 "
-        "(n = 1 exponential fixtures); use the float backend"
-    )
+    coeffs = [field.one] + list(reversed(list(monic_tail)))
+    try:
+        return list(mp.polyroots([mp.mpc(c) for c in coeffs],
+                                 maxsteps=_MP_ROOT_STEPS,
+                                 extraprec=field.precision))
+    except mp.NoConvergence:
+        raise ConvergenceError(
+            f"mpmath polyroots found no roots of the degree-{r} "
+            f"polynomial in maxsteps={_MP_ROOT_STEPS} steps"
+        ) from None

@@ -20,6 +20,12 @@ roots agree on.  On double precision a Gauss-Newton refit of (c, E)
 against all samples restores full accuracy, and the residual of the
 fitted exponential sum gates the result on every field.
 
+Exact samples take the same float path after an exact Hankel solve (the
+exact annihilating polynomial and the reported condition number): the
+fit runs in doubles, then if need be at 240 bits, and (c, E) rationalized
+in Q(i) are kept only if they meet every sample exactly.  Otherwise the
+recovery refuses; it never returns an inexact answer.
+
 Later stages are finite linear systems: the z^m coefficient at h^j of the
 stored trace differs from the same coefficient of the forward engine run
 on the partially recovered normal form by an *exactly linear* expression
@@ -52,6 +58,7 @@ stage whose state it serves.
 import cmath
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -59,6 +66,7 @@ from .blocks import (COMPLEX_HYPERBOLIC, ELLIPTIC, REAL_HYPERBOLIC,
                      SpectrumBlocks)
 from .errors import (ConditioningError, FieldError, MathError,
                      RankDeficiencyError, SchemaError)
+from .fields import FloatField
 from .hypcalc import DEFAULT_POLE_TOL
 from .linalg import factor_lstsq, poly_roots, solve_lstsq
 from .qbnf import QuantumBNF, TraceEngine, trace_coefficient, trace_power
@@ -76,6 +84,12 @@ MATCH_TOL = 0.1
 # refuse a real hyperbolic mu below ~0.1 and an elliptic theta within 0.1 of
 # 0 or pi.
 NORMALIZATION_TOL = 1e-2
+# Precision of the double path's stage-0 retry, and the float fits of exact
+# samples as (bits, denominator bound of the rationalized c and E_j): a part
+# p/q is found when the fit is off by less than about 1/(2 q bound), so each
+# bound sits well inside its precision.
+_RETRY_BITS = 240
+_EXACT_FITS = ((64, 10 ** 6), (_RETRY_BITS, 10 ** 24))
 
 
 def _patterns(n):
@@ -141,23 +155,22 @@ class FrequencyResult:
         self.exp_sum = exp_sum
 
 
-def _prony(field, samples, r, residual_tol):
-    """Annihilating-filter Prony on samples s_1..s_K with r frequencies:
-    the roots, their fitted weights and the Hankel condition number."""
+def _hankel_tail(field, samples, r, tol):
+    """The tail c_0..c_{r-1} of the monic polynomial annihilating r
+    exponentials in the samples s_1..s_K, and its condition number."""
     K = len(samples)
-    if K < 2 * r:
-        raise RankDeficiencyError(
-            f"Prony with {r} frequencies needs at least {2 * r} samples, "
-            f"have {K}"
-        )
-    tol = max(residual_tol, 1e-6)
     rows = [samples[t:t + r] for t in range(K - r)]
     rhs = [-samples[t + r] for t in range(K - r)]
     tail, cond, _res = solve_lstsq(field, rows, rhs, residual_tol=tol)
+    return tail, cond
+
+
+def _roots_and_weights(field, tail, samples, tol):
+    """The tail polynomial's roots and their weights in the samples."""
     roots = poly_roots(field, tail)
-    vrows = [[root ** k for root in roots] for k in range(1, K + 1)]
+    vrows = [[root ** k for root in roots] for k in range(1, len(samples) + 1)]
     weights, _wc, _wres = solve_lstsq(field, vrows, samples, residual_tol=tol)
-    return roots, weights, cond
+    return roots, weights
 
 
 def _close(field, a, b):
@@ -189,8 +202,6 @@ def _classify_exponent(field, q):
     """Tag for e^mu = q under the block normalizations; raises otherwise."""
     qc = field.to_complex(q)
     mod = abs(qc)
-    if field.exact and q.im == 0 and q.re < 0:
-        raise MathError("negative real eigenvalue: outside the classification")
     if abs(mod - 1.0) <= NORMALIZATION_TOL:
         th = cmath.phase(qc)
         if not (NORMALIZATION_TOL < th < math.pi - NORMALIZATION_TOL):
@@ -212,26 +223,23 @@ def _classify_exponent(field, q):
 
 
 def _principal_exp_half(field, q, tag):
-    """E = exp(mu/2) from q = exp(mu), principal branch.
+    """E = exp(mu/2) from q = exp(mu), principal branch (Re E >= 0).
 
     Safe because every normalized class has arg(q) in [0, pi)."""
-    E = field.sqrt(q)
-    ec = field.to_complex(E)
-    if ec.real < 0:
-        E = -E
-    return _snap_to_class(field, E, tag)
+    return _snap_to_class(field, field.sqrt(q), tag)
 
 
 def _snap_to_class(field, E, tag):
-    """A real hyperbolic E is real by its classification, so on a float
-    field the rounding residue of its imaginary part is dropped."""
-    if tag == REAL_HYPERBOLIC and not field.exact:
+    """A real hyperbolic E is real by its classification, so the rounding
+    residue of its imaginary part is dropped."""
+    if tag == REAL_HYPERBOLIC:
         return field.one * E.real
     return E
 
 
 def _cube_from_roots(field, roots, weights, n):
-    """Fit (c, tags, E) to the Prony roots c prod_j E_j^{eps_j}.
+    """Fit (c, tags, E) to the Prony roots c prod_j E_j^{eps_j}, on a float
+    field (an exact recovery rationalizes the fit afterwards).
 
     Only roots whose fitted weight lies within 0.5 of +-1 are trusted.  Two
     trusted roots of opposite weight differ in an odd number of
@@ -361,6 +369,40 @@ def _polish_cube(field, samples, c, tags, exp_half, max_iter=40):
     return field.one * new_c, new_E
 
 
+def _rationalized(field, fl, v, bound):
+    """The nearest Gaussian rational to ``v`` (of the float field ``fl``)
+    whose parts have denominators of at most ``bound``."""
+    re, im = (Fraction(part).limit_denominator(bound) for part in fl.format(v))
+    return field.from_rational(re, im)
+
+
+def _exact_fit(field, tail, samples, n, tol):
+    """(c, tags, E, exponential sum) of the exact samples (k -> s_k) from
+    their exact Hankel tail: the float fit at each precision of
+    ``_EXACT_FITS`` in turn, rationalized, is kept only if it meets every
+    sample exactly; else a RankDeficiencyError."""
+    for precision, bound in _EXACT_FITS:
+        fl = FloatField(precision)
+        try:
+            roots, weights = _roots_and_weights(
+                fl, [fl.from_rational(t.re, t.im) for t in tail],
+                [fl.from_rational(s.re, s.im) for s in samples.values()], tol)
+            c, tags, exp_half = _cube_from_roots(fl, roots, weights, n)
+            c, *exp_half = [_rationalized(field, fl, v, bound)
+                            for v in [c, *exp_half]]
+        # samples or powers beyond the double range, here or in the double
+        # snapshot that equilibrates a float solve, fail this precision
+        except (MathError, OverflowError, np.linalg.LinAlgError) as exc:
+            failure = f"the {precision}-bit fit failed: {exc}"
+            continue
+        exp_sum = ExponentialSum(field, samples, c, exp_half)
+        if all(exp_sum.reconstruct(k) == s for k, s in samples.items()):
+            return c, tags, exp_half, exp_sum
+        failure = (f"the {precision}-bit fit c = {c!r}, E = {exp_half!r} "
+                   f"misses the samples by {exp_sum.residual():.3e}")
+    raise RankDeficiencyError(f"no exact fit of the samples: {failure}")
+
+
 def _canonical_blocks(field, tags, exp_half):
     """Canonically ordered blocks.  Each complex hyperbolic principal
     member (Im E > 0) is paired with a member near its conjugate, which
@@ -390,8 +432,9 @@ def recover_frequencies(field, a0, n, residual_tol=1e-6):
     """Recover mu(0) and the common phase from the constant coefficients.
 
     ``a0`` maps k = 1..K to a_{0k}(0); requires K >= 2^{n+1} + 2.  Forms
-    s_k = 1/a0(k) and runs the exponential analysis.  Returns a
-    :class:`FrequencyResult` with canonically ordered blocks.
+    s_k = 1/a0(k) and runs the exponential analysis (see the module
+    docstring; on the exact field the result is verified exactly).
+    Returns a :class:`FrequencyResult` with canonically ordered blocks.
     """
     if n < 1:
         raise SchemaError("n must be >= 1")
@@ -414,39 +457,46 @@ def recover_frequencies(field, a0, n, residual_tol=1e-6):
     if all(field.abs(s) == 0 for s in samples):
         raise RankDeficiencyError("constant zero samples: rank-deficient")
 
-    # The double-precision Hankel stage can degenerate when the root
-    # magnitudes spread over many decades (the weakest antipode's signal
-    # then sits below machine epsilon in all but the first few samples).
-    # In that case rerun it in extended precision; the cube fit drops the
-    # roots it cannot trust, and the structured refit restores accuracy.
-    plain_double = not field.exact and field._mp is None
-    try:
-        roots, weights, cond = _prony(field, samples, 2 ** n, residual_tol)
-        retry = plain_double and cond > 1e12
-    except RankDeficiencyError:
-        if not plain_double:
-            raise
-        retry = True
-        cond = float("inf")
-    if retry:
-        from .fields import FloatField
+    tol = max(residual_tol, 1e-6)
+    by_k = dict(zip(ks, samples))
+    if field.exact:
+        tail, cond = _hankel_tail(field, samples, 2 ** n, tol)
+        c, tags, exp_half, exp_sum = _exact_fit(field, tail, by_k, n, tol)
+    else:
+        # The double-precision Hankel stage can degenerate when the root
+        # magnitudes spread over many decades (the weakest antipode's
+        # signal then sits below machine epsilon in all but the first few
+        # samples).  In that case rerun it in extended precision; the cube
+        # fit drops the roots it cannot trust, and the structured refit
+        # restores accuracy.
+        plain_double = field._mp is None
+        try:
+            tail, cond = _hankel_tail(field, samples, 2 ** n, tol)
+            roots, weights = _roots_and_weights(field, tail, samples, tol)
+            retry = plain_double and cond > 1e12
+        except RankDeficiencyError:
+            if not plain_double:
+                raise
+            retry = True
+            cond = float("inf")
+        if retry:
+            mpf = FloatField(precision=_RETRY_BITS)
+            mp_samples = [mpf.one * field.to_complex(s) for s in samples]
+            mp_tail, _mpcond = _hankel_tail(mpf, mp_samples, 2 ** n, tol)
+            mroots, mweights = _roots_and_weights(mpf, mp_tail, mp_samples,
+                                                  tol)
+            roots = [complex(z) for z in mroots]
+            weights = [complex(w) for w in mweights]
 
-        mpf = FloatField(precision=240)
-        mp_samples = [mpf.one * field.to_complex(s) for s in samples]
-        mroots, mweights, _mpcond = _prony(mpf, mp_samples, 2 ** n,
-                                           residual_tol)
-        roots = [complex(r) for r in mroots]
-        weights = [complex(w) for w in mweights]
-
-    c, tags, exp_half = _cube_from_roots(field, roots, weights, n)
-    if plain_double:
-        c, exp_half = _polish_cube(field, samples, c, tags, exp_half)
-    exp_sum = ExponentialSum(field, dict(zip(ks, samples)), c, exp_half)
-    res = exp_sum.residual()
-    if res > residual_tol:
-        raise RankDeficiencyError(
-            f"inconsistent samples: exponential model residual {res:.3e}"
-        )
+        c, tags, exp_half = _cube_from_roots(field, roots, weights, n)
+        if plain_double:
+            c, exp_half = _polish_cube(field, samples, c, tags, exp_half)
+        exp_sum = ExponentialSum(field, by_k, c, exp_half)
+        res = exp_sum.residual()
+        if res > residual_tol:
+            raise RankDeficiencyError(
+                f"inconsistent samples: exponential model residual {res:.3e}"
+            )
     blocks = _canonical_blocks(field, tags, exp_half)
 
     # phase: c = e^{i phi}

@@ -403,9 +403,29 @@ def test_bnf_exact_rational_hyperbolic():
     bwd = exp_ham(chi.scale(-FR.one), 1, 7)
     kappa = bwd.compose(flow.compose(fwd))
     tm = TaylorMap(FR, 1, 7, kappa.comps, validate=False)
-    res = birkhoff_normal_form(tm, 3, blocks=blocks, assume_normalized=True)
+    res = birkhoff_normal_form(tm, 3, blocks=blocks)
     assert res.p_complex[(2,)] == FR.from_rational("3/5")
     assert res.residual == 0
+
+
+def test_bnf_given_blocks_skips_the_eigendecomposition(monkeypatch):
+    """Given blocks, the map is taken to be in standard block form with
+    them: the normalizer is not run, and the twist is the one it finds."""
+    blocks = SpectrumBlocks.from_mu(FF, [(REAL_HYPERBOLIC, 0.7),
+                                         (ELLIPTIC, 1.1j)])
+    R = iota_real_to_complex(blocks.tags, {(2, 0): FF.one * 0.1,
+                                           (1, 1): FF.one * 0.2}, FF)
+    flow = normal_form_flow(blocks, R, 5)
+    want = birkhoff_normal_form(flow, 3).p_complex
+
+    def refuse(*args):
+        raise AssertionError("linear_normalize ran despite given blocks")
+
+    monkeypatch.setattr(classical, "linear_normalize", refuse)
+    res = birkhoff_normal_form(flow, 3, blocks=blocks)
+    assert res.blocks is blocks
+    assert set(res.p_complex) == set(want)
+    assert all(abs(res.p_complex[m] - want[m]) <= 1e-12 for m in want)
 
 
 def test_generator_flows_are_symplectic():

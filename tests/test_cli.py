@@ -425,6 +425,124 @@ def test_forward_at_128_bits_writes_every_bit(tmp_path, capsys):
         assert got.coefficients[k] == want.coefficients[k]
 
 
+def _rh_file(tmp_path, *Es):
+    """Normal form of real hyperbolic blocks of the given E, each with jet
+    z/3, and F = iota_1^2/4 + h/5 at F orders (2, 1, 1), as a file."""
+    n = len(Es)
+    blocks = SpectrumBlocks(FR, [REAL_HYPERBOLIC] * n,
+                            [FR.from_rational(E) for E in Es])
+    F = MultiSeries(FR, n, Orders(2, 1, 1), {
+        ((2,) + (0,) * (n - 1), 0, 0): FR.from_rational("1/4"),
+        ((0,) * n, 0, 1): FR.from_rational("1/5")})
+    jets = [zseries(FR, 1, {1: FR.from_rational("1/3")})] * n
+    path = tmp_path / "bnf.json"
+    jsonio.dump(path, jsonio.qbnf_to_json(QuantumBNF(blocks, jets, F)))
+    return str(path)
+
+
+@pytest.mark.parametrize("E, kmax", [
+    (E, kmax) for E in ("3", "2000003/1000000", "20000039/10000000",
+                        "1000000000000/7") for kmax in ("6", "8")
+] + [
+    ("100000000000000000000", "6"),
+    # sample moduli above 1e154, whose squares overflow a float
+    ("100000000000000000000", "8"),
+    ("1000000000000000000000000/7", "8"),
+])
+def test_exact_n1_roundtrip_over_a_range_of_exponents(tmp_path, capsys, E,
+                                                      kmax):
+    """Exact stage 0 over E from 3 to 1e20: denominators up to 1e7 and
+    roots that spread over 40 decades, which take the 240-bit fit (its
+    roots need mpmath's extra working precision)."""
+    rc = main(["roundtrip", "--bnf", _rh_file(tmp_path, E), "--orders",
+               "2,1,1", "--kmax", kmax])
+    assert rc == 0
+    assert "equals the input exactly" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_exact_samples_beyond_the_double_range_recover_or_exit_three(
+        tmp_path, capsys):
+    """E = 1e40 at kmax 8 gives samples near 1e320: the double fit
+    overflows, and where the 240-bit fit fails as well the round trip is
+    an exit-3 refusal, not a traceback."""
+    rc = main(["roundtrip", "--bnf", _rh_file(tmp_path, str(10 ** 40)),
+               "--orders", "2,1,1", "--kmax", "8"])
+    out, err = capsys.readouterr()
+    if rc == 0:
+        assert "equals the input exactly" in out
+    else:
+        assert rc == 3
+        assert "no exact fit of the samples" in err
+
+
+def test_exact_fit_that_does_not_verify_exits_three(tmp_path, capsys):
+    """E_2 = 2 + 10^-40 has a denominator above the bound of either float
+    fit: no rationalized fit meets the samples, and the round trip is
+    refused rather than answered inexactly."""
+    rc = main(["roundtrip", "--bnf",
+               _rh_file(tmp_path, "3/2", f"{2 * 10 ** 40 + 1}/{10 ** 40}"),
+               "--orders", "2,1,1", "--kmax", "10"])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert "misses the samples by" in err
+    assert "round trip ok" not in out
+
+
+_RENAMED = object()
+
+
+def _corrupt(obj, path, value):
+    """Set ``obj[path[0]][path[1]]...`` to ``value``; ``_RENAMED`` renames
+    the last key to ``"abc"`` instead."""
+    for key in path[:-1]:
+        obj = obj[key]
+    if value is _RENAMED:
+        obj["abc"] = obj.pop(path[-1])
+    else:
+        obj[path[-1]] = value
+
+
+@pytest.mark.parametrize("path, value", [
+    (("coefficients", "1", "terms", 0, "re"), "abc"),
+    (("coefficients", "1", "terms", 0, "re"), "1/0"),
+    (("coefficients", "1", "terms", 0, "im"), None),
+    (("coefficients", "1"), _RENAMED),
+    (("maslov", "1"), "x"),
+])
+def test_malformed_number_in_traces_exits_two(rt1_file, tmp_path, capsys,
+                                              path, value):
+    traces = tmp_path / "traces.json"
+    assert main(["forward", "--bnf", rt1_file, "--orders", "2,1,1",
+                 "--kmax", "6", "--out", str(traces)]) == 0
+    doc = json.load(open(traces))
+    _corrupt(doc, path, value)
+    jsonio.dump(traces, doc)
+    capsys.readouterr()
+    rc = main(["recover", "--traces", str(traces), "--n", "1",
+               "--out", str(tmp_path / "rec.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "malformed number under key" in err
+
+
+@pytest.mark.parametrize("field, value", [("rational", "two"),
+                                          ("float", "abc")])
+def test_malformed_number_in_bnf_exits_two(tmp_path, capsys, field, value):
+    G = FR if field == "rational" else FF
+    blocks = SpectrumBlocks(G, [REAL_HYPERBOLIC], [G.from_int(2)])
+    F = MultiSeries(G, 1, Orders(2, 1, 1), {((2,), 0, 0): G.from_int(1)})
+    doc = jsonio.qbnf_to_json(QuantumBNF(blocks, [zseries(G, 1)], F))
+    doc["F"]["terms"][0]["re"] = value
+    path = tmp_path / "bnf.json"
+    jsonio.dump(path, doc)
+    rc = main(["forward", "--bnf", str(path), "--orders", "2,1,1",
+               "--kmax", "6", "--out", str(tmp_path / "t.json")])
+    assert rc == 2
+    assert f"malformed number under key 're'/'im': {value!r}" in \
+        capsys.readouterr().err
+
+
 def _n1_file(tmp_path, F_terms, jet):
     """n=1 normal form (rh E=3) at F orders (4, 3, 3) as a file."""
     blocks = SpectrumBlocks(FR, [REAL_HYPERBOLIC], [FR.from_int(3)])

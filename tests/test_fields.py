@@ -51,23 +51,14 @@ def test_rational_parse_format_roundtrip():
     assert F.parse(re, im) == x
 
 
-def test_rational_sqrt_exact():
+def test_rational_abs_does_not_square_out_of_range():
+    """|x| is taken from the rounded parts, so a modulus near 1e200, whose
+    square is 1e400, is still a float."""
     F = RationalField()
-    assert F.sqrt(F.from_int(4)) == F.from_int(2)
-    assert F.sqrt(F.from_rational("9/16")) == F.from_rational("3/4")
-    assert F.sqrt(F.from_int(-4)) == F.from_rational(0, 2)
-    z = F.from_rational("7/25", "24/25")  # (4/5 + 3i/5)^2
-    s = F.sqrt(z)
-    assert s * s == z
-    assert s == F.from_rational("4/5", "3/5")
-
-
-def test_rational_sqrt_inexact_raises():
-    F = RationalField()
-    with pytest.raises(FieldError):
-        F.sqrt(F.from_int(2))
-    with pytest.raises(FieldError):
-        F.sqrt(F.from_rational("3/5", "4/5"))
+    big = RationalComplex(3 * 10 ** 200, 4 * 10 ** 200)
+    assert F.abs(big) == pytest.approx(5e200, rel=1e-15)
+    assert F.abs(big / RationalComplex(10 ** 400)) == pytest.approx(
+        5e-200, rel=1e-15)
 
 
 def test_rational_exp_unavailable():

@@ -3,15 +3,16 @@ import itertools
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import mixed_float_fixture, rt1, well_separated_mus
 
 from bnftrace.blocks import (COMPLEX_HYPERBOLIC, ELLIPTIC, REAL_HYPERBOLIC,
-                             SpectrumBlocks)
+                             SpectrumBlocks, nonresonance_witness)
 from bnftrace.errors import (ConvergenceError, FieldError, MathError,
                              RankDeficiencyError)
 from bnftrace.fields import FloatField, RationalField
@@ -191,11 +192,10 @@ def test_cube_fit_names_the_edge_classes_when_ambiguous():
 def test_cube_fit_drops_roots_with_untrusted_weights():
     # c = 1, E = 2: roots 2 (+) and 1/2 (-), plus a spurious root of weight 0.1
     c, tags, exp_half = _cube_from_roots(
-        FR, [FR.from_int(2), FR.from_rational("1/2"), FR.from_int(7)],
-        [FR.one, -FR.one, FR.from_rational("1/10")], 1)
-    assert c == FR.one
+        FF, [2 + 0j, 0.5 + 0j, 7 + 0j], [1 + 0j, -1 + 0j, 0.1 + 0j], 1)
+    assert c == 1
     assert tags == [REAL_HYPERBOLIC]
-    assert exp_half == [FR.from_int(2)]
+    assert exp_half == [2]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -217,8 +217,9 @@ def test_mpmath_root_nonconvergence_is_convergence_error():
 def test_wide_real_hyperbolic_triple_recovers_or_refuses():
     """Three real hyperbolic exponents whose weakest roots drown in double
     precision: stage 0 goes to its 240-bit retry, where mpmath's root
-    finder can give up (with numpy 2.4 it does); that, like any refusal,
-    must be a MathError, not mpmath's own exception."""
+    finder could give up and the cube fit can still tie at rank n (with
+    numpy 2.4 it does); any refusal must be a MathError, not mpmath's own
+    exception."""
     mus = [0.7024822914919275, 2.1161459174609334, 1.0221501252364096]
     phi = 1.420136041895475
     a0 = {k: cmath.exp(-1j * k * phi)
@@ -232,6 +233,130 @@ def test_wide_real_hyperbolic_triple_recovers_or_refuses():
     want = sorted(math.exp(m) for m in mus)
     assert all(abs(g - w) <= 1e-8 * w for g, w in zip(got, want))
     assert abs(cmath.exp(1j * fr.phi_value) - cmath.exp(1j * phi)) <= 1e-8
+
+
+def _exact_round_trip(tagged, jet_coeffs, F_terms):
+    """Forward then recover an exact normal form with the blocks
+    ``tagged`` (tag, E), each with the z-coefficient of its mu-jet, and F
+    at orders (2, 1, 1), over K = 2^(n+1) + 2 powers: the recovered form
+    must equal the input, blocks, jets and F."""
+    n = len(tagged)
+    blocks = SpectrumBlocks(FR, [t for t, _ in tagged], [E for _, E in tagged])
+    perm = blocks.canonical_order()
+    blocks = blocks.reordered(perm)
+    jets = [zseries(FR, 1, {1: jet_coeffs[p]}) for p in perm]
+    bnf = QuantumBNF(blocks, jets, MultiSeries(FR, n, Orders(2, 1, 1),
+                                               F_terms))
+    td = make_trace_data(bnf, zseries(FR, 1, {1: FR.one}), {},
+                         2 ** (n + 1) + 2, (1, 1))
+    rep = recover_qbnf(td, n)
+    assert not rep.failed and rep.max_residual == 0
+    got = rep.recovered
+    assert got.blocks.tags == blocks.tags
+    assert list(got.blocks.exp_half) == list(blocks.exp_half)
+    assert got.mu_jets == bnf.mu_jets
+    assert got.F == bnf.F
+
+
+def _q(re, im=0):
+    return FR.from_rational(Fraction(re), Fraction(im))
+
+
+_EXACT_MIXES = {
+    "rh+rh": [(_RH, _q("3/2")), (_RH, _q(2))],
+    "rh+el": [(_RH, _q(3)), (_EL, _q("3/5", "4/5"))],
+    "ch": [(_CH, _q(2, 1)), (_CH, _q(2, -1))],
+    "el+el": [(_EL, _q("3/5", "4/5")), (_EL, _q("12/13", "5/13"))],
+    "rh+rh+rh": [(_RH, _q("3/2")), (_RH, _q(2)), (_RH, _q(5))],
+    "el+el+el": [(_EL, _q("3/5", "4/5")), (_EL, _q("12/13", "5/13")),
+                 (_EL, _q("15/17", "8/17"))],
+    "ch+rh": [(_CH, _q(2, 1)), (_CH, _q(2, -1)), (_RH, _q(3))],
+    "rh+rh+el": [(_RH, _q("3/2")), (_RH, _q(2)), (_EL, _q("5/13", "12/13"))],
+}
+
+
+@pytest.mark.parametrize("mix", sorted(_EXACT_MIXES))
+def test_exact_round_trip_of_block_mixes(mix):
+    """Exact stage 0 beyond n = 1: the fit runs in floating point and is
+    rationalized, and only a fit that meets every sample exactly is kept,
+    so each mix comes back bit-exactly."""
+    tagged = _EXACT_MIXES[mix]
+    n = len(tagged)
+    jets = [_q("1/3") if t == _RH else _q(0, "-1/4") if t == _EL
+            else _q("1/5", "1/7") for t, _E in tagged]
+    if mix in ("ch", "ch+rh"):
+        jets[1] = FR.conj(jets[0])
+    first = (1,) + (0,) * (n - 1)
+    F = {(tuple(2 * a for a in first), 0, 0): _q("1/4"),
+         ((0,) * n, 0, 1): _q("1/5"), (first, 1, 1): _q("-2/7")}
+    _exact_round_trip(tagged, jets, F)
+
+
+_rational = st.fractions(min_value=-3, max_value=3, max_denominator=9)
+
+
+@st.composite
+def _exact_normal_forms(draw):
+    """Rational blocks of a mix of n <= 3 (rh: E in Q, E > 1; elliptic: a
+    Pythagorean E; ch: a conjugate pair in Q(i)), nonresonant and with
+    their 2^n half-sums of exponents 0.3 apart, as in the stage-0 sweep,
+    with rational jets and a rational F of every recoverable term at
+    orders (2, 1, 1)."""
+    tagged, jets = [], []
+    for kind in _MIXES[draw(st.sampled_from(sorted(_MIXES)))]:
+        if kind == _RH:
+            tagged.append((_RH, FR.from_rational(draw(st.fractions(
+                min_value=Fraction(6, 5), max_value=4, max_denominator=7)))))
+            jets.append(FR.from_rational(draw(_rational)))
+        elif kind == _EL:
+            m = draw(st.integers(2, 7))
+            k = draw(st.integers(1, m - 1))
+            tagged.append((_EL, _q(Fraction(m * m - k * k, m * m + k * k),
+                                   Fraction(2 * m * k, m * m + k * k))))
+            jets.append(FR.from_rational(0, draw(_rational)))
+        else:
+            E = _q(draw(st.fractions(1, 3, max_denominator=4)),
+                   draw(st.fractions(Fraction(1, 2), 3, max_denominator=4)))
+            assume(abs(complex(E)) > 1.2 and cmath.phase(complex(E)) < 1.3)
+            tagged += [(_CH, E), (_CH, FR.conj(E))]
+            jet = FR.from_rational(draw(_rational), draw(_rational))
+            jets += [jet, FR.conj(jet)]
+    n = len(tagged)
+    half_mus = [cmath.log(complex(E)) for _t, E in tagged]
+    logs = [sum(e * h for e, h in zip(eps, half_mus))
+            for eps in itertools.product((1, -1), repeat=n)]
+    assume(all(abs(a - b) >= 0.3 for a, b in itertools.combinations(logs, 2)))
+    # such as a ch pair of E = 1 + i, whose mu - conj(mu) is pi i
+    assume(nonresonance_witness([2 * h for h in half_mus], 10) is None)
+    F = {}
+    for alpha in itertools.product(range(3), repeat=n):
+        for m in range(2):
+            for l in range(2):
+                if (sum(alpha) == 2 if l == 0 else sum(alpha) <= 1):
+                    F[(alpha, m, l)] = FR.from_rational(draw(_rational))
+    return tagged, jets, F
+
+
+@settings(max_examples=12, deadline=None)
+@given(_exact_normal_forms())
+def test_exact_round_trip_property(case):
+    """Random exact normal forms over the n <= 3 block mixes round-trip
+    bit-exactly."""
+    _exact_round_trip(*case)
+
+
+def test_exact_fit_that_does_not_verify_refuses():
+    """rh+rh with E_2 = 2 + 10^-40, a denominator above the bound of either
+    fit: no rationalized fit meets the samples, and the refusal names the
+    last fit and its misfit rather than returning it."""
+    Es = [_q("3/2"), _q(Fraction(2 * 10 ** 40 + 1, 10 ** 40))]
+    a0 = {k: FR.inv(math.prod((E ** k - FR.inv(E) ** k for E in Es),
+                              start=FR.one))
+          for k in range(1, 11)}
+    with pytest.raises(RankDeficiencyError) as exc:
+        recover_frequencies(FR, a0, 2)
+    msg = str(exc.value)
+    assert "240-bit fit c = " in msg and "misses the samples by" in msg
 
 
 def _engine_at(E):
