@@ -182,7 +182,8 @@ def cmd_classical_bnf(args):
 
 def cmd_classify(args):
     obj = jsonio.load(args.matrix)
-    M = np.array(jsonio._need(obj, "matrix", list), dtype=float)
+    M = jsonio._parsed("'matrix'", lambda rows: np.array(rows, dtype=float),
+                       jsonio._need(obj, "matrix", list))
     blocks = classify_eigenvalues(M)
     print(f"n = {blocks.n}: n_e={blocks.n_e} n_rh={blocks.n_rh} "
           f"n_ch={blocks.n_ch}")

@@ -15,8 +15,9 @@ Two families are provided:
 Field *values* are ordinary objects with arithmetic dunders; the field
 object itself only provides construction, conversion and the few
 operations that depend on the backend (exact zero test, sqrt, exp).  The
-rational field has no sqrt: stage 0 of the recovery fits exact samples in
-floating point and verifies the rationalized fit exactly instead.
+rational field has no sqrt: stage 0 of the recovery fits exact samples on
+float fields, in doubles and then at 240 bits, and verifies the
+rationalized fit exactly instead.
 """
 
 import cmath

@@ -141,7 +141,7 @@ class _FloatFactor:
         self.rs, self.cs = rs, cs
         mp = self.mp = field._mp
         if mp is not None:
-            sv = np.linalg.svd(self.a3, compute_uv=False)
+            sv = _numpy_svd(np.linalg.svd, self.a3, compute_uv=False)
             self.cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
             # not qr_solve: with mpmath 1.3 its Householder step can divide
             # by zero on a well-conditioned matrix with a purely imaginary
@@ -157,7 +157,8 @@ class _FloatFactor:
         if mp is None:
             # explicit tiny cutoff: ill-conditioned systems are solved and
             # reported, only near-exact rank collapse is an error here
-            x3, _res, rank, sv = np.linalg.lstsq(self.a3, b2, rcond=1e-14)
+            x3, _res, rank, sv = _numpy_svd(np.linalg.lstsq, self.a3, b2,
+                                            rcond=1e-14)
             resid = self.a3 @ x3 - b2 if rank == ncols else None
             cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
         else:
@@ -182,6 +183,16 @@ class _FloatFactor:
             )
         x = [x3[j] / c for j, c in enumerate(cs.tolist())]
         return ([complex(v) for v in x] if mp is None else x), cond, rnorm
+
+
+def _numpy_svd(svd, *args, **kwargs):
+    """``svd(*args, **kwargs)``, a numpy call that takes an SVD; an SVD that
+    does not converge, as on a nan entry, is a rank-deficient stage."""
+    try:
+        return svd(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficiencyError(
+            f"rank-deficient recovery stage: {exc}") from None
 
 
 def poly_roots(field, monic_tail):

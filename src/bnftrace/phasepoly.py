@@ -16,8 +16,8 @@ maps and exact rational fixtures.
 keys are flat exponent tuples, its graded degree is the total degree, and
 its bound is that degree alone, so a product whose degree fits always
 fits.  ``derive`` keeps the degree rather than lowering it as
-``MultiSeries.derive`` does: ``poisson`` and the Lie series in ``exp_ham``
-add brackets at one fixed degree.
+``MultiSeries.derive`` does: the Lie series in ``exp_ham`` adds brackets
+at one fixed degree.
 """
 
 from collections import namedtuple
@@ -101,11 +101,6 @@ class PhasePoly(TruncatedPoly):
 
     def __repr__(self):
         return f"<PhasePoly {len(self.terms)} terms deg<={self.degree}>"
-
-
-def poisson(f, g, n):
-    """{f, g} with the (x_1..x_n, xi_1..xi_n) variable layout."""
-    return _bracket([f.derive(i) for i in range(2 * n)], f.degree, g, n)
 
 
 def _bracket(df, degree, g, n):

@@ -16,15 +16,19 @@ oriented to the block normalization, is e^{mu_j} when they differ in
 coordinate j alone.  Each generator thus labels 2^{n-1} edges, and the n
 most frequent ratio classes are the generators; fewer classes or a tie at
 rank n is an error that lists the classes.  c is the value most kept
-roots agree on.  On double precision a Gauss-Newton refit of (c, E)
-against all samples restores full accuracy, and the residual of the
-fitted exponential sum gates the result on every field.
+roots agree on.  A damped Gauss-Newton refit of (c, E) against all
+samples then restores the full accuracy of the fit's precision.
 
-Exact samples take the same float path after an exact Hankel solve (the
-exact annihilating polynomial and the reported condition number): the
-fit runs in doubles, then if need be at 240 bits, and (c, E) rationalized
-in Q(i) are kept only if they meet every sample exactly.  Otherwise the
-recovery refuses; it never returns an inexact answer.
+The fit runs on a float field, on one ladder of rungs: in doubles and
+then at 240 bits for exact and double samples, at their own precision
+for extended-precision ones.  A double Hankel solve with a condition
+number above 1e12 passes to the next rung, as does a fit that fails or
+that the field does not accept.  A float field accepts a fit whose
+exponential-sum residual is within tolerance.  The exact field accepts a
+fit that, rationalized in Q(i), meets every sample exactly; its Hankel
+solve is exact (the reported condition number and the annihilating
+polynomial).  When no rung is accepted the recovery refuses; it never
+returns an inexact answer.
 
 Later stages are finite linear systems: the z^m coefficient at h^j of the
 stored trace differs from the same coefficient of the forward engine run
@@ -59,8 +63,7 @@ import cmath
 import itertools
 import math
 from fractions import Fraction
-
-import numpy as np
+from operator import mul
 
 from .blocks import (COMPLEX_HYPERBOLIC, ELLIPTIC, REAL_HYPERBOLIC,
                      SpectrumBlocks)
@@ -84,12 +87,9 @@ MATCH_TOL = 0.1
 # refuse a real hyperbolic mu below ~0.1 and an elliptic theta within 0.1 of
 # 0 or pi.
 NORMALIZATION_TOL = 1e-2
-# Precision of the double path's stage-0 retry, and the float fits of exact
-# samples as (bits, denominator bound of the rationalized c and E_j): a part
-# p/q is found when the fit is off by less than about 1/(2 q bound), so each
-# bound sits well inside its precision.
+# Precision of the stage-0 fit that follows the double one for exact and
+# double samples.
 _RETRY_BITS = 240
-_EXACT_FITS = ((64, 10 ** 6), (_RETRY_BITS, 10 ** 24))
 
 
 def _patterns(n):
@@ -292,115 +292,108 @@ def _cube_from_roots(field, roots, weights, n):
     return c, tags, exp_half
 
 
-def _polish_cube(field, samples, c, tags, exp_half, max_iter=40):
-    """Damped Gauss-Newton refit of (c, E_1..E_n) against the samples.
+def _refit(field, samples, c, tags, exp_half, max_iter=40):
+    """Damped Gauss-Newton refit of (c, E_1..E_n) against the samples
+    s_1..s_K, on any float field.
 
-    Works in log parameters u = (log c, log E_j), where the structured
-    model is lambda_eps^k = exp(k(u_0 + <eps, u>)); rows are weighted to
-    relative size and steps are halved whenever they would not decrease
-    the misfit, so the refit converges from coarse starting points.  Float
-    backend only.  A refit that leaves the finite nonzero numbers is a
-    RankDeficiencyError.
+    Each step solves the linearization, rows weighted to relative size,
+    for the changes of the log parameters (log c, log E_j) by least
+    squares (:func:`~bnftrace.linalg.solve_lstsq`), and multiplies c and
+    each E_j by exp of its change; a step is halved until it decreases the
+    misfit, so the refit converges from the coarse cube fit.  A refit that
+    leaves the finite nonzero numbers is a RankDeficiencyError.
     """
-    n = len(exp_half)
-    pats = _patterns(n)
-    sigs = np.array([_sigma(eps) for eps in pats], dtype=float)
-    eps_mat = np.array(pats, dtype=float)          # (2^n, n)
-    s = np.array([field.to_complex(v) for v in samples], dtype=complex)
-    K = len(s)
-    kk = np.arange(1, K + 1)
-    wgt = 1.0 / np.maximum(1.0, np.abs(s))
-    u = np.array([cmath.log(field.to_complex(v)) for v in [c] + exp_half],
-                 dtype=complex)
+    # per parameter (log c, log E_j), the sign of each root's term in the
+    # derivative of sum_eps sigma(eps) lambda_eps^k, over k
+    signs = list(zip(*([_sigma(eps)] + [_sigma(eps) * e for e in eps]
+                       for eps in _patterns(len(exp_half)))))
+    wgt = [1.0 / max(1.0, field.abs(s)) for s in samples]
+    # a thousand units in the last place; a double's precision counts its
+    # whole 64-bit format
+    mantissa = 52 if field.precision <= 64 else field.precision
+    resolution = 2.0 ** (10 - mantissa)
 
-    def model_and_jac(uvec):
-        g = uvec[0] + eps_mat @ uvec[1:]           # (2^n,) log-roots
-        powers = np.exp(np.outer(kk, g))           # (K, 2^n)
-        model = powers @ sigs
-        jac = np.zeros((K, n + 1), dtype=complex)
-        base = powers * sigs[None, :] * kk[:, None]
-        jac[:, 0] = base.sum(axis=1)
-        jac[:, 1:] = base @ eps_mat
-        return model, jac
+    def weighted(params, jacobian):
+        """The weighted misfits w_k (model_k - s_k) and, if asked, the
+        Jacobian rows w_k d model_k / d(log c, log E_1, .., log E_n)."""
+        roots = list(_cube(field, params[0], params[1:]).values())
+        powers = roots
+        misfits, rows = [], []
+        for k, (s, w) in enumerate(zip(samples, wgt), start=1):
+            model = sum(map(mul, signs[0], powers), field.zero)
+            misfits.append((model - s) * w)
+            if jacobian:
+                rows.append([model * (k * w)] + [
+                    sum(map(mul, col, powers), field.zero) * (k * w)
+                    for col in signs[1:]])
+            powers = list(map(mul, powers, roots))
+        return misfits, rows
 
-    def misfit(uvec):
-        g = uvec[0] + eps_mat @ uvec[1:]
-        if np.max(kk[-1] * g.real) > 700:          # exp overflow guard
-            return np.inf
-        model = np.exp(np.outer(kk, g)) @ sigs
-        return float(np.linalg.norm((model - s) * wgt))
+    def norm(misfits):
+        """The squared norm, at the field's precision."""
+        return sum((v * field.conj(v)).real for v in misfits)
 
-    cur = misfit(u)
+    params = [c] + list(exp_half)
+    misfits, rows = weighted(params, True)
+    cur = norm(misfits)
     for _ in range(max_iter):
-        model, jac = model_and_jac(u)
         try:
-            delta, *_ = np.linalg.lstsq(jac * wgt[:, None], -(model - s) * wgt,
-                                        rcond=1e-14)
-        except np.linalg.LinAlgError:
+            delta, _cond, _res = solve_lstsq(
+                field, rows, [-v for v in misfits], residual_tol=math.inf)
+        except RankDeficiencyError:
             break
-        if not np.all(np.isfinite(delta)):
+        size = max(field.abs(d) for d in delta)
+        if not 0 < size < math.inf:
             break
-        step = 1.0
-        improved = False
-        for _halve in range(25):
-            trial = u + step * delta
-            m = misfit(trial)
-            if m < cur:
-                u = trial
-                cur = m
-                improved = True
+        # No parameter changes by more than a factor e.  Halving stops in
+        # the linear regime, K |step delta| < 0.01, where a step that does
+        # not decrease the misfit finds it at its floor.
+        step = min(1.0, 1 / size)
+        while True:
+            trial = [v * field.exp(d * step) for v, d in zip(params, delta)]
+            m = norm(weighted(trial, False)[0])
+            if m < cur or step * size * len(samples) < 0.01:
                 break
-            step *= 0.5
-        if not improved:
+            step /= 2
+        if not m < cur:
             break
-        if np.max(np.abs(step * delta)) < 1e-15:
+        params, cur = trial, m
+        if step * size < resolution:
             break
-    fitted = [complex(v) for v in np.exp(u)]
-    if not all(cmath.isfinite(v) and v != 0 for v in fitted):
-        raise RankDeficiencyError(
-            f"stage-0 refit diverged: c, E = {fitted}"
-        )
-    new_c = fitted[0]
-    new_E = []
-    for tag, E in zip(tags, fitted[1:]):
-        if E.real < 0:  # (c, E_j) and (-c, -E_j) give the same cube
-            E, new_c = -E, -new_c
-        new_E.append(_snap_to_class(field, field.one * E, tag))
-    return field.one * new_c, new_E
+        misfits, rows = weighted(params, True)
+    if not all(cmath.isfinite(field.to_complex(v)) and not field.is_zero(v)
+               for v in params):
+        raise RankDeficiencyError(f"stage-0 refit diverged: c, E = {params}")
+    c, new_E = params[0], []
+    for tag, E in zip(tags, params[1:]):
+        if field.to_complex(E).real < 0:  # (c, E_j), (-c, -E_j): one cube
+            E, c = -E, -c
+        new_E.append(_snap_to_class(field, E, tag))
+    return c, new_E
 
 
-def _rationalized(field, fl, v, bound):
-    """The nearest Gaussian rational to ``v`` (of the float field ``fl``)
-    whose parts have denominators of at most ``bound``."""
-    re, im = (Fraction(part).limit_denominator(bound) for part in fl.format(v))
-    return field.from_rational(re, im)
+def _rungs(field):
+    """The float fields that stage 0 fits in, each built when its turn
+    comes: doubles and then 240 bits for exact or double samples, the
+    field itself for extended-precision ones."""
+    if not field.exact and field.precision > 64:
+        yield field
+    else:
+        yield FloatField()
+        yield FloatField(_RETRY_BITS)
 
 
-def _exact_fit(field, tail, samples, n, tol):
-    """(c, tags, E, exponential sum) of the exact samples (k -> s_k) from
-    their exact Hankel tail: the float fit at each precision of
-    ``_EXACT_FITS`` in turn, rationalized, is kept only if it meets every
-    sample exactly; else a RankDeficiencyError."""
-    for precision, bound in _EXACT_FITS:
-        fl = FloatField(precision)
-        try:
-            roots, weights = _roots_and_weights(
-                fl, [fl.from_rational(t.re, t.im) for t in tail],
-                [fl.from_rational(s.re, s.im) for s in samples.values()], tol)
-            c, tags, exp_half = _cube_from_roots(fl, roots, weights, n)
-            c, *exp_half = [_rationalized(field, fl, v, bound)
-                            for v in [c, *exp_half]]
-        # samples or powers beyond the double range, here or in the double
-        # snapshot that equilibrates a float solve, fail this precision
-        except (MathError, OverflowError, np.linalg.LinAlgError) as exc:
-            failure = f"the {precision}-bit fit failed: {exc}"
-            continue
-        exp_sum = ExponentialSum(field, samples, c, exp_half)
-        if all(exp_sum.reconstruct(k) == s for k, s in samples.items()):
-            return c, tags, exp_half, exp_sum
-        failure = (f"the {precision}-bit fit c = {c!r}, E = {exp_half!r} "
-                   f"misses the samples by {exp_sum.residual():.3e}")
-    raise RankDeficiencyError(f"no exact fit of the samples: {failure}")
+def _in_field(field, fl, v):
+    """The value ``v`` of the float field ``fl`` in ``field``: rounded on a
+    float field; on the exact one the nearest Gaussian rational whose parts
+    have denominators of at most 2^(bits/3), as a part p/q is found when the
+    fit is off by less than about 1/(2 q bound)."""
+    re, im = fl.format(v)
+    if not field.exact:
+        return field.parse(re, im)
+    bound = 2 ** (fl.precision // 3)
+    return field.from_rational(Fraction(re).limit_denominator(bound),
+                               Fraction(im).limit_denominator(bound))
 
 
 def _canonical_blocks(field, tags, exp_half):
@@ -461,42 +454,36 @@ def recover_frequencies(field, a0, n, residual_tol=1e-6):
     by_k = dict(zip(ks, samples))
     if field.exact:
         tail, cond = _hankel_tail(field, samples, 2 ** n, tol)
-        c, tags, exp_half, exp_sum = _exact_fit(field, tail, by_k, n, tol)
-    else:
-        # The double-precision Hankel stage can degenerate when the root
-        # magnitudes spread over many decades (the weakest antipode's
-        # signal then sits below machine epsilon in all but the first few
-        # samples).  In that case rerun it in extended precision; the cube
-        # fit drops the roots it cannot trust, and the structured refit
-        # restores accuracy.
-        plain_double = field._mp is None
+    for fl in _rungs(field):
         try:
-            tail, cond = _hankel_tail(field, samples, 2 ** n, tol)
-            roots, weights = _roots_and_weights(field, tail, samples, tol)
-            retry = plain_double and cond > 1e12
-        except RankDeficiencyError:
-            if not plain_double:
-                raise
-            retry = True
-            cond = float("inf")
-        if retry:
-            mpf = FloatField(precision=_RETRY_BITS)
-            mp_samples = [mpf.one * field.to_complex(s) for s in samples]
-            mp_tail, _mpcond = _hankel_tail(mpf, mp_samples, 2 ** n, tol)
-            mroots, mweights = _roots_and_weights(mpf, mp_tail, mp_samples,
-                                                  tol)
-            roots = [complex(z) for z in mroots]
-            weights = [complex(w) for w in mweights]
-
-        c, tags, exp_half = _cube_from_roots(field, roots, weights, n)
-        if plain_double:
-            c, exp_half = _polish_cube(field, samples, c, tags, exp_half)
+            fit_samples = [fl.parse(*field.format(s)) for s in samples]
+            if field.exact:
+                fit_tail = [fl.parse(*field.format(t)) for t in tail]
+            else:
+                fit_tail, cond = _hankel_tail(fl, fit_samples, 2 ** n, tol)
+                # root magnitudes spread over many decades: the weakest
+                # roots' signal is lost to roundoff in doubles
+                if fl.precision <= 64 and cond > 1e12:
+                    raise ConditioningError(
+                        f"Hankel condition number {cond:.3e} above 1e12")
+            roots, weights = _roots_and_weights(fl, fit_tail, fit_samples, tol)
+            c, tags, exp_half = _cube_from_roots(fl, roots, weights, n)
+            c, exp_half = _refit(fl, fit_samples, c, tags, exp_half)
+        # exact samples or powers beyond the double range fail that rung
+        except (MathError, OverflowError) as exc:
+            failure = f"the {fl.precision}-bit fit failed: {exc}"
+            continue
+        c, *exp_half = [_in_field(field, fl, v) for v in [c, *exp_half]]
         exp_sum = ExponentialSum(field, by_k, c, exp_half)
-        res = exp_sum.residual()
-        if res > residual_tol:
-            raise RankDeficiencyError(
-                f"inconsistent samples: exponential model residual {res:.3e}"
-            )
+        if (all(exp_sum.reconstruct(k) == s for k, s in by_k.items())
+                if field.exact else exp_sum.residual() <= residual_tol):
+            break
+        failure = (f"the {fl.precision}-bit fit c = {c!r}, E = {exp_half!r} "
+                   f"misses the samples by {exp_sum.residual():.3e}")
+    else:
+        raise RankDeficiencyError(
+            f"no {'exact ' if field.exact else ''}fit of the samples: "
+            f"{failure}")
     blocks = _canonical_blocks(field, tags, exp_half)
 
     # phase: c = e^{i phi}

@@ -162,6 +162,14 @@ def test_classify_command(tmp_path, capsys):
     assert "n_e=1" in out
 
 
+def test_classify_rejects_a_non_numeric_entry(tmp_path, capsys):
+    path = tmp_path / "mat.json"
+    jsonio.dump(path, {"matrix": [["a", 0], [0, 0.5]]})
+    rc = main(["classify", "--matrix", str(path)])
+    assert rc == 2
+    assert "'matrix'" in capsys.readouterr().err
+
+
 def test_classical_bnf_command(tmp_path, capsys):
     from bnftrace.classical import TaylorMap
 

@@ -21,9 +21,9 @@ from bnftrace import jsonio, linalg
 from bnftrace import recover as recover_module
 from bnftrace.qbnf import QuantumBNF, TraceData, TraceEngine, make_trace_data
 from bnftrace.linalg import poly_roots
-from bnftrace.recover import (ExponentialSum, _cube_from_roots,
-                              _polish_cube, recover_frequencies,
-                              recover_polynomial, recover_qbnf)
+from bnftrace.recover import (ExponentialSum, _cube_from_roots, _refit,
+                              recover_frequencies, recover_polynomial,
+                              recover_qbnf)
 from bnftrace.series import MultiSeries, Orders, zseries
 
 FR = RationalField()
@@ -200,9 +200,25 @@ def test_cube_fit_drops_roots_with_untrusted_weights():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverged_refit_is_rank_deficiency():
-    samples = [FF.one * (2 ** k - 2.0 ** -k) for k in range(1, 7)]
-    with pytest.raises(RankDeficiencyError):
-        _polish_cube(FF, samples, complex("inf"), [REAL_HYPERBOLIC], [2 + 0j])
+    for F in (FF, FloatField(128)):
+        samples = [F.one * (2 ** k - 2.0 ** -k) for k in range(1, 7)]
+        with pytest.raises(RankDeficiencyError):
+            _refit(F, samples, F.one * complex("inf"), [REAL_HYPERBOLIC],
+                   [F.from_int(2)])
+
+
+def test_extended_stage0_is_refit_at_its_own_precision():
+    """rh+rh+el at 128 bits: the refit runs in the field's own precision,
+    so every E comes back far beyond double accuracy."""
+    F = FloatField(128)
+    mp = F._mp
+    mus = [mp.mpf("0.7"), mp.mpf("1.3"), mp.mpc(0, 1)]
+    a0 = {k: 1 / math.prod((2 * mp.sinh(k * m / 2) for m in mus),
+                           start=F.one)
+          for k in range(1, 33)}
+    got = recover_frequencies(F, a0, 3).blocks.exp_half
+    for m in mus:
+        assert min(abs(E - mp.exp(m / 2)) for E in got) <= 1e-30
 
 
 def test_mpmath_root_nonconvergence_is_convergence_error():
@@ -433,6 +449,13 @@ def test_double_and_extended_solves_agree(system):
     assert abs(c64 - c128) <= 1e-9 * c128
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_double_solve_with_a_nan_entry_is_rank_deficiency():
+    with pytest.raises(RankDeficiencyError, match="recovery stage"):
+        linalg.solve_lstsq(FF, [[1, float("nan")], [0, 1], [1, 1]],
+                           [1, 2, 3])
+
+
 @pytest.mark.parametrize("rows, rhs", [
     ([[1, 2], [2, 4], [3, 6]], [1, 2, 3]),  # rank 1, consistent
     ([[1, 2], [2, 4]], [1, 2]),             # square and singular
@@ -466,6 +489,8 @@ _TO_FIELD = {
 # a zero pivot candidate: the elimination swaps rows
 @example(system=([[0j, 1 + 0j], [1 + 0j, 0j], [1 + 0j, 1 + 0j]],
                  [[1 + 0j, 2 + 0j], [0.5j, -1 + 0j], [0j, 0j]]))
+# a zero row below the top block
+@example(system=([[2 + 0j], [0j]], [[1 + 0j], [0.5j], [0j]]))
 def test_one_factorization_solves_each_rhs_like_a_fresh_solve(name, system):
     """Right-hand sides solved in turn with one factorization give, bit for
     bit, what a fresh solve_lstsq gives; an inconsistent one after them is
@@ -495,7 +520,8 @@ def test_one_factorization_solves_each_rhs_like_a_fresh_solve(name, system):
         # inconsistent; scaled to the row, it is one unit after
         # equilibration
         bad = list(rhs_list[-1])
-        bad[n] = bad[n] + conv(max(abs(v) for v in raw_rows[n]))
+        # (by 1 when that row is zero, where its scale is 1)
+        bad[n] = bad[n] + conv(max(abs(v) for v in raw_rows[n]) or 1)
         for solve in (factored.solve,
                       lambda b: linalg.solve_lstsq(field, rows, b)):
             with pytest.raises(RankDeficiencyError,
