@@ -34,7 +34,8 @@ from .blocks import (COMPLEX_HYPERBOLIC, ELLIPTIC, REAL_HYPERBOLIC,
 from .errors import (MathError, ResonanceError, SchemaError,
                      SmallDenominatorError)
 from .fields import FloatField
-from .phasepoly import PhasePoly, PolyMap, exp_ham, iota_poly_to_phase
+from .phasepoly import (Degree, PhasePoly, PolyMap, exp_ham,
+                        iota_poly_to_phase)
 
 DEFAULT_TOL = 1e-9
 
@@ -45,7 +46,8 @@ class TaylorMap:
     Components are polynomials in (x_1..x_n, xi_1..xi_n) with zero
     constant term; symplecticity is enforced through degree-1 of the
     Jacobian identity D^T J D = J (exactly on exact fields, within ``tol``
-    otherwise).
+    otherwise).  A ``PhasePoly`` component of this field, arity and degree
+    is kept as it is; any other is rebuilt, truncated at ``degree``.
     """
 
     __slots__ = ("field", "n", "degree", "pmap")
@@ -54,10 +56,12 @@ class TaylorMap:
                  tol=1e-8):
         comps = []
         for c in components:
-            if isinstance(c, PhasePoly):
-                comps.append(PhasePoly(field, 2 * n, degree, c.terms))
-            else:
-                comps.append(PhasePoly(field, 2 * n, degree, c))
+            if not isinstance(c, PhasePoly):
+                c = PhasePoly(field, 2 * n, degree, c)
+            elif (c.field is not field or c.arity != 2 * n
+                  or c.degree != degree):
+                c = PhasePoly(field, 2 * n, degree, c.terms)
+            comps.append(c)
         self.field = field
         self.n = n
         self.degree = degree
@@ -88,8 +92,9 @@ class TaylorMap:
         f = self.field
         n, nv = self.n, 2 * self.n
         top = self.degree - 1
-        D = [[PhasePoly(f, nv, top, self.pmap.comps[i].derive(j).terms)
-              for j in range(nv)] for i in range(nv)]
+        bound = Degree(top)
+        D = [[PhasePoly._make(f, nv, bound, comp.derive(j).terms)
+              for j in range(nv)] for comp in self.pmap.comps]
         worst = 0
         for i in range(nv):
             for j in range(i + 1, nv):
@@ -449,7 +454,7 @@ def _snap_linear_to_diagonal(pmap, lam_slots, tol):
             worst = max(worst, f.abs(cur - want))
             if not f.is_zero(want):
                 terms[e] = want
-        comps.append(PhasePoly(f, nv, pmap.degree, terms))
+        comps.append(PhasePoly._make(f, nv, comp.bound, terms))
     if worst > max(tol, 1e-7):
         raise MathError(
             f"linear part is not the expected diagonal: residual {worst:.3e}"
@@ -467,7 +472,10 @@ def birkhoff_normal_form(tmap, iota_degree, tol=DEFAULT_TOL,
     divided by (lambda^M - 1), resonant ones (functions of iota alone)
     extend R.  Each generator coefficient is over-determined (one estimate
     per map component); disagreement -- i.e. a non-symplectic input --
-    is an error.
+    is an error.  The target exp H_R is rebuilt only when R changes, and
+    both directions of each conjugation come from one Lie series.  At the
+    top degree d = D the generator has degree D+1 and truncates to zero,
+    so that step only extends R (its empty generator is still listed).
 
     With ``blocks`` given, the map is taken to be in standard block form
     with those blocks: the numeric eigendecomposition is skipped and the
@@ -509,16 +517,14 @@ def birkhoff_normal_form(tmap, iota_degree, tol=DEFAULT_TOL,
     kc = _snap_linear_to_diagonal(kc, lam_slots, tol)
     lam_inv = [f.inv(l) for l in lam_slots]
 
-    def defect(pm, r_terms):
-        """Lambda^{-1} o pm - exp H_R, R given by its iota terms."""
+    def defect(pm):
+        """Lambda^{-1} o pm - exp H_R, for the current R."""
         comps = [c.scale(lam_inv[i]) for i, c in enumerate(pm.comps)]
-        if r_terms:
-            target = exp_ham(iota_poly_to_phase(f, n, D, r_terms), n, D)
-        else:
-            target = PolyMap.identity(f, n, D)
         return PolyMap(f, n, D, comps).sub(target)
 
     R_terms = {}
+    # exp H_R, rebuilt only when a degree extends R
+    target = PolyMap.identity(f, n, D)
     generators = []
     min_denom = math.inf
 
@@ -551,7 +557,7 @@ def birkhoff_normal_form(tmap, iota_degree, tol=DEFAULT_TOL,
         return total * f.inv(f.from_int(len(values)))
 
     for d in range(2, D + 1):
-        eps_d = [c.degree_part(d) for c in defect(kc, R_terms).comps]
+        eps_d = [c.degree_part(d) for c in defect(kc).comps]
         # collect chi-monomial estimates; chi has degree d+1
         chi_est = {}
         rho_est = {}
@@ -590,15 +596,20 @@ def birkhoff_normal_form(tmap, iota_degree, tol=DEFAULT_TOL,
             R_terms[m] = R_terms.get(m, f.zero) + c
             if f.is_zero(R_terms[m]):
                 del R_terms[m]
+        if rho:
+            target = (exp_ham(iota_poly_to_phase(f, n, D, R_terms), n, D)
+                      if R_terms else PolyMap.identity(f, n, D))
         if chi:
             chi_poly = PhasePoly(f, 2 * n, D, chi)
             generators.append(chi_poly)
-            fwd = exp_ham(chi_poly, n, D)
-            bwd = exp_ham(chi_poly.scale(-f.one), n, D)
-            kc = bwd.compose(kc.compose(fwd))
-            kc = _snap_linear_to_diagonal(kc, lam_slots, tol)
+            # at d = D chi has degree D + 1 and truncates to zero: its
+            # conjugation is the identity
+            if not chi_poly.is_zero():
+                fwd, bwd = exp_ham(chi_poly, n, D, inverse=True)
+                kc = bwd.compose(kc.compose(fwd))
+                kc = _snap_linear_to_diagonal(kc, lam_slots, tol)
 
-    residual = max((c.max_coeff_abs() for c in defect(kc, R_terms).comps),
+    residual = max((c.max_coeff_abs() for c in defect(kc).comps),
                    default=0.0)
 
     p_complex = {}

@@ -9,6 +9,7 @@ All file formats are defined in :mod:`bnftrace.jsonio`.
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 import numpy as np
@@ -299,9 +300,13 @@ def build_parser():
     return ap
 
 
+# one parser per process; each cmd_* still looks up the functions it calls
+# at call time
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SchemaError as exc:

@@ -19,8 +19,11 @@ recording its row operations, and each solve replays them on b and then
 *verifies* the remaining equations, which is exact least squares for
 consistent overdetermined systems -- the only kind a correct recovery
 stage produces.  There a float snapshot of the raw matrix supplies the
-reported condition number, purely as a diagnostic.
+reported condition number, purely as a diagnostic; a matrix beyond the
+double range is scaled by one power of two for it.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -31,14 +34,28 @@ _MP_ROOT_STEPS = 200
 
 
 def _cond_of(field, rows):
-    a = np.array([[field.to_complex(x) for x in row] for row in rows],
-                 dtype=complex)
+    """Condition number of an exact matrix, off its double snapshot.  A
+    matrix with an entry beyond the double range is first scaled by one
+    power of two, taken from its largest entry, which leaves the
+    condition number unchanged."""
+    try:
+        a = _snapshot(field, rows)
+    except OverflowError:
+        shift = max(abs(q.numerator).bit_length() - q.denominator.bit_length()
+                    for row in rows for x in row for q in (x.re, x.im))
+        scale = field.from_rational(Fraction(1, 2 ** shift))
+        a = _snapshot(field, [[x * scale for x in row] for row in rows])
     if a.size == 0:
         return float("inf")
     s = np.linalg.svd(a, compute_uv=False)
     if s[-1] == 0:
         return float("inf")
     return float(s[0] / s[-1])
+
+
+def _snapshot(field, rows):
+    return np.array([[field.to_complex(x) for x in row] for row in rows],
+                    dtype=complex)
 
 
 def solve_lstsq(field, rows, rhs, residual_tol=1e-9):
@@ -128,8 +145,7 @@ class _FloatFactor:
 
     def __init__(self, field, rows):
         self.field = field
-        a = np.array([[field.to_complex(x) for x in row] for row in rows],
-                     dtype=complex)
+        a = _snapshot(field, rows)
         # a zero or subnormal scale would overflow numpy's complex division
         tiny = np.finfo(float).tiny
         rs = np.max(np.abs(a), axis=1)

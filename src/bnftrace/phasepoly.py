@@ -223,11 +223,15 @@ class PolyMap:
         return f"<PolyMap n={self.n} deg<={self.degree}>"
 
 
-def exp_ham(chi, n, degree):
-    """The time-1 map of H_chi as a PolyMap, for chi of degree >= 3.
+def exp_ham(chi, n, degree, inverse=False):
+    """The time-1 map of H_chi as a PolyMap, for chi of degree >= 3; with
+    ``inverse``, the pair (exp H_chi, exp H_-chi) from one Lie series.
 
     Lie series w_i + sum_m H_chi^m(w_i)/m! terminates under truncation
     because each bracket with chi raises the degree by deg(chi) - 2 >= 1.
+    H_-chi^m = (-1)^m H_chi^m, so the inverse sums the same terms with the
+    odd ones negated; negation is exact, so it equals the series of -chi
+    term for term.
     """
     f = chi.field
     md = chi.min_degree()
@@ -235,22 +239,26 @@ def exp_ham(chi, n, degree):
         raise SchemaError("exp_ham needs a generator of degree >= 3")
     nv = 2 * n
     dchi = [chi.derive(i) for i in range(nv)]
-    comps = []
+    comps, inv_comps = [], []
     for i in range(nv):
         w = PhasePoly.variable(f, nv, degree, i)
-        acc = w
-        cur = w
+        acc = inv = cur = w
         m = 1
         while True:
             cur = _bracket(dchi, chi.degree, cur, n)
             if cur.is_zero():
                 break
-            acc = acc + cur.scale(f.factorial_inv(m))
+            term = cur.scale(f.factorial_inv(m))
+            acc = acc + term
+            if inverse:
+                inv = inv + (-term if m % 2 else term)
             m += 1
             if m > degree + 2:
                 break
         comps.append(acc)
-    return PolyMap(f, n, degree, comps)
+        inv_comps.append(inv)
+    fwd = PolyMap(f, n, degree, comps)
+    return (fwd, PolyMap(f, n, degree, inv_comps)) if inverse else fwd
 
 
 def iota_poly_to_phase(field, n, degree, iota_terms):

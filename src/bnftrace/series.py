@@ -30,6 +30,7 @@ keeps the degree, as the Poisson bracket and the Lie series need.
 """
 
 from collections import namedtuple
+from operator import add
 
 from .errors import DimensionMismatchError, SchemaError
 
@@ -56,14 +57,19 @@ class TruncatedPoly:
     @classmethod
     def _make(cls, field, arity, bound, terms):
         """An arithmetic result: its keys are canonical and inside
-        ``bound`` already, so only zero coefficients are pruned."""
+        ``bound`` already, so only zero coefficients are pruned.  The
+        result holds ``terms`` itself when nothing is pruned, so a caller
+        hands over a dict it does not change afterwards."""
         poly = object.__new__(cls)
         poly.field = field
         poly.arity = arity
         poly.bound = bound
         poly._rooms = None
-        is_zero = field.is_zero
-        poly.terms = {k: c for k, c in terms.items() if not is_zero(c)}
+        # a field zero compares equal to 0 on every backend
+        if 0 in terms.values():
+            is_zero = field.is_zero
+            terms = {k: c for k, c in terms.items() if not is_zero(c)}
+        poly.terms = terms
         return poly
 
     @classmethod
@@ -193,7 +199,7 @@ class MultiSeries(TruncatedPoly):
         l = k1[2] + k2[2]
         if m > orders.z or l > orders.h:
             return None
-        return (tuple(x + y for x, y in zip(k1[0], k2[0])), m, l)
+        return (tuple(map(add, k1[0], k2[0])), m, l)
 
     @staticmethod
     def _fits(key, orders):

@@ -12,7 +12,7 @@ from scipy.linalg import expm
 
 from helpers import random_symplectic_2x2
 
-from bnftrace import classical
+from bnftrace import classical, phasepoly
 from bnftrace.blocks import (COMPLEX_HYPERBOLIC, ELLIPTIC, REAL_HYPERBOLIC,
                              SpectrumBlocks)
 from bnftrace.classical import (TaylorMap, birkhoff_normal_form,
@@ -140,6 +140,31 @@ def test_symplectic_residual_reads_the_top_jacobian_degree():
             TaylorMap(field, 1, 3, comps)
         # at degree 2 the cubic term is truncated away
         TaylorMap(field, 1, 2, comps)
+
+
+def test_taylor_map_keeps_matching_components_and_rebuilds_others():
+    """A PhasePoly of the map's field, arity and degree is kept as it is;
+    one of a higher degree is truncated, one of another field object is
+    rebuilt on the map's field, and plain term dicts are validated."""
+    terms = {(1, 0): FF.one, (2, 1): FF.one * 0.5, (4, 1): FF.one * 0.25}
+    same = PhasePoly(FF, 2, 5, terms)
+    tm = TaylorMap(FF, 1, 5, [same, {(0, 1): FF.one}], validate=False)
+    assert tm.pmap.comps[0] is same
+
+    higher = PhasePoly(FF, 2, 6, {**terms, (3, 3): FF.one})
+    other = FloatField()
+    foreign = PhasePoly(other, 2, 5, terms)
+    tm = TaylorMap(FF, 1, 4, [higher, foreign], validate=False)
+    for comp in tm.pmap.comps:
+        assert comp.field is FF and comp.degree == 4
+        assert comp.terms == {(1, 0): FF.one, (2, 1): FF.one * 0.5}
+    tm = TaylorMap(FF, 1, 5, [foreign, {(0, 1): FF.one}], validate=False)
+    assert tm.pmap.comps[0] is not foreign
+    assert tm.pmap.comps[0].field is FF
+    assert tm.pmap.comps[0].terms == terms
+    with pytest.raises(SchemaError):
+        TaylorMap(FF, 1, 5, [{(1, -1): FF.one}, {(0, 1): FF.one}],
+                  validate=False)
 
 
 def test_taylor_map_requires_fixed_origin():
@@ -441,6 +466,78 @@ def test_generator_flows_are_symplectic():
         flow = exp_ham(g, 1, 7)
         check = TaylorMap(FF, 1, 7, flow.comps, validate=False)
         assert check.symplectic_residual() < 1e-12
+
+
+def _random_generator(draw, field, n, degree):
+    """A random chi of degree 3 or 4 in 2n variables, bounded at
+    ``degree``; doubles carry signed zero parts too."""
+    nv = 2 * n
+    top = draw(st.integers(3, 4))
+    monos = [e for e in itertools.product(range(top + 1), repeat=nv)
+             if 3 <= sum(e) <= top]
+    keys = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=6,
+                         unique=True))
+    if field.exact:
+        coeff = st.builds(field.from_rational, _coeffs, _coeffs)
+    else:
+        part = st.floats(-1, 1, allow_nan=False)
+        coeff = st.builds(complex, part, part)
+    return PhasePoly(field, nv, degree, {e: draw(coeff) for e in keys})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_paired_lie_series_inverse_is_the_series_of_minus_chi(data):
+    """exp_ham's inverse is exp_ham(-chi) term for term: the same keys in
+    the same order and equal values (on doubles only the sign of a zero
+    part may differ, as -(a * b) and a * (-b) round alike), and the pair
+    composes to the identity through the truncation degree."""
+    field = data.draw(st.sampled_from([FR, FF]))
+    n = data.draw(st.integers(1, 2))
+    degree = data.draw(st.integers(4, 7 - n))
+    chi = _random_generator(data.draw, field, n, degree)
+    fwd, bwd = exp_ham(chi, n, degree, inverse=True)
+    ref_fwd = exp_ham(chi, n, degree)
+    ref_bwd = exp_ham(chi.scale(-field.one), n, degree)
+    for got, want in zip(fwd.comps + bwd.comps,
+                         ref_fwd.comps + ref_bwd.comps):
+        assert list(got.terms) == list(want.terms)
+        assert list(got.terms.values()) == list(want.terms.values())
+    identity = PolyMap.identity(field, n, degree)
+    for pair in (fwd.compose(bwd), bwd.compose(fwd)):
+        for got, want in zip(pair.comps, identity.comps):
+            diff = got - want
+            if field.exact:
+                assert diff.is_zero()
+            else:
+                assert diff.max_coeff_abs() <= 1e-12
+
+
+def test_bnf_takes_each_lie_series_once(monkeypatch):
+    """On the golden conjugated map one normalization takes 64 Lie
+    brackets and 10 compositions: one bracket sequence per generator for
+    both directions, no conjugation at the top degree, where chi
+    truncates to zero, and exp H_R built once per value of R."""
+    from test_golden import _conjugated_flow_map
+
+    tmap = _conjugated_flow_map()
+    counts = {"bracket": 0, "compose": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(phasepoly, "_bracket",
+                        counted("bracket", phasepoly._bracket))
+    monkeypatch.setattr(PolyMap, "compose",
+                        counted("compose", PolyMap.compose))
+    res = birkhoff_normal_form(tmap, 3)
+    assert counts["bracket"] <= 64
+    assert counts["compose"] <= 10
+    # the top-degree generator is still reported, empty
+    assert res.generators[-1].is_zero()
 
 
 def test_normal_form_flow_is_symplectic():

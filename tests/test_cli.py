@@ -484,6 +484,19 @@ def test_exact_samples_beyond_the_double_range_recover_or_exit_three(
         assert "no exact fit of the samples" in err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_exact_samples_beyond_the_double_range_exit_three_not_one(
+        tmp_path, capsys):
+    """E = 10^60/7: the exact Hankel system of stage 0 has entries beyond
+    the double range, whose condition number is read off a snapshot scaled
+    by a power of two; the fits still fail, which is an exit-3 refusal
+    and not an OverflowError traceback (exit 1)."""
+    rc = main(["roundtrip", "--bnf", _rh_file(tmp_path, f"{10 ** 60}/7"),
+               "--orders", "2,1,1", "--kmax", "8"])
+    assert rc == 3
+    assert "no exact fit of the samples" in capsys.readouterr().err
+
+
 def test_exact_fit_that_does_not_verify_exits_three(tmp_path, capsys):
     """E_2 = 2 + 10^-40 has a denominator above the bound of either float
     fit: no rationalized fit meets the samples, and the round trip is

@@ -407,6 +407,26 @@ def test_double_solve_reads_cond_off_lstsq(monkeypatch):
     assert 1 <= cond < 10 and res < 1e-14
 
 
+def test_exact_condition_number_beyond_the_double_range():
+    """An exact matrix with entries near 2^2000 has no double snapshot; it
+    is scaled by one power of two first, which leaves the condition number
+    unchanged, and the exact solve goes through."""
+    rows = [[FR.from_rational("1/3"), FR.from_int(2)],
+            [FR.from_rational(5, "-1/7"), FR.from_int(1)],
+            [FR.from_int(1), FR.from_rational("9/11")]]
+    big = FR.from_int(2 ** 2000)
+    cond = linalg._cond_of(FR, rows)
+    assert 1 < cond < 100
+    big_rows = [[x * big for x in row] for row in rows]
+    assert linalg._cond_of(FR, big_rows) == cond
+    rhs = [r[0] + FR.from_int(2) * r[1] for r in big_rows]
+    x, got, _ = linalg.solve_lstsq(FR, big_rows, rhs)
+    assert x == [FR.one, FR.from_int(2)]
+    assert got == cond
+    # one huge row: the others shrink, to zero in doubles if need be
+    assert linalg._cond_of(FR, [big_rows[0], rows[1], rows[2]]) > 1e100
+
+
 F128 = FloatField(precision=128)
 _unit = st.complex_numbers(max_magnitude=1, allow_nan=False,
                            allow_infinity=False)
