@@ -4,9 +4,8 @@ symplectic maps."""
 
 from .blocks import (COMPLEX_HYPERBOLIC, ELLIPTIC, REAL_HYPERBOLIC,
                      SpectrumBlocks)
-from .classical import (TaylorMap, birkhoff_normal_form, check_nonresonance,
-                        classify_eigenvalues, linear_normalize,
-                        normal_form_flow)
+from .classical import (TaylorMap, birkhoff_normal_form, classify_eigenvalues,
+                        linear_normalize, normal_form_flow)
 from .fields import FloatField, RationalField, field_from_name
 from .oscillatory import (OrbitExpansion, TestJet, extract_jets,
                           forward_pairing, traces_from_pairings)
@@ -18,8 +17,8 @@ from .series import MultiSeries, Orders, zseries
 
 __all__ = [
     "COMPLEX_HYPERBOLIC", "ELLIPTIC", "REAL_HYPERBOLIC", "SpectrumBlocks",
-    "TaylorMap", "birkhoff_normal_form", "check_nonresonance",
-    "classify_eigenvalues", "linear_normalize", "normal_form_flow",
+    "TaylorMap", "birkhoff_normal_form", "classify_eigenvalues",
+    "linear_normalize", "normal_form_flow",
     "FloatField", "RationalField", "field_from_name",
     "OrbitExpansion", "TestJet", "extract_jets", "forward_pairing",
     "traces_from_pairings",

@@ -39,14 +39,13 @@ class SpectrumBlocks:
 
     __slots__ = ("field", "tags", "exp_half")
 
-    def __init__(self, field, tags, exp_half, validate=True, tol=1e-9):
+    def __init__(self, field, tags, exp_half):
         if len(tags) != len(exp_half):
             raise SchemaError("tags and exponents must have equal length")
         self.field = field
         self.tags = tuple(tags)
         self.exp_half = tuple(exp_half)
-        if validate:
-            self._validate(tol)
+        self._validate()
 
     @property
     def n(self):
@@ -68,8 +67,9 @@ class SpectrumBlocks:
         """Exponents as complex numbers (principal branch of 2 Log E)."""
         return [2 * cmath.log(self.field.to_complex(E)) for E in self.exp_half]
 
-    def _validate(self, tol):
+    def _validate(self):
         f = self.field
+        tol = 1e-9  # slack of the normalization checks on E_j
         i = 0
         while i < self.n:
             tag, E = self.tags[i], self.exp_half[i]
@@ -115,19 +115,19 @@ class SpectrumBlocks:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def from_exp_half(cls, field, tagged, validate=True, tol=1e-9):
+    def from_exp_half(cls, field, tagged):
         tags = [t for t, _ in tagged]
         ehm = [e for _, e in tagged]
-        return cls(field, tags, ehm, validate=validate, tol=tol)
+        return cls(field, tags, ehm)
 
     @classmethod
-    def from_mu(cls, field, tagged, validate=True, tol=1e-9):
+    def from_mu(cls, field, tagged):
         """Build from complex mu values (floating backends)."""
         tags, ehm = [], []
         for t, m in tagged:
             tags.append(t)
             ehm.append(field.exp(field.from_int(0) + complex(m) * 0.5))
-        return cls(field, tags, ehm, validate=validate, tol=tol)
+        return cls(field, tags, ehm)
 
     # -- ordering -----------------------------------------------------------
 
@@ -163,7 +163,6 @@ class SpectrumBlocks:
             self.field,
             [self.tags[p] for p in perm],
             [self.exp_half[p] for p in perm],
-            validate=False,
         )
 
     def __repr__(self):

@@ -112,14 +112,6 @@ class TaylorMap:
                     worst = max(worst, acc.max_coeff_abs())
         return worst
 
-    def compose(self, other):
-        return TaylorMap(self.field, self.n,
-                         min(self.degree, other.degree),
-                         self.pmap.compose(other.pmap).comps, validate=False)
-
-    def eval(self, values):
-        return self.pmap.eval(values)
-
     def linear_matrix_complex(self):
         rows = self.pmap.linear_matrix()
         return np.array(
@@ -178,7 +170,7 @@ def _symplectic_eigenbasis(M, tol):
     n = M.shape[0] // 2
     J = _J(n)
     sym_res = np.max(np.abs(M.T @ J @ M - J))
-    if sym_res > max(tol, 1e-9) * max(1.0, np.max(np.abs(M)) ** 2):
+    if sym_res > tol * max(1.0, np.max(np.abs(M)) ** 2):
         raise SchemaError(f"matrix is not symplectic: residual {sym_res:.3e}")
     vals, vecs = np.linalg.eig(M)
     for v in vals:
@@ -287,24 +279,18 @@ def _blocks_from_units(units, field):
     return SpectrumBlocks.from_exp_half(field, tagged)
 
 
-def classify_eigenvalues(M, tol=DEFAULT_TOL, field=None):
-    """SpectrumBlocks of a real symplectic matrix (eq-style classification).
+def classify_eigenvalues(M):
+    """SpectrumBlocks of a real symplectic matrix (eq-style classification),
+    on the double field.
 
     Raises on non-symplectic input, eigenvalues at +-1, negative real
     eigenvalues, defective structure, and reversed-Krein elliptic blocks.
     """
-    field = field or FloatField()
-    units, _T = _symplectic_eigenbasis(M, tol)
-    return _blocks_from_units(units, field)
+    units, _T = _symplectic_eigenbasis(M, DEFAULT_TOL)
+    return _blocks_from_units(units, FloatField())
 
 
-def check_nonresonance(blocks, max_order, tol=1e-8):
-    """Exhaustive search up to sum|k_j| <= max_order; (ok, witness)."""
-    w = nonresonance_witness(blocks.mu(), max_order, tol)
-    return (w is None), w
-
-
-def linear_normalize(tmap, tol=DEFAULT_TOL):
+def linear_normalize(tmap):
     """Bring the linear part to the standard block form.
 
     Returns (normalized TaylorMap, T, blocks) with T the real symplectic
@@ -318,7 +304,7 @@ def linear_normalize(tmap, tol=DEFAULT_TOL):
             "the float backend"
         )
     M = tmap.linear_matrix_complex().real
-    units, T = _symplectic_eigenbasis(M, tol)
+    units, T = _symplectic_eigenbasis(M, DEFAULT_TOL)
     Tinv = np.linalg.inv(T)
     tm = PolyMap.from_linear(f, tmap.n, tmap.degree,
                              [[f.one * complex(x) for x in row] for row in T])
@@ -437,7 +423,7 @@ def _lambda_slots(field, blocks):
     return lams + [field.inv(l) for l in lams]
 
 
-def _snap_linear_to_diagonal(pmap, lam_slots, tol):
+def _snap_linear_to_diagonal(pmap, lam_slots):
     """Replace the linear part by the exact diagonal; residual must be small."""
     f = pmap.field
     nv = 2 * pmap.n
@@ -455,16 +441,15 @@ def _snap_linear_to_diagonal(pmap, lam_slots, tol):
             if not f.is_zero(want):
                 terms[e] = want
         comps.append(PhasePoly._make(f, nv, comp.bound, terms))
-    if worst > max(tol, 1e-7):
+    if worst > 1e-7:
         raise MathError(
             f"linear part is not the expected diagonal: residual {worst:.3e}"
         )
     return PolyMap(f, pmap.n, pmap.degree, comps)
 
 
-def birkhoff_normal_form(tmap, iota_degree, tol=DEFAULT_TOL,
-                         small_denominator_tol=1e-8, resonance_order=None,
-                         blocks=None):
+def birkhoff_normal_form(tmap, iota_degree, small_denominator_tol=1e-8,
+                         resonance_order=None, blocks=None):
     """Degree-by-degree Lie normalization to kappa = exp H_p + O(degree+).
 
     At map degree d the residual against Lambda o exp H_R is cancelled by a
@@ -503,7 +488,7 @@ def birkhoff_normal_form(tmap, iota_degree, tol=DEFAULT_TOL,
             "fixtures"
         )
     else:
-        normalized, transform, blocks = linear_normalize(tmap, tol)
+        normalized, transform, blocks = linear_normalize(tmap)
     order = resonance_order or 2 * iota_degree
     w = nonresonance_witness(blocks.mu(), order, small_denominator_tol)
     if w is not None:
@@ -514,7 +499,7 @@ def birkhoff_normal_form(tmap, iota_degree, tol=DEFAULT_TOL,
     Cmap, Cimap = _complexification(f, blocks.tags, D)
     kc = Cmap.compose(normalized.pmap.compose(Cimap))
     lam_slots = _lambda_slots(f, blocks)
-    kc = _snap_linear_to_diagonal(kc, lam_slots, tol)
+    kc = _snap_linear_to_diagonal(kc, lam_slots)
     lam_inv = [f.inv(l) for l in lam_slots]
 
     def defect(pm):
@@ -607,7 +592,7 @@ def birkhoff_normal_form(tmap, iota_degree, tol=DEFAULT_TOL,
             if not chi_poly.is_zero():
                 fwd, bwd = exp_ham(chi_poly, n, D, inverse=True)
                 kc = bwd.compose(kc.compose(fwd))
-                kc = _snap_linear_to_diagonal(kc, lam_slots, tol)
+                kc = _snap_linear_to_diagonal(kc, lam_slots)
 
     residual = max((c.max_coeff_abs() for c in defect(kc).comps),
                    default=0.0)

@@ -181,9 +181,16 @@ def cmd_classical_bnf(args):
     return 0
 
 
+def _finite_matrix(rows):
+    M = np.array(rows, dtype=float)
+    if not np.isfinite(M).all():
+        raise ValueError("an entry is infinite or nan")
+    return M
+
+
 def cmd_classify(args):
     obj = jsonio.load(args.matrix)
-    M = jsonio._parsed("'matrix'", lambda rows: np.array(rows, dtype=float),
+    M = jsonio._parsed("'matrix'", _finite_matrix,
                        jsonio._need(obj, "matrix", list))
     blocks = classify_eigenvalues(M)
     print(f"n = {blocks.n}: n_e={blocks.n_e} n_rh={blocks.n_rh} "
@@ -204,8 +211,9 @@ def _parse_exp_half(field, text):
 
 
 def _parse_oracle_input(args, field):
-    """(field, exp_half, alpha) from the oracle flags; a malformed flag is
-    an input error."""
+    """(field, exp_half, alpha) from the oracle flags; a malformed flag, or
+    an exponent or E that is infinite or nan in the field, is an input
+    error."""
     try:
         if args.mu is not None:
             field = field_from_name(args.backend or "float",
@@ -217,8 +225,11 @@ def _parse_oracle_input(args, field):
             raise SchemaError("need --mu or --exp-half")
         alpha = (tuple(int(x) for x in args.alpha.split(","))
                  if args.alpha else (0,) * len(ehm))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise SchemaError(f"malformed oracle input: {exc}") from None
+    if not all(field.is_finite(E) for E in ehm):
+        raise SchemaError("oracle exponents must be finite, got "
+                          f"exp(mu/2) = {ehm}")
     if len(alpha) != len(ehm):
         raise SchemaError("alpha arity must match the exponent count")
     if min(alpha) < 0:

@@ -226,8 +226,11 @@ class RationalField:
     def format(self, x):
         return _format_fraction(x.re), _format_fraction(x.im)
 
-    def is_zero(self, x, tol=None):
+    def is_zero(self, x):
         return x.a == 0 and x.b == 0
+
+    def is_finite(self, x):
+        return True
 
     def close(self, x, y, tol=None):
         return x == y
@@ -262,9 +265,8 @@ class FloatField:
 
     exact = False
 
-    def __init__(self, precision=64, tol=1e-12):
+    def __init__(self, precision=64):
         self.precision = precision
-        self.tol = tol
         if precision <= 64:
             self.name = "float"
             self._mp = None
@@ -308,12 +310,18 @@ class FloatField:
         return (self._mp.nstr(x.real, self._digits),
                 self._mp.nstr(x.imag, self._digits))
 
-    def is_zero(self, x, tol=None):
+    def is_zero(self, x):
         # Normalisation prunes only exact zeros; tolerances are for comparisons.
         return x == 0
 
+    def is_finite(self, x):
+        """Neither part infinite nor nan, at this field's precision."""
+        if self._mp is None:
+            return cmath.isfinite(x)
+        return self._mp.isfinite(x)
+
     def close(self, x, y, tol=None):
-        t = self.tol if tol is None else tol
+        t = 1e-12 if tol is None else tol
         return abs(x - y) <= t * max(1.0, abs(x), abs(y))
 
     def inv(self, x):

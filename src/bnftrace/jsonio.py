@@ -1,4 +1,5 @@
-"""JSON formats for every serialized type.
+"""JSON formats of the files the CLI reads and writes: normal forms, trace
+data, Taylor maps and recovery reports (and a writer for orbit expansions).
 
 Numbers travel as strings: exact rationals as "p/q", floats as decimal
 strings with enough digits for their precision, so parse(serialize(x)) == x
@@ -17,7 +18,6 @@ import json
 from .blocks import SpectrumBlocks
 from .errors import SchemaError
 from .fields import field_from_name
-from .oscillatory import OrbitExpansion, TestJet
 from .qbnf import QuantumBNF, TraceData
 from .series import MultiSeries, Orders
 
@@ -47,8 +47,14 @@ def scalar_to_json(field, x):
 
 
 def scalar_from_json(field, obj):
-    return _parsed("'re'/'im'", field.parse, str(_need(obj, "re")),
-                   str(obj.get("im", "0")))
+    """A number of ``field``; an infinite or nan one is an input error,
+    judged at the field's precision."""
+    text = str(_need(obj, "re")), str(obj.get("im", "0"))
+    x = _parsed("'re'/'im'", field.parse, *text)
+    if not field.is_finite(x):
+        raise SchemaError("non-finite number under key 're'/'im': "
+                          f"{', '.join(map(repr, text))}")
+    return x
 
 
 def maslov_from_json(obj):
@@ -164,7 +170,7 @@ def taylor_map_to_json(tm):
             "components": comps}
 
 
-def taylor_map_from_json(obj, precision=64, tol=1e-8):
+def taylor_map_from_json(obj, precision=64):
     from .classical import TaylorMap
 
     field = field_from_name(_need(obj, "field", str), precision)
@@ -176,21 +182,7 @@ def taylor_map_from_json(obj, precision=64, tol=1e-8):
         for e in entries:
             terms[tuple(_need(e, "exps", list))] = scalar_from_json(field, e)
         comps.append(terms)
-    return TaylorMap(field, n, degree, comps, tol=tol)
-
-
-def test_jet_to_json(g):
-    f = g.field
-    return {"field": f.name,
-            "base_point": scalar_to_json(f, g.base_point),
-            "jet": [scalar_to_json(f, v) for v in g.jet]}
-
-
-def test_jet_from_json(obj, precision=64):
-    field = field_from_name(_need(obj, "field", str), precision)
-    base = scalar_from_json(field, _need(obj, "base_point", dict))
-    jet = [scalar_from_json(field, v) for v in _need(obj, "jet", list)]
-    return TestJet(field, base, jet)
+    return TaylorMap(field, n, degree, comps)
 
 
 def orbit_to_json(o):
@@ -203,15 +195,6 @@ def orbit_to_json(o):
             for (j, l), c in sorted(o.a_jets.items())
         ],
     }
-
-
-def orbit_from_json(obj, precision=64):
-    field = field_from_name(_need(obj, "field", str), precision)
-    i_jets = [scalar_from_json(field, v) for v in _need(obj, "i_jets", list)]
-    a_jets = {}
-    for e in _need(obj, "a_jets", list):
-        a_jets[(_need(e, "j", int), _need(e, "l", int))] = scalar_from_json(field, e)
-    return OrbitExpansion(field, i_jets, a_jets)
 
 
 def recovery_report_to_json(rep):

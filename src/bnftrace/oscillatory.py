@@ -207,14 +207,15 @@ class KPairingBundle:
         self.i0 = i0
 
 
-def traces_from_pairings(bundles, order, maslov=None, phase=None,
-                         z_order=None, h_order=None):
+def traces_from_pairings(bundles, order, phase=None, z_order=None,
+                         h_order=None):
     """Convert k-labeled smeared pairings into trace-power expansions.
 
     The k-labeled term of the smeared trace equals, after integration by
     parts, (k+1)^{-1} times the f'-pairing of the (k+1)-st trace power;
     this routine undoes the (k+1)^{-1} factor and relabels, assembling a
-    TraceData whose action series is the common I(z)/k of the bundles.
+    TraceData whose action series is the common I(z)/k of the bundles and
+    whose Maslov indices are 0.
     """
     if not bundles:
         raise SchemaError("no pairing bundles given")
@@ -260,6 +261,5 @@ def traces_from_pairings(bundles, order, maslov=None, phase=None,
             if j <= n_h and l <= n_z:
                 terms[((), l, j)] = c
         coefficients[k] = MultiSeries(f, 0, Orders(0, n_z, n_h), terms)
-    maslov = maslov or {}
     phase = phase if phase is not None else f.zero
-    return TraceData(f, k_max, action, maslov, phase, coefficients)
+    return TraceData(f, k_max, action, {}, phase, coefficients)

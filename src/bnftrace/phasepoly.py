@@ -78,17 +78,6 @@ class PhasePoly(TruncatedPoly):
                 terms[tuple(ne)] = c * self.field.from_int(e[i])
         return self._make(self.field, self.arity, self.bound, terms)
 
-    def eval(self, values):
-        f = self.field
-        total = f.zero
-        for e, c in self.terms.items():
-            v = c
-            for val, p in zip(values, e):
-                for _ in range(p):
-                    v = v * val
-            total = total + v
-        return total
-
     def degree_part(self, d):
         return self._make(self.field, self.arity, self.bound,
                           {e: c for e, c in self.terms.items() if sum(e) == d})
@@ -201,9 +190,6 @@ class PolyMap:
     def sub(self, other):
         return PolyMap(self.field, self.n, min(self.degree, other.degree),
                        [a - b for a, b in zip(self.comps, other.comps)])
-
-    def eval(self, values):
-        return [c.eval(values) for c in self.comps]
 
     def linear_matrix(self):
         """The Jacobian at the origin as a list-of-rows of field scalars."""

@@ -193,16 +193,14 @@ class TraceData:
 
     __slots__ = ("field", "k_max", "action", "maslov", "phase", "coefficients")
 
-    def __init__(self, field, k_max, action, maslov, phase, coefficients,
-                 validate=True):
+    def __init__(self, field, k_max, action, maslov, phase, coefficients):
         self.field = field
         self.k_max = k_max
         self.action = action
         self.maslov = {int(k): int(v) % 4 for k, v in maslov.items()}
         self.phase = phase
         self.coefficients = dict(coefficients)
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         if self.k_max < 1:
@@ -426,8 +424,7 @@ def _exp_from_powers(powers, t, layer=None):
     return out
 
 
-def leading_term(action, maslov_nu, blocks, k, n_z, tol=DEFAULT_POLE_TOL,
-                 mu_jets=None):
+def leading_term(action, maslov_nu, blocks, k, n_z, mu_jets=None):
     """Leading geometric amplitude  e^{i nu pi/2} I'(z) / |det(dkappa^k - 1)|^{1/2}.
 
     The determinant magnitude factorizes over blocks as
@@ -448,7 +445,7 @@ def leading_term(action, maslov_nu, blocks, k, n_z, tol=DEFAULT_POLE_TOL,
         delta = mu_jets[j] if mu_jets is not None else None
         try:
             _T, C = hypcalc.coth_csch_series(f, blocks.exp_half[j], delta,
-                                             kk, n_z, tol)
+                                             kk, n_z, DEFAULT_POLE_TOL)
         except MathError as exc:
             raise MathError(
                 f"degenerate orbit: |2 sinh(k mu_{j}/2)| below tolerance at k={k}"
@@ -479,16 +476,16 @@ def leading_term(action, maslov_nu, blocks, k, n_z, tol=DEFAULT_POLE_TOL,
 
 
 def make_trace_data(bnf, action, maslov, k_max, orders,
-                    pole_tol=DEFAULT_POLE_TOL, resonance_order=10,
-                    resonance_tol=1e-8, engine=None):
+                    pole_tol=DEFAULT_POLE_TOL, resonance_tol=1e-8, engine=None):
     """Bundle trace_power outputs for k = 1..k_max into a TraceData.
 
-    All powers share one :class:`TraceEngine`: ``engine`` if given (it must
-    serve ``bnf``), else a new one.
+    The blocks must be nonresonant through sum |k_j| <= 10.  All powers
+    share one :class:`TraceEngine`: ``engine`` if given (it must serve
+    ``bnf``), else a new one.
     """
     if k_max < 1:
         raise SchemaError("k_max must be >= 1")
-    require_nonresonant(bnf.blocks, resonance_order, resonance_tol)
+    require_nonresonant(bnf.blocks, 10, resonance_tol)
     if engine is None:
         engine = TraceEngine(bnf.blocks, bnf.mu_jets, orders[0], pole_tol)
     coefficients = {}

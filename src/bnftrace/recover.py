@@ -292,7 +292,7 @@ def _cube_from_roots(field, roots, weights, n):
     return c, tags, exp_half
 
 
-def _refit(field, samples, c, tags, exp_half, max_iter=40):
+def _refit(field, samples, c, tags, exp_half):
     """Damped Gauss-Newton refit of (c, E_1..E_n) against the samples
     s_1..s_K, on any float field.
 
@@ -300,8 +300,9 @@ def _refit(field, samples, c, tags, exp_half, max_iter=40):
     for the changes of the log parameters (log c, log E_j) by least
     squares (:func:`~bnftrace.linalg.solve_lstsq`), and multiplies c and
     each E_j by exp of its change; a step is halved until it decreases the
-    misfit, so the refit converges from the coarse cube fit.  A refit that
-    leaves the finite nonzero numbers is a RankDeficiencyError.
+    misfit, so the refit converges from the coarse cube fit, in at most 40
+    steps.  A refit that leaves the finite nonzero numbers is a
+    RankDeficiencyError.
     """
     # per parameter (log c, log E_j), the sign of each root's term in the
     # derivative of sum_eps sigma(eps) lambda_eps^k, over k
@@ -336,7 +337,7 @@ def _refit(field, samples, c, tags, exp_half, max_iter=40):
     params = [c] + list(exp_half)
     misfits, rows = weighted(params, True)
     cur = norm(misfits)
-    for _ in range(max_iter):
+    for _ in range(40):
         try:
             delta, _cond, _res = solve_lstsq(
                 field, rows, [-v for v in misfits], residual_tol=math.inf)
@@ -613,7 +614,7 @@ def require_recoverable(bnf, n_z, n_h):
                 )
 
 
-def recover_qbnf(tdata, n, orders=None, tol=1e-8, cond_gate=1e8,
+def recover_qbnf(tdata, n, tol=1e-8, cond_gate=1e8,
                  pole_tol=DEFAULT_POLE_TOL, engine=None):
     """Full order-by-order recovery of (mu(z), F) from TraceData.
 
@@ -638,15 +639,6 @@ def recover_qbnf(tdata, n, orders=None, tol=1e-8, cond_gate=1e8,
     t_orders = tdata.orders()
     n_z, n_h = t_orders.z, t_orders.h
     h_cap = _h_cap(n_h)
-    if orders is None:
-        orders = Orders(n_h + 1, n_z, h_cap)
-    else:
-        orders = Orders(*orders)
-    if orders.z > n_z or orders.h > h_cap:
-        raise SchemaError(
-            f"target orders {tuple(orders)} exceed trace orders "
-            f"(z<={n_z}, h<={h_cap})"
-        )
     notes = []
     conditioning = {}
 
@@ -682,7 +674,7 @@ def recover_qbnf(tdata, n, orders=None, tol=1e-8, cond_gate=1e8,
 
     def current_bnf():
         jets = [MultiSeries(f, 0, Orders(0, n_z, 0), jt) for jt in jet_terms]
-        F = MultiSeries(f, n, orders, fhat_terms)
+        F = MultiSeries(f, n, Orders(n_h + 1, n_z, h_cap), fhat_terms)
         return QuantumBNF(blocks, jets, F, validate=False)
 
     # one engine per mu-jet state and one factored matrix per alpha set
@@ -729,15 +721,10 @@ def recover_qbnf(tdata, n, orders=None, tol=1e-8, cond_gate=1e8,
 
     # -- Stages (j, m), j >= 1: the f_{jm} polynomials -------------------
     for j in range(1, n_h + 1):
-        lo = max(0, j + 1 - orders.h)
-        hi = min(j + 1, orders.iota)
-        alphas = [
-            a for a in itertools.product(range(hi + 1), repeat=n)
-            if lo <= sum(a) <= hi
-        ]
-        if not alphas:
-            continue
-        for m in range(0, orders.z + 1):
+        lo = max(0, j + 1 - h_cap)
+        alphas = [a for a in itertools.product(range(j + 2), repeat=n)
+                  if lo <= sum(a) <= j + 1]
+        for m in range(n_z + 1):
             sol = solve_stage(m, j, alphas)
             for alpha, val in sol.items():
                 if not f.is_zero(val):

@@ -21,8 +21,8 @@ from bnftrace import jsonio
 from bnftrace.blocks import (COMPLEX_HYPERBOLIC, ELLIPTIC, REAL_HYPERBOLIC,
                              SpectrumBlocks, nonresonance_witness)
 from bnftrace.classical import (TaylorMap, birkhoff_normal_form,
-                                check_nonresonance, classify_eigenvalues,
-                                iota_real_to_complex, normal_form_flow)
+                                classify_eigenvalues, iota_real_to_complex,
+                                normal_form_flow)
 from bnftrace.cli import main
 from bnftrace.fields import FloatField, RationalField
 from bnftrace.oscillatory import OrbitExpansion, TestJet, extract_jets, forward_pairing
@@ -313,8 +313,7 @@ def test_criterion_8_nonresonance_detector():
     assert w == ((3,), 1)
     blocks = SpectrumBlocks.from_mu(FF, [(ELLIPTIC, 1j),
                                          (ELLIPTIC, math.sqrt(2) * 1j)])
-    ok, witness = check_nonresonance(blocks, 10)
-    assert ok and witness is None
+    assert nonresonance_witness(blocks.mu(), 10) is None
     _report(8, "nonresonance detector",
             "witness k=(3,) m=1; (1, sqrt 2) clean through order 10")
 

@@ -14,11 +14,10 @@ from helpers import random_symplectic_2x2
 
 from bnftrace import classical, phasepoly
 from bnftrace.blocks import (COMPLEX_HYPERBOLIC, ELLIPTIC, REAL_HYPERBOLIC,
-                             SpectrumBlocks)
+                             SpectrumBlocks, nonresonance_witness)
 from bnftrace.classical import (TaylorMap, birkhoff_normal_form,
-                                check_nonresonance, classify_eigenvalues,
-                                iota_real_to_complex, linear_normalize,
-                                normal_form_flow)
+                                classify_eigenvalues, iota_real_to_complex,
+                                linear_normalize, normal_form_flow)
 from bnftrace.errors import (MathError, ResonanceError, SchemaError,
                              SmallDenominatorError)
 from bnftrace.fields import FloatField, RationalField
@@ -99,17 +98,14 @@ def test_classify_rejects_reversed_krein():
         classify_eigenvalues(rotation(1.0).T)
 
 
-def test_check_nonresonance_examples():
+def test_nonresonance_witness_examples():
     b = SpectrumBlocks.from_mu(FF, [(ELLIPTIC, 1j),
                                     (ELLIPTIC, math.sqrt(2) * 1j)])
-    ok, w = check_nonresonance(b, 10)
-    assert ok and w is None
+    assert nonresonance_witness(b.mu(), 10) is None
     b2 = SpectrumBlocks.from_mu(FF, [(ELLIPTIC, 2j * math.pi / 3)])
-    ok2, w2 = check_nonresonance(b2, 3)
-    assert not ok2 and w2 == ((3,), 1)
+    assert nonresonance_witness(b2.mu(), 3) == ((3,), 1)
     b3 = SpectrumBlocks.from_mu(FF, [(REAL_HYPERBOLIC, math.log(2))])
-    ok3, _ = check_nonresonance(b3, 20)
-    assert ok3
+    assert nonresonance_witness(b3.mu(), 20) is None
 
 
 # -- TaylorMap ----------------------------------------------------------

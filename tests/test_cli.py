@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from bnftrace import cli, jsonio
 from bnftrace.blocks import REAL_HYPERBOLIC, SpectrumBlocks
 from bnftrace.cli import build_parser, main
 from bnftrace.fields import FloatField, RationalField
-from bnftrace.oscillatory import OrbitExpansion, TestJet
 from bnftrace.qbnf import QuantumBNF, make_trace_data
 from bnftrace.series import MultiSeries, Orders, zseries
 
@@ -110,10 +110,13 @@ def test_truncated_traces_exit_three_with_required_count(rt1_file, tmp_path,
 
 
 def test_oracle_lattice_sum_rational(capsys):
+    """README's example, byte for byte."""
     rc = main(["oracle", "lattice-sum", "--exp-half", "2", "--k", "1",
                "--truncation", "60", "--backend", "rational"])
     assert rc == 0
     out = capsys.readouterr().out
+    assert out == ("1772303994379887830538409413707126101/"
+                   "2658455991569831745807614120560689152 + 0 i\n")
     num, den = out.split()[0].split("/")
     assert abs(int(num) / int(den) - 2 / 3) < 1e-25
 
@@ -126,10 +129,11 @@ def test_oracle_lattice_sum_float_display(capsys):
 
 
 def test_oracle_csch_derivative(capsys):
+    """README's example, byte for byte."""
     rc = main(["oracle", "csch-derivative", "--exp-half", "2",
                "--alpha", "2", "--backend", "rational"])
     assert rc == 0
-    assert "41/54" in capsys.readouterr().out
+    assert capsys.readouterr().out == "41/54 + 0 i\n"
 
 
 def test_oracle_nonconvergent_exits_three(capsys):
@@ -168,6 +172,66 @@ def test_classify_rejects_a_non_numeric_entry(tmp_path, capsys):
     rc = main(["classify", "--matrix", str(path)])
     assert rc == 2
     assert "'matrix'" in capsys.readouterr().err
+
+
+def _doc_file(tmp_path, doc):
+    path = tmp_path / "input.json"
+    jsonio.dump(path, doc)
+    return str(path)
+
+
+def _float_bnf_with_exp_half(value):
+    blocks = SpectrumBlocks(FF, [REAL_HYPERBOLIC], [FF.from_int(2)])
+    F = MultiSeries(FF, 1, Orders(2, 1, 1), {((2,), 0, 0): FF.one})
+    doc = jsonio.qbnf_to_json(QuantumBNF(blocks, [zseries(FF, 1)], F))
+    doc["blocks"][0]["exp_half_mu"]["re"] = value
+    return doc
+
+
+# infinite or nan numbers from a file or a flag, each as argv given tmp_path
+_NON_FINITE = {
+    "classify NaN": lambda tmp: ["classify", "--matrix", _doc_file(
+        tmp, {"matrix": [[math.nan, 0], [0, 0.5]]})],
+    "classify Infinity": lambda tmp: ["classify", "--matrix", _doc_file(
+        tmp, {"matrix": [[math.inf, 0], [0, 0.5]]})],
+    "classical-bnf Infinity": lambda tmp: ["classical-bnf", "--map", _doc_file(
+        tmp, {"field": "float", "n": 1, "degree": 3, "components": [
+            [{"exps": [1, 0], "re": "Infinity", "im": "0"}],
+            [{"exps": [0, 1], "re": "1", "im": "0"}]]})],
+    "forward NaN": lambda tmp: ["forward", "--bnf", _doc_file(
+        tmp, _float_bnf_with_exp_half("NaN")), "--orders", "2,1,1",
+        "--out", str(tmp / "t.json")],
+    "forward NaN 128 bits": lambda tmp: ["forward", "--bnf", _doc_file(
+        tmp, _float_bnf_with_exp_half("nan")), "--orders", "2,1,1",
+        "--precision", "128", "--out", str(tmp / "t.json")],
+    "oracle mu nan": lambda tmp: ["oracle", "csch-derivative", "--mu", "nan"],
+    "oracle mu inf": lambda tmp: ["oracle", "lattice-sum", "--mu", "inf"],
+    "oracle exp-half inf": lambda tmp: [
+        "oracle", "csch-derivative", "--exp-half", "inf", "--backend",
+        "float"],
+    "oracle exp-half inf 128 bits": lambda tmp: [
+        "oracle", "csch-derivative", "--exp-half", "inf", "--backend",
+        "float", "--precision", "128"],
+}
+
+
+@pytest.mark.parametrize("case", list(_NON_FINITE))
+def test_non_finite_input_exits_two(case, tmp_path, capsys):
+    rc = main(_NON_FINITE[case](tmp_path))
+    assert rc == 2
+    assert "input error" in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
+
+
+def test_finite_beyond_the_double_range_is_not_an_input_error(capsys):
+    """Finiteness is judged at the field's precision: 1e400 is a finite
+    128-bit number."""
+    rc = main(["oracle", "csch-derivative", "--exp-half", "1e400",
+               "--backend", "float", "--precision", "128"])
+    assert rc == 0
+    # (1/2) csch(mu/2) = 1/(E - 1/E)
+    value = Fraction(capsys.readouterr().out.split()[0])
+    assert abs(value * 10 ** 400 - 1) < Fraction(1, 10 ** 30)
 
 
 def test_classical_bnf_command(tmp_path, capsys):
@@ -320,14 +384,6 @@ def test_serialization_round_trips_exact():
     # series
     s2 = jsonio.series_from_json(jsonio.series_to_json(bnf.F))
     assert s2 == bnf.F
-    # jets and orbits
-    jet = TestJet(F, F.from_int(2), [F.one, F.from_rational("1/3")])
-    j2 = jsonio.test_jet_from_json(jsonio.test_jet_to_json(jet))
-    assert j2.jet == jet.jet and j2.base_point == jet.base_point
-    orb = OrbitExpansion(F, [F.zero, F.one],
-                         {(0, 0): F.one, (1, 2): F.from_rational("5/9")})
-    o2 = jsonio.orbit_from_json(jsonio.orbit_to_json(orb))
-    assert o2.a_jets == orb.a_jets and o2.i_jets == orb.i_jets
 
 
 def test_taylor_map_serialization_roundtrip():

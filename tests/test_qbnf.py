@@ -122,6 +122,17 @@ def test_leading_term_magnitude_matches_trace_h0():
         tp = trace_power(b2, k, (0, 0))
         assert abs(abs(lt.series.get((), 0, 0)) -
                    abs(tp.coeffs.get((), 0, 0))) < 1e-12
+    # z-dependent exponents (rh E = 2 and 3, jets z/3 + z^2/5 and -z/2):
+    # with F = 0 and I(z) = z the whole z-series agrees, exactly
+    blocks3 = SpectrumBlocks(FR, [REAL_HYPERBOLIC] * 2,
+                             [FR.from_int(2), FR.from_int(3)])
+    jets = [zseries(FR, 3, {1: FR.from_rational("1/3"),
+                            2: FR.from_rational("1/5")}),
+            zseries(FR, 3, {1: FR.from_rational("-1/2")})]
+    b3 = QuantumBNF(blocks3, jets, MultiSeries.zero(FR, 2, (4, 3, 3)))
+    for k in range(1, 7):
+        lt = leading_term(action, 0, blocks3, k, 3, mu_jets=jets)
+        assert lt.series == trace_power(b3, k, (3, 0)).coeffs
 
 
 def test_scaling_law_f_zero_exact():

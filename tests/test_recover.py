@@ -19,7 +19,8 @@ from bnftrace.fields import FloatField, RationalField
 from bnftrace import hypcalc as hc
 from bnftrace import jsonio, linalg
 from bnftrace import recover as recover_module
-from bnftrace.qbnf import QuantumBNF, TraceData, TraceEngine, make_trace_data
+from bnftrace.qbnf import (QuantumBNF, TraceData, TraceEngine, TracePower,
+                          make_trace_data)
 from bnftrace.linalg import poly_roots
 from bnftrace.recover import (ExponentialSum, _cube_from_roots, _refit,
                               recover_frequencies, recover_polynomial,
@@ -889,12 +890,18 @@ def test_recovery_keeps_h1_terms_at_h_order_zero(F_terms):
     assert rep.recovered.F.orders.h == 1
 
 
-def test_self_check_compares_the_constant_phase():
-    """A recovery bounded at h^0 drops f00 = 1/5; every coefficient still
-    matches, and only the constant phase tells."""
+def test_self_check_compares_the_constant_phase(monkeypatch):
+    """A self-check forward pass whose constant phase is off by 1/7 matches
+    every coefficient, and only the phase comparison tells."""
     _F, td = _h_order_zero_traces({((0,), 0, 1): "1/5"})
-    rep = recover_qbnf(td, 1, orders=(1, 1, 0))
-    assert rep.recovered.F.is_zero()
+    original = recover_module.trace_power
+
+    def shifted(*args, **kwargs):
+        tp = original(*args, **kwargs)
+        return TracePower(tp.k, tp.phase + FR.from_rational("1/7"), tp.coeffs)
+
+    monkeypatch.setattr(recover_module, "trace_power", shifted)
+    rep = recover_qbnf(td, 1)
     assert rep.failed
     assert all(v == 0 for v in rep.residuals.values())
     assert any("constant phase" in note for note in rep.normalization_notes)
