@@ -45,7 +45,11 @@ class SpectrumBlocks:
         self.field = field
         self.tags = tuple(tags)
         self.exp_half = tuple(exp_half)
-        self._validate()
+        try:
+            self._validate()
+        except OverflowError:  # the checks read each E as a complex double
+            raise SchemaError(f"an exponent in {self.exp_half} is beyond the "
+                              "double range") from None
 
     @property
     def n(self):

@@ -135,9 +135,9 @@ def cmd_roundtrip(args):
         )
     require_recoverable(bnf, *cfg.orders[1:])
     action, maslov = _load_action(args.action, bnf.field, cfg.orders[1])
-    # the recovery reuses the forward engine for every stage whose state
-    # it serves: all the late ones, when the round trip is exact
-    engine = TraceEngine(bnf.blocks, bnf.mu_jets, cfg.orders[1], cfg.tol_pole)
+    # the recovery reuses the forward engine for every stage when it
+    # serves the recovered blocks, as it does when the round trip is exact
+    engine = TraceEngine(bnf.blocks, cfg.orders[1], cfg.tol_pole)
     td = _forward_tracedata(bnf, action, maslov, cfg, engine)
     rep = recover_qbnf(td, bnf.n, tol=cfg.tol_residual,
                        cond_gate=cfg.tol_conditioning, pole_tol=cfg.tol_pole,
@@ -211,13 +211,16 @@ def _parse_exp_half(field, text):
 
 
 def _parse_oracle_input(args, field):
-    """(field, exp_half, alpha) from the oracle flags; a malformed flag, or
-    an exponent or E that is infinite or nan in the field, is an input
-    error."""
+    """(field, exp_half, alpha) from the oracle flags; a malformed flag,
+    --mu on the rational backend, or an exponent or E that is infinite or
+    nan in the field, or an E that is zero, is an input error."""
     try:
         if args.mu is not None:
-            field = field_from_name(args.backend or "float",
-                                    args.float_precision)
+            if args.backend == "rational":
+                raise SchemaError("--mu needs the float backend, as "
+                                  "exp(mu/2) is not rational; give "
+                                  "--exp-half on the rational backend")
+            field = field_from_name("float", args.float_precision)
             ehm = [field.exp(complex(s) * 0.5) for s in args.mu.split(";")]
         elif args.exp_half is not None:
             ehm = _parse_exp_half(field, args.exp_half)
@@ -230,6 +233,8 @@ def _parse_oracle_input(args, field):
     if not all(field.is_finite(E) for E in ehm):
         raise SchemaError("oracle exponents must be finite, got "
                           f"exp(mu/2) = {ehm}")
+    if any(field.is_zero(E) for E in ehm):
+        raise SchemaError(f"oracle exp(mu/2) must be nonzero, got {ehm}")
     if len(alpha) != len(ehm):
         raise SchemaError("alpha arity must match the exponent count")
     if min(alpha) < 0:

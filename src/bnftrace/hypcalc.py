@@ -17,12 +17,12 @@ half-exponentials E_j = exp(mu_j/2): every hyperbolic value is a Laurent
 monomial in E_j, which keeps the rational fixtures (E_j rational) exact.
 
 B_k is a product over blocks, so d^alpha B_k = prod_j d^{alpha_j}
-(1/2)csch(k mu_j/2), each factor (k/2)^a q_a(t_j) (1/2)csch(k mu_j/2) with
-an integer polynomial q_a (:func:`coth_poly`).  :func:`csch_block` gives
-one factor as a z-series along mu_j(z), whose constant term is its value
-at mu_j(0); the trace engine is built on it.  The n-variable calculus
-above serves the csch-derivative oracle and is the reference the tests
-compare against.
+(1/2)csch(k mu_j/2), and d^a (1/2)csch(k mu_j/2) at mu_j(0) is a! times a
+Taylor coefficient there, which the same two rules give order by order
+(:class:`CschTaylor`).  The trace engine is built on that table, and
+:func:`coth_csch_series` composes it with a z-jet of mu_j.  The
+n-variable calculus above serves the csch-derivative oracle and is the
+reference the tests compare against.
 
 The lattice sum of the geometric expansion
 
@@ -32,8 +32,10 @@ acts as the independent brute-force oracle: applying a polynomial
 p(i k^{-1} d/dmu) under the sum pulls down p((m + e0/2)/i).
 """
 
+import math
+
 from .errors import ConvergenceError, PoleError, SchemaError
-from .series import MultiSeries, Orders
+from .series import MultiSeries, Orders, powers
 
 DEFAULT_POLE_TOL = 1e-9
 
@@ -150,96 +152,68 @@ def eval_csch(expr, mu=None, exp_half=None, pole_tol=DEFAULT_POLE_TOL):
     return total * base
 
 
+class CschTaylor:
+    """Taylor coefficients t_p and c_p of coth(k mu/2) and (1/2)csch(k mu/2)
+    in x = mu - mu0, grown on demand.
+
+    The constant terms come from E0 = exp(mu0/2).  The two rules of the
+    module docstring give the higher ones order by order,
+
+        (p+1) t_{p+1} = (k/2) (1 - t^2)_p,
+        (p+1) c_{p+1} = -(k/2) (t c)_p,
+
+    whose right-hand sides need t and c only up to order p, so each order
+    costs O(p) field operations.  ``d`` holds the derivatives
+    d^p (1/2)csch(k mu/2) at mu0, which are p! c_p.
+    """
+
+    __slots__ = ("field", "t", "c", "d", "_kh")
+
+    def __init__(self, field, E0, k, pole_tol):
+        s2, c2 = _sinh_cosh_from_exp_half(field, E0, k, pole_tol)
+        inv = field.inv(s2)  # (1/2)csch = 1/(2 sinh)
+        self.field = field
+        self._kh = field.from_int(k) * field.inv(field.from_int(2))
+        self.t = [c2 * inv]
+        self.c = [inv]
+        self.d = [inv]
+
+    def grow(self, p):
+        """Extend the coefficients through order ``p``; returns ``self``."""
+        f, t, c = self.field, self.t, self.c
+        for q in range(len(c) - 1, p):
+            sq = tc = f.zero
+            for a in range(q + 1):
+                sq = sq + t[a] * t[q - a]
+                tc = tc + t[a] * c[q - a]
+            w = self._kh * f.inv(f.from_int(q + 1))
+            t.append(w * (f.one - sq if q == 0 else -sq))
+            c.append(-(w * tc))
+            self.d.append(c[-1] * f.from_int(math.factorial(q + 1)))
+        return self
+
+
 def coth_csch_series(field, E0, delta, k, n_z, pole_tol=DEFAULT_POLE_TOL):
     """z-series of coth(k mu(z)/2) and csch(k mu(z)/2).
 
     Returns ``(T, C)`` where ``T`` expands coth(k mu(z)/2) and ``C`` expands
-    csch(k mu(z)/2), for mu(z) = mu(0) + delta(z) with delta(0) = 0.  The
-    constant terms come from E0 = exp(mu(0)/2).  The closed rules
-    t' = (k/2)(1 - t^2) delta' and c' = -(k/2) t c delta' give the higher
-    ones order by order: with delta'(z) = sum_n d_n z^n,
-
-        (n+1) t_{n+1} = (k/2) sum_{i<=n} (1 - t^2)_i d_{n-i},
-        (n+1) c_{n+1} = -(k/2) sum_{i<=n} (t c)_i d_{n-i},
-
-    whose right-hand sides need t and c only up to order n, so one pass of
-    O(n_z^2) field operations gives both series.
+    csch(k mu(z)/2), for mu(z) = mu(0) + delta(z) with delta(0) = 0 (no
+    ``delta``: mu is constant), and E0 = exp(mu(0)/2).  Each is the
+    :class:`CschTaylor` table at mu(0) composed with the powers of delta,
+    T = sum_p t_p delta^p and C = 2 sum_p c_p delta^p; delta^p starts at
+    z^p, so p <= n_z.
     """
     f = field
-    s2, c2 = _sinh_cosh_from_exp_half(f, E0, k, pole_tol)
-    t = [c2 * f.inv(s2)]
-    c = [f.from_int(2) * f.inv(s2)]  # csch(k mu0 / 2)
     if delta is not None and not f.is_zero(delta.constant_term()):
         raise SchemaError("delta jet must have zero constant term")
-    # the nonzero d_n = (n+1) delta_{n+1} below the z-order, in order of n
-    d = []
-    if delta is not None:
-        for n in range(n_z):
-            v = delta.get((), n + 1, 0)
-            if not f.is_zero(v):
-                d.append((n, f.from_int(n + 1) * v))
-    if d:
-        kh = f.from_int(k) * f.inv(f.from_int(2))
-        u, tc = [], []  # coefficients of 1 - t^2 and of t c
-        for n in range(n_z):
-            sq = tcn = f.zero
-            for a in range(n + 1):
-                sq = sq + t[a] * t[n - a]
-                tcn = tcn + t[a] * c[n - a]
-            u.append(f.one - sq if n == 0 else -sq)
-            tc.append(tcn)
-            ut = uc = f.zero
-            for i, dv in d:
-                if i > n:
-                    break
-                ut = ut + u[n - i] * dv
-                uc = uc + tc[n - i] * dv
-            w = kh * f.inv(f.from_int(n + 1))
-            t.append(w * ut)
-            c.append(-(w * uc))
     orders = Orders(0, n_z, 0)
-    return (MultiSeries(f, 0, orders, {((), m, 0): v for m, v in enumerate(t)}),
-            MultiSeries(f, 0, orders, {((), m, 0): v for m, v in enumerate(c)}))
-
-
-def coth_poly(a):
-    """Integer coefficients of q_a, lowest degree first, where
-
-        d^a/dmu^a (1/2)csch(k mu/2) = (k/2)^a q_a(t) (1/2)csch(k mu/2),
-        t = coth(k mu/2).
-
-    By the two rules of the module docstring, q_0 = 1 and
-    q_{a+1} = (1 - t^2) q_a' - t q_a; q_a depends on neither k nor the
-    field.
-    """
-    q = (1,)
-    for _ in range(a):
-        nxt = [0] * (len(q) + 1)
-        for d, c in enumerate(q):
-            if d:
-                nxt[d - 1] += d * c
-            nxt[d + 1] -= (d + 1) * c
-        q = tuple(nxt)
-    return q
-
-
-def csch_block(field, k, a, t_powers):
-    """d^a (1/2)csch(k mu/2) of one block, as (k/2)^a q_a(t) (1/2)csch(k mu/2)
-    (:func:`coth_poly`), a z-series along mu(z).
-
-    ``t_powers`` = [B, T B, T^2 B, ...] (at least a+1 of them), where T and
-    2B are the coth and csch z-series of :func:`coth_csch_series`.  The
-    constant term is the value at mu(0), and the product over j of the
-    blocks' d^alpha_j is d^alpha prod_j (1/2)csch(k mu_j/2).
-    """
-    f = field
-    scale = (f.from_int(k) * f.inv(f.from_int(2))) ** a
-    total = None
-    for d, c in enumerate(coth_poly(a)):
-        if c:
-            term = t_powers[d].scale(f.from_int(c) * scale)
-            total = term if total is None else total + term
-    return total
+    deltas = powers(MultiSeries(f, 0, orders,
+                                delta.terms if delta is not None else {}))
+    table = CschTaylor(f, E0, k, pole_tol).grow(len(deltas) - 1)
+    T = C = MultiSeries.zero(f, 0, orders)
+    for dp, t, c in zip(deltas, table.t, table.c):
+        T, C = T + dp.scale(t), C + dp.scale(c)
+    return T, C.scale(f.from_int(2))
 
 
 def eval_series_in_z(expr, exp_half0, deltas, n_z, pole_tol=DEFAULT_POLE_TOL):

@@ -31,6 +31,16 @@ def _need(obj, key, kind=None):
     return val
 
 
+def _exponents(obj, key):
+    """The exponent tuple under ``key``: a list of integers (the series
+    checks arity and signs)."""
+    exps = _need(obj, key, list)
+    if not all(isinstance(e, int) for e in exps):
+        raise SchemaError(f"key {key!r} must list integer exponents, "
+                          f"got {exps!r}")
+    return tuple(exps)
+
+
 def _parsed(key, parse, *text):
     """``parse(*text)``, where ``text`` is the value of ``key``; a malformed
     number is an input error that names both."""
@@ -86,8 +96,7 @@ def series_from_json(obj, field=None):
                     _need(od, "h", int))
     terms = {}
     for t in _need(obj, "terms", list):
-        alpha = tuple(_need(t, "iota", list))
-        key = (alpha, _need(t, "z", int), _need(t, "h", int))
+        key = (_exponents(t, "iota"), _need(t, "z", int), _need(t, "h", int))
         terms[key] = scalar_from_json(field, t)
     return MultiSeries(field, n, orders, terms)
 
@@ -178,10 +187,11 @@ def taylor_map_from_json(obj, precision=64):
     degree = _need(obj, "degree", int)
     comps = []
     for entries in _need(obj, "components", list):
-        terms = {}
-        for e in entries:
-            terms[tuple(_need(e, "exps", list))] = scalar_from_json(field, e)
-        comps.append(terms)
+        if not isinstance(entries, list):
+            raise SchemaError("each of 'components' must be a list of "
+                              f"terms, got {entries!r}")
+        comps.append({_exponents(e, "exps"): scalar_from_json(field, e)
+                      for e in entries})
     return TaylorMap(field, n, degree, comps)
 
 

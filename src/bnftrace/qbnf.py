@@ -16,14 +16,18 @@ polynomial differential operators to the csch product along mu(z).
 The csch side does not depend on F, only on the blocks, the mu-jets, the
 z-order and the pole tolerance, and it is a product over blocks:
 d^alpha prod_j (1/2)csch(k mu_j/2) = prod_j d^{alpha_j} (1/2)csch(k mu_j/2).
-A :class:`TraceEngine` holds it for one such mu-jet state: per (k, j) the
-powers coth^d (1/2)csch along mu_j(z), per (k, j, a) the block factor
-d^a (1/2)csch(k mu_j/2) (:func:`~bnftrace.hypcalc.csch_block`) as a
-z-series along mu_j(z), and per (k, alpha) the product of the z-series
-over j; a value at mu(0) is the product of the blocks' constant terms.
-The caches live as long as the engine:
-:func:`make_trace_data` uses one for all powers, and the recovery one per
-mu-jet state, so no evaluation is repeated within it.
+Every derivative it needs is a Taylor coefficient of (1/2)csch(k mu/2) at
+mu_j(0), which does not depend on the jets.  A :class:`TraceEngine` holds
+the csch side of one set of blocks: per (k, j) the table of those
+coefficients (:class:`~bnftrace.hypcalc.CschTaylor`), grown on demand, so
+a value at mu(0) is a product of table entries.  Along the jets
+delta_j(z) = mu_j(z) - mu_j(0) the block factor is
+d^a (1/2)csch(k mu_j(z)/2) = sum_b d^{a+b} (1/2)csch(k mu_j(0)/2)
+delta_j(z)^b / b!, and per jet state the engine keeps the powers of the
+jets, the block factors per (k, j, a) and their products over j per
+(k, alpha).  The caches live as long as the engine:
+:func:`make_trace_data` uses one for all powers, and the recovery one for
+every stage and its self-check, so no evaluation is repeated within it.
 
 The F side does not depend on k.  With X = sum_{j>=1} h^j f_j(z, y),
 exp(-ik X) = sum_m ((-ik)^m / m!) X^m, and likewise for the z-dependent
@@ -49,10 +53,10 @@ and is multiplied into the stored series.
 """
 
 from . import hypcalc
-from .blocks import require_nonresonant
+from .blocks import ELLIPTIC, require_nonresonant
 from .errors import MathError, SchemaError
 from .hypcalc import DEFAULT_POLE_TOL
-from .series import MultiSeries, Orders
+from .series import MultiSeries, Orders, powers
 
 
 class QuantumBNF:
@@ -155,7 +159,7 @@ class QuantumBNF:
         f0plus = f0 - MultiSeries.scalar(f, 0, f0.orders, phase)
         x_terms = {key: c for key, c in fs.terms.items() if key[2] >= 1}
         X = MultiSeries(f, self.n, fs.orders, x_terms)
-        return phase, _powers(X), _powers(f0plus)
+        return phase, powers(X), powers(f0plus)
 
     def close_to(self, other, tol=None):
         if self.n != other.n or self.blocks.tags != other.blocks.tags:
@@ -209,7 +213,11 @@ class TraceData:
             raise SchemaError("action must be a plain z-series")
         f = self.field
         for (_a, _m, _l), c in self.action.terms.items():
-            im = f.to_complex(c).imag
+            try:
+                im = f.to_complex(c).imag
+            except OverflowError:
+                raise SchemaError(f"action coefficient {c!r} is beyond the "
+                                  "double range") from None
             if abs(im) > 1e-12:
                 raise SchemaError(f"action series must be real, found Im={im}")
         for k in range(1, self.k_max + 1):
@@ -254,63 +262,77 @@ def _check_trace_orders(bnf, orders):
 
 
 class TraceEngine:
-    """The F-independent csch side of the trace expansion for one mu-jet
-    state (see the module docstring), cached for the engine's lifetime.
+    """The F-independent csch side of the trace expansion for one set of
+    blocks, up to z-order ``n_z`` (see the module docstring), cached for
+    the engine's lifetime.
     """
 
-    def __init__(self, blocks, mu_jets, n_z, pole_tol=DEFAULT_POLE_TOL):
+    def __init__(self, blocks, n_z, pole_tol=DEFAULT_POLE_TOL):
         self.field = blocks.field
-        self.n = blocks.n
         self.exp_half = list(blocks.exp_half)
-        self.mu_jets = list(mu_jets)
         self.n_z = n_z
         self.pole_tol = pole_tol
-        self._half = self.field.inv(self.field.from_int(2))
-        self._t_powers = {}
-        self._block_series = {}
-        self._series = {}
+        self._tables = {}
+        self._jet_caches = {}
 
-    def serves(self, blocks, mu_jets, n_z, pole_tol):
-        """True when the engine was built for this state, at z-order
-        ``n_z`` or above: its series then hold every term up to ``n_z``."""
+    def serves(self, blocks, n_z, pole_tol):
+        """True when the engine was built for these blocks and pole
+        tolerance, at z-order ``n_z`` or above: its series then hold every
+        term up to ``n_z``."""
         return (blocks.field is self.field and n_z <= self.n_z
                 and pole_tol == self.pole_tol
-                and list(blocks.exp_half) == self.exp_half
-                and list(mu_jets) == self.mu_jets)
+                and list(blocks.exp_half) == self.exp_half)
 
-    def _block_zseries(self, k, j, a):
-        s = self._block_series.get((k, j, a))
-        if s is None:
-            tp = self._t_powers.get((k, j))
-            if tp is None:
-                T, C = hypcalc.coth_csch_series(
-                    self.field, self.exp_half[j], self.mu_jets[j], k,
-                    self.n_z, self.pole_tol)
-                tp = self._t_powers[(k, j)] = (T, [C.scale(self._half)])
-            T, powers = tp
-            while len(powers) <= a:
-                powers.append(powers[-1] * T)
-            s = hypcalc.csch_block(self.field, k, a, t_powers=powers)
-            self._block_series[(k, j, a)] = s
-        return s
-
-    def zseries(self, k, alpha):
-        """z-series of d^alpha prod_j (1/2)csch(k mu_j/2) along mu(z)."""
-        s = self._series.get((k, alpha))
-        if s is None:
-            s = self._block_zseries(k, 0, alpha[0])
-            for j in range(1, self.n):
-                s = s * self._block_zseries(k, j, alpha[j])
-            self._series[(k, alpha)] = s
-        return s
+    def _derivatives(self, k, j, p):
+        """d^q (1/2)csch(k mu_j/2) at mu_j(0), listed for q = 0..p at
+        least."""
+        table = self._tables.get((k, j))
+        if table is None:
+            table = self._tables[(k, j)] = hypcalc.CschTaylor(
+                self.field, self.exp_half[j], k, self.pole_tol)
+        return table.grow(p).d
 
     def value_at_mu0(self, k, alpha):
-        """d^alpha prod_j (1/2)csch(k mu_j/2) at mu(0): the product of the
-        constant terms of the blocks' z-series."""
-        v = self._block_zseries(k, 0, alpha[0]).constant_term()
-        for j in range(1, self.n):
-            v = v * self._block_zseries(k, j, alpha[j]).constant_term()
+        """d^alpha prod_j (1/2)csch(k mu_j/2) at mu(0): a product of table
+        entries."""
+        v = self.field.one
+        for j, a in enumerate(alpha):
+            v = v * self._derivatives(k, j, a)[a]
         return v
+
+    def along(self, mu_jets):
+        """The caches of :meth:`zseries` along ``mu_jets``, made on first
+        use: per block the powers delta_j^b / b! of its jet at the engine's
+        z-order, and the block factors and products formed so far.  A
+        forward call looks them up once."""
+        key = tuple(tuple(sorted(jet.terms.items())) for jet in mu_jets)
+        caches = self._jet_caches.get(key)
+        if caches is None:
+            f, orders = self.field, Orders(0, self.n_z, 0)
+            scaled = [[p.scale(f.factorial_inv(b)) for b, p in
+                       enumerate(powers(MultiSeries(f, 0, orders, jet.terms)))]
+                      for jet in mu_jets]
+            caches = self._jet_caches[key] = (scaled, {}, {})
+        return caches
+
+    def zseries(self, k, alpha, jets):
+        """z-series of d^alpha prod_j (1/2)csch(k mu_j/2) along mu(z), for
+        the jets whose caches :meth:`along` gave.  Block j's factor is
+        sum_b d^{alpha_j + b} (1/2)csch(k mu_j(0)/2) delta_j(z)^b / b!."""
+        scaled, factors, products = jets
+        s = products.get((k, alpha))
+        if s is None:
+            for j, a in enumerate(alpha):
+                factor = factors.get((k, j, a))
+                if factor is None:
+                    d = self._derivatives(k, j, a + len(scaled[j]) - 1)
+                    factor = scaled[j][0].scale(d[a])
+                    for b in range(1, len(scaled[j])):
+                        factor = factor + scaled[j][b].scale(d[a + b])
+                    factors[(k, j, a)] = factor
+                s = factor if j == 0 else s * factor
+            products[(k, alpha)] = s
+        return s
 
 
 def trace_power(bnf, k, orders, pole_tol=DEFAULT_POLE_TOL, engine=None):
@@ -318,8 +340,8 @@ def trace_power(bnf, k, orders, pole_tol=DEFAULT_POLE_TOL, engine=None):
 
     Returns a :class:`TracePower`; see the module docstring for the exact
     phase convention.  ``engine`` is a :class:`TraceEngine` built for the
-    blocks and mu-jets of ``bnf`` at z-order N_z or above; without it a
-    throwaway one is used.
+    blocks of ``bnf`` at z-order N_z or above; without it a throwaway one
+    is used.
     """
     phase, pz, applied = _forward(bnf, k, orders, pole_tol, engine)
     f = bnf.field
@@ -361,12 +383,13 @@ def _forward(bnf, k, orders, pole_tol, engine, layer=None):
     n_z, n_h = orders
     _check_trace_orders(bnf, orders)
     if engine is None:
-        engine = TraceEngine(bnf.blocks, bnf.mu_jets, n_z, pole_tol)
-    elif not engine.serves(bnf.blocks, bnf.mu_jets, n_z, pole_tol):
+        engine = TraceEngine(bnf.blocks, n_z, pole_tol)
+    elif not engine.serves(bnf.blocks, n_z, pole_tol):
         raise SchemaError(
-            "trace engine was built for other blocks, mu-jets or pole "
-            "tolerance, or a lower z-order"
+            "trace engine was built for other blocks or pole tolerance, or "
+            "a lower z-order"
         )
+    jets = engine.along(bnf.mu_jets)
     f = bnf.field
     phase, x_powers, f0_powers = bnf.trace_side(n_z, n_h)
     minus_ik = -(f.i * f.from_int(k))
@@ -383,7 +406,7 @@ def _forward(bnf, k, orders, pole_tol, engine, layer=None):
         if da and da not in ik_pow:
             ik_pow[da] = ik_inv**da
         factor = c * ik_pow[da] if da else c
-        for ((), m2, _), ec in engine.zseries(k, alpha).terms.items():
+        for ((), m2, _), ec in engine.zseries(k, alpha, jets).terms.items():
             mm = m + m2
             if mm > n_z:
                 continue
@@ -393,27 +416,14 @@ def _forward(bnf, k, orders, pole_tol, engine, layer=None):
     return phase, pz, applied
 
 
-def _powers(s):
-    """[1, s, s^2, ...] up to the first power that truncates to zero, for
-    a series with zero constant term (at most as many steps as
-    ``MultiSeries.exp_series`` takes)."""
-    out = [MultiSeries.scalar(s.field, s.n_actions, s.orders, s.field.one)]
-    for _ in range(sum(s.orders)):
-        p = out[-1] * s
-        if p.is_zero():
-            break
-        out.append(p)
-    return out
-
-
-def _exp_from_powers(powers, t, layer=None):
-    """The terms of exp(t s) = sum_p (t^p / p!) s^p from ``powers`` =
-    :func:`_powers`(s), merged by key: scalings and sums only.  With
-    ``layer`` = l, only the terms of h-order l."""
-    f = powers[0].field
+def _exp_from_powers(s_powers, t, layer=None):
+    """The terms of exp(t s) = sum_p (t^p / p!) s^p from ``s_powers`` =
+    :func:`~bnftrace.series.powers`(s), merged by key: scalings and sums
+    only.  With ``layer`` = l, only the terms of h-order l."""
+    f = s_powers[0].field
     out = {}
     w = tp = f.one
-    for p, power in enumerate(powers):
+    for p, power in enumerate(s_powers):
         if p:
             tp = tp * t
             w = tp * f.factorial_inv(p)
@@ -428,8 +438,8 @@ def leading_term(action, maslov_nu, blocks, k, n_z, mu_jets=None):
     """Leading geometric amplitude  e^{i nu pi/2} I'(z) / |det(dkappa^k - 1)|^{1/2}.
 
     The determinant magnitude factorizes over blocks as
-    prod_j |2 sinh(k mu_j(z)/2)|, and every reciprocal factor is produced
-    as a csch series (no series division).  The e^{ikI(z)/h} factor stays
+    prod_j |2 sinh(k mu_j(z)/2)|, and its reciprocal is the engine's
+    z-series of prod_j (1/2)csch(k mu_j/2) (no series division).  The e^{ikI(z)/h} factor stays
     symbolic on the returned object.  ``mu_jets`` optionally supplies the
     z-dependence of the exponents; default is a z-independent orbit.
     """
@@ -438,41 +448,25 @@ def leading_term(action, maslov_nu, blocks, k, n_z, mu_jets=None):
     kk = abs(int(k))
     f = blocks.field
     orders = Orders(0, n_z, 0)
-
-    half = f.inv(f.from_int(2))
-
-    def half_csch(j):
-        delta = mu_jets[j] if mu_jets is not None else None
-        try:
-            _T, C = hypcalc.coth_csch_series(f, blocks.exp_half[j], delta,
-                                             kk, n_z, DEFAULT_POLE_TOL)
-        except MathError as exc:
-            raise MathError(
-                f"degenerate orbit: |2 sinh(k mu_{j}/2)| below tolerance at k={k}"
-            ) from exc
-        return C.scale(half)
-
-    result = MultiSeries.scalar(f, 0, orders, f.i ** (int(maslov_nu) % 4))
-    j = 0
-    while j < blocks.n:
-        tag = blocks.tags[j]
-        C = half_csch(j)
-        if tag == "elliptic":
-            # (1/2)csch(ik theta/2) = -i/(2 sin(k theta/2)); restore the
-            # positive real magnitude 1/(2|sin|)
-            E = blocks.exp_half[j]
+    engine = TraceEngine(blocks, n_z)
+    if mu_jets is None:
+        mu_jets = [MultiSeries.zero(f, 0, orders)] * blocks.n
+    try:
+        csch = engine.zseries(kk, (0,) * blocks.n, engine.along(mu_jets))
+    except MathError as exc:
+        raise MathError(
+            f"degenerate orbit: |2 sinh(k mu_j/2)| below tolerance at k={k}"
+        ) from exc
+    # the product is positive over hyperbolic blocks and complex hyperbolic
+    # pairs; on an elliptic block (1/2)csch(ik theta/2) =
+    # -i/(2 sin(k theta/2)), and i sign(sin) restores 1/(2|sin|)
+    unit = f.i ** (int(maslov_nu) % 4)
+    for tag, E in zip(blocks.tags, blocks.exp_half):
+        if tag == ELLIPTIC:
             s2 = f.to_complex(E**kk - f.inv(E**kk))  # 2i sin(k theta/2)
-            sign = 1 if s2.imag > 0 else -1
-            result = result * C.scale(f.i * f.from_int(sign))
-            j += 1
-        elif tag == "real_hyperbolic":
-            result = result * C
-            j += 1
-        else:  # complex hyperbolic pair: the pair product is already |.|^2
-            result = result * C * half_csch(j + 1)
-            j += 2
+            unit = unit * f.i * f.from_int(1 if s2.imag > 0 else -1)
     iprime = MultiSeries(f, 0, orders, action.derive("z").terms)
-    return LeadingTerm(result * iprime, k, int(maslov_nu) % 4)
+    return LeadingTerm(csch.scale(unit) * iprime, k, int(maslov_nu) % 4)
 
 
 def make_trace_data(bnf, action, maslov, k_max, orders,
@@ -487,7 +481,7 @@ def make_trace_data(bnf, action, maslov, k_max, orders,
         raise SchemaError("k_max must be >= 1")
     require_nonresonant(bnf.blocks, 10, resonance_tol)
     if engine is None:
-        engine = TraceEngine(bnf.blocks, bnf.mu_jets, orders[0], pole_tol)
+        engine = TraceEngine(bnf.blocks, orders[0], pole_tol)
     coefficients = {}
     phase = None
     for k in range(1, k_max + 1):

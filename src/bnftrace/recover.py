@@ -39,24 +39,22 @@ evaluated at mu(0); a finite k-set stands in for the k -> infinity
 separation limit that guarantees generic solvability, so condition
 numbers are reported rather than assumed.
 
-The forward runs go through :class:`~bnftrace.qbnf.TraceEngine`, whose
-per-block caches (coth/csch z-series per (k, j); each block factor
-d^a (1/2)csch(k mu_j/2) as a z-series along mu_j(z)) are valid for one
-mu-jet state.  The jets change only in the (0, m) stages, so there is one
-engine per (0, m) stage and one more shared by every later stage and the
-final self-check.  The matrix entries above are the constant terms of the
-same block series.  They depend only on mu(0), the k-set and the alpha
-set, not on the jets or the stage's right-hand side, so a recovery builds
-and factors each distinct stage matrix once, from the first engine that
-needs it, and every m-stage of that alpha set solves its own right-hand
-side with the factorization, in order of m: stage (m, j) reads the terms
-that stage (m - 1, j) found.  Each engine is built at the
-full z-order and serves the lower orders (m, j) of the stages.  A stage
+The forward runs go through one :class:`~bnftrace.qbnf.TraceEngine` for
+the recovered blocks, shared by every stage and the final self-check: its
+Taylor tables at mu(0) (per k and block) do not depend on the jets, which
+change only in the (0, m) stages, and it keeps its z-series per jet state.
+The matrix entries above are products of the same table entries.  They
+depend only on mu(0), the k-set and the alpha set, not on the jets or the
+stage's right-hand side, so a recovery builds and factors each distinct
+stage matrix once, and every m-stage of that alpha set solves its own
+right-hand side with the factorization, in order of m: stage (m, j) reads
+the terms that stage (m - 1, j) found.  The engine is built at the full
+z-order and serves the lower orders (m, j) of the stages.  A stage
 computes only the coefficient it reads
 (:func:`~bnftrace.qbnf.trace_coefficient` at (m, j)); only the self-check
 runs the whole expansion.  A caller may hand in an engine it already has
-(the round trip passes its forward engine), and it is used for every
-stage whose state it serves.
+(the round trip passes its forward engine), and it is used if it serves
+the recovered blocks.
 """
 
 import cmath
@@ -630,8 +628,9 @@ def recover_qbnf(tdata, n, tol=1e-8, cond_gate=1e8,
     of stage 0 and the (0, m) stages are h^1 terms.
 
     ``engine`` is an optional :class:`~bnftrace.qbnf.TraceEngine` already
-    built for some state, such as the forward engine of a round trip; the
-    stages whose state it serves use it instead of a new one.
+    built, such as the forward engine of a round trip; if it serves the
+    recovered blocks, every stage and the self-check use it, otherwise one
+    new engine.
     """
     if n < 1:
         raise SchemaError("n must be >= 1")
@@ -677,29 +676,20 @@ def recover_qbnf(tdata, n, tol=1e-8, cond_gate=1e8,
         F = MultiSeries(f, n, Orders(n_h + 1, n_z, h_cap), fhat_terms)
         return QuantumBNF(blocks, jets, F, validate=False)
 
-    # one engine per mu-jet state and one factored matrix per alpha set
-    # (see the module docstring)
-    latest = None
+    # one engine for every stage and the self-check, and one factored
+    # matrix per alpha set (see the module docstring)
+    if engine is None or not engine.serves(blocks, n_z, pole_tol):
+        engine = TraceEngine(blocks, n_z, pole_tol)
     systems = {}
-
-    def engine_for(bnf):
-        nonlocal latest
-        for e in (engine, latest):
-            if e is not None and e.serves(bnf.blocks, bnf.mu_jets, n_z,
-                                          pole_tol):
-                return e
-        latest = TraceEngine(bnf.blocks, bnf.mu_jets, n_z, pole_tol)
-        return latest
 
     def solve_stage(m, j, alphas):
         bnf = current_bnf()
-        eng = engine_for(bnf)
         values = {}
         for k in ks:
-            fwd = trace_coefficient(bnf, k, m, j, pole_tol, engine=eng)
+            fwd = trace_coefficient(bnf, k, m, j, pole_tol, engine=engine)
             delta = coeffs[k].get((), m, j) - fwd
             values[k] = delta * f.inv(-(f.i * f.from_int(k)))
-        sol, cond = recover_polynomial(eng, values, alphas,
+        sol, cond = recover_polynomial(engine, values, alphas,
                                        residual_tol=max(tol, 1e-8),
                                        cond_gate=cond_gate, systems=systems)
         conditioning[f"h{j}:z{m}"] = cond
@@ -735,11 +725,10 @@ def recover_qbnf(tdata, n, tol=1e-8, cond_gate=1e8,
     recovered = QuantumBNF(recovered.blocks, recovered.mu_jets, recovered.F)
 
     # -- self check: forward the recovered data and compare --------------
-    eng = engine_for(recovered)
     residuals = {}
     worst = 0.0
     for k in ks:
-        tp = trace_power(recovered, k, (n_z, n_h), pole_tol, engine=eng)
+        tp = trace_power(recovered, k, (n_z, n_h), pole_tol, engine=engine)
         fwd = tp.coeffs
         for m in range(n_z + 1):
             for j in range(n_h + 1):

@@ -333,3 +333,16 @@ def zseries(field, orders_z, coeffs=None):
     """Convenience: a series in z alone (n_actions = 0, h-order 0)."""
     terms = {((), m, 0): c for m, c in (coeffs or {}).items()}
     return MultiSeries(field, 0, Orders(0, orders_z, 0), terms)
+
+
+def powers(s):
+    """[1, s, s^2, ...] up to the first power that truncates to zero, for
+    a series with zero constant term (at most as many steps as
+    :meth:`MultiSeries.exp_series` takes)."""
+    out = [MultiSeries.scalar(s.field, s.n_actions, s.orders, s.field.one)]
+    for _ in range(sum(s.orders)):
+        p = out[-1] * s
+        if p.is_zero():
+            break
+        out.append(p)
+    return out

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -481,17 +481,29 @@ def _random_generator(draw, field, n, degree):
     return PhasePoly(field, nv, degree, {e: draw(coeff) for e in keys})
 
 
+@st.composite
+def _lie_pair_case(draw):
+    """(field, n, degree, chi) with chi from :func:`_random_generator`."""
+    field = draw(st.sampled_from([FR, FF]))
+    n = draw(st.integers(1, 2))
+    degree = draw(st.integers(4, 7 - n))
+    return field, n, degree, _random_generator(draw, field, n, degree)
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_paired_lie_series_inverse_is_the_series_of_minus_chi(data):
+@given(_lie_pair_case())
+# fwd and bwd reach coefficients of 393 here, and the pair misses the
+# identity by 1.02e-12 in doubles
+@example((FF, 1, 6, PhasePoly(FF, 2, 6, {
+    (0, 3): 0.9604591619952685j, (3, 0): 1 + 0.9520644799515492j})))
+def test_paired_lie_series_inverse_is_the_series_of_minus_chi(case):
     """exp_ham's inverse is exp_ham(-chi) term for term: the same keys in
     the same order and equal values (on doubles only the sign of a zero
     part may differ, as -(a * b) and a * (-b) round alike), and the pair
-    composes to the identity through the truncation degree."""
-    field = data.draw(st.sampled_from([FR, FF]))
-    n = data.draw(st.integers(1, 2))
-    degree = data.draw(st.integers(4, 7 - n))
-    chi = _random_generator(data.draw, field, n, degree)
+    composes to the identity through the truncation degree: exactly on
+    the rational field, and on doubles within 1e-12 times the largest
+    coefficient of the pair, as their rounding errors grow with it."""
+    field, n, degree, chi = case
     fwd, bwd = exp_ham(chi, n, degree, inverse=True)
     ref_fwd = exp_ham(chi, n, degree)
     ref_bwd = exp_ham(chi.scale(-field.one), n, degree)
@@ -500,13 +512,14 @@ def test_paired_lie_series_inverse_is_the_series_of_minus_chi(data):
         assert list(got.terms) == list(want.terms)
         assert list(got.terms.values()) == list(want.terms.values())
     identity = PolyMap.identity(field, n, degree)
+    size = max(c.max_coeff_abs() for c in fwd.comps + bwd.comps)
     for pair in (fwd.compose(bwd), bwd.compose(fwd)):
         for got, want in zip(pair.comps, identity.comps):
             diff = got - want
             if field.exact:
                 assert diff.is_zero()
             else:
-                assert diff.max_coeff_abs() <= 1e-12
+                assert diff.max_coeff_abs() <= 1e-12 * max(1.0, size)
 
 
 def test_bnf_takes_each_lie_series_once(monkeypatch):

@@ -234,6 +234,91 @@ def test_finite_beyond_the_double_range_is_not_an_input_error(capsys):
     assert abs(value * 10 ** 400 - 1) < Fraction(1, 10 ** 30)
 
 
+def _rt1_with(mutate):
+    """rt1's normal form file, changed in place by ``mutate``."""
+    doc = jsonio.qbnf_to_json(rt1()[1])
+    mutate(doc)
+    return doc
+
+
+def _forward_argv(tmp, doc):
+    return ["forward", "--bnf", _doc_file(tmp, doc), "--orders", "4,3,3",
+            "--kmax", "8", "--out", str(tmp / "t.json")]
+
+
+def _set_iota(value):
+    return lambda doc: doc["F"]["terms"][0].update(iota=value)
+
+
+def _map_argv(tmp, mutate):
+    """classical-bnf on a rotation map file changed by ``mutate``."""
+    doc = {"field": "float", "n": 1, "degree": 3, "components": [
+        [{"exps": [1, 0], "re": "0.5", "im": "0"},
+         {"exps": [0, 1], "re": "-0.8", "im": "0"}],
+        [{"exps": [1, 0], "re": "0.8", "im": "0"},
+         {"exps": [0, 1], "re": "0.5", "im": "0"}]]}
+    mutate(doc)
+    return ["classical-bnf", "--map", _doc_file(tmp, doc)]
+
+
+def _traces_with_huge_action(tmp):
+    _F, bnf, action = rt1()
+    doc = jsonio.trace_data_to_json(make_trace_data(bnf, action, {}, 6,
+                                                    (1, 1)))
+    doc["action"]["terms"][0]["re"] = "1e400"
+    return ["recover", "--traces", _doc_file(tmp, doc), "--n", "1",
+            "--out", str(tmp / "t.json")]
+
+
+# oracle flags and input files that are unusable, each as argv given
+# tmp_path: a zero E, --mu on the rational backend, exponent lists and map
+# components of the wrong type, and exact numbers beyond the double range
+# that the block and action checks read
+_UNUSABLE = {
+    "oracle exp-half 0": lambda tmp: [
+        "oracle", "csch-derivative", "--exp-half", "0"],
+    "oracle exp-half 0 float": lambda tmp: [
+        "oracle", "csch-derivative", "--exp-half", "0", "--backend",
+        "float"],
+    "oracle exp-half 2;0": lambda tmp: [
+        "oracle", "csch-derivative", "--exp-half", "2;0"],
+    "oracle exp-half 1e-400 float": lambda tmp: [
+        "oracle", "csch-derivative", "--exp-half", "1e-400", "--backend",
+        "float"],
+    "oracle lattice-sum mu rational": lambda tmp: [
+        "oracle", "lattice-sum", "--mu", "1", "--backend", "rational"],
+    "oracle csch-derivative mu rational": lambda tmp: [
+        "oracle", "csch-derivative", "--mu", "1", "--backend", "rational"],
+    "iota [null]": lambda tmp: _forward_argv(tmp, _rt1_with(
+        _set_iota([None]))),
+    "iota ['x']": lambda tmp: _forward_argv(tmp, _rt1_with(
+        _set_iota(["x"]))),
+    "iota [[]]": lambda tmp: _forward_argv(tmp, _rt1_with(_set_iota([[]]))),
+    "iota [{}]": lambda tmp: _forward_argv(tmp, _rt1_with(_set_iota([{}]))),
+    "iota [1.5]": lambda tmp: _forward_argv(tmp, _rt1_with(
+        _set_iota([1.5]))),
+    "iota []": lambda tmp: _forward_argv(tmp, _rt1_with(_set_iota([]))),
+    "iota 'x'": lambda tmp: _forward_argv(tmp, _rt1_with(_set_iota("x"))),
+    "exp_half_mu 1e400": lambda tmp: _forward_argv(tmp, _rt1_with(
+        lambda doc: doc["blocks"][0]["exp_half_mu"].update(re="1e400"))),
+    "map exps ['x', 0]": lambda tmp: _map_argv(
+        tmp, lambda doc: doc["components"][0][0].update(exps=["x", 0])),
+    "map null component": lambda tmp: _map_argv(
+        tmp, lambda doc: doc["components"].__setitem__(0, None)),
+    "map components [1, 2]": lambda tmp: _map_argv(
+        tmp, lambda doc: doc.update(components=[1, 2])),
+    "action 1e400": _traces_with_huge_action,
+}
+
+
+@pytest.mark.parametrize("case", list(_UNUSABLE))
+def test_unusable_input_exits_two(case, tmp_path, capsys):
+    rc = main(_UNUSABLE[case](tmp_path))
+    assert rc == 2
+    assert "input error" in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
+
+
 def test_classical_bnf_command(tmp_path, capsys):
     from bnftrace.classical import TaylorMap
 

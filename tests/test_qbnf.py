@@ -243,18 +243,20 @@ class _ScratchEngine:
     """Stands in for TraceEngine with no caches at all: every z-series is
     built from scratch by apply_derivatives + eval_series_in_z."""
 
-    def __init__(self, bnf, n_z):
-        self.bnf = bnf
+    def __init__(self, blocks, n_z):
+        self.blocks = blocks
         self.n_z = n_z
 
     def serves(self, *_state):
         return True
 
-    def zseries(self, k, alpha):
-        b = self.bnf
+    def along(self, mu_jets):
+        return mu_jets
+
+    def zseries(self, k, alpha, mu_jets):
+        b = self.blocks
         expr = hc.apply_derivatives(hc.csch_product(b.field, b.n, k), alpha)
-        return hc.eval_series_in_z(expr, b.blocks.exp_half, b.mu_jets,
-                                   self.n_z)
+        return hc.eval_series_in_z(expr, b.exp_half, mu_jets, self.n_z)
 
 
 def _rational_fixtures():
@@ -288,9 +290,9 @@ def _alphas_up_to(n, degree):
 
 def test_engine_trace_power_matches_scratch_reference():
     for b in _rational_fixtures():
-        engine = TraceEngine(b.blocks, b.mu_jets, 3)
+        engine = TraceEngine(b.blocks, 3)
         for k in range(1, 9):
-            ref = trace_power(b, k, (3, 3), engine=_ScratchEngine(b, 3))
+            ref = trace_power(b, k, (3, 3), engine=_ScratchEngine(b.blocks, 3))
             got = trace_power(b, k, (3, 3), engine=engine)
             again = trace_power(b, k, (3, 3), engine=engine)  # from cache
             assert got.phase == ref.phase
@@ -302,37 +304,29 @@ def test_engine_trace_power_matches_scratch_reference():
 
 def test_engine_matches_scratch_for_every_alpha():
     for b in _rational_fixtures():
-        engine = TraceEngine(b.blocks, b.mu_jets, 3)
-        scratch = _ScratchEngine(b, 3)
+        engine = TraceEngine(b.blocks, 3)
+        scratch = _ScratchEngine(b.blocks, 3)
         for k in (1, 2, 5):
             for alpha in _alphas_up_to(b.n, 4):
-                assert engine.zseries(k, alpha) == scratch.zseries(k, alpha)
+                assert engine.zseries(k, alpha, engine.along(b.mu_jets)) == \
+                    scratch.zseries(k, alpha, b.mu_jets)
                 expr = hc.apply_derivatives(hc.csch_product(FR, b.n, k), alpha)
                 assert engine.value_at_mu0(k, alpha) == hc.eval_csch(
                     expr, exp_half=b.blocks.exp_half)
 
 
 def test_coth_polys_equal_apply_derivatives():
-    """d^a (1/2)csch(k mu/2) = (k/2)^a q_a(t) (1/2)csch(k mu/2): the
-    recurrence for q_a against the one-variable CschExpression calculus,
-    and the engine's value at mu(0) against eval_csch."""
+    """d^a (1/2)csch(k mu/2) at mu(0): the engine's table entry against
+    the one-variable CschExpression calculus, evaluated by eval_csch."""
     for field in (FR, FF):
         E = field.from_rational("5/3")
         blocks = SpectrumBlocks(field, [REAL_HYPERBOLIC], [E])
-        engine = TraceEngine(blocks, [zseries(field, 0)], 0)
+        engine = TraceEngine(blocks, 0)
         for k in (1, 2, 3):
-            kh = field.from_int(k) * field.inv(field.from_int(2))
             for a in range(9):
                 ref = hc.apply_derivatives(hc.csch_product(field, 1, k), (a,))
-                scale = kh**a if a else field.one
-                got = {(d,): field.from_int(c) * scale
-                       for d, c in enumerate(hc.coth_poly(a)) if c}
-                assert got.keys() == ref.poly.keys()
-                assert all(field.close(got[e], ref.poly[e], 1e-14)
-                           for e in got)
                 assert field.close(engine.value_at_mu0(k, (a,)),
                                    hc.eval_csch(ref, exp_half=[E]), 1e-13)
-    assert hc.coth_poly(2) == (-1, 0, 2)
 
 
 @st.composite
@@ -399,12 +393,12 @@ def test_engine_factorization_matches_n_variable_calculus(case):
         mu_jets = [zseries(field, n_z, {m: field.from_rational(*c)
                                         for m, c in jet.items()})
                    for jet in jets]
-        engine = TraceEngine(blocks, mu_jets, n_z)
+        engine = TraceEngine(blocks, n_z)
         expr = hc.apply_derivatives(hc.csch_product(field, len(tags), k),
                                     alpha)
         ref_series = hc.eval_series_in_z(expr, blocks.exp_half, mu_jets, n_z)
         ref_value = hc.eval_csch(expr, exp_half=blocks.exp_half)
-        got_series = engine.zseries(k, alpha)
+        got_series = engine.zseries(k, alpha, engine.along(mu_jets))
         got_value = engine.value_at_mu0(k, alpha)
         if field.exact:
             assert got_series == ref_series
@@ -419,22 +413,40 @@ def test_engine_factorization_matches_n_variable_calculus(case):
 
 
 def test_trace_power_rejects_engine_of_another_state():
-    """An engine serves its own mu-jet state at any z-order up to its own,
-    giving the full series truncated there; it refuses another state and a
-    higher z-order."""
+    """An engine serves its own blocks and pole tolerance at any z-order
+    up to its own, giving the full series truncated there; it refuses
+    other blocks, another pole tolerance and a higher z-order."""
     _F, b, _a = rt1()
-    engine = TraceEngine(b.blocks, [zseries(FR, 3)], 3)
-    with pytest.raises(SchemaError, match="trace engine"):
-        trace_power(b, 1, (3, 3), engine=engine)
-    own = TraceEngine(b.blocks, b.mu_jets, 3)
+    own = TraceEngine(b.blocks, 3)
     full = trace_power(b, 1, (3, 3), engine=own).coeffs
     low = trace_power(b, 1, (2, 3), engine=own).coeffs
     assert low.orders == Orders(0, 2, 3)
     assert low == full.truncate(Orders(0, 2, 3))
     with pytest.raises(SchemaError):
         trace_power(b, 1, (4, 3), engine=own)
-    with pytest.raises(SchemaError, match="trace engine"):
-        trace_power(b, 1, (3, 3), engine=TraceEngine(b.blocks, b.mu_jets, 2))
+    other_blocks = SpectrumBlocks(FR, [REAL_HYPERBOLIC], [FR.from_int(3)])
+    for engine in (TraceEngine(other_blocks, 3),
+                   TraceEngine(b.blocks, 3, pole_tol=1e-6),
+                   TraceEngine(b.blocks, 2)):
+        with pytest.raises(SchemaError, match="trace engine"):
+            trace_power(b, 1, (3, 3), engine=engine)
+
+
+def test_one_engine_serves_every_jet_state():
+    """One engine asked for jet states A, B, A gives the trace_power series
+    of a fresh engine for each, exactly: its z-series caches are keyed by
+    the jets."""
+    a = _rational_fixtures()[1]
+    jets_b = [zseries(FR, 3, {2: FR.from_rational("5/4")}),
+              zseries(FR, 3, {1: FR.from_rational(0, "1/3")})]
+    b = QuantumBNF(a.blocks, jets_b, a.F)
+    engine = TraceEngine(a.blocks, 3)
+    for bnf in (a, b, a):
+        for k in (1, 2, 3):
+            got = trace_power(bnf, k, (3, 3), engine=engine)
+            want = trace_power(bnf, k, (3, 3),
+                               engine=TraceEngine(bnf.blocks, 3))
+            assert got.coeffs.terms == want.coeffs.terms
 
 
 @st.composite
@@ -471,7 +483,7 @@ def test_trace_power_at_lower_orders_is_the_truncation(case):
     F = MultiSeries(FR, len(tags), Orders(n_h + 1, n_z, n_h),
                     {key: FR.from_rational(*c) for key, c in F_terms.items()})
     bnf = QuantumBNF(blocks, mu_jets, F)
-    engine = TraceEngine(blocks, mu_jets, n_z)
+    engine = TraceEngine(blocks, n_z)
     full = trace_power(bnf, k, (n_z, n_h), engine=engine)
     for m in range(n_z + 1):
         for j in range(n_h + 1):
@@ -521,7 +533,7 @@ def test_trace_coefficient_is_the_trace_power_coefficient(case):
         F = MultiSeries(field, len(tags), Orders(n_h + 1, n_z, n_h),
                         {key: q(*c) for key, c in F_terms.items()})
         bnf = QuantumBNF(blocks, mu_jets, F)
-        engine = TraceEngine(blocks, mu_jets, n_z)
+        engine = TraceEngine(blocks, n_z)
         for m in range(n_z + 1):
             for j in range(n_h + 1):
                 series = trace_power(bnf, k, (m, j), engine=engine).coeffs
@@ -537,8 +549,7 @@ def test_trace_coefficient_is_the_trace_power_coefficient(case):
 def test_trace_coefficient_checks_like_trace_power():
     _F, b, _a = rt1()
     with pytest.raises(SchemaError, match="trace engine"):
-        trace_coefficient(b, 1, 2, 2,
-                          engine=TraceEngine(b.blocks, [zseries(FR, 3)], 3))
+        trace_coefficient(b, 1, 2, 2, engine=TraceEngine(b.blocks, 1))
     with pytest.raises(SchemaError):
         trace_coefficient(b, 1, 4, 2)
     with pytest.raises(SchemaError):
@@ -568,7 +579,8 @@ def _per_k_trace_power(bnf, k, orders, engine):
     out = {}
     for (alpha, m, l), c in op.terms.items():
         factor = c * ik_inv ** sum(alpha) if sum(alpha) else c
-        for ((), m2, _), ec in engine.zseries(k, alpha).terms.items():
+        for ((), m2, _), ec in engine.zseries(
+                k, alpha, engine.along(bnf.mu_jets)).terms.items():
             if m + m2 <= n_z:
                 key = ((), m + m2, l)
                 out[key] = out[key] + factor * ec if key in out \
@@ -590,7 +602,7 @@ def test_trace_power_matches_per_k_exp_series_exact():
     for b in _rational_fixtures():
         b = _with_z_dependent_f0(b, FR.from_rational("-3/4"),
                                  FR.from_rational("2/5"))
-        engine = TraceEngine(b.blocks, b.mu_jets, 3)
+        engine = TraceEngine(b.blocks, 3)
         for k in range(1, 9):
             phase, coeffs = _per_k_trace_power(b, k, (3, 3), engine)
             got = trace_power(b, k, (3, 3), engine=engine)
@@ -601,7 +613,7 @@ def test_trace_power_matches_per_k_exp_series_exact():
 def test_trace_power_matches_per_k_exp_series_float():
     _F, b = mixed_float_fixture(31, with_jets=True)
     b = _with_z_dependent_f0(b, 0.3 - 0.1j, -0.2 + 0j)
-    engine = TraceEngine(b.blocks, b.mu_jets, 2)
+    engine = TraceEngine(b.blocks, 2)
     for k in range(1, 9):
         phase, coeffs = _per_k_trace_power(b, k, (2, 2), engine)
         got = trace_power(b, k, (2, 2), engine=engine)

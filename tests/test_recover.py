@@ -379,7 +379,7 @@ def test_exact_fit_that_does_not_verify_refuses():
 def _engine_at(E):
     """A trace engine at z-order 0 for one real hyperbolic block."""
     blocks = SpectrumBlocks(FR, [REAL_HYPERBOLIC], [E])
-    return TraceEngine(blocks, [zseries(FR, 0)], 0)
+    return TraceEngine(blocks, 0)
 
 
 def test_recover_polynomial_linear():
@@ -689,12 +689,9 @@ def test_recovery_triangularity_on_rt1():
         base.recovered.F.get(key[0], key[1], key[2]) + eps
 
 
-def test_recovery_evaluates_each_block_once_per_engine(monkeypatch):
-    """The stage matrices read the engines' block series, so sinh and cosh
-    are formed from E^k once per (engine, k, block) and never again."""
-    F, bnf, action = rt1()
-    K = 8
-    td = make_trace_data(bnf, action, {}, K, (3, 3))
+def _count_engines_and_tables(monkeypatch):
+    """Record each TraceEngine that recover_qbnf builds and each (E, k)
+    that sinh and cosh are formed for."""
     engines, calls = [], []
 
     class RecordingEngine(TraceEngine):
@@ -710,11 +707,40 @@ def test_recovery_evaluates_each_block_once_per_engine(monkeypatch):
 
     monkeypatch.setattr(recover_module, "TraceEngine", RecordingEngine)
     monkeypatch.setattr(hc, "_sinh_cosh_from_exp_half", counting)
+    return engines, calls
+
+
+def test_recovery_evaluates_each_block_once_per_engine(monkeypatch):
+    """A recovery builds one engine for every stage and the self-check,
+    and its Taylor tables do not depend on the jets, so sinh and cosh are
+    formed from E^k once per (k, block) and never again."""
+    F, bnf, action = rt1()
+    K = 8
+    td = make_trace_data(bnf, action, {}, K, (3, 3))
+    engines, calls = _count_engines_and_tables(monkeypatch)
     rep = recover_qbnf(td, 1)
     assert not rep.failed
-    # one engine per mu-jet state: none, then the recovered jet z
-    assert len(engines) == 2
-    assert len(calls) == len(engines) * K * bnf.n
+    assert len(engines) == 1
+    assert len(calls) == K * bnf.n
+
+
+def test_recovery_evaluates_each_z_series_once(monkeypatch):
+    """A recovery handed an engine that serves its blocks, as the round
+    trip hands in its forward engine, builds none and forms no sinh or
+    cosh again; a new engine for the same blocks gives the same report."""
+    F, bnf, action = rt1()
+    K = 8
+    forward = TraceEngine(bnf.blocks, 3)
+    td = make_trace_data(bnf, action, {}, K, (3, 3), engine=forward)
+    engines, calls = _count_engines_and_tables(monkeypatch)
+    rep = recover_qbnf(td, 1, engine=forward)
+    assert not rep.failed
+    assert engines == [] and calls == []
+    fresh = recover_qbnf(td, 1)
+    assert len(engines) == 1
+    assert rep.recovered.F == fresh.recovered.F
+    assert rep.recovered.mu_jets == fresh.recovered.mu_jets
+    assert rep.residuals == fresh.residuals
 
 
 def test_recovery_normalization_idempotent():
@@ -770,27 +796,6 @@ def test_each_recovery_stage_runs_at_its_own_orders(monkeypatch):
         j, m = (int(part[1:]) for part in key.split(":"))
         expected += [("coefficient", (m, j))] * K
     assert calls == expected + [("power", (3, 3))] * K
-
-
-def test_recovery_evaluates_each_z_series_once(monkeypatch):
-    """Within one recovery the coth/csch z-series of every (mu-jets, k,
-    block) is built at most once: one engine per mu-jet state, reused by
-    later stages and the self-check."""
-    F, bnf, action = rt1()
-    td = make_trace_data(bnf, action, {}, 8, (3, 3))
-    original = hc.coth_csch_series
-    calls = []
-
-    def counting(field, E0, delta, k, n_z, *args, **kwargs):
-        jet = None if delta is None else tuple(sorted(delta.terms.items()))
-        calls.append((jet, k, E0))
-        return original(field, E0, delta, k, n_z, *args, **kwargs)
-
-    monkeypatch.setattr(hc, "coth_csch_series", counting)
-    rep = recover_qbnf(td, 1)
-    assert not rep.failed
-    assert calls
-    assert len(calls) == len(set(calls))
 
 
 def test_recovery_factors_each_alpha_set_once(monkeypatch):
