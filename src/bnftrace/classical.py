@@ -326,16 +326,15 @@ class BNFResult:
     """
 
     __slots__ = ("blocks", "p_complex", "generators", "conditioning",
-                 "residual", "transform")
+                 "residual")
 
     def __init__(self, blocks, p_complex, generators, conditioning,
-                 residual, transform):
+                 residual):
         self.blocks = blocks
         self.p_complex = p_complex
         self.generators = generators
         self.conditioning = conditioning
         self.residual = residual
-        self.transform = transform
 
     def real_twist_coefficients(self):
         """p in the real action convention (no complex hyperbolic blocks).
@@ -465,8 +464,8 @@ def birkhoff_normal_form(tmap, iota_degree, small_denominator_tol=1e-8,
     With ``blocks`` given, the map is taken to be in standard block form
     with those blocks: the numeric eigendecomposition is skipped and the
     map is processed field-generically, which keeps rational fixtures
-    exact.  Without, ``linear_normalize`` finds the blocks and the
-    normalizing transform (float fields only).
+    exact.  Without, ``linear_normalize`` finds the blocks and normalizes
+    the map (float fields only).
     """
     f = tmap.field
     n = tmap.n
@@ -478,7 +477,6 @@ def birkhoff_normal_form(tmap, iota_degree, small_denominator_tol=1e-8,
             f"map degree {D} cannot determine R through iota^{iota_degree}; "
             f"need degree >= {2 * iota_degree - 1}"
         )
-    transform = None
     if blocks is not None:
         normalized = tmap
     elif f.exact:
@@ -488,7 +486,7 @@ def birkhoff_normal_form(tmap, iota_degree, small_denominator_tol=1e-8,
             "fixtures"
         )
     else:
-        normalized, transform, blocks = linear_normalize(tmap)
+        normalized, _transform, blocks = linear_normalize(tmap)
     order = resonance_order or 2 * iota_degree
     w = nonresonance_witness(blocks.mu(), order, small_denominator_tol)
     if w is not None:
@@ -600,17 +598,16 @@ def birkhoff_normal_form(tmap, iota_degree, small_denominator_tol=1e-8,
     p_complex = {}
     if not f.exact:
         # linear part <iota, mu>; exact backends carry mu via the blocks
-        for j in range(n):
+        for j, mu in enumerate(blocks.mu()):
             m = [0] * n
             m[j] = 1
-            mu = 2 * cmath.log(f.to_complex(blocks.exp_half[j]))
             p_complex[tuple(m)] = f.one * mu
     for m, c in R_terms.items():
         if sum(m) <= iota_degree:
             p_complex[m] = c
     return BNFResult(blocks, p_complex, generators,
                      min_denom if min_denom < math.inf else float("inf"),
-                     residual, transform)
+                     residual)
 
 
 def normal_form_flow(blocks, iota_terms, degree):

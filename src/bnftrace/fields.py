@@ -14,10 +14,10 @@ Two families are provided:
 
 Field *values* are ordinary objects with arithmetic dunders; the field
 object itself only provides construction, conversion and the few
-operations that depend on the backend (exact zero test, sqrt, exp).  The
-rational field has no sqrt: stage 0 of the recovery fits exact samples on
-float fields, in doubles and then at 240 bits, and verifies the
-rationalized fit exactly instead.
+operations that depend on the backend (exact zero test, sqrt, exp, log).
+The rational field has no sqrt or log: stage 0 of the recovery fits exact
+samples on float fields, in doubles and then at 240 bits, and verifies
+the rationalized fit exactly instead.
 """
 
 import cmath
@@ -345,6 +345,11 @@ class FloatField:
         if self._mp is None:
             return cmath.exp(x)
         return self._mp.exp(x)
+
+    def log(self, x):
+        if self._mp is None:
+            return cmath.log(x)
+        return self._mp.log(x)
 
     def factorial_inv(self, m):
         return self.one / math.factorial(m)

@@ -23,19 +23,30 @@ from .series import MultiSeries, Orders
 
 
 def _need(obj, key, kind=None):
+    """``obj[key]``, of type ``kind`` if given; a JSON true or false is
+    never a number, though bool subclasses int."""
     if not isinstance(obj, dict) or key not in obj:
         raise SchemaError(f"missing required key {key!r}")
     val = obj[key]
-    if kind is not None and not isinstance(val, kind):
+    if kind is not None and (isinstance(val, bool)
+                             or not isinstance(val, kind)):
         raise SchemaError(f"key {key!r} has wrong type {type(val).__name__}")
     return val
+
+
+def _integer(v):
+    """``int(v)`` for an integral number or the text of an integer; a
+    bool or a number with a fractional part is a ValueError."""
+    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+        raise ValueError(f"not an integer: {v!r}")
+    return int(v)
 
 
 def _exponents(obj, key):
     """The exponent tuple under ``key``: a list of integers (the series
     checks arity and signs)."""
     exps = _need(obj, key, list)
-    if not all(isinstance(e, int) for e in exps):
+    if not all(type(e) is int for e in exps):
         raise SchemaError(f"key {key!r} must list integer exponents, "
                           f"got {exps!r}")
     return tuple(exps)
@@ -69,8 +80,8 @@ def scalar_from_json(field, obj):
 
 def maslov_from_json(obj):
     """The Maslov indices k -> m of a trace or action file."""
-    return {_parsed("'maslov'", int, k): _parsed(f"'maslov'/{k!r}", int, v)
-            for k, v in obj.items()}
+    return {_parsed("'maslov'", int, k):
+            _parsed(f"'maslov'/{k!r}", _integer, v) for k, v in obj.items()}
 
 
 def series_to_json(s):
@@ -102,14 +113,9 @@ def series_from_json(obj, field=None):
 
 
 def blocks_to_json(blocks):
-    f = blocks.field
-    out = []
-    for tag, E in zip(blocks.tags, blocks.exp_half):
-        entry = {"type": tag, "exp_half_mu": scalar_to_json(f, E)}
-        mu = 2 * __import__("cmath").log(f.to_complex(E))
-        entry["mu_display"] = [mu.real, mu.imag]
-        out.append(entry)
-    return out
+    return [{"type": tag, "exp_half_mu": scalar_to_json(blocks.field, E),
+             "mu_display": [mu.real, mu.imag]}
+            for tag, E, mu in zip(blocks.tags, blocks.exp_half, blocks.mu())]
 
 
 def blocks_from_json(obj, field):

@@ -1,8 +1,10 @@
 """The inverse engine: trace data back to the quantum normal form.
 
-Stage 0 applies exponential analysis (Prony: Hankel system, annihilating
-polynomial, companion roots) to the constant trace coefficients.  Writing
-s_k = 1/a_{0k}(0), the model is the finite exponential sum
+The normal form is G = <iota, mu(z)> + F(iota, z; h), and it is recovered
+order by order.  Stage 0 finds mu(0) and the constant phase by exponential
+analysis (Prony: Hankel system, annihilating polynomial, companion roots)
+of the constant trace coefficients.  Writing s_k = 1/a_{0k}(0), the model
+is the finite exponential sum
 
     s_k = sum_{eps in {+-1}^n} sigma(eps) * lambda_eps^k,
     lambda_eps = c * prod_j E_j^{eps_j},  sigma(eps) = prod_j eps_j,
@@ -23,18 +25,27 @@ The fit runs on a float field, on one ladder of rungs: in doubles and
 then at 240 bits for exact and double samples, at their own precision
 for extended-precision ones.  A double Hankel solve with a condition
 number above 1e12 passes to the next rung, as does a fit that fails or
-that the field does not accept.  A float field accepts a fit whose
-exponential-sum residual is within tolerance.  The exact field accepts a
-fit that, rationalized in Q(i), meets every sample exactly; its Hankel
-solve is exact (the reported condition number and the annihilating
-polynomial).  When no rung is accepted the recovery refuses; it never
-returns an inexact answer.
+that the field does not accept.  The field judges a fit by its misfits
+model_k - s_k: a float field accepts it when every relative misfit is
+within tolerance (a NaN never is), the exact field when the fit,
+rationalized in Q(i), meets every sample exactly.  The exact Hankel solve
+gives the reported condition number and the annihilating polynomial.
+When no rung is accepted the recovery refuses; it never returns an
+inexact answer.  The phase phi = -i log c is taken in the field: it is
+zero, and its imaginary part is dropped, below the resolution at which
+the refit stops.  On the exact field c must be 1.
 
-Later stages are finite linear systems: the z^m coefficient at h^j of the
-stored trace differs from the same coefficient of the forward engine run
-on the partially recovered normal form by an *exactly linear* expression
-in the new unknowns (higher-order products always land at higher (j, m)).
-The matrix entries are (i/k)^{|alpha|} d^alpha_mu prod (1/2)csch(k mu_j/2)
+The later stages solve for the coefficients of G, one stage per (h^j, z^m)
+in the order j = 0..N_h, with m = 1..N_z at j = 0 and m = 0..N_z above.
+With iota weighing like h, stage (j, m) finds the terms iota^alpha z^m of
+G of weight j + 1: the F term iota^alpha z^m h^{j+1-|alpha|} for
+lo <= |alpha| <= j + 1 (lo keeps the h-power within the recovered F),
+except that at j = 0 an iota-linear coefficient is the z^m term of a
+mu-jet.  The z^m coefficient at h^j of the stored trace differs from the
+same coefficient of the forward engine run on the partially recovered
+normal form by an *exactly linear* expression in these unknowns
+(higher-order products always land at higher (j, m)).  The matrix
+entries are (i/k)^{|alpha|} d^alpha_mu prod (1/2)csch(k mu_j/2)
 evaluated at mu(0); a finite k-set stands in for the k -> infinity
 separation limit that guarantees generic solvability, so condition
 numbers are reported rather than assumed.
@@ -42,19 +53,19 @@ numbers are reported rather than assumed.
 The forward runs go through one :class:`~bnftrace.qbnf.TraceEngine` for
 the recovered blocks, shared by every stage and the final self-check: its
 Taylor tables at mu(0) (per k and block) do not depend on the jets, which
-change only in the (0, m) stages, and it keeps its z-series per jet state.
+change only in the j = 0 stages, and it keeps its z-series per jet state.
 The matrix entries above are products of the same table entries.  They
 depend only on mu(0), the k-set and the alpha set, not on the jets or the
-stage's right-hand side, so a recovery builds and factors each distinct
-stage matrix once, and every m-stage of that alpha set solves its own
-right-hand side with the factorization, in order of m: stage (m, j) reads
-the terms that stage (m - 1, j) found.  The engine is built at the full
+stage's right-hand side, so a recovery builds and factors the stage
+matrix of each h-order j once, and every m-stage of that j solves its own
+right-hand side with the factorization, in order of m: stage (j, m) reads
+the terms that stage (j, m - 1) found.  The engine is built at the full
 z-order and serves the lower orders (m, j) of the stages.  A stage
 computes only the coefficient it reads
 (:func:`~bnftrace.qbnf.trace_coefficient` at (m, j)); only the self-check
-runs the whole expansion.  A caller may hand in an engine it already has
-(the round trip passes its forward engine), and it is used if it serves
-the recovered blocks.
+runs the whole expansion, and on the exact field it compares exactly.  A
+caller may hand in an engine it already has (the round trip passes its
+forward engine), and it is used if it serves the recovered blocks.
 """
 
 import cmath
@@ -112,45 +123,38 @@ def _cube(field, c, exp_half):
     return vertices
 
 
-class ExponentialSum:
-    """Samples with their fitted exponential model: the root of sign
-    pattern eps is c prod_j E_j^{eps_j}, with weight sigma(eps)."""
+def _root_powers(field, c, exp_half):
+    """Per k = 1, 2, ..., the powers lambda_eps^k of the roots
+    c prod_j E_j^{eps_j}, in sign-pattern order, by running products."""
+    roots = list(_cube(field, c, exp_half).values())
+    powers = roots
+    while True:
+        yield powers
+        powers = list(map(mul, powers, roots))
 
-    def __init__(self, field, samples, c, exp_half):
-        self.field = field
-        self.samples = dict(samples)
-        self.roots = _cube(field, c, exp_half)
 
-    def reconstruct(self, k):
-        total = self.field.zero
-        for eps, root in self.roots.items():
-            term = root ** k
-            total = total + (term if _sigma(eps) > 0 else -term)
-        return total
+def _misfits(field, samples, c, exp_half):
+    """model_k - s_k over the samples s_1..s_K, the model being the
+    exponential sum of the roots c prod_j E_j^{eps_j}, weights sigma(eps)."""
+    signs = [_sigma(eps) for eps in _patterns(len(exp_half))]
+    return [sum(map(mul, signs, powers), field.zero) - s
+            for s, powers in zip(samples, _root_powers(field, c, exp_half))]
 
-    def residual(self):
-        """Worst relative misfit over the samples; inf when a sample or the
-        model is not finite (``max`` would pass over a NaN)."""
-        worst = 0.0
-        for k, s in self.samples.items():
-            rec = self.reconstruct(k)
-            scale = max(1.0, self.field.abs(s))
-            err = self.field.abs(rec - s) / scale
-            if not math.isfinite(err):
-                return math.inf
-            worst = max(worst, err)
-        return worst
+
+def _resolution(field):
+    """A thousand units in the last place of a float field; a double's
+    precision counts its whole 64-bit format."""
+    return 2.0 ** (10 - (52 if field.precision <= 64 else field.precision))
 
 
 class FrequencyResult:
-    __slots__ = ("blocks", "phi", "phi_value", "conditioning", "exp_sum")
+    __slots__ = ("blocks", "phi", "phi_value", "conditioning")
 
-    def __init__(self, blocks, phi, phi_value, conditioning, exp_sum):
+    def __init__(self, blocks, phi, phi_value, conditioning):
         self.blocks = blocks          # canonical SpectrumBlocks
         self.phi = phi                # field scalar
-        self.phi_value = phi_value    # complex, for display
+        self.phi_value = phi_value    # complex, or float if real, for display
         self.conditioning = conditioning
-        self.exp_sum = exp_sum
 
 
 def _hankel_tail(field, samples, r, tol):
@@ -197,7 +201,8 @@ def _oriented(field, q):
 
 
 def _classify_exponent(field, q):
-    """Tag for e^mu = q under the block normalizations; raises otherwise."""
+    """Tag for e^mu = q, oriented by :func:`_oriented`, under the block
+    normalizations; raises otherwise."""
     qc = field.to_complex(q)
     mod = abs(qc)
     if abs(mod - 1.0) <= NORMALIZATION_TOL:
@@ -208,23 +213,11 @@ def _classify_exponent(field, q):
                 "normalization violated or eigenvalue at +-1"
             )
         return ELLIPTIC
-    if mod < 1.0:
-        raise MathError(
-            "recovered exponent with |e^mu| < 1: Re mu < 0 violates the "
-            "hyperbolic normalization"
-        )
     if abs(qc.imag) <= NORMALIZATION_TOL * mod:
         if qc.real < 0:
             raise MathError("negative real eigenvalue: outside the classification")
         return REAL_HYPERBOLIC
     return COMPLEX_HYPERBOLIC
-
-
-def _principal_exp_half(field, q, tag):
-    """E = exp(mu/2) from q = exp(mu), principal branch (Re E >= 0).
-
-    Safe because every normalized class has arg(q) in [0, pi)."""
-    return _snap_to_class(field, field.sqrt(q), tag)
 
 
 def _snap_to_class(field, E, tag):
@@ -274,7 +267,9 @@ def _cube_from_roots(field, roots, weights, n):
     for q, _members in classes[:n]:
         tag = _classify_exponent(field, q)
         tags.append(tag)
-        exp_half.append(_principal_exp_half(field, q, tag))
+        # the principal branch, Re E >= 0: every oriented class has arg q
+        # in [0, pi)
+        exp_half.append(_snap_to_class(field, field.sqrt(q), tag))
     unit_cube = _cube(field, field.one, exp_half)
     votes = []
     for idx, (root, sig) in enumerate(kept):
@@ -307,38 +302,32 @@ def _refit(field, samples, c, tags, exp_half):
     signs = list(zip(*([_sigma(eps)] + [_sigma(eps) * e for e in eps]
                        for eps in _patterns(len(exp_half)))))
     wgt = [1.0 / max(1.0, field.abs(s)) for s in samples]
-    # a thousand units in the last place; a double's precision counts its
-    # whole 64-bit format
-    mantissa = 52 if field.precision <= 64 else field.precision
-    resolution = 2.0 ** (10 - mantissa)
 
-    def weighted(params, jacobian):
-        """The weighted misfits w_k (model_k - s_k) and, if asked, the
-        Jacobian rows w_k d model_k / d(log c, log E_1, .., log E_n)."""
-        roots = list(_cube(field, params[0], params[1:]).values())
-        powers = roots
-        misfits, rows = [], []
-        for k, (s, w) in enumerate(zip(samples, wgt), start=1):
-            model = sum(map(mul, signs[0], powers), field.zero)
-            misfits.append((model - s) * w)
-            if jacobian:
-                rows.append([model * (k * w)] + [
-                    sum(map(mul, col, powers), field.zero) * (k * w)
-                    for col in signs[1:]])
-            powers = list(map(mul, powers, roots))
-        return misfits, rows
+    def weighted(params):
+        """The weighted misfits w_k (model_k - s_k)."""
+        return [v * w for v, w in
+                zip(_misfits(field, samples, params[0], params[1:]), wgt)]
+
+    def jacobian(params):
+        """The rows w_k d model_k / d(log c, log E_1, .., log E_n)."""
+        return [[sum(map(mul, col, powers), field.zero) * (k * w)
+                 for col in signs]
+                for k, (w, powers) in enumerate(
+                    zip(wgt, _root_powers(field, params[0], params[1:])),
+                    start=1)]
 
     def norm(misfits):
         """The squared norm, at the field's precision."""
         return sum((v * field.conj(v)).real for v in misfits)
 
     params = [c] + list(exp_half)
-    misfits, rows = weighted(params, True)
+    misfits = weighted(params)
     cur = norm(misfits)
     for _ in range(40):
         try:
             delta, _cond, _res = solve_lstsq(
-                field, rows, [-v for v in misfits], residual_tol=math.inf)
+                field, jacobian(params), [-v for v in misfits],
+                residual_tol=math.inf)
         except RankDeficiencyError:
             break
         size = max(field.abs(d) for d in delta)
@@ -350,16 +339,16 @@ def _refit(field, samples, c, tags, exp_half):
         step = min(1.0, 1 / size)
         while True:
             trial = [v * field.exp(d * step) for v, d in zip(params, delta)]
-            m = norm(weighted(trial, False)[0])
+            trial_misfits = weighted(trial)
+            m = norm(trial_misfits)
             if m < cur or step * size * len(samples) < 0.01:
                 break
             step /= 2
         if not m < cur:
             break
-        params, cur = trial, m
-        if step * size < resolution:
+        params, misfits, cur = trial, trial_misfits, m
+        if step * size < _resolution(field):
             break
-        misfits, rows = weighted(params, True)
     if not all(cmath.isfinite(field.to_complex(v)) and not field.is_zero(v)
                for v in params):
         raise RankDeficiencyError(f"stage-0 refit diverged: c, E = {params}")
@@ -450,7 +439,6 @@ def recover_frequencies(field, a0, n, residual_tol=1e-6):
         raise RankDeficiencyError("constant zero samples: rank-deficient")
 
     tol = max(residual_tol, 1e-6)
-    by_k = dict(zip(ks, samples))
     if field.exact:
         tail, cond = _hankel_tail(field, samples, 2 ** n, tol)
     for fl in _rungs(field):
@@ -473,12 +461,17 @@ def recover_frequencies(field, a0, n, residual_tol=1e-6):
             failure = f"the {fl.precision}-bit fit failed: {exc}"
             continue
         c, *exp_half = [_in_field(field, fl, v) for v in [c, *exp_half]]
-        exp_sum = ExponentialSum(field, by_k, c, exp_half)
-        if (all(exp_sum.reconstruct(k) == s for k, s in by_k.items())
-                if field.exact else exp_sum.residual() <= residual_tol):
+        misfits = _misfits(field, samples, c, exp_half)
+        if field.exact and all(map(field.is_zero, misfits)):
             break
+        rel = [field.abs(v) / max(1.0, field.abs(s))
+               for v, s in zip(misfits, samples)]
+        # a NaN misfit fails the test and counts as the largest
+        if not field.exact and all(e <= residual_tol for e in rel):
+            break
+        worst = max(rel, key=lambda e: math.inf if math.isnan(e) else e)
         failure = (f"the {fl.precision}-bit fit c = {c!r}, E = {exp_half!r} "
-                   f"misses the samples by {exp_sum.residual():.3e}")
+                   f"misses the samples by {worst:.3e}")
     else:
         raise RankDeficiencyError(
             f"no {'exact ' if field.exact else ''}fit of the samples: "
@@ -487,25 +480,24 @@ def recover_frequencies(field, a0, n, residual_tol=1e-6):
 
     # phase: c = e^{i phi}
     if field.exact:
-        if not (c == field.one):
+        if c != field.one:
             raise FieldError(
                 "nonzero Prony phase is not exactly representable on the "
                 "rational backend; use the float backend or the TraceData "
                 "phase convention"
             )
         phi = field.zero
-        phi_value = 0.0
     else:
-        cc = field.to_complex(c)
-        phi_value = complex(-1j * cmath.log(cc))
-        if abs(phi_value.imag) < 1e-12:
-            phi_value = phi_value.real
-        if abs(phi_value) < 1e-13:  # sub-roundoff estimate: exact zero
-            phi_value = 0.0
+        phi = -field.i * field.log(c)
+        resolution = _resolution(field)
+        if abs(phi.imag) < resolution:
+            phi = field.one * phi.real
+        if field.abs(phi) < resolution:
             phi = field.zero
-        else:
-            phi = field.one * phi_value
-    return FrequencyResult(blocks, phi, phi_value, cond, exp_sum)
+    phi_value = field.to_complex(phi)
+    if phi_value.imag == 0:
+        phi_value = phi_value.real
+    return FrequencyResult(blocks, phi, phi_value, cond)
 
 
 def recover_polynomial(engine, values, alpha_set, residual_tol=1e-8,
@@ -625,15 +617,13 @@ def recover_qbnf(tdata, n, tol=1e-8, cond_gate=1e8,
     compares the constant phase of the recovered form with the traces'.
     The recovered F covers the trace-order-limited set l + |alpha| <= N_h + 1
     and is bounded at h <= max(N_h, 1): at N_h = 0 the f00 and f0m terms
-    of stage 0 and the (0, m) stages are h^1 terms.
+    of stage 0 and the j = 0 stages are h^1 terms.
 
     ``engine`` is an optional :class:`~bnftrace.qbnf.TraceEngine` already
     built, such as the forward engine of a round trip; if it serves the
     recovered blocks, every stage and the self-check use it, otherwise one
     new engine.
     """
-    if n < 1:
-        raise SchemaError("n must be >= 1")
     f = tdata.field
     t_orders = tdata.orders()
     n_z, n_h = t_orders.z, t_orders.h
@@ -663,12 +653,10 @@ def recover_qbnf(tdata, n, tol=1e-8, cond_gate=1e8,
         else:
             coeffs[k] = c.scale(f.exp(f.i * f.from_int(k) * freq.phi))
 
-    alpha0 = (0,) * n
     ks = list(range(1, tdata.k_max + 1))
-
     fhat_terms = {}
     if not f.is_zero(f00):
-        fhat_terms[(alpha0, 0, 1)] = f00
+        fhat_terms[((0,) * n, 0, 1)] = f00
     jet_terms = [dict() for _ in range(n)]
 
     def current_bnf():
@@ -682,51 +670,45 @@ def recover_qbnf(tdata, n, tol=1e-8, cond_gate=1e8,
         engine = TraceEngine(blocks, n_z, pole_tol)
     systems = {}
 
-    def solve_stage(m, j, alphas):
-        bnf = current_bnf()
-        values = {}
-        for k in ks:
-            fwd = trace_coefficient(bnf, k, m, j, pole_tol, engine=engine)
-            delta = coeffs[k].get((), m, j) - fwd
-            values[k] = delta * f.inv(-(f.i * f.from_int(k)))
-        sol, cond = recover_polynomial(engine, values, alphas,
-                                       residual_tol=max(tol, 1e-8),
-                                       cond_gate=cond_gate, systems=systems)
-        conditioning[f"h{j}:z{m}"] = cond
-        return sol
-
-    # -- Stage (0, m): f_{0m} and the mu jets ---------------------------
-    unit_alphas = []
-    for j in range(n):
-        a = [0] * n
-        a[j] = 1
-        unit_alphas.append(tuple(a))
-    for m in range(1, n_z + 1):
-        sol = solve_stage(m, 0, [alpha0] + unit_alphas)
-        if not f.is_zero(sol[alpha0]):
-            fhat_terms[(alpha0, m, 1)] = sol[alpha0]
-        for j, ua in enumerate(unit_alphas):
-            if not f.is_zero(sol[ua]):
-                jet_terms[j][((), m, 0)] = sol[ua]
-
-    # -- Stages (j, m), j >= 1: the f_{jm} polynomials -------------------
-    for j in range(1, n_h + 1):
+    # -- Stages (j, m): the coefficients of G of weight j + 1 ------------
+    for j in range(n_h + 1):
         lo = max(0, j + 1 - h_cap)
         alphas = [a for a in itertools.product(range(j + 2), repeat=n)
                   if lo <= sum(a) <= j + 1]
-        for m in range(n_z + 1):
-            sol = solve_stage(m, j, alphas)
+        if j == 0:  # the columns 1, iota_1, .., iota_n, as the jets
+            alphas.sort(key=lambda a: a[::-1])
+        for m in range(0 if j else 1, n_z + 1):
+            bnf = current_bnf()
+            values = {}
+            for k in ks:
+                fwd = trace_coefficient(bnf, k, m, j, pole_tol, engine=engine)
+                delta = coeffs[k].get((), m, j) - fwd
+                values[k] = delta * f.inv(-(f.i * f.from_int(k)))
+            sol, cond = recover_polynomial(engine, values, alphas,
+                                           residual_tol=max(tol, 1e-8),
+                                           cond_gate=cond_gate,
+                                           systems=systems)
+            conditioning[f"h{j}:z{m}"] = cond
             for alpha, val in sol.items():
-                if not f.is_zero(val):
-                    l = j + 1 - sum(alpha)
-                    fhat_terms[(alpha, m, l)] = val
+                if f.is_zero(val):
+                    continue
+                if j == 0 and sum(alpha) == 1:  # the z^m term of a mu-jet
+                    jet_terms[alpha.index(1)][((), m, 0)] = val
+                else:
+                    fhat_terms[(alpha, m, j + 1 - sum(alpha))] = val
 
     recovered = current_bnf()
     recovered = QuantumBNF(recovered.blocks, recovered.mu_jets, recovered.F)
 
     # -- self check: forward the recovered data and compare --------------
+    # On the exact field any difference fails, also one whose size rounds
+    # to 0 as a double; a float deviation fails above tol, or as a NaN.
+    def off(a, b, dev):
+        return a != b if f.exact else not dev <= tol
+
     residuals = {}
     worst = 0.0
+    failed = False
     for k in ks:
         tp = trace_power(recovered, k, (n_z, n_h), pole_tol, engine=engine)
         fwd = tp.coeffs
@@ -737,15 +719,15 @@ def recover_qbnf(tdata, n, tol=1e-8, cond_gate=1e8,
                 dev = f.abs(a - b) / max(1.0, f.abs(a))
                 residuals[(j, k, m)] = dev
                 worst = max(worst, dev)
+                failed = failed or off(a, b, dev)
     # the constant phase, against the traces' phase with the residual
     # sample phase folded in, as the coefficients above were rebased by it
-    limit = 0 if f.exact else tol
     dev = f.abs(tp.phase - f00) / max(1.0, f.abs(f00))
-    if dev > limit:
+    if off(tp.phase, f00, dev):
         notes.append(f"recovered constant phase {tp.phase!r} differs from "
                      f"the traces' phase {f00!r}")
+        failed = True
     worst = max(worst, dev)
-    failed = worst > limit
     notes.append("blocks in canonical order: ch pairs, rh, elliptic")
     return RecoveryReport(recovered, residuals, worst, conditioning, notes,
                           failed)

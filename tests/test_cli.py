@@ -261,19 +261,35 @@ def _map_argv(tmp, mutate):
     return ["classical-bnf", "--map", _doc_file(tmp, doc)]
 
 
-def _traces_with_huge_action(tmp):
+def _recover_argv(tmp, mutate):
+    """recover on rt1's traces at orders (z 1, h 1), K = 6, changed by
+    ``mutate``."""
     _F, bnf, action = rt1()
     doc = jsonio.trace_data_to_json(make_trace_data(bnf, action, {}, 6,
                                                     (1, 1)))
-    doc["action"]["terms"][0]["re"] = "1e400"
+    mutate(doc)
     return ["recover", "--traces", _doc_file(tmp, doc), "--n", "1",
             "--out", str(tmp / "t.json")]
+
+
+def _rotation_argv(tmp, mutate):
+    """classical-bnf at iota degree 1 on a rotation by 1 of map degree 3,
+    changed by ``mutate``."""
+    doc = {"field": "float", "n": 1, "degree": 3, "components": [
+        [{"exps": [1, 0], "re": repr(math.cos(1))},
+         {"exps": [0, 1], "re": repr(-math.sin(1))}],
+        [{"exps": [1, 0], "re": repr(math.sin(1))},
+         {"exps": [0, 1], "re": repr(math.cos(1))}]]}
+    mutate(doc)
+    return ["classical-bnf", "--map", _doc_file(tmp, doc), "--degree", "1"]
 
 
 # oracle flags and input files that are unusable, each as argv given
 # tmp_path: a zero E, --mu on the rational backend, exponent lists and map
 # components of the wrong type, and exact numbers beyond the double range
-# that the block and action checks read
+# that the block and action checks read; and a JSON true or false, or a
+# number with a fractional part, where an integer belongs (bool subclasses
+# int, and int() truncates)
 _UNUSABLE = {
     "oracle exp-half 0": lambda tmp: [
         "oracle", "csch-derivative", "--exp-half", "0"],
@@ -307,7 +323,32 @@ _UNUSABLE = {
         tmp, lambda doc: doc["components"].__setitem__(0, None)),
     "map components [1, 2]": lambda tmp: _map_argv(
         tmp, lambda doc: doc.update(components=[1, 2])),
-    "action 1e400": _traces_with_huge_action,
+    "action 1e400": lambda tmp: _recover_argv(
+        tmp, lambda doc: doc["action"]["terms"][0].update(re="1e400")),
+    "F term h true": lambda tmp: _forward_argv(tmp, _rt1_with(
+        lambda doc: doc["F"]["terms"][0].update(h=True))),
+    "F term z false": lambda tmp: _forward_argv(tmp, _rt1_with(
+        lambda doc: doc["F"]["terms"][0].update(z=False))),
+    "F term iota [true]": lambda tmp: _forward_argv(tmp, _rt1_with(
+        _set_iota([True]))),
+    "F n_actions true": lambda tmp: _forward_argv(tmp, _rt1_with(
+        lambda doc: doc["F"].update(n_actions=True))),
+    "jet orders z true": lambda tmp: _forward_argv(tmp, _rt1_with(
+        lambda doc: doc["mu_jets"][0]["orders"].update(z=True))),
+    "F orders h 3.0": lambda tmp: _forward_argv(tmp, _rt1_with(
+        lambda doc: doc["F"]["orders"].update(h=3.0))),
+    "map n true": lambda tmp: _rotation_argv(
+        tmp, lambda doc: doc.update(n=True)),
+    "map degree true": lambda tmp: _rotation_argv(
+        tmp, lambda doc: doc.update(degree=True)),
+    "map exps [true, 0]": lambda tmp: _rotation_argv(
+        tmp, lambda doc: doc["components"][0][0].update(exps=[True, 0])),
+    "traces k_max true": lambda tmp: _recover_argv(
+        tmp, lambda doc: doc.update(k_max=True)),
+    "traces maslov true": lambda tmp: _recover_argv(
+        tmp, lambda doc: doc["maslov"].update({"1": True})),
+    "traces maslov 1.5": lambda tmp: _recover_argv(
+        tmp, lambda doc: doc["maslov"].update({"1": 1.5})),
 }
 
 
@@ -317,6 +358,17 @@ def test_unusable_input_exits_two(case, tmp_path, capsys):
     assert rc == 2
     assert "input error" in capsys.readouterr().err
     assert not (tmp_path / "t.json").exists()
+
+
+def test_integer_cases_run_with_integers_in_place(tmp_path, capsys):
+    """The files of the cases above run with integers in place: the
+    rotation map, and a Maslov index written as 3 or 3.0."""
+    assert main(_rotation_argv(tmp_path, lambda doc: None)) == 0
+    for value in (3, 3.0):
+        argv = _recover_argv(tmp_path,
+                             lambda doc: doc["maslov"].update({"1": value}))
+        assert main(argv) == 0
+        assert "recovery succeeded" in capsys.readouterr().out
 
 
 def test_classical_bnf_command(tmp_path, capsys):

@@ -22,7 +22,7 @@ from bnftrace import recover as recover_module
 from bnftrace.qbnf import (QuantumBNF, TraceData, TraceEngine, TracePower,
                           make_trace_data)
 from bnftrace.linalg import poly_roots
-from bnftrace.recover import (ExponentialSum, _cube_from_roots, _refit,
+from bnftrace.recover import (_cube_from_roots, _misfits, _refit,
                               recover_frequencies, recover_polynomial,
                               recover_qbnf)
 from bnftrace.series import MultiSeries, Orders, zseries
@@ -50,7 +50,6 @@ def test_recover_frequencies_exact_geometric():
     assert fr.blocks.tags == (REAL_HYPERBOLIC,)
     assert fr.blocks.exp_half[0] == FR.from_int(2)
     assert fr.phi == FR.zero
-    assert fr.exp_sum.residual() == 0
 
 
 def test_recover_frequencies_pure_phase_shift():
@@ -124,9 +123,18 @@ def test_exponential_sum_model_validation():
         recover_frequencies(FF, a0, 1)
 
 
-def test_exponential_sum_residual_fails_on_nan():
-    model = ExponentialSum(FF, {1: 1, 2: 2}, float("nan"), [2])
-    assert model.residual() == math.inf
+def test_exponential_sum_residual_fails_on_nan(monkeypatch):
+    """A fit whose model is NaN has NaN misfits, and stage 0 refuses it on
+    every rung rather than passing over the NaN."""
+    assert all(cmath.isnan(v)
+               for v in _misfits(FF, [1, 2], float("nan"), [2]))
+    monkeypatch.setattr(recover_module, "_refit",
+                        lambda fl, samples, c, tags, exp_half:
+                        (fl.one * float("nan"), exp_half))
+    a0 = _a0_from_sinh(FF, [1.0], 0.0, 8)
+    with pytest.raises(RankDeficiencyError) as exc:
+        recover_frequencies(FF, a0, 1)
+    assert "misses the samples by nan" in str(exc.value)
 
 
 _RH, _EL, _CH = REAL_HYPERBOLIC, ELLIPTIC, COMPLEX_HYPERBOLIC
@@ -910,3 +918,76 @@ def test_self_check_compares_the_constant_phase(monkeypatch):
     assert rep.failed
     assert all(v == 0 for v in rep.residuals.values())
     assert any("constant phase" in note for note in rep.normalization_notes)
+
+
+@pytest.mark.parametrize("where", ["phase", "zh coefficient"])
+def test_exact_self_check_fails_on_a_mismatch_below_the_double_range(
+        monkeypatch, where):
+    """On rt1, a self-check forward pass off by 10^-400 in the constant
+    phase or in the z h coefficient fails the exact recovery, though the
+    difference reads 0 as a double and the reported residuals stay 0."""
+    F, bnf, action = rt1()
+    td = make_trace_data(bnf, action, {}, 8, (3, 3))
+    tiny = F.from_rational(Fraction(1, 10 ** 400))
+    original = recover_module.trace_power
+
+    def shifted(*args, **kwargs):
+        tp = original(*args, **kwargs)
+        if where == "phase":
+            return TracePower(tp.k, tp.phase + tiny, tp.coeffs)
+        bump = MultiSeries(F, 0, tp.coeffs.orders, {((), 1, 1): tiny})
+        return TracePower(tp.k, tp.phase, tp.coeffs + bump)
+
+    monkeypatch.setattr(recover_module, "trace_power", shifted)
+    rep = recover_qbnf(td, 1)
+    assert rep.failed
+    assert rep.max_residual == 0
+    assert all(v == 0 for v in rep.residuals.values())
+    assert (any("constant phase" in note for note in rep.normalization_notes)
+            == (where == "phase"))
+
+
+def _phase_shifted_n1_traces():
+    """The float n = 1 normal form rh E = 3, jet z/3,
+    F = iota^2/7 + h (iota/3 + 1/5) - (2/9) iota z h at 128 bits, traced
+    at orders (3, 2, 2) over K = 8, with a residual Prony phase of 0.3:
+    coefficient k times e^{-0.3 ik}, and the phase lowered by 0.3."""
+    F = FloatField(128)
+    q = lambda p, r: F.from_int(p) / r
+    blocks = SpectrumBlocks(F, [REAL_HYPERBOLIC], [F.from_int(3)])
+    G = MultiSeries(F, 1, Orders(3, 2, 2), {
+        ((2,), 0, 0): q(1, 7), ((1,), 0, 1): q(1, 3), ((0,), 0, 1): q(1, 5),
+        ((1,), 1, 1): q(-2, 9)})
+    jet = zseries(F, 2, {1: q(1, 3)})
+    td = make_trace_data(QuantumBNF(blocks, [jet], G),
+                         zseries(F, 2, {1: F.one}), {}, 8, (2, 2))
+    shift = F.from_rational(Fraction(3, 10))
+    coeffs = {k: c.scale(F.exp(-F.i * k * shift))
+              for k, c in td.coefficients.items()}
+    return F, G, jet, shift, TraceData(F, td.k_max, td.action, td.maslov,
+                                       td.phase - shift, coeffs)
+
+
+def test_extended_residual_phase_is_recovered_at_working_precision():
+    """At 128 bits phi = -i log c is taken in the field, not through a
+    double, so the residual phase 0.3 comes back to 1e-30."""
+    F, _G, _jet, shift, td = _phase_shifted_n1_traces()
+    a0 = {k: td.coefficients[k].get((), 0, 0) for k in td.coefficients}
+    fr = recover_frequencies(F, a0, 1)
+    assert F.abs(fr.phi - shift) <= 1e-30
+    assert abs(fr.phi_value - 0.3) <= 1e-15
+
+
+def test_extended_recovery_with_a_residual_phase_keeps_its_precision():
+    """The same traces through recover_qbnf: the phase is folded into f00
+    and the rebased stages recover F and the jet to 1e-28."""
+    F, G, jet, _shift, td = _phase_shifted_n1_traces()
+    rep = recover_qbnf(td, 1)
+    assert not rep.failed
+    got = rep.recovered
+    for want, have in ((G, got.F), (jet, got.mu_jets[0])):
+        keys = set(want.terms) | set(have.terms)
+        assert max(F.abs(have.get(*key) - want.get(*key))
+                   for key in keys) <= 1e-28
+    assert any("residual sample phase" in note
+               for note in rep.normalization_notes)
