@@ -4,15 +4,14 @@ A least-squares system is factored once (``factor_lstsq``) and then solved
 for any number of right-hand sides; ``solve_lstsq`` is one factorization
 and one solve.  Every solve runs its own consistency or residual test.
 
-Float systems, double or extended precision, take one path: the
-factorization equilibrates a double snapshot of the matrix once, by rows
-and then by columns, which removes the geometric k-decay of the csch
-entries that otherwise dominates the condition number; the condition
-number is read off that equilibrated matrix, and each solution passes one
-residual test.  Only the solve differs by precision: numpy least squares
-on the kept equilibrated doubles (its SVD gives the condition number),
-mpmath's ``lu_solve`` on the same equilibration at full precision, built
-once, which for a non-square matrix solves the normal equations.
+Float systems, double or extended precision, take one path, in the field:
+the rows and then the columns of the matrix are scaled to a largest
+modulus of 1, which removes the geometric k-decay of the csch entries that
+otherwise dominates the condition number, and the scaled matrix is
+factored once by Householder QR, which does not square its condition
+number as the normal equations do.  The rank is decided on R's diagonal,
+the condition number read off R, and each solve applies Q^H,
+back-substitutes and passes one residual test.
 
 The exact backend runs plain Gauss-Jordan elimination on the matrix,
 recording its row operations, and each solve replays them on b and then
@@ -24,6 +23,7 @@ double range is scaled by one power of two for it.
 """
 
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -31,6 +31,12 @@ from .errors import ConvergenceError, RankDeficiencyError
 
 # iteration cap of mpmath's polyroots on extended-precision fields
 _MP_ROOT_STEPS = 200
+
+
+def resolution(field):
+    """A thousand units in the last place of a float field; a double's
+    precision counts its whole 64-bit format."""
+    return 2.0 ** (10 - (52 if field.precision <= 64 else field.precision))
 
 
 def _cond_of(field, rows):
@@ -140,75 +146,72 @@ class _ExactFactor:
 
 
 class _FloatFactor:
-    """The equilibrated double snapshot of A and, on mpmath fields, the
-    equilibrated full-precision A with its condition number."""
+    """The Householder QR factorization, in the field, of A with its rows
+    and then its columns scaled to a largest modulus of 1."""
 
     def __init__(self, field, rows):
-        self.field = field
-        a = _snapshot(field, rows)
-        # a zero or subnormal scale would overflow numpy's complex division
-        tiny = np.finfo(float).tiny
-        rs = np.max(np.abs(a), axis=1)
-        rs[rs < tiny] = 1.0
-        a2 = a / rs[:, None]
-        cs = np.max(np.abs(a2), axis=0)
-        cs[cs < tiny] = 1.0
-        self.a3 = a2 / cs[None, :]
-        self.rs, self.cs = rs, cs
-        mp = self.mp = field._mp
-        if mp is not None:
-            sv = _numpy_svd(np.linalg.svd, self.a3, compute_uv=False)
-            self.cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
-            # not qr_solve: with mpmath 1.3 its Householder step can divide
-            # by zero on a well-conditioned matrix with a purely imaginary
-            # column
-            self.A3 = mp.matrix([[x / r / c for x, c in zip(row, cs.tolist())]
-                                 for row, r in zip(rows, rs.tolist())])
+        # a zero row or column keeps its scale
+        self.rs = [max(map(abs, row)) or 1 for row in rows]
+        a2 = [[x / r for x in row] for row, r in zip(rows, self.rs)]
+        self.cs = [max(map(abs, col)) or 1 for col in zip(*a2)]
+        self.a3 = [[x / c for x, c in zip(row, self.cs)] for row in a2]
+        a = [list(col) for col in zip(*self.a3)]  # worked on by columns
+        # per column k, the reflector I - beta v v^H on rows k.. that takes
+        # the column to -phase alpha e_1, its phase that of the pivot
+        self.reflectors = []
+        for k, col in enumerate(a):
+            x0 = col[k]
+            alpha = sum(t.real * t.real + t.imag * t.imag
+                        for t in col[k:]) ** 0.5
+            if not alpha > 0:  # zero or nan: R's rank test fails
+                col[k] = alpha
+                continue
+            ax0 = abs(x0)
+            phase = x0 / ax0 if ax0 else field.one
+            v = [x0 + phase * alpha] + col[k + 1:]
+            vh = [t.conjugate() for t in v]
+            beta = 1 / (alpha * (alpha + ax0))
+            col[k] = -phase * alpha
+            for cj in a[k + 1:]:
+                s = sum(map(mul, vh, cj[k:])) * beta
+                cj[k:] = [y - s * t for y, t in zip(cj[k:], v)]
+            self.reflectors.append((k, v, vh, beta))
+        self.r = [col[:j + 1] for j, col in enumerate(a)]  # R, by columns
+        top = max(field.abs(x) for col in self.r for x in col)
+        self.full_rank = all(field.abs(col[-1]) > resolution(field) * top
+                             for col in self.r)
+        # the scaling bounds R's entries, so its snapshot cannot overflow
+        r = np.triu(_snapshot(field, [col[:len(a)] for col in a]).T)
+        sv = (np.linalg.svd(r, compute_uv=False) if np.isfinite(r).all()
+              else [1.0, 0.0])
+        self.cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
 
     def solve(self, rhs, residual_tol=1e-9):
-        field, mp, rs, cs = self.field, self.mp, self.rs, self.cs
-        ncols = len(cs)
-        b = np.array([field.to_complex(x) for x in rhs], dtype=complex)
-        b2 = b / rs
-        if mp is None:
-            # explicit tiny cutoff: ill-conditioned systems are solved and
-            # reported, only near-exact rank collapse is an error here
-            x3, _res, rank, sv = _numpy_svd(np.linalg.lstsq, self.a3, b2,
-                                            rcond=1e-14)
-            resid = self.a3 @ x3 - b2 if rank == ncols else None
-            cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
-        else:
-            cond = self.cond
-            B2 = mp.matrix([y / r for y, r in zip(rhs, rs.tolist())])
-            try:
-                x3 = mp.lu_solve(self.A3, B2)
-                resid = self.A3 * x3 - B2
-            except (ValueError, ZeroDivisionError):  # numerically singular
-                resid = None
-        if resid is None:
+        cond, ncols = self.cond, len(self.r)
+        if not self.full_rank:
             raise RankDeficiencyError(
                 f"rank-deficient recovery stage: {ncols} unknowns, "
                 f"condition number {cond:.3e}"
             )
-        scale = max(1.0, float(np.max(np.abs(b2))))
-        rnorm = float(max(abs(v) for v in resid)) / scale
+        b2 = [y / r for y, r in zip(rhs, self.rs)]
+        # y = Q^H b2, then R x3 = y by columns of R
+        y = list(b2)
+        for k, v, vh, beta in self.reflectors:
+            s = sum(map(mul, vh, y[k:])) * beta
+            y[k:] = [t - s * u for t, u in zip(y[k:], v)]
+        x3 = y[:ncols]
+        for j, col in reversed(list(enumerate(self.r))):
+            x3[j] /= col[j]
+            x3[:j] = [t - x3[j] * c for t, c in zip(x3[:j], col)]
+        resid = [sum(map(mul, row, x3), -t) for row, t in zip(self.a3, b2)]
+        rnorm = float(max(abs(t) for t in resid)
+                      / max(1, max(abs(t) for t in b2)))
         if not rnorm <= residual_tol:
             raise RankDeficiencyError(
                 f"inconsistent linear system: residual {rnorm:.3e} "
                 f"exceeds {residual_tol:.1e}"
             )
-        x = [x3[j] / c for j, c in enumerate(cs.tolist())]
-        return ([complex(v) for v in x] if mp is None else x), cond, rnorm
-
-
-def _numpy_svd(svd, *args, **kwargs):
-    """``svd(*args, **kwargs)``, a numpy call that takes an SVD; an SVD that
-    does not converge, as on a nan entry, is a rank-deficient stage."""
-    try:
-        return svd(*args, **kwargs)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficiencyError(
-            f"rank-deficient recovery stage: {exc}") from None
+        return [t / c for t, c in zip(x3, self.cs)], cond, rnorm
 
 
 def poly_roots(field, monic_tail):

@@ -80,7 +80,7 @@ from .errors import (ConditioningError, FieldError, MathError,
                      RankDeficiencyError, SchemaError)
 from .fields import FloatField
 from .hypcalc import DEFAULT_POLE_TOL
-from .linalg import factor_lstsq, poly_roots, solve_lstsq
+from .linalg import factor_lstsq, poly_roots, resolution, solve_lstsq
 from .qbnf import QuantumBNF, TraceEngine, trace_coefficient, trace_power
 from .series import MultiSeries, Orders
 
@@ -139,12 +139,6 @@ def _misfits(field, samples, c, exp_half):
     signs = [_sigma(eps) for eps in _patterns(len(exp_half))]
     return [sum(map(mul, signs, powers), field.zero) - s
             for s, powers in zip(samples, _root_powers(field, c, exp_half))]
-
-
-def _resolution(field):
-    """A thousand units in the last place of a float field; a double's
-    precision counts its whole 64-bit format."""
-    return 2.0 ** (10 - (52 if field.precision <= 64 else field.precision))
 
 
 class FrequencyResult:
@@ -294,8 +288,11 @@ def _refit(field, samples, c, tags, exp_half):
     squares (:func:`~bnftrace.linalg.solve_lstsq`), and multiplies c and
     each E_j by exp of its change; a step is halved until it decreases the
     misfit, so the refit converges from the coarse cube fit, in at most 40
-    steps.  A refit that leaves the finite nonzero numbers is a
-    RankDeficiencyError.
+    steps.  It stops once every weighted misfit is within 16 units in the
+    last place: a step from there fits the samples' rounding, which moves
+    a parameter they barely determine (c/E at E = 10^24/7) off a fit that
+    an exact tail got right.  A refit that leaves the finite nonzero
+    numbers is a RankDeficiencyError.
     """
     # per parameter (log c, log E_j), the sign of each root's term in the
     # derivative of sum_eps sigma(eps) lambda_eps^k, over k
@@ -324,6 +321,8 @@ def _refit(field, samples, c, tags, exp_half):
     misfits = weighted(params)
     cur = norm(misfits)
     for _ in range(40):
+        if max(field.abs(v) for v in misfits) < resolution(field) / 64:
+            break
         try:
             delta, _cond, _res = solve_lstsq(
                 field, jacobian(params), [-v for v in misfits],
@@ -347,7 +346,7 @@ def _refit(field, samples, c, tags, exp_half):
         if not m < cur:
             break
         params, misfits, cur = trial, trial_misfits, m
-        if step * size < _resolution(field):
+        if step * size < resolution(field):
             break
     if not all(cmath.isfinite(field.to_complex(v)) and not field.is_zero(v)
                for v in params):
@@ -432,7 +431,7 @@ def recover_frequencies(field, a0, n, residual_tol=1e-6):
     samples = []
     for k in ks:
         v = a0[k]
-        if field.is_zero(v) or (not field.exact and field.abs(v) < 1e-300):
+        if field.is_zero(v) or not field.is_finite(field.inv(v)):
             raise RankDeficiencyError(f"vanishing leading coefficient at k={k}")
         samples.append(field.inv(v))
     if all(field.abs(s) == 0 for s in samples):
@@ -489,10 +488,10 @@ def recover_frequencies(field, a0, n, residual_tol=1e-6):
         phi = field.zero
     else:
         phi = -field.i * field.log(c)
-        resolution = _resolution(field)
-        if abs(phi.imag) < resolution:
+        floor = resolution(field)
+        if abs(phi.imag) < floor:
             phi = field.one * phi.real
-        if field.abs(phi) < resolution:
+        if field.abs(phi) < floor:
             phi = field.zero
     phi_value = field.to_complex(phi)
     if phi_value.imag == 0:

@@ -626,16 +626,17 @@ def test_forward_at_128_bits_writes_every_bit(tmp_path, capsys):
         assert got.coefficients[k] == want.coefficients[k]
 
 
-def _rh_file(tmp_path, *Es):
+def _rh_file(tmp_path, *Es, field=FR):
     """Normal form of real hyperbolic blocks of the given E, each with jet
-    z/3, and F = iota_1^2/4 + h/5 at F orders (2, 1, 1), as a file."""
+    z/3, and F = iota_1^2/4 + h/5 at F orders (2, 1, 1), on ``field``, as a
+    file."""
     n = len(Es)
-    blocks = SpectrumBlocks(FR, [REAL_HYPERBOLIC] * n,
-                            [FR.from_rational(E) for E in Es])
-    F = MultiSeries(FR, n, Orders(2, 1, 1), {
-        ((2,) + (0,) * (n - 1), 0, 0): FR.from_rational("1/4"),
-        ((0,) * n, 0, 1): FR.from_rational("1/5")})
-    jets = [zseries(FR, 1, {1: FR.from_rational("1/3")})] * n
+    blocks = SpectrumBlocks(field, [REAL_HYPERBOLIC] * n,
+                            [field.from_rational(E) for E in Es])
+    F = MultiSeries(field, n, Orders(2, 1, 1), {
+        ((2,) + (0,) * (n - 1), 0, 0): field.from_rational("1/4"),
+        ((0,) * n, 0, 1): field.from_rational("1/5")})
+    jets = [zseries(field, 1, {1: field.from_rational("1/3")})] * n
     path = tmp_path / "bnf.json"
     jsonio.dump(path, jsonio.qbnf_to_json(QuantumBNF(blocks, jets, F)))
     return str(path)
@@ -683,11 +684,26 @@ def test_exact_samples_beyond_the_double_range_exit_three_not_one(
     """E = 10^60/7: the exact Hankel system of stage 0 has entries beyond
     the double range, whose condition number is read off a snapshot scaled
     by a power of two; the fits still fail, which is an exit-3 refusal
-    and not an OverflowError traceback (exit 1)."""
+    and not an OverflowError traceback (exit 1).  The 240-bit fit solves
+    in the field, so it no longer fails on a double snapshot of its
+    samples."""
     rc = main(["roundtrip", "--bnf", _rh_file(tmp_path, f"{10 ** 60}/7"),
                "--orders", "2,1,1", "--kmax", "8"])
     assert rc == 3
-    assert "no exact fit of the samples" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "no exact fit of the samples" in err
+    assert "SVD did not converge" not in err
+
+
+def test_extended_samples_below_the_double_range_recover(tmp_path, capsys):
+    """rh E = 1e10 at 240 bits, kmax 32: the leading coefficients fall to
+    ~1e-310 by k = 31, below the double range but not below 240 bits, and
+    stage 0 takes them as samples."""
+    rc = main(["roundtrip", "--bnf", _rh_file(tmp_path, "1e10", field=FF),
+               "--orders", "2,1,1", "--kmax", "32", "--precision", "240",
+               "--tol-conditioning", "1e30"])
+    assert rc == 0
+    assert "round trip ok" in capsys.readouterr().out
 
 
 def test_exact_fit_that_does_not_verify_exits_three(tmp_path, capsys):

@@ -29,6 +29,7 @@ from bnftrace.series import MultiSeries, Orders, zseries
 
 FR = RationalField()
 FF = FloatField()
+F128 = FloatField(precision=128)
 
 
 def _a0_from_sinh(field, mus, phi, K):
@@ -404,16 +405,21 @@ def test_recover_polynomial_linear():
     assert sol[(0,)] == FR.zero
 
 
-def test_double_solve_reads_cond_off_lstsq(monkeypatch):
-    """The double path takes one SVD, inside lstsq; the snapshot of the
-    raw matrix for the condition number serves only the exact path."""
+def test_float_solve_takes_no_cond_of_snapshot(monkeypatch):
+    """A float solve reads its condition number off R of its own QR
+    factorization; the snapshot of the raw matrix serves only the exact
+    path."""
     def no_snapshot(field, rows):
-        raise AssertionError("separate SVD on the double path")
+        raise AssertionError("raw-matrix snapshot on a float path")
 
     monkeypatch.setattr(linalg, "_cond_of", no_snapshot)
-    x, cond, res = linalg.solve_lstsq(FF, [[1, 0], [0, 2], [1, 1]], [1, 4, 3])
-    assert max(abs(a - b) for a, b in zip(x, [1, 2])) < 1e-14
-    assert 1 <= cond < 10 and res < 1e-14
+    for field in (FF, F128):
+        x, cond, res = linalg.solve_lstsq(
+            field, [[field.from_int(v) for v in row]
+                    for row in [[1, 0], [0, 2], [1, 1]]],
+            [field.from_int(v) for v in [1, 4, 3]])
+        assert max(field.abs(a - b) for a, b in zip(x, [1, 2])) < 1e-14
+        assert 1 <= cond < 10 and res < 1e-14
 
 
 def test_exact_condition_number_beyond_the_double_range():
@@ -436,7 +442,6 @@ def test_exact_condition_number_beyond_the_double_range():
     assert linalg._cond_of(FR, [big_rows[0], rows[1], rows[2]]) > 1e100
 
 
-F128 = FloatField(precision=128)
 _unit = st.complex_numbers(max_magnitude=1, allow_nan=False,
                            allow_infinity=False)
 
@@ -476,6 +481,32 @@ def test_double_and_extended_solves_agree(system):
     size = max(abs(v) for v in x128)
     assert max(abs(a - b) for a, b in zip(x64, x128)) <= 1e-10 * size
     assert abs(c64 - c128) <= 1e-9 * c128
+
+
+def test_extended_solve_of_a_vandermonde_system_keeps_its_digits():
+    """A 14 x 8 Vandermonde system, rows (1 + j/20)^p, condition number
+    ~4e8: QR loses about cond * 2^-128 ~ 1e-30 at 128 bits, where the
+    normal equations, which square the condition number, lost 1e-24."""
+    rows = [[F128.from_rational(Fraction(20 + j, 20) ** p) for p in range(8)]
+            for j in range(14)]
+    x = [F128.from_int(p + 1) for p in range(8)]
+    rhs = [sum((a * v for a, v in zip(row, x)), F128.zero) for row in rows]
+    got, cond, _res = linalg.solve_lstsq(F128, rows, rhs)
+    assert 1e8 < cond < 1e9
+    assert max(F128.abs(a - b) for a, b in zip(got, x)) <= 1e-27
+
+
+@pytest.mark.parametrize("precision", [128, 240])
+def test_extended_solve_with_a_row_beyond_the_double_range(precision):
+    """A row near 1e400 is scaled to a largest modulus of 1 in the field; a
+    double snapshot of it would hold an infinity."""
+    F = FloatField(precision)
+    big = F.parse("1e400")
+    rows = [[F.one, F.zero], [F.zero, F.one], [big, big]]
+    got, cond, _res = linalg.solve_lstsq(
+        F, rows, [F.one, F.from_int(2), 3 * big])
+    assert max(F.abs(a - b) for a, b in zip(got, [1, 2])) <= 1e-30
+    assert 1 < cond < 10
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -520,6 +551,9 @@ _TO_FIELD = {
                  [[1 + 0j, 2 + 0j], [0.5j, -1 + 0j], [0j, 0j]]))
 # a zero row below the top block
 @example(system=([[2 + 0j], [0j]], [[1 + 0j], [0.5j], [0j]]))
+# a subnormal row below the top block, which is scaled like any other
+@example(system=([[0.2 + 0j], [2.225073858507203e-309 + 0j]],
+                 [[0j], [0j], [0j]]))
 def test_one_factorization_solves_each_rhs_like_a_fresh_solve(name, system):
     """Right-hand sides solved in turn with one factorization give, bit for
     bit, what a fresh solve_lstsq gives; an inconsistent one after them is
