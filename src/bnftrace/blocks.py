@@ -25,7 +25,7 @@ import cmath
 import itertools
 import math
 
-from .errors import ResonanceError, SchemaError
+from .errors import MathError, ResonanceError, SchemaError
 
 ELLIPTIC = "elliptic"
 REAL_HYPERBOLIC = "real_hyperbolic"
@@ -175,6 +175,29 @@ class SpectrumBlocks:
             for t, E in zip(self.tags, self.exp_half)
         ]
         return "<SpectrumBlocks " + " ".join(parts) + ">"
+
+
+def classify(q, tol):
+    """Block type of e^mu = q, a complex number oriented to the
+    normalizations above (|q| > 1, or arg q in (0, pi) on the unit
+    circle), each decision within ``tol``: on the unit circle elliptic,
+    with theta = arg q in (tol, pi - tol); on the positive real axis real
+    hyperbolic; elsewhere complex hyperbolic.  A negative real q is
+    refused."""
+    mod = abs(q)
+    if abs(mod - 1.0) <= tol:
+        th = cmath.phase(q)
+        if not (tol < th < math.pi - tol):
+            raise MathError(
+                f"elliptic exponent with theta = {th:.6g} outside (0, pi): "
+                "normalization violated or eigenvalue at +-1"
+            )
+        return ELLIPTIC
+    if abs(q.imag) <= tol * mod:
+        if q.real < 0:
+            raise MathError("negative real eigenvalue: outside the classification")
+        return REAL_HYPERBOLIC
+    return COMPLEX_HYPERBOLIC
 
 
 def nonresonance_witness(mu, max_order, tol=1e-8):

@@ -11,8 +11,10 @@ the functions that use them):
   b = (i x + xi)/2; real hyperbolic a = x, b = xi; complex hyperbolic
   pair a1 = x1 - i x2, b1 = (xi1 + i xi2)/2, a2 = conj a1, b2 = conj b1.
   In all cases the linear part acts diagonally (a_j -> lambda_j a_j,
-  b_j -> a_j / lambda_j), the actions are iota_j = a_j b_j, and the
-  quadratic generator is exactly <iota, mu>.
+  b_j -> b_j / lambda_j), the actions are iota_j = a_j b_j, and the
+  quadratic generator is exactly <iota, mu>.  The block type of
+  lambda_j = e^{mu_j} is :func:`bnftrace.blocks.classify`, the rule the
+  recovery uses.
 * The normal form Hamiltonian is reported in those complexified actions;
   for blocks without a complex hyperbolic part the equivalent real twist
   coefficients (iota_real = (x^2+xi^2)/2 elliptic, x xi hyperbolic) are
@@ -30,9 +32,8 @@ import math
 import numpy as np
 
 from .blocks import (COMPLEX_HYPERBOLIC, ELLIPTIC, REAL_HYPERBOLIC,
-                     SpectrumBlocks, nonresonance_witness)
-from .errors import (MathError, ResonanceError, SchemaError,
-                     SmallDenominatorError)
+                     SpectrumBlocks, classify, require_nonresonant)
+from .errors import MathError, SchemaError, SmallDenominatorError
 from .fields import FloatField
 from .phasepoly import (Degree, PhasePoly, PolyMap, exp_ham,
                         iota_poly_to_phase)
@@ -78,13 +79,14 @@ class TaylorMap:
             if field.exact:
                 if res != 0:
                     raise SchemaError("map is not symplectic (exact check)")
-            elif res > tol:
+            elif not res <= tol:  # a NaN residual is refused too
                 raise SchemaError(
                     f"map is not symplectic: Jacobian residual {res:.3e}"
                 )
 
     def symplectic_residual(self):
-        """Largest coefficient of D^T J D - J through degree - 1.
+        """Largest coefficient of D^T J D - J through degree - 1, NaN if
+        any coefficient is NaN.
 
         The Jacobian entries are bounded at degree - 1, which they fit, so
         their products form no term that the check would throw away.
@@ -109,7 +111,8 @@ class TaylorMap:
                     if not acc.is_zero():
                         return 1
                 else:
-                    worst = max(worst, acc.max_coeff_abs())
+                    worst = max([worst, *map(f.abs, acc.terms.values())],
+                                key=_nan_first)
         return worst
 
     def linear_matrix_complex(self):
@@ -121,6 +124,10 @@ class TaylorMap:
 
     def __repr__(self):
         return f"<TaylorMap n={self.n} degree={self.degree}>"
+
+
+def _nan_first(x):
+    return math.inf if math.isnan(x) else x
 
 
 def _J(n):
@@ -161,8 +168,9 @@ def _symplectic_eigenbasis(M, tol):
     """Classify eigenvalues and build the real symplectic basis T with
     T^{-1} M T in standard block form.  Returns (units, T).
 
-    units: list of ('e', theta, cols) / ('rh', lam, cols) /
-    ('ch', lam, cols); cols are (x-columns, xi-columns).
+    units: list of (tag, mu, cols), one per elliptic or real hyperbolic
+    block and per complex hyperbolic pair, mu its exponent (the principal
+    member of a pair); cols are (x-columns, xi-columns).
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2:
@@ -173,25 +181,20 @@ def _symplectic_eigenbasis(M, tol):
     if sym_res > tol * max(1.0, np.max(np.abs(M)) ** 2):
         raise SchemaError(f"matrix is not symplectic: residual {sym_res:.3e}")
     vals, vecs = np.linalg.eig(M)
-    for v in vals:
-        if abs(v - 1) < tol:
-            raise MathError("eigenvalue on the excluded set: lambda = 1")
-        if abs(v + 1) < tol:
-            raise MathError("eigenvalue on the excluded set: lambda = -1")
     used = [False] * (2 * n)
     units = []
+    # the principal member of each pair or quadruple comes first, and the
+    # others are its partners; classify refuses eigenvalues at +-1
     order = sorted(range(2 * n), key=lambda i: (-abs(vals[i]), -vals[i].imag))
     for i in order:
         if used[i]:
             continue
         lam = vals[i]
-        if abs(abs(lam) - 1) < tol:  # elliptic pair
-            if lam.imag < 0:
-                continue  # handled through its conjugate
+        tag = classify(lam, tol)
+        if tag == ELLIPTIC:
             used[i] = True
             j = _find_value(vals, used, lam.conjugate(), tol)
             used[j] = True
-            theta = cmath.phase(lam)
             v = vecs[:, i]
             s = _omega(v.real, v.imag, J).real
             if abs(s) < tol:
@@ -203,15 +206,11 @@ def _symplectic_eigenbasis(M, tol):
                     "under the theta in (0, pi) normalization"
                 )
             w = v / math.sqrt(-s)
-            units.append(("e", theta, ([w.real], [-w.imag])))
-        elif abs(lam.imag) < tol * abs(lam):  # real pair
+            units.append((tag, complex(0.0, cmath.phase(lam)),
+                          ([w.real], [-w.imag])))
+        elif tag == REAL_HYPERBOLIC:
             lam_r = lam.real
-            if lam_r < 0:
-                raise MathError(
-                    "negative real eigenvalue: outside the elliptic/"
-                    "hyperbolic classification"
-                )
-            if abs(lam_r) < 1:
+            if lam_r < 1:
                 continue  # partner of a lambda > 1 processed later
             used[i] = True
             j = _find_value(vals, used, 1.0 / lam_r, tol)
@@ -221,8 +220,8 @@ def _symplectic_eigenbasis(M, tol):
             s = _omega(vp, vm, J).real
             if abs(s) < tol:
                 raise MathError("defective hyperbolic pair: zero pairing")
-            units.append(("rh", lam_r, ([vp], [vm / s])))
-        else:  # complex hyperbolic quadruple
+            units.append((tag, math.log(lam_r), ([vp], [vm / s])))
+        else:
             if abs(lam) < 1 or lam.imag < 0:
                 continue
             used[i] = True
@@ -238,22 +237,15 @@ def _symplectic_eigenbasis(M, tol):
             if abs(g) < tol:
                 raise MathError("defective complex hyperbolic quadruple")
             u = u / g
-            units.append(("ch", lam,
+            units.append((tag, cmath.log(lam),
                           ([v.real, v.imag], [u.real, -u.imag])))
     if not all(used):
         raise MathError("defective eigenvalue structure: unmatched eigenvalues")
-
-    def unit_key(u):
-        kind, lam, _ = u
-        if kind == "ch":
-            return (0, abs(lam), cmath.phase(lam))
-        if kind == "rh":
-            return (1, lam, 0.0)
-        return (2, lam, 0.0)
-
-    units.sort(key=unit_key)
+    # canonical order: complex hyperbolic, real hyperbolic, elliptic
+    rank = {COMPLEX_HYPERBOLIC: 0, REAL_HYPERBOLIC: 1, ELLIPTIC: 2}
+    units.sort(key=lambda u: (rank[u[0]], u[1].real, u[1].imag))
     xcols, xicols = [], []
-    for _kind, _lam, (xs, xis) in units:
+    for _tag, _mu, (xs, xis) in units:
         xcols.extend(xs)
         xicols.extend(xis)
     T = np.column_stack(xcols + xicols)
@@ -267,16 +259,11 @@ def _symplectic_eigenbasis(M, tol):
 
 def _blocks_from_units(units, field):
     tagged = []
-    for kind, lam, _cols in units:
-        if kind == "e":
-            tagged.append((ELLIPTIC, field.exp(0.5j * lam)))
-        elif kind == "rh":
-            tagged.append((REAL_HYPERBOLIC, field.exp(0.5 * math.log(lam))))
-        else:
-            mu = cmath.log(lam)
-            tagged.append((COMPLEX_HYPERBOLIC, field.exp(mu / 2)))
-            tagged.append((COMPLEX_HYPERBOLIC, field.exp(mu.conjugate() / 2)))
-    return SpectrumBlocks.from_exp_half(field, tagged)
+    for tag, mu, _cols in units:
+        tagged.append((tag, mu))
+        if tag == COMPLEX_HYPERBOLIC:
+            tagged.append((tag, mu.conjugate()))
+    return SpectrumBlocks.from_mu(field, tagged)
 
 
 def classify_eigenvalues(M):
@@ -295,7 +282,9 @@ def linear_normalize(tmap):
 
     Returns (normalized TaylorMap, T, blocks) with T the real symplectic
     matrix of the change of variables, normalized = T^{-1} o kappa o T,
-    and the SpectrumBlocks of the same eigendecomposition.
+    and the SpectrumBlocks of the same eigendecomposition.  T and the
+    exponents come from numpy's double eigendecomposition of the linear
+    part, so they carry double accuracy on every float field.
     """
     f = tmap.field
     if f.exact:
@@ -337,24 +326,11 @@ class BNFResult:
         self.residual = residual
 
     def real_twist_coefficients(self):
-        """p in the real action convention (no complex hyperbolic blocks).
-
-        iota_real = (x^2 + xi^2)/2 elliptic (coefficients pick up i^{sum of
-        elliptic exponents}; the linear elliptic coefficient becomes
-        -theta), x xi hyperbolic.
-        """
-        if any(t == COMPLEX_HYPERBOLIC for t in self.blocks.tags):
-            raise SchemaError(
-                "real twist display is defined for elliptic/real-hyperbolic "
-                "blocks only"
-            )
-        f = self.blocks.field
-        e_slots = [i for i, t in enumerate(self.blocks.tags) if t == ELLIPTIC]
-        out = {}
-        for m, c in self.p_complex.items():
-            s = sum(m[i] for i in e_slots)
-            out[m] = c * f.i ** (s % 4)
-        return out
+        """p in the real actions iota_real = (x^2 + xi^2)/2 elliptic, x xi
+        real hyperbolic; the elliptic linear coefficient becomes -theta.
+        The inverse of :func:`iota_real_to_complex`."""
+        return _elliptic_rescaled(self.blocks.tags, self.p_complex,
+                                  self.blocks.field.i)
 
     def __repr__(self):
         return (f"<BNFResult n={self.blocks.n} terms={len(self.p_complex)} "
@@ -362,59 +338,41 @@ class BNFResult:
 
 
 def _complexification(field, tags, degree):
-    """(C, Cinv) as PolyMaps: w_complex = C(w_real)."""
+    """(C, C^-1) as PolyMaps: w_complex = C(w_real), in the complexified
+    coordinates of the module docstring.
+
+    C keeps the bracket ({a_j, b_j} = {x_j, xi_j}), so C^-1 = -J C^T J:
+    entry (i, j) is C[j'][i'] with ' swapping x_k and xi_k, negated when
+    exactly one of i, j is a xi slot.  That signed transpose is exact on
+    every field.
+    """
     n = len(tags)
     nv = 2 * n
-    zero = field.zero
     one = field.one
     i_ = field.i
     half = field.inv(field.from_int(2))
-    C = [[zero] * nv for _ in range(nv)]
-    Ci = [[zero] * nv for _ in range(nv)]
+    C = [[field.zero] * nv for _ in range(nv)]
     j = 0
     while j < n:
+        x, xi = j, n + j
         if tags[j] == ELLIPTIC:
-            # a = x + i xi ; b = (i x + xi)/2 ; x = a/2 - i b ; xi = -i a/2 + b
-            C[j][j] = one
-            C[j][n + j] = i_
-            C[n + j][j] = i_ * half
-            C[n + j][n + j] = half
-            Ci[j][j] = half
-            Ci[j][n + j] = -i_
-            Ci[n + j][j] = -i_ * half
-            Ci[n + j][n + j] = one
+            C[x][x], C[x][xi] = one, i_                # a
+            C[xi][x], C[xi][xi] = i_ * half, half      # b
             j += 1
         elif tags[j] == REAL_HYPERBOLIC:
-            C[j][j] = one
-            C[n + j][n + j] = one
-            Ci[j][j] = one
-            Ci[n + j][n + j] = one
+            C[x][x] = C[xi][xi] = one
             j += 1
         else:  # ch pair on real slots (j, j+1)
-            # a1 = x1 - i x2 ; a2 = x1 + i x2
-            C[j][j] = one
-            C[j][j + 1] = -i_
-            C[j + 1][j] = one
-            C[j + 1][j + 1] = i_
-            # b1 = (xi1 + i xi2)/2 ; b2 = (xi1 - i xi2)/2
-            C[n + j][n + j] = half
-            C[n + j][n + j + 1] = i_ * half
-            C[n + j + 1][n + j] = half
-            C[n + j + 1][n + j + 1] = -i_ * half
-            # x1 = (a1 + a2)/2 ; x2 = -i(a2 - a1)/2 = i(a1 - a2)/2
-            Ci[j][j] = half
-            Ci[j][j + 1] = half
-            Ci[j + 1][j] = i_ * half
-            Ci[j + 1][j + 1] = -i_ * half
-            # xi1 = b1 + b2 ; xi2 = -i (b1 - b2)
-            Ci[n + j][n + j] = one
-            Ci[n + j][n + j + 1] = one
-            Ci[n + j + 1][n + j] = -i_
-            Ci[n + j + 1][n + j + 1] = i_
+            C[x][x], C[x][x + 1] = one, -i_                  # a1
+            C[x + 1][x], C[x + 1][x + 1] = one, i_           # a2
+            C[xi][xi], C[xi][xi + 1] = half, i_ * half       # b1
+            C[xi + 1][xi], C[xi + 1][xi + 1] = half, -i_ * half  # b2
             j += 2
-    Cmap = PolyMap.from_linear(field, n, degree, C)
-    Cimap = PolyMap.from_linear(field, n, degree, Ci)
-    return Cmap, Cimap
+    swap = list(range(n, nv)) + list(range(n))
+    Ci = [[C[swap[c]][swap[r]] if (r < n) == (c < n) else -C[swap[c]][swap[r]]
+           for c in range(nv)] for r in range(nv)]
+    return (PolyMap.from_linear(field, n, degree, C),
+            PolyMap.from_linear(field, n, degree, Ci))
 
 
 def _lambda_slots(field, blocks):
@@ -487,12 +445,8 @@ def birkhoff_normal_form(tmap, iota_degree, small_denominator_tol=1e-8,
         )
     else:
         normalized, _transform, blocks = linear_normalize(tmap)
-    order = resonance_order or 2 * iota_degree
-    w = nonresonance_witness(blocks.mu(), order, small_denominator_tol)
-    if w is not None:
-        raise ResonanceError(
-            f"resonant exponents: k={list(w[0])}, m={w[1]}", witness=w
-        )
+    require_nonresonant(blocks, resonance_order or 2 * iota_degree,
+                        small_denominator_tol)
 
     Cmap, Cimap = _complexification(f, blocks.tags, D)
     kc = Cmap.compose(normalized.pmap.compose(Cimap))
@@ -507,7 +461,7 @@ def birkhoff_normal_form(tmap, iota_degree, small_denominator_tol=1e-8,
 
     R_terms = {}
     # exp H_R, rebuilt only when a degree extends R
-    target = PolyMap.identity(f, n, D)
+    target = _twist_flow(f, n, D, R_terms)
     generators = []
     min_denom = math.inf
 
@@ -519,23 +473,18 @@ def birkhoff_normal_form(tmap, iota_degree, small_denominator_tol=1e-8,
         return v
 
     def consistent(values, what):
-        ref = values[0]
+        """The mean of one coefficient's estimates, which must agree:
+        exactly on an exact field, where the mean is their common value,
+        and to 1e-6 relative otherwise."""
+        ref = total = values[0]
         for v in values[1:]:
-            if f.exact:
-                if not (v == ref):
-                    raise MathError(
-                        f"inconsistent generator estimates for {what}: "
-                        "input map is not symplectic to this degree"
-                    )
-            elif f.abs(v - ref) > 1e-6 * max(1.0, f.abs(ref)):
+            if not (v == ref if f.exact else
+                    f.abs(v - ref) <= 1e-6 * max(1.0, f.abs(ref))):
                 raise MathError(
-                    f"inconsistent generator estimates for {what} "
-                    f"(spread {f.abs(v - ref):.3e})"
+                    f"inconsistent generator estimates for {what} (spread "
+                    f"{f.abs(v - ref):.3e}): input map is not symplectic "
+                    "to this degree"
                 )
-        if f.exact:
-            return ref
-        total = values[0]
-        for v in values[1:]:
             total = total + v
         return total * f.inv(f.from_int(len(values)))
 
@@ -550,17 +499,12 @@ def birkhoff_normal_form(tmap, iota_degree, small_denominator_tol=1e-8,
                 M = list(K)
                 M[part] += 1
                 M = tuple(M)
-                lamM = lam_power(M)
-                denom = lamM - f.one
-                res_mono = M[:n] == M[n:]
-                if res_mono:
+                if M[:n] == M[n:]:
                     # resonant: absorb into R; the H_rho component carries
                     # the iota exponent of the incremented slot
-                    est = c * f.inv(f.from_int(M[part]))
-                    if i >= n:
-                        est = -est
-                    rho_est.setdefault(M[:n], []).append(est)
+                    bucket = rho_est.setdefault(M[:n], [])
                 else:
+                    denom = lam_power(M) - f.one
                     dn = f.abs(denom)
                     if dn < small_denominator_tol:
                         kvec = [M[j] - M[n + j] for j in range(n)]
@@ -569,10 +513,10 @@ def birkhoff_normal_form(tmap, iota_degree, small_denominator_tol=1e-8,
                             f"for k={kvec}", witness=tuple(kvec),
                         )
                     min_denom = min(min_denom, dn)
-                    est = c * f.inv(denom) * f.inv(f.from_int(M[part]))
-                    if i >= n:
-                        est = -est
-                    chi_est.setdefault(M, []).append(est)
+                    c = c * f.inv(denom)
+                    bucket = chi_est.setdefault(M, [])
+                est = c * f.inv(f.from_int(M[part]))
+                bucket.append(-est if i >= n else est)
         rho = {m: consistent(v, f"iota^{m}") for m, v in rho_est.items()}
         chi = {M: consistent(v, f"w^{M}") for M, v in chi_est.items()}
         for m, c in rho.items():
@@ -580,8 +524,7 @@ def birkhoff_normal_form(tmap, iota_degree, small_denominator_tol=1e-8,
             if f.is_zero(R_terms[m]):
                 del R_terms[m]
         if rho:
-            target = (exp_ham(iota_poly_to_phase(f, n, D, R_terms), n, D)
-                      if R_terms else PolyMap.identity(f, n, D))
+            target = _twist_flow(f, n, D, R_terms)
         if chi:
             chi_poly = PhasePoly(f, 2 * n, D, chi)
             generators.append(chi_poly)
@@ -610,6 +553,17 @@ def birkhoff_normal_form(tmap, iota_degree, small_denominator_tol=1e-8,
                      residual)
 
 
+def _twist_flow(field, n, degree, iota_terms):
+    """exp H_R for R in the complexified actions, as a PolyMap of degree
+    ``degree``.  R's phase polynomial is bound at degree + 1, not at
+    ``degree``: the flow of an iota^m term with 2|m| = degree + 1 still
+    has terms of degree ``degree``."""
+    if not iota_terms:
+        return PolyMap.identity(field, n, degree)
+    return exp_ham(iota_poly_to_phase(field, n, degree + 1, iota_terms), n,
+                   degree)
+
+
 def normal_form_flow(blocks, iota_terms, degree):
     """Time-1 flow of p = <iota, mu> + R as a TaylorMap in real coordinates.
 
@@ -630,18 +584,24 @@ def normal_form_flow(blocks, iota_terms, degree):
         [[lam_slots[i] if i == j else f.zero for j in range(2 * n)]
          for i in range(2 * n)],
     )
-    R_phase = iota_poly_to_phase(f, n, degree, iota_terms)
-    mc = Lam.compose(exp_ham(R_phase, n, degree)) if iota_terms else Lam
+    mc = Lam.compose(_twist_flow(f, n, degree, iota_terms))
     mreal = Cimap.compose(mc.compose(Cmap))
     return TaylorMap(f, n, degree, mreal.comps, validate=False)
 
 
+def _elliptic_rescaled(tags, coeffs, unit):
+    """``coeffs`` with each iota^m scaled by unit^(sum of m over the
+    elliptic slots): unit i takes complexified actions to the real ones,
+    -i back.  Complex hyperbolic pairs have no real actions."""
+    if COMPLEX_HYPERBOLIC in tags:
+        raise SchemaError(
+            "real actions are defined for elliptic/real-hyperbolic blocks only"
+        )
+    e_slots = [i for i, t in enumerate(tags) if t == ELLIPTIC]
+    return {tuple(m): c * unit ** (sum(m[i] for i in e_slots) % 4)
+            for m, c in coeffs.items()}
+
+
 def iota_real_to_complex(tags, coeffs, field):
     """Convert R coefficients from real actions to complexified ones."""
-    e_slots = [i for i, t in enumerate(tags) if t == ELLIPTIC]
-    out = {}
-    minus_i = -field.i
-    for m, c in coeffs.items():
-        s = sum(m[i] for i in e_slots)
-        out[tuple(m)] = c * minus_i ** (s % 4)
-    return out
+    return _elliptic_rescaled(tags, coeffs, -field.i)

@@ -158,8 +158,9 @@ def cmd_roundtrip(args):
 
 def cmd_classical_bnf(args):
     cfg = _config_from_args(args)
-    tmap = jsonio.taylor_map_from_json(jsonio.load(args.map),
-                                       cfg.float_precision)
+    # the normalizer works from a double eigendecomposition, so the map
+    # is read in doubles
+    tmap = jsonio.taylor_map_from_json(jsonio.load(args.map))
     res = birkhoff_normal_form(tmap, args.degree,
                                small_denominator_tol=cfg.tol_resonance)
     print(f"blocks: {res.blocks!r}")
@@ -294,7 +295,7 @@ def build_parser():
     p.add_argument("--map", required=True)
     p.add_argument("--degree", type=int, default=2,
                    help="iota degree of the reported normal form")
-    _add_options(p, "float_precision", "tol_resonance", "report")
+    _add_options(p, "tol_resonance", "report")
     p.set_defaults(func=cmd_classical_bnf)
 
     p = sub.add_parser("classify", help="classify a symplectic matrix")

@@ -74,8 +74,8 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .blocks import (COMPLEX_HYPERBOLIC, ELLIPTIC, REAL_HYPERBOLIC,
-                     SpectrumBlocks)
+from .blocks import (COMPLEX_HYPERBOLIC, REAL_HYPERBOLIC, SpectrumBlocks,
+                     classify)
 from .errors import (ConditioningError, FieldError, MathError,
                      RankDeficiencyError, SchemaError)
 from .fields import FloatField
@@ -194,26 +194,6 @@ def _oriented(field, q):
     return field.inv(q) if flip else q
 
 
-def _classify_exponent(field, q):
-    """Tag for e^mu = q, oriented by :func:`_oriented`, under the block
-    normalizations; raises otherwise."""
-    qc = field.to_complex(q)
-    mod = abs(qc)
-    if abs(mod - 1.0) <= NORMALIZATION_TOL:
-        th = cmath.phase(qc)
-        if not (NORMALIZATION_TOL < th < math.pi - NORMALIZATION_TOL):
-            raise MathError(
-                f"elliptic exponent with theta = {th:.6g} outside (0, pi): "
-                "normalization violated or eigenvalue at +-1"
-            )
-        return ELLIPTIC
-    if abs(qc.imag) <= NORMALIZATION_TOL * mod:
-        if qc.real < 0:
-            raise MathError("negative real eigenvalue: outside the classification")
-        return REAL_HYPERBOLIC
-    return COMPLEX_HYPERBOLIC
-
-
 def _snap_to_class(field, E, tag):
     """A real hyperbolic E is real by its classification, so the rounding
     residue of its imaginary part is dropped."""
@@ -259,7 +239,7 @@ def _cube_from_roots(field, roots, weights, n):
         )
     tags, exp_half = [], []
     for q, _members in classes[:n]:
-        tag = _classify_exponent(field, q)
+        tag = classify(field.to_complex(q), NORMALIZATION_TOL)
         tags.append(tag)
         # the principal branch, Re E >= 0: every oriented class has arg q
         # in [0, pi)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -169,6 +169,18 @@ def test_taylor_map_requires_fixed_origin():
                              {(0, 1): FF.one}])
 
 
+@pytest.mark.parametrize("comp0", [{(1, 0): math.nan},
+                                   {(1, 0): 1.0, (2, 0): math.nan}])
+def test_taylor_map_with_a_nan_coefficient_is_refused(comp0):
+    """A NaN in the linear or a nonlinear term makes the Jacobian residual
+    NaN, which the symplectic check refuses."""
+    comps = [{e: FF.one * c for e, c in comp0.items()}, {(0, 1): FF.one}]
+    assert math.isnan(TaylorMap(FF, 1, 3, comps,
+                                validate=False).symplectic_residual())
+    with pytest.raises(SchemaError, match="not symplectic"):
+        TaylorMap(FF, 1, 3, comps)
+
+
 # -- linear normalization ------------------------------------------------
 
 
@@ -248,7 +260,8 @@ def test_bnf_runs_one_eigendecomposition(monkeypatch):
     monkeypatch.setattr(classical, "_symplectic_eigenbasis", counting)
     blocks = SpectrumBlocks.from_mu(FF, [(COMPLEX_HYPERBOLIC, 0.4 + 0.9j),
                                          (COMPLEX_HYPERBOLIC, 0.4 - 0.9j)])
-    R = iota_real_to_complex(blocks.tags, {(1, 1): FF.one * 0.2}, FF)
+    # a complex hyperbolic pair has no real actions: R is complexified
+    R = {(1, 1): FF.one * 0.2}
     res = birkhoff_normal_form(normal_form_flow(blocks, R, 3), 2)
     assert len(calls) == 1
     assert res.blocks.tags == blocks.tags
@@ -556,6 +569,40 @@ def test_normal_form_flow_is_symplectic():
     assert tm.symplectic_residual() < 1e-12
 
 
+_RH2 = SpectrumBlocks(FR, [REAL_HYPERBOLIC], [FR.from_int(2)])
+
+
+@pytest.mark.parametrize("R, degree", [
+    ({(2,): Fraction(1, 7)}, 3),
+    ({(2,): Fraction(1, 7), (3,): Fraction(-2, 9)}, 5),
+])
+def test_twist_term_one_degree_above_the_map_is_kept(R, degree):
+    """An iota^m term of R with 2|m| = degree + 1 has flow terms of the
+    map's degree: the flow keeps them, so it equals the flow one degree up
+    cut to this degree, and the normal form of that map is R with no
+    defect."""
+    R = {m: FR.from_rational(c) for m, c in R.items()}
+    flow = normal_form_flow(_RH2, R, degree)
+    cut = TaylorMap(FR, 1, degree, normal_form_flow(_RH2, R, degree + 1)
+                    .pmap.comps)
+    assert ([c.terms for c in flow.pmap.comps]
+            == [c.terms for c in cut.pmap.comps])
+    res = birkhoff_normal_form(cut, (degree + 1) // 2, blocks=_RH2)
+    assert res.p_complex == R
+    assert res.residual == 0
+
+
+def test_complex_hyperbolic_pairs_have_no_real_actions():
+    blocks = SpectrumBlocks.from_mu(FF, [(COMPLEX_HYPERBOLIC, 0.4 + 0.9j),
+                                         (COMPLEX_HYPERBOLIC, 0.4 - 0.9j)])
+    R = {(1, 1): FF.one * 0.2}
+    with pytest.raises(SchemaError, match="real actions"):
+        iota_real_to_complex(blocks.tags, R, FF)
+    with pytest.raises(SchemaError, match="real actions"):
+        classical.BNFResult(blocks, R, [], math.inf,
+                            0.0).real_twist_coefficients()
+
+
 # -- composition ------------------------------------------------------------
 
 def _reference_compose(outer, inner):
@@ -645,3 +692,71 @@ def test_compose_of_flows_matches_reference_on_floats():
         keys = set(a.terms) | set(b.terms)
         assert all(abs(a.terms.get(e, 0) - b.terms.get(e, 0)) <= 1e-15
                    for e in keys)
+
+
+# -- exact round trip ---------------------------------------------------------
+
+_EXACT_E = {
+    REAL_HYPERBOLIC: [FR.from_int(2), FR.from_int(3),
+                      FR.from_rational(Fraction(5, 2))],
+    ELLIPTIC: [FR.from_rational(Fraction(3, 5), Fraction(4, 5)),
+               FR.from_rational(Fraction(5, 13), Fraction(12, 13))],
+}
+
+
+@st.composite
+def _exact_classical_case(draw):
+    """Rational blocks of n <= 3 (rh E in {2, 3, 5/2}, elliptic E in
+    {(3+4i)/5, (5+12i)/13}, the ch pair E = 3 +- i), an iota degree d, a
+    map degree 2d - 1 or 2d with no resonance up to its order plus one,
+    and a rational R with 2 <= |m| <= d."""
+    kinds = draw(st.lists(st.sampled_from(
+        [REAL_HYPERBOLIC, ELLIPTIC, COMPLEX_HYPERBOLIC]), min_size=1,
+        max_size=3))
+    tagged = []
+    for kind in kinds:
+        if kind == COMPLEX_HYPERBOLIC:
+            E = FR.from_rational(3, 1)
+            tagged += [(kind, E), (kind, FR.conj(E))]
+        else:
+            tagged.append((kind, draw(st.sampled_from(_EXACT_E[kind]))))
+    assume(len(tagged) <= 3)
+    blocks = SpectrumBlocks.from_exp_half(FR, tagged)
+    d = draw(st.sampled_from([2, 3]))
+    degree = 2 * d - draw(st.sampled_from([1, 0]))
+    # no small denominator either: its k has |k| <= degree + 1
+    assume(nonresonance_witness(blocks.mu(), degree + 1) is None)
+    monos = [m for m in itertools.product(range(d + 1), repeat=blocks.n)
+             if 2 <= sum(m) <= d]
+    keys = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4,
+                         unique=True))
+    R = {m: FR.from_rational(draw(_coeffs)) for m in keys}
+    return blocks, d, degree, R
+
+
+@settings(max_examples=30, deadline=None)
+@given(_exact_classical_case(), st.data())
+def test_exact_classical_round_trip(case, data):
+    """The normal form of a rational normal-form flow, conjugated by a
+    rational cubic generator when n <= 2, is its R, exactly and with no
+    defect, at map degrees 2d - 1 and 2d; on rh/elliptic mixes the real
+    actions convert back to the complexified ones."""
+    blocks, d, degree, R = case
+    n = blocks.n
+    kappa = normal_form_flow(blocks, R, degree)
+    if n <= 2:
+        cubics = [e for e in itertools.product(range(4), repeat=2 * n)
+                  if sum(e) == 3]
+        keys = data.draw(st.lists(st.sampled_from(cubics), min_size=1,
+                                  max_size=3, unique=True))
+        chi = PhasePoly(FR, 2 * n, degree, {
+            e: FR.from_rational(data.draw(_coeffs)) for e in keys})
+        kappa = TaylorMap(FR, n, degree, exp_ham(
+            chi.scale(-FR.one), n, degree).compose(
+                kappa.pmap.compose(exp_ham(chi, n, degree))).comps)
+    res = birkhoff_normal_form(kappa, d, blocks=blocks)
+    assert res.p_complex == R
+    assert res.residual == 0
+    if COMPLEX_HYPERBOLIC not in blocks.tags:
+        assert iota_real_to_complex(blocks.tags,
+                                    res.real_twist_coefficients(), FR) == R

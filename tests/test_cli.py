@@ -399,6 +399,34 @@ def test_classical_bnf_rejects_non_symplectic(tmp_path, capsys):
     assert rc == 2
 
 
+def test_classical_bnf_of_a_flow_cut_below_its_twist(tmp_path, capsys):
+    """The degree-4 flow of a quadratic twist (rh 0.7, elliptic 1.1i), cut
+    to degree 3, keeps the twist's degree-3 flow terms: the normal form
+    gives back R and its defect is at the rounding level."""
+    from bnftrace.blocks import ELLIPTIC
+    from bnftrace.classical import (TaylorMap, iota_real_to_complex,
+                                    normal_form_flow)
+
+    blocks = SpectrumBlocks.from_mu(FF, [(REAL_HYPERBOLIC, 0.7),
+                                         (ELLIPTIC, 1.1j)])
+    R = iota_real_to_complex(blocks.tags, {(2, 0): 0.13 + 0j,
+                                           (1, 1): -0.21 + 0j,
+                                           (0, 2): 0.08 + 0j}, FF)
+    flow = TaylorMap(FF, 2, 3, normal_form_flow(blocks, R, 4).pmap.comps)
+    path = tmp_path / "map.json"
+    report = tmp_path / "report.json"
+    jsonio.dump(path, jsonio.taylor_map_to_json(flow))
+    assert main(["classical-bnf", "--map", str(path), "--degree", "2",
+                 "--report", str(report)]) == 0
+    out = capsys.readouterr().out
+    defect = out.split("normal form defect at truncation:")[1].split()[0]
+    assert float(defect) < 1e-12
+    got = {tuple(t["m"]): complex(float(t["re"]), float(t["im"]))
+           for t in json.loads(report.read_text())["p"] if sum(t["m"]) >= 2}
+    assert set(got) == set(R)
+    assert all(abs(got[m] - c) <= 1e-9 for m, c in R.items())
+
+
 # each subcommand takes the options it reads, and no others
 SUBCOMMAND_OPTIONS = {
     "forward": {"--bnf", "--action", "--precision", "--orders", "--kmax",
@@ -408,8 +436,7 @@ SUBCOMMAND_OPTIONS = {
     "roundtrip": {"--bnf", "--action", "--precision", "--orders", "--kmax",
                   "--tol-pole", "--tol-resonance", "--tol-conditioning",
                   "--tol-residual", "--report"},
-    "classical-bnf": {"--map", "--degree", "--precision", "--tol-resonance",
-                      "--report"},
+    "classical-bnf": {"--map", "--degree", "--tol-resonance", "--report"},
     "classify": {"--matrix"},
     "oracle": {"--mu", "--exp-half", "--k", "--truncation", "--alpha",
                "--backend", "--precision", "--tol-pole"},
