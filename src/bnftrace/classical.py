@@ -32,9 +32,10 @@ import math
 import numpy as np
 
 from .blocks import (COMPLEX_HYPERBOLIC, ELLIPTIC, REAL_HYPERBOLIC,
-                     SpectrumBlocks, classify, require_nonresonant)
+                     canonical_blocks, classify, exp_half_of, principal,
+                     require_nonresonant)
 from .errors import MathError, SchemaError, SmallDenominatorError
-from .fields import FloatField
+from .fields import FloatField, nan_max
 from .phasepoly import (Degree, PhasePoly, PolyMap, exp_ham,
                         iota_poly_to_phase)
 
@@ -111,8 +112,7 @@ class TaylorMap:
                     if not acc.is_zero():
                         return 1
                 else:
-                    worst = max([worst, *map(f.abs, acc.terms.values())],
-                                key=_nan_first)
+                    worst = nan_max([worst, acc.max_coeff_abs()])
         return worst
 
     def linear_matrix_complex(self):
@@ -124,10 +124,6 @@ class TaylorMap:
 
     def __repr__(self):
         return f"<TaylorMap n={self.n} degree={self.degree}>"
-
-
-def _nan_first(x):
-    return math.inf if math.isnan(x) else x
 
 
 def _J(n):
@@ -149,7 +145,8 @@ def _realify(v, tol):
     return w.real
 
 
-def _find_value(vals, used, w, tol):
+def _claim(vals, used, w, tol):
+    """The index of the unused eigenvalue nearest w, now marked used."""
     best, bestd = None, None
     for i, v in enumerate(vals):
         if used[i]:
@@ -161,17 +158,17 @@ def _find_value(vals, used, w, tol):
         raise MathError(
             f"defective eigenvalue structure: no partner near {w:.6g}"
         )
+    used[best] = True
     return best
 
 
 def _symplectic_eigenbasis(M, tol):
-    """Classify eigenvalues and build the real symplectic basis T with
-    T^{-1} M T in standard block form.  Returns (units, T).
-
-    units: list of (tag, mu, cols), one per elliptic or real hyperbolic
-    block and per complex hyperbolic pair, mu its exponent (the principal
-    member of a pair); cols are (x-columns, xi-columns).
-    """
+    """Classify eigenvalues, each block at its principal eigenvalue
+    (:func:`~bnftrace.blocks.principal`), which claims the other members of
+    its pair or quadruple.  Returns the units (tag, mu, (x-columns,
+    xi-columns)) of the real symplectic basis T with T^{-1} M T in standard
+    block form, one per elliptic or real hyperbolic block and per complex
+    hyperbolic pair, mu of a pair its principal member's."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2:
         raise SchemaError("need a 2n x 2n matrix")
@@ -183,18 +180,14 @@ def _symplectic_eigenbasis(M, tol):
     vals, vecs = np.linalg.eig(M)
     used = [False] * (2 * n)
     units = []
-    # the principal member of each pair or quadruple comes first, and the
-    # others are its partners; classify refuses eigenvalues at +-1
-    order = sorted(range(2 * n), key=lambda i: (-abs(vals[i]), -vals[i].imag))
-    for i in order:
-        if used[i]:
+    for i, lam in enumerate(vals):
+        # classify refuses eigenvalues at +-1
+        if used[i] or not principal(lam, tol):
             continue
-        lam = vals[i]
         tag = classify(lam, tol)
+        used[i] = True
         if tag == ELLIPTIC:
-            used[i] = True
-            j = _find_value(vals, used, lam.conjugate(), tol)
-            used[j] = True
+            _claim(vals, used, lam.conjugate(), tol)
             v = vecs[:, i]
             s = _omega(v.real, v.imag, J).real
             if abs(s) < tol:
@@ -209,30 +202,18 @@ def _symplectic_eigenbasis(M, tol):
             units.append((tag, complex(0.0, cmath.phase(lam)),
                           ([w.real], [-w.imag])))
         elif tag == REAL_HYPERBOLIC:
-            lam_r = lam.real
-            if lam_r < 1:
-                continue  # partner of a lambda > 1 processed later
-            used[i] = True
-            j = _find_value(vals, used, 1.0 / lam_r, tol)
-            used[j] = True
+            j = _claim(vals, used, 1.0 / lam.real, tol)
             vp = _realify(vecs[:, i], 1e-7)
             vm = _realify(vecs[:, j], 1e-7)
             s = _omega(vp, vm, J).real
             if abs(s) < tol:
                 raise MathError("defective hyperbolic pair: zero pairing")
-            units.append((tag, math.log(lam_r), ([vp], [vm / s])))
+            units.append((tag, math.log(lam.real), ([vp], [vm / s])))
         else:
-            if abs(lam) < 1 or lam.imag < 0:
-                continue
-            used[i] = True
-            j1 = _find_value(vals, used, lam.conjugate(), tol)
-            used[j1] = True
-            j2 = _find_value(vals, used, 1.0 / lam, tol)
-            used[j2] = True
-            j3 = _find_value(vals, used, (1.0 / lam).conjugate(), tol)
-            used[j3] = True
+            _claim(vals, used, lam.conjugate(), tol)
+            u = vecs[:, _claim(vals, used, 1.0 / lam, tol)]
+            _claim(vals, used, (1.0 / lam).conjugate(), tol)
             v = vecs[:, i]
-            u = vecs[:, j2]
             g = _omega(v, u, J) / 2.0
             if abs(g) < tol:
                 raise MathError("defective complex hyperbolic quadruple")
@@ -241,29 +222,28 @@ def _symplectic_eigenbasis(M, tol):
                           ([v.real, v.imag], [u.real, -u.imag])))
     if not all(used):
         raise MathError("defective eigenvalue structure: unmatched eigenvalues")
-    # canonical order: complex hyperbolic, real hyperbolic, elliptic
-    rank = {COMPLEX_HYPERBOLIC: 0, REAL_HYPERBOLIC: 1, ELLIPTIC: 2}
-    units.sort(key=lambda u: (rank[u[0]], u[1].real, u[1].imag))
+    return units
+
+
+def _standard_basis(field, units):
+    """The blocks of the eigenbasis ``units`` on ``field``, in canonical
+    order (:func:`~bnftrace.blocks.canonical_blocks`), and T, the units'
+    columns in that order."""
+    blocks, perm = canonical_blocks(
+        field, [(tag, exp_half_of(field, mu)) for tag, mu, _cols in units])
     xcols, xicols = [], []
-    for _tag, _mu, (xs, xis) in units:
+    for p in perm:
+        xs, xis = units[p][2]
         xcols.extend(xs)
         xicols.extend(xis)
     T = np.column_stack(xcols + xicols)
+    J = _J(blocks.n)
     res = np.max(np.abs(T.T @ J @ T - J))
     if res > 1e-6:
         raise MathError(
             f"eigenbasis failed symplectic normalization: residual {res:.3e}"
         )
-    return units, T
-
-
-def _blocks_from_units(units, field):
-    tagged = []
-    for tag, mu, _cols in units:
-        tagged.append((tag, mu))
-        if tag == COMPLEX_HYPERBOLIC:
-            tagged.append((tag, mu.conjugate()))
-    return SpectrumBlocks.from_mu(field, tagged)
+    return blocks, T
 
 
 def classify_eigenvalues(M):
@@ -273,8 +253,8 @@ def classify_eigenvalues(M):
     Raises on non-symplectic input, eigenvalues at +-1, negative real
     eigenvalues, defective structure, and reversed-Krein elliptic blocks.
     """
-    units, _T = _symplectic_eigenbasis(M, DEFAULT_TOL)
-    return _blocks_from_units(units, FloatField())
+    return _standard_basis(FloatField(),
+                           _symplectic_eigenbasis(M, DEFAULT_TOL))[0]
 
 
 def linear_normalize(tmap):
@@ -293,7 +273,7 @@ def linear_normalize(tmap):
             "the float backend"
         )
     M = tmap.linear_matrix_complex().real
-    units, T = _symplectic_eigenbasis(M, DEFAULT_TOL)
+    blocks, T = _standard_basis(f, _symplectic_eigenbasis(M, DEFAULT_TOL))
     Tinv = np.linalg.inv(T)
     tm = PolyMap.from_linear(f, tmap.n, tmap.degree,
                              [[f.one * complex(x) for x in row] for row in T])
@@ -301,7 +281,7 @@ def linear_normalize(tmap):
                               [[f.one * complex(x) for x in row] for row in Tinv])
     conj = tmi.compose(tmap.pmap.compose(tm))
     out = TaylorMap(f, tmap.n, tmap.degree, conj.comps, validate=False)
-    return out, T, _blocks_from_units(units, f)
+    return out, T, blocks
 
 
 class BNFResult:
@@ -381,7 +361,8 @@ def _lambda_slots(field, blocks):
 
 
 def _snap_linear_to_diagonal(pmap, lam_slots):
-    """Replace the linear part by the exact diagonal; residual must be small."""
+    """Replace the linear part by the exact diagonal; residual must be
+    small, and not NaN."""
     f = pmap.field
     nv = 2 * pmap.n
     worst = 0.0
@@ -394,11 +375,11 @@ def _snap_linear_to_diagonal(pmap, lam_slots):
             e = tuple(e)
             cur = terms.pop(e, f.zero)
             want = lam_slots[i] if jv == i else f.zero
-            worst = max(worst, f.abs(cur - want))
+            worst = nan_max([worst, f.abs(cur - want)])
             if not f.is_zero(want):
                 terms[e] = want
         comps.append(PhasePoly._make(f, nv, comp.bound, terms))
-    if worst > 1e-7:
+    if not worst <= 1e-7:
         raise MathError(
             f"linear part is not the expected diagonal: residual {worst:.3e}"
         )
@@ -535,8 +516,7 @@ def birkhoff_normal_form(tmap, iota_degree, small_denominator_tol=1e-8,
                 kc = bwd.compose(kc.compose(fwd))
                 kc = _snap_linear_to_diagonal(kc, lam_slots)
 
-    residual = max((c.max_coeff_abs() for c in defect(kc).comps),
-                   default=0.0)
+    residual = nan_max(c.max_coeff_abs() for c in defect(kc).comps)
 
     p_complex = {}
     if not f.exact:

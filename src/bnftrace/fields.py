@@ -355,6 +355,13 @@ class FloatField:
         return self.one / math.factorial(m)
 
 
+def nan_max(values, default=0.0):
+    """The largest of the floats ``values``, ``default`` if none; a NaN
+    ranks with +inf, where the builtin max drops one that is not first."""
+    return max(values, key=lambda v: math.inf if math.isnan(v) else v,
+               default=default)
+
+
 def field_from_name(name, precision=64):
     if name == "rational":
         return RationalField()

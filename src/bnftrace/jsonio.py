@@ -17,7 +17,7 @@ import json
 
 from .blocks import SpectrumBlocks
 from .errors import SchemaError
-from .fields import field_from_name
+from .fields import field_from_name, nan_max
 from .qbnf import QuantumBNF, TraceData
 from .series import MultiSeries, Orders
 
@@ -219,7 +219,7 @@ def recovery_report_to_json(rep):
     worst_by_stage = {}
     for (j, k, m), v in rep.residuals.items():
         key = f"h{j}:z{m}"
-        worst_by_stage[key] = max(worst_by_stage.get(key, 0.0), v)
+        worst_by_stage[key] = nan_max([worst_by_stage.get(key, 0.0), v])
     return {
         "failed": rep.failed,
         "max_residual": rep.max_residual,

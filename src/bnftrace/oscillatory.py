@@ -56,6 +56,11 @@ class TestJet:
         return self.jet[m]
 
 
+def _vanishes(field, a00):
+    """Whether a_0(0) vanishes: exactly, or below 1e-12 on a float field."""
+    return field.is_zero(a00) or (not field.exact and field.abs(a00) < 1e-12)
+
+
 class OrbitExpansion:
     """Jets of one orbit's oscillatory family.
 
@@ -74,9 +79,7 @@ class OrbitExpansion:
             for v in self.i_jets:
                 if abs(field.to_complex(v).imag) > 1e-12:
                     raise SchemaError("phase jets I_m must be real")
-            a00 = self.a_jets.get((0, 0), field.zero)
-            if field.is_zero(a00) or (not field.exact
-                                      and field.abs(a00) < 1e-12):
+            if _vanishes(field, self.a_jets.get((0, 0), field.zero)):
                 raise SchemaError("leading amplitude a_0(0) must not vanish")
 
     def i_jet(self, m):
@@ -186,8 +189,7 @@ def extract_jets(pairings, basis, order, i0=None, residual_tol=1e-9):
                 val = (val + f.conj(val)) * f.inv(f.from_int(2))
             i_jets.append(val)
         else:
-            a00 = a_jets.get((0, 0), f.zero)
-            if f.is_zero(a00) or (not f.exact and f.abs(a00) < 1e-12):
+            if _vanishes(f, a_jets.get((0, 0), f.zero)):
                 raise MathError(
                     "inconsistent pairings: recovered a_0(0) = 0 violates "
                     "the nonvanishing-amplitude hypothesis"

@@ -24,6 +24,7 @@ from collections import namedtuple
 from operator import add
 
 from .errors import DimensionMismatchError, SchemaError
+from .fields import nan_max
 from .series import TruncatedPoly
 
 Degree = namedtuple("Degree", ["total"])
@@ -86,7 +87,7 @@ class PhasePoly(TruncatedPoly):
         return min((sum(e) for e in self.terms), default=None)
 
     def max_coeff_abs(self):
-        return max((self.field.abs(c) for c in self.terms.values()), default=0.0)
+        return nan_max(map(self.field.abs, self.terms.values()))
 
     def __repr__(self):
         return f"<PhasePoly {len(self.terms)} terms deg<={self.degree}>"

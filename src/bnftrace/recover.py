@@ -14,12 +14,13 @@ e^{ik phi} prod_j 2 sinh(k mu_j/2).  The 2^n roots are the vertices of a
 parallelotope, so they are read off by structure, not by search.  Roots
 whose fitted weight is not near +-1 are dropped; two kept roots of
 opposite weight differ in an odd number of coordinates, and their ratio,
-oriented to the block normalization, is e^{mu_j} when they differ in
-coordinate j alone.  Each generator thus labels 2^{n-1} edges, and the n
-most frequent ratio classes are the generators; fewer classes or a tie at
-rank n is an error that lists the classes.  c is the value most kept
-roots agree on.  A damped Gauss-Newton refit of (c, E) against all
-samples then restores the full accuracy of the fit's precision.
+q or 1/q as :func:`~bnftrace.blocks.oriented` chooses, is e^{mu_j} when
+they differ in coordinate j alone.  Each generator thus labels 2^{n-1}
+edges, and the n most frequent ratio classes are the generators; fewer
+classes or a tie at rank n is an error that lists the classes.  c is the
+value most kept roots agree on.  A damped Gauss-Newton refit of (c, E)
+against all samples then restores the full accuracy of the fit's
+precision.  Block types, pairs and order are :mod:`~bnftrace.blocks`' rules.
 
 The fit runs on a float field, on one ladder of rungs: in doubles and
 then at 240 bits for exact and double samples, at their own precision
@@ -74,24 +75,25 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .blocks import (COMPLEX_HYPERBOLIC, REAL_HYPERBOLIC, SpectrumBlocks,
-                     classify)
+from .blocks import (REAL_HYPERBOLIC, canonical_blocks, classify, oriented,
+                     pair_conjugates)
 from .errors import (ConditioningError, FieldError, MathError,
                      RankDeficiencyError, SchemaError)
-from .fields import FloatField
+from .fields import FloatField, nan_max
 from .hypcalc import DEFAULT_POLE_TOL
 from .linalg import factor_lstsq, poly_roots, resolution, solve_lstsq
 from .qbnf import QuantumBNF, TraceEngine, trace_coefficient, trace_power
 from .series import MultiSeries, Orders
 
 # Relative tolerance of the stage-0 grouping decisions: the classes of edge
-# ratios, the vote on c and the conjugate pairing.  It only has to separate
-# genuinely distinct roots (pairwise gaps >= 0.3 in log scale in the
-# supported regime) from Hankel-stage errors; the final numerical accuracy
-# comes from the structured Gauss-Newton refit afterwards.
+# ratios and the vote on c.  It only has to separate genuinely distinct roots
+# (pairwise gaps >= 0.3 in log scale in the supported regime) from
+# Hankel-stage errors; the final numerical accuracy comes from the structured
+# Gauss-Newton refit afterwards.
 MATCH_TOL = 0.1
-# Tolerance of the block-normalization decisions on a generator e^mu: the
-# unit circle, the real axis and eigenvalues at +-1.  The strongest roots give
+# Tolerance that stage 0 passes to the normalization rules of blocks.py on a
+# generator e^mu: the unit circle, the real axis, eigenvalues at +-1 and the
+# conjugate pairs.  The strongest roots give
 # each generator far more accurately; at MATCH_TOL these decisions would
 # refuse a real hyperbolic mu below ~0.1 and an elliptic theta within 0.1 of
 # 0 or pi.
@@ -183,17 +185,6 @@ def _count_into(field, classes, value, member):
     classes.append([value, {member}])
 
 
-def _oriented(field, q):
-    """q or 1/q, whichever meets the block normalization: |q| > 1, or
-    arg q in (0, pi) on the unit circle."""
-    qc = field.to_complex(q)
-    if abs(abs(qc) - 1.0) <= NORMALIZATION_TOL:
-        flip = qc.imag < 0
-    else:
-        flip = abs(qc) < 1.0
-    return field.inv(q) if flip else q
-
-
 def _snap_to_class(field, E, tag):
     """A real hyperbolic E is real by its classification, so the rounding
     residue of its imaginary part is dropped."""
@@ -208,8 +199,8 @@ def _cube_from_roots(field, roots, weights, n):
 
     Only roots whose fitted weight lies within 0.5 of +-1 are trusted.  Two
     trusted roots of opposite weight differ in an odd number of
-    coordinates; their ratio, oriented to the block normalization, is
-    q_j = E_j^2 when they differ in coordinate j alone, so each generator
+    coordinates; their ratio, oriented (:func:`~bnftrace.blocks.oriented`),
+    is q_j = E_j^2 when they differ in coordinate j alone, so each generator
     labels 2^{n-1} such edges and the n most frequent ratio classes are the
     generators.  c is then the value root / prod_j E_j^{eps_j} that a
     majority of the trusted roots agree on, over the eps whose sign
@@ -225,8 +216,10 @@ def _cube_from_roots(field, roots, weights, n):
         for j in range(i + 1, len(kept)):
             b, sb = kept[j]
             if sa != sb:
-                _count_into(field, classes, _oriented(field, a * field.inv(b)),
-                            (i, j))
+                q = a * field.inv(b)
+                if not oriented(field.to_complex(q), NORMALIZATION_TOL):
+                    q = field.inv(q)
+                _count_into(field, classes, q, (i, j))
     classes.sort(key=lambda cls: -len(cls[1]))
     if len(classes) < n or (len(classes) > n and
                             len(classes[n - 1][1]) == len(classes[n][1])):
@@ -363,31 +356,6 @@ def _in_field(field, fl, v):
                                Fraction(im).limit_denominator(bound))
 
 
-def _canonical_blocks(field, tags, exp_half):
-    """Canonically ordered blocks.  Each complex hyperbolic principal
-    member (Im E > 0) is paired with a member near its conjugate, which
-    then becomes its exact conjugate."""
-    tagged = [(t, E) for t, E in zip(tags, exp_half) if t != COMPLEX_HYPERBOLIC]
-    ch = [E for t, E in zip(tags, exp_half) if t == COMPLEX_HYPERBOLIC]
-    upper = [E for E in ch if field.to_complex(E).imag > 0]
-    lower = [E for E in ch if field.to_complex(E).imag < 0]
-    unpaired = RankDeficiencyError(
-        "complex hyperbolic exponent without conjugate partner"
-    )
-    if len(upper) != len(lower):
-        raise unpaired
-    for E in upper:
-        partner = [i for i, E2 in enumerate(lower)
-                   if _close(field, E2, field.conj(E))]
-        if not partner:
-            raise unpaired
-        del lower[partner[0]]
-        tagged += [(COMPLEX_HYPERBOLIC, E),
-                   (COMPLEX_HYPERBOLIC, field.conj(E))]
-    blocks = SpectrumBlocks.from_exp_half(field, tagged)
-    return blocks.reordered(blocks.canonical_order())
-
-
 def recover_frequencies(field, a0, n, residual_tol=1e-6):
     """Recover mu(0) and the common phase from the constant coefficients.
 
@@ -448,14 +416,15 @@ def recover_frequencies(field, a0, n, residual_tol=1e-6):
         # a NaN misfit fails the test and counts as the largest
         if not field.exact and all(e <= residual_tol for e in rel):
             break
-        worst = max(rel, key=lambda e: math.inf if math.isnan(e) else e)
+        worst = nan_max(rel)
         failure = (f"the {fl.precision}-bit fit c = {c!r}, E = {exp_half!r} "
                    f"misses the samples by {worst:.3e}")
     else:
         raise RankDeficiencyError(
             f"no {'exact ' if field.exact else ''}fit of the samples: "
             f"{failure}")
-    blocks = _canonical_blocks(field, tags, exp_half)
+    units = pair_conjugates(field, zip(tags, exp_half), NORMALIZATION_TOL)
+    blocks, _perm = canonical_blocks(field, units)
 
     # phase: c = e^{i phi}
     if field.exact:
@@ -686,7 +655,6 @@ def recover_qbnf(tdata, n, tol=1e-8, cond_gate=1e8,
         return a != b if f.exact else not dev <= tol
 
     residuals = {}
-    worst = 0.0
     failed = False
     for k in ks:
         tp = trace_power(recovered, k, (n_z, n_h), pole_tol, engine=engine)
@@ -697,7 +665,6 @@ def recover_qbnf(tdata, n, tol=1e-8, cond_gate=1e8,
                 b = fwd.get((), m, j)
                 dev = f.abs(a - b) / max(1.0, f.abs(a))
                 residuals[(j, k, m)] = dev
-                worst = max(worst, dev)
                 failed = failed or off(a, b, dev)
     # the constant phase, against the traces' phase with the residual
     # sample phase folded in, as the coefficients above were rebased by it
@@ -706,7 +673,7 @@ def recover_qbnf(tdata, n, tol=1e-8, cond_gate=1e8,
         notes.append(f"recovered constant phase {tp.phase!r} differs from "
                      f"the traces' phase {f00!r}")
         failed = True
-    worst = max(worst, dev)
+    worst = nan_max([*residuals.values(), dev])
     notes.append("blocks in canonical order: ch pairs, rh, elliptic")
     return RecoveryReport(recovered, residuals, worst, conditioning, notes,
                           failed)

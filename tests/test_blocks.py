@@ -2,11 +2,13 @@ import cmath
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bnftrace.blocks import (COMPLEX_HYPERBOLIC, ELLIPTIC, REAL_HYPERBOLIC,
-                             SpectrumBlocks, nonresonance_witness,
+                             SpectrumBlocks, classify, nonresonance_witness,
                              require_nonresonant)
-from bnftrace.errors import ResonanceError, SchemaError
+from bnftrace.errors import MathError, ResonanceError, SchemaError
 from bnftrace.fields import FloatField, RationalField
 
 FF = FloatField()
@@ -85,3 +87,69 @@ def test_require_nonresonant_raises_with_witness():
         require_nonresonant(b, 3)
     assert exc.value.witness == ((3,), 1)
     assert "k=[3]" in str(exc.value)
+
+
+# the tolerance of the input check of SpectrumBlocks
+_TOL = 1e-9
+
+
+def _near(center):
+    """Floats within 5e-9 of ``center``."""
+    return st.floats(-5, 5).map(lambda d: center + d * _TOL)
+
+
+def _accepts(tag, q):
+    """Whether the blocks should take a ``tag`` block with e^mu = q: q
+    oriented (|q| > 1, or Im q >= 0 on the unit circle), classify(q) is
+    ``tag``, and of a complex hyperbolic pair q is the member with
+    Im q > 0."""
+    if abs(abs(q) - 1) <= _TOL:
+        if q.imag < 0:
+            return False
+    elif abs(q) < 1:
+        return False
+    try:
+        found = classify(q, _TOL)
+    except MathError:
+        return False
+    return found == tag and (tag != COMPLEX_HYPERBOLIC or q.imag > 0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(r=st.one_of(_near(1.0), st.floats(0.2, 5.0)),
+       arg=st.one_of(_near(0.0), _near(math.pi), _near(-math.pi),
+                     st.floats(-math.pi, math.pi)),
+       tag=st.sampled_from([ELLIPTIC, REAL_HYPERBOLIC, COMPLEX_HYPERBOLIC]))
+# e^mu 1.5e-9 above 1: real hyperbolic to classify, which the check took
+# for a real E = sqrt(q) at most 1e-9 above 1
+@example(r=1 + 1.5e-9, arg=0.0, tag=REAL_HYPERBOLIC)
+# |E| = 1 + 0.8e-9: complex hyperbolic to classify, which the check took
+# for elliptic by |E| within 1e-9 of 1
+@example(r=(1 + 0.8e-9) ** 2, arg=1.0, tag=ELLIPTIC)
+def test_input_check_agrees_with_the_classifier(r, arg, tag):
+    """For e^mu = q near the unit circle and the real axis, the blocks
+    accept (tag, E = sqrt q) exactly when classify(q, 1e-9) gives the tag
+    and q is oriented (and, of a complex hyperbolic pair, the principal
+    member).  q is E^2, the value the blocks read from E."""
+    E = cmath.sqrt(cmath.rect(r, arg))
+    q = E * E
+    tags, ehm = [tag], [E]
+    if tag == COMPLEX_HYPERBOLIC:
+        tags, ehm = [tag, tag], [E, E.conjugate()]
+    try:
+        SpectrumBlocks(FF, tags, ehm)
+        accepted = True
+    except SchemaError:
+        accepted = False
+    assert accepted == _accepts(tag, q)
+
+
+def test_input_check_witnesses():
+    """rh E = 1 + 0.6e-9 has e^mu 1.2e-9 off the unit circle and is real
+    hyperbolic; elliptic |E| = 1 + 0.8e-9 has |e^mu| 1.6e-9 off it and is
+    refused, as is a real E below 0, which is no principal square root."""
+    SpectrumBlocks(FF, [REAL_HYPERBOLIC], [1 + 0.6e-9])
+    with pytest.raises(SchemaError, match="got a complex_hyperbolic"):
+        SpectrumBlocks(FF, [ELLIPTIC], [cmath.rect(1 + 0.8e-9, 0.5)])
+    with pytest.raises(SchemaError, match="Re E > 0"):
+        SpectrumBlocks(FF, [REAL_HYPERBOLIC], [-2 + 0j])

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from helpers import random_symplectic_2x2
+from helpers import random_symplectic_2x2, well_separated_mus
 
 from bnftrace import classical, phasepoly
 from bnftrace.blocks import (COMPLEX_HYPERBOLIC, ELLIPTIC, REAL_HYPERBOLIC,
@@ -22,6 +22,7 @@ from bnftrace.errors import (MathError, ResonanceError, SchemaError,
                              SmallDenominatorError)
 from bnftrace.fields import FloatField, RationalField
 from bnftrace.phasepoly import PhasePoly, PolyMap, exp_ham
+from bnftrace.recover import recover_frequencies
 from bnftrace import hypcalc as hc
 
 FF = FloatField()
@@ -760,3 +761,53 @@ def test_exact_classical_round_trip(case, data):
     if COMPLEX_HYPERBOLIC not in blocks.tags:
         assert iota_real_to_complex(blocks.tags,
                                     res.real_twist_coefficients(), FR) == R
+
+
+_RH, _EL, _CH = REAL_HYPERBOLIC, ELLIPTIC, COMPLEX_HYPERBOLIC
+# the mixes on which stage 0 may refuse, its weakest roots drowned in
+# double-precision noise (test_recover's stage-0 sweep)
+_MAY_REFUSE = [[_CH, _RH], [_CH, _EL], [_RH, _RH, _RH]]
+
+
+@pytest.mark.parametrize("spec", [
+    [_RH], [_EL], [_CH], [_RH, _EL], [_RH, _RH], [_EL, _EL], [_CH, _RH],
+    [_CH, _EL], [_RH, _RH, _EL], [_RH, _EL, _EL], [_EL, _EL, _EL],
+    [_RH, _RH, _RH]], ids=lambda spec: "+".join(
+        {_RH: "rh", _EL: "el", _CH: "ch"}[t] for t in spec))
+def test_classified_blocks_are_canonical_and_match_the_recovery(spec):
+    """The linear part of a normal-form flow whose blocks are listed in a
+    shuffled order: classify_eigenvalues gives them in canonical order, as
+    the input blocks sorted, and stage 0 of the recovery, on the constant
+    trace coefficients of the same exponents, gives the same blocks."""
+    rng = random.Random("canonical/" + "+".join(spec))
+    for _ in range(5):
+        # a complex hyperbolic entry gives a pair (mu, conj mu)
+        mus = iter(well_separated_mus(spec, rng))
+        units = [[(t, next(mus)) for _ in range(2 if t == _CH else 1)]
+                 for t in spec]
+        rng.shuffle(units)
+        blocks = SpectrumBlocks.from_mu(FF, [b for u in units for b in u])
+        mus = [m for u in units for _t, m in u]
+        M = normal_form_flow(blocks, {}, 1).linear_matrix_complex().real
+        got = classify_eigenvalues(M)
+        assert got.canonical_order() == list(range(got.n))
+        want = blocks.reordered(blocks.canonical_order())
+        assert got.tags == want.tags
+        assert all(FF.close(a, b, 1e-9)
+                   for a, b in zip(got.exp_half, want.exp_half))
+        a0 = {k: 1 / math.prod(2 * cmath.sinh(k * m / 2) for m in mus)
+              for k in range(1, 2 ** (len(mus) + 1) + 3)}
+        try:
+            rec = recover_frequencies(FF, a0, len(mus)).blocks
+        except MathError:
+            assert spec in _MAY_REFUSE
+            continue
+        assert rec.tags == got.tags
+        assert all(FF.close(a, b, 1e-8)
+                   for a, b in zip(rec.exp_half, got.exp_half))
+
+
+def test_max_coeff_abs_keeps_a_nan_that_is_not_first():
+    p = PhasePoly(FF, 2, 3, {(1, 0): FF.one, (2, 0): complex(math.nan)})
+    assert list(p.terms) == [(1, 0), (2, 0)]
+    assert math.isnan(p.max_coeff_abs())

@@ -1,4 +1,5 @@
 import argparse
+import cmath
 import json
 import math
 from fractions import Fraction
@@ -164,6 +165,31 @@ def test_classify_command(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "n_e=1" in out
+
+
+def test_classify_at_the_tolerance_of_the_blocks(tmp_path, capsys):
+    """An eigenvalue 1.5e-9 above 1 is real hyperbolic at the classifier's
+    1e-9, and the blocks built from it read it the same way."""
+    path = tmp_path / "mat.json"
+    jsonio.dump(path, {"matrix": [[1.0000000015, 0], [0, 0.9999999985]]})
+    rc = main(["classify", "--matrix", str(path)])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "n_rh=1" in out and "real_hyperbolic" in out
+
+
+def test_elliptic_block_off_the_unit_circle_is_an_input_error(tmp_path,
+                                                             capsys):
+    """An elliptic E with |E| = 1 + 0.8e-9 has |e^mu| 1.6e-9 off the unit
+    circle, which classify calls complex hyperbolic: exit 2."""
+    E = cmath.rect(1 + 0.8e-9, 0.5)
+    doc = _float_bnf_with_exp_half(repr(E.real))
+    doc["blocks"][0].update(type="elliptic")
+    doc["blocks"][0]["exp_half_mu"]["im"] = repr(E.imag)
+    rc = main(["forward", "--bnf", _doc_file(tmp_path, doc), "--orders",
+               "2,1,1", "--kmax", "4", "--out", str(tmp_path / "t.json")])
+    assert rc == 2
+    assert "got a complex_hyperbolic" in capsys.readouterr().err
 
 
 def test_classify_rejects_a_non_numeric_entry(tmp_path, capsys):

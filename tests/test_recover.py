@@ -954,6 +954,32 @@ def test_self_check_compares_the_constant_phase(monkeypatch):
     assert any("constant phase" in note for note in rep.normalization_notes)
 
 
+def test_self_check_reports_a_nan_deviation_as_the_max_residual(monkeypatch):
+    """A float self-check forward pass with a NaN z h coefficient fails the
+    recovery, and the NaN is its max residual, not passed over for the
+    finite deviations around it."""
+    blocks = SpectrumBlocks(FF, [REAL_HYPERBOLIC], [FF.from_int(3)])
+    G = MultiSeries(FF, 1, Orders(2, 1, 1), {((2,), 0, 0): FF.one / 7,
+                                             ((0,), 0, 1): FF.one / 5})
+    td = make_trace_data(QuantumBNF(blocks, [zseries(FF, 1, {1: FF.one / 3})],
+                                    G),
+                         zseries(FF, 1, {1: FF.one}), {}, 6, (1, 1))
+    original = recover_module.trace_power
+
+    def poisoned(*args, **kwargs):
+        tp = original(*args, **kwargs)
+        nan = MultiSeries(FF, 0, tp.coeffs.orders,
+                          {((), 1, 1): complex(math.nan)})
+        return TracePower(tp.k, tp.phase, tp.coeffs + nan)
+
+    monkeypatch.setattr(recover_module, "trace_power", poisoned)
+    rep = recover_qbnf(td, 1)
+    assert rep.failed
+    assert math.isnan(rep.max_residual)
+    assert math.isnan(jsonio.recovery_report_to_json(rep)[
+        "residual_by_stage"]["h1:z1"])
+
+
 @pytest.mark.parametrize("where", ["phase", "zh coefficient"])
 def test_exact_self_check_fails_on_a_mismatch_below_the_double_range(
         monkeypatch, where):
