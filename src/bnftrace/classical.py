@@ -24,12 +24,14 @@ Elliptic blocks whose symplectic (Krein) orientation is reversed -- the
 e^{i theta} eigenvector has positive symplectic area -- cannot be brought
 to the standard block with theta in (0, pi); they are rejected rather than
 silently renormalized.
+
+The eigendecomposition of the linear part runs in numpy, which the
+functions that call it import, so building, composing and flowing maps
+does not load numpy; classifying and normalizing them does.
 """
 
 import cmath
 import math
-
-import numpy as np
 
 from .blocks import (COMPLEX_HYPERBOLIC, ELLIPTIC, REAL_HYPERBOLIC,
                      canonical_blocks, classify, exp_half_of, principal,
@@ -116,6 +118,8 @@ class TaylorMap:
         return worst
 
     def linear_matrix_complex(self):
+        import numpy as np
+
         rows = self.pmap.linear_matrix()
         return np.array(
             [[self.field.to_complex(x) for x in row] for row in rows],
@@ -127,6 +131,8 @@ class TaylorMap:
 
 
 def _J(n):
+    import numpy as np
+
     J = np.zeros((2 * n, 2 * n))
     J[:n, n:] = np.eye(n)
     J[n:, :n] = -np.eye(n)
@@ -138,9 +144,9 @@ def _omega(u, v, J):
 
 
 def _realify(v, tol):
-    idx = int(np.argmax(np.abs(v)))
+    idx = int(abs(v).argmax())
     w = v / (v[idx] / abs(v[idx]))
-    if np.max(np.abs(w.imag)) > tol * max(1.0, np.max(np.abs(w.real))):
+    if abs(w.imag).max() > tol * max(1.0, abs(w.real).max()):
         raise MathError("real eigenvalue with genuinely complex eigenvector")
     return w.real
 
@@ -169,6 +175,8 @@ def _symplectic_eigenbasis(M, tol):
     xi-columns)) of the real symplectic basis T with T^{-1} M T in standard
     block form, one per elliptic or real hyperbolic block and per complex
     hyperbolic pair, mu of a pair its principal member's."""
+    import numpy as np
+
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2:
         raise SchemaError("need a 2n x 2n matrix")
@@ -229,6 +237,8 @@ def _standard_basis(field, units):
     """The blocks of the eigenbasis ``units`` on ``field``, in canonical
     order (:func:`~bnftrace.blocks.canonical_blocks`), and T, the units'
     columns in that order."""
+    import numpy as np
+
     blocks, perm = canonical_blocks(
         field, [(tag, exp_half_of(field, mu)) for tag, mu, _cols in units])
     xcols, xicols = [], []
@@ -266,6 +276,8 @@ def linear_normalize(tmap):
     exponents come from numpy's double eigendecomposition of the linear
     part, so they carry double accuracy on every float field.
     """
+    import numpy as np
+
     f = tmap.field
     if f.exact:
         raise SchemaError(

@@ -12,8 +12,6 @@ import dataclasses
 import functools
 import sys
 
-import numpy as np
-
 from . import hypcalc, jsonio
 from .classical import birkhoff_normal_form, classify_eigenvalues
 from .config import RunConfig
@@ -183,6 +181,14 @@ def cmd_classical_bnf(args):
 
 
 def _finite_matrix(rows):
+    """``rows`` as a double array; an entry that is not a JSON number (true
+    and false are not numbers) or is infinite or nan is a ValueError."""
+    import numpy as np
+
+    for row in rows:
+        for x in row if isinstance(row, list) else [row]:
+            if isinstance(x, bool) or not isinstance(x, (int, float)):
+                raise ValueError(f"not a number: {x!r}")
     M = np.array(rows, dtype=float)
     if not np.isfinite(M).all():
         raise ValueError("an entry is infinite or nan")

@@ -54,10 +54,11 @@ def _exponents(obj, key):
 
 def _parsed(key, parse, *text):
     """``parse(*text)``, where ``text`` is the value of ``key``; a malformed
-    number is an input error that names both."""
+    number, or an integer beyond the double range where a double belongs,
+    is an input error that names both."""
     try:
         return parse(*text)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise SchemaError(f"malformed number under key {key}: "
                           f"{', '.join(map(repr, text))} ({exc})") from None
 

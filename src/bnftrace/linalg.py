@@ -20,12 +20,14 @@ consistent overdetermined systems -- the only kind a correct recovery
 stage produces.  There a float snapshot of the raw matrix supplies the
 reported condition number, purely as a diagnostic; a matrix beyond the
 double range is scaled by one power of two for it.
+
+numpy takes the singular values of the condition numbers and the roots of
+polynomials on doubles, and is imported by the functions that call it, so
+a program that solves no system and finds no roots does not load it.
 """
 
 from fractions import Fraction
 from operator import mul
-
-import numpy as np
 
 from .errors import ConvergenceError, RankDeficiencyError
 
@@ -44,6 +46,8 @@ def _cond_of(field, rows):
     matrix with an entry beyond the double range is first scaled by one
     power of two, taken from its largest entry, which leaves the
     condition number unchanged."""
+    import numpy as np
+
     try:
         a = _snapshot(field, rows)
     except OverflowError:
@@ -60,6 +64,8 @@ def _cond_of(field, rows):
 
 
 def _snapshot(field, rows):
+    import numpy as np
+
     return np.array([[field.to_complex(x) for x in row] for row in rows],
                     dtype=complex)
 
@@ -150,6 +156,8 @@ class _FloatFactor:
     and then its columns scaled to a largest modulus of 1."""
 
     def __init__(self, field, rows):
+        import numpy as np
+
         # a zero row or column keeps its scale
         self.rs = [max(map(abs, row)) or 1 for row in rows]
         a2 = [[x / r for x in row] for row, r in zip(rows, self.rs)]
@@ -223,6 +231,8 @@ def poly_roots(field, monic_tail):
     r = len(monic_tail)
     mp = field._mp
     if mp is None:
+        import numpy as np
+
         coeffs = [1.0] + [field.to_complex(c) for c in reversed(monic_tail)]
         return [complex(z) for z in np.roots(coeffs)]
     coeffs = [field.one] + list(reversed(list(monic_tail)))

@@ -31,6 +31,29 @@ def rt1():
     return F, bnf, action
 
 
+def n2_bnf():
+    """The golden forward input: rh E=2 and elliptic E=(3+4i)/5,
+    z-dependent jets, F coupling both actions with a z-dependent f0."""
+    FR = RationalField()
+    q = FR.from_rational
+    blocks = SpectrumBlocks(FR, [REAL_HYPERBOLIC, ELLIPTIC],
+                            [FR.from_int(2), q("3/5", "4/5")])
+    jets = [zseries(FR, 3, {1: q("1/3")}),
+            zseries(FR, 3, {1: q(0, "-1/2"), 2: q(0, "1/7")})]
+    F = MultiSeries(FR, 2, Orders(4, 3, 3), {
+        ((2, 0), 0, 0): q("1/7"),
+        ((1, 1), 0, 0): q("-2/3"),
+        ((0, 2), 1, 0): q("1/5"),
+        ((1, 0), 0, 1): q("3/4"),
+        ((0, 1), 2, 1): q("-1/9"),
+        ((0, 0), 0, 1): q("2/9"),
+        ((0, 0), 1, 1): q("-3/7"),
+        ((2, 1), 0, 1): q("5/6"),
+        ((1, 0), 1, 3): q("-1/2"),
+    })
+    return QuantumBNF(blocks, jets, F)
+
+
 def mixed_float_fixture(seed, with_jets=False):
     """n=2 blocks (mu_1 = ln 3 hyperbolic, theta_2 = 1 elliptic, canonical
     order) with a random F of total degree <= 3 at orders (3, 2, 2)."""

@@ -2,12 +2,15 @@ import argparse
 import cmath
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from helpers import mixed_float_fixture, rt1
+from helpers import mixed_float_fixture, n2_bnf, rt1
 
 from bnftrace import cli, jsonio
 from bnftrace.blocks import REAL_HYPERBOLIC, SpectrumBlocks
@@ -156,6 +159,71 @@ def test_oracle_bad_input_exits_two(flags, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+# runs each argv of the JSON list argv[2] through cli.main, with numpy made
+# unimportable and the package read from the directory argv[1], and prints
+# each exit code and standard output as JSON
+_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+sys.path.insert(0, sys.argv[1])
+from bnftrace.cli import main
+runs = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runs.append([main(argv), out.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def test_forward_and_oracles_run_without_numpy(tmp_path, monkeypatch,
+                                               capsys):
+    """forward and both oracles never import numpy: with numpy made
+    unimportable each exits 0, with the standard output and trace bytes of
+    a run with numpy importable.  The inputs are the golden n=2 normal form
+    and CI's float n=1 one (rh E=1.5, jet z, F = iota^2/4 + h iota/2), at
+    64 and 128 bits."""
+    n2, n1 = str(tmp_path / "n2.json"), str(tmp_path / "n1.json")
+    jsonio.dump(n2, jsonio.qbnf_to_json(n2_bnf()))
+    jsonio.dump(n1, jsonio.qbnf_to_json(QuantumBNF(
+        SpectrumBlocks(FF, [REAL_HYPERBOLIC], [FF.from_rational("3/2")]),
+        [zseries(FF, 1, {1: FF.one})],
+        MultiSeries(FF, 1, Orders(3, 1, 2),
+                    {((2,), 0, 0): FF.from_rational("1/4"),
+                     ((1,), 0, 1): FF.from_rational("1/2")}))))
+    # trace files are named relative to each run's directory, so that the
+    # "wrote" lines of both runs read the same
+    argvs = [
+        ["forward", "--bnf", n2, "--orders", "4,3,3", "--kmax", "12",
+         "--out", "n2-traces.json"],
+        ["forward", "--bnf", n1, "--orders", "3,1,2", "--kmax", "6",
+         "--out", "n1-traces.json"],
+        ["forward", "--bnf", n1, "--orders", "3,1,2", "--kmax", "6",
+         "--precision", "128", "--out", "n1-128-traces.json"],
+        ["oracle", "lattice-sum", "--exp-half", "2", "--k", "1",
+         "--truncation", "60", "--backend", "rational"],
+        ["oracle", "lattice-sum", "--mu", "1.3862943611198906",
+         "--truncation", "60"],
+        ["oracle", "csch-derivative", "--exp-half", "2", "--alpha", "2",
+         "--backend", "float", "--precision", "128"],
+    ]
+    without, with_numpy = tmp_path / "without", tmp_path / "with"
+    without.mkdir()
+    with_numpy.mkdir()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, src, json.dumps(argvs)],
+        cwd=without, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    monkeypatch.chdir(with_numpy)
+    for argv, (rc, out) in zip(argvs, json.loads(proc.stdout)):
+        assert rc == 0 and main(argv) == 0, argv
+        assert out == capsys.readouterr().out, argv
+    for name in ("n2-traces.json", "n1-traces.json", "n1-128-traces.json"):
+        assert ((without / name).read_bytes()
+                == (with_numpy / name).read_bytes()), name
+
+
 def test_classify_command(tmp_path, capsys):
     path = tmp_path / "mat.json"
     th = 1.0
@@ -198,6 +266,31 @@ def test_classify_rejects_a_non_numeric_entry(tmp_path, capsys):
     rc = main(["classify", "--matrix", str(path)])
     assert rc == 2
     assert "'matrix'" in capsys.readouterr().err
+
+
+# malformed matrices and the message of each: a JSON false is no number;
+# the ragged, non-square and non-finite ones keep their messages
+_MALFORMED_MATRIX = {
+    "false": ([[2, False], [False, 0.5]],
+              "malformed number under key 'matrix': [[2, False], "
+              "[False, 0.5]] (not a number: False)"),
+    "ragged": ([[1, 2], [3]], "malformed number under key 'matrix'"),
+    "row not a list": ([[2, 0], 0], "malformed number under key 'matrix'"),
+    "2 x 3": ([[1, 2, 3], [4, 5, 6]], "need a 2n x 2n matrix"),
+    "one row": ([2, 0], "need a 2n x 2n matrix"),
+    "NaN": ([[math.nan, 0], [0, 0.5]], "an entry is infinite or nan"),
+    "Infinity": ([[math.inf, 0], [0, 0.5]], "an entry is infinite or nan"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_MATRIX))
+def test_classify_rejects_a_malformed_matrix(case, tmp_path, capsys):
+    matrix, message = _MALFORMED_MATRIX[case]
+    path = tmp_path / "mat.json"
+    jsonio.dump(path, {"matrix": matrix})
+    rc = main(["classify", "--matrix", str(path)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
 
 
 def _doc_file(tmp_path, doc):
@@ -313,9 +406,10 @@ def _rotation_argv(tmp, mutate):
 # oracle flags and input files that are unusable, each as argv given
 # tmp_path: a zero E, --mu on the rational backend, exponent lists and map
 # components of the wrong type, and exact numbers beyond the double range
-# that the block and action checks read; and a JSON true or false, or a
+# that the block and action checks read; a JSON true or false, or a
 # number with a fractional part, where an integer belongs (bool subclasses
-# int, and int() truncates)
+# int, and int() truncates); and a matrix entry that is not a JSON number,
+# or is an integer beyond the double range
 _UNUSABLE = {
     "oracle exp-half 0": lambda tmp: [
         "oracle", "csch-derivative", "--exp-half", "0"],
@@ -375,6 +469,14 @@ _UNUSABLE = {
         tmp, lambda doc: doc["maslov"].update({"1": True})),
     "traces maslov 1.5": lambda tmp: _recover_argv(
         tmp, lambda doc: doc["maslov"].update({"1": 1.5})),
+    "matrix entry false": lambda tmp: ["classify", "--matrix", _doc_file(
+        tmp, {"matrix": [[2, False], [False, 0.5]]})],
+    "matrix entry '2'": lambda tmp: ["classify", "--matrix", _doc_file(
+        tmp, {"matrix": [["2", 0], [0, 0.5]]})],
+    "matrix entry null": lambda tmp: ["classify", "--matrix", _doc_file(
+        tmp, {"matrix": [[None, 0], [0, 0.5]]})],
+    "matrix entry 10^400": lambda tmp: ["classify", "--matrix", _doc_file(
+        tmp, {"matrix": [[10 ** 400, 0], [0, 0.5]]})],
 }
 
 

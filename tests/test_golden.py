@@ -13,6 +13,8 @@ it pins that the products sum in a fixed order, on one LAPACK build.
 
 import hashlib
 
+from helpers import n2_bnf
+
 from bnftrace import jsonio
 from bnftrace.blocks import ELLIPTIC, REAL_HYPERBOLIC, SpectrumBlocks
 from bnftrace.classical import (TaylorMap, iota_real_to_complex,
@@ -33,27 +35,6 @@ ROUNDTRIP_N1_REPORT_SHA256 = \
     "bbd45e23a631ca0d436b61cd9a9d7c473c25995130fb038ef07471f2e902dbfc"
 CLASSICAL_BNF_REPORT_SHA256 = \
     "c63c5d55618f6ad0a7af140141bdc457ea52ab98ad8335154266379ff9b84994"
-
-
-def _n2_bnf():
-    """rh E=2 and elliptic E=(3+4i)/5, z-dependent jets, F coupling both
-    actions with a z-dependent f0."""
-    blocks = SpectrumBlocks(FR, [REAL_HYPERBOLIC, ELLIPTIC],
-                            [FR.from_int(2), q("3/5", "4/5")])
-    jets = [zseries(FR, 3, {1: q("1/3")}),
-            zseries(FR, 3, {1: q(0, "-1/2"), 2: q(0, "1/7")})]
-    F = MultiSeries(FR, 2, Orders(4, 3, 3), {
-        ((2, 0), 0, 0): q("1/7"),
-        ((1, 1), 0, 0): q("-2/3"),
-        ((0, 2), 1, 0): q("1/5"),
-        ((1, 0), 0, 1): q("3/4"),
-        ((0, 1), 2, 1): q("-1/9"),
-        ((0, 0), 0, 1): q("2/9"),
-        ((0, 0), 1, 1): q("-3/7"),
-        ((2, 1), 0, 1): q("5/6"),
-        ((1, 0), 1, 3): q("-1/2"),
-    })
-    return QuantumBNF(blocks, jets, F)
 
 
 def _n1_bnf():
@@ -79,7 +60,7 @@ def _sha256(path):
 def test_forward_n2_trace_bytes(tmp_path):
     bnf = tmp_path / "bnf.json"
     out = tmp_path / "traces.json"
-    jsonio.dump(bnf, jsonio.qbnf_to_json(_n2_bnf()))
+    jsonio.dump(bnf, jsonio.qbnf_to_json(n2_bnf()))
     rc = main(["forward", "--bnf", str(bnf), "--orders", "4,3,3",
                "--kmax", "12", "--out", str(out)])
     assert rc == 0
