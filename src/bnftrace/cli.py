@@ -4,22 +4,22 @@ Exit codes: 0 success, 2 input/schema error, 3 mathematical failure
 (resonance, pole, rank deficiency, conditioning, ...).
 
 Subcommands: forward, recover, roundtrip, classical-bnf, classify, oracle.
-All file formats are defined in :mod:`bnftrace.jsonio`.
+Each option is checked by its argparse type, and each file by its reader
+in :mod:`bnftrace.jsonio`, which defines every file format.
 """
 
 import argparse
-import dataclasses
 import functools
+import math
 import sys
 
 from . import hypcalc, jsonio
 from .classical import birkhoff_normal_form, classify_eigenvalues
-from .config import RunConfig
 from .errors import MathError, SchemaError
 from .fields import field_from_name
 from .qbnf import TraceEngine, make_trace_data
 from .recover import recover_qbnf, require_recoverable
-from .series import MultiSeries, Orders
+from .series import zseries
 
 
 def _fmt_value(field, v):
@@ -30,98 +30,116 @@ def _fmt_value(field, v):
     return f"{re} + {im} i   (~ {c.real:.6g} + {c.imag:.6g} i)"
 
 
-# every option a subcommand can take, keyed by its destination: a RunConfig
-# field, whose default it shares, or an argument read by the command itself
+# option types: argparse quotes a type's name in the usage error for text
+# the type cannot convert, and a value it converts but refuses is an input
+# error
+def _tolerance(dest):
+    # a nan would turn a gate off and an inf would pass anything
+    def tolerance(text):
+        v = float(text)
+        if not (v > 0 and math.isfinite(v)):
+            raise SchemaError(f"{dest} must be positive and finite, "
+                              f"got {v!r}")
+        return v
+    return tolerance
+
+
+def precision(text):
+    # 64 bits select native doubles, more select mpmath: none is narrower
+    bits = int(text)
+    if bits < 64:
+        raise SchemaError(f"float_precision must be >= 64 bits, got {bits}")
+    return bits
+
+
+def orders(text):
+    parts = text.split(",")
+    if len(parts) != 3 or not all(x.strip().isdigit() for x in parts):
+        raise SchemaError("--orders expects IOTA,Z,H")
+    iota, z, h = map(int, parts)
+    # the trace at h-order H reads F through iota^(H+1); nothing else
+    # reads IOTA
+    if iota < h + 1:
+        raise SchemaError(f"orders IOTA,Z,H need IOTA >= H + 1 = {h + 1}, "
+                          f"got IOTA = {iota}")
+    return iota, z, h
+
+
+# every option a subcommand can take, keyed by its destination
 _OPTIONS = {
     "backend": ("--backend", {"choices": ["rational", "float"]}),
-    "float_precision": ("--precision", {"type": int}),
-    "orders": ("--orders", {"help": "IOTA,Z,H truncation orders; the "
-                            "trace at h-order H reads F through iota^(H+1), "
-                            "so IOTA >= H + 1"}),
-    "k_max": ("--kmax", {"type": int}),
-    "tol_pole": ("--tol-pole", {"type": float}),
-    "tol_resonance": ("--tol-resonance", {"type": float}),
-    "tol_conditioning": ("--tol-conditioning", {"type": float}),
-    "tol_residual": ("--tol-residual", {"type": float}),
+    "float_precision": ("--precision", {"type": precision, "default": 64}),
+    "orders": ("--orders", {"type": orders, "default": (4, 3, 3),
+                            "help": "IOTA,Z,H truncation orders, with "
+                            "IOTA >= H + 1"}),
+    "k_max": ("--kmax", {"type": int, "default": 8}),
     "out": ("--out", {}),
     "report": ("--report", {}),
 }
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+_OPTIONS.update(
+    (dest, ("--" + dest.replace("_", "-"),
+            {"type": _tolerance(dest), "default": default}))
+    for dest, default in [("tol_pole", hypcalc.DEFAULT_POLE_TOL),
+                          ("tol_resonance", 1e-8), ("tol_conditioning", 1e8),
+                          ("tol_residual", 1e-8)])
 
 
 def _add_options(p, *dests):
     """Give subcommand ``p`` the options it reads, and only those."""
     for dest in dests:
         flag, kwargs = _OPTIONS[dest]
-        p.add_argument(flag, dest=dest, default=getattr(RunConfig, dest, None),
-                       **kwargs)
+        p.add_argument(flag, dest=dest, **kwargs)
 
 
-def _config_from_args(args):
-    """The RunConfig of a subcommand's options; RunConfig's defaults stand
-    for the options it does not take."""
-    opts = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS}
-    if isinstance(opts.get("orders"), str):
-        parts = opts["orders"].split(",")
-        if len(parts) != 3 or not all(x.strip().isdigit() for x in parts):
-            raise SchemaError("--orders expects IOTA,Z,H")
-        opts["orders"] = tuple(int(x) for x in parts)
-    return RunConfig(**opts)
-
-
-def _load_action(path, field, n_z):
-    if path is None:
+def _forward_tracedata(args, bnf, engine=None):
+    if args.action is None:
         # default action I(z) = z
-        return MultiSeries(field, 0, Orders(0, n_z, 0),
-                           {((), 1, 0): field.one}), {}
-    obj = jsonio.load(path)
-    action = jsonio.series_from_json(jsonio._need(obj, "action", dict), field)
-    maslov = jsonio.maslov_from_json(obj.get("maslov", {}))
-    return action, maslov
+        action, maslov = zseries(bnf.field, args.orders[1],
+                                 {1: bnf.field.one}), {}
+    else:
+        action, maslov = jsonio.action_from_json(jsonio.load(args.action),
+                                                 bnf.field)
+    return make_trace_data(bnf, action, maslov, args.k_max, args.orders[1:],
+                           pole_tol=args.tol_pole,
+                           resonance_tol=args.tol_resonance, engine=engine)
 
 
-def _forward_tracedata(bnf, action, maslov, cfg, engine=None):
-    return make_trace_data(bnf, action, maslov, cfg.k_max, cfg.orders[1:],
-                           pole_tol=cfg.tol_pole,
-                           resonance_tol=cfg.tol_resonance, engine=engine)
-
-
-def cmd_forward(args):
-    cfg = _config_from_args(args)
-    bnf = jsonio.qbnf_from_json(jsonio.load(args.bnf), cfg.float_precision)
-    action, maslov = _load_action(args.action, bnf.field, cfg.orders[1])
-    td = _forward_tracedata(bnf, action, maslov, cfg)
-    out = args.out or "traces.json"
-    jsonio.dump(out, jsonio.trace_data_to_json(td))
-    print(f"wrote {out}: k_max={td.k_max}, orders z<={cfg.orders[1]} "
-          f"h<={cfg.orders[2]}")
-    return 0
-
-
-def cmd_recover(args):
-    cfg = _config_from_args(args)
-    td = jsonio.trace_data_from_json(jsonio.load(args.traces),
-                                     cfg.float_precision)
-    rep = recover_qbnf(td, args.n, tol=cfg.tol_residual,
-                       cond_gate=cfg.tol_conditioning,
-                       pole_tol=cfg.tol_pole)
-    out = args.out or "bnf_recovered.json"
-    jsonio.dump(out, jsonio.qbnf_to_json(rep.recovered))
+def _report(args, rep):
+    """Write the recovery report if asked, print it, and refuse a recovery
+    whose self-check failed."""
     if args.report:
         jsonio.dump(args.report, jsonio.recovery_report_to_json(rep))
     print(jsonio.render_report_text(rep))
     if rep.failed:
-        raise MathError(
-            f"recovery self-check residual {rep.max_residual:.3e} exceeds "
-            f"tolerance {cfg.tol_residual:.1e}"
-        )
+        raise MathError(f"recovery self-check residual {rep.max_residual:.3e} "
+                        f"exceeds tolerance {args.tol_residual:.1e}")
+
+
+def cmd_forward(args):
+    bnf = jsonio.qbnf_from_json(jsonio.load(args.bnf), args.float_precision)
+    td = _forward_tracedata(args, bnf)
+    out = args.out or "traces.json"
+    jsonio.dump(out, jsonio.trace_data_to_json(td))
+    print(f"wrote {out}: k_max={td.k_max}, orders z<={args.orders[1]} "
+          f"h<={args.orders[2]}")
+    return 0
+
+
+def cmd_recover(args):
+    td = jsonio.trace_data_from_json(jsonio.load(args.traces),
+                                     args.float_precision)
+    rep = recover_qbnf(td, args.n, tol=args.tol_residual,
+                       cond_gate=args.tol_conditioning,
+                       pole_tol=args.tol_pole)
+    out = args.out or "bnf_recovered.json"
+    jsonio.dump(out, jsonio.qbnf_to_json(rep.recovered))
+    _report(args, rep)
     print(f"wrote {out}")
     return 0
 
 
 def cmd_roundtrip(args):
-    cfg = _config_from_args(args)
-    bnf = jsonio.qbnf_from_json(jsonio.load(args.bnf), cfg.float_precision)
+    bnf = jsonio.qbnf_from_json(jsonio.load(args.bnf), args.float_precision)
     # the recovery returns the blocks in canonical order, and the comparison
     # below goes slot by slot
     perm = bnf.blocks.canonical_order()
@@ -131,36 +149,30 @@ def cmd_roundtrip(args):
             "hyperbolic pairs, real hyperbolic, elliptic, each sorted): "
             f"list the given blocks in the order {perm}"
         )
-    require_recoverable(bnf, *cfg.orders[1:])
-    action, maslov = _load_action(args.action, bnf.field, cfg.orders[1])
+    require_recoverable(bnf, *args.orders[1:])
     # the recovery reuses the forward engine for every stage when it
     # serves the recovered blocks, as it does when the round trip is exact
-    engine = TraceEngine(bnf.blocks, cfg.orders[1], cfg.tol_pole)
-    td = _forward_tracedata(bnf, action, maslov, cfg, engine)
-    rep = recover_qbnf(td, bnf.n, tol=cfg.tol_residual,
-                       cond_gate=cfg.tol_conditioning, pole_tol=cfg.tol_pole,
+    engine = TraceEngine(bnf.blocks, args.orders[1], args.tol_pole)
+    td = _forward_tracedata(args, bnf, engine)
+    rep = recover_qbnf(td, bnf.n, tol=args.tol_residual,
+                       cond_gate=args.tol_conditioning, pole_tol=args.tol_pole,
                        engine=engine)
-    if args.report:
-        jsonio.dump(args.report, jsonio.recovery_report_to_json(rep))
-    print(jsonio.render_report_text(rep))
-    if rep.failed:
-        raise MathError("forward self-check failed")
+    _report(args, rep)
     # exact on the rational field, whose closeness is equality
-    if not rep.recovered.close_to(bnf, cfg.tol_residual):
+    if not rep.recovered.close_to(bnf, args.tol_residual):
         raise MathError("round trip mismatch: recovered data differs from input")
     print("round trip ok: recovered data equals the input" +
           (" exactly" if bnf.field.exact else
-           f" within {cfg.tol_residual:.1e}"))
+           f" within {args.tol_residual:.1e}"))
     return 0
 
 
 def cmd_classical_bnf(args):
-    cfg = _config_from_args(args)
     # the normalizer works from a double eigendecomposition, so the map
     # is read in doubles
     tmap = jsonio.taylor_map_from_json(jsonio.load(args.map))
     res = birkhoff_normal_form(tmap, args.degree,
-                               small_denominator_tol=cfg.tol_resonance)
+                               small_denominator_tol=args.tol_resonance)
     print(f"blocks: {res.blocks!r}")
     print(f"smallest homological denominator: {res.conditioning:.6e}")
     print(f"normal form defect at truncation: {res.residual:.3e}")
@@ -169,37 +181,13 @@ def cmd_classical_bnf(args):
         c = tmap.field.to_complex(res.p_complex[m])
         print(f"  iota^{m}: {c.real:+.12g} {c.imag:+.12g}i")
     if args.report:
-        f = tmap.field
-        jsonio.dump(args.report, {
-            "blocks": jsonio.blocks_to_json(res.blocks),
-            "p": [{"m": list(m), "re": f.format(c)[0], "im": f.format(c)[1]}
-                  for m, c in sorted(res.p_complex.items())],
-            "conditioning": res.conditioning,
-            "residual": res.residual,
-        })
+        jsonio.dump(args.report, jsonio.classical_report_to_json(res))
     return 0
 
 
-def _finite_matrix(rows):
-    """``rows`` as a double array; an entry that is not a JSON number (true
-    and false are not numbers) or is infinite or nan is a ValueError."""
-    import numpy as np
-
-    for row in rows:
-        for x in row if isinstance(row, list) else [row]:
-            if isinstance(x, bool) or not isinstance(x, (int, float)):
-                raise ValueError(f"not a number: {x!r}")
-    M = np.array(rows, dtype=float)
-    if not np.isfinite(M).all():
-        raise ValueError("an entry is infinite or nan")
-    return M
-
-
 def cmd_classify(args):
-    obj = jsonio.load(args.matrix)
-    M = jsonio._parsed("'matrix'", _finite_matrix,
-                       jsonio._need(obj, "matrix", list))
-    blocks = classify_eigenvalues(M)
+    blocks = classify_eigenvalues(
+        jsonio.matrix_from_json(jsonio.load(args.matrix)))
     print(f"n = {blocks.n}: n_e={blocks.n_e} n_rh={blocks.n_rh} "
           f"n_ch={blocks.n_ch}")
     for tag, mu in zip(blocks.tags, blocks.mu()):
@@ -207,20 +195,11 @@ def cmd_classify(args):
     return 0
 
 
-def _parse_exp_half(field, text):
-    out = []
-    for part in text.split(";"):
-        bits = part.split(",")
-        re = bits[0].strip()
-        im = bits[1].strip() if len(bits) > 1 else "0"
-        out.append(field.parse(re, im))
-    return out
-
-
-def _parse_oracle_input(args, field):
+def _parse_oracle_input(args):
     """(field, exp_half, alpha) from the oracle flags; a malformed flag,
     --mu on the rational backend, or an exponent or E that is infinite or
     nan in the field, or an E that is zero, is an input error."""
+    field = field_from_name(args.backend or "rational", args.float_precision)
     try:
         if args.mu is not None:
             if args.backend == "rational":
@@ -230,7 +209,10 @@ def _parse_oracle_input(args, field):
             field = field_from_name("float", args.float_precision)
             ehm = [field.exp(complex(s) * 0.5) for s in args.mu.split(";")]
         elif args.exp_half is not None:
-            ehm = _parse_exp_half(field, args.exp_half)
+            # 're,im;re,im', im 0 where left out
+            ehm = [field.parse(*(b.strip() for b in
+                                 (part + ",0").split(",")[:2]))
+                   for part in args.exp_half.split(";")]
         else:
             raise SchemaError("need --mu or --exp-half")
         alpha = (tuple(int(x) for x in args.alpha.split(","))
@@ -250,9 +232,7 @@ def _parse_oracle_input(args, field):
 
 
 def cmd_oracle(args):
-    _config_from_args(args)  # validates --precision and --tol-pole
-    field = field_from_name(args.backend or "rational", args.float_precision)
-    field, ehm, alpha = _parse_oracle_input(args, field)
+    field, ehm, alpha = _parse_oracle_input(args)
     if args.oracle_cmd == "lattice-sum":
         v = hypcalc.lattice_sum_oracle({alpha: field.one}, exp_half=ehm,
                                        k=args.k, truncation=args.truncation,
@@ -329,8 +309,8 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except SchemaError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -1,5 +1,7 @@
-"""JSON formats of the files the CLI reads and writes: normal forms, trace
-data, Taylor maps and recovery reports (and a writer for orbit expansions).
+"""JSON formats of every file the CLI reads or writes, and their checks:
+normal forms, action files, trace data, Taylor maps, ``classify``
+matrices, recovery and ``classical-bnf`` reports (and a writer for orbit
+expansions).
 
 Numbers travel as strings: exact rationals as "p/q", floats as decimal
 strings with enough digits for their precision, so parse(serialize(x)) == x
@@ -63,6 +65,17 @@ def _parsed(key, parse, *text):
                           f"{', '.join(map(repr, text))} ({exc})") from None
 
 
+def _field(obj, precision=64, outer=None):
+    """The field named under 'field', which inside a file of field
+    ``outer`` must be ``outer``."""
+    name = _need(obj, "field", str)
+    if name not in ("rational", "float") or outer and name != outer.name:
+        raise SchemaError(f"key 'field' is {name!r}, not " + (
+            f"{outer.name!r}, the file's field" if outer
+            else "'rational' or 'float'"))
+    return outer or field_from_name(name, precision)
+
+
 def scalar_to_json(field, x):
     re, im = field.format(x)
     return {"re": re, "im": im}
@@ -100,12 +113,13 @@ def series_to_json(s):
 
 
 def series_from_json(obj, field=None):
-    name = _need(obj, "field", str)
-    field = field or field_from_name(name)
+    field = _field(obj, outer=field)
     n = _need(obj, "n_actions", int)
     od = _need(obj, "orders", dict)
-    orders = Orders(_need(od, "iota", int), _need(od, "z", int),
-                    _need(od, "h", int))
+    orders = Orders(*(_need(od, key, int) for key in Orders._fields))
+    # a negative order would drop terms silently
+    if min(orders) < 0:
+        raise SchemaError(f"key 'orders' must be nonnegative, got {od!r}")
     terms = {}
     for t in _need(obj, "terms", list):
         key = (_exponents(t, "iota"), _need(t, "z", int), _need(t, "h", int))
@@ -139,7 +153,7 @@ def qbnf_to_json(b):
 
 
 def qbnf_from_json(obj, precision=64):
-    field = field_from_name(_need(obj, "field", str), precision)
+    field = _field(obj, precision)
     blocks = blocks_from_json(_need(obj, "blocks", list), field)
     jets = [series_from_json(j, field) for j in _need(obj, "mu_jets", list)]
     F = series_from_json(_need(obj, "F", dict), field)
@@ -162,7 +176,7 @@ def trace_data_to_json(t):
 
 
 def trace_data_from_json(obj, precision=64):
-    field = field_from_name(_need(obj, "field", str), precision)
+    field = _field(obj, precision)
     k_max = _need(obj, "k_max", int)
     action = series_from_json(_need(obj, "action", dict), field)
     phase = scalar_from_json(field, _need(obj, "phase", dict))
@@ -171,6 +185,15 @@ def trace_data_from_json(obj, precision=64):
     for k, s in _need(obj, "coefficients", dict).items():
         coeffs[_parsed("'coefficients'", int, k)] = series_from_json(s, field)
     return TraceData(field, k_max, action, maslov, phase, coeffs)
+
+
+def action_from_json(obj, field):
+    """The action series and Maslov indices k -> m of an action file, read
+    in the normal form's ``field``; 'maslov' may be left out."""
+    action = series_from_json(_need(obj, "action", dict), field)
+    maslov = (maslov_from_json(_need(obj, "maslov", dict))
+              if "maslov" in obj else {})
+    return action, maslov
 
 
 def taylor_map_to_json(tm):
@@ -189,7 +212,7 @@ def taylor_map_to_json(tm):
 def taylor_map_from_json(obj, precision=64):
     from .classical import TaylorMap
 
-    field = field_from_name(_need(obj, "field", str), precision)
+    field = _field(obj, precision)
     n = _need(obj, "n", int)
     degree = _need(obj, "degree", int)
     comps = []
@@ -200,6 +223,35 @@ def taylor_map_from_json(obj, precision=64):
         comps.append({_exponents(e, "exps"): scalar_from_json(field, e)
                       for e in entries})
     return TaylorMap(field, n, degree, comps)
+
+
+def _finite_matrix(rows):
+    import numpy as np
+
+    for row in rows:
+        for x in row if isinstance(row, list) else [row]:
+            if isinstance(x, bool) or not isinstance(x, (int, float)):
+                raise ValueError(f"not a number: {x!r}")
+    M = np.array(rows, dtype=float)
+    if not np.isfinite(M).all():
+        raise ValueError("an entry is infinite or nan")
+    return M
+
+
+def matrix_from_json(obj):
+    """The double array under 'matrix' of a ``classify`` file; an entry
+    that is not a JSON number (true and false are not numbers) or is
+    infinite or nan is an input error."""
+    return _parsed("'matrix'", _finite_matrix, _need(obj, "matrix", list))
+
+
+def classical_report_to_json(res):
+    """The ``classical-bnf`` report of a :class:`BNFResult`."""
+    f = res.blocks.field
+    return {"blocks": blocks_to_json(res.blocks),
+            "p": [{"m": list(m), **scalar_to_json(f, c)}
+                  for m, c in sorted(res.p_complex.items())],
+            "conditioning": res.conditioning, "residual": res.residual}
 
 
 def orbit_to_json(o):

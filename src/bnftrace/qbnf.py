@@ -223,6 +223,11 @@ class TraceData:
         for k in range(1, self.k_max + 1):
             if k not in self.coefficients:
                 raise SchemaError(f"missing trace coefficients for k={k}")
+            # the recovery reads every power at k = 1's orders
+            orders = self.coefficients[k].orders, self.coefficients[1].orders
+            if orders[0] != orders[1]:
+                raise SchemaError(f"trace coefficients for k={k} have "
+                                  "{}, those for k=1 {}".format(*orders))
 
     def orders(self):
         s = self.coefficients[1]

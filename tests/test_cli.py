@@ -499,6 +499,64 @@ def test_integer_cases_run_with_integers_in_place(tmp_path, capsys):
         assert "recovery succeeded" in capsys.readouterr().out
 
 
+def _action_argv(tmp, maslov):
+    """forward on rt1 with an action file I(z) = z whose 'maslov' is
+    ``maslov``."""
+    action = MultiSeries(FR, 0, Orders(0, 3, 0), {((), 1, 0): FR.one})
+    path = tmp / "action.json"
+    jsonio.dump(path, {"action": jsonio.series_to_json(action),
+                       "maslov": maslov})
+    return _forward_argv(tmp, _rt1_with(lambda doc: None)) + [
+        "--action", str(path)]
+
+
+def _set_orders(series, **orders):
+    return lambda doc: series(doc)["orders"].update(orders)
+
+
+# input files that fell between the checks of the CLI and of the readers,
+# each as argv given tmp_path, with the word the error names: a Maslov
+# table that is not an object, a coefficient field that is unknown or
+# differs from the file's own, a negative series order, and trace powers
+# whose series have different orders
+_UNCHECKED = {
+    "action maslov [1, 2]": (lambda tmp: _action_argv(tmp, [1, 2]),
+                             "'maslov'"),
+    "action maslov 'x'": (lambda tmp: _action_argv(tmp, "x"), "'maslov'"),
+    "bnf field bogus": (lambda tmp: _forward_argv(tmp, _rt1_with(
+        lambda doc: doc.update(field="bogus"))), "'field'"),
+    "F field bogus": (lambda tmp: _forward_argv(tmp, _rt1_with(
+        lambda doc: doc["F"].update(field="bogus"))), "'field'"),
+    "F field float in a rational file": (lambda tmp: _forward_argv(
+        tmp, _rt1_with(lambda doc: doc["F"].update(field="float"))),
+        "'field'"),
+    "traces field bogus": (lambda tmp: _recover_argv(
+        tmp, lambda doc: doc.update(field="bogus")), "'field'"),
+    "map field bogus": (lambda tmp: _map_argv(
+        tmp, lambda doc: doc.update(field="bogus")), "'field'"),
+    "roundtrip jet orders z -1": (lambda tmp: [
+        "roundtrip", "--bnf", _doc_file(tmp, _rt1_with(_set_orders(
+            lambda doc: doc["mu_jets"][0], z=-1))),
+        "--orders", "4,3,3", "--kmax", "8"], "'orders'"),
+    "traces orders z -2": (lambda tmp: _recover_argv(tmp, _set_orders(
+        lambda doc: doc["coefficients"]["1"], z=-2)), "'orders'"),
+    "traces orders h by k": (lambda tmp: _recover_argv(tmp, _set_orders(
+        lambda doc: doc["coefficients"]["2"], h=0)), "k=2"),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNCHECKED))
+def test_input_between_the_checks_exits_two(case, tmp_path, capsys):
+    make_argv, named = _UNCHECKED[case]
+    rc = main(make_argv(tmp_path))
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert "input error" in err and named in err
+    assert "Traceback" not in err
+    assert "round trip ok" not in out
+    assert not (tmp_path / "t.json").exists()
+
+
 def test_classical_bnf_command(tmp_path, capsys):
     from bnftrace.classical import TaylorMap
 
