@@ -3,7 +3,7 @@
 Exit codes: 0 success, 2 input/schema error, 3 mathematical failure
 (resonance, pole, rank deficiency, conditioning, ...).
 
-Subcommands: forward, recover, roundtrip, classical-bnf, classify, oracle.
+Subcommands: forward, recover, roundtrip, classical-bnf, classify.
 Each option is checked by its argparse type, and each file by its reader
 in :mod:`bnftrace.jsonio`, which defines every file format.
 """
@@ -16,18 +16,9 @@ import sys
 from . import hypcalc, jsonio
 from .classical import birkhoff_normal_form, classify_eigenvalues
 from .errors import MathError, SchemaError
-from .fields import field_from_name
 from .qbnf import TraceEngine, make_trace_data
 from .recover import recover_qbnf, require_recoverable
 from .series import zseries
-
-
-def _fmt_value(field, v):
-    re, im = field.format(v)
-    if field.exact:
-        return f"{re} + {im} i"
-    c = field.to_complex(v)
-    return f"{re} + {im} i   (~ {c.real:.6g} + {c.imag:.6g} i)"
 
 
 # option types: argparse quotes a type's name in the usage error for text
@@ -67,7 +58,6 @@ def orders(text):
 
 # every option a subcommand can take, keyed by its destination
 _OPTIONS = {
-    "backend": ("--backend", {"choices": ["rational", "float"]}),
     "float_precision": ("--precision", {"type": precision, "default": 64}),
     "orders": ("--orders", {"type": orders, "default": (4, 3, 3),
                             "help": "IOTA,Z,H truncation orders, with "
@@ -195,56 +185,6 @@ def cmd_classify(args):
     return 0
 
 
-def _parse_oracle_input(args):
-    """(field, exp_half, alpha) from the oracle flags; a malformed flag,
-    --mu on the rational backend, or an exponent or E that is infinite or
-    nan in the field, or an E that is zero, is an input error."""
-    field = field_from_name(args.backend or "rational", args.float_precision)
-    try:
-        if args.mu is not None:
-            if args.backend == "rational":
-                raise SchemaError("--mu needs the float backend, as "
-                                  "exp(mu/2) is not rational; give "
-                                  "--exp-half on the rational backend")
-            field = field_from_name("float", args.float_precision)
-            ehm = [field.exp(complex(s) * 0.5) for s in args.mu.split(";")]
-        elif args.exp_half is not None:
-            # 're,im;re,im', im 0 where left out
-            ehm = [field.parse(*(b.strip() for b in
-                                 (part + ",0").split(",")[:2]))
-                   for part in args.exp_half.split(";")]
-        else:
-            raise SchemaError("need --mu or --exp-half")
-        alpha = (tuple(int(x) for x in args.alpha.split(","))
-                 if args.alpha else (0,) * len(ehm))
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise SchemaError(f"malformed oracle input: {exc}") from None
-    if not all(field.is_finite(E) for E in ehm):
-        raise SchemaError("oracle exponents must be finite, got "
-                          f"exp(mu/2) = {ehm}")
-    if any(field.is_zero(E) for E in ehm):
-        raise SchemaError(f"oracle exp(mu/2) must be nonzero, got {ehm}")
-    if len(alpha) != len(ehm):
-        raise SchemaError("alpha arity must match the exponent count")
-    if min(alpha) < 0:
-        raise SchemaError(f"alpha entries must be >= 0, got {alpha}")
-    return field, ehm, alpha
-
-
-def cmd_oracle(args):
-    field, ehm, alpha = _parse_oracle_input(args)
-    if args.oracle_cmd == "lattice-sum":
-        v = hypcalc.lattice_sum_oracle({alpha: field.one}, exp_half=ehm,
-                                       k=args.k, truncation=args.truncation,
-                                       field=field)
-    else:  # csch-derivative
-        expr = hypcalc.apply_derivatives(
-            hypcalc.csch_product(field, len(ehm), args.k), alpha)
-        v = hypcalc.eval_csch(expr, exp_half=ehm, pole_tol=args.tol_pole)
-    print(_fmt_value(field, v))
-    return 0
-
-
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="bnftrace",
@@ -287,19 +227,6 @@ def build_parser():
     p = sub.add_parser("classify", help="classify a symplectic matrix")
     p.add_argument("--matrix", required=True)
     p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("oracle", help="desk-check oracles")
-    p.add_argument("oracle_cmd", choices=["lattice-sum", "csch-derivative"])
-    p.add_argument("--mu", default=None,
-                   help="exponents as complex literals 'a+bj;...'")
-    p.add_argument("--exp-half", default=None, dest="exp_half",
-                   help="exp(mu/2) values 're,im;re,im' (rationals allowed)")
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--truncation", type=int, default=60)
-    p.add_argument("--alpha", default=None,
-                   help="derivative/monomial multi-index 'a1,a2,...'")
-    _add_options(p, "backend", "float_precision", "tol_pole")
-    p.set_defaults(func=cmd_oracle)
     return ap
 
 

@@ -92,9 +92,18 @@ def scalar_from_json(field, obj):
     return x
 
 
+def _power(key, text):
+    """The trace power k that the key ``text`` under ``key`` names; powers
+    start at k = 1."""
+    k = _parsed(key, int, text)
+    if k < 1:
+        raise SchemaError(f"key {key} names power {text!r}, below k = 1")
+    return k
+
+
 def maslov_from_json(obj):
     """The Maslov indices k -> m of a trace or action file."""
-    return {_parsed("'maslov'", int, k):
+    return {_power("'maslov'", k):
             _parsed(f"'maslov'/{k!r}", _integer, v) for k, v in obj.items()}
 
 
@@ -154,7 +163,10 @@ def qbnf_to_json(b):
 
 def qbnf_from_json(obj, precision=64):
     field = _field(obj, precision)
+    n = _need(obj, "n", int)
     blocks = blocks_from_json(_need(obj, "blocks", list), field)
+    if n != blocks.n:
+        raise SchemaError(f"key 'n' is {n}, but 'blocks' lists {blocks.n}")
     jets = [series_from_json(j, field) for j in _need(obj, "mu_jets", list)]
     F = series_from_json(_need(obj, "F", dict), field)
     return QuantumBNF(blocks, jets, F)
@@ -183,7 +195,7 @@ def trace_data_from_json(obj, precision=64):
     maslov = maslov_from_json(_need(obj, "maslov", dict))
     coeffs = {}
     for k, s in _need(obj, "coefficients", dict).items():
-        coeffs[_parsed("'coefficients'", int, k)] = series_from_json(s, field)
+        coeffs[_power("'coefficients'", k)] = series_from_json(s, field)
     return TraceData(field, k_max, action, maslov, phase, coeffs)
 
 

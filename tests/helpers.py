@@ -8,6 +8,7 @@ import random
 import numpy as np
 
 from bnftrace.blocks import ELLIPTIC, REAL_HYPERBOLIC, SpectrumBlocks
+from bnftrace.errors import ConvergenceError, SchemaError
 from bnftrace.fields import FloatField, RationalField
 from bnftrace.hypcalc import DEFAULT_POLE_TOL, _sinh_cosh_from_exp_half
 from bnftrace.qbnf import QuantumBNF
@@ -204,6 +205,90 @@ def brute_force_trace_coeffs(bnf, k, n_h, truncation=80):
     for d in range(n_h + 1):
         out.append(complex(np.sum(weight * coeffs[0] * series[d])))
     return out
+
+
+def lattice_sum_oracle(poly, mu=None, exp_half=None, k=1, truncation=60,
+                       field=None):
+    """Brute-force partial sum of  sum_m p((m+e0/2)/i) exp(-<m+e0/2, k mu>).
+
+    ``poly`` maps exponent tuples alpha to coefficients.  Requires
+    Re mu_j > 0 for every j (caller regularizes elliptic exponents).  The
+    tail beyond the box max(m_j) <= truncation is geometric in
+    exp(-k min_j Re mu_j * truncation).
+    """
+    if k < 1:
+        raise SchemaError(f"need k >= 1, got {k}")
+    if truncation < 0:
+        raise SchemaError(f"need truncation >= 0, got {truncation}")
+    if exp_half is None:
+        if mu is None:
+            raise SchemaError("need mu or exp_half")
+        if field is None:
+            raise SchemaError("need the field when passing raw mu")
+        exp_half = [field.exp(m * 0.5) for m in mu]
+    f = field
+    if f is None:
+        raise SchemaError("field required")
+    n = len(exp_half)
+    for E in exp_half:
+        mod2 = f.abs(E) if not f.exact else None
+        if f.exact:
+            if E.norm_sq() <= 1:
+                raise ConvergenceError("Re mu_j <= 0: lattice sum diverges")
+        elif mod2 <= 1.0:
+            raise ConvergenceError("Re mu_j <= 0: lattice sum diverges")
+    max_alpha = [0] * n
+    for alpha in poly:
+        if len(alpha) != n:
+            raise SchemaError("polynomial arity does not match exponent count")
+        for j, a in enumerate(alpha):
+            max_alpha[j] = max(max_alpha[j], a)
+    # per-axis tables: weight q^(2m+1) with q = E^-k, and argument powers
+    minus_i_half = -f.i * f.inv(f.from_int(2))
+    axis_w = []
+    axis_arg = []  # axis_arg[j][m][a] = (-i(2m+1)/2)^a
+    for j in range(n):
+        q = f.inv(exp_half[j] ** k)
+        w = []
+        args = []
+        cur = q
+        q2 = q * q
+        for m in range(truncation + 1):
+            w.append(cur)
+            cur = cur * q2
+            y = minus_i_half * f.from_int(2 * m + 1)
+            pows = [f.one]
+            for _ in range(max_alpha[j]):
+                pows.append(pows[-1] * y)
+            args.append(pows)
+        axis_w.append(w)
+        axis_arg.append(args)
+
+    total = f.zero
+    idx = [0] * n
+    while True:
+        weight = f.one
+        for j in range(n):
+            weight = weight * axis_w[j][idx[j]]
+        val = f.zero
+        for alpha, c in poly.items():
+            term = c
+            for j, a in enumerate(alpha):
+                if a:
+                    term = term * axis_arg[j][idx[j]][a]
+            val = val + term
+        total = total + val * weight
+        # advance odometer
+        pos = 0
+        while pos < n:
+            idx[pos] += 1
+            if idx[pos] <= truncation:
+                break
+            idx[pos] = 0
+            pos += 1
+        if pos == n:
+            break
+    return total
 
 
 def random_symplectic_2x2(rng):

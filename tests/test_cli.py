@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -113,52 +112,6 @@ def test_truncated_traces_exit_three_with_required_count(rt1_file, tmp_path,
     assert "1..6" in capsys.readouterr().err
 
 
-def test_oracle_lattice_sum_rational(capsys):
-    """README's example, byte for byte."""
-    rc = main(["oracle", "lattice-sum", "--exp-half", "2", "--k", "1",
-               "--truncation", "60", "--backend", "rational"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert out == ("1772303994379887830538409413707126101/"
-                   "2658455991569831745807614120560689152 + 0 i\n")
-    num, den = out.split()[0].split("/")
-    assert abs(int(num) / int(den) - 2 / 3) < 1e-25
-
-
-def test_oracle_lattice_sum_float_display(capsys):
-    rc = main(["oracle", "lattice-sum", "--mu", "1.3862943611198906",
-               "--truncation", "60"])
-    assert rc == 0
-    assert "0.666666" in capsys.readouterr().out
-
-
-def test_oracle_csch_derivative(capsys):
-    """README's example, byte for byte."""
-    rc = main(["oracle", "csch-derivative", "--exp-half", "2",
-               "--alpha", "2", "--backend", "rational"])
-    assert rc == 0
-    assert capsys.readouterr().out == "41/54 + 0 i\n"
-
-
-def test_oracle_nonconvergent_exits_three(capsys):
-    rc = main(["oracle", "lattice-sum", "--mu", "1j"])
-    assert rc == 3
-
-
-@pytest.mark.parametrize("flags", [
-    ["--exp-half", "2", "--k", "0"],
-    ["--exp-half", "2", "--k", "-1"],
-    ["--exp-half", "2", "--truncation", "-1"],
-    ["--exp-half", "2", "--alpha", "x"],
-    ["--mu", "abc"],
-    ["--exp-half", "2/0"],
-])
-def test_oracle_bad_input_exits_two(flags, capsys):
-    rc = main(["oracle", "lattice-sum"] + flags)
-    assert rc == 2
-    assert "input error" in capsys.readouterr().err
-
-
 # runs each argv of the JSON list argv[2] through cli.main, with numpy made
 # unimportable and the package read from the directory argv[1], and prints
 # each exit code and standard output as JSON
@@ -176,21 +129,25 @@ print(json.dumps(runs))
 """
 
 
-def test_forward_and_oracles_run_without_numpy(tmp_path, monkeypatch,
-                                               capsys):
-    """forward and both oracles never import numpy: with numpy made
-    unimportable each exits 0, with the standard output and trace bytes of
-    a run with numpy importable.  The inputs are the golden n=2 normal form
-    and CI's float n=1 one (rh E=1.5, jet z, F = iota^2/4 + h iota/2), at
-    64 and 128 bits."""
-    n2, n1 = str(tmp_path / "n2.json"), str(tmp_path / "n1.json")
-    jsonio.dump(n2, jsonio.qbnf_to_json(n2_bnf()))
-    jsonio.dump(n1, jsonio.qbnf_to_json(QuantumBNF(
+def _float_n1():
+    """CI's float n=1 normal form: rh E=1.5, jet z, F = iota^2/4 +
+    h iota/2, at orders (3, 1, 2)."""
+    return QuantumBNF(
         SpectrumBlocks(FF, [REAL_HYPERBOLIC], [FF.from_rational("3/2")]),
         [zseries(FF, 1, {1: FF.one})],
         MultiSeries(FF, 1, Orders(3, 1, 2),
                     {((2,), 0, 0): FF.from_rational("1/4"),
-                     ((1,), 0, 1): FF.from_rational("1/2")}))))
+                     ((1,), 0, 1): FF.from_rational("1/2")}))
+
+
+def test_forward_runs_without_numpy(tmp_path, monkeypatch, capsys):
+    """forward never imports numpy: with numpy made unimportable each run
+    exits 0, with the standard output and trace bytes of a run with numpy
+    importable.  The inputs are the golden n=2 normal form and CI's float
+    n=1 one, at 64 and 128 bits."""
+    n2, n1 = str(tmp_path / "n2.json"), str(tmp_path / "n1.json")
+    jsonio.dump(n2, jsonio.qbnf_to_json(n2_bnf()))
+    jsonio.dump(n1, jsonio.qbnf_to_json(_float_n1()))
     # trace files are named relative to each run's directory, so that the
     # "wrote" lines of both runs read the same
     argvs = [
@@ -200,12 +157,6 @@ def test_forward_and_oracles_run_without_numpy(tmp_path, monkeypatch,
          "--out", "n1-traces.json"],
         ["forward", "--bnf", n1, "--orders", "3,1,2", "--kmax", "6",
          "--precision", "128", "--out", "n1-128-traces.json"],
-        ["oracle", "lattice-sum", "--exp-half", "2", "--k", "1",
-         "--truncation", "60", "--backend", "rational"],
-        ["oracle", "lattice-sum", "--mu", "1.3862943611198906",
-         "--truncation", "60"],
-        ["oracle", "csch-derivative", "--exp-half", "2", "--alpha", "2",
-         "--backend", "float", "--precision", "128"],
     ]
     without, with_numpy = tmp_path / "without", tmp_path / "with"
     without.mkdir()
@@ -307,7 +258,7 @@ def _float_bnf_with_exp_half(value):
     return doc
 
 
-# infinite or nan numbers from a file or a flag, each as argv given tmp_path
+# infinite or nan numbers from a file, each as argv given tmp_path
 _NON_FINITE = {
     "classify NaN": lambda tmp: ["classify", "--matrix", _doc_file(
         tmp, {"matrix": [[math.nan, 0], [0, 0.5]]})],
@@ -323,14 +274,9 @@ _NON_FINITE = {
     "forward NaN 128 bits": lambda tmp: ["forward", "--bnf", _doc_file(
         tmp, _float_bnf_with_exp_half("nan")), "--orders", "2,1,1",
         "--precision", "128", "--out", str(tmp / "t.json")],
-    "oracle mu nan": lambda tmp: ["oracle", "csch-derivative", "--mu", "nan"],
-    "oracle mu inf": lambda tmp: ["oracle", "lattice-sum", "--mu", "inf"],
-    "oracle exp-half inf": lambda tmp: [
-        "oracle", "csch-derivative", "--exp-half", "inf", "--backend",
-        "float"],
-    "oracle exp-half inf 128 bits": lambda tmp: [
-        "oracle", "csch-derivative", "--exp-half", "inf", "--backend",
-        "float", "--precision", "128"],
+    "forward Infinity 128 bits": lambda tmp: ["forward", "--bnf", _doc_file(
+        tmp, _float_bnf_with_exp_half("inf")), "--orders", "2,1,1",
+        "--precision", "128", "--out", str(tmp / "t.json")],
 }
 
 
@@ -342,15 +288,20 @@ def test_non_finite_input_exits_two(case, tmp_path, capsys):
     assert not (tmp_path / "t.json").exists()
 
 
-def test_finite_beyond_the_double_range_is_not_an_input_error(capsys):
+def test_finite_beyond_the_double_range_is_not_an_input_error(tmp_path,
+                                                              capsys):
     """Finiteness is judged at the field's precision: 1e400 is a finite
-    128-bit number."""
-    rc = main(["oracle", "csch-derivative", "--exp-half", "1e400",
-               "--backend", "float", "--precision", "128"])
-    assert rc == 0
-    # (1/2) csch(mu/2) = 1/(E - 1/E)
-    value = Fraction(capsys.readouterr().out.split()[0])
-    assert abs(value * 10 ** 400 - 1) < Fraction(1, 10 ** 30)
+    128-bit number, and an infinite double."""
+    doc = jsonio.qbnf_to_json(_float_n1())
+    next(t for t in doc["F"]["terms"] if t["iota"] == [2])["re"] = "1e400"
+    argv = ["forward", "--bnf", _doc_file(tmp_path, doc), "--orders", "3,1,2",
+            "--kmax", "6", "--out", str(tmp_path / "t.json")]
+    assert main(argv + ["--precision", "128"]) == 0
+    capsys.readouterr()
+    (tmp_path / "t.json").unlink()
+    assert main(argv) == 2
+    assert "input error" in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
 
 
 def _rt1_with(mutate):
@@ -403,28 +354,13 @@ def _rotation_argv(tmp, mutate):
     return ["classical-bnf", "--map", _doc_file(tmp, doc), "--degree", "1"]
 
 
-# oracle flags and input files that are unusable, each as argv given
-# tmp_path: a zero E, --mu on the rational backend, exponent lists and map
-# components of the wrong type, and exact numbers beyond the double range
-# that the block and action checks read; a JSON true or false, or a
-# number with a fractional part, where an integer belongs (bool subclasses
-# int, and int() truncates); and a matrix entry that is not a JSON number,
-# or is an integer beyond the double range
+# input files that are unusable, each as argv given tmp_path: exponent
+# lists and map components of the wrong type, and exact numbers beyond the
+# double range that the block and action checks read; a JSON true or
+# false, or a number with a fractional part, where an integer belongs
+# (bool subclasses int, and int() truncates); and a matrix entry that is
+# not a JSON number, or is an integer beyond the double range
 _UNUSABLE = {
-    "oracle exp-half 0": lambda tmp: [
-        "oracle", "csch-derivative", "--exp-half", "0"],
-    "oracle exp-half 0 float": lambda tmp: [
-        "oracle", "csch-derivative", "--exp-half", "0", "--backend",
-        "float"],
-    "oracle exp-half 2;0": lambda tmp: [
-        "oracle", "csch-derivative", "--exp-half", "2;0"],
-    "oracle exp-half 1e-400 float": lambda tmp: [
-        "oracle", "csch-derivative", "--exp-half", "1e-400", "--backend",
-        "float"],
-    "oracle lattice-sum mu rational": lambda tmp: [
-        "oracle", "lattice-sum", "--mu", "1", "--backend", "rational"],
-    "oracle csch-derivative mu rational": lambda tmp: [
-        "oracle", "csch-derivative", "--mu", "1", "--backend", "rational"],
     "iota [null]": lambda tmp: _forward_argv(tmp, _rt1_with(
         _set_iota([None]))),
     "iota ['x']": lambda tmp: _forward_argv(tmp, _rt1_with(
@@ -517,8 +453,9 @@ def _set_orders(series, **orders):
 # input files that fell between the checks of the CLI and of the readers,
 # each as argv given tmp_path, with the word the error names: a Maslov
 # table that is not an object, a coefficient field that is unknown or
-# differs from the file's own, a negative series order, and trace powers
-# whose series have different orders
+# differs from the file's own, a negative series order, trace powers
+# whose series have different orders, a block count that differs from the
+# blocks listed, and a trace power below 1
 _UNCHECKED = {
     "action maslov [1, 2]": (lambda tmp: _action_argv(tmp, [1, 2]),
                              "'maslov'"),
@@ -542,6 +479,26 @@ _UNCHECKED = {
         lambda doc: doc["coefficients"]["1"], z=-2)), "'orders'"),
     "traces orders h by k": (lambda tmp: _recover_argv(tmp, _set_orders(
         lambda doc: doc["coefficients"]["2"], h=0)), "k=2"),
+    "bnf n 5": (lambda tmp: _forward_argv(tmp, _rt1_with(
+        lambda doc: doc.update(n=5))), "'n'"),
+    "roundtrip bnf n 2": (lambda tmp: [
+        "roundtrip", "--bnf", _doc_file(tmp, _rt1_with(
+            lambda doc: doc.update(n=2))),
+        "--orders", "4,3,3", "--kmax", "8"], "'n'"),
+    "traces coefficients k=0": (lambda tmp: _recover_argv(
+        tmp, lambda doc: doc["coefficients"].update(
+            {"0": doc["coefficients"]["1"]})), "'coefficients'"),
+    "traces coefficients k=-1": (lambda tmp: _recover_argv(
+        tmp, lambda doc: doc["coefficients"].update(
+            {"-1": doc["coefficients"]["1"]})), "'coefficients'"),
+    "traces maslov k=0": (lambda tmp: _recover_argv(
+        tmp, lambda doc: doc["maslov"].update({"0": 1})), "'maslov'"),
+    "traces maslov k=-1": (lambda tmp: _recover_argv(
+        tmp, lambda doc: doc["maslov"].update({"-1": 1})), "'maslov'"),
+    "action maslov k=0": (lambda tmp: _action_argv(tmp, {"0": 1}),
+                          "'maslov'"),
+    "action maslov k=-1": (lambda tmp: _action_argv(tmp, {"-1": 1}),
+                           "'maslov'"),
 }
 
 
@@ -624,8 +581,6 @@ SUBCOMMAND_OPTIONS = {
                   "--tol-residual", "--report"},
     "classical-bnf": {"--map", "--degree", "--tol-resonance", "--report"},
     "classify": {"--matrix"},
-    "oracle": {"--mu", "--exp-half", "--k", "--truncation", "--alpha",
-               "--backend", "--precision", "--tol-pole"},
 }
 
 
@@ -639,13 +594,26 @@ def test_each_subcommand_takes_only_the_options_it_reads():
         assert flags - {"-h", "--help"} == SUBCOMMAND_OPTIONS[name], name
 
 
-def test_dropped_option_is_rejected(tmp_path, capsys):
+# a dropped option or subcommand, as argv given the path of a matrix file,
+# with the usage error it gives
+_DROPPED = {
+    "classify --backend": (
+        lambda path: ["classify", "--matrix", path, "--backend", "float"],
+        "unrecognized arguments: --backend"),
+    "oracle": (lambda path: ["oracle", "lattice-sum", "--exp-half", "2"],
+               "invalid choice: 'oracle'"),
+}
+
+
+@pytest.mark.parametrize("case", list(_DROPPED))
+def test_dropped_option_is_rejected(case, tmp_path, capsys):
+    make_argv, message = _DROPPED[case]
     path = tmp_path / "mat.json"
     jsonio.dump(path, {"matrix": [[1.0, 0.0], [0.0, 1.0]]})
     with pytest.raises(SystemExit) as exc:
-        main(["classify", "--matrix", str(path), "--backend", "float"])
+        main(make_argv(str(path)))
     assert exc.value.code == 2
-    assert "unrecognized arguments: --backend" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("opts, message", [
@@ -679,9 +647,6 @@ def test_precision_below_64_is_an_input_error(rt1_file, tmp_path, capsys,
                "--out", str(tmp_path / "t.json")])
     assert rc == 2
     assert "precision must be >= 64" in capsys.readouterr().err
-    rc = main(["oracle", "lattice-sum", "--mu", "1.5",
-               "--precision", precision])
-    assert rc == 2
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import picard_coth_csch_series
+from helpers import lattice_sum_oracle, picard_coth_csch_series
 
 from bnftrace.errors import ConvergenceError, PoleError, SchemaError
 from bnftrace.fields import FloatField, RationalField
@@ -253,16 +253,16 @@ def test_third_derivative_vs_finite_differences():
 
 
 def test_lattice_sum_geometric_series_exact_tail():
-    v = hc.lattice_sum_oracle({(0,): FR.one}, exp_half=[FR.from_int(2)],
-                              k=1, truncation=60, field=FR)
+    v = lattice_sum_oracle({(0,): FR.one}, exp_half=[FR.from_int(2)],
+                           k=1, truncation=60, field=FR)
     err = v - FR.from_rational("2/3")
     assert err.norm_sq() < Fraction(1, 10 ** 60)  # |err| < 1e-30
 
 
 def test_lattice_sum_linear_matches_coth_calculus():
     # p(y) = y vs i * d/dmu of the product, both exact up to the tail
-    oy = hc.lattice_sum_oracle({(1,): FR.one}, exp_half=[FR.from_int(2)],
-                               k=1, truncation=60, field=FR)
+    oy = lattice_sum_oracle({(1,): FR.one}, exp_half=[FR.from_int(2)],
+                            k=1, truncation=60, field=FR)
     d1 = hc.apply_derivative(hc.csch_product(FR, 1, 1), 0)
     iv = FR.i * hc.eval_csch(d1, exp_half=[FR.from_int(2)])
     assert FR.abs(oy - iv) < 1e-12
@@ -270,11 +270,11 @@ def test_lattice_sum_linear_matches_coth_calculus():
 
 def test_lattice_sum_divergence_error():
     with pytest.raises(ConvergenceError):
-        hc.lattice_sum_oracle({(0,): FF.one}, mu=[1j], k=1, truncation=10,
-                              field=FF)
+        lattice_sum_oracle({(0,): FF.one}, mu=[1j], k=1, truncation=10,
+                           field=FF)
     with pytest.raises(ConvergenceError):
-        hc.lattice_sum_oracle({(0,): FR.one}, exp_half=[FR.one], k=1,
-                              truncation=10, field=FR)
+        lattice_sum_oracle({(0,): FR.one}, exp_half=[FR.one], k=1,
+                           truncation=10, field=FR)
 
 
 def test_derivative_identity_against_lattice_sums():
@@ -293,8 +293,8 @@ def test_derivative_identity_against_lattice_sums():
                 expr = hc.apply_derivatives(hc.csch_product(FF, n, k), alpha)
                 direct = hc.eval_csch(expr, exp_half=ehm)
                 # oracle computes p(ik^{-1} d_mu) applied value for p = y^alpha
-                oracle = hc.lattice_sum_oracle({alpha: FF.one}, exp_half=ehm,
-                                               k=k, truncation=80, field=FF)
+                oracle = lattice_sum_oracle({alpha: FF.one}, exp_half=ehm,
+                                            k=k, truncation=80, field=FF)
                 factor = (1j / k) ** sum(alpha)
                 assert abs(factor * direct - oracle) <= 1e-10 * max(
                     1.0, abs(oracle))
