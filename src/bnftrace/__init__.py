@@ -10,7 +10,7 @@ from .fields import FloatField, RationalField, field_from_name
 from .oscillatory import (OrbitExpansion, TestJet, extract_jets,
                           forward_pairing, traces_from_pairings)
 from .qbnf import (QuantumBNF, TraceData, leading_term, make_trace_data,
-                   trace_coefficient, trace_power)
+                   trace_coefficient, trace_layer, trace_power)
 from .recover import (recover_frequencies, recover_polynomial, recover_qbnf,
                       RecoveryReport)
 from .series import MultiSeries, Orders, zseries
@@ -23,7 +23,7 @@ __all__ = [
     "OrbitExpansion", "TestJet", "extract_jets", "forward_pairing",
     "traces_from_pairings",
     "QuantumBNF", "TraceData", "leading_term", "make_trace_data",
-    "trace_coefficient", "trace_power", "recover_frequencies",
+    "trace_coefficient", "trace_layer", "trace_power", "recover_frequencies",
     "recover_polynomial", "recover_qbnf", "RecoveryReport", "MultiSeries",
     "Orders", "zseries",
 ]

@@ -302,7 +302,13 @@ class FloatField:
             return self.from_rational(Fraction(re_str), Fraction(im_str))
         if self._mp is None:
             return complex(float(re_str), float(im_str))
-        return self._mp.mpc(re_str, im_str)
+        try:
+            return self._mp.mpc(re_str, im_str)
+        except ValueError:  # mpmath reads "inf" but not "Infinity"
+            x = complex(float(re_str), float(im_str))
+            if cmath.isfinite(x):
+                raise
+            return self._mp.mpc(x)
 
     def format(self, x):
         if self._mp is None:

@@ -27,7 +27,8 @@ delta_j(z)^b / b!, and per jet state the engine keeps the powers of the
 jets, the block factors per (k, j, a) and their products over j per
 (k, alpha).  The caches live as long as the engine:
 :func:`make_trace_data` uses one for all powers, and the recovery one for
-every stage and its self-check, so no evaluation is repeated within it.
+every stage and its self-check, so no evaluation is repeated within it;
+it also keeps each :func:`trace_power` result, for an equal normal form.
 
 The F side does not depend on k.  With X = sum_{j>=1} h^j f_j(z, y),
 exp(-ik X) = sum_m ((-ik)^m / m!) X^m, and likewise for the z-dependent
@@ -36,12 +37,13 @@ X and of f0(z) - f0(0) once per (N_z, N_h) (:meth:`QuantumBNF.trace_side`),
 and every k only scales and adds them.  The csch side is computed once
 per engine, the F side once per normal form and orders.
 :func:`make_trace_data` and the recovery's self-check take the whole
-expansion from :func:`trace_power`.  A recovery stage (h^j, z^m) reads one
-coefficient, which depends on nothing of higher order, so
-:func:`trace_coefficient` computes only that one at the stage's orders
-(m, j): it forms the h^j layer of exp(-ik X) alone and convolves it with
-the z-phase, with no series product, through the kernel trace_power runs
-on.  An engine serves every z-order up to its own, so the stages share it.
+expansion from :func:`trace_power`.  A recovery stage (h^j, z^m) reads
+coefficients at h^j, which depend on nothing of higher order, so
+:func:`trace_layer` forms the h^j layer of exp(-ik X) alone and convolves
+it with the z-phase, with no series product, through the kernel
+trace_power runs on, and it also gives the part that F terms of weight
+j + 1 add to that layer, linearly.  An engine serves every z-order up to
+its own, so the stages share it.
 
 Phase conventions: the oscillatory prefactor e^{ikS(z)/h} is never mixed
 into the h-expansion (the action series travels as metadata), and the
@@ -279,6 +281,7 @@ class TraceEngine:
         self.pole_tol = pole_tol
         self._tables = {}
         self._jet_caches = {}
+        self.trace_powers = {}
 
     def serves(self, blocks, n_z, pole_tol):
         """True when the engine was built for these blocks and pole
@@ -346,60 +349,85 @@ def trace_power(bnf, k, orders, pole_tol=DEFAULT_POLE_TOL, engine=None):
     Returns a :class:`TracePower`; see the module docstring for the exact
     phase convention.  ``engine`` is a :class:`TraceEngine` built for the
     blocks of ``bnf`` at z-order N_z or above; without it a throwaway one
-    is used.
+    is used.  The engine's memo keys it by k, orders, F's and jets' terms.
     """
-    phase, pz, applied = _forward(bnf, k, orders, pole_tol, engine)
-    f = bnf.field
-    series_orders = Orders(0, *orders)
-    coeffs = (MultiSeries(f, 0, series_orders, applied)
-              * MultiSeries(f, 0, series_orders, pz))
-    return TracePower(k, phase, coeffs)
+    engine = _checked_engine(bnf, k, orders, pole_tol, engine)
+    key = (k, tuple(orders),
+           *(tuple(sorted(s.terms.items())) for s in [bnf.F, *bnf.mu_jets]))
+    tp = engine.trace_powers.get(key)
+    if tp is None:
+        phase, pz, applied = _forward(bnf, k, orders, engine)
+        f = bnf.field
+        series_orders = Orders(0, *orders)
+        coeffs = (MultiSeries(f, 0, series_orders, applied)
+                  * MultiSeries(f, 0, series_orders, pz))
+        tp = engine.trace_powers[key] = TracePower(k, phase, coeffs)
+    return tp
 
 
 def trace_coefficient(bnf, k, m, j, pole_tol=DEFAULT_POLE_TOL, engine=None):
-    """The z^m h^j coefficient of ``trace_power(bnf, k, (m, j)).coeffs``.
+    """The z^m h^j coefficient of ``trace_power(bnf, k, (m, j)).coeffs``:
+    the last entry of :func:`trace_layer` at (m, j)."""
+    return trace_layer(bnf, k, (m, j), pole_tol, engine)[m]
 
-    The z-phase exp(-ik f0plus) has z-terms only, so the coefficient is
-    sum_{m2} pz_{m2} A_{m-m2}, where A is the h^j layer of the operator
+
+def trace_layer(bnf, k, orders, pole_tol=DEFAULT_POLE_TOL, engine=None,
+                added=None):
+    """The z^0..z^{N_z} coefficients at h^{N_h} of
+    ``trace_power(bnf, k, orders).coeffs``, as a list.
+
+    The z-phase exp(-ik f0plus) has z-terms only, so the z^m coefficient is
+    sum_{m2} pz_{m2} A_{m-m2}, where A is the h^{N_h} layer of the operator
     exponential applied to the csch product: only that layer is formed,
     and no series product is taken.  ``engine`` is as for
     :func:`trace_power`.
+
+    ``added`` maps (alpha, m) to x for F terms x iota^alpha z^m of weight
+    N_h + 1 >= 2 that ``bnf`` lacks; the result is then what they add to
+    the layer.  They enter exp(-ik X) at h^{N_h} only linearly, through X:
+    as (-ik) x (i/k)^{|alpha|} z^m d^alpha prod_j (1/2)csch(k mu_j/2).
     """
-    _phase, pz, applied = _forward(bnf, k, (m, j), pole_tol, engine, layer=j)
-    total = bnf.field.zero
-    for ((), m2, _l), c in pz.items():
-        a = applied.get(((), m - m2, j))
-        if a is not None:
-            total = total + c * a
-    return total
+    n_z, layer = orders
+    engine = _checked_engine(bnf, k, orders, pole_tol, engine)
+    _phase, pz, applied = _forward(bnf, k, orders, engine, layer, added)
+    return [sum((c * applied[key] for ((), m2, _l), c in pz.items()
+                 if (key := ((), m - m2, layer)) in applied), bnf.field.zero)
+            for m in range(n_z + 1)]
 
 
-def _forward(bnf, k, orders, pole_tol, engine, layer=None):
-    """The kernel of :func:`trace_power` and :func:`trace_coefficient`.
+def _checked_engine(bnf, k, orders, pole_tol, engine):
+    """``engine`` (or a new one) once k, orders and engine are checked."""
+    if k < 1:
+        raise SchemaError("k must be a positive integer")
+    _check_trace_orders(bnf, orders)
+    if engine is None:
+        return TraceEngine(bnf.blocks, orders[0], pole_tol)
+    if not engine.serves(bnf.blocks, orders[0], pole_tol):
+        raise SchemaError(
+            "trace engine was built for other blocks or pole tolerance, or "
+            "a lower z-order"
+        )
+    return engine
+
+
+def _forward(bnf, k, orders, engine, layer=None, added=None):
+    """The kernel of :func:`trace_power` and :func:`trace_layer`.
 
     Returns ``(phase, pz, applied)``: the constant phase f0(0), the terms
     of the z-phase exp(-ik f0plus), and the terms ((), m, l) of the
     operator exponential exp(-ik sum_j h^j f_j(z, i k^{-1} d/dmu)) applied
     to prod_j (1/2)csch(k mu_j/2) along mu(z).  With ``layer`` = l only
-    the h^l layer of the operator is formed and applied.
+    the h^l layer of the operator is formed and applied, or with
+    ``added`` that layer's part in them (see :func:`trace_layer`).
     """
-    if k < 1:
-        raise SchemaError("k must be a positive integer")
     n_z, n_h = orders
-    _check_trace_orders(bnf, orders)
-    if engine is None:
-        engine = TraceEngine(bnf.blocks, n_z, pole_tol)
-    elif not engine.serves(bnf.blocks, n_z, pole_tol):
-        raise SchemaError(
-            "trace engine was built for other blocks or pole tolerance, or "
-            "a lower z-order"
-        )
     jets = engine.along(bnf.mu_jets)
     f = bnf.field
     phase, x_powers, f0_powers = bnf.trace_side(n_z, n_h)
     minus_ik = -(f.i * f.from_int(k))
     # operator part exp(-ik X) and z-dependent scalar phase exp(-ik f0plus)
-    op = _exp_from_powers(x_powers, minus_ik, layer)
+    op = (_exp_from_powers(x_powers, minus_ik, layer) if added is None else
+          {(a, m, layer): minus_ik * x for (a, m), x in added.items()})
     pz = _exp_from_powers(f0_powers, minus_ik)
 
     # apply the operator monomials to the csch product along mu(z)

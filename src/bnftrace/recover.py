@@ -61,19 +61,24 @@ stage's right-hand side, so a recovery builds and factors the stage
 matrix of each h-order j once, and every m-stage of that j solves its own
 right-hand side with the factorization, in order of m: stage (j, m) reads
 the terms that stage (j, m - 1) found.  The engine is built at the full
-z-order and serves the lower orders (m, j) of the stages.  A stage
-computes only the coefficient it reads
-(:func:`~bnftrace.qbnf.trace_coefficient` at (m, j)); only the self-check
-runs the whole expansion, and on the exact field it compares exactly.  A
-caller may hand in an engine it already has (the round trip passes its
-forward engine), and it is used if it serves the recovered blocks.
+z-order and serves the lower orders (m, j) of the stages.  A j = 0 stage
+computes only its own coefficient (:func:`~bnftrace.qbnf.trace_coefficient`
+at (m, 0)), as the jet terms it finds enter nonlinearly.  From j = 1 on,
+the weight-(j + 1) terms enter the h^j layer only linearly, through
+(-ik) X, so each h-order runs one layer forward per k
+(:func:`~bnftrace.qbnf.trace_layer`), and each stage adds what its terms
+give to it, exactly.  Only the self-check runs the whole expansion, and
+on the exact field it compares exactly.  A caller may hand in an engine
+it already has (the round trip passes its forward engine), and it is used
+if it serves the recovered blocks: an exact round trip's self-check then
+reads the forwards the engine kept.
 """
 
 import cmath
 import itertools
 import math
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 from .blocks import (REAL_HYPERBOLIC, canonical_blocks, classify, oriented,
                      pair_conjugates)
@@ -82,7 +87,8 @@ from .errors import (ConditioningError, FieldError, MathError,
 from .fields import FloatField, nan_max
 from .hypcalc import DEFAULT_POLE_TOL
 from .linalg import factor_lstsq, poly_roots, resolution, solve_lstsq
-from .qbnf import QuantumBNF, TraceEngine, trace_coefficient, trace_power
+from .qbnf import (QuantumBNF, TraceEngine, trace_coefficient, trace_layer,
+                   trace_power)
 from .series import MultiSeries, Orders
 
 # Relative tolerance of the stage-0 grouping decisions: the classes of edge
@@ -559,9 +565,9 @@ def recover_qbnf(tdata, n, tol=1e-8, cond_gate=1e8,
     Follows the staged scheme: Prony on the constant coefficients, then at
     each (h^j, z^m) the residual against the forward engine run on the
     partially recovered data is linear in the new unknowns.  That
-    coefficient depends only on terms of lower (z, h) order, so each stage
-    computes it alone at its own orders (m, j); only the self-check runs
-    the whole forward expansion at the full trace orders, and it also
+    coefficient depends only on terms of lower (z, h) order, so the stages
+    forward only h-layers (see the module docstring); only the self-check
+    runs the whole forward expansion at the full trace orders, and it also
     compares the constant phase of the recovered form with the traces'.
     The recovered F covers the trace-order-limited set l + |alpha| <= N_h + 1
     and is bounded at h <= max(N_h, 1): at N_h = 0 the f00 and f0m terms
@@ -625,18 +631,23 @@ def recover_qbnf(tdata, n, tol=1e-8, cond_gate=1e8,
                   if lo <= sum(a) <= j + 1]
         if j == 0:  # the columns 1, iota_1, .., iota_n, as the jets
             alphas.sort(key=lambda a: a[::-1])
-        for m in range(0 if j else 1, n_z + 1):
+        if j:  # one layer forward per k, which each stage deflates
             bnf = current_bnf()
-            values = {}
-            for k in ks:
-                fwd = trace_coefficient(bnf, k, m, j, pole_tol, engine=engine)
-                delta = coeffs[k].get((), m, j) - fwd
-                values[k] = delta * f.inv(-(f.i * f.from_int(k)))
+            fwd = {k: trace_layer(bnf, k, (n_z, j), pole_tol, engine)
+                   for k in ks}
+        for m in range(0 if j else 1, n_z + 1):
+            if not j:
+                bnf = current_bnf()
+                fwd = {k: {m: trace_coefficient(bnf, k, m, 0, pole_tol,
+                                                engine=engine)} for k in ks}
+            values = {k: (coeffs[k].get((), m, j) - fwd[k][m])
+                      * f.inv(-(f.i * f.from_int(k))) for k in ks}
             sol, cond = recover_polynomial(engine, values, alphas,
                                            residual_tol=max(tol, 1e-8),
                                            cond_gate=cond_gate,
                                            systems=systems)
             conditioning[f"h{j}:z{m}"] = cond
+            found = {}
             for alpha, val in sol.items():
                 if f.is_zero(val):
                     continue
@@ -644,6 +655,11 @@ def recover_qbnf(tdata, n, tol=1e-8, cond_gate=1e8,
                     jet_terms[alpha.index(1)][((), m, 0)] = val
                 else:
                     fhat_terms[(alpha, m, j + 1 - sum(alpha))] = val
+                    found[(alpha, m)] = val
+            if j and found and m < n_z:
+                for k in ks:
+                    fwd[k] = list(map(add, fwd[k], trace_layer(
+                        bnf, k, (n_z, j), pole_tol, engine, added=found)))
 
     recovered = current_bnf()
     recovered = QuantumBNF(recovered.blocks, recovered.mu_jets, recovered.F)

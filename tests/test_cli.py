@@ -11,7 +11,7 @@ import pytest
 
 from helpers import mixed_float_fixture, n2_bnf, rt1
 
-from bnftrace import cli, jsonio
+from bnftrace import cli, jsonio, qbnf
 from bnftrace.blocks import REAL_HYPERBOLIC, SpectrumBlocks
 from bnftrace.cli import build_parser, main
 from bnftrace.fields import FloatField, RationalField
@@ -36,6 +36,33 @@ def test_roundtrip_rt1_exits_zero(rt1_file, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "exactly" in out
+
+
+def test_exact_roundtrip_self_check_reads_the_forward_it_made(
+        rt1_file, tmp_path, monkeypatch, capsys):
+    """An exact round trip recovers its input exactly, so the self-check
+    reads the K forward expansions that made the traces from the engine's
+    memo: K full forward evaluations, not 2K.  A bare recover of the same
+    traces has no such memo and runs its own K."""
+    forward, full = qbnf._forward, []
+
+    def counting(bnf, k, orders, engine, layer=None, added=None):
+        if layer is None:
+            full.append(k)
+        return forward(bnf, k, orders, engine, layer, added)
+
+    monkeypatch.setattr(qbnf, "_forward", counting)
+    assert main(["roundtrip", "--bnf", rt1_file, "--orders", "4,3,3",
+                 "--kmax", "8"]) == 0
+    assert full == list(range(1, 9))
+    full.clear()
+    traces = str(tmp_path / "traces.json")
+    assert main(["forward", "--bnf", rt1_file, "--orders", "4,3,3",
+                 "--kmax", "8", "--out", traces]) == 0
+    assert main(["recover", "--traces", traces, "--n", "1",
+                 "--out", str(tmp_path / "rec.json")]) == 0
+    assert full == 2 * list(range(1, 9))
+    capsys.readouterr()
 
 
 def test_forward_then_recover_files(rt1_file, tmp_path, capsys):
@@ -285,6 +312,23 @@ def test_non_finite_input_exits_two(case, tmp_path, capsys):
     rc = main(_NON_FINITE[case](tmp_path))
     assert rc == 2
     assert "input error" in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
+
+
+@pytest.mark.parametrize("precision", ["64", "128", "240"])
+@pytest.mark.parametrize("text", ["Infinity", "-Infinity", "inf", "NaN",
+                                  "-nan"])
+def test_every_non_finite_spelling_is_named_at_every_precision(
+        text, precision, tmp_path, capsys):
+    """mpmath reads "inf" and "nan" but not "Infinity": at every precision
+    each spelling is refused as a non-finite number, not as a malformed
+    one."""
+    argv = ["forward", "--bnf", _doc_file(tmp_path, _float_bnf_with_exp_half(
+        text)), "--orders", "2,1,1", "--precision", precision,
+        "--out", str(tmp_path / "t.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "non-finite number" in err and "malformed" not in err
     assert not (tmp_path / "t.json").exists()
 
 

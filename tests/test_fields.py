@@ -81,6 +81,20 @@ def test_float_parse_rational_strings():
     assert abs(x - 0.25) < 1e-15
 
 
+@pytest.mark.parametrize("bits", [64, 128, 240])
+def test_float_parse_reads_every_non_finite_spelling(bits):
+    """Every spelling float() reads as infinite or nan parses to a value
+    that is_finite refuses, also where mpmath does not read it; a text
+    that is no number stays a ValueError."""
+    F = FloatField(bits)
+    for re, im in [("Infinity", "0"), ("-Infinity", "0"), ("inf", "0"),
+                   ("1", "+Infinity"), ("NaN", "0"), ("-nan", "0")]:
+        assert not F.is_finite(F.parse(re, im))
+    for re, im in [("two", "0"), ("two", "Infinity"), ("1e", "0")]:
+        with pytest.raises(ValueError):
+            F.parse(re, im)
+
+
 def test_field_from_name():
     assert field_from_name("rational").exact
     assert not field_from_name("float").exact

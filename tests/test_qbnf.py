@@ -19,6 +19,7 @@ from bnftrace.qbnf import (QuantumBNF, TraceData, TraceEngine, leading_term,
                            make_trace_data, trace_coefficient, trace_power)
 from bnftrace.series import MultiSeries, Orders, zseries
 from bnftrace import hypcalc as hc
+from bnftrace import qbnf
 
 FR = RationalField()
 FF = FloatField()
@@ -241,11 +242,14 @@ def test_mixed_fixture_forward_runs():
 
 class _ScratchEngine:
     """Stands in for TraceEngine with no caches at all: every z-series is
-    built from scratch by apply_derivatives + eval_series_in_z."""
+    built from scratch by apply_derivatives + eval_series_in_z.  Its
+    trace_power memo starts empty, so its first trace_power runs the
+    forward."""
 
     def __init__(self, blocks, n_z):
         self.blocks = blocks
         self.n_z = n_z
+        self.trace_powers = {}
 
     def serves(self, *_state):
         return True
@@ -641,3 +645,78 @@ def test_make_trace_data_builds_the_f_side_once(monkeypatch):
         assert sorted(td.coefficients) == list(range(1, 9))
         trace_power(b, 2, (2, 3))
         assert builds == [(3, 3), (2, 3)]
+
+
+def _counting_forwards(monkeypatch):
+    """The k of every full forward expansion (qbnf._forward without a
+    layer) made from here on."""
+    forward, full = qbnf._forward, []
+
+    def counting(bnf, k, orders, engine, layer=None, added=None):
+        if layer is None:
+            full.append(k)
+        return forward(bnf, k, orders, engine, layer, added)
+
+    monkeypatch.setattr(qbnf, "_forward", counting)
+    return full
+
+
+def _with_F_term(b, key, c):
+    terms = dict(b.F.terms)
+    terms[key] = c
+    return QuantumBNF(b.blocks, b.mu_jets,
+                      MultiSeries(b.field, b.n, b.F.orders, terms))
+
+
+def test_trace_power_memo_hits_only_an_equal_normal_form(monkeypatch):
+    """The engine keeps each trace_power by k, the orders, F's terms and
+    the jets' terms: an equal normal form built anew reads it back, one
+    that differs in one F term, or by one ulp of a double in F or a jet,
+    runs its own forward."""
+    full = _counting_forwards(monkeypatch)
+    _F, b, _a = rt1()
+    engine = TraceEngine(b.blocks, 3)
+    tp = trace_power(b, 2, (3, 3), engine=engine)
+    again = QuantumBNF(b.blocks, [zseries(FR, 3, {1: FR.one})],
+                       MultiSeries(FR, 1, b.F.orders, dict(b.F.terms)))
+    assert trace_power(again, 2, (3, 3), engine=engine) is tp
+    assert full == [2]
+    other = _with_F_term(b, ((2,), 1, 1), FR.from_rational("1/9"))
+    assert trace_power(other, 2, (3, 3), engine=engine) is not tp
+    assert trace_power(b, 3, (3, 3), engine=engine) is not tp
+    assert trace_power(b, 2, (2, 3), engine=engine) is not tp
+    assert full == [2, 2, 3, 2]
+
+    _F, fb = mixed_float_fixture(31, with_jets=True)
+    engine = TraceEngine(fb.blocks, 2)
+    tp = trace_power(fb, 1, (2, 2), engine=engine)
+    key, c = next(iter(fb.F.terms.items()))
+    ulp = complex(math.nextafter(c.real, math.inf), c.imag)
+    jet = fb.mu_jets[0]
+    jet_ulp = zseries(FF, 2, {1: complex(math.nextafter(
+        jet.get((), 1, 0).real, 1.0)), 2: jet.get((), 2, 0)})
+    for nudged in (_with_F_term(fb, key, ulp),
+                   QuantumBNF(fb.blocks, [jet_ulp, fb.mu_jets[1]], fb.F)):
+        assert trace_power(nudged, 1, (2, 2), engine=engine) is not tp
+    assert full == [2, 2, 3, 2, 1, 1, 1]
+
+
+def test_trace_power_memo_hit_equals_a_fresh_expansion(monkeypatch):
+    """A memo hit is term for term the expansion a fresh engine makes, on
+    the rational field and on doubles, and the orders are still checked
+    before the lookup."""
+    _F, fb = mixed_float_fixture(31, with_jets=True)
+    for b, orders in [(b, (3, 3)) for b in _rational_fixtures()] + [
+            (fb, (2, 2))]:
+        engine = TraceEngine(b.blocks, orders[0])
+        for k in (1, 4):
+            trace_power(b, k, orders, engine=engine)
+            hit = trace_power(b, k, orders, engine=engine)
+            fresh = trace_power(b, k, orders)
+            assert hit.phase == fresh.phase
+            assert list(hit.coeffs.terms.items()) == \
+                list(fresh.coeffs.terms.items())
+        with pytest.raises(SchemaError):
+            trace_power(b, 0, orders, engine=engine)
+        with pytest.raises(SchemaError):
+            trace_power(b, 1, (orders[0] + 1, orders[1]), engine=engine)

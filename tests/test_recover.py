@@ -20,7 +20,7 @@ from bnftrace import hypcalc as hc
 from bnftrace import jsonio, linalg
 from bnftrace import recover as recover_module
 from bnftrace.qbnf import (QuantumBNF, TraceData, TraceEngine, TracePower,
-                          make_trace_data)
+                          make_trace_data, trace_coefficient)
 from bnftrace.linalg import poly_roots
 from bnftrace.recover import (_cube_from_roots, _misfits, _refit,
                               recover_frequencies, recover_polynomial,
@@ -369,6 +369,59 @@ def test_exact_round_trip_property(case):
     """Random exact normal forms over the n <= 3 block mixes round-trip
     bit-exactly."""
     _exact_round_trip(*case)
+
+
+@settings(max_examples=10, deadline=None)
+@given(_exact_normal_forms())
+def test_deflated_stage_values_equal_fresh_forwards(case):
+    """The stages of h-order j >= 1 share one layer forward, deflated by
+    the terms each stage finds.  Every stage's right-hand side, as the
+    recovery hands it to the solve, equals exactly the one that a fresh
+    trace_coefficient gives on the stage's partial normal form: the jets
+    and the F terms of lower weight, and those of the stage's weight at a
+    lower z-order.  Traces at orders (2, 1), with the jets and a z^1 term
+    of f0 nonzero, so the z-phase is not 1."""
+    tagged, jets, F_terms = case
+    n = len(tagged)
+    blocks = SpectrumBlocks(FR, [t for t, _ in tagged], [E for _, E in tagged])
+    perm = blocks.canonical_order()
+    blocks = blocks.reordered(perm)
+    def nonzero(c, default):
+        return default if FR.is_zero(c) else c
+
+    jets = [zseries(FR, 2, {1: nonzero(jets[p], _q("1/3"))}) for p in perm]
+    f01 = ((0,) * n, 1, 1)
+    F_terms[f01] = nonzero(F_terms[f01], _q("1/2"))
+    F = MultiSeries(FR, n, Orders(2, 2, 1), F_terms)
+    td = make_trace_data(QuantumBNF(blocks, jets, F),
+                         zseries(FR, 2, {1: FR.one}), {}, 2 ** (n + 1) + 2,
+                         (2, 1))
+    solve, handed = recover_module.recover_polynomial, []
+
+    def recording_solve(engine, values, *args, **kwargs):
+        handed.append(dict(values))
+        return solve(engine, values, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recover_module, "recover_polynomial", recording_solve)
+        rep = recover_qbnf(td, n)
+    assert not rep.failed and rep.recovered.F == F
+    stages = [key for key in rep.conditioning if key != "prony"]
+    assert len(stages) == len(handed) == 5
+    for key, values in zip(stages, handed):
+        j, m = (int(part[1:]) for part in key.split(":"))
+        part_jets = [MultiSeries(FR, 0, jet.orders, {
+            t: c for t, c in jet.terms.items() if j or t[1] < m})
+            for jet in rep.recovered.mu_jets]
+        part_F = MultiSeries(FR, n, F.orders, {
+            (alpha, mm, l): c for (alpha, mm, l), c in F.terms.items()
+            if l + sum(alpha) <= j or l + sum(alpha) == j + 1 and mm < m})
+        partial = QuantumBNF(rep.recovered.blocks, part_jets, part_F,
+                             validate=False)
+        for k, v in values.items():
+            fresh = td.coefficients[k].get((), m, j) - trace_coefficient(
+                partial, k, m, j)
+            assert v == fresh * FR.inv(-(FR.i * FR.from_int(k)))
 
 
 def test_exact_fit_that_does_not_verify_refuses():
@@ -808,14 +861,23 @@ def test_recover_qbnf_insufficient_kmax():
 
 
 def test_each_recovery_stage_runs_at_its_own_orders(monkeypatch):
-    """Stage (h^j, z^m) computes only its own coefficient, one
-    trace_coefficient call at (m, j) per k; the K full trace_power calls
-    at the trace orders are the self-check's alone."""
+    """A j = 0 stage (h^0, z^m) computes only its own coefficient, one
+    trace_coefficient call at (m, 0) per k.  Each h-order j >= 1 runs one
+    layer forward at (N_z, j) per k, and every stage (j, m) but the last
+    deflates it by the terms it found, if any, one trace_layer call per k
+    with those terms.  The K full trace_power calls at the trace orders
+    are the self-check's alone."""
     F, bnf, action = rt1()
+    terms = dict(bnf.F.terms)
+    terms[((2,), 1, 1)] = F.from_rational("-2/9")
+    terms[((0,), 2, 2)] = F.from_rational("1/4")
+    bnf = QuantumBNF(bnf.blocks, bnf.mu_jets,
+                     MultiSeries(F, 1, bnf.F.orders, terms))
     K = 8
     td = make_trace_data(bnf, action, {}, K, (3, 3))
-    power, coefficient = recover_module.trace_power, \
-        recover_module.trace_coefficient
+    power, coefficient, layer = (recover_module.trace_power,
+                                 recover_module.trace_coefficient,
+                                 recover_module.trace_layer)
     calls = []
 
     def recording_power(b, k, orders, *args, **kwargs):
@@ -826,9 +888,14 @@ def test_each_recovery_stage_runs_at_its_own_orders(monkeypatch):
         calls.append(("coefficient", (m, j)))
         return coefficient(b, k, m, j, *args, **kwargs)
 
+    def recording_layer(b, k, orders, *args, added=None, **kwargs):
+        calls.append(("layer" if added is None else "deflate", tuple(orders)))
+        return layer(b, k, orders, *args, added=added, **kwargs)
+
     monkeypatch.setattr(recover_module, "trace_power", recording_power)
     monkeypatch.setattr(recover_module, "trace_coefficient",
                         recording_coefficient)
+    monkeypatch.setattr(recover_module, "trace_layer", recording_layer)
     rep = recover_qbnf(td, 1)
     assert not rep.failed
     stages = [key for key in rep.conditioning if key != "prony"]
@@ -836,7 +903,15 @@ def test_each_recovery_stage_runs_at_its_own_orders(monkeypatch):
     expected = []
     for key in stages:
         j, m = (int(part[1:]) for part in key.split(":"))
-        expected += [("coefficient", (m, j))] * K
+        if j == 0:
+            expected += [("coefficient", (m, 0))] * K
+            continue
+        if m == 0:
+            expected += [("layer", (3, j))] * K
+        if m < 3 and any(l + sum(alpha) == j + 1 and mm == m
+                         for alpha, mm, l in rep.recovered.F.terms):
+            expected += [("deflate", (3, j))] * K
+    assert ("deflate", (3, 1)) in expected and ("deflate", (3, 2)) in expected
     assert calls == expected + [("power", (3, 3))] * K
 
 
