@@ -30,6 +30,7 @@ against it.
 """
 
 import math
+from operator import add, mul
 
 from .errors import PoleError, SchemaError
 from .series import MultiSeries, Orders, powers
@@ -151,7 +152,8 @@ def eval_csch(expr, mu=None, exp_half=None, pole_tol=DEFAULT_POLE_TOL):
 
 class CschTaylor:
     """Taylor coefficients t_p and c_p of coth(k mu/2) and (1/2)csch(k mu/2)
-    in x = mu - mu0, grown on demand.
+    in x = mu - mu0, for a list of powers k, grown on demand in the order
+    and in the powers.
 
     The constant terms come from E0 = exp(mu0/2).  The two rules of the
     module docstring give the higher ones order by order,
@@ -160,34 +162,71 @@ class CschTaylor:
         (p+1) c_{p+1} = -(k/2) (t c)_p,
 
     whose right-hand sides need t and c only up to order p, so each order
-    costs O(p) field operations.  ``d`` holds the derivatives
-    d^p (1/2)csch(k mu/2) at mu0, which are p! c_p.
+    costs O(p) field operations per power.  ``t[p]``, ``c[p]`` and ``d[p]``
+    list the order-p entries over the powers in the order they were added,
+    which is the order of ``column``, the map from a power to its place;
+    ``d`` holds the derivatives d^p (1/2)csch(k mu/2) at mu0, which are
+    p! c_p.
     """
 
-    __slots__ = ("field", "t", "c", "d", "_kh")
+    __slots__ = ("field", "E0", "pole_tol", "column", "t", "c", "d", "_kh")
 
-    def __init__(self, field, E0, k, pole_tol):
-        s2, c2 = _sinh_cosh_from_exp_half(field, E0, k, pole_tol)
-        inv = field.inv(s2)  # (1/2)csch = 1/(2 sinh)
+    def __init__(self, field, E0, ks, pole_tol):
         self.field = field
-        self._kh = field.from_int(k) * field.inv(field.from_int(2))
-        self.t = [c2 * inv]
-        self.c = [inv]
-        self.d = [inv]
+        self.E0 = E0
+        self.pole_tol = pole_tol
+        self.column = {}
+        self._kh = []
+        self.t, self.c, self.d = [[]], [[]], [[]]
+        self.add(ks)
+
+    def add(self, ks):
+        """Add the powers of ``ks`` that the table lacks, through its
+        order; returns ``self``.  A pole at one of them raises before the
+        table changes, so the powers it holds stay usable."""
+        new = tuple(dict.fromkeys(k for k in ks if k not in self.column))
+        if not new:
+            return self
+        f = self.field
+        heads = [_sinh_cosh_from_exp_half(f, self.E0, k, self.pole_tol)
+                 for k in new]
+        half = f.inv(f.from_int(2))
+        kh = [f.from_int(k) * half for k in new]
+        inv = [f.inv(s2) for s2, _c2 in heads]  # (1/2)csch = 1/(2 sinh)
+        t = [[c2 * i for (_s2, c2), i in zip(heads, inv)]]
+        c, d = [inv], [inv]
+        for q in range(len(self.c) - 1):
+            _next_order(f, t, c, d, kh, q)
+        for rows, more in ((self.t, t), (self.c, c), (self.d, d)):
+            for row, extra in zip(rows, more):
+                row.extend(extra)
+        self._kh.extend(kh)
+        self.column.update(zip(new, range(len(self.column), len(self._kh))))
+        return self
 
     def grow(self, p):
         """Extend the coefficients through order ``p``; returns ``self``."""
-        f, t, c = self.field, self.t, self.c
-        for q in range(len(c) - 1, p):
-            sq = tc = f.zero
-            for a in range(q + 1):
-                sq = sq + t[a] * t[q - a]
-                tc = tc + t[a] * c[q - a]
-            w = self._kh * f.inv(f.from_int(q + 1))
-            t.append(w * (f.one - sq if q == 0 else -sq))
-            c.append(-(w * tc))
-            self.d.append(c[-1] * f.from_int(math.factorial(q + 1)))
+        for q in range(len(self.c) - 1, p):
+            _next_order(self.field, self.t, self.c, self.d, self._kh, q)
         return self
+
+
+def _next_order(f, t, c, d, kh, q):
+    """Append order q + 1 to the rows ``t``, ``c`` and ``d``, from their
+    orders 0..q; ``kh`` lists k/2 over their columns."""
+    sq = tc = [f.zero] * len(kh)
+    for a in range(q + 1):
+        sq = list(map(add, sq, map(mul, t[a], t[q - a])))
+        tc = list(map(add, tc, map(mul, t[a], c[q - a])))
+    inv = f.inv(f.from_int(q + 1))
+    w = [x * inv for x in kh]
+    if q == 0:
+        t.append([wk * (f.one - s) for wk, s in zip(w, sq)])
+    else:
+        t.append([wk * -s for wk, s in zip(w, sq)])
+    c.append([-(wk * s) for wk, s in zip(w, tc)])
+    scale = f.from_int(math.factorial(q + 1))
+    d.append([s * scale for s in c[-1]])
 
 
 def coth_csch_series(field, E0, delta, k, n_z, pole_tol=DEFAULT_POLE_TOL):
@@ -206,9 +245,9 @@ def coth_csch_series(field, E0, delta, k, n_z, pole_tol=DEFAULT_POLE_TOL):
     orders = Orders(0, n_z, 0)
     deltas = powers(MultiSeries(f, 0, orders,
                                 delta.terms if delta is not None else {}))
-    table = CschTaylor(f, E0, k, pole_tol).grow(len(deltas) - 1)
+    table = CschTaylor(f, E0, (k,), pole_tol).grow(len(deltas) - 1)
     T = C = MultiSeries.zero(f, 0, orders)
-    for dp, t, c in zip(deltas, table.t, table.c):
+    for dp, (t,), (c,) in zip(deltas, table.t, table.c):
         T, C = T + dp.scale(t), C + dp.scale(c)
     return T, C.scale(f.from_int(2))
 

@@ -18,32 +18,42 @@ z-order and the pole tolerance, and it is a product over blocks:
 d^alpha prod_j (1/2)csch(k mu_j/2) = prod_j d^{alpha_j} (1/2)csch(k mu_j/2).
 Every derivative it needs is a Taylor coefficient of (1/2)csch(k mu/2) at
 mu_j(0), which does not depend on the jets.  A :class:`TraceEngine` holds
-the csch side of one set of blocks: per (k, j) the table of those
-coefficients (:class:`~bnftrace.hypcalc.CschTaylor`), grown on demand, so
-a value at mu(0) is a product of table entries.  Along the jets
-delta_j(z) = mu_j(z) - mu_j(0) the block factor is
+the csch side of one set of blocks: per block one table of those
+coefficients (:class:`~bnftrace.hypcalc.CschTaylor`), which lists each
+order over every power k it was asked for and grows on demand in the
+order and in k, so a value at mu(0) is a product of table entries.  Along
+the jets delta_j(z) = mu_j(z) - mu_j(0) the block factor is
 d^a (1/2)csch(k mu_j(z)/2) = sum_b d^{a+b} (1/2)csch(k mu_j(0)/2)
 delta_j(z)^b / b!, and per jet state the engine keeps the powers of the
-jets, the block factors per (k, j, a) and their products over j per
-(k, alpha).  The caches live as long as the engine:
-:func:`make_trace_data` uses one for all powers, and the recovery one for
-every stage and its self-check, so no evaluation is repeated within it;
-it also keeps each :func:`trace_power` result, for an equal normal form.
+jets, the block factors per (powers, j, a) and their products over j per
+(powers, alpha).  The caches live as long as the engine: the recovery
+uses one for every stage and its self-check, and it also keeps each
+power's expansion, for an equal normal form.
 
 The F side does not depend on k.  With X = sum_{j>=1} h^j f_j(z, y),
 exp(-ik X) = sum_m ((-ik)^m / m!) X^m, and likewise for the z-dependent
 phase, so each normal form computes the constant phase and the powers of
 X and of f0(z) - f0(0) once per (N_z, N_h) (:meth:`QuantumBNF.trace_side`),
-and every k only scales and adds them.  The csch side is computed once
-per engine, the F side once per normal form and orders.
-:func:`make_trace_data` and the recovery's self-check take the whole
-expansion from :func:`trace_power`.  A recovery stage (h^j, z^m) reads
-coefficients at h^j, which depend on nothing of higher order, so
-:func:`trace_layer` forms the h^j layer of exp(-ik X) alone and convolves
-it with the z-phase, with no series product, through the kernel
-trace_power runs on, and it also gives the part that F terms of weight
-j + 1 add to that layer, linearly.  An engine serves every z-order up to
-its own, so the stages share it.
+and the powers k only scale and add them.
+
+One forward pass serves a whole tuple of powers ks: every coefficient it
+forms is a list over ks, and each entry goes through the scalar
+operations of MultiSeries sums and products for that power alone, in
+their order (the first term of a sum is stored and later ones added), so
+a power's values do not depend on the other powers of the pass.  Only the
+final series drop zero coefficients: an intermediate one that is zero
+stays in its list, where per-power MultiSeries arithmetic would drop it,
+which can move only the sign of a zero part of a float result.
+:func:`trace_powers` gives the whole expansion of each power,
+and :func:`make_trace_data` and the recovery's self-check take it in one
+call over all powers.  A recovery stage (h^j, z^m) reads coefficients at
+h^j, which depend on nothing of higher order, so :func:`trace_layers`
+forms the h^j layer of exp(-ik X) alone and convolves it with the
+z-phase, with no series product, through the same kernel, and it also
+gives the part that F terms of weight j + 1 add to that layer, linearly,
+above their own z-order.  :func:`trace_power`, :func:`trace_layer` and
+:func:`trace_coefficient` are the one-power cases.  An engine serves
+every z-order up to its own, so the stages share it.
 
 Phase conventions: the oscillatory prefactor e^{ikS(z)/h} is never mixed
 into the h-expansion (the action series travels as metadata), and the
@@ -54,9 +64,11 @@ part of the phase, exp(-ik (f0(z) - f0(0))), has polynomial coefficients
 and is multiplied into the stored series.
 """
 
+from operator import add, mul
+
 from . import hypcalc
-from .blocks import ELLIPTIC, require_nonresonant
-from .errors import MathError, SchemaError
+from .blocks import require_nonresonant
+from .errors import SchemaError
 from .hypcalc import DEFAULT_POLE_TOL
 from .series import MultiSeries, Orders, powers
 
@@ -128,13 +140,14 @@ class QuantumBNF:
         return MultiSeries(f, self.n, orders, terms)
 
     def trace_side(self, n_z, n_h):
-        """The k-independent F side of :func:`trace_power` at orders
+        """The k-independent F side of :func:`trace_powers` at orders
         (n_z, n_h), built on first use and kept for the instance's life.
 
-        Returns ``(phase, x_powers, f0_powers)``: the constant phase
-        f0(0), and the powers [1, X, X^2, ...] of the operator part
+        Returns ``(phase, x_powers, f0_powers, z_phases)``: the constant
+        phase f0(0), the powers [1, X, X^2, ...] of the operator part
         X = sum_{j>=1} h^j f_j(z, y) and of f0plus = f0(z) - f0(0), each up
-        to the first power that truncates to zero.
+        to the first power that truncates to zero, and a dict that keeps
+        the terms of the z-phase exp(-ik f0plus) per tuple of powers k.
         """
         side = self._trace_sides.get((n_z, n_h))
         if side is None:
@@ -161,7 +174,7 @@ class QuantumBNF:
         f0plus = f0 - MultiSeries.scalar(f, 0, f0.orders, phase)
         x_terms = {key: c for key, c in fs.terms.items() if key[2] >= 1}
         X = MultiSeries(f, self.n, fs.orders, x_terms)
-        return phase, powers(X), powers(f0plus)
+        return phase, powers(X), powers(f0plus), {}
 
     def close_to(self, other, tol=None):
         if self.n != other.n or self.blocks.tags != other.blocks.tags:
@@ -236,21 +249,6 @@ class TraceData:
         return Orders(0, s.orders.z, s.orders.h)
 
 
-class LeadingTerm:
-    """Geometric leading term: series plus the symbolic oscillatory factor."""
-
-    __slots__ = ("series", "k", "maslov", "oscillatory")
-
-    def __init__(self, series, k, maslov):
-        self.series = series
-        self.k = k
-        self.maslov = maslov
-        self.oscillatory = f"exp(i*{k}*I(z)/h)"
-
-    def __repr__(self):
-        return f"<LeadingTerm k={self.k} x {self.oscillatory}>"
-
-
 def _check_trace_orders(bnf, orders):
     n_z, n_h = orders
     For = bnf.F.orders
@@ -270,8 +268,8 @@ def _check_trace_orders(bnf, orders):
 
 class TraceEngine:
     """The F-independent csch side of the trace expansion for one set of
-    blocks, up to z-order ``n_z`` (see the module docstring), cached for
-    the engine's lifetime.
+    blocks, up to z-order ``n_z``, for any powers k (see the module
+    docstring), cached for the engine's lifetime.
     """
 
     def __init__(self, blocks, n_z, pole_tol=DEFAULT_POLE_TOL):
@@ -291,21 +289,31 @@ class TraceEngine:
                 and pole_tol == self.pole_tol
                 and list(blocks.exp_half) == self.exp_half)
 
-    def _derivatives(self, k, j, p):
-        """d^q (1/2)csch(k mu_j/2) at mu_j(0), listed for q = 0..p at
-        least."""
-        table = self._tables.get((k, j))
+    def _table(self, j, ks):
+        """Block j's :class:`~bnftrace.hypcalc.CschTaylor`, holding the
+        powers ``ks`` at least."""
+        table = self._tables.get(j)
         if table is None:
-            table = self._tables[(k, j)] = hypcalc.CschTaylor(
-                self.field, self.exp_half[j], k, self.pole_tol)
-        return table.grow(p).d
+            table = self._tables[j] = hypcalc.CschTaylor(
+                self.field, self.exp_half[j], ks, self.pole_tol)
+        return table.add(ks)
+
+    def _derivatives(self, ks, j, p):
+        """d^q (1/2)csch(k mu_j/2) at mu_j(0) for q = 0..p, each listed
+        over ``ks``."""
+        table = self._table(j, ks).grow(p)
+        if tuple(table.column) == ks:
+            return table.d
+        at = [table.column[k] for k in ks]
+        return [[row[i] for i in at] for row in table.d[:p + 1]]
 
     def value_at_mu0(self, k, alpha):
         """d^alpha prod_j (1/2)csch(k mu_j/2) at mu(0): a product of table
         entries."""
         v = self.field.one
         for j, a in enumerate(alpha):
-            v = v * self._derivatives(k, j, a)[a]
+            table = self._table(j, (k,)).grow(a)
+            v = v * table.d[a][table.column[k]]
         return v
 
     def along(self, mu_jets):
@@ -323,46 +331,85 @@ class TraceEngine:
             caches = self._jet_caches[key] = (scaled, {}, {})
         return caches
 
-    def zseries(self, k, alpha, jets):
-        """z-series of d^alpha prod_j (1/2)csch(k mu_j/2) along mu(z), for
-        the jets whose caches :meth:`along` gave.  Block j's factor is
+    def zseries(self, ks, alpha, jets):
+        """z-series of d^alpha prod_j (1/2)csch(k mu_j/2) along mu(z) for
+        the powers ``ks`` (a tuple), as a dict from z-order to the list of
+        its coefficients over ``ks``, for the jets whose caches
+        :meth:`along` gave.  Block j's factor is
         sum_b d^{alpha_j + b} (1/2)csch(k mu_j(0)/2) delta_j(z)^b / b!."""
         scaled, factors, products = jets
-        s = products.get((k, alpha))
+        s = products.get((ks, alpha))
         if s is None:
             for j, a in enumerate(alpha):
-                factor = factors.get((k, j, a))
+                factor = factors.get((ks, j, a))
                 if factor is None:
-                    d = self._derivatives(k, j, a + len(scaled[j]) - 1)
-                    factor = scaled[j][0].scale(d[a])
-                    for b in range(1, len(scaled[j])):
-                        factor = factor + scaled[j][b].scale(d[a + b])
-                    factors[(k, j, a)] = factor
-                s = factor if j == 0 else s * factor
-            products[(k, alpha)] = s
+                    d = self._derivatives(ks, j, a + len(scaled[j]) - 1)
+                    factor = {}
+                    for b, delta in enumerate(scaled[j]):
+                        for ((), m, _l), c in delta.terms.items():
+                            _add_into(factor, m, [v * c for v in d[a + b]])
+                    factors[(ks, j, a)] = factor
+                s = factor if j == 0 else _zproduct(s, factor, self.n_z)
+            products[(ks, alpha)] = s
         return s
 
 
-def trace_power(bnf, k, orders, pole_tol=DEFAULT_POLE_TOL, engine=None):
-    """Expansion of tr U(z)^k to the given (N_z, N_h) orders.
+def _add_into(acc, key, v):
+    """Add the per-power list ``v`` into ``acc`` at ``key`` as MultiSeries
+    sums do: a new key takes the list, an old one adds it, so no sum starts
+    from zero."""
+    old = acc.get(key)
+    acc[key] = v if old is None else list(map(add, old, v))
 
-    Returns a :class:`TracePower`; see the module docstring for the exact
-    phase convention.  ``engine`` is a :class:`TraceEngine` built for the
-    blocks of ``bnf`` at z-order N_z or above; without it a throwaway one
-    is used.  The engine's memo keys it by k, orders, F's and jets' terms.
+
+def _zproduct(s, t, n_z):
+    """The product of two z-series of per-power lists, cut at z^n_z, in
+    the order of a MultiSeries product."""
+    out = {}
+    for m1, v1 in s.items():
+        for m2, v2 in t.items():
+            if m1 + m2 <= n_z:
+                _add_into(out, m1 + m2, list(map(mul, v1, v2)))
+    return out
+
+
+def trace_powers(bnf, ks, orders, pole_tol=DEFAULT_POLE_TOL, engine=None):
+    """Expansions of tr U(z)^k for the powers ``ks`` to the given (N_z, N_h)
+    orders, as a dict from k to :class:`TracePower`.
+
+    See the module docstring for the exact phase convention.  ``engine``
+    is a :class:`TraceEngine` built for the blocks of ``bnf`` at z-order
+    N_z or above; without it a throwaway one is used.  The engine's memo
+    keeps each power by k, the orders, F's and the jets' terms, and one
+    forward pass runs for the powers it lacks.
     """
-    engine = _checked_engine(bnf, k, orders, pole_tol, engine)
-    key = (k, tuple(orders),
-           *(tuple(sorted(s.terms.items())) for s in [bnf.F, *bnf.mu_jets]))
-    tp = engine.trace_powers.get(key)
-    if tp is None:
-        phase, pz, applied = _forward(bnf, k, orders, engine)
-        f = bnf.field
-        series_orders = Orders(0, *orders)
-        coeffs = (MultiSeries(f, 0, series_orders, applied)
-                  * MultiSeries(f, 0, series_orders, pz))
-        tp = engine.trace_powers[key] = TracePower(k, phase, coeffs)
-    return tp
+    ks = tuple(ks)
+    engine = _checked_engine(bnf, ks, orders, pole_tol, engine)
+    form = (tuple(orders),
+            *(tuple(sorted(s.terms.items())) for s in [bnf.F, *bnf.mu_jets]))
+    memo = engine.trace_powers
+    missing = tuple(k for k in dict.fromkeys(ks) if (k, *form) not in memo)
+    if missing:
+        phase, pz, applied = _forward(bnf, missing, orders, engine)
+        n_z, n_h = orders
+        coeffs = {}
+        for (_a, m1, l1), v1 in applied.items():
+            for (_b, m2, l2), v2 in pz.items():
+                if m1 + m2 <= n_z and l1 + l2 <= n_h:
+                    _add_into(coeffs, ((), m1 + m2, l1 + l2),
+                              list(map(mul, v1, v2)))
+        series_orders = Orders(0, n_z, n_h)
+        for i, k in enumerate(missing):
+            memo[(k, *form)] = TracePower(k, phase, MultiSeries._make(
+                bnf.field, 0, series_orders,
+                {key: v[i] for key, v in coeffs.items()}))
+    return {k: memo[(k, *form)] for k in ks}
+
+
+def trace_power(bnf, k, orders, pole_tol=DEFAULT_POLE_TOL, engine=None):
+    """Expansion of tr U(z)^k to the given (N_z, N_h) orders: the one-power
+    case of :func:`trace_powers`, as a :class:`TracePower`."""
+    return trace_powers(bnf, (k,), orders, pole_tol, engine)[k]
 
 
 def trace_coefficient(bnf, k, m, j, pole_tol=DEFAULT_POLE_TOL, engine=None):
@@ -373,31 +420,50 @@ def trace_coefficient(bnf, k, m, j, pole_tol=DEFAULT_POLE_TOL, engine=None):
 
 def trace_layer(bnf, k, orders, pole_tol=DEFAULT_POLE_TOL, engine=None,
                 added=None):
+    """The one-power case of :func:`trace_layers`: the list for k."""
+    return trace_layers(bnf, (k,), orders, pole_tol, engine, added)[k]
+
+
+def trace_layers(bnf, ks, orders, pole_tol=DEFAULT_POLE_TOL, engine=None,
+                 added=None):
     """The z^0..z^{N_z} coefficients at h^{N_h} of
-    ``trace_power(bnf, k, orders).coeffs``, as a list.
+    ``trace_power(bnf, k, orders).coeffs`` for the powers ``ks``, as a dict
+    from k to the list of them.
 
     The z-phase exp(-ik f0plus) has z-terms only, so the z^m coefficient is
     sum_{m2} pz_{m2} A_{m-m2}, where A is the h^{N_h} layer of the operator
     exponential applied to the csch product: only that layer is formed,
     and no series product is taken.  ``engine`` is as for
-    :func:`trace_power`.
+    :func:`trace_powers`.
 
     ``added`` maps (alpha, m) to x for F terms x iota^alpha z^m of weight
     N_h + 1 >= 2 that ``bnf`` lacks; the result is then what they add to
-    the layer.  They enter exp(-ik X) at h^{N_h} only linearly, through X:
-    as (-ik) x (i/k)^{|alpha|} z^m d^alpha prod_j (1/2)csch(k mu_j/2).
+    the layer above the lowest z-order m among them, and zero up to z^m.
+    They enter exp(-ik X) at h^{N_h} only linearly, through X: as
+    (-ik) x (i/k)^{|alpha|} z^m d^alpha prod_j (1/2)csch(k mu_j/2).
     """
+    ks = tuple(ks)
     n_z, layer = orders
-    engine = _checked_engine(bnf, k, orders, pole_tol, engine)
-    _phase, pz, applied = _forward(bnf, k, orders, engine, layer, added)
-    return [sum((c * applied[key] for ((), m2, _l), c in pz.items()
-                 if (key := ((), m - m2, layer)) in applied), bnf.field.zero)
-            for m in range(n_z + 1)]
+    engine = _checked_engine(bnf, ks, orders, pole_tol, engine)
+    _phase, pz, applied = _forward(bnf, ks, orders, engine, layer, added)
+    zero = bnf.field.zero
+    # added terms at z^m reach the orders above it
+    lo = 1 + min((m for _a, m in added or ()), default=-1)
+    rows = [[zero] * len(ks)] * lo
+    for m in range(lo, n_z + 1):
+        terms = [list(map(mul, c, applied[key]))
+                 for ((), m2, _l), c in pz.items()
+                 if (key := ((), m - m2, layer)) in applied]
+        # per power, sum() from zero in the order of pz
+        rows.append([sum(col, zero) for col in zip(*terms)] if terms
+                    else [zero] * len(ks))
+    return {k: [row[i] for row in rows] for i, k in enumerate(ks)}
 
 
-def _checked_engine(bnf, k, orders, pole_tol, engine):
-    """``engine`` (or a new one) once k, orders and engine are checked."""
-    if k < 1:
+def _checked_engine(bnf, ks, orders, pole_tol, engine):
+    """``engine`` (or a new one) once the powers, orders and engine are
+    checked."""
+    if not ks or min(ks) < 1:
         raise SchemaError("k must be a positive integer")
     _check_trace_orders(bnf, orders)
     if engine is None:
@@ -410,101 +476,69 @@ def _checked_engine(bnf, k, orders, pole_tol, engine):
     return engine
 
 
-def _forward(bnf, k, orders, engine, layer=None, added=None):
-    """The kernel of :func:`trace_power` and :func:`trace_layer`.
+def _forward(bnf, ks, orders, engine, layer=None, added=None):
+    """The kernel of :func:`trace_powers` and :func:`trace_layers`, for the
+    powers ``ks`` (a tuple) at once.
 
     Returns ``(phase, pz, applied)``: the constant phase f0(0), the terms
     of the z-phase exp(-ik f0plus), and the terms ((), m, l) of the
     operator exponential exp(-ik sum_j h^j f_j(z, i k^{-1} d/dmu)) applied
-    to prod_j (1/2)csch(k mu_j/2) along mu(z).  With ``layer`` = l only
-    the h^l layer of the operator is formed and applied, or with
-    ``added`` that layer's part in them (see :func:`trace_layer`).
+    to prod_j (1/2)csch(k mu_j/2) along mu(z), each term's coefficient
+    listed over ``ks``.  With ``layer`` = l only the h^l layer of the
+    operator is formed and applied, or with ``added`` that layer's part in
+    them (see :func:`trace_layers`).
     """
     n_z, n_h = orders
     jets = engine.along(bnf.mu_jets)
     f = bnf.field
-    phase, x_powers, f0_powers = bnf.trace_side(n_z, n_h)
-    minus_ik = -(f.i * f.from_int(k))
+    phase, x_powers, f0_powers, z_phases = bnf.trace_side(n_z, n_h)
+    minus_ik = [-(f.i * f.from_int(k)) for k in ks]
     # operator part exp(-ik X) and z-dependent scalar phase exp(-ik f0plus)
     op = (_exp_from_powers(x_powers, minus_ik, layer) if added is None else
-          {(a, m, layer): minus_ik * x for (a, m), x in added.items()})
-    pz = _exp_from_powers(f0_powers, minus_ik)
+          {(a, m, layer): [t * x for t in minus_ik]
+           for (a, m), x in added.items()})
+    pz = z_phases.get(ks)
+    if pz is None:
+        pz = z_phases[ks] = _exp_from_powers(f0_powers, minus_ik)
 
     # apply the operator monomials to the csch product along mu(z)
-    ik_inv = f.i * f.inv(f.from_int(k))
+    ik_inv = [f.i * f.inv(f.from_int(k)) for k in ks]
     ik_pow = {}
     applied = {}
     for (alpha, m, l), c in op.items():
         da = sum(alpha)
         if da and da not in ik_pow:
-            ik_pow[da] = ik_inv**da
-        factor = c * ik_pow[da] if da else c
-        for ((), m2, _), ec in engine.zseries(k, alpha, jets).terms.items():
-            mm = m + m2
-            if mm > n_z:
-                continue
-            key = ((), mm, l)
-            v = factor * ec
-            applied[key] = applied[key] + v if key in applied else v
+            ik_pow[da] = [x**da for x in ik_inv]
+        factor = list(map(mul, c, ik_pow[da])) if da else c
+        for m2, ec in engine.zseries(ks, alpha, jets).items():
+            if m + m2 <= n_z:
+                _add_into(applied, ((), m + m2, l), list(map(mul, factor, ec)))
     return phase, pz, applied
 
 
-def _exp_from_powers(s_powers, t, layer=None):
-    """The terms of exp(t s) = sum_p (t^p / p!) s^p from ``s_powers`` =
-    :func:`~bnftrace.series.powers`(s), merged by key: scalings and sums
-    only.  With ``layer`` = l, only the terms of h-order l."""
+def _exp_from_powers(s_powers, ts, layer=None):
+    """The terms of exp(t s) = sum_p (t^p / p!) s^p for each t of ``ts``,
+    from ``s_powers`` = :func:`~bnftrace.series.powers`(s), merged by key,
+    each coefficient listed over ``ts``: scalings and sums only.  With
+    ``layer`` = l, only the terms of h-order l."""
     f = s_powers[0].field
     out = {}
-    w = tp = f.one
+    w = tp = [f.one] * len(ts)
     for p, power in enumerate(s_powers):
         if p:
-            tp = tp * t
-            w = tp * f.factorial_inv(p)
+            tp = list(map(mul, tp, ts))
+            inv = f.factorial_inv(p)
+            w = [x * inv for x in tp]
         for key, c in power.terms.items():
             if layer is None or key[2] == layer:
-                v = w * c
-                out[key] = out[key] + v if key in out else v
+                _add_into(out, key, [x * c for x in w])
     return out
-
-
-def leading_term(action, maslov_nu, blocks, k, n_z, mu_jets=None):
-    """Leading geometric amplitude  e^{i nu pi/2} I'(z) / |det(dkappa^k - 1)|^{1/2}.
-
-    The determinant magnitude factorizes over blocks as
-    prod_j |2 sinh(k mu_j(z)/2)|, and its reciprocal is the engine's
-    z-series of prod_j (1/2)csch(k mu_j/2) (no series division).  The e^{ikI(z)/h} factor stays
-    symbolic on the returned object.  ``mu_jets`` optionally supplies the
-    z-dependence of the exponents; default is a z-independent orbit.
-    """
-    if k == 0:
-        raise SchemaError("k must be nonzero")
-    kk = abs(int(k))
-    f = blocks.field
-    orders = Orders(0, n_z, 0)
-    engine = TraceEngine(blocks, n_z)
-    if mu_jets is None:
-        mu_jets = [MultiSeries.zero(f, 0, orders)] * blocks.n
-    try:
-        csch = engine.zseries(kk, (0,) * blocks.n, engine.along(mu_jets))
-    except MathError as exc:
-        raise MathError(
-            f"degenerate orbit: |2 sinh(k mu_j/2)| below tolerance at k={k}"
-        ) from exc
-    # the product is positive over hyperbolic blocks and complex hyperbolic
-    # pairs; on an elliptic block (1/2)csch(ik theta/2) =
-    # -i/(2 sin(k theta/2)), and i sign(sin) restores 1/(2|sin|)
-    unit = f.i ** (int(maslov_nu) % 4)
-    for tag, E in zip(blocks.tags, blocks.exp_half):
-        if tag == ELLIPTIC:
-            s2 = f.to_complex(E**kk - f.inv(E**kk))  # 2i sin(k theta/2)
-            unit = unit * f.i * f.from_int(1 if s2.imag > 0 else -1)
-    iprime = MultiSeries(f, 0, orders, action.derive("z").terms)
-    return LeadingTerm(csch.scale(unit) * iprime, k, int(maslov_nu) % 4)
 
 
 def make_trace_data(bnf, action, maslov, k_max, orders,
                     pole_tol=DEFAULT_POLE_TOL, resonance_tol=1e-8, engine=None):
-    """Bundle trace_power outputs for k = 1..k_max into a TraceData.
+    """Bundle the :func:`trace_powers` of k = 1..k_max, from one forward
+    pass, into a TraceData.
 
     The blocks must be nonresonant through sum |k_j| <= 10.  All powers
     share one :class:`TraceEngine`: ``engine`` if given (it must serve
@@ -513,14 +547,9 @@ def make_trace_data(bnf, action, maslov, k_max, orders,
     if k_max < 1:
         raise SchemaError("k_max must be >= 1")
     require_nonresonant(bnf.blocks, 10, resonance_tol)
-    if engine is None:
-        engine = TraceEngine(bnf.blocks, orders[0], pole_tol)
-    coefficients = {}
-    phase = None
-    for k in range(1, k_max + 1):
-        tp = trace_power(bnf, k, orders, pole_tol, engine=engine)
-        coefficients[k] = tp.coeffs
-        phase = tp.phase
+    tps = trace_powers(bnf, range(1, k_max + 1), orders, pole_tol, engine)
+    coefficients = {k: tp.coeffs for k, tp in tps.items()}
+    phase = tps[k_max].phase
     maslov = {k: maslov.get(k, 0) if isinstance(maslov, dict) else maslov[k]
               for k in range(1, k_max + 1)}
     return TraceData(bnf.field, k_max, action, maslov, phase, coefficients)

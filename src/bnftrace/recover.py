@@ -61,14 +61,15 @@ stage's right-hand side, so a recovery builds and factors the stage
 matrix of each h-order j once, and every m-stage of that j solves its own
 right-hand side with the factorization, in order of m: stage (j, m) reads
 the terms that stage (j, m - 1) found.  The engine is built at the full
-z-order and serves the lower orders (m, j) of the stages.  A j = 0 stage
-computes only its own coefficient (:func:`~bnftrace.qbnf.trace_coefficient`
-at (m, 0)), as the jet terms it finds enter nonlinearly.  From j = 1 on,
-the weight-(j + 1) terms enter the h^j layer only linearly, through
-(-ik) X, so each h-order runs one layer forward per k
-(:func:`~bnftrace.qbnf.trace_layer`), and each stage adds what its terms
-give to it, exactly.  Only the self-check runs the whole expansion, and
-on the exact field it compares exactly.  A caller may hand in an engine
+z-order and serves the lower orders (m, j) of the stages.  Every forward
+runs over all K powers at once.  A j = 0 stage computes only its own
+layer (:func:`~bnftrace.qbnf.trace_layers` at (m, 0)), as the jet terms it
+finds enter nonlinearly.  From j = 1 on, the weight-(j + 1) terms enter
+the h^j layer only linearly, through (-ik) X, so each h-order runs one
+layer forward, and each stage adds what its terms give to the z-orders
+above its own, exactly.  Only the self-check runs the whole expansion
+(:func:`~bnftrace.qbnf.trace_powers`), and on the exact field it compares
+exactly.  A caller may hand in an engine
 it already has (the round trip passes its forward engine), and it is used
 if it serves the recovered blocks: an exact round trip's self-check then
 reads the forwards the engine kept.
@@ -87,8 +88,7 @@ from .errors import (ConditioningError, FieldError, MathError,
 from .fields import FloatField, nan_max
 from .hypcalc import DEFAULT_POLE_TOL
 from .linalg import factor_lstsq, poly_roots, resolution, solve_lstsq
-from .qbnf import (QuantumBNF, TraceEngine, trace_coefficient, trace_layer,
-                   trace_power)
+from .qbnf import QuantumBNF, TraceEngine, trace_layers, trace_powers
 from .series import MultiSeries, Orders
 
 # Relative tolerance of the stage-0 grouping decisions: the classes of edge
@@ -607,7 +607,9 @@ def recover_qbnf(tdata, n, tol=1e-8, cond_gate=1e8,
         else:
             coeffs[k] = c.scale(f.exp(f.i * f.from_int(k) * freq.phi))
 
-    ks = list(range(1, tdata.k_max + 1))
+    ks = tuple(range(1, tdata.k_max + 1))
+    # the stage values are (stored - forward) / (-ik)
+    inv_minus_ik = {k: f.inv(-(f.i * f.from_int(k))) for k in ks}
     fhat_terms = {}
     if not f.is_zero(f00):
         fhat_terms[((0,) * n, 0, 1)] = f00
@@ -631,17 +633,15 @@ def recover_qbnf(tdata, n, tol=1e-8, cond_gate=1e8,
                   if lo <= sum(a) <= j + 1]
         if j == 0:  # the columns 1, iota_1, .., iota_n, as the jets
             alphas.sort(key=lambda a: a[::-1])
-        if j:  # one layer forward per k, which each stage deflates
+        if j:  # one layer forward over all k, which each stage deflates
             bnf = current_bnf()
-            fwd = {k: trace_layer(bnf, k, (n_z, j), pole_tol, engine)
-                   for k in ks}
+            fwd = trace_layers(bnf, ks, (n_z, j), pole_tol, engine)
         for m in range(0 if j else 1, n_z + 1):
             if not j:
                 bnf = current_bnf()
-                fwd = {k: {m: trace_coefficient(bnf, k, m, 0, pole_tol,
-                                                engine=engine)} for k in ks}
+                fwd = trace_layers(bnf, ks, (m, 0), pole_tol, engine)
             values = {k: (coeffs[k].get((), m, j) - fwd[k][m])
-                      * f.inv(-(f.i * f.from_int(k))) for k in ks}
+                      * inv_minus_ik[k] for k in ks}
             sol, cond = recover_polynomial(engine, values, alphas,
                                            residual_tol=max(tol, 1e-8),
                                            cond_gate=cond_gate,
@@ -656,10 +656,12 @@ def recover_qbnf(tdata, n, tol=1e-8, cond_gate=1e8,
                 else:
                     fhat_terms[(alpha, m, j + 1 - sum(alpha))] = val
                     found[(alpha, m)] = val
-            if j and found and m < n_z:
+            if j and found and m < n_z:  # they add only above z^m
+                added = trace_layers(bnf, ks, (n_z, j), pole_tol, engine,
+                                     added=found)
                 for k in ks:
-                    fwd[k] = list(map(add, fwd[k], trace_layer(
-                        bnf, k, (n_z, j), pole_tol, engine, added=found)))
+                    fwd[k][m + 1:] = map(add, fwd[k][m + 1:],
+                                         added[k][m + 1:])
 
     recovered = current_bnf()
     recovered = QuantumBNF(recovered.blocks, recovered.mu_jets, recovered.F)
@@ -672,8 +674,9 @@ def recover_qbnf(tdata, n, tol=1e-8, cond_gate=1e8,
 
     residuals = {}
     failed = False
+    tps = trace_powers(recovered, ks, (n_z, n_h), pole_tol, engine)
     for k in ks:
-        tp = trace_power(recovered, k, (n_z, n_h), pole_tol, engine=engine)
+        tp = tps[k]
         fwd = tp.coeffs
         for m in range(n_z + 1):
             for j in range(n_h + 1):

@@ -8,10 +8,10 @@ import random
 import numpy as np
 
 from bnftrace.blocks import ELLIPTIC, REAL_HYPERBOLIC, SpectrumBlocks
-from bnftrace.errors import ConvergenceError, SchemaError
+from bnftrace.errors import ConvergenceError, MathError, SchemaError
 from bnftrace.fields import FloatField, RationalField
 from bnftrace.hypcalc import DEFAULT_POLE_TOL, _sinh_cosh_from_exp_half
-from bnftrace.qbnf import QuantumBNF
+from bnftrace.qbnf import QuantumBNF, TraceEngine
 from bnftrace.series import MultiSeries, Orders, zseries
 
 
@@ -83,6 +83,58 @@ def mixed_float_fixture(seed, with_jets=False):
     else:
         jets = [zseries(F, 2), zseries(F, 2)]
     return F, QuantumBNF(blocks, jets, Fser)
+
+
+class LeadingTerm:
+    """Geometric leading term: series plus the symbolic oscillatory factor."""
+
+    __slots__ = ("series", "k", "maslov", "oscillatory")
+
+    def __init__(self, series, k, maslov):
+        self.series = series
+        self.k = k
+        self.maslov = maslov
+        self.oscillatory = f"exp(i*{k}*I(z)/h)"
+
+    def __repr__(self):
+        return f"<LeadingTerm k={self.k} x {self.oscillatory}>"
+
+
+def leading_term(action, maslov_nu, blocks, k, n_z, mu_jets=None):
+    """Leading geometric amplitude  e^{i nu pi/2} I'(z) / |det(dkappa^k - 1)|^{1/2}.
+
+    The determinant magnitude factorizes over blocks as
+    prod_j |2 sinh(k mu_j(z)/2)|, and its reciprocal is the engine's
+    z-series of prod_j (1/2)csch(k mu_j/2) (no series division).  The
+    e^{ikI(z)/h} factor stays symbolic on the returned object.  ``mu_jets``
+    optionally supplies the z-dependence of the exponents; default is a
+    z-independent orbit.
+    """
+    if k == 0:
+        raise SchemaError("k must be nonzero")
+    kk = abs(int(k))
+    f = blocks.field
+    orders = Orders(0, n_z, 0)
+    engine = TraceEngine(blocks, n_z)
+    if mu_jets is None:
+        mu_jets = [MultiSeries.zero(f, 0, orders)] * blocks.n
+    try:
+        zs = engine.zseries((kk,), (0,) * blocks.n, engine.along(mu_jets))
+    except MathError as exc:
+        raise MathError(
+            f"degenerate orbit: |2 sinh(k mu_j/2)| below tolerance at k={k}"
+        ) from exc
+    csch = MultiSeries(f, 0, orders, {((), m, 0): v for m, (v,) in zs.items()})
+    # the product is positive over hyperbolic blocks and complex hyperbolic
+    # pairs; on an elliptic block (1/2)csch(ik theta/2) =
+    # -i/(2 sin(k theta/2)), and i sign(sin) restores 1/(2|sin|)
+    unit = f.i ** (int(maslov_nu) % 4)
+    for tag, E in zip(blocks.tags, blocks.exp_half):
+        if tag == ELLIPTIC:
+            s2 = f.to_complex(E**kk - f.inv(E**kk))  # 2i sin(k theta/2)
+            unit = unit * f.i * f.from_int(1 if s2.imag > 0 else -1)
+    iprime = MultiSeries(f, 0, orders, action.derive("z").terms)
+    return LeadingTerm(csch.scale(unit) * iprime, k, int(maslov_nu) % 4)
 
 
 def picard_coth_csch_series(field, E0, delta, k, n_z,

@@ -42,8 +42,8 @@ def test_exact_roundtrip_self_check_reads_the_forward_it_made(
         rt1_file, tmp_path, monkeypatch, capsys):
     """An exact round trip recovers its input exactly, so the self-check
     reads the K forward expansions that made the traces from the engine's
-    memo: K full forward evaluations, not 2K.  A bare recover of the same
-    traces has no such memo and runs its own K."""
+    memo: one full forward pass over all K powers, not two.  A bare recover
+    of the same traces has no such memo and runs its own."""
     forward, full = qbnf._forward, []
 
     def counting(bnf, k, orders, engine, layer=None, added=None):
@@ -54,14 +54,14 @@ def test_exact_roundtrip_self_check_reads_the_forward_it_made(
     monkeypatch.setattr(qbnf, "_forward", counting)
     assert main(["roundtrip", "--bnf", rt1_file, "--orders", "4,3,3",
                  "--kmax", "8"]) == 0
-    assert full == list(range(1, 9))
+    assert full == [tuple(range(1, 9))]
     full.clear()
     traces = str(tmp_path / "traces.json")
     assert main(["forward", "--bnf", rt1_file, "--orders", "4,3,3",
                  "--kmax", "8", "--out", traces]) == 0
     assert main(["recover", "--traces", traces, "--n", "1",
                  "--out", str(tmp_path / "rec.json")]) == 0
-    assert full == 2 * list(range(1, 9))
+    assert full == 2 * [tuple(range(1, 9))]
     capsys.readouterr()
 
 

@@ -13,7 +13,7 @@ it pins that the products sum in a fixed order, on one LAPACK build.
 
 import hashlib
 
-from helpers import n2_bnf
+from helpers import mixed_float_fixture, n2_bnf
 
 from bnftrace import jsonio
 from bnftrace.blocks import ELLIPTIC, REAL_HYPERBOLIC, SpectrumBlocks
@@ -31,6 +31,8 @@ q = FR.from_rational
 
 FORWARD_N2_SHA256 = \
     "e9ba4d524dbdfc6f937565bfcf29706baf6e8782a5b24fee9f4a5ed9879093c3"
+FORWARD_N2_FLOAT_SHA256 = \
+    "2261b3d48d07f2f8147535f692fb695831a5da604a99050c0d72922bc9a19d56"
 ROUNDTRIP_N1_REPORT_SHA256 = \
     "bbd45e23a631ca0d436b61cd9a9d7c473c25995130fb038ef07471f2e902dbfc"
 CLASSICAL_BNF_REPORT_SHA256 = \
@@ -65,6 +67,22 @@ def test_forward_n2_trace_bytes(tmp_path):
                "--kmax", "12", "--out", str(out)])
     assert rc == 0
     assert _sha256(out) == FORWARD_N2_SHA256
+
+
+def test_forward_n2_float_trace_bytes(tmp_path):
+    """Doubles at float-n2-roundtrip's orders and K: rh mu = ln 3 and
+    elliptic theta = 1 with z-dependent jets, 42 F terms, z-dependent f0.
+    The digest pins every bit, the signs of zero parts included, so it
+    fails when a product or a sum of the expansion runs in another
+    order."""
+    bnf = tmp_path / "bnf.json"
+    out = tmp_path / "traces.json"
+    jsonio.dump(bnf, jsonio.qbnf_to_json(
+        mixed_float_fixture(0, with_jets=True)[1]))
+    rc = main(["forward", "--bnf", str(bnf), "--orders", "3,2,2",
+               "--kmax", "14", "--out", str(out)])
+    assert rc == 0
+    assert _sha256(out) == FORWARD_N2_FLOAT_SHA256
 
 
 def test_roundtrip_n1_report_bytes(tmp_path, capsys):

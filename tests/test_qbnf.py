@@ -8,15 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (brute_force_trace_coeffs, mixed_float_fixture,
-                     random_F_total_degree, random_hyperbolic_exp_half, rt1)
+from helpers import (brute_force_trace_coeffs, leading_term,
+                     mixed_float_fixture, random_F_total_degree,
+                     random_hyperbolic_exp_half, rt1)
 
 from bnftrace.blocks import (COMPLEX_HYPERBOLIC, ELLIPTIC, REAL_HYPERBOLIC,
                              SpectrumBlocks)
-from bnftrace.errors import MathError, ResonanceError, SchemaError
+from bnftrace.errors import MathError, PoleError, ResonanceError, SchemaError
 from bnftrace.fields import FloatField, RationalField
-from bnftrace.qbnf import (QuantumBNF, TraceData, TraceEngine, leading_term,
-                           make_trace_data, trace_coefficient, trace_power)
+from bnftrace.qbnf import (QuantumBNF, TraceData, TraceEngine, make_trace_data,
+                           trace_coefficient, trace_power)
 from bnftrace.series import MultiSeries, Orders, zseries
 from bnftrace import hypcalc as hc
 from bnftrace import qbnf
@@ -242,12 +243,13 @@ def test_mixed_fixture_forward_runs():
 
 class _ScratchEngine:
     """Stands in for TraceEngine with no caches at all: every z-series is
-    built from scratch by apply_derivatives + eval_series_in_z.  Its
-    trace_power memo starts empty, so its first trace_power runs the
-    forward."""
+    built from scratch by apply_derivatives + eval_series_in_z, one power
+    at a time.  Its trace_power memo starts empty, so its first
+    trace_power runs the forward."""
 
     def __init__(self, blocks, n_z):
         self.blocks = blocks
+        self.field = blocks.field
         self.n_z = n_z
         self.trace_powers = {}
 
@@ -257,10 +259,22 @@ class _ScratchEngine:
     def along(self, mu_jets):
         return mu_jets
 
-    def zseries(self, k, alpha, mu_jets):
-        b = self.blocks
-        expr = hc.apply_derivatives(hc.csch_product(b.field, b.n, k), alpha)
-        return hc.eval_series_in_z(expr, b.exp_half, mu_jets, self.n_z)
+    def zseries(self, ks, alpha, mu_jets):
+        b, out = self.blocks, {}
+        for i, k in enumerate(ks):
+            expr = hc.apply_derivatives(hc.csch_product(b.field, b.n, k),
+                                        alpha)
+            s = hc.eval_series_in_z(expr, b.exp_half, mu_jets, self.n_z)
+            for ((), m, _l), c in s.terms.items():
+                out.setdefault(m, [b.field.zero] * len(ks))[i] = c
+        return out
+
+
+def _one_power(engine, k, alpha, jets):
+    """``engine.zseries`` at the one power k, as a z-series."""
+    return zseries(engine.field, engine.n_z,
+                   {m: v for m, (v,) in engine.zseries((k,), alpha,
+                                                       jets).items()})
 
 
 def _rational_fixtures():
@@ -312,8 +326,9 @@ def test_engine_matches_scratch_for_every_alpha():
         scratch = _ScratchEngine(b.blocks, 3)
         for k in (1, 2, 5):
             for alpha in _alphas_up_to(b.n, 4):
-                assert engine.zseries(k, alpha, engine.along(b.mu_jets)) == \
-                    scratch.zseries(k, alpha, b.mu_jets)
+                assert _one_power(engine, k, alpha,
+                                  engine.along(b.mu_jets)) == \
+                    _one_power(scratch, k, alpha, b.mu_jets)
                 expr = hc.apply_derivatives(hc.csch_product(FR, b.n, k), alpha)
                 assert engine.value_at_mu0(k, alpha) == hc.eval_csch(
                     expr, exp_half=b.blocks.exp_half)
@@ -402,7 +417,7 @@ def test_engine_factorization_matches_n_variable_calculus(case):
                                     alpha)
         ref_series = hc.eval_series_in_z(expr, blocks.exp_half, mu_jets, n_z)
         ref_value = hc.eval_csch(expr, exp_half=blocks.exp_half)
-        got_series = engine.zseries(k, alpha, engine.along(mu_jets))
+        got_series = _one_power(engine, k, alpha, engine.along(mu_jets))
         got_value = engine.value_at_mu0(k, alpha)
         if field.exact:
             assert got_series == ref_series
@@ -583,8 +598,8 @@ def _per_k_trace_power(bnf, k, orders, engine):
     out = {}
     for (alpha, m, l), c in op.terms.items():
         factor = c * ik_inv ** sum(alpha) if sum(alpha) else c
-        for ((), m2, _), ec in engine.zseries(
-                k, alpha, engine.along(bnf.mu_jets)).terms.items():
+        for ((), m2, _), ec in _one_power(
+                engine, k, alpha, engine.along(bnf.mu_jets)).terms.items():
             if m + m2 <= n_z:
                 key = ((), m + m2, l)
                 out[key] = out[key] + factor * ec if key in out \
@@ -649,13 +664,13 @@ def test_make_trace_data_builds_the_f_side_once(monkeypatch):
 
 def _counting_forwards(monkeypatch):
     """The k of every full forward expansion (qbnf._forward without a
-    layer) made from here on."""
+    layer) made from here on, one entry per power."""
     forward, full = qbnf._forward, []
 
-    def counting(bnf, k, orders, engine, layer=None, added=None):
+    def counting(bnf, ks, orders, engine, layer=None, added=None):
         if layer is None:
-            full.append(k)
-        return forward(bnf, k, orders, engine, layer, added)
+            full.extend(ks)
+        return forward(bnf, ks, orders, engine, layer, added)
 
     monkeypatch.setattr(qbnf, "_forward", counting)
     return full
@@ -720,3 +735,53 @@ def test_trace_power_memo_hit_equals_a_fresh_expansion(monkeypatch):
             trace_power(b, 0, orders, engine=engine)
         with pytest.raises(SchemaError):
             trace_power(b, 1, (orders[0] + 1, orders[1]), engine=engine)
+
+
+def test_a_power_reads_the_same_in_any_pass():
+    """A power's expansion is term for term, in the same order, what a
+    pass for that power alone gives, whichever powers share the pass: all
+    of 1..8 at once, or a repeated and unsorted few on an engine whose
+    tables already hold other powers.  On the rational fixtures and on
+    doubles with a z-dependent f0."""
+    _F, fb = mixed_float_fixture(31, with_jets=True)
+    fb = _with_z_dependent_f0(fb, 0.3 - 0.1j, -0.2 + 0j)
+    for b, orders in [(b, (3, 3)) for b in _rational_fixtures()] + [
+            (fb, (2, 2))]:
+        alone = {k: trace_power(b, k, orders) for k in range(1, 9)}
+        engine = TraceEngine(b.blocks, orders[0])
+        trace_power(b, 7, orders, engine=engine)
+        for ks in (range(1, 9), (5, 2, 5, 1)):
+            for e in (TraceEngine(b.blocks, orders[0]), engine):
+                for k, tp in qbnf.trace_powers(b, ks, orders,
+                                               engine=e).items():
+                    assert tp.phase == alone[k].phase
+                    assert list(tp.coeffs.terms.items()) == \
+                        list(alone[k].coeffs.terms.items())
+
+
+def test_a_pole_at_one_power_leaves_the_others_usable():
+    """A float elliptic block E = exp(i pi/3) has a pole at k = 3.  An
+    all-powers call over k = 1..6 raises the pole of k = 3, with the
+    one-power text, and leaves the engine's tables usable: k = 2 and k = 4
+    then give, on the same engine, what fresh engines give.  make_trace_data
+    refuses the form before any forward, as resonant at k=[3]."""
+    # exp(i pi/3) as cmath.exp gives it, spelled out so that the pole's
+    # size does not hang on the platform's exp
+    blocks = SpectrumBlocks(FF, [ELLIPTIC], [0.5000000000000001 +
+                                             0.8660254037844386j])
+    F = MultiSeries(FF, 1, Orders(3, 2, 2), {
+        ((2,), 0, 0): 0.3 + 0.1j, ((1,), 1, 1): -0.2 + 0j,
+        ((0,), 1, 1): 0.25 + 0j, ((1,), 0, 2): 0.1j})
+    b = QuantumBNF(blocks, [zseries(FF, 2, {1: 0.1j, 2: 0.02j})], F)
+    engine = TraceEngine(blocks, 2)
+    with pytest.raises(PoleError) as exc:
+        qbnf.trace_powers(b, range(1, 7), (2, 2), engine=engine)
+    assert str(exc.value) == ("|sinh(k mu/2)| = 3.886e-16 below pole "
+                              "tolerance 1.0e-09 (k=3)")
+    for k in (2, 4):
+        got = trace_power(b, k, (2, 2), engine=engine)
+        fresh = trace_power(b, k, (2, 2))
+        assert list(got.coeffs.terms.items()) == \
+            list(fresh.coeffs.terms.items())
+    with pytest.raises(ResonanceError, match=r"k=\[3\]"):
+        make_trace_data(b, zseries(FF, 2, {1: FF.one}), {}, 6, (2, 2))

@@ -861,12 +861,12 @@ def test_recover_qbnf_insufficient_kmax():
 
 
 def test_each_recovery_stage_runs_at_its_own_orders(monkeypatch):
-    """A j = 0 stage (h^0, z^m) computes only its own coefficient, one
-    trace_coefficient call at (m, 0) per k.  Each h-order j >= 1 runs one
-    layer forward at (N_z, j) per k, and every stage (j, m) but the last
-    deflates it by the terms it found, if any, one trace_layer call per k
-    with those terms.  The K full trace_power calls at the trace orders
-    are the self-check's alone."""
+    """A j = 0 stage (h^0, z^m) computes only its own layer, one
+    trace_layers call at (m, 0) over all k.  Each h-order j >= 1 runs one
+    layer forward at (N_z, j) over all k, and every stage (j, m) but the
+    last deflates it by the terms it found, if any, one trace_layers call
+    over all k with those terms.  The one trace_powers call at the trace
+    orders is the self-check's."""
     F, bnf, action = rt1()
     terms = dict(bnf.F.terms)
     terms[((2,), 1, 1)] = F.from_rational("-2/9")
@@ -875,44 +875,39 @@ def test_each_recovery_stage_runs_at_its_own_orders(monkeypatch):
                      MultiSeries(F, 1, bnf.F.orders, terms))
     K = 8
     td = make_trace_data(bnf, action, {}, K, (3, 3))
-    power, coefficient, layer = (recover_module.trace_power,
-                                 recover_module.trace_coefficient,
-                                 recover_module.trace_layer)
+    powers, layers = recover_module.trace_powers, recover_module.trace_layers
     calls = []
 
-    def recording_power(b, k, orders, *args, **kwargs):
-        calls.append(("power", tuple(orders)))
-        return power(b, k, orders, *args, **kwargs)
+    def recording_powers(b, ks, orders, *args, **kwargs):
+        calls.append(("powers", tuple(ks), tuple(orders)))
+        return powers(b, ks, orders, *args, **kwargs)
 
-    def recording_coefficient(b, k, m, j, *args, **kwargs):
-        calls.append(("coefficient", (m, j)))
-        return coefficient(b, k, m, j, *args, **kwargs)
+    def recording_layers(b, ks, orders, *args, added=None, **kwargs):
+        calls.append(("layers" if added is None else "deflate", tuple(ks),
+                      tuple(orders)))
+        return layers(b, ks, orders, *args, added=added, **kwargs)
 
-    def recording_layer(b, k, orders, *args, added=None, **kwargs):
-        calls.append(("layer" if added is None else "deflate", tuple(orders)))
-        return layer(b, k, orders, *args, added=added, **kwargs)
-
-    monkeypatch.setattr(recover_module, "trace_power", recording_power)
-    monkeypatch.setattr(recover_module, "trace_coefficient",
-                        recording_coefficient)
-    monkeypatch.setattr(recover_module, "trace_layer", recording_layer)
+    monkeypatch.setattr(recover_module, "trace_powers", recording_powers)
+    monkeypatch.setattr(recover_module, "trace_layers", recording_layers)
     rep = recover_qbnf(td, 1)
     assert not rep.failed
     stages = [key for key in rep.conditioning if key != "prony"]
     assert len(stages) == 15
+    ks = tuple(range(1, K + 1))
     expected = []
     for key in stages:
         j, m = (int(part[1:]) for part in key.split(":"))
         if j == 0:
-            expected += [("coefficient", (m, 0))] * K
+            expected += [("layers", ks, (m, 0))]
             continue
         if m == 0:
-            expected += [("layer", (3, j))] * K
+            expected += [("layers", ks, (3, j))]
         if m < 3 and any(l + sum(alpha) == j + 1 and mm == m
                          for alpha, mm, l in rep.recovered.F.terms):
-            expected += [("deflate", (3, j))] * K
-    assert ("deflate", (3, 1)) in expected and ("deflate", (3, 2)) in expected
-    assert calls == expected + [("power", (3, 3))] * K
+            expected += [("deflate", ks, (3, j))]
+    assert ("deflate", ks, (3, 1)) in expected
+    assert ("deflate", ks, (3, 2)) in expected
+    assert calls == expected + [("powers", ks, (3, 3))]
 
 
 def test_recovery_factors_each_alpha_set_once(monkeypatch):
@@ -1016,13 +1011,14 @@ def test_self_check_compares_the_constant_phase(monkeypatch):
     """A self-check forward pass whose constant phase is off by 1/7 matches
     every coefficient, and only the phase comparison tells."""
     _F, td = _h_order_zero_traces({((0,), 0, 1): "1/5"})
-    original = recover_module.trace_power
+    original = recover_module.trace_powers
 
     def shifted(*args, **kwargs):
-        tp = original(*args, **kwargs)
-        return TracePower(tp.k, tp.phase + FR.from_rational("1/7"), tp.coeffs)
+        return {k: TracePower(k, tp.phase + FR.from_rational("1/7"),
+                              tp.coeffs)
+                for k, tp in original(*args, **kwargs).items()}
 
-    monkeypatch.setattr(recover_module, "trace_power", shifted)
+    monkeypatch.setattr(recover_module, "trace_powers", shifted)
     rep = recover_qbnf(td, 1)
     assert rep.failed
     assert all(v == 0 for v in rep.residuals.values())
@@ -1039,15 +1035,14 @@ def test_self_check_reports_a_nan_deviation_as_the_max_residual(monkeypatch):
     td = make_trace_data(QuantumBNF(blocks, [zseries(FF, 1, {1: FF.one / 3})],
                                     G),
                          zseries(FF, 1, {1: FF.one}), {}, 6, (1, 1))
-    original = recover_module.trace_power
+    original = recover_module.trace_powers
 
     def poisoned(*args, **kwargs):
-        tp = original(*args, **kwargs)
-        nan = MultiSeries(FF, 0, tp.coeffs.orders,
-                          {((), 1, 1): complex(math.nan)})
-        return TracePower(tp.k, tp.phase, tp.coeffs + nan)
+        return {k: TracePower(k, tp.phase, tp.coeffs + MultiSeries(
+                    FF, 0, tp.coeffs.orders, {((), 1, 1): complex(math.nan)}))
+                for k, tp in original(*args, **kwargs).items()}
 
-    monkeypatch.setattr(recover_module, "trace_power", poisoned)
+    monkeypatch.setattr(recover_module, "trace_powers", poisoned)
     rep = recover_qbnf(td, 1)
     assert rep.failed
     assert math.isnan(rep.max_residual)
@@ -1064,16 +1059,18 @@ def test_exact_self_check_fails_on_a_mismatch_below_the_double_range(
     F, bnf, action = rt1()
     td = make_trace_data(bnf, action, {}, 8, (3, 3))
     tiny = F.from_rational(Fraction(1, 10 ** 400))
-    original = recover_module.trace_power
+    original = recover_module.trace_powers
 
-    def shifted(*args, **kwargs):
-        tp = original(*args, **kwargs)
+    def shift(tp):
         if where == "phase":
             return TracePower(tp.k, tp.phase + tiny, tp.coeffs)
         bump = MultiSeries(F, 0, tp.coeffs.orders, {((), 1, 1): tiny})
         return TracePower(tp.k, tp.phase, tp.coeffs + bump)
 
-    monkeypatch.setattr(recover_module, "trace_power", shifted)
+    def shifted(*args, **kwargs):
+        return {k: shift(tp) for k, tp in original(*args, **kwargs).items()}
+
+    monkeypatch.setattr(recover_module, "trace_powers", shifted)
     rep = recover_qbnf(td, 1)
     assert rep.failed
     assert rep.max_residual == 0
