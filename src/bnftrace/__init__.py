@@ -9,8 +9,8 @@ from .classical import (TaylorMap, birkhoff_normal_form, classify_eigenvalues,
 from .fields import FloatField, RationalField, field_from_name
 from .oscillatory import (OrbitExpansion, TestJet, extract_jets,
                           forward_pairing, traces_from_pairings)
-from .qbnf import (QuantumBNF, TraceData, make_trace_data, trace_coefficient,
-                   trace_layer, trace_layers, trace_power, trace_powers)
+from .qbnf import (QuantumBNF, TraceData, make_trace_data, trace_layers,
+                   trace_power, trace_powers)
 from .recover import (recover_frequencies, recover_polynomial, recover_qbnf,
                       RecoveryReport)
 from .series import MultiSeries, Orders, zseries
@@ -22,8 +22,8 @@ __all__ = [
     "FloatField", "RationalField", "field_from_name",
     "OrbitExpansion", "TestJet", "extract_jets", "forward_pairing",
     "traces_from_pairings",
-    "QuantumBNF", "TraceData", "make_trace_data", "trace_coefficient",
-    "trace_layer", "trace_layers", "trace_power", "trace_powers",
+    "QuantumBNF", "TraceData", "make_trace_data", "trace_layers",
+    "trace_power", "trace_powers",
     "recover_frequencies",
     "recover_polynomial", "recover_qbnf", "RecoveryReport", "MultiSeries",
     "Orders", "zseries",

@@ -142,7 +142,8 @@ def cmd_roundtrip(args):
     require_recoverable(bnf, *args.orders[1:])
     # the recovery reuses the forward engine for every stage when it
     # serves the recovered blocks, as it does when the round trip is exact
-    engine = TraceEngine(bnf.blocks, args.orders[1], args.tol_pole)
+    engine = TraceEngine(bnf.blocks, range(1, args.k_max + 1), args.orders[1],
+                         args.tol_pole)
     td = _forward_tracedata(args, bnf, engine)
     rep = recover_qbnf(td, bnf.n, tol=args.tol_residual,
                        cond_gate=args.tol_conditioning, pole_tol=args.tol_pole,

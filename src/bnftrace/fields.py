@@ -22,6 +22,7 @@ the rationalized fit exactly instead.
 
 import cmath
 import math
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -199,6 +200,15 @@ def _coerce(x):
     raise TypeError(f"cannot coerce {type(x).__name__} into RationalComplex")
 
 
+def _fraction(text):
+    """``Fraction(text)``, refusing a decimal exponent above 4300, Python's
+    default limit on integer text: Fraction would build ten to its power."""
+    exponent = re.search(r"e([-+]?\d+(_\d+)*)\s*\Z", text, re.IGNORECASE)
+    if exponent and abs(int(exponent[1])) > 4300:
+        raise ValueError(f"decimal exponent {exponent[1]} beyond +-4300")
+    return Fraction(text)
+
+
 def _format_fraction(q):
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
 
@@ -221,7 +231,7 @@ class RationalField:
         return RationalComplex(Fraction(re), Fraction(im))
 
     def parse(self, re_str, im_str="0"):
-        return RationalComplex(Fraction(re_str), Fraction(im_str))
+        return RationalComplex(_fraction(re_str), _fraction(im_str))
 
     def format(self, x):
         return _format_fraction(x.re), _format_fraction(x.im)
@@ -299,7 +309,7 @@ class FloatField:
 
     def parse(self, re_str, im_str="0"):
         if "/" in re_str or "/" in im_str:
-            return self.from_rational(Fraction(re_str), Fraction(im_str))
+            return self.from_rational(_fraction(re_str), _fraction(im_str))
         if self._mp is None:
             return complex(float(re_str), float(im_str))
         try:

@@ -19,8 +19,8 @@ monomial in E_j, which keeps the rational fixtures (E_j rational) exact.
 B_k is a product over blocks, so d^alpha B_k = prod_j d^{alpha_j}
 (1/2)csch(k mu_j/2), and d^a (1/2)csch(k mu_j/2) at mu_j(0) is a! times a
 Taylor coefficient there, which the same two rules give order by order
-(:class:`CschTaylor`).  The trace engine is built on that table, and
-:func:`coth_csch_series` composes it with a z-jet of mu_j.
+(:class:`CschTaylor`, for powers k fixed when it is made), on which the
+trace engine is built; :func:`coth_csch_series` composes it with a z-jet.
 
 No forward or recovery path calls the n-variable calculus above
 (:class:`CschExpression`, :func:`apply_derivatives`, :func:`eval_csch`,
@@ -152,57 +152,32 @@ def eval_csch(expr, mu=None, exp_half=None, pole_tol=DEFAULT_POLE_TOL):
 
 class CschTaylor:
     """Taylor coefficients t_p and c_p of coth(k mu/2) and (1/2)csch(k mu/2)
-    in x = mu - mu0, for a list of powers k, grown on demand in the order
-    and in the powers.
+    in x = mu - mu0, for a tuple of powers ``ks``, grown on demand in the
+    order.
 
-    The constant terms come from E0 = exp(mu0/2).  The two rules of the
-    module docstring give the higher ones order by order,
+    The constant terms come from E0 = exp(mu0/2); a pole at one of the
+    powers raises when the table is made, naming the first such k.  The
+    two rules of the module docstring give the higher ones order by order,
 
         (p+1) t_{p+1} = (k/2) (1 - t^2)_p,
         (p+1) c_{p+1} = -(k/2) (t c)_p,
 
     whose right-hand sides need t and c only up to order p, so each order
     costs O(p) field operations per power.  ``t[p]``, ``c[p]`` and ``d[p]``
-    list the order-p entries over the powers in the order they were added,
-    which is the order of ``column``, the map from a power to its place;
-    ``d`` holds the derivatives d^p (1/2)csch(k mu/2) at mu0, which are
-    p! c_p.
+    list the order-p entries over ``ks``; ``d`` holds the derivatives
+    d^p (1/2)csch(k mu/2) at mu0, which are p! c_p.
     """
 
-    __slots__ = ("field", "E0", "pole_tol", "column", "t", "c", "d", "_kh")
+    __slots__ = ("field", "t", "c", "d", "_kh")
 
     def __init__(self, field, E0, ks, pole_tol):
         self.field = field
-        self.E0 = E0
-        self.pole_tol = pole_tol
-        self.column = {}
-        self._kh = []
-        self.t, self.c, self.d = [[]], [[]], [[]]
-        self.add(ks)
-
-    def add(self, ks):
-        """Add the powers of ``ks`` that the table lacks, through its
-        order; returns ``self``.  A pole at one of them raises before the
-        table changes, so the powers it holds stay usable."""
-        new = tuple(dict.fromkeys(k for k in ks if k not in self.column))
-        if not new:
-            return self
-        f = self.field
-        heads = [_sinh_cosh_from_exp_half(f, self.E0, k, self.pole_tol)
-                 for k in new]
-        half = f.inv(f.from_int(2))
-        kh = [f.from_int(k) * half for k in new]
-        inv = [f.inv(s2) for s2, _c2 in heads]  # (1/2)csch = 1/(2 sinh)
-        t = [[c2 * i for (_s2, c2), i in zip(heads, inv)]]
-        c, d = [inv], [inv]
-        for q in range(len(self.c) - 1):
-            _next_order(f, t, c, d, kh, q)
-        for rows, more in ((self.t, t), (self.c, c), (self.d, d)):
-            for row, extra in zip(rows, more):
-                row.extend(extra)
-        self._kh.extend(kh)
-        self.column.update(zip(new, range(len(self.column), len(self._kh))))
-        return self
+        heads = [_sinh_cosh_from_exp_half(field, E0, k, pole_tol) for k in ks]
+        half = field.inv(field.from_int(2))
+        self._kh = [field.from_int(k) * half for k in ks]
+        inv = [field.inv(s2) for s2, _c2 in heads]  # (1/2)csch = 1/(2 sinh)
+        self.t = [[c2 * i for (_s2, c2), i in zip(heads, inv)]]
+        self.c, self.d = [inv], [inv]
 
     def grow(self, p):
         """Extend the coefficients through order ``p``; returns ``self``."""
@@ -213,7 +188,7 @@ class CschTaylor:
 
 def _next_order(f, t, c, d, kh, q):
     """Append order q + 1 to the rows ``t``, ``c`` and ``d``, from their
-    orders 0..q; ``kh`` lists k/2 over their columns."""
+    orders 0..q; ``kh`` lists k/2 over the powers."""
     sq = tc = [f.zero] * len(kh)
     for a in range(q + 1):
         sq = list(map(add, sq, map(mul, t[a], t[q - a])))

@@ -9,7 +9,7 @@ O(iota^2).  Writing G = <iota, mu(z)> + F, the k-th power trace expands as
                 prod_j (1/2) csch(k mu_j / 2) |_{mu = mu(z)},
 
 where f_j(z, y) = sum_{l + |alpha| = j+1} (F_l coefficient of iota^alpha) y^alpha
-regroups F and f0(z) = F_1(z, 0).  :func:`trace_power` expands the
+regroups F and f0(z) = F_1(z, 0).  :func:`trace_powers` expands the
 exponential of the (nilpotent) operator part and applies the resulting
 polynomial differential operators to the csch product along mu(z).
 
@@ -18,17 +18,17 @@ z-order and the pole tolerance, and it is a product over blocks:
 d^alpha prod_j (1/2)csch(k mu_j/2) = prod_j d^{alpha_j} (1/2)csch(k mu_j/2).
 Every derivative it needs is a Taylor coefficient of (1/2)csch(k mu/2) at
 mu_j(0), which does not depend on the jets.  A :class:`TraceEngine` holds
-the csch side of one set of blocks: per block one table of those
-coefficients (:class:`~bnftrace.hypcalc.CschTaylor`), which lists each
-order over every power k it was asked for and grows on demand in the
-order and in k, so a value at mu(0) is a product of table entries.  Along
-the jets delta_j(z) = mu_j(z) - mu_j(0) the block factor is
-d^a (1/2)csch(k mu_j(z)/2) = sum_b d^{a+b} (1/2)csch(k mu_j(0)/2)
+the csch side of one set of blocks for one tuple of powers ks, fixed
+when it is built: per block one table of those coefficients
+(:class:`~bnftrace.hypcalc.CschTaylor`), which lists each order over ks
+and grows on demand in the order, so a value at mu(0) is a product of
+table entries.  Along the jets delta_j(z) = mu_j(z) - mu_j(0) the block
+factor is d^a (1/2)csch(k mu_j(z)/2) = sum_b d^{a+b} (1/2)csch(k mu_j(0)/2)
 delta_j(z)^b / b!, and per jet state the engine keeps the powers of the
-jets, the block factors per (powers, j, a) and their products over j per
-(powers, alpha).  The caches live as long as the engine: the recovery
-uses one for every stage and its self-check, and it also keeps each
-power's expansion, for an equal normal form.
+jets, the block factors per (j, a) and their products over j per alpha.
+The caches live as long as the engine: the recovery uses one for every
+stage and its self-check, and it also keeps the expansions of its
+powers, for an equal normal form.  An engine refuses other powers.
 
 The F side does not depend on k.  With X = sum_{j>=1} h^j f_j(z, y),
 exp(-ik X) = sum_m ((-ik)^m / m!) X^m, and likewise for the z-dependent
@@ -36,7 +36,7 @@ phase, so each normal form computes the constant phase and the powers of
 X and of f0(z) - f0(0) once per (N_z, N_h) (:meth:`QuantumBNF.trace_side`),
 and the powers k only scale and add them.
 
-One forward pass serves a whole tuple of powers ks: every coefficient it
+One forward pass serves the engine's powers ks: every coefficient it
 forms is a list over ks, and each entry goes through the scalar
 operations of MultiSeries sums and products for that power alone, in
 their order (the first term of a sum is stored and later ones added), so
@@ -51,9 +51,9 @@ h^j, which depend on nothing of higher order, so :func:`trace_layers`
 forms the h^j layer of exp(-ik X) alone and convolves it with the
 z-phase, with no series product, through the same kernel, and it also
 gives the part that F terms of weight j + 1 add to that layer, linearly,
-above their own z-order.  :func:`trace_power`, :func:`trace_layer` and
-:func:`trace_coefficient` are the one-power cases.  An engine serves
-every z-order up to its own, so the stages share it.
+above their own z-order.  :func:`trace_power` is the one-power case, on
+a throwaway engine.  An engine serves every z-order up to its own, so
+the stages share it.
 
 Phase conventions: the oscillatory prefactor e^{ikS(z)/h} is never mixed
 into the h-expansion (the action series travels as metadata), and the
@@ -238,6 +238,9 @@ class TraceData:
         for k in range(1, self.k_max + 1):
             if k not in self.coefficients:
                 raise SchemaError(f"missing trace coefficients for k={k}")
+            if self.coefficients[k].n_actions != 0:
+                raise SchemaError(f"trace coefficients for k={k} must be "
+                                  "a plain z-series")
             # the recovery reads every power at k = 1's orders
             orders = self.coefficients[k].orders, self.coefficients[1].orders
             if orders[0] != orders[1]:
@@ -268,52 +271,43 @@ def _check_trace_orders(bnf, orders):
 
 class TraceEngine:
     """The F-independent csch side of the trace expansion for one set of
-    blocks, up to z-order ``n_z``, for any powers k (see the module
-    docstring), cached for the engine's lifetime.
+    blocks and one tuple of powers ``ks``, up to z-order ``n_z`` (see the
+    module docstring), cached for the engine's lifetime.
     """
 
-    def __init__(self, blocks, n_z, pole_tol=DEFAULT_POLE_TOL):
+    def __init__(self, blocks, ks, n_z, pole_tol=DEFAULT_POLE_TOL):
         self.field = blocks.field
         self.exp_half = list(blocks.exp_half)
+        self.ks = tuple(ks)
         self.n_z = n_z
         self.pole_tol = pole_tol
         self._tables = {}
         self._jet_caches = {}
         self.trace_powers = {}
 
-    def serves(self, blocks, n_z, pole_tol):
-        """True when the engine was built for these blocks and pole
+    def serves(self, blocks, ks, n_z, pole_tol):
+        """True when the engine was built for these blocks, powers and pole
         tolerance, at z-order ``n_z`` or above: its series then hold every
         term up to ``n_z``."""
-        return (blocks.field is self.field and n_z <= self.n_z
-                and pole_tol == self.pole_tol
+        return (blocks.field is self.field and tuple(ks) == self.ks
+                and n_z <= self.n_z and pole_tol == self.pole_tol
                 and list(blocks.exp_half) == self.exp_half)
 
-    def _table(self, j, ks):
-        """Block j's :class:`~bnftrace.hypcalc.CschTaylor`, holding the
-        powers ``ks`` at least."""
+    def _derivatives(self, j, p):
+        """Block j's d^q (1/2)csch(k mu_j/2) at mu_j(0), q = 0..p at least,
+        each listed over the engine's powers (its table, made on first use)."""
         table = self._tables.get(j)
         if table is None:
             table = self._tables[j] = hypcalc.CschTaylor(
-                self.field, self.exp_half[j], ks, self.pole_tol)
-        return table.add(ks)
+                self.field, self.exp_half[j], self.ks, self.pole_tol)
+        return table.grow(p).d
 
-    def _derivatives(self, ks, j, p):
-        """d^q (1/2)csch(k mu_j/2) at mu_j(0) for q = 0..p, each listed
-        over ``ks``."""
-        table = self._table(j, ks).grow(p)
-        if tuple(table.column) == ks:
-            return table.d
-        at = [table.column[k] for k in ks]
-        return [[row[i] for i in at] for row in table.d[:p + 1]]
-
-    def value_at_mu0(self, k, alpha):
-        """d^alpha prod_j (1/2)csch(k mu_j/2) at mu(0): a product of table
-        entries."""
-        v = self.field.one
+    def at_mu0(self, alpha):
+        """d^alpha prod_j (1/2)csch(k mu_j/2) at mu(0), listed over the
+        engine's powers: per power a product of table entries."""
+        v = [self.field.one] * len(self.ks)
         for j, a in enumerate(alpha):
-            table = self._table(j, (k,)).grow(a)
-            v = v * table.d[a][table.column[k]]
+            v = list(map(mul, v, self._derivatives(j, a)[a]))
         return v
 
     def along(self, mu_jets):
@@ -331,26 +325,26 @@ class TraceEngine:
             caches = self._jet_caches[key] = (scaled, {}, {})
         return caches
 
-    def zseries(self, ks, alpha, jets):
-        """z-series of d^alpha prod_j (1/2)csch(k mu_j/2) along mu(z) for
-        the powers ``ks`` (a tuple), as a dict from z-order to the list of
-        its coefficients over ``ks``, for the jets whose caches
-        :meth:`along` gave.  Block j's factor is
-        sum_b d^{alpha_j + b} (1/2)csch(k mu_j(0)/2) delta_j(z)^b / b!."""
+    def zseries(self, alpha, jets):
+        """z-series of d^alpha prod_j (1/2)csch(k mu_j/2) along mu(z), as a
+        dict from z-order to the list of its coefficients over the engine's
+        powers, for the jets whose caches :meth:`along` gave.  Block j's
+        factor is sum_b d^{alpha_j + b} (1/2)csch(k mu_j(0)/2)
+        delta_j(z)^b / b!."""
         scaled, factors, products = jets
-        s = products.get((ks, alpha))
+        s = products.get(alpha)
         if s is None:
             for j, a in enumerate(alpha):
-                factor = factors.get((ks, j, a))
+                factor = factors.get((j, a))
                 if factor is None:
-                    d = self._derivatives(ks, j, a + len(scaled[j]) - 1)
+                    d = self._derivatives(j, a + len(scaled[j]) - 1)
                     factor = {}
                     for b, delta in enumerate(scaled[j]):
                         for ((), m, _l), c in delta.terms.items():
                             _add_into(factor, m, [v * c for v in d[a + b]])
-                    factors[(ks, j, a)] = factor
+                    factors[(j, a)] = factor
                 s = factor if j == 0 else _zproduct(s, factor, self.n_z)
-            products[(ks, alpha)] = s
+            products[alpha] = s
         return s
 
 
@@ -378,19 +372,17 @@ def trace_powers(bnf, ks, orders, pole_tol=DEFAULT_POLE_TOL, engine=None):
     orders, as a dict from k to :class:`TracePower`.
 
     See the module docstring for the exact phase convention.  ``engine``
-    is a :class:`TraceEngine` built for the blocks of ``bnf`` at z-order
-    N_z or above; without it a throwaway one is used.  The engine's memo
-    keeps each power by k, the orders, F's and the jets' terms, and one
-    forward pass runs for the powers it lacks.
+    is a :class:`TraceEngine` built for the blocks of ``bnf`` and the
+    powers ``ks`` at z-order N_z or above; without it a throwaway one is
+    used.  The engine's memo keeps the expansions by the orders, F's and
+    the jets' terms, and a forward pass runs when it lacks them.
     """
-    ks = tuple(ks)
     engine = _checked_engine(bnf, ks, orders, pole_tol, engine)
     form = (tuple(orders),
             *(tuple(sorted(s.terms.items())) for s in [bnf.F, *bnf.mu_jets]))
-    memo = engine.trace_powers
-    missing = tuple(k for k in dict.fromkeys(ks) if (k, *form) not in memo)
-    if missing:
-        phase, pz, applied = _forward(bnf, missing, orders, engine)
+    tps = engine.trace_powers.get(form)
+    if tps is None:
+        phase, pz, applied = _forward(bnf, orders, engine)
         n_z, n_h = orders
         coeffs = {}
         for (_a, m1, l1), v1 in applied.items():
@@ -399,36 +391,26 @@ def trace_powers(bnf, ks, orders, pole_tol=DEFAULT_POLE_TOL, engine=None):
                     _add_into(coeffs, ((), m1 + m2, l1 + l2),
                               list(map(mul, v1, v2)))
         series_orders = Orders(0, n_z, n_h)
-        for i, k in enumerate(missing):
-            memo[(k, *form)] = TracePower(k, phase, MultiSeries._make(
+        tps = engine.trace_powers[form] = {
+            k: TracePower(k, phase, MultiSeries._make(
                 bnf.field, 0, series_orders,
                 {key: v[i] for key, v in coeffs.items()}))
-    return {k: memo[(k, *form)] for k in ks}
+            for i, k in enumerate(engine.ks)}
+    return tps
 
 
-def trace_power(bnf, k, orders, pole_tol=DEFAULT_POLE_TOL, engine=None):
+def trace_power(bnf, k, orders, pole_tol=DEFAULT_POLE_TOL):
     """Expansion of tr U(z)^k to the given (N_z, N_h) orders: the one-power
-    case of :func:`trace_powers`, as a :class:`TracePower`."""
-    return trace_powers(bnf, (k,), orders, pole_tol, engine)[k]
-
-
-def trace_coefficient(bnf, k, m, j, pole_tol=DEFAULT_POLE_TOL, engine=None):
-    """The z^m h^j coefficient of ``trace_power(bnf, k, (m, j)).coeffs``:
-    the last entry of :func:`trace_layer` at (m, j)."""
-    return trace_layer(bnf, k, (m, j), pole_tol, engine)[m]
-
-
-def trace_layer(bnf, k, orders, pole_tol=DEFAULT_POLE_TOL, engine=None,
-                added=None):
-    """The one-power case of :func:`trace_layers`: the list for k."""
-    return trace_layers(bnf, (k,), orders, pole_tol, engine, added)[k]
+    case of :func:`trace_powers`, on a throwaway engine, as a
+    :class:`TracePower`."""
+    return trace_powers(bnf, (k,), orders, pole_tol)[k]
 
 
 def trace_layers(bnf, ks, orders, pole_tol=DEFAULT_POLE_TOL, engine=None,
                  added=None):
     """The z^0..z^{N_z} coefficients at h^{N_h} of
-    ``trace_power(bnf, k, orders).coeffs`` for the powers ``ks``, as a dict
-    from k to the list of them.
+    ``trace_powers(bnf, ks, orders)[k].coeffs`` for the powers ``ks``, as a
+    dict from k to the list of them.
 
     The z-phase exp(-ik f0plus) has z-terms only, so the z^m coefficient is
     sum_{m2} pz_{m2} A_{m-m2}, where A is the h^{N_h} layer of the operator
@@ -442,53 +424,53 @@ def trace_layers(bnf, ks, orders, pole_tol=DEFAULT_POLE_TOL, engine=None,
     They enter exp(-ik X) at h^{N_h} only linearly, through X: as
     (-ik) x (i/k)^{|alpha|} z^m d^alpha prod_j (1/2)csch(k mu_j/2).
     """
-    ks = tuple(ks)
     n_z, layer = orders
     engine = _checked_engine(bnf, ks, orders, pole_tol, engine)
-    _phase, pz, applied = _forward(bnf, ks, orders, engine, layer, added)
+    _phase, pz, applied = _forward(bnf, orders, engine, layer, added)
     zero = bnf.field.zero
     # added terms at z^m reach the orders above it
     lo = 1 + min((m for _a, m in added or ()), default=-1)
-    rows = [[zero] * len(ks)] * lo
+    rows = [[zero] * len(engine.ks)] * lo
     for m in range(lo, n_z + 1):
         terms = [list(map(mul, c, applied[key]))
                  for ((), m2, _l), c in pz.items()
                  if (key := ((), m - m2, layer)) in applied]
         # per power, sum() from zero in the order of pz
         rows.append([sum(col, zero) for col in zip(*terms)] if terms
-                    else [zero] * len(ks))
-    return {k: [row[i] for row in rows] for i, k in enumerate(ks)}
+                    else [zero] * len(engine.ks))
+    return {k: [row[i] for row in rows] for i, k in enumerate(engine.ks)}
 
 
 def _checked_engine(bnf, ks, orders, pole_tol, engine):
-    """``engine`` (or a new one) once the powers, orders and engine are
-    checked."""
+    """``engine`` (or a new one for ``ks``) once the powers, orders and
+    engine are checked."""
     if not ks or min(ks) < 1:
         raise SchemaError("k must be a positive integer")
     _check_trace_orders(bnf, orders)
     if engine is None:
-        return TraceEngine(bnf.blocks, orders[0], pole_tol)
-    if not engine.serves(bnf.blocks, orders[0], pole_tol):
+        return TraceEngine(bnf.blocks, ks, orders[0], pole_tol)
+    if not engine.serves(bnf.blocks, ks, orders[0], pole_tol):
         raise SchemaError(
-            "trace engine was built for other blocks or pole tolerance, or "
-            "a lower z-order"
+            "trace engine was built for other blocks, powers or pole "
+            "tolerance, or a lower z-order"
         )
     return engine
 
 
-def _forward(bnf, ks, orders, engine, layer=None, added=None):
+def _forward(bnf, orders, engine, layer=None, added=None):
     """The kernel of :func:`trace_powers` and :func:`trace_layers`, for the
-    powers ``ks`` (a tuple) at once.
+    engine's powers at once.
 
     Returns ``(phase, pz, applied)``: the constant phase f0(0), the terms
     of the z-phase exp(-ik f0plus), and the terms ((), m, l) of the
     operator exponential exp(-ik sum_j h^j f_j(z, i k^{-1} d/dmu)) applied
     to prod_j (1/2)csch(k mu_j/2) along mu(z), each term's coefficient
-    listed over ``ks``.  With ``layer`` = l only the h^l layer of the
-    operator is formed and applied, or with ``added`` that layer's part in
-    them (see :func:`trace_layers`).
+    listed over the engine's powers.  With ``layer`` = l only the h^l
+    layer of the operator is formed and applied, or with ``added`` that
+    layer's part in them (see :func:`trace_layers`).
     """
     n_z, n_h = orders
+    ks = engine.ks
     jets = engine.along(bnf.mu_jets)
     f = bnf.field
     phase, x_powers, f0_powers, z_phases = bnf.trace_side(n_z, n_h)
@@ -510,7 +492,7 @@ def _forward(bnf, ks, orders, engine, layer=None, added=None):
         if da and da not in ik_pow:
             ik_pow[da] = [x**da for x in ik_inv]
         factor = list(map(mul, c, ik_pow[da])) if da else c
-        for m2, ec in engine.zseries(ks, alpha, jets).items():
+        for m2, ec in engine.zseries(alpha, jets).items():
             if m + m2 <= n_z:
                 _add_into(applied, ((), m + m2, l), list(map(mul, factor, ec)))
     return phase, pz, applied
@@ -542,7 +524,7 @@ def make_trace_data(bnf, action, maslov, k_max, orders,
 
     The blocks must be nonresonant through sum |k_j| <= 10.  All powers
     share one :class:`TraceEngine`: ``engine`` if given (it must serve
-    ``bnf``), else a new one.
+    ``bnf`` and k = 1..k_max), else a new one.
     """
     if k_max < 1:
         raise SchemaError("k_max must be >= 1")

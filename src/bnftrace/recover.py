@@ -52,10 +52,11 @@ separation limit that guarantees generic solvability, so condition
 numbers are reported rather than assumed.
 
 The forward runs go through one :class:`~bnftrace.qbnf.TraceEngine` for
-the recovered blocks, shared by every stage and the final self-check: its
-Taylor tables at mu(0) (per k and block) do not depend on the jets, which
+the recovered blocks and k = 1..K, shared by every stage and the final
+self-check: its Taylor tables at mu(0) do not depend on the jets, which
 change only in the j = 0 stages, and it keeps its z-series per jet state.
-The matrix entries above are products of the same table entries.  They
+The matrix entries above are products of the same table entries, a
+column per alpha (:meth:`~bnftrace.qbnf.TraceEngine.at_mu0`).  They
 depend only on mu(0), the k-set and the alpha set, not on the jets or the
 stage's right-hand side, so a recovery builds and factors the stage
 matrix of each h-order j once, and every m-stage of that j solves its own
@@ -71,8 +72,8 @@ above its own, exactly.  Only the self-check runs the whole expansion
 (:func:`~bnftrace.qbnf.trace_powers`), and on the exact field it compares
 exactly.  A caller may hand in an engine
 it already has (the round trip passes its forward engine), and it is used
-if it serves the recovered blocks: an exact round trip's self-check then
-reads the forwards the engine kept.
+if it serves the recovered blocks and 1..K: an exact round trip's
+self-check then reads the forwards the engine kept.
 """
 
 import cmath
@@ -458,45 +459,45 @@ def recover_polynomial(engine, values, alpha_set, residual_tol=1e-8,
                        cond_gate=None, systems=None):
     """Solve for the coefficients a_alpha, alpha in ``alpha_set``, of p from
     the values of p(i k^{-1} d/dmu) prod_j (1/2)csch(k mu_j/2) at mu(0),
-    over the powers k of ``values``.
+    over the powers k of ``values``, which must be those of ``engine``.
 
-    The field, the exponents mu(0) and the matrix entries come from
+    The field, mu(0), the powers and the matrix columns come from
     ``engine``, a :class:`~bnftrace.qbnf.TraceEngine`
-    (:meth:`~bnftrace.qbnf.TraceEngine.value_at_mu0`).  ``cond_gate`` caps
+    (:meth:`~bnftrace.qbnf.TraceEngine.at_mu0`).  ``cond_gate`` caps
     the condition number of a float solve; exact solves are not gated.
 
     The matrix is factored once and solved for this right-hand side
     (:func:`~bnftrace.linalg.factor_lstsq`).  ``systems`` is a dict that
-    keeps the factored matrix of each (k-set, alpha set) across calls that
-    share the field and mu(0), as the stages of one recovery do: a matrix
-    found there is not built again, and one built here is stored there.
-    The consistency or residual test, the gate and the returned condition
-    number belong to each call.
+    keeps the factored matrix of each alpha set across calls that share
+    the engine, as the stages of one recovery do: a matrix found there is
+    not built again, and one built here is stored there.  The consistency
+    or residual test, the gate and the returned condition number belong to
+    each call.
     """
     field = engine.field
     alpha_set = [tuple(a) for a in alpha_set]
-    k_set = sorted(values)
-    if len(k_set) < len(alpha_set):
+    ks = engine.ks
+    if sorted(values) != sorted(ks):
+        raise SchemaError(f"values for the powers {sorted(values)}, but the "
+                          f"trace engine serves {list(ks)}")
+    if len(ks) < len(alpha_set):
         raise RankDeficiencyError(
             f"{len(alpha_set)} unknown coefficients need at least "
-            f"{len(alpha_set)} trace powers, have {len(k_set)}"
+            f"{len(alpha_set)} trace powers, have {len(ks)}"
         )
     if systems is None:
         systems = {}
-    key = (tuple(k_set), tuple(alpha_set))
+    key = tuple(alpha_set)
     system = systems.get(key)
     if system is None:
-        rows = []
-        for k in k_set:
-            ik_inv = field.i * field.inv(field.from_int(k))
-            row = []
-            for alpha in alpha_set:
-                d = engine.value_at_mu0(k, alpha)
-                da = sum(alpha)
-                row.append(d * ik_inv ** da if da else d)
-            rows.append(row)
-        system = systems[key] = factor_lstsq(field, rows)
-    sol, cond, _res = system.solve([values[k] for k in k_set],
+        ik_inv = [field.i * field.inv(field.from_int(k)) for k in ks]
+        columns = []
+        for alpha in alpha_set:
+            da, col = sum(alpha), engine.at_mu0(alpha)
+            columns.append([d * x**da for d, x in zip(col, ik_inv)] if da
+                           else col)
+        system = systems[key] = factor_lstsq(field, list(zip(*columns)))
+    sol, cond, _res = system.solve([values[k] for k in ks],
                                    residual_tol=residual_tol)
     # an exact solve verifies every equation, so only float solves are gated
     if cond_gate is not None and not field.exact and cond > cond_gate:
@@ -575,8 +576,8 @@ def recover_qbnf(tdata, n, tol=1e-8, cond_gate=1e8,
 
     ``engine`` is an optional :class:`~bnftrace.qbnf.TraceEngine` already
     built, such as the forward engine of a round trip; if it serves the
-    recovered blocks, every stage and the self-check use it, otherwise one
-    new engine.
+    recovered blocks and the powers 1..k_max, every stage and the
+    self-check use it, otherwise one new engine.
     """
     f = tdata.field
     t_orders = tdata.orders()
@@ -622,8 +623,8 @@ def recover_qbnf(tdata, n, tol=1e-8, cond_gate=1e8,
 
     # one engine for every stage and the self-check, and one factored
     # matrix per alpha set (see the module docstring)
-    if engine is None or not engine.serves(blocks, n_z, pole_tol):
-        engine = TraceEngine(blocks, n_z, pole_tol)
+    if engine is None or not engine.serves(blocks, ks, n_z, pole_tol):
+        engine = TraceEngine(blocks, ks, n_z, pole_tol)
     systems = {}
 
     # -- Stages (j, m): the coefficients of G of weight j + 1 ------------

@@ -115,11 +115,11 @@ def leading_term(action, maslov_nu, blocks, k, n_z, mu_jets=None):
     kk = abs(int(k))
     f = blocks.field
     orders = Orders(0, n_z, 0)
-    engine = TraceEngine(blocks, n_z)
+    engine = TraceEngine(blocks, (kk,), n_z)
     if mu_jets is None:
         mu_jets = [MultiSeries.zero(f, 0, orders)] * blocks.n
     try:
-        zs = engine.zseries((kk,), (0,) * blocks.n, engine.along(mu_jets))
+        zs = engine.zseries((0,) * blocks.n, engine.along(mu_jets))
     except MathError as exc:
         raise MathError(
             f"degenerate orbit: |2 sinh(k mu_j/2)| below tolerance at k={k}"

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,10 +47,10 @@ def test_exact_roundtrip_self_check_reads_the_forward_it_made(
     of the same traces has no such memo and runs its own."""
     forward, full = qbnf._forward, []
 
-    def counting(bnf, k, orders, engine, layer=None, added=None):
+    def counting(bnf, orders, engine, layer=None, added=None):
         if layer is None:
-            full.append(k)
-        return forward(bnf, k, orders, engine, layer, added)
+            full.append(engine.ks)
+        return forward(bnf, orders, engine, layer, added)
 
     monkeypatch.setattr(qbnf, "_forward", counting)
     assert main(["roundtrip", "--bnf", rt1_file, "--orders", "4,3,3",
@@ -993,6 +994,59 @@ def test_malformed_number_in_bnf_exits_two(tmp_path, capsys, field, value):
     assert rc == 2
     assert f"malformed number under key 're'/'im': {value!r}" in \
         capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, part, value", [
+    ("rational", "re", "1e4301"), ("rational", "re", "-1e-4301"),
+    ("rational", "im", "1E+4301"), ("float", "im", "1e4301"),
+    ("float", "im", "1e-4301")])
+def test_a_decimal_exponent_beyond_4300_is_an_input_error(
+        tmp_path, capsys, field, part, value):
+    """Fraction builds ten to the power of a decimal exponent, which for
+    1e999999999 hangs the reader, so an exponent above 4300 in magnitude,
+    Python's default limit on integer text, is refused, of either sign.
+    The float field reads both parts through Fraction when one holds a
+    '/'."""
+    G = FR if field == "rational" else FF
+    blocks = SpectrumBlocks(G, [REAL_HYPERBOLIC], [G.from_int(2)])
+    F = MultiSeries(G, 1, Orders(2, 1, 1), {((2,), 0, 0): G.from_int(1)})
+    doc = jsonio.qbnf_to_json(QuantumBNF(blocks, [zseries(G, 1)], F))
+    doc["F"]["terms"][0].update({"re": "1/3", part: value})
+    path = tmp_path / "bnf.json"
+    jsonio.dump(path, doc)
+    rc = main(["forward", "--bnf", str(path), "--orders", "2,1,1",
+               "--kmax", "6", "--out", str(tmp_path / "t.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "malformed number under key 're'/'im'" in err
+    assert "decimal exponent" in err
+
+
+def test_a_decimal_exponent_of_4300_reads():
+    for text, want in (("1e4300", 10 ** 4300),
+                       ("-2.5E-4300", Fraction(-25, 10 ** 4301))):
+        assert jsonio.scalar_from_json(FR, {"re": text}) == \
+            FR.from_rational(want)
+    assert jsonio.scalar_from_json(FF, {"re": "1/2", "im": "1e-4300"}) == \
+        0.5 + 0j
+
+
+def test_trace_coefficients_with_action_slots_are_an_input_error(
+        tmp_path, capsys):
+    """The recovery reads the plain z-series keys of the trace
+    coefficients, so a series with an action slot would read as zeros:
+    the trace file is refused, naming the power."""
+    def slotted(doc):
+        series = doc["coefficients"]["2"]
+        series["n_actions"] = 1
+        for term in series["terms"]:
+            term["iota"] = [0]
+
+    rc = main(_recover_argv(tmp_path, slotted))
+    assert rc == 2
+    assert ("trace coefficients for k=2 must be a plain z-series"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "t.json").exists()
 
 
 def _n1_file(tmp_path, F_terms, jet):

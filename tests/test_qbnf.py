@@ -17,7 +17,7 @@ from bnftrace.blocks import (COMPLEX_HYPERBOLIC, ELLIPTIC, REAL_HYPERBOLIC,
 from bnftrace.errors import MathError, PoleError, ResonanceError, SchemaError
 from bnftrace.fields import FloatField, RationalField
 from bnftrace.qbnf import (QuantumBNF, TraceData, TraceEngine, make_trace_data,
-                           trace_coefficient, trace_power)
+                           trace_power)
 from bnftrace.series import MultiSeries, Orders, zseries
 from bnftrace import hypcalc as hc
 from bnftrace import qbnf
@@ -244,12 +244,13 @@ def test_mixed_fixture_forward_runs():
 class _ScratchEngine:
     """Stands in for TraceEngine with no caches at all: every z-series is
     built from scratch by apply_derivatives + eval_series_in_z, one power
-    at a time.  Its trace_power memo starts empty, so its first
-    trace_power runs the forward."""
+    at a time.  Its trace_powers memo starts empty, so its first
+    trace_powers runs the forward."""
 
-    def __init__(self, blocks, n_z):
+    def __init__(self, blocks, ks, n_z):
         self.blocks = blocks
         self.field = blocks.field
+        self.ks = tuple(ks)
         self.n_z = n_z
         self.trace_powers = {}
 
@@ -259,8 +260,8 @@ class _ScratchEngine:
     def along(self, mu_jets):
         return mu_jets
 
-    def zseries(self, ks, alpha, mu_jets):
-        b, out = self.blocks, {}
+    def zseries(self, alpha, mu_jets):
+        b, ks, out = self.blocks, self.ks, {}
         for i, k in enumerate(ks):
             expr = hc.apply_derivatives(hc.csch_product(b.field, b.n, k),
                                         alpha)
@@ -271,10 +272,15 @@ class _ScratchEngine:
 
 
 def _one_power(engine, k, alpha, jets):
-    """``engine.zseries`` at the one power k, as a z-series."""
+    """``engine.zseries`` at its power k, as a z-series."""
+    i = engine.ks.index(k)
     return zseries(engine.field, engine.n_z,
-                   {m: v for m, (v,) in engine.zseries((k,), alpha,
-                                                       jets).items()})
+                   {m: v[i] for m, v in engine.zseries(alpha, jets).items()})
+
+
+def _power(bnf, k, orders, engine):
+    """The expansion of power k from a pass over the engine's powers."""
+    return qbnf.trace_powers(bnf, engine.ks, orders, engine=engine)[k]
 
 
 def _rational_fixtures():
@@ -307,12 +313,15 @@ def _alphas_up_to(n, degree):
 
 
 def test_engine_trace_power_matches_scratch_reference():
+    ks = range(1, 9)
     for b in _rational_fixtures():
-        engine = TraceEngine(b.blocks, 3)
-        for k in range(1, 9):
-            ref = trace_power(b, k, (3, 3), engine=_ScratchEngine(b.blocks, 3))
-            got = trace_power(b, k, (3, 3), engine=engine)
-            again = trace_power(b, k, (3, 3), engine=engine)  # from cache
+        engine = TraceEngine(b.blocks, ks, 3)
+        refs = qbnf.trace_powers(b, ks, (3, 3),
+                                 engine=_ScratchEngine(b.blocks, ks, 3))
+        for k in ks:
+            ref = refs[k]
+            got = _power(b, k, (3, 3), engine)
+            again = _power(b, k, (3, 3), engine)  # from cache
             assert got.phase == ref.phase
             assert list(got.coeffs.terms.items()) == \
                 list(ref.coeffs.terms.items())
@@ -322,16 +331,18 @@ def test_engine_trace_power_matches_scratch_reference():
 
 def test_engine_matches_scratch_for_every_alpha():
     for b in _rational_fixtures():
-        engine = TraceEngine(b.blocks, 3)
-        scratch = _ScratchEngine(b.blocks, 3)
-        for k in (1, 2, 5):
-            for alpha in _alphas_up_to(b.n, 4):
+        ks = (1, 2, 5)
+        engine = TraceEngine(b.blocks, ks, 3)
+        scratch = _ScratchEngine(b.blocks, ks, 3)
+        for alpha in _alphas_up_to(b.n, 4):
+            values = engine.at_mu0(alpha)
+            for k, value in zip(ks, values, strict=True):
                 assert _one_power(engine, k, alpha,
                                   engine.along(b.mu_jets)) == \
                     _one_power(scratch, k, alpha, b.mu_jets)
                 expr = hc.apply_derivatives(hc.csch_product(FR, b.n, k), alpha)
-                assert engine.value_at_mu0(k, alpha) == hc.eval_csch(
-                    expr, exp_half=b.blocks.exp_half)
+                assert value == hc.eval_csch(expr,
+                                             exp_half=b.blocks.exp_half)
 
 
 def test_coth_polys_equal_apply_derivatives():
@@ -340,12 +351,13 @@ def test_coth_polys_equal_apply_derivatives():
     for field in (FR, FF):
         E = field.from_rational("5/3")
         blocks = SpectrumBlocks(field, [REAL_HYPERBOLIC], [E])
-        engine = TraceEngine(blocks, 0)
-        for k in (1, 2, 3):
-            for a in range(9):
+        ks = (1, 2, 3)
+        engine = TraceEngine(blocks, ks, 0)
+        for a in range(9):
+            for k, value in zip(ks, engine.at_mu0((a,)), strict=True):
                 ref = hc.apply_derivatives(hc.csch_product(field, 1, k), (a,))
-                assert field.close(engine.value_at_mu0(k, (a,)),
-                                   hc.eval_csch(ref, exp_half=[E]), 1e-13)
+                assert field.close(value, hc.eval_csch(ref, exp_half=[E]),
+                                   1e-13)
 
 
 @st.composite
@@ -412,13 +424,13 @@ def test_engine_factorization_matches_n_variable_calculus(case):
         mu_jets = [zseries(field, n_z, {m: field.from_rational(*c)
                                         for m, c in jet.items()})
                    for jet in jets]
-        engine = TraceEngine(blocks, n_z)
+        engine = TraceEngine(blocks, (k,), n_z)
         expr = hc.apply_derivatives(hc.csch_product(field, len(tags), k),
                                     alpha)
         ref_series = hc.eval_series_in_z(expr, blocks.exp_half, mu_jets, n_z)
         ref_value = hc.eval_csch(expr, exp_half=blocks.exp_half)
         got_series = _one_power(engine, k, alpha, engine.along(mu_jets))
-        got_value = engine.value_at_mu0(k, alpha)
+        (got_value,) = engine.at_mu0(alpha)
         if field.exact:
             assert got_series == ref_series
             assert got_value == ref_value
@@ -432,23 +444,44 @@ def test_engine_factorization_matches_n_variable_calculus(case):
 
 
 def test_trace_power_rejects_engine_of_another_state():
-    """An engine serves its own blocks and pole tolerance at any z-order
-    up to its own, giving the full series truncated there; it refuses
-    other blocks, another pole tolerance and a higher z-order."""
+    """An engine serves its own blocks, powers and pole tolerance at any
+    z-order up to its own, giving the full series truncated there; it
+    refuses other blocks, other powers, another pole tolerance and a
+    higher z-order."""
     _F, b, _a = rt1()
-    own = TraceEngine(b.blocks, 3)
-    full = trace_power(b, 1, (3, 3), engine=own).coeffs
-    low = trace_power(b, 1, (2, 3), engine=own).coeffs
+    own = TraceEngine(b.blocks, (1,), 3)
+    full = _power(b, 1, (3, 3), own).coeffs
+    low = _power(b, 1, (2, 3), own).coeffs
     assert low.orders == Orders(0, 2, 3)
     assert low == full.truncate(Orders(0, 2, 3))
     with pytest.raises(SchemaError):
-        trace_power(b, 1, (4, 3), engine=own)
+        _power(b, 1, (4, 3), own)
     other_blocks = SpectrumBlocks(FR, [REAL_HYPERBOLIC], [FR.from_int(3)])
-    for engine in (TraceEngine(other_blocks, 3),
-                   TraceEngine(b.blocks, 3, pole_tol=1e-6),
-                   TraceEngine(b.blocks, 2)):
+    for engine in (TraceEngine(other_blocks, (1,), 3),
+                   TraceEngine(b.blocks, (2,), 3),
+                   TraceEngine(b.blocks, (1,), 3, pole_tol=1e-6),
+                   TraceEngine(b.blocks, (1,), 2)):
         with pytest.raises(SchemaError, match="trace engine"):
-            trace_power(b, 1, (3, 3), engine=engine)
+            qbnf.trace_powers(b, (1,), (3, 3), engine=engine)
+
+
+def test_an_engine_refuses_other_powers():
+    """An engine serves the tuple of powers it was built for, in its
+    order: trace_powers, trace_layers and make_trace_data refuse it for
+    fewer, more or reordered powers, before any forward."""
+    _F, b, action = rt1()
+    engine = TraceEngine(b.blocks, range(1, 9), 3)
+    for ks in ((1,), range(1, 8), range(1, 10), (2, 1, 3, 4, 5, 6, 7, 8)):
+        with pytest.raises(SchemaError, match="trace engine"):
+            qbnf.trace_powers(b, ks, (3, 3), engine=engine)
+        with pytest.raises(SchemaError, match="trace engine"):
+            qbnf.trace_layers(b, ks, (3, 3), engine=engine)
+    for k_max in (7, 9):
+        with pytest.raises(SchemaError, match="trace engine"):
+            make_trace_data(b, action, {}, k_max, (3, 3), engine=engine)
+    assert engine.trace_powers == {}
+    td = make_trace_data(b, action, {}, 8, (3, 3), engine=engine)
+    assert sorted(td.coefficients) == list(range(1, 9))
 
 
 def test_one_engine_serves_every_jet_state():
@@ -459,13 +492,13 @@ def test_one_engine_serves_every_jet_state():
     jets_b = [zseries(FR, 3, {2: FR.from_rational("5/4")}),
               zseries(FR, 3, {1: FR.from_rational(0, "1/3")})]
     b = QuantumBNF(a.blocks, jets_b, a.F)
-    engine = TraceEngine(a.blocks, 3)
+    ks = (1, 2, 3)
+    engine = TraceEngine(a.blocks, ks, 3)
     for bnf in (a, b, a):
-        for k in (1, 2, 3):
-            got = trace_power(bnf, k, (3, 3), engine=engine)
-            want = trace_power(bnf, k, (3, 3),
-                               engine=TraceEngine(bnf.blocks, 3))
-            assert got.coeffs.terms == want.coeffs.terms
+        got = qbnf.trace_powers(bnf, ks, (3, 3), engine=engine)
+        want = qbnf.trace_powers(bnf, ks, (3, 3))
+        for k in ks:
+            assert got[k].coeffs.terms == want[k].coeffs.terms
 
 
 @st.composite
@@ -502,11 +535,11 @@ def test_trace_power_at_lower_orders_is_the_truncation(case):
     F = MultiSeries(FR, len(tags), Orders(n_h + 1, n_z, n_h),
                     {key: FR.from_rational(*c) for key, c in F_terms.items()})
     bnf = QuantumBNF(blocks, mu_jets, F)
-    engine = TraceEngine(blocks, n_z)
-    full = trace_power(bnf, k, (n_z, n_h), engine=engine)
+    engine = TraceEngine(blocks, (k,), n_z)
+    full = _power(bnf, k, (n_z, n_h), engine)
     for m in range(n_z + 1):
         for j in range(n_h + 1):
-            low = trace_power(bnf, k, (m, j), engine=engine)
+            low = _power(bnf, k, (m, j), engine)
             assert low.phase == full.phase
             assert low.coeffs == full.coeffs.truncate(Orders(0, m, j))
 
@@ -539,10 +572,10 @@ def _stage_case(draw):
 
 @settings(max_examples=25, deadline=None)
 @given(_stage_case())
-def test_trace_coefficient_is_the_trace_power_coefficient(case):
-    """trace_coefficient(bnf, k, m, j) is the z^m h^j coefficient of
-    trace_power at (m, j) for every (m, j) up to the orders: exactly on
-    the rational field, within 1e-12 relative on doubles."""
+def test_a_layer_entry_is_the_trace_power_coefficient(case):
+    """The z^m entry of trace_layers at (m, j) is the z^m h^j coefficient
+    of trace_powers at (m, j) for every (m, j) up to the orders: exactly
+    on the rational field, within 1e-12 relative on doubles."""
     tags, exps, jets, F_terms, n_z, n_h, k = case
     for field in (FR, FF):
         q = field.from_rational
@@ -552,12 +585,13 @@ def test_trace_coefficient_is_the_trace_power_coefficient(case):
         F = MultiSeries(field, len(tags), Orders(n_h + 1, n_z, n_h),
                         {key: q(*c) for key, c in F_terms.items()})
         bnf = QuantumBNF(blocks, mu_jets, F)
-        engine = TraceEngine(blocks, n_z)
+        engine = TraceEngine(blocks, (k,), n_z)
         for m in range(n_z + 1):
             for j in range(n_h + 1):
-                series = trace_power(bnf, k, (m, j), engine=engine).coeffs
+                series = _power(bnf, k, (m, j), engine).coeffs
                 want = series.get((), m, j)
-                got = trace_coefficient(bnf, k, m, j, engine=engine)
+                got = qbnf.trace_layers(bnf, (k,), (m, j),
+                                        engine=engine)[k][m]
                 if field.exact:
                     assert got == want
                     continue
@@ -565,15 +599,16 @@ def test_trace_coefficient_is_the_trace_power_coefficient(case):
                 assert field.abs(got - want) <= 1e-12 * scale
 
 
-def test_trace_coefficient_checks_like_trace_power():
+def test_trace_layers_checks_like_trace_powers():
     _F, b, _a = rt1()
     with pytest.raises(SchemaError, match="trace engine"):
-        trace_coefficient(b, 1, 2, 2, engine=TraceEngine(b.blocks, 1))
+        qbnf.trace_layers(b, (1,), (2, 2),
+                          engine=TraceEngine(b.blocks, (1,), 1))
     with pytest.raises(SchemaError):
-        trace_coefficient(b, 1, 4, 2)
+        qbnf.trace_layers(b, (1,), (4, 2))
     with pytest.raises(SchemaError):
-        trace_coefficient(b, 0, 1, 1)
-    assert trace_coefficient(b, 3, 2, 2) == \
+        qbnf.trace_layers(b, (0,), (1, 1))
+    assert qbnf.trace_layers(b, (3,), (2, 2))[3][2] == \
         trace_power(b, 3, (3, 3)).coeffs.get((), 2, 2)
 
 
@@ -621,10 +656,10 @@ def test_trace_power_matches_per_k_exp_series_exact():
     for b in _rational_fixtures():
         b = _with_z_dependent_f0(b, FR.from_rational("-3/4"),
                                  FR.from_rational("2/5"))
-        engine = TraceEngine(b.blocks, 3)
+        engine = TraceEngine(b.blocks, range(1, 9), 3)
         for k in range(1, 9):
             phase, coeffs = _per_k_trace_power(b, k, (3, 3), engine)
-            got = trace_power(b, k, (3, 3), engine=engine)
+            got = _power(b, k, (3, 3), engine)
             assert got.phase == phase
             assert got.coeffs.terms == coeffs.terms
 
@@ -632,10 +667,10 @@ def test_trace_power_matches_per_k_exp_series_exact():
 def test_trace_power_matches_per_k_exp_series_float():
     _F, b = mixed_float_fixture(31, with_jets=True)
     b = _with_z_dependent_f0(b, 0.3 - 0.1j, -0.2 + 0j)
-    engine = TraceEngine(b.blocks, 2)
+    engine = TraceEngine(b.blocks, range(1, 9), 2)
     for k in range(1, 9):
         phase, coeffs = _per_k_trace_power(b, k, (2, 2), engine)
-        got = trace_power(b, k, (2, 2), engine=engine)
+        got = _power(b, k, (2, 2), engine)
         assert FF.close(got.phase, phase, 1e-13)
         assert got.coeffs.close_to(coeffs, 1e-13)
 
@@ -667,10 +702,10 @@ def _counting_forwards(monkeypatch):
     layer) made from here on, one entry per power."""
     forward, full = qbnf._forward, []
 
-    def counting(bnf, ks, orders, engine, layer=None, added=None):
+    def counting(bnf, orders, engine, layer=None, added=None):
         if layer is None:
-            full.extend(ks)
-        return forward(bnf, ks, orders, engine, layer, added)
+            full.extend(engine.ks)
+        return forward(bnf, orders, engine, layer, added)
 
     monkeypatch.setattr(qbnf, "_forward", counting)
     return full
@@ -684,27 +719,27 @@ def _with_F_term(b, key, c):
 
 
 def test_trace_power_memo_hits_only_an_equal_normal_form(monkeypatch):
-    """The engine keeps each trace_power by k, the orders, F's terms and
-    the jets' terms: an equal normal form built anew reads it back, one
-    that differs in one F term, or by one ulp of a double in F or a jet,
-    runs its own forward."""
+    """The engine keeps its powers' expansions by the orders, F's terms
+    and the jets' terms: an equal normal form built anew reads them back,
+    one that differs in one F term, or by one ulp of a double in F or a
+    jet, runs its own forward, and so does another engine's power."""
     full = _counting_forwards(monkeypatch)
     _F, b, _a = rt1()
-    engine = TraceEngine(b.blocks, 3)
-    tp = trace_power(b, 2, (3, 3), engine=engine)
+    engine = TraceEngine(b.blocks, (2,), 3)
+    tp = _power(b, 2, (3, 3), engine)
     again = QuantumBNF(b.blocks, [zseries(FR, 3, {1: FR.one})],
                        MultiSeries(FR, 1, b.F.orders, dict(b.F.terms)))
-    assert trace_power(again, 2, (3, 3), engine=engine) is tp
+    assert _power(again, 2, (3, 3), engine) is tp
     assert full == [2]
     other = _with_F_term(b, ((2,), 1, 1), FR.from_rational("1/9"))
-    assert trace_power(other, 2, (3, 3), engine=engine) is not tp
-    assert trace_power(b, 3, (3, 3), engine=engine) is not tp
-    assert trace_power(b, 2, (2, 3), engine=engine) is not tp
+    assert _power(other, 2, (3, 3), engine) is not tp
+    assert trace_power(b, 3, (3, 3)) is not tp
+    assert _power(b, 2, (2, 3), engine) is not tp
     assert full == [2, 2, 3, 2]
 
     _F, fb = mixed_float_fixture(31, with_jets=True)
-    engine = TraceEngine(fb.blocks, 2)
-    tp = trace_power(fb, 1, (2, 2), engine=engine)
+    engine = TraceEngine(fb.blocks, (1,), 2)
+    tp = _power(fb, 1, (2, 2), engine)
     key, c = next(iter(fb.F.terms.items()))
     ulp = complex(math.nextafter(c.real, math.inf), c.imag)
     jet = fb.mu_jets[0]
@@ -712,7 +747,7 @@ def test_trace_power_memo_hits_only_an_equal_normal_form(monkeypatch):
         jet.get((), 1, 0).real, 1.0)), 2: jet.get((), 2, 0)})
     for nudged in (_with_F_term(fb, key, ulp),
                    QuantumBNF(fb.blocks, [jet_ulp, fb.mu_jets[1]], fb.F)):
-        assert trace_power(nudged, 1, (2, 2), engine=engine) is not tp
+        assert _power(nudged, 1, (2, 2), engine) is not tp
     assert full == [2, 2, 3, 2, 1, 1, 1]
 
 
@@ -723,48 +758,47 @@ def test_trace_power_memo_hit_equals_a_fresh_expansion(monkeypatch):
     _F, fb = mixed_float_fixture(31, with_jets=True)
     for b, orders in [(b, (3, 3)) for b in _rational_fixtures()] + [
             (fb, (2, 2))]:
-        engine = TraceEngine(b.blocks, orders[0])
-        for k in (1, 4):
-            trace_power(b, k, orders, engine=engine)
-            hit = trace_power(b, k, orders, engine=engine)
+        ks = (1, 4)
+        engine = TraceEngine(b.blocks, ks, orders[0])
+        qbnf.trace_powers(b, ks, orders, engine=engine)
+        for k in ks:
+            hit = _power(b, k, orders, engine)
             fresh = trace_power(b, k, orders)
             assert hit.phase == fresh.phase
             assert list(hit.coeffs.terms.items()) == \
                 list(fresh.coeffs.terms.items())
         with pytest.raises(SchemaError):
-            trace_power(b, 0, orders, engine=engine)
+            qbnf.trace_powers(b, (0,), orders, engine=engine)
         with pytest.raises(SchemaError):
-            trace_power(b, 1, (orders[0] + 1, orders[1]), engine=engine)
+            _power(b, 1, (orders[0] + 1, orders[1]), engine)
 
 
 def test_a_power_reads_the_same_in_any_pass():
     """A power's expansion is term for term, in the same order, what a
     pass for that power alone gives, whichever powers share the pass: all
-    of 1..8 at once, or a repeated and unsorted few on an engine whose
-    tables already hold other powers.  On the rational fixtures and on
-    doubles with a z-dependent f0."""
+    of 1..8 at once, or a repeated and unsorted few, on fresh engines.  On
+    the rational fixtures and on doubles with a z-dependent f0."""
     _F, fb = mixed_float_fixture(31, with_jets=True)
     fb = _with_z_dependent_f0(fb, 0.3 - 0.1j, -0.2 + 0j)
     for b, orders in [(b, (3, 3)) for b in _rational_fixtures()] + [
             (fb, (2, 2))]:
         alone = {k: trace_power(b, k, orders) for k in range(1, 9)}
-        engine = TraceEngine(b.blocks, orders[0])
-        trace_power(b, 7, orders, engine=engine)
         for ks in (range(1, 9), (5, 2, 5, 1)):
-            for e in (TraceEngine(b.blocks, orders[0]), engine):
-                for k, tp in qbnf.trace_powers(b, ks, orders,
-                                               engine=e).items():
-                    assert tp.phase == alone[k].phase
-                    assert list(tp.coeffs.terms.items()) == \
-                        list(alone[k].coeffs.terms.items())
+            engine = TraceEngine(b.blocks, ks, orders[0])
+            tps = qbnf.trace_powers(b, ks, orders, engine=engine)
+            assert sorted(tps) == sorted(set(ks))
+            for k, tp in tps.items():
+                assert tp.phase == alone[k].phase
+                assert list(tp.coeffs.terms.items()) == \
+                    list(alone[k].coeffs.terms.items())
 
 
-def test_a_pole_at_one_power_leaves_the_others_usable():
-    """A float elliptic block E = exp(i pi/3) has a pole at k = 3.  An
-    all-powers call over k = 1..6 raises the pole of k = 3, with the
-    one-power text, and leaves the engine's tables usable: k = 2 and k = 4
-    then give, on the same engine, what fresh engines give.  make_trace_data
-    refuses the form before any forward, as resonant at k=[3]."""
+def test_a_pole_at_one_power_is_named():
+    """A float elliptic block E = exp(i pi/3) has poles at k = 3 and 6.  A
+    pass over k = 1..6 raises the pole of k = 3 with the one-power text,
+    and one over (6, 5, 3) names k = 6, the first pole in the engine's
+    order.  make_trace_data refuses the form before any forward, as
+    resonant at k=[3]."""
     # exp(i pi/3) as cmath.exp gives it, spelled out so that the pole's
     # size does not hang on the platform's exp
     blocks = SpectrumBlocks(FF, [ELLIPTIC], [0.5000000000000001 +
@@ -773,15 +807,12 @@ def test_a_pole_at_one_power_leaves_the_others_usable():
         ((2,), 0, 0): 0.3 + 0.1j, ((1,), 1, 1): -0.2 + 0j,
         ((0,), 1, 1): 0.25 + 0j, ((1,), 0, 2): 0.1j})
     b = QuantumBNF(blocks, [zseries(FF, 2, {1: 0.1j, 2: 0.02j})], F)
-    engine = TraceEngine(blocks, 2)
+    engine = TraceEngine(blocks, range(1, 7), 2)
     with pytest.raises(PoleError) as exc:
         qbnf.trace_powers(b, range(1, 7), (2, 2), engine=engine)
     assert str(exc.value) == ("|sinh(k mu/2)| = 3.886e-16 below pole "
                               "tolerance 1.0e-09 (k=3)")
-    for k in (2, 4):
-        got = trace_power(b, k, (2, 2), engine=engine)
-        fresh = trace_power(b, k, (2, 2))
-        assert list(got.coeffs.terms.items()) == \
-            list(fresh.coeffs.terms.items())
+    with pytest.raises(PoleError, match=r"\(k=6\)$"):
+        qbnf.trace_layers(b, (6, 5, 3), (2, 2))
     with pytest.raises(ResonanceError, match=r"k=\[3\]"):
         make_trace_data(b, zseries(FF, 2, {1: FF.one}), {}, 6, (2, 2))

@@ -14,13 +14,13 @@ from helpers import mixed_float_fixture, rt1, well_separated_mus
 from bnftrace.blocks import (COMPLEX_HYPERBOLIC, ELLIPTIC, REAL_HYPERBOLIC,
                              SpectrumBlocks, nonresonance_witness)
 from bnftrace.errors import (ConvergenceError, FieldError, MathError,
-                             RankDeficiencyError)
+                             RankDeficiencyError, SchemaError)
 from bnftrace.fields import FloatField, RationalField
 from bnftrace import hypcalc as hc
 from bnftrace import jsonio, linalg
 from bnftrace import recover as recover_module
 from bnftrace.qbnf import (QuantumBNF, TraceData, TraceEngine, TracePower,
-                          make_trace_data, trace_coefficient)
+                          make_trace_data, trace_layers)
 from bnftrace.linalg import poly_roots
 from bnftrace.recover import (_cube_from_roots, _misfits, _refit,
                               recover_frequencies, recover_polynomial,
@@ -377,7 +377,7 @@ def test_deflated_stage_values_equal_fresh_forwards(case):
     """The stages of h-order j >= 1 share one layer forward, deflated by
     the terms each stage finds.  Every stage's right-hand side, as the
     recovery hands it to the solve, equals exactly the one that a fresh
-    trace_coefficient gives on the stage's partial normal form: the jets
+    trace_layers gives on the stage's partial normal form: the jets
     and the F terms of lower weight, and those of the stage's weight at a
     lower z-order.  Traces at orders (2, 1), with the jets and a z^1 term
     of f0 nonzero, so the z-phase is not 1."""
@@ -418,9 +418,9 @@ def test_deflated_stage_values_equal_fresh_forwards(case):
             if l + sum(alpha) <= j or l + sum(alpha) == j + 1 and mm < m})
         partial = QuantumBNF(rep.recovered.blocks, part_jets, part_F,
                              validate=False)
+        layers = trace_layers(partial, tuple(values), (m, j))
         for k, v in values.items():
-            fresh = td.coefficients[k].get((), m, j) - trace_coefficient(
-                partial, k, m, j)
+            fresh = td.coefficients[k].get((), m, j) - layers[k][m]
             assert v == fresh * FR.inv(-(FR.i * FR.from_int(k)))
 
 
@@ -438,10 +438,11 @@ def test_exact_fit_that_does_not_verify_refuses():
     assert "240-bit fit c = " in msg and "misses the samples by" in msg
 
 
-def _engine_at(E):
-    """A trace engine at z-order 0 for one real hyperbolic block."""
+def _engine_at(E, ks):
+    """A trace engine at z-order 0 for one real hyperbolic block and the
+    powers ``ks``."""
     blocks = SpectrumBlocks(FR, [REAL_HYPERBOLIC], [E])
-    return TraceEngine(blocks, 0)
+    return TraceEngine(blocks, ks, 0)
 
 
 def test_recover_polynomial_linear():
@@ -452,7 +453,7 @@ def test_recover_polynomial_linear():
             exp_half=[FR.from_int(2)])
         vals[k] = (FR.i * FR.inv(FR.from_int(k))) * d
     assert vals[1] == FR.i.conjugate() * FR.from_rational("5/9")  # -5i/9
-    sol, cond = recover_polynomial(_engine_at(FR.from_int(2)), vals,
+    sol, cond = recover_polynomial(_engine_at(FR.from_int(2), vals), vals,
                                    [(0,), (1,)])
     assert sol[(1,)] == FR.one
     assert sol[(0,)] == FR.zero
@@ -664,7 +665,7 @@ def test_extended_recovery_reports_the_double_condition_numbers(precision):
 
 def test_recover_polynomial_zero():
     vals = {k: FR.zero for k in (1, 2, 3)}
-    sol, _ = recover_polynomial(_engine_at(FR.from_int(2)), vals,
+    sol, _ = recover_polynomial(_engine_at(FR.from_int(2), vals), vals,
                                 [(0,), (1,)])
     assert all(v == FR.zero for v in sol.values())
 
@@ -681,7 +682,7 @@ def test_recover_polynomial_quadratic_exact():
                 exp_half=[FR.from_int(2)])
             total = total + c * (FR.i * FR.inv(FR.from_int(k))) ** sum(alpha) * d
         vals[k] = total
-    sol, _ = recover_polynomial(_engine_at(FR.from_int(2)), vals,
+    sol, _ = recover_polynomial(_engine_at(FR.from_int(2), vals), vals,
                                 [(0,), (1,), (2,)])
     assert sol == coeffs
 
@@ -689,8 +690,18 @@ def test_recover_polynomial_quadratic_exact():
 def test_recover_polynomial_needs_enough_powers():
     vals = {1: FR.one, 2: FR.one}
     with pytest.raises(RankDeficiencyError):
-        recover_polynomial(_engine_at(FR.from_int(2)), vals,
+        recover_polynomial(_engine_at(FR.from_int(2), vals), vals,
                            [(0,), (1,), (2,)])
+
+
+def test_recover_polynomial_refuses_other_powers():
+    """The rows of the matrix are the engine's powers, so values for fewer,
+    other or more powers are refused."""
+    engine = _engine_at(FR.from_int(2), (1, 2, 3))
+    for ks in ((1, 2), (1, 2, 4), (1, 2, 3, 4)):
+        with pytest.raises(SchemaError, match="trace engine serves"):
+            recover_polynomial(engine, {k: FR.one for k in ks},
+                               [(0,), (1,)])
 
 
 def test_recover_qbnf_trivial_fixture():
@@ -825,7 +836,7 @@ def test_recovery_evaluates_each_z_series_once(monkeypatch):
     cosh again; a new engine for the same blocks gives the same report."""
     F, bnf, action = rt1()
     K = 8
-    forward = TraceEngine(bnf.blocks, 3)
+    forward = TraceEngine(bnf.blocks, range(1, K + 1), 3)
     td = make_trace_data(bnf, action, {}, K, (3, 3), engine=forward)
     engines, calls = _count_engines_and_tables(monkeypatch)
     rep = recover_qbnf(td, 1, engine=forward)
@@ -912,20 +923,21 @@ def test_each_recovery_stage_runs_at_its_own_orders(monkeypatch):
 
 def test_recovery_factors_each_alpha_set_once(monkeypatch):
     """A stage matrix depends on mu(0), the k-set and the alpha set only, so
-    it is built and factored once per distinct alpha set: K entries per
-    alpha, read from the engine.  Every stage still reports its own
-    condition number."""
+    it is built and factored once per distinct alpha set: one column of K
+    entries per alpha, read from the engine.  Every stage still reports
+    its own condition number."""
     F, bnf, action = rt1()
     K = 8
     td = make_trace_data(bnf, action, {}, K, (3, 3))
-    value, factor, polynomial = (TraceEngine.value_at_mu0,
-                                 recover_module.factor_lstsq,
-                                 recover_module.recover_polynomial)
-    values, factored, alpha_sets = [], [], []
+    column, factor, polynomial = (TraceEngine.at_mu0,
+                                  recover_module.factor_lstsq,
+                                  recover_module.recover_polynomial)
+    columns, factored, alpha_sets = [], [], []
 
-    def counting_value(self, k, alpha):
-        values.append((k, alpha))
-        return value(self, k, alpha)
+    def counting_column(self, alpha):
+        col = column(self, alpha)
+        columns.append((alpha, len(col)))
+        return col
 
     def counting_factor(field, rows):
         factored.append(len(rows[0]))
@@ -935,7 +947,7 @@ def test_recovery_factors_each_alpha_set_once(monkeypatch):
         alpha_sets.append(tuple(alpha_set))
         return polynomial(engine, vals, alpha_set, *args, **kwargs)
 
-    monkeypatch.setattr(TraceEngine, "value_at_mu0", counting_value)
+    monkeypatch.setattr(TraceEngine, "at_mu0", counting_column)
     monkeypatch.setattr(recover_module, "factor_lstsq", counting_factor)
     monkeypatch.setattr(recover_module, "recover_polynomial",
                         recording_polynomial)
@@ -943,7 +955,8 @@ def test_recovery_factors_each_alpha_set_once(monkeypatch):
     assert not rep.failed
     distinct = set(alpha_sets)
     assert len(alpha_sets) == 15 and len(distinct) == 4
-    assert len(values) == K * sum(len(s) for s in distinct)
+    assert sorted(columns) == sorted((alpha, K) for s in distinct
+                                     for alpha in s)
     assert sorted(factored) == sorted(len(s) for s in distinct)
     stages = {f"h0:z{m}" for m in (1, 2, 3)} | {
         f"h{j}:z{m}" for j in (1, 2, 3) for m in range(4)}
