@@ -128,10 +128,6 @@ class SpectrumBlocks:
         return [j for u in order for j in range(lead[u], lead[u] + 1 + (
             self.tags[lead[u]] == COMPLEX_HYPERBOLIC))]
 
-    def reordered(self, perm):
-        return SpectrumBlocks(self.field, [self.tags[p] for p in perm],
-                              [self.exp_half[p] for p in perm])
-
     def __repr__(self):
         parts = [f"{t[:2]}:{self.field.to_complex(E):.6g}"
                  for t, E in zip(self.tags, self.exp_half)]

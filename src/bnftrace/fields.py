@@ -161,9 +161,6 @@ class RationalComplex:
     def conjugate(self):
         return _triple(self.a, -self.b, self.d)
 
-    def norm_sq(self):
-        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
-
     def __complex__(self):
         # int / int is correctly rounded, as Fraction.__float__ is
         return complex(self.a / self.d, self.b / self.d)
@@ -252,8 +249,12 @@ class RationalField:
         return x.conjugate()
 
     def abs(self, x):
-        # the parts are rounded first, so no square overflows
-        return math.hypot(x.a / x.d, x.b / x.d)
+        # the parts are rounded first, so no square overflows; a part
+        # beyond the double range reads inf, as a float field's would
+        try:
+            return math.hypot(x.a / x.d, x.b / x.d)
+        except OverflowError:
+            return math.inf
 
     def to_complex(self, x):
         return complex(x)

@@ -16,9 +16,10 @@ e^{ikS(z)/h} e^{-ik*phase} sum_j c_{jk}(z) h^j.
 """
 
 import json
+import sys
 
 from .blocks import SpectrumBlocks
-from .errors import SchemaError
+from .errors import MathError, SchemaError
 from .fields import field_from_name, nan_max
 from .qbnf import QuantumBNF, TraceData
 from .series import MultiSeries, Orders
@@ -108,10 +109,19 @@ def maslov_from_json(obj):
 
 
 def series_to_json(s):
+    """The terms of ``s``; an exact coefficient with an integer beyond
+    Python's limit on integer text is a MathError that names its term."""
     terms = []
     for (alpha, m, l) in sorted(s.terms):
         c = s.terms[(alpha, m, l)]
-        re, im = s.field.format(c)
+        try:
+            re, im = s.field.format(c)
+        except ValueError:
+            term = (f"iota^{list(alpha)} " if alpha else "") + f"z^{m} h^{l}"
+            raise MathError(
+                f"the coefficient of {term} has an integer of more than "
+                f"{sys.get_int_max_str_digits()} digits, which Python does "
+                "not write as text") from None
         terms.append({"iota": list(alpha), "z": m, "h": l, "re": re, "im": im})
     return {
         "n_actions": s.n_actions,
@@ -174,16 +184,19 @@ def qbnf_from_json(obj, precision=64):
 
 def trace_data_to_json(t):
     f = t.field
+    coefficients = {}
+    for k in range(1, t.k_max + 1):
+        try:
+            coefficients[str(k)] = series_to_json(t.coefficients[k])
+        except MathError as exc:
+            raise MathError(f"trace power k={k}: {exc}") from None
     return {
         "field": f.name,
         "k_max": t.k_max,
         "action": series_to_json(t.action),
         "phase": scalar_to_json(f, t.phase),
         "maslov": {str(k): v for k, v in sorted(t.maslov.items())},
-        "coefficients": {
-            str(k): series_to_json(t.coefficients[k])
-            for k in range(1, t.k_max + 1)
-        },
+        "coefficients": coefficients,
     }
 
 
@@ -221,10 +234,10 @@ def taylor_map_to_json(tm):
             "components": comps}
 
 
-def taylor_map_from_json(obj, precision=64):
+def taylor_map_from_json(obj):
     from .classical import TaylorMap
 
-    field = _field(obj, precision)
+    field = _field(obj)
     n = _need(obj, "n", int)
     degree = _need(obj, "degree", int)
     comps = []

@@ -15,9 +15,8 @@ maps and exact rational fixtures.
 :class:`bnftrace.series.TruncatedPoly`, which does all its arithmetic.  Its
 keys are flat exponent tuples, its graded degree is the total degree, and
 its bound is that degree alone, so a product whose degree fits always
-fits.  ``derive`` keeps the degree rather than lowering it as
-``MultiSeries.derive`` does: the Lie series in ``exp_ham`` adds brackets
-at one fixed degree.
+fits.  ``derive`` keeps the degree: the Lie series in ``exp_ham`` adds
+brackets at one fixed degree.
 """
 
 from collections import namedtuple

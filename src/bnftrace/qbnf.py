@@ -272,11 +272,12 @@ def _check_trace_orders(bnf, orders):
 class TraceEngine:
     """The F-independent csch side of the trace expansion for one set of
     blocks and one tuple of powers ``ks``, up to z-order ``n_z`` (see the
-    module docstring), cached for the engine's lifetime.
+    module docstring), cached for the engine's lifetime, with the
+    per-power constants -ik and (i/k)^d listed over ``ks``.
     """
 
     def __init__(self, blocks, ks, n_z, pole_tol=DEFAULT_POLE_TOL):
-        self.field = blocks.field
+        f = self.field = blocks.field
         self.exp_half = list(blocks.exp_half)
         self.ks = tuple(ks)
         self.n_z = n_z
@@ -284,6 +285,9 @@ class TraceEngine:
         self._tables = {}
         self._jet_caches = {}
         self.trace_powers = {}
+        self.minus_ik = [-(f.i * f.from_int(k)) for k in self.ks]
+        self._ik_inv = [f.i * f.inv(f.from_int(k)) for k in self.ks]
+        self._ik_powers = {}
 
     def serves(self, blocks, ks, n_z, pole_tol):
         """True when the engine was built for these blocks, powers and pole
@@ -292,6 +296,13 @@ class TraceEngine:
         return (blocks.field is self.field and tuple(ks) == self.ks
                 and n_z <= self.n_z and pole_tol == self.pole_tol
                 and list(blocks.exp_half) == self.exp_half)
+
+    def ik_power(self, d):
+        """(i/k)^d listed over the engine's powers, formed once per d."""
+        v = self._ik_powers.get(d)
+        if v is None:
+            v = self._ik_powers[d] = [x**d for x in self._ik_inv]
+        return v
 
     def _derivatives(self, j, p):
         """Block j's d^q (1/2)csch(k mu_j/2) at mu_j(0), q = 0..p at least,
@@ -472,9 +483,8 @@ def _forward(bnf, orders, engine, layer=None, added=None):
     n_z, n_h = orders
     ks = engine.ks
     jets = engine.along(bnf.mu_jets)
-    f = bnf.field
     phase, x_powers, f0_powers, z_phases = bnf.trace_side(n_z, n_h)
-    minus_ik = [-(f.i * f.from_int(k)) for k in ks]
+    minus_ik = engine.minus_ik
     # operator part exp(-ik X) and z-dependent scalar phase exp(-ik f0plus)
     op = (_exp_from_powers(x_powers, minus_ik, layer) if added is None else
           {(a, m, layer): [t * x for t in minus_ik]
@@ -484,14 +494,10 @@ def _forward(bnf, orders, engine, layer=None, added=None):
         pz = z_phases[ks] = _exp_from_powers(f0_powers, minus_ik)
 
     # apply the operator monomials to the csch product along mu(z)
-    ik_inv = [f.i * f.inv(f.from_int(k)) for k in ks]
-    ik_pow = {}
     applied = {}
     for (alpha, m, l), c in op.items():
         da = sum(alpha)
-        if da and da not in ik_pow:
-            ik_pow[da] = [x**da for x in ik_inv]
-        factor = list(map(mul, c, ik_pow[da])) if da else c
+        factor = list(map(mul, c, engine.ik_power(da))) if da else c
         for m2, ec in engine.zseries(alpha, jets).items():
             if m + m2 <= n_z:
                 _add_into(applied, ((), m + m2, l), list(map(mul, factor, ec)))
@@ -522,7 +528,8 @@ def make_trace_data(bnf, action, maslov, k_max, orders,
     """Bundle the :func:`trace_powers` of k = 1..k_max, from one forward
     pass, into a TraceData.
 
-    The blocks must be nonresonant through sum |k_j| <= 10.  All powers
+    ``maslov`` maps k to its Maslov index, 0 where it has none.  The
+    blocks must be nonresonant through sum |k_j| <= 10.  All powers
     share one :class:`TraceEngine`: ``engine`` if given (it must serve
     ``bnf`` and k = 1..k_max), else a new one.
     """
@@ -532,6 +539,5 @@ def make_trace_data(bnf, action, maslov, k_max, orders,
     tps = trace_powers(bnf, range(1, k_max + 1), orders, pole_tol, engine)
     coefficients = {k: tp.coeffs for k, tp in tps.items()}
     phase = tps[k_max].phase
-    maslov = {k: maslov.get(k, 0) if isinstance(maslov, dict) else maslov[k]
-              for k in range(1, k_max + 1)}
+    maslov = {k: maslov.get(k, 0) for k in range(1, k_max + 1)}
     return TraceData(bnf.field, k_max, action, maslov, phase, coefficients)

@@ -490,11 +490,10 @@ def recover_polynomial(engine, values, alpha_set, residual_tol=1e-8,
     key = tuple(alpha_set)
     system = systems.get(key)
     if system is None:
-        ik_inv = [field.i * field.inv(field.from_int(k)) for k in ks]
         columns = []
         for alpha in alpha_set:
             da, col = sum(alpha), engine.at_mu0(alpha)
-            columns.append([d * x**da for d, x in zip(col, ik_inv)] if da
+            columns.append(list(map(mul, col, engine.ik_power(da))) if da
                            else col)
         system = systems[key] = factor_lstsq(field, list(zip(*columns)))
     sol, cond, _res = system.solve([values[k] for k in ks],
@@ -609,8 +608,6 @@ def recover_qbnf(tdata, n, tol=1e-8, cond_gate=1e8,
             coeffs[k] = c.scale(f.exp(f.i * f.from_int(k) * freq.phi))
 
     ks = tuple(range(1, tdata.k_max + 1))
-    # the stage values are (stored - forward) / (-ik)
-    inv_minus_ik = {k: f.inv(-(f.i * f.from_int(k))) for k in ks}
     fhat_terms = {}
     if not f.is_zero(f00):
         fhat_terms[((0,) * n, 0, 1)] = f00
@@ -626,6 +623,8 @@ def recover_qbnf(tdata, n, tol=1e-8, cond_gate=1e8,
     if engine is None or not engine.serves(blocks, ks, n_z, pole_tol):
         engine = TraceEngine(blocks, ks, n_z, pole_tol)
     systems = {}
+    # the stage values are (stored - forward) / (-ik)
+    inv_minus_ik = dict(zip(ks, map(f.inv, engine.minus_ik)))
 
     # -- Stages (j, m): the coefficients of G of weight j + 1 ------------
     for j in range(n_h + 1):

@@ -23,10 +23,11 @@ the same order as a scan of every pair would, so sums accumulate in the
 same order and results are bit-identical on floats too.
 
 :class:`MultiSeries` is the layout in (iota_1..iota_n, z, h), bound by
-``Orders``; ``phasepoly.PhasePoly`` is the other.  ``derive`` is not
-shared: ``MultiSeries.derive`` lowers the order in its variable, so the
-product rule holds exactly under truncation, while ``PhasePoly.derive``
-keeps the degree, as the Poisson bracket and the Lie series need.
+``Orders``; ``phasepoly.PhasePoly`` is the other.  Both directions use a
+MultiSeries as a container for F(iota, z; h) and the trace expansions,
+combined by ``+``, ``*`` and ``scale``; :func:`powers` lists the powers
+of a series, and :meth:`MultiSeries.exp_series` sums them into its
+exponential.
 """
 
 from collections import namedtuple
@@ -213,24 +214,6 @@ class MultiSeries(TruncatedPoly):
         key = ((0,) * n_actions, 0, 0)
         return cls(field, n_actions, orders, {key: value})
 
-    @classmethod
-    def variable(cls, field, n_actions, orders, var):
-        """The monomial for ``var``: ``("iota", j)``, ``"z"`` or ``"h"``."""
-        alpha = [0] * n_actions
-        m = l = 0
-        if var == "z":
-            m = 1
-        elif var == "h":
-            l = 1
-        elif isinstance(var, tuple) and var[0] == "iota":
-            j = var[1]
-            if not 0 <= j < n_actions:
-                raise SchemaError(f"iota index {j} out of range for n={n_actions}")
-            alpha[j] = 1
-        else:
-            raise SchemaError(f"unknown variable {var!r}")
-        return cls(field, n_actions, orders, {(tuple(alpha), m, l): field.one})
-
     # -- queries ----------------------------------------------------------
 
     def get(self, alpha, m, l):
@@ -256,63 +239,18 @@ class MultiSeries(TruncatedPoly):
             for k in keys
         )
 
-    def truncate(self, orders):
-        if any(o > mine for o, mine in zip(orders, self.orders)):
-            raise SchemaError("cannot truncate to higher orders than computed")
-        return MultiSeries(self.field, self.arity, orders, self.terms)
-
     # -- calculus ---------------------------------------------------------
 
     def exp_series(self):
-        """exp of a series with zero constant term.
-
-        Terminates because the argument is nilpotent under truncation:
-        every term raises at least one of the graded degrees.
-        """
+        """exp of a series with zero constant term: the sum of its
+        :func:`powers` scaled by 1/m!, which ends because the argument is
+        nilpotent under truncation."""
         if ((0,) * self.n_actions, 0, 0) in self.terms:
             raise SchemaError("exp_series requires a zero constant term")
-        result = power = MultiSeries.scalar(self.field, self.n_actions,
-                                            self.orders, self.field.one)
-        max_steps = self.orders.iota + self.orders.z + self.orders.h
-        for m in range(1, max_steps + 1):
-            power = power * self
-            if power.is_zero():
-                break
+        result, *rest = powers(self)
+        for m, power in enumerate(rest, 1):
             result = result + power.scale(self.field.factorial_inv(m))
         return result
-
-    def derive(self, var):
-        """Formal partial derivative; output orders drop by one in ``var``."""
-        terms = {}
-        if var == "z":
-            if self.orders.z == 0:
-                return MultiSeries.zero(self.field, self.n_actions, self.orders)
-            orders = Orders(self.orders.iota, self.orders.z - 1, self.orders.h)
-            for (alpha, m, l), c in self.terms.items():
-                if m > 0:
-                    terms[(alpha, m - 1, l)] = c * self.field.from_int(m)
-        elif var == "h":
-            if self.orders.h == 0:
-                return MultiSeries.zero(self.field, self.n_actions, self.orders)
-            orders = Orders(self.orders.iota, self.orders.z, self.orders.h - 1)
-            for (alpha, m, l), c in self.terms.items():
-                if l > 0:
-                    terms[(alpha, m, l - 1)] = c * self.field.from_int(l)
-        elif isinstance(var, tuple) and var[0] == "iota":
-            j = var[1]
-            if not 0 <= j < self.n_actions:
-                raise SchemaError(f"unknown variable {var!r}")
-            if self.orders.iota == 0:
-                return MultiSeries.zero(self.field, self.n_actions, self.orders)
-            orders = Orders(self.orders.iota - 1, self.orders.z, self.orders.h)
-            for (alpha, m, l), c in self.terms.items():
-                if alpha[j] > 0:
-                    new = list(alpha)
-                    new[j] -= 1
-                    terms[(tuple(new), m, l)] = c * self.field.from_int(alpha[j])
-        else:
-            raise SchemaError(f"unknown variable {var!r}")
-        return self._make(self.field, self.arity, orders, terms)
 
     # -- views --------------------------------------------------------------
 
@@ -337,8 +275,8 @@ def zseries(field, orders_z, coeffs=None):
 
 def powers(s):
     """[1, s, s^2, ...] up to the first power that truncates to zero, for
-    a series with zero constant term (at most as many steps as
-    :meth:`MultiSeries.exp_series` takes)."""
+    a series with zero constant term: at most sum(s.orders) products, as
+    every power raises a graded degree."""
     out = [MultiSeries.scalar(s.field, s.n_actions, s.orders, s.field.one)]
     for _ in range(sum(s.orders)):
         p = out[-1] * s

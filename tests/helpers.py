@@ -15,6 +15,12 @@ from bnftrace.qbnf import QuantumBNF, TraceEngine
 from bnftrace.series import MultiSeries, Orders, zseries
 
 
+def permuted_blocks(blocks, perm):
+    """The blocks ``blocks[p]`` for p in ``perm``."""
+    return SpectrumBlocks(blocks.field, [blocks.tags[p] for p in perm],
+                          [blocks.exp_half[p] for p in perm])
+
+
 def rt1():
     """The exact rational round-trip fixture:
     n=1, mu(z) = 2 ln 2 + z, F = (1/7) iota^2 + h((1/3) iota + 1/5),
@@ -133,7 +139,9 @@ def leading_term(action, maslov_nu, blocks, k, n_z, mu_jets=None):
         if tag == ELLIPTIC:
             s2 = f.to_complex(E**kk - f.inv(E**kk))  # 2i sin(k theta/2)
             unit = unit * f.i * f.from_int(1 if s2.imag > 0 else -1)
-    iprime = MultiSeries(f, 0, orders, action.derive("z").terms)
+    iprime = MultiSeries(f, 0, orders, {
+        ((), m - 1, l): c * f.from_int(m)
+        for ((), m, l), c in action.terms.items() if m})
     return LeadingTerm(csch.scale(unit) * iprime, k, int(maslov_nu) % 4)
 
 
@@ -154,7 +162,9 @@ def picard_coth_csch_series(field, E0, delta, k, n_z,
     if delta is None or delta.is_zero() or n_z == 0:
         return T, C
     dp = MultiSeries(f, 0, orders, delta.terms)
-    dprime = MultiSeries(f, 0, orders, dp.derive("z").terms)
+    dprime = MultiSeries(f, 0, orders, {
+        ((), m - 1, 0): c * f.from_int(m)
+        for ((), m, _l), c in dp.terms.items() if m})
     kh = f.from_int(k) * f.inv(f.from_int(2))
 
     def zintegrate(s):
@@ -285,7 +295,7 @@ def lattice_sum_oracle(poly, mu=None, exp_half=None, k=1, truncation=60,
     for E in exp_half:
         mod2 = f.abs(E) if not f.exact else None
         if f.exact:
-            if E.norm_sq() <= 1:
+            if (E * E.conjugate()).re <= 1:
                 raise ConvergenceError("Re mu_j <= 0: lattice sum diverges")
         elif mod2 <= 1.0:
             raise ConvergenceError("Re mu_j <= 0: lattice sum diverges")

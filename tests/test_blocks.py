@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import permuted_blocks
+
 from bnftrace.blocks import (COMPLEX_HYPERBOLIC, ELLIPTIC, REAL_HYPERBOLIC,
                              SpectrumBlocks, classify, nonresonance_witness,
                              require_nonresonant)
@@ -63,7 +65,7 @@ def test_canonical_order():
         (COMPLEX_HYPERBOLIC, 1 + 1j), (COMPLEX_HYPERBOLIC, 1 - 1j),
     ])
     perm = b.canonical_order()
-    c = b.reordered(perm)
+    c = permuted_blocks(b, perm)
     assert c.tags == (COMPLEX_HYPERBOLIC, COMPLEX_HYPERBOLIC,
                       REAL_HYPERBOLIC, ELLIPTIC)
 

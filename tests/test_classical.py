@@ -10,7 +10,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from helpers import random_symplectic_2x2, well_separated_mus
+from helpers import (permuted_blocks, random_symplectic_2x2,
+                     well_separated_mus)
 
 from bnftrace import classical, phasepoly
 from bnftrace.blocks import (COMPLEX_HYPERBOLIC, ELLIPTIC, REAL_HYPERBOLIC,
@@ -791,7 +792,7 @@ def test_classified_blocks_are_canonical_and_match_the_recovery(spec):
         M = normal_form_flow(blocks, {}, 1).linear_matrix_complex().real
         got = classify_eigenvalues(M)
         assert got.canonical_order() == list(range(got.n))
-        want = blocks.reordered(blocks.canonical_order())
+        want = permuted_blocks(blocks, blocks.canonical_order())
         assert got.tags == want.tags
         assert all(FF.close(a, b, 1e-9)
                    for a, b in zip(got.exp_half, want.exp_half))

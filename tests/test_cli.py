@@ -1031,6 +1031,50 @@ def test_a_decimal_exponent_of_4300_reads():
         0.5 + 0j
 
 
+def _rt1_with_f(text):
+    """rt1's normal form document with F's iota^2 coefficient 1/7 replaced
+    by ``text``."""
+    def mutate(doc):
+        next(t for t in doc["F"]["terms"] if t["iota"] == [2])["re"] = text
+    return _rt1_with(mutate)
+
+
+@pytest.mark.parametrize("text", ["1e160", "1e300", "1e4000"])
+def test_exact_round_trip_beyond_the_double_range(tmp_path, capsys, text):
+    """Trace values beyond the double range: the exact self-check reads
+    their size as inf and compares the values exactly, so the round trip
+    gives back the input with a zero residual."""
+    report = tmp_path / "report.json"
+    assert main(["roundtrip", "--bnf", _doc_file(tmp_path, _rt1_with_f(text)),
+                 "--orders", "4,3,3", "--kmax", "8",
+                 "--report", str(report)]) == 0
+    assert "exactly" in capsys.readouterr().out
+    assert json.loads(report.read_text())["max_residual"] == 0.0
+
+
+def test_exact_recover_beyond_the_double_range(tmp_path):
+    """``recover`` from a trace file whose values leave the double range
+    gives back the normal form exactly."""
+    doc = _rt1_with_f("1e160")
+    assert main(_forward_argv(tmp_path, doc)) == 0
+    assert main(["recover", "--traces", str(tmp_path / "t.json"), "--n", "1",
+                 "--out", str(tmp_path / "r.json")]) == 0
+    want = jsonio.qbnf_from_json(doc)
+    got = jsonio.qbnf_from_json(jsonio.load(tmp_path / "r.json"))
+    assert got.F == want.F and got.mu_jets == want.mu_jets
+
+
+def test_a_trace_integer_beyond_the_text_limit_exits_three(tmp_path, capsys):
+    """An exact trace coefficient whose integer has more digits than
+    Python writes as text is refused, naming the power and the term, and
+    no trace file is written."""
+    assert main(_forward_argv(tmp_path, _rt1_with_f("1e4000"))) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("math error: trace power k=1: the coefficient of "
+                          "z^0 h^2 has an integer of more than 4300 digits")
+    assert not (tmp_path / "t.json").exists()
+
+
 def test_trace_coefficients_with_action_slots_are_an_input_error(
         tmp_path, capsys):
     """The recovery reads the plain z-series keys of the trace

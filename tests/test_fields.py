@@ -61,6 +61,16 @@ def test_rational_abs_does_not_square_out_of_range():
         5e-200, rel=1e-15)
 
 
+def test_rational_abs_beyond_the_double_range_is_inf():
+    """A part, or a modulus, beyond the double range reads inf, as it
+    would on a float field, rather than raising OverflowError."""
+    F = RationalField()
+    assert F.abs(RationalComplex(10 ** 400)) == math.inf
+    assert F.abs(RationalComplex(1, -10 ** 4000)) == math.inf
+    assert F.abs(RationalComplex(15 * 10 ** 307, 15 * 10 ** 307)) == math.inf
+    assert F.abs(RationalComplex(Fraction(1, 10 ** 400))) == 0.0
+
+
 def test_rational_exp_unavailable():
     F = RationalField()
     with pytest.raises(FieldError):
@@ -218,7 +228,7 @@ def test_rational_ops_agree_with_fraction_pairs(x, y):
     assert _agrees(y * x, PairRC.of(y) * rx)
     assert _agrees(-x, -rx)
     assert _agrees(x.conjugate(), PairRC(rx.re, -rx.im))
-    assert x.norm_sq() == rx.re ** 2 + rx.im ** 2
+    assert x * x.conjugate() == rx.re ** 2 + rx.im ** 2
     assert complex(x) == complex(float(rx.re), float(rx.im))
     if PairRC.of(y).re or PairRC.of(y).im:
         assert _agrees(x / y, rx / y)

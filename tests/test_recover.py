@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import mixed_float_fixture, rt1, well_separated_mus
+from helpers import (mixed_float_fixture, permuted_blocks, rt1,
+                     well_separated_mus)
 
 from bnftrace.blocks import (COMPLEX_HYPERBOLIC, ELLIPTIC, REAL_HYPERBOLIC,
                              SpectrumBlocks, nonresonance_witness)
@@ -269,7 +270,7 @@ def _exact_round_trip(tagged, jet_coeffs, F_terms):
     n = len(tagged)
     blocks = SpectrumBlocks(FR, [t for t, _ in tagged], [E for _, E in tagged])
     perm = blocks.canonical_order()
-    blocks = blocks.reordered(perm)
+    blocks = permuted_blocks(blocks, perm)
     jets = [zseries(FR, 1, {1: jet_coeffs[p]}) for p in perm]
     bnf = QuantumBNF(blocks, jets, MultiSeries(FR, n, Orders(2, 1, 1),
                                                F_terms))
@@ -385,7 +386,7 @@ def test_deflated_stage_values_equal_fresh_forwards(case):
     n = len(tagged)
     blocks = SpectrumBlocks(FR, [t for t, _ in tagged], [E for _, E in tagged])
     perm = blocks.canonical_order()
-    blocks = blocks.reordered(perm)
+    blocks = permuted_blocks(blocks, perm)
     def nonzero(c, default):
         return default if FR.is_zero(c) else c
 
