@@ -23,7 +23,6 @@ Re mu > 0 and Im mu in (0, pi).
 """
 
 import cmath
-import itertools
 import math
 
 from .errors import (MathError, RankDeficiencyError, ResonanceError,
@@ -238,28 +237,38 @@ def pair_conjugates(field, tagged, tol):
 
 def nonresonance_witness(mu, max_order, tol=1e-8):
     """Search integer vectors k, 0 < sum|k_j| <= max_order, with
-    sum k_j mu_j in 2 pi i Z (within tol).  Returns None or (k, m)."""
-    n = len(mu)
+    sum k_j mu_j in 2 pi i Z (within tol).  Returns None or (k, m).
+
+    The search walks the 1-norm levels 1..max_order, and on each level
+    the vectors whose first nonzero entry is positive, in descending
+    lexicographic order; -k resonates exactly when k does.  That order
+    fixes the witness returned: the first hit of an ascending scan by
+    (1-norm, k) over all vectors, turned to a positive first entry."""
+    if not mu:
+        return None
     two_pi = 2 * math.pi
-    candidates = [
-        kvec
-        for kvec in itertools.product(range(-max_order, max_order + 1),
-                                      repeat=n)
-        if 0 < sum(abs(x) for x in kvec) <= max_order
-    ]
-    candidates.sort(key=lambda kv: (sum(abs(x) for x in kv), kv))
-    for kvec in candidates:
-        w = sum(kj * mj for kj, mj in zip(kvec, mu))
-        if abs(w.real) > tol:
-            continue
-        m = round(w.imag / two_pi)
-        if abs(w.imag - two_pi * m) <= tol:
-            first = next(x for x in kvec if x != 0)
-            if first < 0:
-                kvec = tuple(-x for x in kvec)
-                m = -m
-            return tuple(kvec), m
+    for level in range(1, max_order + 1):
+        for kvec, w in _level(mu, level, True, 0):
+            if abs(w.real) > tol:
+                continue
+            m = round(w.imag / two_pi)
+            if abs(w.imag - two_pi * m) <= tol:
+                return kvec, m
     return None
+
+
+def _level(mu, level, lead, w):
+    """(k, w + sum k_j mu_j), summed left to right, for the integer
+    vectors k of 1-norm ``level`` in descending lexicographic order; with
+    ``lead``, only those whose first nonzero entry is positive."""
+    head, rest = mu[0], mu[1:]
+    if not rest:
+        return [((k,), w + k * head)
+                for k in ((level,) if lead or not level else (level, -level))]
+    return [((first,) + k, v)
+            for first in range(level, -1 if lead else -level - 1, -1)
+            for k, v in _level(rest, level - abs(first), lead and first == 0,
+                               w + first * head)]
 
 
 def require_nonresonant(blocks, max_order, tol=1e-8):

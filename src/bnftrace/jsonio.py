@@ -16,6 +16,7 @@ e^{ikS(z)/h} e^{-ik*phase} sum_j c_{jk}(z) h^j.
 """
 
 import json
+import math
 import sys
 
 from .blocks import SpectrumBlocks
@@ -276,7 +277,13 @@ def classical_report_to_json(res):
     return {"blocks": blocks_to_json(res.blocks),
             "p": [{"m": list(m), **scalar_to_json(f, c)}
                   for m, c in sorted(res.p_complex.items())],
-            "conditioning": res.conditioning, "residual": res.residual}
+            "conditioning": _finite(res.conditioning),
+            "residual": _finite(res.residual)}
+
+
+def _finite(x):
+    """A report number as written: null when it is infinite or nan."""
+    return x if math.isfinite(x) else None
 
 
 def orbit_to_json(o):
@@ -300,9 +307,9 @@ def recovery_report_to_json(rep):
         worst_by_stage[key] = nan_max([worst_by_stage.get(key, 0.0), v])
     return {
         "failed": rep.failed,
-        "max_residual": rep.max_residual,
-        "residual_by_stage": worst_by_stage,
-        "conditioning": {k: v for k, v in rep.conditioning.items()},
+        "max_residual": _finite(rep.max_residual),
+        "residual_by_stage": {k: _finite(v) for k, v in worst_by_stage.items()},
+        "conditioning": {k: _finite(v) for k, v in rep.conditioning.items()},
         "normalization_notes": list(rep.normalization_notes),
         "recovered": qbnf_to_json(rec),
     }
@@ -322,7 +329,7 @@ def render_report_text(rep):
 
 def dump(path, obj):
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1)
+        json.dump(obj, fh, indent=1, allow_nan=False)
         fh.write("\n")
 
 

@@ -13,8 +13,8 @@ maps and exact rational fixtures.
 
 :class:`PhasePoly` is a layout of the sparse core
 :class:`bnftrace.series.TruncatedPoly`, which does all its arithmetic.  Its
-keys are flat exponent tuples, its graded degree is the total degree, and
-its bound is that degree alone, so a product whose degree fits always
+keys are flat exponent tuples, its products room on the total degree,
+and its bound is that degree alone, so a product whose degree fits always
 fits.  ``derive`` keeps the degree: the Lie series in ``exp_ham`` adds
 brackets at one fixed degree.
 """

@@ -2,36 +2,41 @@
 
 :class:`TruncatedPoly` is the one arithmetic core: a dict from monomial
 keys to nonzero coefficients of a field from :mod:`bnftrace.fields`, cut
-off by a bound.  The bound is a namedtuple of orders; its first field caps
-the graded degree, and mixed-bound arithmetic takes the fieldwise minimum,
-so a result never claims more precision than was computed.  The core owns
-construction, ``+``, ``-``, ``*``, ``scale``, ``is_zero`` and the arity
-check; a subclass supplies only its key layout through four hooks:
-``_key`` (canonical key of outside input, checking arity and signs),
-``_degree`` (graded degree of a key), ``_join`` (product key, or None when
-it leaves the bound beyond the degree) and ``_fits`` (key inside a bound).
-No stored coefficient equals the field zero, so equality is structural,
-and every operation is a pure function.
+off by a bound.  The bound is a namedtuple of orders, and mixed-bound
+arithmetic takes the fieldwise minimum, so a result never claims more
+precision than was computed.  The core owns construction, ``+``, ``-``,
+``*``, ``scale``, ``is_zero`` and the arity check; a subclass supplies
+only its key layout through five hooks: ``_key`` (canonical key of
+outside input, checking arity and signs), ``_cap`` (the order of the
+bound that products room on), ``_degree`` (a key's degree in that
+order), ``_join`` (product key, or None when it leaves the other orders
+of the bound) and ``_fits`` (key inside a bound).  No stored coefficient
+equals the field zero, so equality is structural, and every operation is
+a pure function.
 
-A product pairs each left term only with the right terms whose graded
-degree fits its room, the bound's degree minus its own.  The right
-operand lists its (key, coeff) pairs per room, in its own dict order,
-the first time a product asks for that room, and keeps the lists: a
-polynomial is never changed after it is made, and a power or component
-is often the right operand of many products.  The visited pairs run in
-the same order as a scan of every pair would, so sums accumulate in the
-same order and results are bit-identical on floats too.
+A product pairs each left term only with the right terms whose degree
+fits its room, the cap minus its own degree; ``_join`` checks the rest
+of the bound pair by pair.  The right operand lists its (key, coeff)
+pairs per room, in its own dict order, the first time a product asks for
+that room, and keeps the lists: a polynomial is never changed after it
+is made, and a power or component is often the right operand of many
+products.  The visited pairs run in the same order as a scan of every
+pair would, so sums accumulate in the same order and results are
+bit-identical on floats too.
 
 :class:`MultiSeries` is the layout in (iota_1..iota_n, z, h), bound by
-``Orders``; ``phasepoly.PhasePoly`` is the other.  Both directions use a
-MultiSeries as a container for F(iota, z; h) and the trace expansions,
-combined by ``+``, ``*`` and ``scale``; :func:`powers` lists the powers
-of a series, and :meth:`MultiSeries.exp_series` sums them into its
-exponential.
+``Orders``; it rooms on the h-order, where the powers of the operator
+part X bind: X^p starts at h^p, while X's iota budget never binds, so a
+room on the iota degree would visit every pair of X's terms.
+``phasepoly.PhasePoly`` is the other layout and rooms on its one bound,
+the total degree.  Both directions use a MultiSeries as a container for
+F(iota, z; h) and the trace expansions, combined by ``+``, ``*`` and
+``scale``; :func:`powers` lists the powers of a series, and
+:meth:`MultiSeries.exp_series` sums them into its exponential.
 """
 
 from collections import namedtuple
-from operator import add
+from operator import add, attrgetter, itemgetter
 
 from .errors import DimensionMismatchError, SchemaError
 
@@ -116,7 +121,7 @@ class TruncatedPoly:
 
     def _upto(self, room):
         """Add the list for a new ``room``: the (key, coeff) pairs of
-        graded degree <= room, in dict order; a room at or above the top
+        degree <= room, in dict order; a room at or above the top
         degree shares the full list."""
         rooms = self._rooms
         top, degs = rooms[None]
@@ -136,7 +141,7 @@ class TruncatedPoly:
         bound = self._joint(other)
         degree, join = self._degree, self._join
         rooms = other._rooms or other._rooms_index()
-        cap = bound[0]
+        cap = self._cap(bound)
         terms = {}
         for k1, c1 in self.terms.items():
             room = cap - degree(k1)
@@ -150,6 +155,8 @@ class TruncatedPoly:
                 prod = c1 * c2
                 terms[key] = terms[key] + prod if key in terms else prod
         return self._make(self.field, self.arity, bound, terms)
+
+    _cap = staticmethod(itemgetter(0))
 
     def scale(self, value):
         return self._make(self.field, self.arity, self.bound,
@@ -190,17 +197,21 @@ class MultiSeries(TruncatedPoly):
             raise SchemaError(f"negative exponent in term {key}")
         return (alpha, m, l)
 
+    _cap = staticmethod(attrgetter("h"))
+
     @staticmethod
     def _degree(key):
-        return sum(key[0])
+        return key[2]
 
     @staticmethod
     def _join(k1, k2, orders):
         m = k1[1] + k2[1]
-        l = k1[2] + k2[2]
-        if m > orders.z or l > orders.h:
+        if m > orders.z:
             return None
-        return (tuple(map(add, k1[0], k2[0])), m, l)
+        alpha = tuple(map(add, k1[0], k2[0]))
+        if sum(alpha) > orders.iota:
+            return None
+        return (alpha, m, k1[2] + k2[2])
 
     @staticmethod
     def _fits(key, orders):

@@ -391,3 +391,30 @@ def well_separated_mus(spec, rng, gap=0.3, tries=60):
         if ok:
             return mus
     return None
+
+
+def reference_nonresonance_witness(mu, max_order, tol=1e-8):
+    """The plain search for ``blocks.nonresonance_witness``: every integer
+    vector k with 0 < sum|k_j| <= max_order, tried in ascending order of
+    (sum|k_j|, k), the first hit turned to a positive first entry."""
+    n = len(mu)
+    two_pi = 2 * math.pi
+    candidates = [
+        kvec
+        for kvec in itertools.product(range(-max_order, max_order + 1),
+                                      repeat=n)
+        if 0 < sum(abs(x) for x in kvec) <= max_order
+    ]
+    candidates.sort(key=lambda kv: (sum(abs(x) for x in kv), kv))
+    for kvec in candidates:
+        w = sum(kj * mj for kj, mj in zip(kvec, mu))
+        if abs(w.real) > tol:
+            continue
+        m = round(w.imag / two_pi)
+        if abs(w.imag - two_pi * m) <= tol:
+            first = next(x for x in kvec if x != 0)
+            if first < 0:
+                kvec = tuple(-x for x in kvec)
+                m = -m
+            return tuple(kvec), m
+    return None

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import permuted_blocks
+from helpers import permuted_blocks, reference_nonresonance_witness
 
 from bnftrace.blocks import (COMPLEX_HYPERBOLIC, ELLIPTIC, REAL_HYPERBOLIC,
                              SpectrumBlocks, classify, nonresonance_witness,
@@ -89,6 +89,35 @@ def test_require_nonresonant_raises_with_witness():
         require_nonresonant(b, 3)
     assert exc.value.witness == ((3,), 1)
     assert "k=[3]" in str(exc.value)
+
+
+_LOGS = [math.log(2), math.log(3), math.log(6)]
+# exponents with planted integer relations: rational reals, 2 pi i p/q,
+# their sums, ln 2, ln 3 and ln 6 (ln 2 + ln 3 - ln 6 = 0), and generic ones
+_ratio = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+_exponent = st.one_of(
+    _ratio.map(complex),
+    _ratio.map(lambda r: 2j * math.pi * r),
+    st.tuples(_ratio, _ratio).map(
+        lambda rs: complex(rs[0]) + 2j * math.pi * rs[1]),
+    st.sampled_from(_LOGS).map(complex),
+    st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False),
+)
+_mixes = st.one_of(
+    st.lists(_exponent, max_size=3),
+    st.tuples(st.permutations(_LOGS), st.sampled_from([1, 2, -1])).map(
+        lambda t: [t[1] * x for x in t[0]]),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@example([2 * x for x in _LOGS], 10)
+@example([2j * math.pi / 3, 1j, 0.5 + 0j], 10)
+@example([], 3)
+@given(_mixes, st.integers(1, 10))
+def test_witness_search_matches_the_plain_search(mu, max_order):
+    assert (nonresonance_witness(mu, max_order)
+            == reference_nonresonance_witness(mu, max_order))
 
 
 # the tolerance of the input check of SpectrumBlocks

@@ -265,16 +265,17 @@ _MALFORMED_MATRIX = {
 @pytest.mark.parametrize("case", list(_MALFORMED_MATRIX))
 def test_classify_rejects_a_malformed_matrix(case, tmp_path, capsys):
     matrix, message = _MALFORMED_MATRIX[case]
-    path = tmp_path / "mat.json"
-    jsonio.dump(path, {"matrix": matrix})
-    rc = main(["classify", "--matrix", str(path)])
+    rc = main(["classify", "--matrix", _doc_file(tmp_path,
+                                                 {"matrix": matrix})])
     assert rc == 2
     assert message in capsys.readouterr().err
 
 
 def _doc_file(tmp_path, doc):
+    """An input file holding ``doc``; Python's json writes an infinite or
+    nan number in it as Infinity or NaN, which jsonio.dump refuses."""
     path = tmp_path / "input.json"
-    jsonio.dump(path, doc)
+    path.write_text(json.dumps(doc))
     return str(path)
 
 
@@ -613,6 +614,53 @@ def test_classical_bnf_of_a_flow_cut_below_its_twist(tmp_path, capsys):
            for t in json.loads(report.read_text())["p"] if sum(t["m"]) >= 2}
     assert set(got) == set(R)
     assert all(abs(got[m] - c) <= 1e-9 for m, c in R.items())
+
+
+def _strict_json(path):
+    """The JSON file at ``path``, refusing NaN, Infinity and -Infinity."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    with open(path) as fh:
+        return json.load(fh, parse_constant=refuse)
+
+
+def test_classical_report_of_a_linear_map_is_strict_json(tmp_path, capsys):
+    """diag(2, 1/2) at degree 1 has no homological denominator, so its
+    smallest one is infinite: the report writes null for it."""
+    path = tmp_path / "lin.json"
+    report = tmp_path / "rep.json"
+    jsonio.dump(path, {
+        "field": "float", "n": 1, "degree": 1,
+        "components": [[{"exps": [1, 0], "re": "2.0", "im": "0.0"}],
+                       [{"exps": [0, 1], "re": "0.5", "im": "0.0"}]],
+    })
+    assert main(["classical-bnf", "--map", str(path), "--degree", "1",
+                 "--report", str(report)]) == 0
+    assert "denominator: inf" in capsys.readouterr().out
+    rep = _strict_json(report)
+    assert rep["conditioning"] is None
+    assert rep["residual"] == 0.0
+
+
+def test_recovery_report_writes_non_finite_numbers_as_null(tmp_path):
+    from bnftrace.recover import RecoveryReport
+
+    _F, bnf, _action = rt1()
+    rep = RecoveryReport(bnf, {(1, 1, 0): math.nan, (1, 2, 0): 1e-3,
+                               (2, 1, 1): 2e-3},
+                         math.inf, {"prony": 3.5, "h1:z0": math.inf},
+                         [], True)
+    path = tmp_path / "report.json"
+    jsonio.dump(path, jsonio.recovery_report_to_json(rep))
+    doc = _strict_json(path)
+    assert doc["max_residual"] is None
+    assert doc["residual_by_stage"] == {"h1:z0": None, "h2:z1": 2e-3}
+    assert doc["conditioning"] == {"prony": 3.5, "h1:z0": None}
+
+
+def test_dump_refuses_a_non_finite_number(tmp_path):
+    with pytest.raises(ValueError):
+        jsonio.dump(tmp_path / "x.json", {"x": math.inf})
 
 
 # each subcommand takes the options it reads, and no others

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from bnftrace.errors import DimensionMismatchError, SchemaError
 from bnftrace.fields import FloatField, RationalField
 from bnftrace.phasepoly import PhasePoly
-from bnftrace.series import MultiSeries, Orders, zseries
+from bnftrace.series import MultiSeries, Orders, powers, zseries
 
 F = RationalField()
 FF = FloatField()
@@ -351,3 +351,28 @@ def test_reused_right_operand_matches_reference(data):
     assert (_items((right * lefts[0]).terms)
             == _items(_ref_phase_mul(right, lefts[0],
                                      min(right.degree, lefts[0].degree))))
+
+
+def test_powers_visit_only_the_pairs_inside_the_h_order(monkeypatch):
+    """The powers of an operator part X = sum_{j>=1} h^j f_j(z, y) shaped
+    like a float n = 2 round trip's, at orders (6, 2, 2): X's iota budget
+    never binds, and each product joins only the pairs whose h-orders sum
+    to at most N_h = 2, not every pair of terms."""
+    rng = random.Random(3)
+    terms = {((a, b), m, l): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+             for a in range(4) for b in range(4 - a)
+             for m in range(3) for l in (1, 2) if a + b + l <= 3}
+    X = MultiSeries(FF, 2, Orders(6, 2, 2), terms)
+    joined = []
+    join = MultiSeries._join
+
+    def counting(k1, k2, orders):
+        joined.append(k1[2] + k2[2])
+        return join(k1, k2, orders)
+
+    monkeypatch.setattr(MultiSeries, "_join", staticmethod(counting))
+    out = powers(X)
+    assert len(out) == 3 and max(joined) <= 2
+    # one join per pair inside the h-order, for each product P * X made
+    assert len(joined) == sum(1 for p in out for k1 in p.terms
+                              for k2 in X.terms if k1[2] + k2[2] <= 2)
