@@ -21,18 +21,21 @@ stage produces.  There a float snapshot of the raw matrix supplies the
 reported condition number, purely as a diagnostic; a matrix beyond the
 double range is scaled by one power of two for it.
 
-numpy takes the singular values of the condition numbers and the roots of
-polynomials on doubles, and is imported by the functions that call it, so
-a program that solves no system and finds no roots does not load it.
+A condition number is computed when first read, by bidiagonalization and
+Sturm bisection (Golub and Kahan 1965; Demmel and Kahan 1990), and roots
+on doubles by Aberth-Ehrlich iteration, all in pure Python without numpy.
 """
 
+import cmath
+import math
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 
 from .errors import ConvergenceError, RankDeficiencyError
 
-# iteration cap of mpmath's polyroots on extended-precision fields
-_MP_ROOT_STEPS = 200
+# step cap of the root finders, on doubles and on extended precision
+_ROOT_STEPS = 200
 
 
 def resolution(field):
@@ -46,32 +49,87 @@ def _cond_of(field, rows):
     matrix with an entry beyond the double range is first scaled by one
     power of two, taken from its largest entry, which leaves the
     condition number unchanged."""
-    import numpy as np
-
     try:
-        a = _snapshot(field, rows)
+        return _cond([[field.to_complex(x) for x in col]
+                      for col in zip(*rows)])
     except OverflowError:
         shift = max(abs(q.numerator).bit_length() - q.denominator.bit_length()
                     for row in rows for x in row for q in (x.re, x.im))
         scale = field.from_rational(Fraction(1, 2 ** shift))
-        a = _snapshot(field, [[x * scale for x in row] for row in rows])
-    if a.size == 0:
-        return float("inf")
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[-1] == 0:
-        return float("inf")
-    return float(s[0] / s[-1])
+        return _cond_of(field, [[x * scale for x in row] for row in rows])
 
 
-def _snapshot(field, rows):
-    import numpy as np
+def _cond(cols):
+    """sigma_max / sigma_min of a double matrix by columns, no more than
+    rows: inf if empty, singular or not finite, about 2^1000 beyond that."""
+    moduli = [abs(x) for col in cols for x in col]
+    if not all(map(math.isfinite, moduli)) or not any(moduli):
+        return math.inf
+    # by a power of two to a largest modulus near 1: no square overflows
+    scale = 2.0 ** max(-1000, min(1000, -math.frexp(max(moduli))[1]))
+    b = _bidiagonal([[x * scale for x in col] for col in cols])
+    if 0.0 in b[0::2]:
+        return math.inf
+    top = max(b)  # sigma_max is at least top, and at most twice it
+    return (_bisect(b, len(cols) - 1, top, 2.5 * top)
+            / _bisect(b, 0, 2.0 ** -1000 * top, 2.5 * top))
 
-    return np.array([[field.to_complex(x) for x in row] for row in rows],
-                    dtype=complex)
+
+def _reflect(x, cols, k, one):
+    """Apply to rows k.. of each of ``cols`` the reflector I - beta v v^H
+    that takes x to -phase alpha e_1, alpha = |x| and phase x_0's or
+    ``one``, and return (alpha, phase, v, v^H, beta); v is None, and
+    nothing is applied, unless alpha is positive."""
+    alpha = sum(t.real * t.real + t.imag * t.imag for t in x) ** 0.5
+    if not alpha > 0:
+        return alpha, one, None, None, 0
+    x0 = x[0]
+    ax0 = abs(x0)
+    phase = x0 / ax0 if ax0 else one
+    v = [x0 + phase * alpha] + x[1:]
+    vh = [t.conjugate() for t in v]
+    beta = 1 / (alpha * (alpha + ax0))
+    for cj in cols:
+        s = sum(map(mul, vh, cj[k:])) * beta
+        cj[k:] = [y - s * t for y, t in zip(cj[k:], v)]
+    return alpha, phase, v, vh, beta
+
+
+def _bidiagonal(cols):
+    """The moduli d_1, e_1, .., d_n, which keep the singular values, of a
+    bidiagonal form of the double matrix with columns ``cols`` (no more
+    than rows), whose lists it overwrites: a reflector takes the first
+    column to d_1 e_1, and the rest, transposed, is reduced in turn."""
+    a, moduli = cols, []
+    while a:
+        moduli.append(_reflect(a[0], a[1:], 0, 1)[0])
+        a = [list(row) for row in zip(*a[1:])]
+    return moduli
+
+
+def _bisect(b, k, lo, hi):
+    """The (k+1)-th smallest singular value, in [lo, hi), of the bidiagonal
+    of moduli b: at x > 0 its Golub-Kahan tridiagonal, eigenvalues +-sigma,
+    has n negative LDL^T pivots for the -sigma and one per sigma below x."""
+    squares = [t * t for t in b]
+    while True:
+        mid = lo * math.sqrt(hi / lo)
+        if not lo < mid < hi:
+            return hi
+        x = q = -mid
+        below = (1 - len(b)) // 2
+        for s in squares:
+            q = x - s / q or -2.0 ** -1022
+            if q < 0:
+                below += 1
+        if below > k:
+            hi = mid
+        else:
+            lo = mid
 
 
 def solve_lstsq(field, rows, rhs, residual_tol=1e-9):
-    """Solve A x = b (len(rows) >= unknowns).  Returns (x, cond, residual).
+    """Solve A x = b (len(rows) >= unknowns).  Returns (x, residual).
 
     Raises RankDeficiencyError when the system cannot determine x or the
     equations are inconsistent beyond ``residual_tol`` (exact: beyond zero).
@@ -82,7 +140,8 @@ def solve_lstsq(field, rows, rhs, residual_tol=1e-9):
 def factor_lstsq(field, rows):
     """Factor A (len(rows) >= unknowns) for solves with any number of
     right-hand sides: an object whose ``solve(rhs, residual_tol=1e-9)``
-    returns what ``solve_lstsq(field, rows, rhs, residual_tol)`` returns.
+    returns what ``solve_lstsq(field, rows, rhs, residual_tol)`` returns,
+    and whose ``cond`` is the condition number, computed when first read.
 
     An exact A that cannot determine x raises RankDeficiencyError here, a
     float one at each solve.
@@ -106,7 +165,7 @@ class _ExactFactor:
 
     def __init__(self, field, rows):
         self.field = field
-        self.cond = _cond_of(field, rows)
+        self.rows = rows
         m, ncols = len(rows), len(rows[0])
         a = [list(row) for row in rows]
         # per pivot column: (pivot row, inverse, [(row, elimination factor)])
@@ -135,6 +194,11 @@ class _ExactFactor:
                     factors.append((i, factor))
             self.ops.append((pivot, inv, factors))
 
+    @cached_property
+    def cond(self):
+        """The condition number of A, off its double snapshot."""
+        return _cond_of(self.field, self.rows)
+
     def solve(self, rhs, residual_tol=1e-9):
         field = self.field
         b = list(rhs)
@@ -148,7 +212,7 @@ class _ExactFactor:
             raise RankDeficiencyError(
                 "inconsistent linear system on the exact backend"
             )
-        return b[:r], self.cond, 0.0
+        return b[:r], 0.0
 
 
 class _FloatFactor:
@@ -156,50 +220,40 @@ class _FloatFactor:
     and then its columns scaled to a largest modulus of 1."""
 
     def __init__(self, field, rows):
-        import numpy as np
-
+        self.field = field
         # a zero row or column keeps its scale
         self.rs = [max(map(abs, row)) or 1 for row in rows]
         a2 = [[x / r for x in row] for row, r in zip(rows, self.rs)]
         self.cs = [max(map(abs, col)) or 1 for col in zip(*a2)]
         self.a3 = [[x / c for x, c in zip(row, self.cs)] for row in a2]
         a = [list(col) for col in zip(*self.a3)]  # worked on by columns
-        # per column k, the reflector I - beta v v^H on rows k.. that takes
-        # the column to -phase alpha e_1, its phase that of the pivot
+        # per column k, its reflector (k, v, v^H, beta) on rows k..; a zero
+        # or nan column has none, and fails R's rank test
         self.reflectors = []
         for k, col in enumerate(a):
-            x0 = col[k]
-            alpha = sum(t.real * t.real + t.imag * t.imag
-                        for t in col[k:]) ** 0.5
-            if not alpha > 0:  # zero or nan: R's rank test fails
-                col[k] = alpha
-                continue
-            ax0 = abs(x0)
-            phase = x0 / ax0 if ax0 else field.one
-            v = [x0 + phase * alpha] + col[k + 1:]
-            vh = [t.conjugate() for t in v]
-            beta = 1 / (alpha * (alpha + ax0))
+            alpha, phase, v, vh, beta = _reflect(col[k:], a[k + 1:], k,
+                                                 field.one)
             col[k] = -phase * alpha
-            for cj in a[k + 1:]:
-                s = sum(map(mul, vh, cj[k:])) * beta
-                cj[k:] = [y - s * t for y, t in zip(cj[k:], v)]
-            self.reflectors.append((k, v, vh, beta))
+            if v is not None:
+                self.reflectors.append((k, v, vh, beta))
         self.r = [col[:j + 1] for j, col in enumerate(a)]  # R, by columns
         top = max(field.abs(x) for col in self.r for x in col)
         self.full_rank = all(field.abs(col[-1]) > resolution(field) * top
                              for col in self.r)
-        # the scaling bounds R's entries, so its snapshot cannot overflow
-        r = np.triu(_snapshot(field, [col[:len(a)] for col in a]).T)
-        sv = (np.linalg.svd(r, compute_uv=False) if np.isfinite(r).all()
-              else [1.0, 0.0])
-        self.cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
+
+    @cached_property
+    def cond(self):
+        """That of the scaled A, off R's double snapshot, which the scaling
+        keeps from overflowing."""
+        return _cond([[self.field.to_complex(x) for x in col]
+                      + [0j] * (len(self.r) - len(col)) for col in self.r])
 
     def solve(self, rhs, residual_tol=1e-9):
-        cond, ncols = self.cond, len(self.r)
+        ncols = len(self.r)
         if not self.full_rank:
             raise RankDeficiencyError(
                 f"rank-deficient recovery stage: {ncols} unknowns, "
-                f"condition number {cond:.3e}"
+                f"condition number {self.cond:.3e}"
             )
         b2 = [y / r for y, r in zip(rhs, self.rs)]
         # y = Q^H b2, then R x3 = y by columns of R
@@ -219,29 +273,84 @@ class _FloatFactor:
                 f"inconsistent linear system: residual {rnorm:.3e} "
                 f"exceeds {residual_tol:.1e}"
             )
-        return [t / c for t, c in zip(x3, self.cs)], cond, rnorm
+        return [t / c for t, c in zip(x3, self.cs)], rnorm
 
 
 def poly_roots(field, monic_tail):
-    """Roots of z^r + c_{r-1} z^{r-1} + ... + c_0 on a float field: numpy on
-    doubles, mpmath's ``polyroots`` above, at twice the field's precision
-    (``extraprec``), without which roots that spread over many decades,
-    such as E and 1/E with E = 1e12/7, are not found in ``_MP_ROOT_STEPS``.
+    """Roots of z^r + c_{r-1} z^{r-1} + ... + c_0 on a float field: by
+    Aberth-Ehrlich iteration on doubles, by mpmath's ``polyroots`` above,
+    at twice the field's precision (``extraprec``), without which roots
+    that spread over many decades, such as E and 1/E with E = 1e12/7, are
+    not found in ``_ROOT_STEPS``.
     """
-    r = len(monic_tail)
-    mp = field._mp
+    r, mp = len(monic_tail), field._mp
     if mp is None:
-        import numpy as np
-
-        coeffs = [1.0] + [field.to_complex(c) for c in reversed(monic_tail)]
-        return [complex(z) for z in np.roots(coeffs)]
-    coeffs = [field.one] + list(reversed(list(monic_tail)))
-    try:
-        return list(mp.polyroots([mp.mpc(c) for c in coeffs],
-                                 maxsteps=_MP_ROOT_STEPS,
-                                 extraprec=field.precision))
-    except mp.NoConvergence:
+        finder = "Aberth-Ehrlich iteration"
+        roots = _aberth([1.0] + [field.to_complex(c)
+                                 for c in reversed(monic_tail)])
+    else:
+        finder = "mpmath polyroots"
+        try:
+            roots = list(mp.polyroots(
+                [mp.mpc(c) for c in [field.one, *reversed(monic_tail)]],
+                maxsteps=_ROOT_STEPS, extraprec=field.precision))
+        except mp.NoConvergence:
+            roots = None
+    if roots is None:
         raise ConvergenceError(
-            f"mpmath polyroots found no roots of the degree-{r} "
-            f"polynomial in maxsteps={_MP_ROOT_STEPS} steps"
-        ) from None
+            f"{finder} found no roots of the degree-{r} polynomial in "
+            f"maxsteps={_ROOT_STEPS} steps")
+    return roots
+
+
+def _horner(a, z):
+    """p(z) and p'(z) for the coefficients a, highest power first."""
+    p = dp = 0j
+    for c in a:
+        dp = dp * z + p
+        p = p * z + c
+    return p, dp
+
+
+def _aberth(a):
+    """The roots of the monic polynomial of double coefficients a, highest
+    power first, or None: exact zero roots, then Aberth-Ehrlich sweeps from
+    the circles of the Newton polygon (Bini 1996) until |p| is at its
+    rounding, then a Newton step."""
+    if not all(map(cmath.isfinite, a)):
+        return None
+    zeros = []
+    while a[-1] == 0:
+        a, zeros = a[:-1], zeros + [0j]
+    r = len(a) - 1
+    mods = [abs(c) for c in reversed(a)]  # by power of z
+    hull = []  # the upper convex hull of the points (j, log |a_j|)
+    for j, y in [(j, math.log(m)) for j, m in enumerate(mods) if m]:
+        while len(hull) > 1 and ((hull[-1][0] - hull[-2][0])
+                                 * (y - hull[-2][1]) >= (j - hull[-2][0])
+                                 * (hull[-1][1] - hull[-2][1])):
+            hull.pop()
+        hull.append((j, y))
+    # on the circle of each edge's root modulus, off the real axis
+    z = [cmath.rect(math.exp((l1 - l2) / (j2 - j1)),
+                    2 * math.pi * (t / (j2 - j1) + j1 / r) + 0.4)
+         for (j1, l1), (j2, l2) in zip(hull, hull[1:]) for t in range(j2 - j1)]
+    done = [False] * r
+    for _ in range(_ROOT_STEPS):
+        for i, zi in enumerate(z):
+            p, dp = _horner(a, zi)
+            if done[i] or abs(p) <= 2 * r * 2.0 ** -53 * sum(
+                    m * abs(zi) ** j for j, m in enumerate(mods)):
+                done[i] = True
+                continue
+            den = dp - p * sum(1 / (zi - zj) for zj in z if zj != zi)
+            z[i] = zi - p / den if den else zi * (1 + 2.0 ** -26) + 2.0 ** -26
+        if all(done):
+            break
+    else:
+        return None
+    for i, zi in enumerate(z):  # a Newton step, kept if it lowers |p|
+        p, dp = _horner(a, zi)
+        if dp and abs(_horner(a, zi - p / dp)[0]) < abs(p):
+            z[i] = zi - p / dp
+    return zeros + z

@@ -166,15 +166,15 @@ def _hankel_tail(field, samples, r, tol):
     K = len(samples)
     rows = [samples[t:t + r] for t in range(K - r)]
     rhs = [-samples[t + r] for t in range(K - r)]
-    tail, cond, _res = solve_lstsq(field, rows, rhs, residual_tol=tol)
-    return tail, cond
+    system = factor_lstsq(field, rows)
+    return system.solve(rhs, residual_tol=tol)[0], system.cond
 
 
 def _roots_and_weights(field, tail, samples, tol):
     """The tail polynomial's roots and their weights in the samples."""
     roots = poly_roots(field, tail)
     vrows = [[root ** k for root in roots] for k in range(1, len(samples) + 1)]
-    weights, _wc, _wres = solve_lstsq(field, vrows, samples, residual_tol=tol)
+    weights, _res = solve_lstsq(field, vrows, samples, residual_tol=tol)
     return roots, weights
 
 
@@ -304,7 +304,7 @@ def _refit(field, samples, c, tags, exp_half):
         if max(field.abs(v) for v in misfits) < resolution(field) / 64:
             break
         try:
-            delta, _cond, _res = solve_lstsq(
+            delta, _res = solve_lstsq(
                 field, jacobian(params), [-v for v in misfits],
                 residual_tol=math.inf)
         except RankDeficiencyError:
@@ -496,8 +496,9 @@ def recover_polynomial(engine, values, alpha_set, residual_tol=1e-8,
             columns.append(list(map(mul, col, engine.ik_power(da))) if da
                            else col)
         system = systems[key] = factor_lstsq(field, list(zip(*columns)))
-    sol, cond, _res = system.solve([values[k] for k in ks],
-                                   residual_tol=residual_tol)
+    sol, _res = system.solve([values[k] for k in ks],
+                             residual_tol=residual_tol)
+    cond = system.cond
     # an exact solve verifies every equation, so only float solves are gated
     if cond_gate is not None and not field.exact and cond > cond_gate:
         raise ConditioningError(

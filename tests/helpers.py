@@ -38,6 +38,24 @@ def rt1():
     return F, bnf, action
 
 
+def n1_bnf():
+    """The golden round-trip input: rt1's shape with E=3, a z^2 term in the
+    jet, a z-dependent f0 and z- and h^2-terms above it."""
+    FR = RationalField()
+    q = FR.from_rational
+    blocks = SpectrumBlocks(FR, [REAL_HYPERBOLIC], [FR.from_int(3)])
+    jet = zseries(FR, 3, {1: FR.one, 2: q("-2/5")})
+    F = MultiSeries(FR, 1, Orders(4, 3, 3), {
+        ((2,), 0, 0): q("1/7"),
+        ((1,), 0, 1): q("1/3"),
+        ((0,), 0, 1): q("1/5"),
+        ((0,), 1, 1): q("-3/4"),
+        ((2,), 1, 1): q("2/9"),
+        ((0,), 2, 2): q("5/8"),
+    })
+    return QuantumBNF(blocks, [jet], F)
+
+
 def n2_bnf():
     """The golden forward input: rh E=2 and elliptic E=(3+4i)/5,
     z-dependent jets, F coupling both actions with a z-dependent f0."""

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import mixed_float_fixture, n2_bnf, rt1
+from helpers import mixed_float_fixture, n1_bnf, n2_bnf, rt1
 
 from bnftrace import cli, jsonio, qbnf
 from bnftrace.blocks import REAL_HYPERBOLIC, SpectrumBlocks
@@ -168,24 +168,12 @@ def _float_n1():
                      ((1,), 0, 1): FF.from_rational("1/2")}))
 
 
-def test_forward_runs_without_numpy(tmp_path, monkeypatch, capsys):
-    """forward never imports numpy: with numpy made unimportable each run
-    exits 0, with the standard output and trace bytes of a run with numpy
-    importable.  The inputs are the golden n=2 normal form and CI's float
-    n=1 one, at 64 and 128 bits."""
-    n2, n1 = str(tmp_path / "n2.json"), str(tmp_path / "n1.json")
-    jsonio.dump(n2, jsonio.qbnf_to_json(n2_bnf()))
-    jsonio.dump(n1, jsonio.qbnf_to_json(_float_n1()))
-    # trace files are named relative to each run's directory, so that the
-    # "wrote" lines of both runs read the same
-    argvs = [
-        ["forward", "--bnf", n2, "--orders", "4,3,3", "--kmax", "12",
-         "--out", "n2-traces.json"],
-        ["forward", "--bnf", n1, "--orders", "3,1,2", "--kmax", "6",
-         "--out", "n1-traces.json"],
-        ["forward", "--bnf", n1, "--orders", "3,1,2", "--kmax", "6",
-         "--precision", "128", "--out", "n1-128-traces.json"],
-    ]
+def _runs_alike_without_numpy(tmp_path, monkeypatch, capsys, argvs, files):
+    """Each argv exits 0 with numpy made unimportable, with the standard
+    output and the bytes of ``files`` of a run with numpy importable.
+    Output files are named relative to each run's directory, so that the
+    "wrote" lines of both runs read the same; an input file a run reads
+    from its directory is written by an earlier argv."""
     without, with_numpy = tmp_path / "without", tmp_path / "with"
     without.mkdir()
     with_numpy.mkdir()
@@ -198,9 +186,53 @@ def test_forward_runs_without_numpy(tmp_path, monkeypatch, capsys):
     for argv, (rc, out) in zip(argvs, json.loads(proc.stdout)):
         assert rc == 0 and main(argv) == 0, argv
         assert out == capsys.readouterr().out, argv
-    for name in ("n2-traces.json", "n1-traces.json", "n1-128-traces.json"):
+    for name in files:
         assert ((without / name).read_bytes()
                 == (with_numpy / name).read_bytes()), name
+
+
+def test_forward_runs_without_numpy(tmp_path, monkeypatch, capsys):
+    """forward never imports numpy.  The inputs are the golden n=2 normal
+    form and CI's float n=1 one, at 64 and 128 bits."""
+    n2, n1 = str(tmp_path / "n2.json"), str(tmp_path / "n1.json")
+    jsonio.dump(n2, jsonio.qbnf_to_json(n2_bnf()))
+    jsonio.dump(n1, jsonio.qbnf_to_json(_float_n1()))
+    argvs = [
+        ["forward", "--bnf", n2, "--orders", "4,3,3", "--kmax", "12",
+         "--out", "n2-traces.json"],
+        ["forward", "--bnf", n1, "--orders", "3,1,2", "--kmax", "6",
+         "--out", "n1-traces.json"],
+        ["forward", "--bnf", n1, "--orders", "3,1,2", "--kmax", "6",
+         "--precision", "128", "--out", "n1-128-traces.json"],
+    ]
+    _runs_alike_without_numpy(
+        tmp_path, monkeypatch, capsys, argvs,
+        ["n2-traces.json", "n1-traces.json", "n1-128-traces.json"])
+
+
+def test_recovery_runs_without_numpy(tmp_path, monkeypatch, capsys):
+    """roundtrip and recover never import numpy either: an exact round
+    trip with its report and a recovery from traces of the golden n=1
+    form, and a 64-bit round trip of a real hyperbolic and elliptic n=2
+    form."""
+    n1, n2 = str(tmp_path / "n1.json"), str(tmp_path / "n2.json")
+    jsonio.dump(n1, jsonio.qbnf_to_json(n1_bnf()))
+    jsonio.dump(n2, jsonio.qbnf_to_json(
+        mixed_float_fixture(7, with_jets=True)[1]))
+    argvs = [
+        ["roundtrip", "--bnf", n1, "--orders", "4,3,3", "--kmax", "8",
+         "--report", "n1-report.json"],
+        ["forward", "--bnf", n1, "--orders", "4,3,3", "--kmax", "8",
+         "--out", "n1-traces.json"],
+        ["recover", "--traces", "n1-traces.json", "--n", "1",
+         "--report", "n1-recover-report.json", "--out", "n1-recovered.json"],
+        ["roundtrip", "--bnf", n2, "--orders", "3,2,2", "--kmax", "14",
+         "--report", "n2-report.json"],
+    ]
+    _runs_alike_without_numpy(
+        tmp_path, monkeypatch, capsys, argvs,
+        ["n1-report.json", "n1-recover-report.json", "n1-recovered.json",
+         "n2-report.json"])
 
 
 def test_classify_command(tmp_path, capsys):

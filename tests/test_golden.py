@@ -3,9 +3,9 @@
 Exact outputs are part of the contract: a faster algorithm must give the
 same bytes.  Each test runs one subcommand in-process on a fixed normal
 form or map and compares the SHA-256 of the JSON it writes with a pinned
-digest.  The round-trip report also carries float condition numbers from
-numpy's SVD; a different LAPACK build could move their last bits, which
-would show here as a changed report digest with an unchanged trace digest.
+digest.  The round-trip report also carries float condition numbers,
+which the package computes in pure Python from double snapshots of the
+exact stage matrices, so they do not depend on a LAPACK build.
 The classical-bnf report is all floats: its map is built by the same
 sparse products, and the normalizer runs numpy's eigendecomposition, so
 it pins that the products sum in a fixed order, on one LAPACK build.
@@ -13,46 +13,26 @@ it pins that the products sum in a fixed order, on one LAPACK build.
 
 import hashlib
 
-from helpers import mixed_float_fixture, n2_bnf
+from helpers import mixed_float_fixture, n1_bnf, n2_bnf
 
 from bnftrace import jsonio
 from bnftrace.blocks import ELLIPTIC, REAL_HYPERBOLIC, SpectrumBlocks
 from bnftrace.classical import (TaylorMap, iota_real_to_complex,
                                 normal_form_flow)
 from bnftrace.cli import main
-from bnftrace.fields import FloatField, RationalField
+from bnftrace.fields import FloatField
 from bnftrace.phasepoly import PhasePoly, exp_ham
-from bnftrace.qbnf import QuantumBNF
-from bnftrace.series import MultiSeries, Orders, zseries
 
-FR = RationalField()
 FF = FloatField()
-q = FR.from_rational
 
 FORWARD_N2_SHA256 = \
     "e9ba4d524dbdfc6f937565bfcf29706baf6e8782a5b24fee9f4a5ed9879093c3"
 FORWARD_N2_FLOAT_SHA256 = \
     "2261b3d48d07f2f8147535f692fb695831a5da604a99050c0d72922bc9a19d56"
 ROUNDTRIP_N1_REPORT_SHA256 = \
-    "bbd45e23a631ca0d436b61cd9a9d7c473c25995130fb038ef07471f2e902dbfc"
+    "c518e2721c139c984c1cc467e93280f60deb7a443cde6139bc3aed9a84e343b9"
 CLASSICAL_BNF_REPORT_SHA256 = \
     "c63c5d55618f6ad0a7af140141bdc457ea52ab98ad8335154266379ff9b84994"
-
-
-def _n1_bnf():
-    """rt1's shape with E=3, a z^2 term in the jet, a z-dependent f0 and
-    z- and h^2-terms above it."""
-    blocks = SpectrumBlocks(FR, [REAL_HYPERBOLIC], [FR.from_int(3)])
-    jet = zseries(FR, 3, {1: FR.one, 2: q("-2/5")})
-    F = MultiSeries(FR, 1, Orders(4, 3, 3), {
-        ((2,), 0, 0): q("1/7"),
-        ((1,), 0, 1): q("1/3"),
-        ((0,), 0, 1): q("1/5"),
-        ((0,), 1, 1): q("-3/4"),
-        ((2,), 1, 1): q("2/9"),
-        ((0,), 2, 2): q("5/8"),
-    })
-    return QuantumBNF(blocks, [jet], F)
 
 
 def _sha256(path):
@@ -88,7 +68,7 @@ def test_forward_n2_float_trace_bytes(tmp_path):
 def test_roundtrip_n1_report_bytes(tmp_path, capsys):
     bnf = tmp_path / "bnf.json"
     report = tmp_path / "report.json"
-    jsonio.dump(bnf, jsonio.qbnf_to_json(_n1_bnf()))
+    jsonio.dump(bnf, jsonio.qbnf_to_json(n1_bnf()))
     rc = main(["roundtrip", "--bnf", str(bnf), "--orders", "4,3,3",
                "--kmax", "8", "--report", str(report)])
     assert rc == 0

@@ -1,0 +1,160 @@
+"""The pure-Python double kernels of linalg against numpy: the condition
+number by bidiagonalization and Sturm bisection, and polynomial roots by
+Aberth-Ehrlich iteration."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import mixed_float_fixture
+
+from bnftrace import linalg
+from bnftrace import recover as recover_module
+from bnftrace.errors import ConvergenceError
+from bnftrace.fields import FloatField, RationalField
+from bnftrace.oscillatory import (OrbitExpansion, TestJet, extract_jets,
+                                  forward_pairing)
+from bnftrace.qbnf import make_trace_data
+from bnftrace.recover import recover_qbnf
+from bnftrace.series import zseries
+
+FF = FloatField()
+FR = RationalField()
+
+
+def _matrix(rng, m, n, singular_values, real):
+    """An m x n matrix U diag(s) V^H with random unitary (or orthogonal)
+    U and V, as its columns."""
+    def unitary(k):
+        a = rng.normal(size=(k, k))
+        if not real:
+            a = a + 1j * rng.normal(size=(k, k))
+        return np.linalg.qr(a)[0]
+
+    a = (unitary(m)[:, :n] * singular_values) @ unitary(n).conj().T
+    return a, [[complex(x) for x in col] for col in a.T]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 34),
+       extra=st.integers(0, 6), log_cond=st.floats(0.1, 12),
+       log_scale=st.floats(-5, 5), real=st.booleans())
+def test_condition_number_agrees_with_numpy(seed, n, extra, log_cond,
+                                            log_scale, real):
+    """A random m x n matrix, m >= n, with singular values spread
+    geometrically over 10^0.1 <= cond <= 1e12: sigma_max / sigma_min
+    agrees with numpy's SVD within 1e-15 cond^2 relative."""
+    s = np.geomspace(1, 10.0 ** -log_cond, n) * 10.0 ** log_scale
+    a, cols = _matrix(np.random.default_rng(seed), n + extra, n, s, real)
+    sv = np.linalg.svd(a, compute_uv=False)
+    want = sv[0] / sv[-1]
+    assert abs(linalg._cond(cols) - want) <= 1e-15 * want ** 3
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 34])
+def test_condition_number_of_a_unitary_matrix(n):
+    """Where every singular value is 1, the rounding of either method
+    splits them by a few units in the last place, so the ratio is 1 to
+    within n + 8 of them, here and in numpy, rather than to 1e-15."""
+    for seed in range(5):
+        a, cols = _matrix(np.random.default_rng(seed), n + seed, n,
+                          np.ones(n), seed % 2)
+        sv = np.linalg.svd(a, compute_uv=False)
+        for cond in (linalg._cond(cols), sv[0] / sv[-1]):
+            assert abs(cond - 1) <= (n + 8) * 2.0 ** -52
+
+
+@pytest.mark.parametrize("cols", [
+    [[1, 2, 3], [0, 0, 0]],     # a zero column: rank 1 exactly
+    [[0, 0, 0], [1, 2, 3]],     # the zero column first
+    [[0, 0, 0], [0, 0, 0]],     # the zero matrix
+    [],                         # no columns
+])
+def test_condition_number_of_a_singular_matrix_is_infinite(cols):
+    cols = [[complex(x) for x in col] for col in cols]
+    assert linalg._cond(cols) == math.inf
+    if cols:
+        sv = np.linalg.svd(np.array(cols).T, compute_uv=False)
+        assert sv[-1] == 0
+
+
+def test_condition_number_of_a_non_finite_matrix_is_infinite():
+    assert linalg._cond([[1 + 0j, math.nan], [0j, 1 + 0j]]) == math.inf
+    assert linalg._cond([[1 + 0j, math.inf], [0j, 1 + 0j]]) == math.inf
+
+
+def test_roots_agree_with_numpy():
+    """Monic polynomials of degree 1..8 with real or complex normal
+    coefficients, every seventh with a zero root: each numpy root has its
+    own match within 1e-12 relative, and a zero root is found exactly."""
+    rng = np.random.default_rng(20240601)
+    for trial in range(300):
+        r = int(rng.integers(1, 9))
+        tail = rng.normal(size=r)
+        if trial % 2:
+            tail = tail + 1j * rng.normal(size=r)
+        if trial % 7 == 0:
+            tail[0] = 0
+        tail = [complex(c) for c in tail]
+        got = linalg.poly_roots(FF, tail)
+        assert len(got) == r
+        for want in np.roots([1.0] + tail[::-1]):
+            j = min(range(len(got)), key=lambda j: abs(got[j] - want))
+            assert abs(got.pop(j) - want) <= 1e-12 * abs(want), (tail, want)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)])
+def test_roots_of_a_non_finite_polynomial_are_a_convergence_error(bad):
+    with pytest.raises(ConvergenceError) as exc:
+        linalg.poly_roots(FF, [1 + 0j, bad, 2 + 0j])
+    msg = str(exc.value)
+    assert "degree-3" in msg and "maxsteps=200" in msg
+
+
+def test_roots_beyond_the_step_cap_are_a_convergence_error(monkeypatch):
+    # (z - 1)(z - 2)(z - 3) takes more than one sweep from its start
+    tail = [-6 + 0j, 11 + 0j, -6 + 0j]
+    assert sorted(z.real for z in linalg.poly_roots(FF, tail)) == \
+        pytest.approx([1, 2, 3], rel=1e-14)
+    monkeypatch.setattr(linalg, "_ROOT_STEPS", 1)
+    with pytest.raises(ConvergenceError) as exc:
+        linalg.poly_roots(FF, tail)
+    msg = str(exc.value)
+    assert "degree-3" in msg and "maxsteps=1" in msg
+
+
+def test_condition_numbers_are_computed_only_where_read(monkeypatch):
+    """A recovery computes the condition number of each factorization it
+    reports, stage 0's Hankel tail and each stage matrix, and none for the
+    Prony weight fit or the refit steps; extract_jets computes none."""
+    conds, factored, solved = [], [], []
+
+    def counted(calls, fn):
+        return lambda *args, **kwargs: calls.append(1) or fn(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_cond", counted(conds, linalg._cond))
+    monkeypatch.setattr(recover_module, "factor_lstsq",
+                        counted(factored, linalg.factor_lstsq))
+    monkeypatch.setattr(recover_module, "solve_lstsq",
+                        counted(solved, linalg.solve_lstsq))
+    F, bnf = mixed_float_fixture(7)
+    td = make_trace_data(bnf, zseries(F, 2, {1: F.one}), {}, 12, (2, 2))
+    rep = recover_qbnf(td, 2)
+    assert not rep.failed
+    assert len(conds) == len(factored) >= 2 and len(solved) >= 2
+
+    conds.clear()
+    order, base = 3, FR.from_int(2)
+    orbit = OrbitExpansion(
+        FR, [FR.zero, base] + [FR.from_rational(q)
+                               for q in ("1/3", "-2/5", "1/4")],
+        {(0, 0): FR.one, (1, 0): FR.from_rational("1/7")})
+    basis = [TestJet.delta(FR, base, 2 * order + 3, m)
+             for m in range(order + 3)]
+    pairings = [forward_pairing(orbit, g, order) for g in basis]
+    got = extract_jets(pairings, basis, order, i0=FR.zero)
+    assert got.i_jets == orbit.i_jets and got.a_jets == orbit.a_jets
+    assert not conds

@@ -323,7 +323,7 @@ def _reference_extract_jets(pairings, basis, order, i0=None,
                 row.append(forward_pairing(pert, g, p)[p] - fw[p])
             rows.append(row)
             rhs.append(pairings[b][p] - fw[p])
-        sol, _cond, _res = solve_lstsq(f, rows, rhs, residual_tol=residual_tol)
+        sol, _res = solve_lstsq(f, rows, rhs, residual_tol=residual_tol)
         for (kind, key), val in zip(unknowns, sol):
             if kind == "a":
                 if not f.is_zero(val):

@@ -469,12 +469,12 @@ def test_float_solve_takes_no_cond_of_snapshot(monkeypatch):
 
     monkeypatch.setattr(linalg, "_cond_of", no_snapshot)
     for field in (FF, F128):
-        x, cond, res = linalg.solve_lstsq(
+        system = linalg.factor_lstsq(
             field, [[field.from_int(v) for v in row]
-                    for row in [[1, 0], [0, 2], [1, 1]]],
-            [field.from_int(v) for v in [1, 4, 3]])
+                    for row in [[1, 0], [0, 2], [1, 1]]])
+        x, res = system.solve([field.from_int(v) for v in [1, 4, 3]])
         assert max(field.abs(a - b) for a, b in zip(x, [1, 2])) < 1e-14
-        assert 1 <= cond < 10 and res < 1e-14
+        assert 1 <= system.cond < 10 and res < 1e-14
 
 
 def test_exact_condition_number_beyond_the_double_range():
@@ -490,15 +490,23 @@ def test_exact_condition_number_beyond_the_double_range():
     big_rows = [[x * big for x in row] for row in rows]
     assert linalg._cond_of(FR, big_rows) == cond
     rhs = [r[0] + FR.from_int(2) * r[1] for r in big_rows]
-    x, got, _ = linalg.solve_lstsq(FR, big_rows, rhs)
+    system = linalg.factor_lstsq(FR, big_rows)
+    x, _ = system.solve(rhs)
     assert x == [FR.one, FR.from_int(2)]
-    assert got == cond
+    assert system.cond == cond
     # one huge row: the others shrink, to zero in doubles if need be
     assert linalg._cond_of(FR, [big_rows[0], rows[1], rows[2]]) > 1e100
 
 
+def _flushed(v):
+    """v with each part below 1e-100 in modulus set to zero: no product of
+    two drawn numbers and the scales below underflows, so a right-hand
+    side built in doubles keeps the system consistent."""
+    return complex(*(t if abs(t) >= 1e-100 else 0.0 for t in (v.real, v.imag)))
+
+
 _unit = st.complex_numbers(max_magnitude=1, allow_nan=False,
-                           allow_infinity=False)
+                           allow_infinity=False).map(_flushed)
 
 
 @st.composite
@@ -529,13 +537,14 @@ def _well_conditioned_systems(draw):
 @example(system=([[2 + 0j], [2.225073858507e-311 + 0j]], [0j, 0j]))
 def test_double_and_extended_solves_agree(system):
     rows, rhs = system
-    x64, c64, _ = linalg.solve_lstsq(FF, rows, rhs)
-    x128, c128, _ = linalg.solve_lstsq(
-        F128, [[F128.one * v for v in row] for row in rows],
-        [F128.one * v for v in rhs])
+    s64 = linalg.factor_lstsq(FF, rows)
+    s128 = linalg.factor_lstsq(
+        F128, [[F128.one * v for v in row] for row in rows])
+    x64, _ = s64.solve(rhs)
+    x128, _ = s128.solve([F128.one * v for v in rhs])
     size = max(abs(v) for v in x128)
     assert max(abs(a - b) for a, b in zip(x64, x128)) <= 1e-10 * size
-    assert abs(c64 - c128) <= 1e-9 * c128
+    assert abs(s64.cond - s128.cond) <= 1e-9 * s128.cond
 
 
 def test_extended_solve_of_a_vandermonde_system_keeps_its_digits():
@@ -546,8 +555,9 @@ def test_extended_solve_of_a_vandermonde_system_keeps_its_digits():
             for j in range(14)]
     x = [F128.from_int(p + 1) for p in range(8)]
     rhs = [sum((a * v for a, v in zip(row, x)), F128.zero) for row in rows]
-    got, cond, _res = linalg.solve_lstsq(F128, rows, rhs)
-    assert 1e8 < cond < 1e9
+    system = linalg.factor_lstsq(F128, rows)
+    got, _res = system.solve(rhs)
+    assert 1e8 < system.cond < 1e9
     assert max(F128.abs(a - b) for a, b in zip(got, x)) <= 1e-27
 
 
@@ -558,10 +568,10 @@ def test_extended_solve_with_a_row_beyond_the_double_range(precision):
     F = FloatField(precision)
     big = F.parse("1e400")
     rows = [[F.one, F.zero], [F.zero, F.one], [big, big]]
-    got, cond, _res = linalg.solve_lstsq(
-        F, rows, [F.one, F.from_int(2), 3 * big])
+    system = linalg.factor_lstsq(F, rows)
+    got, _res = system.solve([F.one, F.from_int(2), 3 * big])
     assert max(F.abs(a - b) for a, b in zip(got, [1, 2])) <= 1e-30
-    assert 1 < cond < 10
+    assert 1 < system.cond < 10
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -958,7 +968,8 @@ def test_recovery_factors_each_alpha_set_once(monkeypatch):
     assert len(alpha_sets) == 15 and len(distinct) == 4
     assert sorted(columns) == sorted((alpha, K) for s in distinct
                                      for alpha in s)
-    assert sorted(factored) == sorted(len(s) for s in distinct)
+    # and one for stage 0's Hankel tail, of 2^n columns
+    assert sorted(factored) == sorted([2] + [len(s) for s in distinct])
     stages = {f"h0:z{m}" for m in (1, 2, 3)} | {
         f"h{j}:z{m}" for j in (1, 2, 3) for m in range(4)}
     assert set(rep.conditioning) == {"prony"} | stages
