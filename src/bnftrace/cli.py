@@ -3,7 +3,7 @@
 Exit codes: 0 success, 2 input/schema error, 3 mathematical failure
 (resonance, pole, rank deficiency, conditioning, ...).
 
-Subcommands: forward, recover, roundtrip, classical-bnf, classify.
+Subcommands: forward, recover, roundtrip, classical-bnf.
 Each option is checked by its argparse type, and each file by its reader
 in :mod:`bnftrace.jsonio`, which defines every file format.
 """
@@ -14,7 +14,7 @@ import math
 import sys
 
 from . import hypcalc, jsonio
-from .classical import birkhoff_normal_form, classify_eigenvalues
+from .classical import birkhoff_normal_form
 from .errors import MathError, SchemaError
 from .qbnf import TraceEngine, make_trace_data
 from .recover import recover_qbnf, require_recoverable
@@ -139,7 +139,7 @@ def cmd_roundtrip(args):
             "hyperbolic pairs, real hyperbolic, elliptic, each sorted): "
             f"list the given blocks in the order {perm}"
         )
-    require_recoverable(bnf, *args.orders[1:])
+    require_recoverable(bnf, *args.orders[1:], args.k_max)
     # the recovery reuses the forward engine for every stage when it
     # serves the recovered blocks, as it does when the round trip is exact
     engine = TraceEngine(bnf.blocks, range(1, args.k_max + 1), args.orders[1],
@@ -173,16 +173,6 @@ def cmd_classical_bnf(args):
         print(f"  iota^{m}: {c.real:+.12g} {c.imag:+.12g}i")
     if args.report:
         jsonio.dump(args.report, jsonio.classical_report_to_json(res))
-    return 0
-
-
-def cmd_classify(args):
-    blocks = classify_eigenvalues(
-        jsonio.matrix_from_json(jsonio.load(args.matrix)))
-    print(f"n = {blocks.n}: n_e={blocks.n_e} n_rh={blocks.n_rh} "
-          f"n_ch={blocks.n_ch}")
-    for tag, mu in zip(blocks.tags, blocks.mu()):
-        print(f"  {tag:>20s}: mu = {mu.real:+.12g} {mu.imag:+.12g}i")
     return 0
 
 
@@ -224,10 +214,6 @@ def build_parser():
                    help="iota degree of the reported normal form")
     _add_options(p, "tol_resonance", "report")
     p.set_defaults(func=cmd_classical_bnf)
-
-    p = sub.add_parser("classify", help="classify a symplectic matrix")
-    p.add_argument("--matrix", required=True)
-    p.set_defaults(func=cmd_classify)
     return ap
 
 

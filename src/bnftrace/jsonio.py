@@ -1,7 +1,6 @@
 """JSON formats of every file the CLI reads or writes, and their checks:
-normal forms, action files, trace data, Taylor maps, ``classify``
-matrices, recovery and ``classical-bnf`` reports (and a writer for orbit
-expansions).
+normal forms, action files, trace data, Taylor maps, recovery and
+``classical-bnf`` reports (and a writer for orbit expansions).
 
 Numbers travel as strings: exact rationals as "p/q", floats as decimal
 strings with enough digits for their precision, so parse(serialize(x)) == x
@@ -249,26 +248,6 @@ def taylor_map_from_json(obj):
         comps.append({_exponents(e, "exps"): scalar_from_json(field, e)
                       for e in entries})
     return TaylorMap(field, n, degree, comps)
-
-
-def _finite_matrix(rows):
-    import numpy as np
-
-    for row in rows:
-        for x in row if isinstance(row, list) else [row]:
-            if isinstance(x, bool) or not isinstance(x, (int, float)):
-                raise ValueError(f"not a number: {x!r}")
-    M = np.array(rows, dtype=float)
-    if not np.isfinite(M).all():
-        raise ValueError("an entry is infinite or nan")
-    return M
-
-
-def matrix_from_json(obj):
-    """The double array under 'matrix' of a ``classify`` file; an entry
-    that is not a JSON number (true and false are not numbers) or is
-    infinite or nan is an input error."""
-    return _parsed("'matrix'", _finite_matrix, _need(obj, "matrix", list))
 
 
 def classical_report_to_json(res):

@@ -37,10 +37,10 @@ zero, and its imaginary part is dropped, below the resolution at which
 the refit stops.  On the exact field c must be 1.
 
 The later stages solve for the coefficients of G, one stage per (h^j, z^m)
-in the order j = 0..N_h, with m = 1..N_z at j = 0 and m = 0..N_z above.
-With iota weighing like h, stage (j, m) finds the terms iota^alpha z^m of
-G of weight j + 1: the F term iota^alpha z^m h^{j+1-|alpha|} for
-lo <= |alpha| <= j + 1 (lo keeps the h-power within the recovered F),
+in the order of :func:`plan`.  With iota weighing like h, stage (j, m)
+finds the terms iota^alpha z^m of G of weight j + 1: the F term
+iota^alpha z^m h^{j+1-|alpha|} for lo <= |alpha| <= j + 1 (lo keeps the
+h-power within the recovered F),
 except that at j = 0 an iota-linear coefficient is the z^m term of a
 mu-jet.  The z^m coefficient at h^j of the stored trace differs from the
 same coefficient of the forward engine run on the partially recovered
@@ -79,6 +79,7 @@ self-check then reads the forwards the engine kept.
 import cmath
 import itertools
 import math
+from collections import namedtuple
 from fractions import Fraction
 from operator import add, mul
 
@@ -371,18 +372,11 @@ def recover_frequencies(field, a0, n, residual_tol=1e-6):
     docstring; on the exact field the result is verified exactly).
     Returns a :class:`FrequencyResult` with canonically ordered blocks.
     """
-    if n < 1:
-        raise SchemaError("n must be >= 1")
+    prony = plan(n, 0, 0)
     ks = sorted(a0)
     if ks != list(range(1, len(ks) + 1)):
         raise SchemaError("a0 must cover k = 1..K without gaps")
-    K = len(ks)
-    need = 2 ** (n + 1) + 2
-    if K < need:
-        raise RankDeficiencyError(
-            f"frequency recovery for n={n} needs samples for k = 1..{need}, "
-            f"have {K}"
-        )
+    prony.require(len(ks))
     samples = []
     for k in ks:
         v = a0[k]
@@ -480,11 +474,6 @@ def recover_polynomial(engine, values, alpha_set, residual_tol=1e-8,
     if sorted(values) != sorted(ks):
         raise SchemaError(f"values for the powers {sorted(values)}, but the "
                           f"trace engine serves {list(ks)}")
-    if len(ks) < len(alpha_set):
-        raise RankDeficiencyError(
-            f"{len(alpha_set)} unknown coefficients need at least "
-            f"{len(alpha_set)} trace powers, have {len(ks)}"
-        )
     if systems is None:
         systems = {}
     key = tuple(alpha_set)
@@ -529,50 +518,111 @@ class RecoveryReport:
                 f"max_cond={max(self.conditioning.values()):.3e}>")
 
 
-def _h_cap(n_h):
-    """The top h-power of the F that traces at h-order n_h recover: f00
-    and the f0m are h^1 terms, which h-order 0 already fixes."""
-    return max(n_h, 1)
+class Stage(namedtuple("Stage", "name kind n j m lo")):
+    """A stage of a recovery :func:`plan`: 'prony', an (h^j, z^m) stage of
+    kind 'jets' (j = 0) or 'F', which solves for the terms of G of weight
+    j + 1 at z^m with |alpha| >= lo, or the 'self-check'."""
+
+    __slots__ = ()
+
+    @property
+    def alphas(self):
+        """The alpha set, built when asked; an h^0 stage lists the columns
+        1, iota_1, .., iota_n first, as the jets."""
+        alphas = [a for a in itertools.product(range(self.j + 2),
+                                               repeat=self.n)
+                  if self.lo <= sum(a) <= self.j + 1]
+        if self.kind == "jets":
+            alphas.sort(key=lambda a: a[::-1])
+        return alphas
+
+    @property
+    def need(self):
+        """The K of the powers k = 1..K the stage needs: 2^(n+1) + 2 for
+        Prony, one per unknown of an (h^j, z^m) stage, counted by binomials,
+        none for the self-check."""
+        if self.kind == "prony":
+            return 2 ** (self.n + 1) + 2
+        if self.kind == "self-check":
+            return 0
+        below = math.comb(self.lo - 1 + self.n, self.n) if self.lo else 0
+        return math.comb(self.j + 1 + self.n, self.n) - below
+
+    def needs_more_than(self, K):
+        """need > K; Prony's power is not formed once n + 1 reaches K's bit
+        length, so a huge n costs nothing."""
+        return (self.kind == "prony" and self.n + 1 >= K.bit_length()
+                or self.need > K)
 
 
-def require_recoverable(bnf, n_z, n_h):
-    """Refuse a normal form with a term that a recovery from traces at
-    orders (n_z, n_h) does not solve for: an F term with
-    l + |alpha| > n_h + 1, l > max(n_h, 1) or m > n_z, or a mu-jet term
-    above z^n_z.  The first such term is named."""
-    h_cap = _h_cap(n_h)
-    scope = (f"at trace orders z<={n_z}, h<={n_h} the recovery solves for "
-             f"the F terms with l + |alpha| <= {n_h + 1}, l <= {h_cap} and "
-             f"z^m, m <= {n_z}, and the mu-jets up to z^{n_z}")
-    for alpha, m, l in sorted(bnf.F.terms):
-        if l + sum(alpha) > n_h + 1 or l > h_cap or m > n_z:
-            raise SchemaError(
-                f"roundtrip cannot recover the F term iota^{list(alpha)} "
-                f"z^{m} h^{l}: {scope}"
-            )
-    for j, jet in enumerate(bnf.mu_jets):
-        for _alpha, m, _l in sorted(jet.terms):
-            if m > n_z:
-                raise SchemaError(
-                    f"roundtrip cannot recover the z^{m} term of mu-jet "
-                    f"{j}: {scope}"
-                )
+class Plan(namedtuple("Plan", "h_cap stages")):
+    """The stages in the order they run, and the top h-power h_cap of the
+    recovered F."""
+
+    __slots__ = ()
+
+    def covers(self, degree, m, l):
+        """Whether a stage solves for a term iota^alpha z^m h^l of G with
+        |alpha| = ``degree``: f00 is Prony's."""
+        j = l + degree - 1
+        return (j, m, l) == (0, 0, 1) or any(
+            (s.j, s.m) == (j, m) and s.lo <= degree
+            for s in self.stages[1:-1])
+
+    def require(self, K):
+        """Refuse K powers if a stage needs more, naming the first stage
+        that needs the most; K < 1 is an input error."""
+        if K < 1:
+            raise SchemaError("k_max must be >= 1")
+        top = max(self.stages[1:], key=lambda s: s.need)
+        if self.stages[0].needs_more_than(top.need - 1):
+            top = self.stages[0]
+        if top.needs_more_than(K):
+            need = (f"2^{top.n + 1} + 2" if top.kind == "prony"
+                    and top.n >= 64 else top.need)
+            raise RankDeficiencyError(f"stage {top.name} needs the trace "
+                                      f"powers k = 1..{need}, have {K}")
+
+
+def plan(n, n_z, n_h):
+    """The :class:`Plan` of a recovery of n blocks from traces at orders
+    (n_z, n_h).  Its F covers l + |alpha| <= n_h + 1 and h <= max(n_h, 1):
+    at n_h = 0 the f00 and f0m of Prony and the h^0 stages are h^1
+    terms."""
+    if n < 1:
+        raise SchemaError("n must be >= 1")
+    h_cap = max(n_h, 1)
+    return Plan(h_cap, [Stage("prony", "prony", n, 0, 0, 0)] + [
+        Stage(f"h{j}:z{m}", "F" if j else "jets", n, j, m,
+              max(0, j + 1 - h_cap))
+        for j in range(n_h + 1) for m in range(0 if j else 1, n_z + 1)
+    ] + [Stage("self-check", "self-check", n, 0, 0, 0)])
+
+
+def require_recoverable(bnf, n_z, n_h, k_max):
+    """Refuse, naming the first one, a term of ``bnf`` that no stage of
+    the :func:`plan` at orders (n_z, n_h) solves for, then a short k_max."""
+    p = plan(bnf.n, n_z, n_h)
+    terms = [(f"F term iota^{list(alpha)} z^{m} h^{l}", sum(alpha), m, l)
+             for alpha, m, l in sorted(bnf.F.terms)]
+    terms += [(f"z^{m} term of mu-jet {j}", 1, m, 0)
+              for j, jet in enumerate(bnf.mu_jets)
+              for _, m, _ in sorted(jet.terms)]
+    for what, degree, m, l in terms:
+        if not p.covers(degree, m, l):
+            raise SchemaError(f"roundtrip cannot recover the {what}: no "
+                              "stage of the recovery at trace orders "
+                              f"z<={n_z}, h<={n_h} solves for it")
+    p.require(k_max)
 
 
 def recover_qbnf(tdata, n, tol=1e-8, cond_gate=1e8,
                  pole_tol=DEFAULT_POLE_TOL, engine=None):
     """Full order-by-order recovery of (mu(z), F) from TraceData.
 
-    Follows the staged scheme: Prony on the constant coefficients, then at
-    each (h^j, z^m) the residual against the forward engine run on the
-    partially recovered data is linear in the new unknowns.  That
-    coefficient depends only on terms of lower (z, h) order, so the stages
-    forward only h-layers (see the module docstring); only the self-check
-    runs the whole forward expansion at the full trace orders, and it also
-    compares the constant phase of the recovered form with the traces'.
-    The recovered F covers the trace-order-limited set l + |alpha| <= N_h + 1
-    and is bounded at h <= max(N_h, 1): at N_h = 0 the f00 and f0m terms
-    of stage 0 and the j = 0 stages are h^1 terms.
+    Runs the stages of :func:`plan` (see the module docstring), after
+    checking K against it.  The self-check also compares the constant
+    phase of the recovered form with the traces'.
 
     ``engine`` is an optional :class:`~bnftrace.qbnf.TraceEngine` already
     built, such as the forward engine of a round trip; if it serves the
@@ -582,7 +632,8 @@ def recover_qbnf(tdata, n, tol=1e-8, cond_gate=1e8,
     f = tdata.field
     t_orders = tdata.orders()
     n_z, n_h = t_orders.z, t_orders.h
-    h_cap = _h_cap(n_h)
+    p = plan(n, n_z, n_h)
+    p.require(tdata.k_max)
     notes = []
     conditioning = {}
 
@@ -591,7 +642,7 @@ def recover_qbnf(tdata, n, tol=1e-8, cond_gate=1e8,
           for k in range(1, tdata.k_max + 1)}
     freq = recover_frequencies(f, a0, n, residual_tol=max(tol, 1e-8))
     blocks = freq.blocks
-    conditioning["prony"] = freq.conditioning
+    conditioning[p.stages[0].name] = freq.conditioning
     f00 = tdata.phase + freq.phi
     if not f.is_zero(freq.phi):
         notes.append(
@@ -616,7 +667,7 @@ def recover_qbnf(tdata, n, tol=1e-8, cond_gate=1e8,
 
     def current_bnf():
         jets = [MultiSeries(f, 0, Orders(0, n_z, 0), jt) for jt in jet_terms]
-        F = MultiSeries(f, n, Orders(n_h + 1, n_z, h_cap), fhat_terms)
+        F = MultiSeries(f, n, Orders(n_h + 1, n_z, p.h_cap), fhat_terms)
         return QuantumBNF(blocks, jets, F, validate=False)
 
     # one engine for every stage and the self-check, and one factored
@@ -628,41 +679,34 @@ def recover_qbnf(tdata, n, tol=1e-8, cond_gate=1e8,
     inv_minus_ik = dict(zip(ks, map(f.inv, engine.minus_ik)))
 
     # -- Stages (j, m): the coefficients of G of weight j + 1 ------------
-    for j in range(n_h + 1):
-        lo = max(0, j + 1 - h_cap)
-        alphas = [a for a in itertools.product(range(j + 2), repeat=n)
-                  if lo <= sum(a) <= j + 1]
-        if j == 0:  # the columns 1, iota_1, .., iota_n, as the jets
-            alphas.sort(key=lambda a: a[::-1])
-        if j:  # one layer forward over all k, which each stage deflates
+    for stage in p.stages[1:-1]:
+        j, m = stage.j, stage.m
+        # an h^0 stage runs its own layer; from j = 1 on, the first stage
+        # of each h-order runs one layer forward, which each stage deflates
+        if not (j and m):
             bnf = current_bnf()
-            fwd = trace_layers(bnf, ks, (n_z, j), pole_tol, engine)
-        for m in range(0 if j else 1, n_z + 1):
-            if not j:
-                bnf = current_bnf()
-                fwd = trace_layers(bnf, ks, (m, 0), pole_tol, engine)
-            values = {k: (coeffs[k].get((), m, j) - fwd[k][m])
-                      * inv_minus_ik[k] for k in ks}
-            sol, cond = recover_polynomial(engine, values, alphas,
-                                           residual_tol=max(tol, 1e-8),
-                                           cond_gate=cond_gate,
-                                           systems=systems)
-            conditioning[f"h{j}:z{m}"] = cond
-            found = {}
-            for alpha, val in sol.items():
-                if f.is_zero(val):
-                    continue
-                if j == 0 and sum(alpha) == 1:  # the z^m term of a mu-jet
-                    jet_terms[alpha.index(1)][((), m, 0)] = val
-                else:
-                    fhat_terms[(alpha, m, j + 1 - sum(alpha))] = val
-                    found[(alpha, m)] = val
-            if j and found and m < n_z:  # they add only above z^m
-                added = trace_layers(bnf, ks, (n_z, j), pole_tol, engine,
-                                     added=found)
-                for k in ks:
-                    fwd[k][m + 1:] = map(add, fwd[k][m + 1:],
-                                         added[k][m + 1:])
+            fwd = trace_layers(bnf, ks, (n_z if j else m, j), pole_tol,
+                               engine)
+        values = {k: (coeffs[k].get((), m, j) - fwd[k][m]) * inv_minus_ik[k]
+                  for k in ks}
+        sol, cond = recover_polynomial(engine, values, stage.alphas,
+                                       residual_tol=max(tol, 1e-8),
+                                       cond_gate=cond_gate, systems=systems)
+        conditioning[stage.name] = cond
+        found = {}
+        for alpha, val in sol.items():
+            if f.is_zero(val):
+                continue
+            if j == 0 and sum(alpha) == 1:  # the z^m term of a mu-jet
+                jet_terms[alpha.index(1)][((), m, 0)] = val
+            else:
+                fhat_terms[(alpha, m, j + 1 - sum(alpha))] = val
+                found[(alpha, m)] = val
+        if j and found and m < n_z:  # they add only above z^m
+            added = trace_layers(bnf, ks, (n_z, j), pole_tol, engine,
+                                 added=found)
+            for k in ks:
+                fwd[k][m + 1:] = map(add, fwd[k][m + 1:], added[k][m + 1:])
 
     recovered = current_bnf()
     recovered = QuantumBNF(recovered.blocks, recovered.mu_jets, recovered.F)

@@ -100,6 +100,13 @@ def test_classify_rejects_reversed_krein():
         classify_eigenvalues(rotation(1.0).T)
 
 
+@pytest.mark.parametrize("rows", [[[1, 2, 3], [4, 5, 6]], [2, 0]],
+                         ids=["2 x 3", "one row"])
+def test_classify_eigenvalues_needs_a_2n_x_2n_matrix(rows):
+    with pytest.raises(SchemaError, match="need a 2n x 2n matrix"):
+        classify_eigenvalues(rows)
+
+
 def test_nonresonance_witness_examples():
     b = SpectrumBlocks.from_mu(FF, [(ELLIPTIC, 1j),
                                     (ELLIPTIC, math.sqrt(2) * 1j)])

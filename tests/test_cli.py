@@ -1,8 +1,10 @@
 import argparse
 import cmath
+import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,7 +15,7 @@ import pytest
 from helpers import mixed_float_fixture, n1_bnf, n2_bnf, rt1
 
 from bnftrace import cli, jsonio, qbnf
-from bnftrace.blocks import REAL_HYPERBOLIC, SpectrumBlocks
+from bnftrace.blocks import ELLIPTIC, REAL_HYPERBOLIC, SpectrumBlocks
 from bnftrace.cli import build_parser, main
 from bnftrace.fields import FloatField, RationalField
 from bnftrace.qbnf import QuantumBNF, make_trace_data
@@ -140,6 +142,104 @@ def test_truncated_traces_exit_three_with_required_count(rt1_file, tmp_path,
     assert "1..6" in capsys.readouterr().err
 
 
+def _no_forward(monkeypatch):
+    """Make every forward an error, so that a refusal shows it came first."""
+    def forward(*args, **kwargs):
+        raise AssertionError("a forward ran")
+    monkeypatch.setattr(cli, "make_trace_data", forward)
+    monkeypatch.setattr(qbnf, "_forward", forward)
+
+
+def _recoverable_part(bnf, n_z, n_h):
+    """The terms of ``bnf`` that a recovery at orders (n_z, n_h) solves
+    for: F terms with l + |alpha| <= n_h + 1, l <= max(n_h, 1) and
+    m <= n_z, and jet terms up to z^n_z."""
+    f = bnf.field
+    F = MultiSeries(f, bnf.n, bnf.F.orders, {
+        (alpha, m, l): c for (alpha, m, l), c in bnf.F.terms.items()
+        if l + sum(alpha) <= n_h + 1 and l <= max(n_h, 1) and m <= n_z})
+    jets = [MultiSeries(f, 0, jet.orders, {
+        t: c for t, c in jet.terms.items() if t[1] <= n_z})
+        for jet in bnf.mu_jets]
+    return QuantumBNF(bnf.blocks, jets, F)
+
+
+@pytest.mark.parametrize("make, orders, K, stage", [
+    (n1_bnf, "2,1,1", 6, "prony"), (n1_bnf, "3,2,2", 6, "prony"),
+    (n1_bnf, "3,3,2", 6, "prony"), (n1_bnf, "4,3,3", 6, "prony"),
+    (n2_bnf, "2,1,1", 10, "prony"), (n2_bnf, "3,2,2", 10, "prony"),
+    (n2_bnf, "3,3,2", 10, "prony"), (n2_bnf, "4,3,3", 14, "h3:z0"),
+])
+def test_roundtrip_needs_the_k_of_its_plan(make, orders, K, stage, tmp_path,
+                                           monkeypatch, capsys):
+    """The least K at which a round trip passes is the largest need of the
+    recovery plan; one power fewer is refused before any forward, naming
+    the stage that needs the most and the K it needs."""
+    _iota, n_z, n_h = map(int, orders.split(","))
+    path = str(tmp_path / "bnf.json")
+    jsonio.dump(path, jsonio.qbnf_to_json(
+        _recoverable_part(make(), n_z, n_h)))
+    argv = ["roundtrip", "--bnf", path, "--orders", orders]
+    assert main(argv + ["--kmax", str(K)]) == 0
+    capsys.readouterr()
+    _no_forward(monkeypatch)
+    assert main(argv + ["--kmax", str(K - 1)]) == 3
+    err = capsys.readouterr().err
+    assert f"stage {stage} needs the trace powers k = 1..{K}," in err
+
+
+def _n3_bnf():
+    """rh 3/2 + rh 2 + el (5+12i)/13, jets z/3, -z/5 and iz/4, and a
+    nonzero small rational in every F term a recovery at orders (3, 3)
+    solves for."""
+    rng = random.Random(0)
+    q = FR.from_rational
+    blocks = SpectrumBlocks(FR, [REAL_HYPERBOLIC, REAL_HYPERBOLIC, ELLIPTIC],
+                            [q("3/2"), FR.from_int(2), q("5/13", "12/13")])
+    jets = [zseries(FR, 3, {1: c}) for c in (q("1/3"), q("-1/5"),
+                                                q(0, "1/4"))]
+    terms = {(alpha, m, l): q(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                       rng.randint(1, 9)))
+             for alpha in itertools.product(range(5), repeat=3)
+             for m in range(4) for l in range(4)
+             if l + sum(alpha) <= 4 and (l or sum(alpha) >= 2)}
+    return QuantumBNF(blocks, jets, MultiSeries(FR, 3, Orders(4, 3, 3),
+                                                terms))
+
+
+@pytest.mark.parametrize("kmax", ["24", "16"])
+def test_short_n3_roundtrip_is_refused_before_any_forward(
+        kmax, tmp_path, monkeypatch, capsys):
+    """At orders (3, 3) the h^3 stages of n = 3 need 34 powers, more than
+    the 18 of Prony: K = 24, which serves every stage below h^3, and
+    K = 16, which Prony alone would refuse asking for 18, are both refused
+    at once, naming stage h3:z0 and its 34."""
+    path = str(tmp_path / "n3.json")
+    bnf = _n3_bnf()
+    assert len(bnf.F.terms) == 260
+    jsonio.dump(path, jsonio.qbnf_to_json(bnf))
+    _no_forward(monkeypatch)
+    assert main(["roundtrip", "--bnf", path, "--orders", "4,3,3",
+                 "--kmax", kmax]) == 3
+    err = capsys.readouterr().err
+    assert f"stage h3:z0 needs the trace powers k = 1..34, have {kmax}" in err
+
+
+@pytest.mark.parametrize("n, need", [(20000, "2^20001 + 2"),
+                                     (10 ** 100, f"2^{10 ** 100 + 1} + 2")])
+def test_recover_with_a_huge_block_count_is_refused_by_prony(
+        n, need, rt1_file, tmp_path, monkeypatch, capsys):
+    """Prony's need 2^(n+1) + 2 is compared with K by bit length, not
+    formed or printed in full."""
+    traces = str(tmp_path / "traces.json")
+    assert main(["forward", "--bnf", rt1_file, "--out", traces]) == 0
+    capsys.readouterr()
+    _no_forward(monkeypatch)
+    assert main(["recover", "--traces", traces, "--n", str(n)]) == 3
+    err = capsys.readouterr().err
+    assert f"stage prony needs the trace powers k = 1..{need}, have 8" in err
+
+
 # runs each argv of the JSON list argv[2] through cli.main, with numpy made
 # unimportable and the package read from the directory argv[1], and prints
 # each exit code and standard output as JSON
@@ -235,26 +335,40 @@ def test_recovery_runs_without_numpy(tmp_path, monkeypatch, capsys):
          "n2-report.json"])
 
 
-def test_classify_command(tmp_path, capsys):
-    path = tmp_path / "mat.json"
+def _linear_map_file(tmp_path, rows):
+    """A degree-1 map file of the 2 x 2 matrix ``rows``."""
+    return _doc_file(tmp_path, {"field": "float", "n": 1, "degree": 1,
+                                "components": [
+        [{"exps": [1, 0], "re": repr(a)}, {"exps": [0, 1], "re": repr(b)}]
+        for a, b in rows]})
+
+
+def test_classical_bnf_prints_the_blocks(tmp_path, capsys):
+    """The degree-1 normal form of a rotation by 1 is one elliptic block,
+    with iota coefficient i theta = 1i."""
     th = 1.0
-    jsonio.dump(path, {"matrix": [[math.cos(th), -math.sin(th)],
-                                  [math.sin(th), math.cos(th)]]})
-    rc = main(["classify", "--matrix", str(path)])
+    rc = main(["classical-bnf", "--degree", "1", "--map", _linear_map_file(
+        tmp_path, [[math.cos(th), -math.sin(th)],
+                   [math.sin(th), math.cos(th)]])])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "n_e=1" in out
+    assert "blocks: <SpectrumBlocks el:" in out and "+1i" in out
 
 
-def test_classify_at_the_tolerance_of_the_blocks(tmp_path, capsys):
+def test_classical_bnf_at_the_tolerance_of_the_blocks(tmp_path, capsys):
     """An eigenvalue 1.5e-9 above 1 is real hyperbolic at the classifier's
-    1e-9, and the blocks built from it read it the same way."""
-    path = tmp_path / "mat.json"
-    jsonio.dump(path, {"matrix": [[1.0000000015, 0], [0, 0.9999999985]]})
-    rc = main(["classify", "--matrix", str(path)])
-    assert rc == 0
+    1e-9, and the blocks built from it read it the same way.  Its mu is
+    resonant at the default --tol-resonance of 1e-8, and is printed below
+    it."""
+    path = _linear_map_file(tmp_path, [[1.0000000015, 0],
+                                       [0, 0.9999999985]])
+    assert main(["classical-bnf", "--degree", "1", "--map", path]) == 3
+    assert "resonant" in capsys.readouterr().err
+    assert main(["classical-bnf", "--degree", "1", "--map", path,
+                 "--tol-resonance", "1e-10"]) == 0
     out = capsys.readouterr().out
-    assert "n_rh=1" in out and "real_hyperbolic" in out
+    assert "blocks: <SpectrumBlocks re:" in out
+    assert "iota^(1,): +1.49999967946e-09 +0i" in out
 
 
 def test_elliptic_block_off_the_unit_circle_is_an_input_error(tmp_path,
@@ -271,36 +385,12 @@ def test_elliptic_block_off_the_unit_circle_is_an_input_error(tmp_path,
     assert "got a complex_hyperbolic" in capsys.readouterr().err
 
 
-def test_classify_rejects_a_non_numeric_entry(tmp_path, capsys):
-    path = tmp_path / "mat.json"
-    jsonio.dump(path, {"matrix": [["a", 0], [0, 0.5]]})
-    rc = main(["classify", "--matrix", str(path)])
+def test_classical_bnf_rejects_a_non_numeric_entry(tmp_path, capsys):
+    rc = main(["classical-bnf", "--map", _linear_map_file(
+        tmp_path, [["a", 0], [0, 0.5]])])
     assert rc == 2
-    assert "'matrix'" in capsys.readouterr().err
-
-
-# malformed matrices and the message of each: a JSON false is no number;
-# the ragged, non-square and non-finite ones keep their messages
-_MALFORMED_MATRIX = {
-    "false": ([[2, False], [False, 0.5]],
-              "malformed number under key 'matrix': [[2, False], "
-              "[False, 0.5]] (not a number: False)"),
-    "ragged": ([[1, 2], [3]], "malformed number under key 'matrix'"),
-    "row not a list": ([[2, 0], 0], "malformed number under key 'matrix'"),
-    "2 x 3": ([[1, 2, 3], [4, 5, 6]], "need a 2n x 2n matrix"),
-    "one row": ([2, 0], "need a 2n x 2n matrix"),
-    "NaN": ([[math.nan, 0], [0, 0.5]], "an entry is infinite or nan"),
-    "Infinity": ([[math.inf, 0], [0, 0.5]], "an entry is infinite or nan"),
-}
-
-
-@pytest.mark.parametrize("case", list(_MALFORMED_MATRIX))
-def test_classify_rejects_a_malformed_matrix(case, tmp_path, capsys):
-    matrix, message = _MALFORMED_MATRIX[case]
-    rc = main(["classify", "--matrix", _doc_file(tmp_path,
-                                                 {"matrix": matrix})])
-    assert rc == 2
-    assert message in capsys.readouterr().err
+    assert "malformed number under key 're'/'im': \"'a'\"" in (
+        capsys.readouterr().err)
 
 
 def _doc_file(tmp_path, doc):
@@ -321,10 +411,11 @@ def _float_bnf_with_exp_half(value):
 
 # infinite or nan numbers from a file, each as argv given tmp_path
 _NON_FINITE = {
-    "classify NaN": lambda tmp: ["classify", "--matrix", _doc_file(
-        tmp, {"matrix": [[math.nan, 0], [0, 0.5]]})],
-    "classify Infinity": lambda tmp: ["classify", "--matrix", _doc_file(
-        tmp, {"matrix": [[math.inf, 0], [0, 0.5]]})],
+    "classical-bnf NaN": lambda tmp: ["classical-bnf", "--map",
+                                      _linear_map_file(tmp, [[math.nan, 0],
+                                                             [0, 0.5]])],
+    "classical-bnf Infinity im": lambda tmp: _map_argv(
+        tmp, lambda doc: doc["components"][0][0].update(im="-Infinity")),
     "classical-bnf Infinity": lambda tmp: ["classical-bnf", "--map", _doc_file(
         tmp, {"field": "float", "n": 1, "degree": 3, "components": [
             [{"exps": [1, 0], "re": "Infinity", "im": "0"}],
@@ -436,8 +527,8 @@ def _rotation_argv(tmp, mutate):
 # lists and map components of the wrong type, and exact numbers beyond the
 # double range that the block and action checks read; a JSON true or
 # false, or a number with a fractional part, where an integer belongs
-# (bool subclasses int, and int() truncates); and a matrix entry that is
-# not a JSON number, or is an integer beyond the double range
+# (bool subclasses int, and int() truncates); and a map entry that is a
+# JSON false or null, or an integer beyond the double range
 _UNUSABLE = {
     "iota [null]": lambda tmp: _forward_argv(tmp, _rt1_with(
         _set_iota([None]))),
@@ -483,14 +574,12 @@ _UNUSABLE = {
         tmp, lambda doc: doc["maslov"].update({"1": True})),
     "traces maslov 1.5": lambda tmp: _recover_argv(
         tmp, lambda doc: doc["maslov"].update({"1": 1.5})),
-    "matrix entry false": lambda tmp: ["classify", "--matrix", _doc_file(
-        tmp, {"matrix": [[2, False], [False, 0.5]]})],
-    "matrix entry '2'": lambda tmp: ["classify", "--matrix", _doc_file(
-        tmp, {"matrix": [["2", 0], [0, 0.5]]})],
-    "matrix entry null": lambda tmp: ["classify", "--matrix", _doc_file(
-        tmp, {"matrix": [[None, 0], [0, 0.5]]})],
-    "matrix entry 10^400": lambda tmp: ["classify", "--matrix", _doc_file(
-        tmp, {"matrix": [[10 ** 400, 0], [0, 0.5]]})],
+    "map entry false": lambda tmp: _map_argv(
+        tmp, lambda doc: doc["components"][0][0].update(re=False)),
+    "map entry null": lambda tmp: _map_argv(
+        tmp, lambda doc: doc["components"][0][0].update(re=None)),
+    "map entry 10^400": lambda tmp: _map_argv(
+        tmp, lambda doc: doc["components"][0][0].update(re=10 ** 400)),
 }
 
 
@@ -705,7 +794,6 @@ SUBCOMMAND_OPTIONS = {
                   "--tol-pole", "--tol-resonance", "--tol-conditioning",
                   "--tol-residual", "--report"},
     "classical-bnf": {"--map", "--degree", "--tol-resonance", "--report"},
-    "classify": {"--matrix"},
 }
 
 
@@ -722,9 +810,8 @@ def test_each_subcommand_takes_only_the_options_it_reads():
 # a dropped option or subcommand, as argv given the path of a matrix file,
 # with the usage error it gives
 _DROPPED = {
-    "classify --backend": (
-        lambda path: ["classify", "--matrix", path, "--backend", "float"],
-        "unrecognized arguments: --backend"),
+    "classify": (lambda path: ["classify", "--matrix", path],
+                 "invalid choice: 'classify'"),
     "oracle": (lambda path: ["oracle", "lattice-sum", "--exp-half", "2"],
                "invalid choice: 'oracle'"),
 }

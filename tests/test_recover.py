@@ -23,7 +23,7 @@ from bnftrace import recover as recover_module
 from bnftrace.qbnf import (QuantumBNF, TraceData, TraceEngine, TracePower,
                           make_trace_data, trace_layers)
 from bnftrace.linalg import poly_roots
-from bnftrace.recover import (_cube_from_roots, _misfits, _refit,
+from bnftrace.recover import (_cube_from_roots, _misfits, _refit, plan,
                               recover_frequencies, recover_polynomial,
                               recover_qbnf)
 from bnftrace.series import MultiSeries, Orders, zseries
@@ -930,6 +930,52 @@ def test_each_recovery_stage_runs_at_its_own_orders(monkeypatch):
     assert ("deflate", ks, (3, 1)) in expected
     assert ("deflate", ks, (3, 2)) in expected
     assert calls == expected + [("powers", ks, (3, 3))]
+
+
+@pytest.mark.parametrize("n, n_z, n_h", [(1, 3, 3), (2, 1, 0), (2, 2, 1),
+                                         (3, 3, 3)])
+def test_plan_counts_each_stage_alpha_set(n, n_z, n_h):
+    """Each (h^j, z^m) stage needs one power per alpha of its set, counted
+    without building it: the alpha in N^n with
+    j + 1 - max(n_h, 1) <= |alpha| <= j + 1.  Prony needs 2^(n+1) + 2
+    samples and the self-check none."""
+    p = plan(n, n_z, n_h)
+    assert [s.kind for s in (p.stages[0], p.stages[-1])] == [
+        "prony", "self-check"]
+    assert (p.stages[0].need, p.stages[-1].need) == (2 ** (n + 1) + 2, 0)
+    stages = p.stages[1:-1]
+    assert [(s.j, s.m) for s in stages] == [
+        (j, m) for j in range(n_h + 1) for m in range(0 if j else 1, n_z + 1)]
+    for s in stages:
+        want = [a for a in itertools.product(range(s.j + 2), repeat=n)
+                if s.j + 1 - max(n_h, 1) <= sum(a) <= s.j + 1]
+        assert sorted(s.alphas) == want and s.need == len(want)
+        assert s.kind == ("F" if s.j else "jets")
+
+
+def test_plan_names_the_conditioning_keys_in_order():
+    F, bnf, action = rt1()
+    td = make_trace_data(bnf, action, {}, 8, (3, 2))
+    rep = recover_qbnf(td, 1)
+    assert list(rep.conditioning) == [s.name for s in plan(1, 3, 2).stages
+                                      if s.kind != "self-check"]
+
+
+def test_plan_refuses_too_few_powers_naming_the_neediest_stage():
+    p = plan(2, 3, 3)
+    p.require(14)
+    with pytest.raises(RankDeficiencyError,
+                       match=r"stage h3:z0 needs the trace powers k = 1\.\.14, "
+                             "have 13"):
+        p.require(13)
+    # at h-order 5, stages h4:z0 and h5:z0 need 6 powers, as Prony does,
+    # which comes first; K below 1 is an input error
+    assert [s.need for s in plan(1, 0, 5).stages[-3:-1]] == [6, 6]
+    with pytest.raises(RankDeficiencyError,
+                       match=r"stage prony needs the trace powers k = 1\.\.6,"):
+        plan(1, 0, 5).require(5)
+    with pytest.raises(SchemaError, match="k_max must be >= 1"):
+        plan(1, 1, 1).require(0)
 
 
 def test_recovery_factors_each_alpha_set_once(monkeypatch):
