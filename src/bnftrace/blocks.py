@@ -58,18 +58,6 @@ class SpectrumBlocks:
     def n(self):
         return len(self.tags)
 
-    @property
-    def n_e(self):
-        return sum(1 for t in self.tags if t == ELLIPTIC)
-
-    @property
-    def n_rh(self):
-        return sum(1 for t in self.tags if t == REAL_HYPERBOLIC)
-
-    @property
-    def n_ch(self):
-        return sum(1 for t in self.tags if t == COMPLEX_HYPERBOLIC) // 2
-
     def mu(self):
         """Exponents as complex numbers (principal branch of 2 Log E)."""
         return [2 * cmath.log(self.field.to_complex(E)) for E in self.exp_half]

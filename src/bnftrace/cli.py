@@ -13,7 +13,7 @@ import functools
 import math
 import sys
 
-from . import hypcalc, jsonio
+from . import jsonio
 from .classical import birkhoff_normal_form
 from .errors import MathError, SchemaError
 from .qbnf import TraceEngine, make_trace_data
@@ -69,8 +69,7 @@ _OPTIONS = {
 _OPTIONS.update(
     (dest, ("--" + dest.replace("_", "-"),
             {"type": _tolerance(dest), "default": default}))
-    for dest, default in [("tol_pole", hypcalc.DEFAULT_POLE_TOL),
-                          ("tol_resonance", 1e-8), ("tol_conditioning", 1e8),
+    for dest, default in [("tol_resonance", 1e-8), ("tol_conditioning", 1e8),
                           ("tol_residual", 1e-8)])
 
 
@@ -90,7 +89,6 @@ def _forward_tracedata(args, bnf, engine=None):
         action, maslov = jsonio.action_from_json(jsonio.load(args.action),
                                                  bnf.field)
     return make_trace_data(bnf, action, maslov, args.k_max, args.orders[1:],
-                           pole_tol=args.tol_pole,
                            resonance_tol=args.tol_resonance, engine=engine)
 
 
@@ -119,8 +117,7 @@ def cmd_recover(args):
     td = jsonio.trace_data_from_json(jsonio.load(args.traces),
                                      args.float_precision)
     rep = recover_qbnf(td, args.n, tol=args.tol_residual,
-                       cond_gate=args.tol_conditioning,
-                       pole_tol=args.tol_pole)
+                       cond_gate=args.tol_conditioning)
     out = args.out or "bnf_recovered.json"
     jsonio.dump(out, jsonio.qbnf_to_json(rep.recovered))
     _report(args, rep)
@@ -142,12 +139,10 @@ def cmd_roundtrip(args):
     require_recoverable(bnf, *args.orders[1:], args.k_max)
     # the recovery reuses the forward engine for every stage when it
     # serves the recovered blocks, as it does when the round trip is exact
-    engine = TraceEngine(bnf.blocks, range(1, args.k_max + 1), args.orders[1],
-                         args.tol_pole)
+    engine = TraceEngine(bnf.blocks, range(1, args.k_max + 1), args.orders[1])
     td = _forward_tracedata(args, bnf, engine)
     rep = recover_qbnf(td, bnf.n, tol=args.tol_residual,
-                       cond_gate=args.tol_conditioning, pole_tol=args.tol_pole,
-                       engine=engine)
+                       cond_gate=args.tol_conditioning, engine=engine)
     _report(args, rep)
     # exact on the rational field, whose closeness is equality
     if not rep.recovered.close_to(bnf, args.tol_residual):
@@ -187,24 +182,23 @@ def build_parser():
     p = sub.add_parser("forward", help="QuantumBNF file -> TraceData file")
     p.add_argument("--bnf", required=True)
     p.add_argument("--action", default=None)
-    _add_options(p, "float_precision", "orders", "k_max", "tol_pole",
-                 "tol_resonance", "out")
+    _add_options(p, "float_precision", "orders", "k_max", "tol_resonance",
+                 "out")
     p.set_defaults(func=cmd_forward)
 
     p = sub.add_parser("recover", help="TraceData file -> QuantumBNF file")
     p.add_argument("--traces", required=True)
     p.add_argument("--n", type=int, required=True)
-    _add_options(p, "float_precision", "tol_pole", "tol_conditioning",
-                 "tol_residual", "out", "report")
+    _add_options(p, "float_precision", "tol_conditioning", "tol_residual",
+                 "out", "report")
     p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("roundtrip",
                        help="forward then recover; exit 0 iff equal")
     p.add_argument("--bnf", required=True)
     p.add_argument("--action", default=None)
-    _add_options(p, "float_precision", "orders", "k_max", "tol_pole",
-                 "tol_resonance", "tol_conditioning", "tol_residual",
-                 "report")
+    _add_options(p, "float_precision", "orders", "k_max", "tol_resonance",
+                 "tol_conditioning", "tol_residual", "report")
     p.set_defaults(func=cmd_roundtrip)
 
     p = sub.add_parser("classical-bnf",

@@ -35,7 +35,8 @@ from operator import add, mul
 from .errors import PoleError, SchemaError
 from .series import MultiSeries, Orders, powers
 
-DEFAULT_POLE_TOL = 1e-9
+# a float |sinh(k mu/2)| below this is a pole
+POLE_TOL = 1e-9
 
 
 class CschExpression:
@@ -104,7 +105,7 @@ def apply_derivatives(expr, alpha):
     return expr
 
 
-def _sinh_cosh_from_exp_half(field, E, k, pole_tol):
+def _sinh_cosh_from_exp_half(field, E, k):
     """2*sinh(k mu/2) and 2*cosh(k mu/2) from E = exp(mu/2)."""
     Ek = E**k
     Eki = field.inv(Ek)
@@ -113,15 +114,15 @@ def _sinh_cosh_from_exp_half(field, E, k, pole_tol):
     if field.exact:
         if field.is_zero(s2):
             raise PoleError(f"k*mu in 2*pi*i*Z: sinh(k mu/2) = 0 (E={E!r}, k={k})")
-    elif field.abs(s2) < 2 * pole_tol:
+    elif field.abs(s2) < 2 * POLE_TOL:
         raise PoleError(
             f"|sinh(k mu/2)| = {field.abs(s2) / 2:.3e} below pole tolerance "
-            f"{pole_tol:.1e} (k={k})"
+            f"{POLE_TOL:.1e} (k={k})"
         )
     return s2, c2
 
 
-def eval_csch(expr, mu=None, exp_half=None, pole_tol=DEFAULT_POLE_TOL):
+def eval_csch(expr, mu=None, exp_half=None):
     """Evaluate the expression at numeric exponents.
 
     Either ``mu`` (complex values, floating backends) or ``exp_half``
@@ -137,7 +138,7 @@ def eval_csch(expr, mu=None, exp_half=None, pole_tol=DEFAULT_POLE_TOL):
     ts = []
     base = f.one
     for E in exp_half:
-        s2, c2 = _sinh_cosh_from_exp_half(f, E, expr.k, pole_tol)
+        s2, c2 = _sinh_cosh_from_exp_half(f, E, expr.k)
         ts.append(c2 * f.inv(s2))       # coth = cosh/sinh
         base = base * f.inv(s2)         # (1/2)csch = 1/(2 sinh) = 1/s2
     total = f.zero
@@ -170,9 +171,9 @@ class CschTaylor:
 
     __slots__ = ("field", "t", "c", "d", "_kh")
 
-    def __init__(self, field, E0, ks, pole_tol):
+    def __init__(self, field, E0, ks):
         self.field = field
-        heads = [_sinh_cosh_from_exp_half(field, E0, k, pole_tol) for k in ks]
+        heads = [_sinh_cosh_from_exp_half(field, E0, k) for k in ks]
         half = field.inv(field.from_int(2))
         self._kh = [field.from_int(k) * half for k in ks]
         inv = [field.inv(s2) for s2, _c2 in heads]  # (1/2)csch = 1/(2 sinh)
@@ -204,7 +205,7 @@ def _next_order(f, t, c, d, kh, q):
     d.append([s * scale for s in c[-1]])
 
 
-def coth_csch_series(field, E0, delta, k, n_z, pole_tol=DEFAULT_POLE_TOL):
+def coth_csch_series(field, E0, delta, k, n_z):
     """z-series of coth(k mu(z)/2) and csch(k mu(z)/2).
 
     Returns ``(T, C)`` where ``T`` expands coth(k mu(z)/2) and ``C`` expands
@@ -220,14 +221,14 @@ def coth_csch_series(field, E0, delta, k, n_z, pole_tol=DEFAULT_POLE_TOL):
     orders = Orders(0, n_z, 0)
     deltas = powers(MultiSeries(f, 0, orders,
                                 delta.terms if delta is not None else {}))
-    table = CschTaylor(f, E0, (k,), pole_tol).grow(len(deltas) - 1)
+    table = CschTaylor(f, E0, (k,)).grow(len(deltas) - 1)
     T = C = MultiSeries.zero(f, 0, orders)
     for dp, (t,), (c,) in zip(deltas, table.t, table.c):
         T, C = T + dp.scale(t), C + dp.scale(c)
     return T, C.scale(f.from_int(2))
 
 
-def eval_series_in_z(expr, exp_half0, deltas, n_z, pole_tol=DEFAULT_POLE_TOL):
+def eval_series_in_z(expr, exp_half0, deltas, n_z):
     """Taylor-expand the expression in z along mu_j(z) = mu_j(0) + delta_j(z).
 
     ``exp_half0`` are the E_j = exp(mu_j(0)/2); ``deltas`` the jets above the
@@ -244,7 +245,7 @@ def eval_series_in_z(expr, exp_half0, deltas, n_z, pole_tol=DEFAULT_POLE_TOL):
     Ts = []
     for j, E in enumerate(exp_half0):
         d = deltas[j] if deltas is not None else None
-        T, C = coth_csch_series(f, E, d, expr.k, n_z, pole_tol)
+        T, C = coth_csch_series(f, E, d, expr.k, n_z)
         Ts.append(T)
         base = base * C.scale(half)
     total = MultiSeries.zero(f, 0, orders)

@@ -22,11 +22,11 @@ reported condition number, purely as a diagnostic; a matrix beyond the
 double range is scaled by one power of two for it.
 
 A condition number is computed when first read, by bidiagonalization and
-Sturm bisection (Golub and Kahan 1965; Demmel and Kahan 1990), and roots
-on doubles by Aberth-Ehrlich iteration, all in pure Python without numpy.
+Sturm bisection (Golub and Kahan 1965; Demmel and Kahan 1990).  One root
+finder serves every float precision: Aberth-Ehrlich iteration in the
+field's arithmetic.  Both are pure Python, without numpy.
 """
 
-import cmath
 import math
 from fractions import Fraction
 from functools import cached_property
@@ -277,69 +277,59 @@ class _FloatFactor:
 
 
 def poly_roots(field, monic_tail):
-    """Roots of z^r + c_{r-1} z^{r-1} + ... + c_0 on a float field: by
-    Aberth-Ehrlich iteration on doubles, by mpmath's ``polyroots`` above,
-    at twice the field's precision (``extraprec``), without which roots
-    that spread over many decades, such as E and 1/E with E = 1e12/7, are
-    not found in ``_ROOT_STEPS``.
-    """
-    r, mp = len(monic_tail), field._mp
-    if mp is None:
-        finder = "Aberth-Ehrlich iteration"
-        roots = _aberth([1.0] + [field.to_complex(c)
-                                 for c in reversed(monic_tail)])
-    else:
-        finder = "mpmath polyroots"
-        try:
-            roots = list(mp.polyroots(
-                [mp.mpc(c) for c in [field.one, *reversed(monic_tail)]],
-                maxsteps=_ROOT_STEPS, extraprec=field.precision))
-        except mp.NoConvergence:
-            roots = None
+    """Roots of z^r + c_{r-1} z^{r-1} + ... + c_0 on a float field, by
+    Aberth-Ehrlich iteration in the field's arithmetic."""
+    roots = _aberth(field, [field.one, *reversed(monic_tail)])
     if roots is None:
         raise ConvergenceError(
-            f"{finder} found no roots of the degree-{r} polynomial in "
-            f"maxsteps={_ROOT_STEPS} steps")
+            "Aberth-Ehrlich iteration found no roots of the "
+            f"degree-{len(monic_tail)} polynomial in maxsteps={_ROOT_STEPS} "
+            "steps")
     return roots
 
 
-def _horner(a, z):
+def _horner(field, a, z):
     """p(z) and p'(z) for the coefficients a, highest power first."""
-    p = dp = 0j
+    p = dp = field.zero
     for c in a:
         dp = dp * z + p
         p = p * z + c
     return p, dp
 
 
-def _aberth(a):
-    """The roots of the monic polynomial of double coefficients a, highest
-    power first, or None: exact zero roots, then Aberth-Ehrlich sweeps from
-    the circles of the Newton polygon (Bini 1996) until |p| is at its
-    rounding, then a Newton step."""
-    if not all(map(cmath.isfinite, a)):
+def _aberth(field, a):
+    """The roots of the monic polynomial of coefficients a in the float
+    ``field``, highest power first, or None: exact zero roots, then
+    Aberth-Ehrlich sweeps from the circles of the Newton polygon (Bini
+    1996) until |p| is at its rounding in the field's precision, then a
+    Newton step."""
+    if not all(map(field.is_finite, a)):
         return None
     zeros = []
-    while a[-1] == 0:
-        a, zeros = a[:-1], zeros + [0j]
+    while field.is_zero(a[-1]):
+        a, zeros = a[:-1], zeros + [field.zero]
     r = len(a) - 1
+    unit = 2.0 ** -(53 if field.precision <= 64 else field.precision)
     mods = [abs(c) for c in reversed(a)]  # by power of z
+    # a double modulus has its real log; above, the field's log keeps the
+    # range of its exponent
+    log = math.log if field.precision <= 64 else lambda m: field.log(m).real
     hull = []  # the upper convex hull of the points (j, log |a_j|)
-    for j, y in [(j, math.log(m)) for j, m in enumerate(mods) if m]:
+    for j, y in [(j, log(m)) for j, m in enumerate(mods) if m]:
         while len(hull) > 1 and ((hull[-1][0] - hull[-2][0])
                                  * (y - hull[-2][1]) >= (j - hull[-2][0])
                                  * (hull[-1][1] - hull[-2][1])):
             hull.pop()
         hull.append((j, y))
     # on the circle of each edge's root modulus, off the real axis
-    z = [cmath.rect(math.exp((l1 - l2) / (j2 - j1)),
-                    2 * math.pi * (t / (j2 - j1) + j1 / r) + 0.4)
+    z = [field.exp((l1 - l2) / (j2 - j1) + field.i * (
+            2 * math.pi * (t / (j2 - j1) + j1 / r) + 0.4))
          for (j1, l1), (j2, l2) in zip(hull, hull[1:]) for t in range(j2 - j1)]
     done = [False] * r
     for _ in range(_ROOT_STEPS):
         for i, zi in enumerate(z):
-            p, dp = _horner(a, zi)
-            if done[i] or abs(p) <= 2 * r * 2.0 ** -53 * sum(
+            p, dp = _horner(field, a, zi)
+            if done[i] or abs(p) <= 2 * r * unit * sum(
                     m * abs(zi) ** j for j, m in enumerate(mods)):
                 done[i] = True
                 continue
@@ -350,7 +340,7 @@ def _aberth(a):
     else:
         return None
     for i, zi in enumerate(z):  # a Newton step, kept if it lowers |p|
-        p, dp = _horner(a, zi)
-        if dp and abs(_horner(a, zi - p / dp)[0]) < abs(p):
+        p, dp = _horner(field, a, zi)
+        if dp and abs(_horner(field, a, zi - p / dp)[0]) < abs(p):
             z[i] = zi - p / dp
     return zeros + z

@@ -13,8 +13,8 @@ regroups F and f0(z) = F_1(z, 0).  :func:`trace_powers` expands the
 exponential of the (nilpotent) operator part and applies the resulting
 polynomial differential operators to the csch product along mu(z).
 
-The csch side does not depend on F, only on the blocks, the mu-jets, the
-z-order and the pole tolerance, and it is a product over blocks:
+The csch side does not depend on F, only on the blocks, the mu-jets and
+the z-order, and it is a product over blocks:
 d^alpha prod_j (1/2)csch(k mu_j/2) = prod_j d^{alpha_j} (1/2)csch(k mu_j/2).
 Every derivative it needs is a Taylor coefficient of (1/2)csch(k mu/2) at
 mu_j(0), which does not depend on the jets.  A :class:`TraceEngine` holds
@@ -28,7 +28,8 @@ delta_j(z)^b / b!, and per jet state the engine keeps the powers of the
 jets, the block factors per (j, a) and their products over j per alpha.
 The caches live as long as the engine: the recovery uses one for every
 stage and its self-check, and it also keeps the expansions of its
-powers, for an equal normal form.  An engine refuses other powers.
+powers, for an equal normal form.  The engine is the one holder of what a
+forward runs at: the trace functions read their powers from it.
 
 The F side does not depend on k.  With X = sum_{j>=1} h^j f_j(z, y),
 exp(-ik X) = sum_m ((-ik)^m / m!) X^m, and likewise for the z-dependent
@@ -52,7 +53,7 @@ forms the h^j layer of exp(-ik X) alone and convolves it with the
 z-phase, with no series product, through the same kernel, and it also
 gives the part that F terms of weight j + 1 add to that layer, linearly,
 above their own z-order.  :func:`trace_power` is the one-power case, on
-a throwaway engine.  An engine serves every z-order up to its own, so
+an engine of its own.  An engine serves every z-order up to its own, so
 the stages share it.
 
 Phase conventions: the oscillatory prefactor e^{ikS(z)/h} is never mixed
@@ -69,7 +70,6 @@ from operator import add, mul
 from . import hypcalc
 from .blocks import require_nonresonant
 from .errors import SchemaError
-from .hypcalc import DEFAULT_POLE_TOL
 from .series import MultiSeries, Orders, powers
 
 
@@ -82,14 +82,13 @@ class QuantumBNF:
 
     __slots__ = ("field", "blocks", "mu_jets", "F", "_trace_sides")
 
-    def __init__(self, blocks, mu_jets, F, validate=True):
+    def __init__(self, blocks, mu_jets, F):
         self.field = blocks.field
         self.blocks = blocks
         self.mu_jets = list(mu_jets)
         self.F = F
         self._trace_sides = {}
-        if validate:
-            self._validate()
+        self._validate()
 
     @property
     def n(self):
@@ -276,12 +275,13 @@ class TraceEngine:
     per-power constants -ik and (i/k)^d listed over ``ks``.
     """
 
-    def __init__(self, blocks, ks, n_z, pole_tol=DEFAULT_POLE_TOL):
+    def __init__(self, blocks, ks, n_z):
+        self.ks = tuple(ks)
+        if not self.ks or min(self.ks) < 1:
+            raise SchemaError("k must be a positive integer")
         f = self.field = blocks.field
         self.exp_half = list(blocks.exp_half)
-        self.ks = tuple(ks)
         self.n_z = n_z
-        self.pole_tol = pole_tol
         self._tables = {}
         self._jet_caches = {}
         self.trace_powers = {}
@@ -289,12 +289,10 @@ class TraceEngine:
         self._ik_inv = [f.i * f.inv(f.from_int(k)) for k in self.ks]
         self._ik_powers = {}
 
-    def serves(self, blocks, ks, n_z, pole_tol):
-        """True when the engine was built for these blocks, powers and pole
-        tolerance, at z-order ``n_z`` or above: its series then hold every
-        term up to ``n_z``."""
-        return (blocks.field is self.field and tuple(ks) == self.ks
-                and n_z <= self.n_z and pole_tol == self.pole_tol
+    def serves(self, blocks, n_z):
+        """True when the engine was built for these blocks at z-order
+        ``n_z`` or above: its series then hold every term up to ``n_z``."""
+        return (blocks.field is self.field and n_z <= self.n_z
                 and list(blocks.exp_half) == self.exp_half)
 
     def ik_power(self, d):
@@ -310,7 +308,7 @@ class TraceEngine:
         table = self._tables.get(j)
         if table is None:
             table = self._tables[j] = hypcalc.CschTaylor(
-                self.field, self.exp_half[j], self.ks, self.pole_tol)
+                self.field, self.exp_half[j], self.ks)
         return table.grow(p).d
 
     def at_mu0(self, alpha):
@@ -378,17 +376,16 @@ def _zproduct(s, t, n_z):
     return out
 
 
-def trace_powers(bnf, ks, orders, pole_tol=DEFAULT_POLE_TOL, engine=None):
-    """Expansions of tr U(z)^k for the powers ``ks`` to the given (N_z, N_h)
-    orders, as a dict from k to :class:`TracePower`.
+def trace_powers(bnf, orders, engine):
+    """Expansions of tr U(z)^k for the powers k of ``engine`` to the given
+    (N_z, N_h) orders, as a dict from k to :class:`TracePower`.
 
     See the module docstring for the exact phase convention.  ``engine``
-    is a :class:`TraceEngine` built for the blocks of ``bnf`` and the
-    powers ``ks`` at z-order N_z or above; without it a throwaway one is
-    used.  The engine's memo keeps the expansions by the orders, F's and
+    is a :class:`TraceEngine` built for the blocks of ``bnf`` at z-order
+    N_z or above.  Its memo keeps the expansions by the orders, F's and
     the jets' terms, and a forward pass runs when it lacks them.
     """
-    engine = _checked_engine(bnf, ks, orders, pole_tol, engine)
+    _check_engine(bnf, orders, engine)
     form = (tuple(orders),
             *(tuple(sorted(s.terms.items())) for s in [bnf.F, *bnf.mu_jets]))
     tps = engine.trace_powers.get(form)
@@ -410,18 +407,18 @@ def trace_powers(bnf, ks, orders, pole_tol=DEFAULT_POLE_TOL, engine=None):
     return tps
 
 
-def trace_power(bnf, k, orders, pole_tol=DEFAULT_POLE_TOL):
+def trace_power(bnf, k, orders):
     """Expansion of tr U(z)^k to the given (N_z, N_h) orders: the one-power
-    case of :func:`trace_powers`, on a throwaway engine, as a
+    case of :func:`trace_powers`, on an engine of its own, as a
     :class:`TracePower`."""
-    return trace_powers(bnf, (k,), orders, pole_tol)[k]
+    return trace_powers(bnf, orders, TraceEngine(bnf.blocks, (k,),
+                                                 orders[0]))[k]
 
 
-def trace_layers(bnf, ks, orders, pole_tol=DEFAULT_POLE_TOL, engine=None,
-                 added=None):
+def trace_layers(bnf, orders, engine, added=None):
     """The z^0..z^{N_z} coefficients at h^{N_h} of
-    ``trace_powers(bnf, ks, orders)[k].coeffs`` for the powers ``ks``, as a
-    dict from k to the list of them.
+    ``trace_powers(bnf, orders, engine)[k].coeffs`` for the powers k of
+    ``engine``, as a dict from k to the list of them.
 
     The z-phase exp(-ik f0plus) has z-terms only, so the z^m coefficient is
     sum_{m2} pz_{m2} A_{m-m2}, where A is the h^{N_h} layer of the operator
@@ -436,7 +433,7 @@ def trace_layers(bnf, ks, orders, pole_tol=DEFAULT_POLE_TOL, engine=None,
     (-ik) x (i/k)^{|alpha|} z^m d^alpha prod_j (1/2)csch(k mu_j/2).
     """
     n_z, layer = orders
-    engine = _checked_engine(bnf, ks, orders, pole_tol, engine)
+    _check_engine(bnf, orders, engine)
     _phase, pz, applied = _forward(bnf, orders, engine, layer, added)
     zero = bnf.field.zero
     # added terms at z^m reach the orders above it
@@ -452,20 +449,14 @@ def trace_layers(bnf, ks, orders, pole_tol=DEFAULT_POLE_TOL, engine=None,
     return {k: [row[i] for row in rows] for i, k in enumerate(engine.ks)}
 
 
-def _checked_engine(bnf, ks, orders, pole_tol, engine):
-    """``engine`` (or a new one for ``ks``) once the powers, orders and
-    engine are checked."""
-    if not ks or min(ks) < 1:
-        raise SchemaError("k must be a positive integer")
+def _check_engine(bnf, orders, engine):
+    """Refuse orders that ``bnf`` cannot give, then an ``engine`` that
+    does not serve its blocks at z-order N_z."""
     _check_trace_orders(bnf, orders)
-    if engine is None:
-        return TraceEngine(bnf.blocks, ks, orders[0], pole_tol)
-    if not engine.serves(bnf.blocks, ks, orders[0], pole_tol):
+    if not engine.serves(bnf.blocks, orders[0]):
         raise SchemaError(
-            "trace engine was built for other blocks, powers or pole "
-            "tolerance, or a lower z-order"
+            "trace engine was built for other blocks or a lower z-order"
         )
-    return engine
 
 
 def _forward(bnf, orders, engine, layer=None, added=None):
@@ -523,20 +514,26 @@ def _exp_from_powers(s_powers, ts, layer=None):
     return out
 
 
-def make_trace_data(bnf, action, maslov, k_max, orders,
-                    pole_tol=DEFAULT_POLE_TOL, resonance_tol=1e-8, engine=None):
+def make_trace_data(bnf, action, maslov, k_max, orders, resonance_tol=1e-8,
+                    engine=None):
     """Bundle the :func:`trace_powers` of k = 1..k_max, from one forward
     pass, into a TraceData.
 
     ``maslov`` maps k to its Maslov index, 0 where it has none.  The
     blocks must be nonresonant through sum |k_j| <= 10.  All powers
     share one :class:`TraceEngine`: ``engine`` if given (it must serve
-    ``bnf`` and k = 1..k_max), else a new one.
+    ``bnf`` and be built for k = 1..k_max), else a new one.
     """
     if k_max < 1:
         raise SchemaError("k_max must be >= 1")
     require_nonresonant(bnf.blocks, 10, resonance_tol)
-    tps = trace_powers(bnf, range(1, k_max + 1), orders, pole_tol, engine)
+    ks = tuple(range(1, k_max + 1))
+    if engine is None:
+        engine = TraceEngine(bnf.blocks, ks, orders[0])
+    elif engine.ks != ks:
+        raise SchemaError(f"trace engine was built for the powers "
+                          f"{list(engine.ks)}, not k = 1..{k_max}")
+    tps = trace_powers(bnf, orders, engine)
     coefficients = {k: tp.coeffs for k, tp in tps.items()}
     phase = tps[k_max].phase
     maslov = {k: maslov.get(k, 0) for k in range(1, k_max + 1)}

@@ -88,7 +88,6 @@ from .blocks import (REAL_HYPERBOLIC, canonical_blocks, classify, oriented,
 from .errors import (ConditioningError, FieldError, MathError,
                      RankDeficiencyError, SchemaError)
 from .fields import FloatField, nan_max
-from .hypcalc import DEFAULT_POLE_TOL
 from .linalg import factor_lstsq, poly_roots, resolution, solve_lstsq
 from .qbnf import QuantumBNF, TraceEngine, trace_layers, trace_powers
 from .series import MultiSeries, Orders
@@ -616,8 +615,7 @@ def require_recoverable(bnf, n_z, n_h, k_max):
     p.require(k_max)
 
 
-def recover_qbnf(tdata, n, tol=1e-8, cond_gate=1e8,
-                 pole_tol=DEFAULT_POLE_TOL, engine=None):
+def recover_qbnf(tdata, n, tol=1e-8, cond_gate=1e8, engine=None):
     """Full order-by-order recovery of (mu(z), F) from TraceData.
 
     Runs the stages of :func:`plan` (see the module docstring), after
@@ -668,12 +666,12 @@ def recover_qbnf(tdata, n, tol=1e-8, cond_gate=1e8,
     def current_bnf():
         jets = [MultiSeries(f, 0, Orders(0, n_z, 0), jt) for jt in jet_terms]
         F = MultiSeries(f, n, Orders(n_h + 1, n_z, p.h_cap), fhat_terms)
-        return QuantumBNF(blocks, jets, F, validate=False)
+        return QuantumBNF(blocks, jets, F)
 
     # one engine for every stage and the self-check, and one factored
     # matrix per alpha set (see the module docstring)
-    if engine is None or not engine.serves(blocks, ks, n_z, pole_tol):
-        engine = TraceEngine(blocks, ks, n_z, pole_tol)
+    if engine is None or engine.ks != ks or not engine.serves(blocks, n_z):
+        engine = TraceEngine(blocks, ks, n_z)
     systems = {}
     # the stage values are (stored - forward) / (-ik)
     inv_minus_ik = dict(zip(ks, map(f.inv, engine.minus_ik)))
@@ -685,8 +683,7 @@ def recover_qbnf(tdata, n, tol=1e-8, cond_gate=1e8,
         # of each h-order runs one layer forward, which each stage deflates
         if not (j and m):
             bnf = current_bnf()
-            fwd = trace_layers(bnf, ks, (n_z if j else m, j), pole_tol,
-                               engine)
+            fwd = trace_layers(bnf, (n_z if j else m, j), engine)
         values = {k: (coeffs[k].get((), m, j) - fwd[k][m]) * inv_minus_ik[k]
                   for k in ks}
         sol, cond = recover_polynomial(engine, values, stage.alphas,
@@ -703,13 +700,11 @@ def recover_qbnf(tdata, n, tol=1e-8, cond_gate=1e8,
                 fhat_terms[(alpha, m, j + 1 - sum(alpha))] = val
                 found[(alpha, m)] = val
         if j and found and m < n_z:  # they add only above z^m
-            added = trace_layers(bnf, ks, (n_z, j), pole_tol, engine,
-                                 added=found)
+            added = trace_layers(bnf, (n_z, j), engine, added=found)
             for k in ks:
                 fwd[k][m + 1:] = map(add, fwd[k][m + 1:], added[k][m + 1:])
 
     recovered = current_bnf()
-    recovered = QuantumBNF(recovered.blocks, recovered.mu_jets, recovered.F)
 
     # -- self check: forward the recovered data and compare --------------
     # On the exact field any difference fails, also one whose size rounds
@@ -719,7 +714,7 @@ def recover_qbnf(tdata, n, tol=1e-8, cond_gate=1e8,
 
     residuals = {}
     failed = False
-    tps = trace_powers(recovered, ks, (n_z, n_h), pole_tol, engine)
+    tps = trace_powers(recovered, (n_z, n_h), engine)
     for k in ks:
         tp = tps[k]
         fwd = tp.coeffs

@@ -10,7 +10,7 @@ import numpy as np
 from bnftrace.blocks import ELLIPTIC, REAL_HYPERBOLIC, SpectrumBlocks
 from bnftrace.errors import ConvergenceError, MathError, SchemaError
 from bnftrace.fields import FloatField, RationalField
-from bnftrace.hypcalc import DEFAULT_POLE_TOL, _sinh_cosh_from_exp_half
+from bnftrace.hypcalc import _sinh_cosh_from_exp_half
 from bnftrace.qbnf import QuantumBNF, TraceEngine
 from bnftrace.series import MultiSeries, Orders, zseries
 
@@ -163,15 +163,14 @@ def leading_term(action, maslov_nu, blocks, k, n_z, mu_jets=None):
     return LeadingTerm(csch.scale(unit) * iprime, k, int(maslov_nu) % 4)
 
 
-def picard_coth_csch_series(field, E0, delta, k, n_z,
-                            pole_tol=DEFAULT_POLE_TOL):
+def picard_coth_csch_series(field, E0, delta, k, n_z):
     """Reference for :func:`bnftrace.hypcalc.coth_csch_series`: the same
     (T, C) from Picard sweeps of the integral forms of
     t' = (k/2)(1 - t^2) delta' and c' = -(k/2) t c delta', n_z full
     series sweeps per function, each gaining one exact z-order."""
     f = field
     orders = Orders(0, n_z, 0)
-    s2, c2 = _sinh_cosh_from_exp_half(f, E0, k, pole_tol)
+    s2, c2 = _sinh_cosh_from_exp_half(f, E0, k)
     t0 = c2 * f.inv(s2)
     c0 = f.from_int(2) * f.inv(s2)
     one = MultiSeries.scalar(f, 0, orders, f.one)

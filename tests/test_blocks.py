@@ -23,7 +23,10 @@ def test_count_identity():
         (REAL_HYPERBOLIC, math.log(2)), (ELLIPTIC, 1j),
     ])
     assert b.n == 4
-    assert b.n_e + b.n_rh + 2 * b.n_ch == b.n
+    # n_e + n_rh + 2 n_ch = n, with n_ch counting complex hyperbolic pairs
+    n_ch = b.tags.count(COMPLEX_HYPERBOLIC) // 2
+    assert b.tags.count(ELLIPTIC) + b.tags.count(REAL_HYPERBOLIC) \
+        + 2 * n_ch == b.n
 
 
 def test_elliptic_theta_range_enforced():

@@ -54,13 +54,13 @@ def _map_from_matrix(field, M, degree=3):
 
 def test_classify_rotation():
     b = classify_eigenvalues(rotation(1.0))
-    assert b.n_e == 1 and b.n_rh == 0 and b.n_ch == 0
+    assert b.tags == (ELLIPTIC,)
     assert abs(b.mu()[0] - 1j) < 1e-12
 
 
 def test_classify_hyperbolic():
     b = classify_eigenvalues(np.diag([2.0, 0.5]))
-    assert b.n_rh == 1
+    assert b.tags == (REAL_HYPERBOLIC,)
     assert abs(b.mu()[0] - math.log(2)) < 1e-12
 
 
@@ -74,7 +74,7 @@ def test_classify_complex_hyperbolic_from_flow():
                   [0, 0, -be, -a]])
     M = expm(A)
     b = classify_eigenvalues(M)
-    assert b.n_ch == 1 and b.n == 2
+    assert b.tags == (COMPLEX_HYPERBOLIC,) * 2
     assert abs(b.mu()[0] - (1 + 1j)) < 1e-10
     assert abs(b.mu()[1] - (1 - 1j)) < 1e-10
 

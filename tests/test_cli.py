@@ -787,12 +787,12 @@ def test_dump_refuses_a_non_finite_number(tmp_path):
 # each subcommand takes the options it reads, and no others
 SUBCOMMAND_OPTIONS = {
     "forward": {"--bnf", "--action", "--precision", "--orders", "--kmax",
-                "--tol-pole", "--tol-resonance", "--out"},
-    "recover": {"--traces", "--n", "--precision", "--tol-pole",
-                "--tol-conditioning", "--tol-residual", "--out", "--report"},
+                "--tol-resonance", "--out"},
+    "recover": {"--traces", "--n", "--precision", "--tol-conditioning",
+                "--tol-residual", "--out", "--report"},
     "roundtrip": {"--bnf", "--action", "--precision", "--orders", "--kmax",
-                  "--tol-pole", "--tol-resonance", "--tol-conditioning",
-                  "--tol-residual", "--report"},
+                  "--tol-resonance", "--tol-conditioning", "--tol-residual",
+                  "--report"},
     "classical-bnf": {"--map", "--degree", "--tol-resonance", "--report"},
 }
 
@@ -808,12 +808,21 @@ def test_each_subcommand_takes_only_the_options_it_reads():
 
 
 # a dropped option or subcommand, as argv given the path of a matrix file,
-# with the usage error it gives
+# with the usage error it gives; the pole tolerance is fixed at 1e-9
 _DROPPED = {
     "classify": (lambda path: ["classify", "--matrix", path],
                  "invalid choice: 'classify'"),
     "oracle": (lambda path: ["oracle", "lattice-sum", "--exp-half", "2"],
                "invalid choice: 'oracle'"),
+    "forward-tol-pole": (lambda path: ["forward", "--bnf", path,
+                                       "--tol-pole", "1e-9"],
+                         "unrecognized arguments: --tol-pole 1e-9"),
+    "recover-tol-pole": (lambda path: ["recover", "--traces", path, "--n", "1",
+                                       "--tol-pole", "1e-9"],
+                         "unrecognized arguments: --tol-pole 1e-9"),
+    "roundtrip-tol-pole": (lambda path: ["roundtrip", "--bnf", path,
+                                         "--tol-pole", "1e-9"],
+                           "unrecognized arguments: --tol-pole 1e-9"),
 }
 
 
@@ -863,12 +872,9 @@ def test_precision_below_64_is_an_input_error(rt1_file, tmp_path, capsys,
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("cmd, option", [
-    ("forward", "--tol-pole"),
     ("forward", "--tol-resonance"),
-    ("recover", "--tol-pole"),
     ("recover", "--tol-conditioning"),
     ("recover", "--tol-residual"),
-    ("roundtrip", "--tol-pole"),
     ("roundtrip", "--tol-resonance"),
     ("roundtrip", "--tol-conditioning"),
     ("roundtrip", "--tol-residual"),

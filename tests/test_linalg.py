@@ -1,9 +1,12 @@
-"""The pure-Python double kernels of linalg against numpy: the condition
-number by bidiagonalization and Sturm bisection, and polynomial roots by
-Aberth-Ehrlich iteration."""
+"""The pure-Python kernels of linalg against numpy and mpmath: the
+condition number by bidiagonalization and Sturm bisection, and polynomial
+roots by Aberth-Ehrlich iteration, on doubles and at extended
+precision."""
 
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,6 +127,49 @@ def test_roots_beyond_the_step_cap_are_a_convergence_error(monkeypatch):
         linalg.poly_roots(FF, tail)
     msg = str(exc.value)
     assert "degree-3" in msg and "maxsteps=1" in msg
+
+
+def test_extended_roots_beyond_the_step_cap_are_a_convergence_error(
+        monkeypatch):
+    # the same cubic at 240 bits, where one sweep does not reach the
+    # rounding of the field
+    mpf = FloatField(precision=240)
+    tail = [mpf.from_int(-6), mpf.from_int(11), mpf.from_int(-6)]
+    got = sorted(linalg.poly_roots(mpf, tail), key=lambda z: z.real)
+    assert all(abs(z - k) <= 2.0 ** -230 for z, k in zip(got, (1, 2, 3)))
+    monkeypatch.setattr(linalg, "_ROOT_STEPS", 1)
+    with pytest.raises(ConvergenceError) as exc:
+        linalg.poly_roots(mpf, tail)
+    msg = str(exc.value)
+    assert "degree-3" in msg and "maxsteps=1" in msg
+
+
+@pytest.mark.parametrize("precision", [128, 240])
+def test_extended_roots_agree_with_mpmath(precision):
+    """At 128 and 240 bits the field's roots match those of mpmath's
+    polyroots at twice the precision within 2^(20 - precision) relative:
+    monic polynomials of degree 1..8 with real or complex normal
+    coefficients, and the roots E^2 and 1/E^2 of E = 10^12/7, which spread
+    over 48 decades."""
+    f = FloatField(precision)
+    ctx = mpmath.mp.clone()
+    ctx.prec = precision
+    rng = np.random.default_rng(precision)
+    tails = []
+    for trial in range(40):
+        r = int(rng.integers(1, 9))
+        re, im = rng.normal(size=r), rng.normal(size=r) * (trial % 2)
+        tails.append([f.from_rational(*map(Fraction, c)) for c in zip(re, im)])
+    E2 = f.from_rational(Fraction(10 ** 12, 7) ** 2)
+    tails.append([f.one, -(E2 + f.inv(E2))])
+    for tail in tails:
+        got = linalg.poly_roots(f, tail)
+        assert len(got) == len(tail)
+        for want in ctx.polyroots([f.one, *reversed(tail)], maxsteps=200,
+                                  extraprec=precision):
+            j = min(range(len(got)), key=lambda j: abs(got[j] - want))
+            assert abs(got.pop(j) - want) <= 2.0 ** (20 - precision) \
+                * abs(want), (tail, want)
 
 
 def test_condition_numbers_are_computed_only_where_read(monkeypatch):

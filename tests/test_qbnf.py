@@ -283,7 +283,7 @@ def _one_power(engine, k, alpha, jets):
 
 def _power(bnf, k, orders, engine):
     """The expansion of power k from a pass over the engine's powers."""
-    return qbnf.trace_powers(bnf, engine.ks, orders, engine=engine)[k]
+    return qbnf.trace_powers(bnf, orders, engine)[k]
 
 
 def _rational_fixtures():
@@ -319,8 +319,7 @@ def test_engine_trace_power_matches_scratch_reference():
     ks = range(1, 9)
     for b in _rational_fixtures():
         engine = TraceEngine(b.blocks, ks, 3)
-        refs = qbnf.trace_powers(b, ks, (3, 3),
-                                 engine=_ScratchEngine(b.blocks, ks, 3))
+        refs = qbnf.trace_powers(b, (3, 3), _ScratchEngine(b.blocks, ks, 3))
         for k in ks:
             ref = refs[k]
             got = _power(b, k, (3, 3), engine)
@@ -447,9 +446,8 @@ def test_engine_factorization_matches_n_variable_calculus(case):
 
 
 def test_trace_power_rejects_engine_of_another_state():
-    """An engine serves its own blocks, powers and pole tolerance at any
-    z-order up to its own, giving the full series truncated there; it
-    refuses other blocks, other powers, another pole tolerance and a
+    """An engine serves its own blocks at any z-order up to its own,
+    giving the full series truncated there; it refuses other blocks and a
     higher z-order."""
     _F, b, _a = rt1()
     own = TraceEngine(b.blocks, (1,), 3)
@@ -461,28 +459,23 @@ def test_trace_power_rejects_engine_of_another_state():
         _power(b, 1, (4, 3), own)
     other_blocks = SpectrumBlocks(FR, [REAL_HYPERBOLIC], [FR.from_int(3)])
     for engine in (TraceEngine(other_blocks, (1,), 3),
-                   TraceEngine(b.blocks, (2,), 3),
-                   TraceEngine(b.blocks, (1,), 3, pole_tol=1e-6),
                    TraceEngine(b.blocks, (1,), 2)):
         with pytest.raises(SchemaError, match="trace engine"):
-            qbnf.trace_powers(b, (1,), (3, 3), engine=engine)
+            qbnf.trace_powers(b, (3, 3), engine)
 
 
 def test_an_engine_refuses_other_powers():
-    """An engine serves the tuple of powers it was built for, in its
-    order: trace_powers, trace_layers and make_trace_data refuse it for
-    fewer, more or reordered powers, before any forward."""
+    """make_trace_data refuses an engine built for other powers than
+    k = 1..k_max, fewer, more or reordered, before any forward."""
     _F, b, action = rt1()
     engine = TraceEngine(b.blocks, range(1, 9), 3)
-    for ks in ((1,), range(1, 8), range(1, 10), (2, 1, 3, 4, 5, 6, 7, 8)):
-        with pytest.raises(SchemaError, match="trace engine"):
-            qbnf.trace_powers(b, ks, (3, 3), engine=engine)
-        with pytest.raises(SchemaError, match="trace engine"):
-            qbnf.trace_layers(b, ks, (3, 3), engine=engine)
     for k_max in (7, 9):
         with pytest.raises(SchemaError, match="trace engine"):
             make_trace_data(b, action, {}, k_max, (3, 3), engine=engine)
-    assert engine.trace_powers == {}
+    reordered = TraceEngine(b.blocks, (2, 1, 3, 4, 5, 6, 7, 8), 3)
+    with pytest.raises(SchemaError, match="trace engine"):
+        make_trace_data(b, action, {}, 8, (3, 3), engine=reordered)
+    assert engine.trace_powers == reordered.trace_powers == {}
     td = make_trace_data(b, action, {}, 8, (3, 3), engine=engine)
     assert sorted(td.coefficients) == list(range(1, 9))
 
@@ -498,8 +491,8 @@ def test_one_engine_serves_every_jet_state():
     ks = (1, 2, 3)
     engine = TraceEngine(a.blocks, ks, 3)
     for bnf in (a, b, a):
-        got = qbnf.trace_powers(bnf, ks, (3, 3), engine=engine)
-        want = qbnf.trace_powers(bnf, ks, (3, 3))
+        got = qbnf.trace_powers(bnf, (3, 3), engine)
+        want = qbnf.trace_powers(bnf, (3, 3), TraceEngine(a.blocks, ks, 3))
         for k in ks:
             assert got[k].coeffs.terms == want[k].coeffs.terms
 
@@ -594,8 +587,7 @@ def test_a_layer_entry_is_the_trace_power_coefficient(case):
             for j in range(n_h + 1):
                 series = _power(bnf, k, (m, j), engine).coeffs
                 want = series.get((), m, j)
-                got = qbnf.trace_layers(bnf, (k,), (m, j),
-                                        engine=engine)[k][m]
+                got = qbnf.trace_layers(bnf, (m, j), engine)[k][m]
                 if field.exact:
                     assert got == want
                     continue
@@ -606,14 +598,13 @@ def test_a_layer_entry_is_the_trace_power_coefficient(case):
 def test_trace_layers_checks_like_trace_powers():
     _F, b, _a = rt1()
     with pytest.raises(SchemaError, match="trace engine"):
-        qbnf.trace_layers(b, (1,), (2, 2),
-                          engine=TraceEngine(b.blocks, (1,), 1))
+        qbnf.trace_layers(b, (2, 2), TraceEngine(b.blocks, (1,), 1))
     with pytest.raises(SchemaError):
-        qbnf.trace_layers(b, (1,), (4, 2))
-    with pytest.raises(SchemaError):
-        qbnf.trace_layers(b, (0,), (1, 1))
-    assert qbnf.trace_layers(b, (3,), (2, 2))[3][2] == \
-        trace_power(b, 3, (3, 3)).coeffs.get((), 2, 2)
+        qbnf.trace_layers(b, (4, 2), TraceEngine(b.blocks, (1,), 4))
+    with pytest.raises(SchemaError, match="k must be a positive integer"):
+        TraceEngine(b.blocks, (0,), 1)
+    assert qbnf.trace_layers(b, (2, 2), TraceEngine(b.blocks, (3,), 2))[3][2] \
+        == trace_power(b, 3, (3, 3)).coeffs.get((), 2, 2)
 
 
 def _per_k_trace_power(bnf, k, orders, engine):
@@ -764,15 +755,13 @@ def test_trace_power_memo_hit_equals_a_fresh_expansion(monkeypatch):
             (fb, (2, 2))]:
         ks = (1, 4)
         engine = TraceEngine(b.blocks, ks, orders[0])
-        qbnf.trace_powers(b, ks, orders, engine=engine)
+        qbnf.trace_powers(b, orders, engine)
         for k in ks:
             hit = _power(b, k, orders, engine)
             fresh = trace_power(b, k, orders)
             assert hit.phase == fresh.phase
             assert list(hit.coeffs.terms.items()) == \
                 list(fresh.coeffs.terms.items())
-        with pytest.raises(SchemaError):
-            qbnf.trace_powers(b, (0,), orders, engine=engine)
         with pytest.raises(SchemaError):
             _power(b, 1, (orders[0] + 1, orders[1]), engine)
 
@@ -789,7 +778,7 @@ def test_a_power_reads_the_same_in_any_pass():
         alone = {k: trace_power(b, k, orders) for k in range(1, 9)}
         for ks in (range(1, 9), (5, 2, 5, 1)):
             engine = TraceEngine(b.blocks, ks, orders[0])
-            tps = qbnf.trace_powers(b, ks, orders, engine=engine)
+            tps = qbnf.trace_powers(b, orders, engine)
             assert sorted(tps) == sorted(set(ks))
             for k, tp in tps.items():
                 assert tp.phase == alone[k].phase
@@ -813,10 +802,10 @@ def test_a_pole_at_one_power_is_named():
     b = QuantumBNF(blocks, [zseries(FF, 2, {1: 0.1j, 2: 0.02j})], F)
     engine = TraceEngine(blocks, range(1, 7), 2)
     with pytest.raises(PoleError) as exc:
-        qbnf.trace_powers(b, range(1, 7), (2, 2), engine=engine)
+        qbnf.trace_powers(b, (2, 2), engine)
     assert str(exc.value) == ("|sinh(k mu/2)| = 3.886e-16 below pole "
                               "tolerance 1.0e-09 (k=3)")
     with pytest.raises(PoleError, match=r"\(k=6\)$"):
-        qbnf.trace_layers(b, (6, 5, 3), (2, 2))
+        qbnf.trace_layers(b, (2, 2), TraceEngine(blocks, (6, 5, 3), 2))
     with pytest.raises(ResonanceError, match=r"k=\[3\]"):
         make_trace_data(b, zseries(FF, 2, {1: FF.one}), {}, 6, (2, 2))

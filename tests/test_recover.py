@@ -14,15 +14,14 @@ from helpers import (mixed_float_fixture, permuted_blocks, rt1,
 
 from bnftrace.blocks import (COMPLEX_HYPERBOLIC, ELLIPTIC, REAL_HYPERBOLIC,
                              SpectrumBlocks, nonresonance_witness)
-from bnftrace.errors import (ConvergenceError, FieldError, MathError,
-                             RankDeficiencyError, SchemaError)
+from bnftrace.errors import (FieldError, MathError, RankDeficiencyError,
+                             SchemaError)
 from bnftrace.fields import FloatField, RationalField
 from bnftrace import hypcalc as hc
 from bnftrace import jsonio, linalg
 from bnftrace import recover as recover_module
 from bnftrace.qbnf import (QuantumBNF, TraceData, TraceEngine, TracePower,
                           make_trace_data, trace_layers)
-from bnftrace.linalg import poly_roots
 from bnftrace.recover import (_cube_from_roots, _misfits, _refit, plan,
                               recover_frequencies, recover_polynomial,
                               recover_qbnf)
@@ -232,21 +231,11 @@ def test_extended_stage0_is_refit_at_its_own_precision():
         assert min(abs(E - mp.exp(m / 2)) for E in got) <= 1e-30
 
 
-def test_mpmath_root_nonconvergence_is_convergence_error():
-    # (z - 1)^3: a triple root stalls polyroots within its step cap
-    mpf = FloatField(precision=240)
-    tail = [mpf.from_int(-1), mpf.from_int(3), mpf.from_int(-3)]
-    with pytest.raises(ConvergenceError) as exc:
-        poly_roots(mpf, tail)
-    assert "degree-3" in str(exc.value) and "maxsteps=200" in str(exc.value)
-
-
 def test_wide_real_hyperbolic_triple_recovers_or_refuses():
     """Three real hyperbolic exponents whose weakest roots drown in double
-    precision: stage 0 goes to its 240-bit retry, where mpmath's root
-    finder could give up and the cube fit can still tie at rank n (with
-    numpy 2.4 it does); any refusal must be a MathError, not mpmath's own
-    exception."""
+    precision: stage 0 goes to its 240-bit retry, where the root finder
+    could give up and the cube fit can still tie at rank n; any refusal
+    must be a MathError, not an exception of mpmath's own."""
     mus = [0.7024822914919275, 2.1161459174609334, 1.0221501252364096]
     phi = 1.420136041895475
     a0 = {k: cmath.exp(-1j * k * phi)
@@ -417,9 +406,9 @@ def test_deflated_stage_values_equal_fresh_forwards(case):
         part_F = MultiSeries(FR, n, F.orders, {
             (alpha, mm, l): c for (alpha, mm, l), c in F.terms.items()
             if l + sum(alpha) <= j or l + sum(alpha) == j + 1 and mm < m})
-        partial = QuantumBNF(rep.recovered.blocks, part_jets, part_F,
-                             validate=False)
-        layers = trace_layers(partial, tuple(values), (m, j))
+        partial = QuantumBNF(rep.recovered.blocks, part_jets, part_F)
+        layers = trace_layers(partial, (m, j),
+                              TraceEngine(partial.blocks, tuple(values), m))
         for k, v in values.items():
             fresh = td.coefficients[k].get((), m, j) - layers[k][m]
             assert v == fresh * FR.inv(-(FR.i * FR.from_int(k)))
@@ -818,9 +807,9 @@ def _count_engines_and_tables(monkeypatch):
 
     sinh_cosh = hc._sinh_cosh_from_exp_half
 
-    def counting(field, E, k, pole_tol):
+    def counting(field, E, k):
         calls.append((E, k))
-        return sinh_cosh(field, E, k, pole_tol)
+        return sinh_cosh(field, E, k)
 
     monkeypatch.setattr(recover_module, "TraceEngine", RecordingEngine)
     monkeypatch.setattr(hc, "_sinh_cosh_from_exp_half", counting)
@@ -900,14 +889,14 @@ def test_each_recovery_stage_runs_at_its_own_orders(monkeypatch):
     powers, layers = recover_module.trace_powers, recover_module.trace_layers
     calls = []
 
-    def recording_powers(b, ks, orders, *args, **kwargs):
-        calls.append(("powers", tuple(ks), tuple(orders)))
-        return powers(b, ks, orders, *args, **kwargs)
+    def recording_powers(b, orders, engine):
+        calls.append(("powers", engine.ks, tuple(orders)))
+        return powers(b, orders, engine)
 
-    def recording_layers(b, ks, orders, *args, added=None, **kwargs):
-        calls.append(("layers" if added is None else "deflate", tuple(ks),
+    def recording_layers(b, orders, engine, added=None):
+        calls.append(("layers" if added is None else "deflate", engine.ks,
                       tuple(orders)))
-        return layers(b, ks, orders, *args, added=added, **kwargs)
+        return layers(b, orders, engine, added=added)
 
     monkeypatch.setattr(recover_module, "trace_powers", recording_powers)
     monkeypatch.setattr(recover_module, "trace_layers", recording_layers)
