@@ -25,19 +25,22 @@ e^{i theta} eigenvector has positive symplectic area -- cannot be brought
 to the standard block with theta in (0, pi); they are rejected rather than
 silently renormalized.
 
-The eigendecomposition of the linear part runs in numpy, which the
-functions that call it import, so building, composing and flowing maps
-does not load numpy; classifying and normalizing them does.
+The eigendecomposition of the linear part is
+:func:`bnftrace.linalg.eigenpairs`, Hessenberg reduction and shifted
+complex QR in pure Python on doubles; the inverse of the symplectic change
+of variables is its signed transpose, which is exact.
 """
 
 import cmath
 import math
+from operator import mul
 
 from .blocks import (COMPLEX_HYPERBOLIC, ELLIPTIC, REAL_HYPERBOLIC,
                      canonical_blocks, classify, exp_half_of, principal,
                      require_nonresonant)
 from .errors import MathError, SchemaError, SmallDenominatorError
 from .fields import FloatField, nan_max
+from .linalg import eigenpairs
 from .phasepoly import (Degree, PhasePoly, PolyMap, exp_ham,
                         iota_poly_to_phase)
 
@@ -118,37 +121,46 @@ class TaylorMap:
         return worst
 
     def linear_matrix_complex(self):
-        import numpy as np
-
-        rows = self.pmap.linear_matrix()
-        return np.array(
-            [[self.field.to_complex(x) for x in row] for row in rows],
-            dtype=complex,
-        )
+        """The linear part as rows of complex doubles."""
+        return [[self.field.to_complex(x) for x in row]
+                for row in self.pmap.linear_matrix()]
 
     def __repr__(self):
         return f"<TaylorMap n={self.n} degree={self.degree}>"
 
 
-def _J(n):
-    import numpy as np
-
-    J = np.zeros((2 * n, 2 * n))
-    J[:n, n:] = np.eye(n)
-    J[n:, :n] = -np.eye(n)
-    return J
+def _omega(u, v):
+    """The symplectic form u^T J v, J = [[0, I], [-I, 0]], bilinear."""
+    n = len(u) // 2
+    return sum(map(mul, u[:n], v[n:])) - sum(map(mul, u[n:], v[:n]))
 
 
-def _omega(u, v, J):
-    return complex(u @ J @ v)
+def _symplectic_defect(cols):
+    """The largest entry of M^T J M - J, M the matrix of columns
+    ``cols``."""
+    n = len(cols) // 2
+    return max(abs(_omega(ci, cj) - (j == i + n) + (i == j + n))
+               for i, ci in enumerate(cols) for j, cj in enumerate(cols))
+
+
+def _signed_transpose(C):
+    """-J C^T J, by rows, which is C^-1 when C keeps J: entry (r, c) is
+    C[c'][r'], with ' swapping x_k and xi_k, negated when exactly one of
+    r, c is a xi slot.  It is exact on every field."""
+    nv = len(C)
+    n = nv // 2
+    swap = list(range(n, nv)) + list(range(n))
+    return [[C[swap[c]][swap[r]] if (r < n) == (c < n)
+             else -C[swap[c]][swap[r]] for c in range(nv)] for r in range(nv)]
 
 
 def _realify(v, tol):
-    idx = int(abs(v).argmax())
-    w = v / (v[idx] / abs(v[idx]))
-    if abs(w.imag).max() > tol * max(1.0, abs(w.real).max()):
+    """The real parts of the unit eigenvector v, whose largest entry
+    :func:`~bnftrace.linalg.eigenpairs` makes real, if the imaginary parts
+    are below tol."""
+    if max(abs(t.imag) for t in v) > tol:
         raise MathError("real eigenvalue with genuinely complex eigenvector")
-    return w.real
+    return [t.real for t in v]
 
 
 def _claim(vals, used, w, tol):
@@ -175,18 +187,21 @@ def _symplectic_eigenbasis(M, tol):
     xi-columns)) of the real symplectic basis T with T^{-1} M T in standard
     block form, one per elliptic or real hyperbolic block and per complex
     hyperbolic pair, mu of a pair its principal member's."""
-    import numpy as np
-
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2:
+    try:
+        M = [[float(x) for x in row] for row in M]
+    except TypeError:
+        raise SchemaError("need a 2n x 2n matrix") from None
+    nv = len(M)
+    if not nv or nv % 2 or any(len(row) != nv for row in M):
         raise SchemaError("need a 2n x 2n matrix")
-    n = M.shape[0] // 2
-    J = _J(n)
-    sym_res = np.max(np.abs(M.T @ J @ M - J))
-    if sym_res > tol * max(1.0, np.max(np.abs(M)) ** 2):
+    if not all(math.isfinite(x) for row in M for x in row):
+        raise SchemaError("matrix has a non-finite entry")
+    scale = max(abs(x) for row in M for x in row)
+    sym_res = _symplectic_defect(list(zip(*M)))
+    if not sym_res <= tol * max(1.0, scale ** 2):
         raise SchemaError(f"matrix is not symplectic: residual {sym_res:.3e}")
-    vals, vecs = np.linalg.eig(M)
-    used = [False] * (2 * n)
+    vals, vecs = eigenpairs(M)
+    used = [False] * nv
     units = []
     for i, lam in enumerate(vals):
         # classify refuses eigenvalues at +-1
@@ -194,10 +209,10 @@ def _symplectic_eigenbasis(M, tol):
             continue
         tag = classify(lam, tol)
         used[i] = True
+        v = vecs[i]
         if tag == ELLIPTIC:
             _claim(vals, used, lam.conjugate(), tol)
-            v = vecs[:, i]
-            s = _omega(v.real, v.imag, J).real
+            s = _omega([t.real for t in v], [t.imag for t in v])
             if abs(s) < tol:
                 raise MathError("defective elliptic pair: zero symplectic area")
             if s > 0:
@@ -206,28 +221,29 @@ def _symplectic_eigenbasis(M, tol):
                     "generator angle lies outside (0, pi); not representable "
                     "under the theta in (0, pi) normalization"
                 )
-            w = v / math.sqrt(-s)
+            w = [t / math.sqrt(-s) for t in v]
             units.append((tag, complex(0.0, cmath.phase(lam)),
-                          ([w.real], [-w.imag])))
+                          ([[t.real for t in w]], [[-t.imag for t in w]])))
         elif tag == REAL_HYPERBOLIC:
             j = _claim(vals, used, 1.0 / lam.real, tol)
-            vp = _realify(vecs[:, i], 1e-7)
-            vm = _realify(vecs[:, j], 1e-7)
-            s = _omega(vp, vm, J).real
+            vp = _realify(v, 1e-7)
+            vm = _realify(vecs[j], 1e-7)
+            s = _omega(vp, vm)
             if abs(s) < tol:
                 raise MathError("defective hyperbolic pair: zero pairing")
-            units.append((tag, math.log(lam.real), ([vp], [vm / s])))
+            units.append((tag, math.log(lam.real),
+                          ([vp], [[t / s for t in vm]])))
         else:
             _claim(vals, used, lam.conjugate(), tol)
-            u = vecs[:, _claim(vals, used, 1.0 / lam, tol)]
+            u = vecs[_claim(vals, used, 1.0 / lam, tol)]
             _claim(vals, used, (1.0 / lam).conjugate(), tol)
-            v = vecs[:, i]
-            g = _omega(v, u, J) / 2.0
+            g = _omega(v, u) / 2.0
             if abs(g) < tol:
                 raise MathError("defective complex hyperbolic quadruple")
-            u = u / g
+            u = [t / g for t in u]
             units.append((tag, cmath.log(lam),
-                          ([v.real, v.imag], [u.real, -u.imag])))
+                          ([[t.real for t in v], [t.imag for t in v]],
+                           [[t.real for t in u], [-t.imag for t in u]])))
     if not all(used):
         raise MathError("defective eigenvalue structure: unmatched eigenvalues")
     return units
@@ -235,10 +251,8 @@ def _symplectic_eigenbasis(M, tol):
 
 def _standard_basis(field, units):
     """The blocks of the eigenbasis ``units`` on ``field``, in canonical
-    order (:func:`~bnftrace.blocks.canonical_blocks`), and T, the units'
-    columns in that order."""
-    import numpy as np
-
+    order (:func:`~bnftrace.blocks.canonical_blocks`), and T, by rows, the
+    units' columns in that order."""
     blocks, perm = canonical_blocks(
         field, [(tag, exp_half_of(field, mu)) for tag, mu, _cols in units])
     xcols, xicols = [], []
@@ -246,22 +260,21 @@ def _standard_basis(field, units):
         xs, xis = units[p][2]
         xcols.extend(xs)
         xicols.extend(xis)
-    T = np.column_stack(xcols + xicols)
-    J = _J(blocks.n)
-    res = np.max(np.abs(T.T @ J @ T - J))
+    res = _symplectic_defect(xcols + xicols)
     if res > 1e-6:
         raise MathError(
             f"eigenbasis failed symplectic normalization: residual {res:.3e}"
         )
-    return blocks, T
+    return blocks, [list(row) for row in zip(*xcols, *xicols)]
 
 
 def classify_eigenvalues(M):
     """SpectrumBlocks of a real symplectic matrix (eq-style classification),
-    on the double field.
+    given by rows, on the double field.
 
-    Raises on non-symplectic input, eigenvalues at +-1, negative real
-    eigenvalues, defective structure, and reversed-Krein elliptic blocks.
+    Raises SchemaError on a non-finite entry and on non-symplectic input,
+    and MathError on eigenvalues at +-1, negative real eigenvalues,
+    defective structure and reversed-Krein elliptic blocks.
     """
     return _standard_basis(FloatField(),
                            _symplectic_eigenbasis(M, DEFAULT_TOL))[0]
@@ -270,27 +283,25 @@ def classify_eigenvalues(M):
 def linear_normalize(tmap):
     """Bring the linear part to the standard block form.
 
-    Returns (normalized TaylorMap, T, blocks) with T the real symplectic
-    matrix of the change of variables, normalized = T^{-1} o kappa o T,
-    and the SpectrumBlocks of the same eigendecomposition.  T and the
-    exponents come from numpy's double eigendecomposition of the linear
-    part, so they carry double accuracy on every float field.
+    Returns (normalized TaylorMap, T, blocks) with T, by rows, the real
+    symplectic matrix of the change of variables, normalized = T^{-1} o
+    kappa o T, and the SpectrumBlocks of the same eigendecomposition.  T
+    and the exponents come from the double eigendecomposition of the
+    linear part, so they carry double accuracy on every float field; T^{-1}
+    is T's signed transpose.
     """
-    import numpy as np
-
     f = tmap.field
     if f.exact:
         raise SchemaError(
             "linear_normalize runs the numeric eigendecomposition and needs "
             "the float backend"
         )
-    M = tmap.linear_matrix_complex().real
+    M = [[x.real for x in row] for row in tmap.linear_matrix_complex()]
     blocks, T = _standard_basis(f, _symplectic_eigenbasis(M, DEFAULT_TOL))
-    Tinv = np.linalg.inv(T)
-    tm = PolyMap.from_linear(f, tmap.n, tmap.degree,
-                             [[f.one * complex(x) for x in row] for row in T])
-    tmi = PolyMap.from_linear(f, tmap.n, tmap.degree,
-                              [[f.one * complex(x) for x in row] for row in Tinv])
+    tm, tmi = (PolyMap.from_linear(f, tmap.n, tmap.degree,
+                                   [[f.one * complex(x) for x in row]
+                                    for row in rows])
+               for rows in (T, _signed_transpose(T)))
     conj = tmi.compose(tmap.pmap.compose(tm))
     out = TaylorMap(f, tmap.n, tmap.degree, conj.comps, validate=False)
     return out, T, blocks
@@ -333,10 +344,8 @@ def _complexification(field, tags, degree):
     """(C, C^-1) as PolyMaps: w_complex = C(w_real), in the complexified
     coordinates of the module docstring.
 
-    C keeps the bracket ({a_j, b_j} = {x_j, xi_j}), so C^-1 = -J C^T J:
-    entry (i, j) is C[j'][i'] with ' swapping x_k and xi_k, negated when
-    exactly one of i, j is a xi slot.  That signed transpose is exact on
-    every field.
+    C keeps the bracket ({a_j, b_j} = {x_j, xi_j}), so C^-1 is its signed
+    transpose -J C^T J.
     """
     n = len(tags)
     nv = 2 * n
@@ -360,11 +369,8 @@ def _complexification(field, tags, degree):
             C[xi][xi], C[xi][xi + 1] = half, i_ * half       # b1
             C[xi + 1][xi], C[xi + 1][xi + 1] = half, -i_ * half  # b2
             j += 2
-    swap = list(range(n, nv)) + list(range(n))
-    Ci = [[C[swap[c]][swap[r]] if (r < n) == (c < n) else -C[swap[c]][swap[r]]
-           for c in range(nv)] for r in range(nv)]
     return (PolyMap.from_linear(field, n, degree, C),
-            PolyMap.from_linear(field, n, degree, Ci))
+            PolyMap.from_linear(field, n, degree, _signed_transpose(C)))
 
 
 def _lambda_slots(field, blocks):

@@ -154,8 +154,8 @@ def cmd_roundtrip(args):
 
 
 def cmd_classical_bnf(args):
-    # the normalizer works from a double eigendecomposition, so the map
-    # is read in doubles
+    # the normalizer works from a double eigendecomposition, pure Python
+    # like the rest of the package, so the map is read in doubles
     tmap = jsonio.taylor_map_from_json(jsonio.load(args.map))
     res = birkhoff_normal_form(tmap, args.degree,
                                small_denominator_tol=args.tol_resonance)

@@ -24,9 +24,12 @@ double range is scaled by one power of two for it.
 A condition number is computed when first read, by bidiagonalization and
 Sturm bisection (Golub and Kahan 1965; Demmel and Kahan 1990).  One root
 finder serves every float precision: Aberth-Ehrlich iteration in the
-field's arithmetic.  Both are pure Python, without numpy.
+field's arithmetic.  The eigenpairs of a small double matrix, which the
+classical normal form needs, come from Hessenberg reduction and shifted
+complex QR.  All are pure Python, without numpy.
 """
 
+import cmath
 import math
 from fractions import Fraction
 from functools import cached_property
@@ -34,8 +37,10 @@ from operator import mul
 
 from .errors import ConvergenceError, RankDeficiencyError
 
-# step cap of the root finders, on doubles and on extended precision
+# step cap of the root finders, on doubles and on extended precision, and
+# of the QR steps of one eigendecomposition
 _ROOT_STEPS = 200
+_EPS = 2.0 ** -52
 
 
 def resolution(field):
@@ -344,3 +349,142 @@ def _aberth(field, a):
         if dp and abs(_horner(field, a, zi - p / dp)[0]) < abs(p):
             z[i] = zi - p / dp
     return zeros + z
+
+
+def eigenpairs(rows):
+    """The eigenvalues of a small complex double matrix, given by rows, and
+    an eigenvector of unit 2-norm, its largest entry real and positive, for
+    each, as lists.
+
+    The indices split into the blocks that no nonzero entry couples, the
+    diagonal blocks of a permuted matrix; each block is solved alone, and
+    its eigenvectors are exactly zero off it.  Householder reflectors
+    reduce a block to Hessenberg form, and complex QR steps with Wilkinson
+    shifts, by Givens rotations, to the Schur form T = Q^H A Q, deflating
+    on a negligible subdiagonal.  Each eigenvector is back-substituted on
+    T and multiplied by Q.  A triangular matrix takes no step and keeps
+    its diagonal exactly.  A non-finite entry is a ConvergenceError."""
+    n = len(rows)
+    if not all(cmath.isfinite(x) for row in rows for x in row):
+        raise ConvergenceError(
+            f"Hessenberg-QR iteration found no eigenvalues of the {n} x {n} "
+            "matrix: it has a non-finite entry")
+    seen = [False] * n
+    vals, vecs = [], []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        block = [start]
+        for i in block:  # grows while it is read
+            for j in range(n):
+                if not seen[j] and (rows[i][j] or rows[j][i]):
+                    seen[j] = True
+                    block.append(j)
+        block.sort()
+        bvals, bvecs = _schur_eigenpairs([[rows[i][j] for j in block]
+                                          for i in block])
+        vals += bvals
+        for v in bvecs:
+            full = [0j] * n
+            for i, t in zip(block, v):
+                full[i] = t
+            vecs.append(full)
+    return vals, vecs
+
+
+def _schur_eigenpairs(rows):
+    """:func:`eigenpairs` of one block, by its Schur form."""
+    n = len(rows)
+    a = [[complex(x) for x in col] for col in zip(*rows)]  # by columns
+    q = [[complex(i == j) for i in range(n)] for j in range(n)]
+    for k in range(n - 2):
+        if not any(a[k][k + 2:]):
+            continue
+        alpha, phase, v, vh, beta = _reflect(a[k][k + 1:], a[k + 1:], k + 1,
+                                             1)
+        a[k][k + 1:] = [-phase * alpha] + [0j] * (n - k - 2)
+        for cols in (a, q):  # A P and Q P, P = I - beta v v^H
+            s = [beta * sum(map(mul, v, row)) for row in zip(*cols[k + 1:])]
+            for cj, t in zip(cols[k + 1:], vh):
+                cj[:] = [y - si * t for y, si in zip(cj, s)]
+    h = [list(row) for row in zip(*a)]  # by rows
+    norm = max((abs(x) for row in h for x in row), default=0.0)
+    hi, steps, since = n - 1, 0, 0
+    while hi > 0:
+        lo = hi
+        while lo > 0 and abs(h[lo][lo - 1]) > _EPS * (
+                abs(h[lo - 1][lo - 1]) + abs(h[lo][lo]) or norm):
+            lo -= 1
+        if lo > 0:
+            h[lo][lo - 1] = 0j
+        if lo == hi:
+            hi, since = hi - 1, 0
+            continue
+        if steps == _ROOT_STEPS:
+            raise ConvergenceError(
+                f"Hessenberg-QR iteration found no eigenvalues of the {n} x "
+                f"{n} matrix in maxsteps={_ROOT_STEPS} steps")
+        steps, since = steps + 1, since + 1
+        _qr_step(h, q, lo, hi, _shift(h, hi, since))
+    vals = [h[i][i] for i in range(n)]
+    small = _EPS * norm or 2.0 ** -1022
+    vecs = []
+    for i, lam in enumerate(vals):
+        y = [0j] * i + [1 + 0j]
+        for j in range(i - 1, -1, -1):
+            d = h[j][j] - lam
+            y[j] = -sum(map(mul, h[j][j + 1:i + 1], y[j + 1:])) / (
+                d if abs(d) >= small else small)
+        x = [sum(map(mul, row, y)) for row in zip(*q[:i + 1])]
+        top = max(range(n), key=lambda r: abs(x[r]))
+        p = x[top]
+        x = [t / p for t in x]
+        x[top] = 1 + 0j
+        length = math.sqrt(sum(t.real * t.real + t.imag * t.imag for t in x))
+        vecs.append([t / length for t in x])
+    return vals, vecs
+
+
+def _shift(h, hi, since):
+    """The eigenvalue of the trailing 2 x 2 block of rows hi - 1, hi that
+    is nearer h[hi][hi] (Wilkinson), or every tenth step without a
+    deflation an exceptional shift off it."""
+    d = h[hi][hi]
+    if since % 10 == 0:
+        return d + 0.75 * abs(h[hi][hi - 1])
+    bc = h[hi - 1][hi] * h[hi][hi - 1]
+    t = (h[hi - 1][hi - 1] - d) / 2
+    r = cmath.sqrt(t * t + bc)
+    den = t + r if abs(t + r) >= abs(t - r) else t - r
+    return d - bc / den if den else d
+
+
+def _qr_step(h, q, lo, hi, mu):
+    """One shifted QR step on the active block lo..hi of the Hessenberg
+    matrix h (by rows), its bulge chased down by Givens rotations G, which
+    update all of h, as G h G^H, and the columns of q, as q G^H."""
+    n = len(h)
+    x, y = h[lo][lo] - mu, h[lo + 1][lo]
+    for k in range(lo, hi):
+        if k > lo:
+            x, y = h[k][k - 1], h[k + 1][k - 1]
+        ax = abs(x)
+        r = math.hypot(ax, abs(y))
+        if not r:
+            continue
+        c = ax / r
+        s = (x / ax if ax else 1) * y.conjugate() / r
+        sc = s.conjugate()
+        rk, rk1 = h[k], h[k + 1]
+        for j in range(max(lo, k - 1), n):
+            u, w = rk[j], rk1[j]
+            rk[j], rk1[j] = c * u + s * w, c * w - sc * u
+        if k > lo:
+            rk1[k - 1] = 0j
+        for row in h[:min(k + 2, hi) + 1]:
+            u, w = row[k], row[k + 1]
+            row[k], row[k + 1] = c * u + sc * w, c * w - s * u
+        qk, qk1 = q[k], q[k + 1]
+        q[k] = [c * u + sc * w for u, w in zip(qk, qk1)]
+        q[k + 1] = [c * w - s * u for u, w in zip(qk, qk1)]

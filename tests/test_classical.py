@@ -107,6 +107,17 @@ def test_classify_eigenvalues_needs_a_2n_x_2n_matrix(rows):
         classify_eigenvalues(rows)
 
 
+@pytest.mark.parametrize("rows", [[[math.nan, 0.0], [0.0, 1.0]],
+                                  [[2.0, 0.0], [0.0, math.inf]]],
+                         ids=["nan", "inf"])
+def test_classify_eigenvalues_refuses_a_non_finite_entry(rows):
+    """A NaN or infinite entry is refused before any eigenvalue is
+    computed; an infinite one would pass the symplectic check, whose
+    residual and bound are both infinite."""
+    with pytest.raises(SchemaError, match="non-finite entry"):
+        classify_eigenvalues(rows)
+
+
 def test_nonresonance_witness_examples():
     b = SpectrumBlocks.from_mu(FF, [(ELLIPTIC, 1j),
                                     (ELLIPTIC, math.sqrt(2) * 1j)])
@@ -198,10 +209,10 @@ def test_linear_normalize_block_form_is_fixed():
     # so the conjugated map equals the input
     tm = _map_from_matrix(FF, rotation(0.9))
     out, T, _blocks = linear_normalize(tm)
-    M = out.linear_matrix_complex().real
+    M = np.array(out.linear_matrix_complex()).real
     assert np.max(np.abs(M - rotation(0.9))) < 1e-12
     J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    assert np.max(np.abs(T.T @ J @ T - J)) < 1e-12
+    assert np.max(np.abs(np.array(T).T @ J @ np.array(T) - J)) < 1e-12
 
 
 def test_linear_normalize_conjugated_rotation():
@@ -211,8 +222,8 @@ def test_linear_normalize_conjugated_rotation():
     tm = _map_from_matrix(FF, M)
     out, T, blocks = linear_normalize(tm)
     J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    assert np.max(np.abs(T.T @ J @ T - J)) < 1e-12
-    B = out.linear_matrix_complex().real
+    assert np.max(np.abs(np.array(T).T @ J @ np.array(T) - J)) < 1e-12
+    B = np.array(out.linear_matrix_complex()).real
     assert np.max(np.abs(B - rotation(1.3))) < 1e-10
     assert blocks.tags == (ELLIPTIC,)
     assert abs(blocks.mu()[0] - 1.3j) < 1e-10
@@ -224,12 +235,12 @@ def test_linear_normalize_hyperbolic_mixed_axes():
     M = S @ np.diag([3.0, 1 / 3.0]) @ np.linalg.inv(S)
     tm = _map_from_matrix(FF, M)
     out, T, blocks = linear_normalize(tm)
-    B = out.linear_matrix_complex().real
+    B = np.array(out.linear_matrix_complex()).real
     assert np.max(np.abs(B - np.diag([3.0, 1 / 3.0]))) < 1e-12
     assert blocks.tags == (REAL_HYPERBOLIC,)
     assert abs(blocks.mu()[0] - math.log(3.0)) < 1e-12
     J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    assert np.max(np.abs(T.T @ J @ T - J)) < 1e-12
+    assert np.max(np.abs(np.array(T).T @ J @ np.array(T) - J)) < 1e-12
 
 
 # -- Birkhoff normal form -----------------------------------------------
@@ -796,7 +807,8 @@ def test_classified_blocks_are_canonical_and_match_the_recovery(spec):
         rng.shuffle(units)
         blocks = SpectrumBlocks.from_mu(FF, [b for u in units for b in u])
         mus = [m for u in units for _t, m in u]
-        M = normal_form_flow(blocks, {}, 1).linear_matrix_complex().real
+        M = np.array(normal_form_flow(blocks, {}, 1)
+                     .linear_matrix_complex()).real
         got = classify_eigenvalues(M)
         assert got.canonical_order() == list(range(got.n))
         want = permuted_blocks(blocks, blocks.canonical_order())

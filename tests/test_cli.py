@@ -14,7 +14,7 @@ import pytest
 
 from helpers import mixed_float_fixture, n1_bnf, n2_bnf, rt1
 
-from bnftrace import cli, jsonio, qbnf
+from bnftrace import classify_eigenvalues, cli, jsonio, qbnf
 from bnftrace.blocks import ELLIPTIC, REAL_HYPERBOLIC, SpectrumBlocks
 from bnftrace.cli import build_parser, main
 from bnftrace.fields import FloatField, RationalField
@@ -242,18 +242,21 @@ def test_recover_with_a_huge_block_count_is_refused_by_prony(
 
 # runs each argv of the JSON list argv[2] through cli.main, with numpy made
 # unimportable and the package read from the directory argv[1], and prints
-# each exit code and standard output as JSON
+# each exit code and standard output as JSON, then the repr of the blocks
+# of the matrix argv[3], JSON rows or null
 _WITHOUT_NUMPY = """
 import contextlib, io, json, sys
 sys.modules["numpy"] = None
 sys.path.insert(0, sys.argv[1])
+from bnftrace import classify_eigenvalues
 from bnftrace.cli import main
 runs = []
 for argv in json.loads(sys.argv[2]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         runs.append([main(argv), out.getvalue()])
-print(json.dumps(runs))
+matrix = json.loads(sys.argv[3])
+print(json.dumps([runs, matrix and repr(classify_eigenvalues(matrix))]))
 """
 
 
@@ -268,27 +271,36 @@ def _float_n1():
                      ((1,), 0, 1): FF.from_rational("1/2")}))
 
 
-def _runs_alike_without_numpy(tmp_path, monkeypatch, capsys, argvs, files):
+def _runs_alike_without_numpy(tmp_path, monkeypatch, capsys, argvs, files,
+                              matrix=None):
     """Each argv exits 0 with numpy made unimportable, with the standard
     output and the bytes of ``files`` of a run with numpy importable.
     Output files are named relative to each run's directory, so that the
     "wrote" lines of both runs read the same; an input file a run reads
-    from its directory is written by an earlier argv."""
+    from its directory is written by an earlier argv.  A ``matrix``, given
+    by rows, is classified in the same process, with the blocks of a
+    classification with numpy importable.  Returns the standard output of
+    each argv."""
     without, with_numpy = tmp_path / "without", tmp_path / "with"
     without.mkdir()
     with_numpy.mkdir()
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-c", _WITHOUT_NUMPY, src, json.dumps(argvs)],
+        [sys.executable, "-c", _WITHOUT_NUMPY, src, json.dumps(argvs),
+         json.dumps(matrix)],
         cwd=without, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    runs, blocks = json.loads(proc.stdout)
+    if matrix is not None:
+        assert blocks == repr(classify_eigenvalues(matrix))
     monkeypatch.chdir(with_numpy)
-    for argv, (rc, out) in zip(argvs, json.loads(proc.stdout)):
+    for argv, (rc, out) in zip(argvs, runs):
         assert rc == 0 and main(argv) == 0, argv
         assert out == capsys.readouterr().out, argv
     for name in files:
         assert ((without / name).read_bytes()
                 == (with_numpy / name).read_bytes()), name
+    return [out for _rc, out in runs]
 
 
 def test_forward_runs_without_numpy(tmp_path, monkeypatch, capsys):
@@ -333,6 +345,47 @@ def test_recovery_runs_without_numpy(tmp_path, monkeypatch, capsys):
         tmp_path, monkeypatch, capsys, argvs,
         ["n1-report.json", "n1-recover-report.json", "n1-recovered.json",
          "n2-report.json"])
+
+
+def test_classical_bnf_runs_without_numpy(tmp_path, monkeypatch, capsys):
+    """classical-bnf and classify_eigenvalues never import numpy: the
+    golden float map, diag(2, 1/2) at degree 1, the map 1.5e-9 off the
+    identity, whose mu is still printed as +1.49999967946e-09, and CI's rh
+    0.7 + elliptic 1.1i flow give the same reports and standard output."""
+    from test_golden import _conjugated_flow_map
+
+    from bnftrace.classical import (TaylorMap, iota_real_to_complex,
+                                    normal_form_flow)
+
+    golden, cmap = str(tmp_path / "golden.json"), str(tmp_path / "cmap.json")
+    jsonio.dump(golden, jsonio.taylor_map_to_json(_conjugated_flow_map()))
+    blocks = SpectrumBlocks.from_mu(FF, [(REAL_HYPERBOLIC, 0.7),
+                                         (ELLIPTIC, 1.1j)])
+    R = iota_real_to_complex(blocks.tags, {(2, 0): 0.13 + 0j,
+                                           (1, 1): -0.21 + 0j,
+                                           (0, 2): 0.08 + 0j}, FF)
+    jsonio.dump(cmap, jsonio.taylor_map_to_json(
+        TaylorMap(FF, 2, 4, normal_form_flow(blocks, R, 4).pmap.comps)))
+    (tmp_path / "diag").mkdir()
+    (tmp_path / "near").mkdir()
+    diag = _linear_map_file(tmp_path / "diag", [[2.0, 0], [0, 0.5]])
+    near = _linear_map_file(tmp_path / "near", [[1.0000000015, 0],
+                                                [0, 0.9999999985]])
+    argvs = [
+        ["classical-bnf", "--map", golden, "--degree", "3",
+         "--report", "golden-report.json"],
+        ["classical-bnf", "--map", diag, "--degree", "1",
+         "--report", "diag-report.json"],
+        ["classical-bnf", "--map", near, "--degree", "1",
+         "--tol-resonance", "1e-10", "--report", "near-report.json"],
+        ["classical-bnf", "--map", cmap, "--degree", "2",
+         "--report", "cmap-report.json"],
+    ]
+    outs = _runs_alike_without_numpy(
+        tmp_path, monkeypatch, capsys, argvs,
+        ["golden-report.json", "diag-report.json", "near-report.json",
+         "cmap-report.json"], matrix=[[2.0, 0.0], [0.0, 0.5]])
+    assert "iota^(1,): +1.49999967946e-09 +0i" in outs[2]
 
 
 def _linear_map_file(tmp_path, rows):

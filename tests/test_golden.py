@@ -7,8 +7,8 @@ digest.  The round-trip report also carries float condition numbers,
 which the package computes in pure Python from double snapshots of the
 exact stage matrices, so they do not depend on a LAPACK build.
 The classical-bnf report is all floats: its map is built by the same
-sparse products, and the normalizer runs numpy's eigendecomposition, so
-it pins that the products sum in a fixed order, on one LAPACK build.
+sparse products, and the normalizer runs the package's own pure-Python
+eigendecomposition, so it pins that the products sum in a fixed order.
 """
 
 import hashlib

@@ -1,7 +1,7 @@
-"""The pure-Python kernels of linalg against numpy and mpmath: the
-condition number by bidiagonalization and Sturm bisection, and polynomial
-roots by Aberth-Ehrlich iteration, on doubles and at extended
-precision."""
+"""The pure-Python kernels of linalg against numpy, scipy and mpmath: the
+condition number by bidiagonalization and Sturm bisection, polynomial
+roots by Aberth-Ehrlich iteration, on doubles and at extended precision,
+and eigenpairs by Hessenberg reduction and shifted complex QR."""
 
 import math
 from fractions import Fraction
@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from helpers import mixed_float_fixture
 
@@ -170,6 +171,72 @@ def test_extended_roots_agree_with_mpmath(precision):
             j = min(range(len(got)), key=lambda j: abs(got[j] - want))
             assert abs(got.pop(j) - want) <= 2.0 ** (20 - precision) \
                 * abs(want), (tail, want)
+
+
+def _random_symplectic(seed, n):
+    """expm(J S), S a random symmetric 2n x 2n matrix: a real symplectic
+    matrix, by rows."""
+    rng = np.random.default_rng(seed)
+    s = rng.normal(size=(2 * n, 2 * n))
+    j = np.block([[np.zeros((n, n)), np.eye(n)],
+                  [-np.eye(n), np.zeros((n, n))]])
+    return expm(j @ (s + s.T) * rng.uniform(0.1, 1.5)).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3))
+def test_eigenpairs_of_a_random_symplectic_matrix(seed, n):
+    """Each pair (lambda, v) of a random real symplectic 2n x 2n matrix M
+    has a unit v and |M v - lambda v| <= 8 (2n) eps |M|, and the
+    eigenvalues are numpy's as a multiset, each within 1e-10 |M|."""
+    m = _random_symplectic(seed, n)
+    a = np.array(m)
+    norm = np.linalg.norm(a, 2)
+    vals, vecs = linalg.eigenpairs(m)
+    assert len(vals) == len(vecs) == 2 * n
+    for lam, v in zip(vals, vecs):
+        v = np.array(v)
+        assert abs(np.linalg.norm(v) - 1) <= 1e-15
+        assert np.linalg.norm(a @ v - lam * v) <= 8 * 2 * n * 2.0 ** -52 * norm
+    got = list(vals)
+    for want in np.linalg.eigvals(a):
+        j = min(range(len(got)), key=lambda j: abs(got[j] - want))
+        assert abs(got.pop(j) - want) <= 1e-10 * norm, (seed, n, want)
+
+
+@pytest.mark.parametrize("rows", [
+    [[2.0, 0.0], [0.0, 0.5]],
+    [[1.0000000015, 0.0], [0.0, 0.9999999985]],
+    [[0.1 + 0.2j, 0, 0], [0, -3.0, 0], [0, 0, 1 / 3]],
+    [[1.0, 2.0, 3.0, 4.0], [0, 1 / 7, 5.0, 6.0], [0, 0, -2.5 + 1j, 7.0],
+     [0, 0, 0, 1 / 3]],
+], ids=["diag(2, 1/2)", "near identity", "complex diagonal", "triangular"])
+def test_eigenvalues_of_a_triangular_matrix_are_its_diagonal(rows):
+    """An upper triangular matrix takes no QR step: its eigenvalues are
+    its diagonal, bit for bit and in order, and each v an eigenvector."""
+    vals, vecs = linalg.eigenpairs(rows)
+    assert vals == [complex(rows[i][i]) for i in range(len(rows))]
+    a = np.array(rows, dtype=complex)
+    for lam, v in zip(vals, vecs):
+        assert np.linalg.norm(a @ np.array(v) - lam * np.array(v)) <= \
+            8 * len(rows) * 2.0 ** -52 * np.linalg.norm(a, 2)
+
+
+def test_eigenpairs_beyond_the_step_cap_are_a_convergence_error(
+        monkeypatch):
+    m = _random_symplectic(0, 2)
+    assert len(linalg.eigenpairs(m)[0]) == 4
+    monkeypatch.setattr(linalg, "_ROOT_STEPS", 1)
+    with pytest.raises(ConvergenceError) as exc:
+        linalg.eigenpairs(m)
+    msg = str(exc.value)
+    assert "Hessenberg-QR" in msg and "4 x 4" in msg and "maxsteps=1" in msg
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)])
+def test_eigenpairs_of_a_non_finite_matrix_are_a_convergence_error(bad):
+    with pytest.raises(ConvergenceError, match="non-finite entry"):
+        linalg.eigenpairs([[1.0, bad], [2.0, 3.0]])
 
 
 def test_condition_numbers_are_computed_only_where_read(monkeypatch):
