@@ -52,15 +52,14 @@ class TaylorMap:
 
     Components are polynomials in (x_1..x_n, xi_1..xi_n) with zero
     constant term; symplecticity is enforced through degree-1 of the
-    Jacobian identity D^T J D = J (exactly on exact fields, within ``tol``
+    Jacobian identity D^T J D = J (exactly on exact fields, within 1e-8
     otherwise).  A ``PhasePoly`` component of this field, arity and degree
     is kept as it is; any other is rebuilt, truncated at ``degree``.
     """
 
     __slots__ = ("field", "n", "degree", "pmap")
 
-    def __init__(self, field, n, degree, components, validate=True,
-                 tol=1e-8):
+    def __init__(self, field, n, degree, components, validate=True):
         comps = []
         for c in components:
             if not isinstance(c, PhasePoly):
@@ -85,7 +84,7 @@ class TaylorMap:
             if field.exact:
                 if res != 0:
                     raise SchemaError("map is not symplectic (exact check)")
-            elif not res <= tol:  # a NaN residual is refused too
+            elif not res <= 1e-8:  # a NaN residual is refused too
                 raise SchemaError(
                     f"map is not symplectic: Jacobian residual {res:.3e}"
                 )
@@ -405,7 +404,7 @@ def _snap_linear_to_diagonal(pmap, lam_slots):
 
 
 def birkhoff_normal_form(tmap, iota_degree, small_denominator_tol=1e-8,
-                         resonance_order=None, blocks=None):
+                         blocks=None):
     """Degree-by-degree Lie normalization to kappa = exp H_p + O(degree+).
 
     At map degree d the residual against Lambda o exp H_R is cancelled by a
@@ -444,8 +443,7 @@ def birkhoff_normal_form(tmap, iota_degree, small_denominator_tol=1e-8,
         )
     else:
         normalized, _transform, blocks = linear_normalize(tmap)
-    require_nonresonant(blocks, resonance_order or 2 * iota_degree,
-                        small_denominator_tol)
+    require_nonresonant(blocks, 2 * iota_degree, small_denominator_tol)
 
     Cmap, Cimap = _complexification(f, blocks.tags, D)
     kc = Cmap.compose(normalized.pmap.compose(Cimap))

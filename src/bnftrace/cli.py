@@ -1,7 +1,7 @@
 """Command line interface.
 
 Exit codes: 0 success, 2 input/schema error, 3 mathematical failure
-(resonance, pole, rank deficiency, conditioning, ...).
+(resonance, pole, rank deficiency, a float stage's cond * u > tol, ...).
 
 Subcommands: forward, recover, roundtrip, classical-bnf.
 Each option is checked by its argparse type, and each file by its reader
@@ -66,11 +66,9 @@ _OPTIONS = {
     "out": ("--out", {}),
     "report": ("--report", {}),
 }
-_OPTIONS.update(
-    (dest, ("--" + dest.replace("_", "-"),
-            {"type": _tolerance(dest), "default": default}))
-    for dest, default in [("tol_resonance", 1e-8), ("tol_conditioning", 1e8),
-                          ("tol_residual", 1e-8)])
+_OPTIONS.update((dest, ("--" + dest.replace("_", "-"),
+                         {"type": _tolerance(dest), "default": 1e-8}))
+                for dest in ("tol_resonance", "tol_residual"))
 
 
 def _add_options(p, *dests):
@@ -89,7 +87,7 @@ def _forward_tracedata(args, bnf, engine=None):
         action, maslov = jsonio.action_from_json(jsonio.load(args.action),
                                                  bnf.field)
     return make_trace_data(bnf, action, maslov, args.k_max, args.orders[1:],
-                           resonance_tol=args.tol_resonance, engine=engine)
+                           engine=engine)
 
 
 def _report(args, rep):
@@ -116,8 +114,7 @@ def cmd_forward(args):
 def cmd_recover(args):
     td = jsonio.trace_data_from_json(jsonio.load(args.traces),
                                      args.float_precision)
-    rep = recover_qbnf(td, args.n, tol=args.tol_residual,
-                       cond_gate=args.tol_conditioning)
+    rep = recover_qbnf(td, args.n, tol=args.tol_residual)
     out = args.out or "bnf_recovered.json"
     jsonio.dump(out, jsonio.qbnf_to_json(rep.recovered))
     _report(args, rep)
@@ -141,8 +138,7 @@ def cmd_roundtrip(args):
     # serves the recovered blocks, as it does when the round trip is exact
     engine = TraceEngine(bnf.blocks, range(1, args.k_max + 1), args.orders[1])
     td = _forward_tracedata(args, bnf, engine)
-    rep = recover_qbnf(td, bnf.n, tol=args.tol_residual,
-                       cond_gate=args.tol_conditioning, engine=engine)
+    rep = recover_qbnf(td, bnf.n, tol=args.tol_residual, engine=engine)
     _report(args, rep)
     # exact on the rational field, whose closeness is equality
     if not rep.recovered.close_to(bnf, args.tol_residual):
@@ -182,23 +178,21 @@ def build_parser():
     p = sub.add_parser("forward", help="QuantumBNF file -> TraceData file")
     p.add_argument("--bnf", required=True)
     p.add_argument("--action", default=None)
-    _add_options(p, "float_precision", "orders", "k_max", "tol_resonance",
-                 "out")
+    _add_options(p, "float_precision", "orders", "k_max", "out")
     p.set_defaults(func=cmd_forward)
 
     p = sub.add_parser("recover", help="TraceData file -> QuantumBNF file")
     p.add_argument("--traces", required=True)
     p.add_argument("--n", type=int, required=True)
-    _add_options(p, "float_precision", "tol_conditioning", "tol_residual",
-                 "out", "report")
+    _add_options(p, "float_precision", "tol_residual", "out", "report")
     p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("roundtrip",
                        help="forward then recover; exit 0 iff equal")
     p.add_argument("--bnf", required=True)
     p.add_argument("--action", default=None)
-    _add_options(p, "float_precision", "orders", "k_max", "tol_resonance",
-                 "tol_conditioning", "tol_residual", "report")
+    _add_options(p, "float_precision", "orders", "k_max", "tol_residual",
+                 "report")
     p.set_defaults(func=cmd_roundtrip)
 
     p = sub.add_parser("classical-bnf",

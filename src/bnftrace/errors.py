@@ -51,7 +51,7 @@ class RankDeficiencyError(MathError):
 
 
 class ConditioningError(MathError):
-    """Condition number of a recovery stage exceeded the configured gate."""
+    """A float recovery system too ill-conditioned for its precision."""
 
 
 class ConvergenceError(MathError):

@@ -17,9 +17,9 @@ The exact backend runs plain Gauss-Jordan elimination on the matrix,
 recording its row operations, and each solve replays them on b and then
 *verifies* the remaining equations, which is exact least squares for
 consistent overdetermined systems -- the only kind a correct recovery
-stage produces.  There a float snapshot of the raw matrix supplies the
-reported condition number, purely as a diagnostic; a matrix beyond the
-double range is scaled by one power of two for it.
+stage produces.  There the reported condition number, a diagnostic, is
+that of the matrix scaled as a float one is, off a double snapshot whose
+rows are first scaled exactly by powers of two.
 
 A condition number is computed when first read, by bidiagonalization and
 Sturm bisection (Golub and Kahan 1965; Demmel and Kahan 1990).  One root
@@ -31,7 +31,6 @@ complex QR.  All are pure Python, without numpy.
 
 import cmath
 import math
-from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
@@ -43,25 +42,40 @@ _ROOT_STEPS = 200
 _EPS = 2.0 ** -52
 
 
+def unit(field):
+    """A float field's unit roundoff: 2^-53 on doubles, 2^-p at p bits."""
+    return 2.0 ** -(53 if field.precision <= 64 else field.precision)
+
+
 def resolution(field):
     """A thousand units in the last place of a float field; a double's
     precision counts its whole 64-bit format."""
     return 2.0 ** (10 - (52 if field.precision <= 64 else field.precision))
 
 
-def _cond_of(field, rows):
-    """Condition number of an exact matrix, off its double snapshot.  A
-    matrix with an entry beyond the double range is first scaled by one
-    power of two, taken from its largest entry, which leaves the
-    condition number unchanged."""
-    try:
-        return _cond([[field.to_complex(x) for x in col]
-                      for col in zip(*rows)])
-    except OverflowError:
-        shift = max(abs(q.numerator).bit_length() - q.denominator.bit_length()
-                    for row in rows for x in row for q in (x.re, x.im))
-        scale = field.from_rational(Fraction(1, 2 ** shift))
-        return _cond_of(field, [[x * scale for x in row] for row in rows])
+def _scaled(rows):
+    """The row scales, the column scales and the matrix with its rows and
+    then its columns scaled to a largest modulus of 1; a zero row or column
+    keeps its scale."""
+    rs = [max(map(abs, row)) or 1 for row in rows]
+    a2 = [[x / r for x in row] for row, r in zip(rows, rs)]
+    cs = [max(map(abs, col)) or 1 for col in zip(*a2)]
+    return rs, cs, [[x / c for x, c in zip(row, cs)] for row in a2]
+
+
+def _cond_of(rows):
+    """The condition number of an exact matrix scaled as a float one is,
+    off its double snapshot, each row first scaled exactly by a power of
+    two to a largest part near 1, so that no entry leaves the double
+    range."""
+    snapshot = []
+    for row in rows:
+        s = max((max(abs(x.a), abs(x.b)).bit_length() - x.d.bit_length()
+                 for x in row if x.a or x.b), default=0)
+        up, down = max(0, -s), max(0, s)
+        snapshot.append([complex((x.a << up) / (x.d << down),
+                                 (x.b << up) / (x.d << down)) for x in row])
+    return _cond(list(zip(*_scaled(snapshot)[2])))
 
 
 def _cond(cols):
@@ -201,8 +215,8 @@ class _ExactFactor:
 
     @cached_property
     def cond(self):
-        """The condition number of A, off its double snapshot."""
-        return _cond_of(self.field, self.rows)
+        """That of A scaled as a float matrix is (:func:`_cond_of`)."""
+        return _cond_of(self.rows)
 
     def solve(self, rhs, residual_tol=1e-9):
         field = self.field
@@ -226,11 +240,7 @@ class _FloatFactor:
 
     def __init__(self, field, rows):
         self.field = field
-        # a zero row or column keeps its scale
-        self.rs = [max(map(abs, row)) or 1 for row in rows]
-        a2 = [[x / r for x in row] for row, r in zip(rows, self.rs)]
-        self.cs = [max(map(abs, col)) or 1 for col in zip(*a2)]
-        self.a3 = [[x / c for x, c in zip(row, self.cs)] for row in a2]
+        self.rs, self.cs, self.a3 = _scaled(rows)
         a = [list(col) for col in zip(*self.a3)]  # worked on by columns
         # per column k, its reflector (k, v, v^H, beta) on rows k..; a zero
         # or nan column has none, and fails R's rank test
@@ -314,7 +324,6 @@ def _aberth(field, a):
     while field.is_zero(a[-1]):
         a, zeros = a[:-1], zeros + [field.zero]
     r = len(a) - 1
-    unit = 2.0 ** -(53 if field.precision <= 64 else field.precision)
     mods = [abs(c) for c in reversed(a)]  # by power of z
     # a double modulus has its real log; above, the field's log keeps the
     # range of its exponent
@@ -334,7 +343,7 @@ def _aberth(field, a):
     for _ in range(_ROOT_STEPS):
         for i, zi in enumerate(z):
             p, dp = _horner(field, a, zi)
-            if done[i] or abs(p) <= 2 * r * unit * sum(
+            if done[i] or abs(p) <= 2 * r * unit(field) * sum(
                     m * abs(zi) ** j for j, m in enumerate(mods)):
                 done[i] = True
                 continue

@@ -136,7 +136,7 @@ def forward_pairing(u, g, order):
     return [_pair(f, m, g) for m in _moments(f, u.i_jets, u.a_jets, order)]
 
 
-def extract_jets(pairings, basis, order, i0=None, residual_tol=1e-9):
+def extract_jets(pairings, basis, order, i0=None):
     """Recover the orbit jets from pairings against a jet basis.
 
     ``pairings[b]`` lists the coefficients (units of 2*pi) produced with
@@ -171,7 +171,7 @@ def extract_jets(pairings, basis, order, i0=None, residual_tol=1e-9):
         rows = [[_pair(f, col, g) for col in columns] for g in basis]
         rhs = [pairings[b][p] - _pair(f, known, g)
                for b, g in enumerate(basis)]
-        sol, _res = solve_lstsq(f, rows, rhs, residual_tol=residual_tol)
+        sol, _res = solve_lstsq(f, rows, rhs)
         for l in range(p + 1):
             if not f.is_zero(sol[l]):
                 a_jets[(p - l, l)] = sol[l]

@@ -514,8 +514,7 @@ def _exp_from_powers(s_powers, ts, layer=None):
     return out
 
 
-def make_trace_data(bnf, action, maslov, k_max, orders, resonance_tol=1e-8,
-                    engine=None):
+def make_trace_data(bnf, action, maslov, k_max, orders, engine=None):
     """Bundle the :func:`trace_powers` of k = 1..k_max, from one forward
     pass, into a TraceData.
 
@@ -526,7 +525,7 @@ def make_trace_data(bnf, action, maslov, k_max, orders, resonance_tol=1e-8,
     """
     if k_max < 1:
         raise SchemaError("k_max must be >= 1")
-    require_nonresonant(bnf.blocks, 10, resonance_tol)
+    require_nonresonant(bnf.blocks, 10)
     ks = tuple(range(1, k_max + 1))
     if engine is None:
         engine = TraceEngine(bnf.blocks, ks, orders[0])

@@ -49,7 +49,9 @@ normal form by an *exactly linear* expression in these unknowns
 entries are (i/k)^{|alpha|} d^alpha_mu prod (1/2)csch(k mu_j/2)
 evaluated at mu(0); a finite k-set stands in for the k -> infinity
 separation limit that guarantees generic solvability, so condition
-numbers are reported rather than assumed.
+numbers are reported rather than assumed.  A float stage is refused when
+cond * u, u the field's unit roundoff, exceeds the recovery tolerance: a
+least-squares solve is off by up to about that (Higham, ch. 20).
 
 The forward runs go through one :class:`~bnftrace.qbnf.TraceEngine` for
 the recovered blocks and k = 1..K, shared by every stage and the final
@@ -88,7 +90,7 @@ from .blocks import (REAL_HYPERBOLIC, canonical_blocks, classify, oriented,
 from .errors import (ConditioningError, FieldError, MathError,
                      RankDeficiencyError, SchemaError)
 from .fields import FloatField, nan_max
-from .linalg import factor_lstsq, poly_roots, resolution, solve_lstsq
+from .linalg import factor_lstsq, poly_roots, resolution, solve_lstsq, unit
 from .qbnf import QuantumBNF, TraceEngine, trace_layers, trace_powers
 from .series import MultiSeries, Orders
 
@@ -449,23 +451,22 @@ def recover_frequencies(field, a0, n, residual_tol=1e-6):
 
 
 def recover_polynomial(engine, values, alpha_set, residual_tol=1e-8,
-                       cond_gate=None, systems=None):
+                       systems=None):
     """Solve for the coefficients a_alpha, alpha in ``alpha_set``, of p from
     the values of p(i k^{-1} d/dmu) prod_j (1/2)csch(k mu_j/2) at mu(0),
     over the powers k of ``values``, which must be those of ``engine``.
 
     The field, mu(0), the powers and the matrix columns come from
     ``engine``, a :class:`~bnftrace.qbnf.TraceEngine`
-    (:meth:`~bnftrace.qbnf.TraceEngine.at_mu0`).  ``cond_gate`` caps
-    the condition number of a float solve; exact solves are not gated.
+    (:meth:`~bnftrace.qbnf.TraceEngine.at_mu0`).
 
     The matrix is factored once and solved for this right-hand side
     (:func:`~bnftrace.linalg.factor_lstsq`).  ``systems`` is a dict that
     keeps the factored matrix of each alpha set across calls that share
     the engine, as the stages of one recovery do: a matrix found there is
     not built again, and one built here is stored there.  The consistency
-    or residual test, the gate and the returned condition number belong to
-    each call.
+    or residual test and the returned condition number belong to each
+    call.
     """
     field = engine.field
     alpha_set = [tuple(a) for a in alpha_set]
@@ -486,14 +487,7 @@ def recover_polynomial(engine, values, alpha_set, residual_tol=1e-8,
         system = systems[key] = factor_lstsq(field, list(zip(*columns)))
     sol, _res = system.solve([values[k] for k in ks],
                              residual_tol=residual_tol)
-    cond = system.cond
-    # an exact solve verifies every equation, so only float solves are gated
-    if cond_gate is not None and not field.exact and cond > cond_gate:
-        raise ConditioningError(
-            f"recovery system condition number {cond:.3e} exceeds the gate "
-            f"{cond_gate:.1e}"
-        )
-    return dict(zip(alpha_set, sol)), cond
+    return dict(zip(alpha_set, sol)), system.cond
 
 
 class RecoveryReport:
@@ -615,7 +609,7 @@ def require_recoverable(bnf, n_z, n_h, k_max):
     p.require(k_max)
 
 
-def recover_qbnf(tdata, n, tol=1e-8, cond_gate=1e8, engine=None):
+def recover_qbnf(tdata, n, tol=1e-8, engine=None):
     """Full order-by-order recovery of (mu(z), F) from TraceData.
 
     Runs the stages of :func:`plan` (see the module docstring), after
@@ -687,9 +681,14 @@ def recover_qbnf(tdata, n, tol=1e-8, cond_gate=1e8, engine=None):
         values = {k: (coeffs[k].get((), m, j) - fwd[k][m]) * inv_minus_ik[k]
                   for k in ks}
         sol, cond = recover_polynomial(engine, values, stage.alphas,
-                                       residual_tol=max(tol, 1e-8),
-                                       cond_gate=cond_gate, systems=systems)
+                                       max(tol, 1e-8), systems)
         conditioning[stage.name] = cond
+        # an exact solve verifies every equation
+        if not (f.exact or cond * unit(f) <= tol):
+            raise ConditioningError(
+                f"stage {stage.name} has condition number {cond:.3e}, which "
+                f"times the {f.precision}-bit unit roundoff "
+                f"{unit(f):.3e} exceeds the tolerance {tol:.1e}")
         found = {}
         for alpha, val in sol.items():
             if f.is_zero(val):

@@ -304,7 +304,7 @@ def test_bnf_twist_against_rotation_number_fit():
         field, 1, 7,
         [[field.one * complex(x) for x in row] for row in rotation(theta)])
     kappa = PolyMap(field, 1, 7, lam.compose(exp_ham(chi, 1, 7)).comps)
-    tm = TaylorMap(field, 1, 7, kappa.comps, tol=1e-9)
+    tm = TaylorMap(field, 1, 7, kappa.comps)
     res = birkhoff_normal_form(tm, 2)
     r2 = FF.to_complex(res.real_twist_coefficients()[(2,)]).real
 
@@ -418,18 +418,19 @@ def test_determinant_bridge():
 
 
 def test_bnf_small_denominator_reported():
-    theta = 2 * math.pi / 3 + 1e-9
+    """theta = 2 pi/5 + 1e-9 is near the order-5 resonance, which the scan
+    through order 2 * 2 = 4 does not reach, so the division at map degree 5
+    trips on it and names k = [-5]."""
+    theta = 2 * math.pi / 5 + 1e-9
     chi = PhasePoly(FF, 2, 5, {(3, 0): 0.1 + 0j})
     lam = PolyMap.from_linear(
         FF, 1, 5,
         [[FF.one * complex(x) for x in row] for row in rotation(theta)])
     tm = TaylorMap(FF, 1, 5, lam.compose(exp_ham(chi, 1, 5)).comps,
                    validate=False)
-    # keep the resonance scan below order 3 so the division itself trips
     with pytest.raises(SmallDenominatorError) as exc:
-        birkhoff_normal_form(tm, 2, resonance_order=2,
-                             small_denominator_tol=1e-8)
-    assert exc.value.witness is not None
+        birkhoff_normal_form(tm, 2, small_denominator_tol=1e-8)
+    assert list(exc.value.witness) == [-5]
 
 
 def test_bnf_resonance_detected_first():

@@ -12,7 +12,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import mixed_float_fixture, n1_bnf, n2_bnf, rt1
+from helpers import (mixed_float_fixture, n1_bnf, n2_bnf,
+                     random_F_total_degree, rt1)
 
 from bnftrace import classify_eigenvalues, cli, jsonio, qbnf
 from bnftrace.blocks import ELLIPTIC, REAL_HYPERBOLIC, SpectrumBlocks
@@ -840,12 +841,11 @@ def test_dump_refuses_a_non_finite_number(tmp_path):
 # each subcommand takes the options it reads, and no others
 SUBCOMMAND_OPTIONS = {
     "forward": {"--bnf", "--action", "--precision", "--orders", "--kmax",
-                "--tol-resonance", "--out"},
-    "recover": {"--traces", "--n", "--precision", "--tol-conditioning",
-                "--tol-residual", "--out", "--report"},
+                "--out"},
+    "recover": {"--traces", "--n", "--precision", "--tol-residual", "--out",
+                "--report"},
     "roundtrip": {"--bnf", "--action", "--precision", "--orders", "--kmax",
-                  "--tol-resonance", "--tol-conditioning", "--tol-residual",
-                  "--report"},
+                  "--tol-residual", "--report"},
     "classical-bnf": {"--map", "--degree", "--tol-resonance", "--report"},
 }
 
@@ -861,7 +861,9 @@ def test_each_subcommand_takes_only_the_options_it_reads():
 
 
 # a dropped option or subcommand, as argv given the path of a matrix file,
-# with the usage error it gives; the pole tolerance is fixed at 1e-9
+# with the usage error it gives; the pole tolerance is fixed at 1e-9, the
+# nonresonance tolerance of the trace paths at 1e-8, and a float stage is
+# gated on cond * u against --tol-residual
 _DROPPED = {
     "classify": (lambda path: ["classify", "--matrix", path],
                  "invalid choice: 'classify'"),
@@ -876,6 +878,19 @@ _DROPPED = {
     "roundtrip-tol-pole": (lambda path: ["roundtrip", "--bnf", path,
                                          "--tol-pole", "1e-9"],
                            "unrecognized arguments: --tol-pole 1e-9"),
+    "recover-tol-conditioning": (
+        lambda path: ["recover", "--traces", path, "--n", "1",
+                      "--tol-conditioning", "1e8"],
+        "unrecognized arguments: --tol-conditioning 1e8"),
+    "roundtrip-tol-conditioning": (
+        lambda path: ["roundtrip", "--bnf", path, "--tol-conditioning", "1e8"],
+        "unrecognized arguments: --tol-conditioning 1e8"),
+    "forward-tol-resonance": (
+        lambda path: ["forward", "--bnf", path, "--tol-resonance", "1e-8"],
+        "unrecognized arguments: --tol-resonance 1e-8"),
+    "roundtrip-tol-resonance": (
+        lambda path: ["roundtrip", "--bnf", path, "--tol-resonance", "1e-8"],
+        "unrecognized arguments: --tol-resonance 1e-8"),
 }
 
 
@@ -935,7 +950,10 @@ def test_precision_below_64_is_an_input_error(rt1_file, tmp_path, capsys,
 def test_non_finite_tolerance_is_an_input_error(rt1_file, tmp_path, capsys,
                                                 cmd, option, value):
     """A nan tolerance would turn its check off and an inf one would pass
-    anything, so both are refused before any work, naming the option."""
+    anything, so both are refused before any work, naming the option.
+    recover's and roundtrip's --tol-conditioning and forward's and
+    roundtrip's --tol-resonance are not options: usage errors, also exit
+    2."""
     traces = str(tmp_path / "traces.json")
     if cmd == "recover":
         assert main(["forward", "--bnf", rt1_file, "--out", traces]) == 0
@@ -945,11 +963,18 @@ def test_non_finite_tolerance_is_an_input_error(rt1_file, tmp_path, capsys,
             "recover": ["recover", "--traces", traces, "--n", "1",
                         "--out", out],
             "roundtrip": ["roundtrip", "--bnf", rt1_file]}[cmd]
-    rc = main(argv + [f"{option}={value}"])
+    try:
+        rc = main(argv + [f"{option}={value}"])
+    except SystemExit as exc:  # argparse's usage error
+        rc = exc.code
     stdout, err = capsys.readouterr()
     assert rc == 2
-    name = option[2:].replace("-", "_")
-    assert f"{name} must be positive and finite, got {float(value)!r}" in err
+    if option in SUBCOMMAND_OPTIONS[cmd]:
+        name = option[2:].replace("-", "_")
+        assert (f"{name} must be positive and finite, got {float(value)!r}"
+                in err)
+    else:
+        assert f"unrecognized arguments: {option}={value}" in err
     assert stdout == ""
     assert not (tmp_path / "out.json").exists()
 
@@ -1029,26 +1054,94 @@ def test_roundtrip_refuses_non_canonical_block_order(tmp_path, capsys,
         assert "round trip ok" in out
 
 
+def _rh_pair_file(tmp_path, field, exp_half, terms):
+    """A z-free normal form of two real hyperbolic blocks of the given E
+    and F = ``terms`` at F orders (4, 0, 2), on ``field``, as a file."""
+    blocks = SpectrumBlocks(field, [REAL_HYPERBOLIC] * 2, exp_half)
+    F = MultiSeries(field, 2, Orders(4, 0, 2), terms)
+    path = tmp_path / f"bnf-{field.name}.json"
+    jsonio.dump(path, jsonio.qbnf_to_json(
+        QuantumBNF(blocks, [zseries(field, 0)] * 2, F)))
+    return str(path)
+
+
+# an F of degree 1 to 3 at E = 7/5 and 19/10, on either field
+_PAIR_TERMS = {((2, 0), 0, 0): "1/7", ((1, 1), 0, 0): "-1/3",
+               ((0, 2), 0, 0): "1/5", ((3, 0), 0, 0): "1/6",
+               ((1, 0), 0, 1): "1/4", ((0, 1), 0, 2): "-1/8",
+               ((0, 0), 0, 2): "2/9"}
+
+
 def test_exact_roundtrip_is_not_gated_on_conditioning(tmp_path, capsys):
-    """rt1's normal form at orders (5, 1, 4): stage h3 has condition number
-    3.2e8, above the default gate, and the exact recovery is still
-    bit-exact, so the gate does not refuse it."""
-    q = FR.from_rational
-    blocks = SpectrumBlocks(FR, [REAL_HYPERBOLIC], [FR.from_int(2)])
-    F = MultiSeries(FR, 1, Orders(5, 1, 4), {
-        ((2,), 0, 0): q("1/7"), ((1,), 0, 1): q("1/3"), ((0,), 0, 1): q("1/5"),
-    })
-    bnf = QuantumBNF(blocks, [zseries(FR, 1, {1: FR.one})], F)
-    path = tmp_path / "bnf.json"
+    """rh+rh at E = 7/5 and 19/10, orders (4, 0, 2): stage h2:z0 has
+    condition number 1.5e9, which times the double unit roundoff 2^-53
+    exceeds the default tolerance, so the float twin of the input is
+    refused there.  The exact recovery verifies every equation and is
+    bit-exact, so it is not gated."""
     report = tmp_path / "report.json"
-    jsonio.dump(path, jsonio.qbnf_to_json(bnf))
-    rc = main(["roundtrip", "--bnf", str(path), "--orders", "5,1,4",
-               "--kmax", "10", "--report", str(report)])
+    for field in (FR, FF):
+        path = _rh_pair_file(
+            tmp_path, field, [field.from_rational("7/5"),
+                              field.from_rational("19/10")],
+            {key: field.from_rational(v) for key, v in _PAIR_TERMS.items()})
+        rc = main(["roundtrip", "--bnf", path, "--orders", "4,0,2",
+                   "--kmax", "16", "--report", str(report)])
+        out, err = capsys.readouterr()
+        if field.exact:
+            assert rc == 0
+            assert "equals the input exactly" in out
+            rep = json.load(open(report))
+            assert rep["max_residual"] == 0
+            cond = rep["conditioning"]["h2:z0"]
+            assert cond > 2 ** 53 * 1e-8
+        else:  # the two fields report one condition number
+            assert rc == 3
+            assert f"stage h2:z0 has condition number {cond:.3e}" in err
+            assert "round trip ok" not in out
+
+
+def _rh_pair_float_file(tmp_path):
+    """The float-trust input: rh+rh at mu 0.7 and 1.3, z-free, a random F
+    of degree 1 to 3.  With no gate its double recovery comes back off by
+    ~1.7e-7, about cond(h2:z0) times 2^-53, with a self-check of ~2e-15."""
+    return _rh_pair_file(
+        tmp_path, FF, [cmath.exp(0.35), cmath.exp(0.65)],
+        random_F_total_degree(FF, 2, random.Random(0)).terms)
+
+
+@pytest.mark.parametrize("cmd", ["roundtrip", "recover"])
+def test_float_stage_above_the_double_roundoff_is_refused(tmp_path, capsys,
+                                                          cmd):
+    """In doubles, cond(h2:z0) * 2^-53 = 1.8e-7 exceeds the default
+    tolerance 1e-8: both paths exit 3 and name the stage, its condition
+    number, the precision and the tolerance, and none writes a result."""
+    path = _rh_pair_float_file(tmp_path)
+    out = str(tmp_path / "out.json")
+    if cmd == "roundtrip":
+        rc = main(["roundtrip", "--bnf", path, "--orders", "4,0,2",
+                   "--kmax", "16"])
+    else:
+        traces = str(tmp_path / "traces.json")
+        assert main(["forward", "--bnf", path, "--orders", "4,0,2",
+                     "--kmax", "16", "--out", traces]) == 0
+        capsys.readouterr()
+        rc = main(["recover", "--traces", traces, "--n", "2", "--out", out])
+    stdout, err = capsys.readouterr()
+    assert rc == 3
+    assert ("stage h2:z0 has condition number 1.625e+09, which times the "
+            "64-bit unit roundoff" in err)
+    assert "exceeds the tolerance 1.0e-08" in err
+    assert stdout == ""
+    assert not os.path.exists(out)
+
+
+def test_float_stage_is_gated_at_its_own_precision(tmp_path, capsys):
+    """The same input at 128 bits: cond * 2^-128 is far below the
+    tolerance, and the round trip is right."""
+    rc = main(["roundtrip", "--bnf", _rh_pair_float_file(tmp_path),
+               "--orders", "4,0,2", "--kmax", "16", "--precision", "128"])
     assert rc == 0
-    assert "equals the input exactly" in capsys.readouterr().out
-    rep = json.load(open(report))
-    assert max(rep["conditioning"].values()) > 1e8
-    assert rep["max_residual"] == 0
+    assert "round trip ok" in capsys.readouterr().out
 
 
 def test_forward_at_128_bits_writes_every_bit(tmp_path, capsys):
@@ -1147,10 +1240,10 @@ def test_exact_samples_beyond_the_double_range_exit_three_not_one(
 def test_extended_samples_below_the_double_range_recover(tmp_path, capsys):
     """rh E = 1e10 at 240 bits, kmax 32: the leading coefficients fall to
     ~1e-310 by k = 31, below the double range but not below 240 bits, and
-    stage 0 takes them as samples."""
+    stage 0 takes them as samples.  Stage h0:z1 has condition number
+    5.7e20, which the gate passes at 240 bits with no option."""
     rc = main(["roundtrip", "--bnf", _rh_file(tmp_path, "1e10", field=FF),
-               "--orders", "2,1,1", "--kmax", "32", "--precision", "240",
-               "--tol-conditioning", "1e30"])
+               "--orders", "2,1,1", "--kmax", "32", "--precision", "240"])
     assert rc == 0
     assert "round trip ok" in capsys.readouterr().out
 

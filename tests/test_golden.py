@@ -5,7 +5,8 @@ same bytes.  Each test runs one subcommand in-process on a fixed normal
 form or map and compares the SHA-256 of the JSON it writes with a pinned
 digest.  The round-trip report also carries float condition numbers,
 which the package computes in pure Python from double snapshots of the
-exact stage matrices, so they do not depend on a LAPACK build.
+exact stage matrices, scaled as a float matrix is, so they do not depend
+on a LAPACK build.
 The classical-bnf report is all floats: its map is built by the same
 sparse products, and the normalizer runs the package's own pure-Python
 eigendecomposition, so it pins that the products sum in a fixed order.
@@ -30,7 +31,7 @@ FORWARD_N2_SHA256 = \
 FORWARD_N2_FLOAT_SHA256 = \
     "2261b3d48d07f2f8147535f692fb695831a5da604a99050c0d72922bc9a19d56"
 ROUNDTRIP_N1_REPORT_SHA256 = \
-    "c518e2721c139c984c1cc467e93280f60deb7a443cde6139bc3aed9a84e343b9"
+    "e0efa49c669333acd46adf30924fc9e7e2e0b294baab8c341e3fde2c60137fbb"
 CLASSICAL_BNF_REPORT_SHA256 = \
     "c63c5d55618f6ad0a7af140141bdc457ea52ab98ad8335154266379ff9b84994"
 

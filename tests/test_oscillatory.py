@@ -286,8 +286,7 @@ def test_extract_jets_builds_one_phase_per_level(monkeypatch):
     assert calls["exp_series"] <= order + 1
 
 
-def _reference_extract_jets(pairings, basis, order, i0=None,
-                            residual_tol=1e-9):
+def _reference_extract_jets(pairings, basis, order, i0=None):
     """The finite-difference inversion that the moment-vector solve
     replaced: every matrix entry is forward_pairing(perturbed) minus
     forward_pairing(current).  It returns the jets unvalidated, since only
@@ -323,7 +322,7 @@ def _reference_extract_jets(pairings, basis, order, i0=None,
                 row.append(forward_pairing(pert, g, p)[p] - fw[p])
             rows.append(row)
             rhs.append(pairings[b][p] - fw[p])
-        sol, _res = solve_lstsq(f, rows, rhs, residual_tol=residual_tol)
+        sol, _res = solve_lstsq(f, rows, rhs)
         for (kind, key), val in zip(unknowns, sol):
             if kind == "a":
                 if not f.is_zero(val):

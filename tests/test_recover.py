@@ -467,24 +467,25 @@ def test_float_solve_takes_no_cond_of_snapshot(monkeypatch):
 
 
 def test_exact_condition_number_beyond_the_double_range():
-    """An exact matrix with entries near 2^2000 has no double snapshot; it
-    is scaled by one power of two first, which leaves the condition number
-    unchanged, and the exact solve goes through."""
+    """Exact and double factorizations of one matrix report the same
+    condition number, of the matrix with its rows and columns scaled.  An
+    exact row near 2^2000 has no double snapshot; its power-of-two prescale
+    leaves the number unchanged, and the exact solve goes through."""
     rows = [[FR.from_rational("1/3"), FR.from_int(2)],
             [FR.from_rational(5, "-1/7"), FR.from_int(1)],
             [FR.from_int(1), FR.from_rational("9/11")]]
-    big = FR.from_int(2 ** 2000)
-    cond = linalg._cond_of(FR, rows)
+    cond = linalg.factor_lstsq(FR, rows).cond
     assert 1 < cond < 100
-    big_rows = [[x * big for x in row] for row in rows]
-    assert linalg._cond_of(FR, big_rows) == cond
-    rhs = [r[0] + FR.from_int(2) * r[1] for r in big_rows]
+    double = linalg.factor_lstsq(FF, [[FF.from_rational(x.re, x.im)
+                                       for x in row] for row in rows])
+    assert double.cond == pytest.approx(cond, rel=1e-12)
+    big = FR.from_int(2 ** 2000)
+    big_rows = [[x * big for x in rows[0]], rows[1], rows[2]]
     system = linalg.factor_lstsq(FR, big_rows)
+    assert system.cond == cond
+    rhs = [r[0] + FR.from_int(2) * r[1] for r in big_rows]
     x, _ = system.solve(rhs)
     assert x == [FR.one, FR.from_int(2)]
-    assert system.cond == cond
-    # one huge row: the others shrink, to zero in doubles if need be
-    assert linalg._cond_of(FR, [big_rows[0], rows[1], rows[2]]) > 1e100
 
 
 def _flushed(v):
