@@ -14,7 +14,12 @@ Two families are provided:
 
 Field *values* are ordinary objects with arithmetic dunders; the field
 object itself only provides construction, conversion and the few
-operations that depend on the backend (exact zero test, sqrt, exp, log).
+operations that depend on the backend (exact zero test, sqrt, exp, log,
+and ``sums()``: keyed sums of products, ``add(key, xs, ys)`` adding each
+xs[i] * ys[i] to entry i of ``key``'s list and ``result()`` the dict of
+the lists.  A float field adds each product as it comes, from the first,
+as MultiSeries sums do, or ``sums(from_zero=True)`` from zero; the
+rational field reduces each sum once, not at every product and add).
 The rational field has no sqrt or log: stage 0 of the recovery fits exact
 samples on float fields, in doubles and then at 240 bits, and verifies
 the rationalized fit exactly instead.
@@ -24,7 +29,9 @@ import cmath
 import math
 import re
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
+from operator import add, mul
 
 from .errors import FieldError
 
@@ -37,7 +44,8 @@ class RationalComplex:
     equality compares triples and the hash of a real value is that of the
     equal ``Fraction``.  Results are reduced with a single gcd; the hot
     dunders take fast paths for operands of this type and for ``int``
-    before falling back to ``Fraction`` coercion.  ``re`` and ``im`` are
+    before falling back to ``Fraction`` coercion; a sum of products is
+    reduced once by ``RationalField.sums()``.  ``re`` and ``im`` are
     read-only ``Fraction`` views for cold callers.
     """
 
@@ -189,6 +197,54 @@ def _reduced(a, b, d):
     return _triple(a, b, d)
 
 
+def _sum_of_products(pairs):
+    """sum(x * y for x, y in pairs) with one reduction: the products stay
+    unreduced, their numerators summed over the lcm of their denominators."""
+    a = b = 0
+    d = 1
+    for x, y in pairs:
+        e = x.d * y.d
+        pa, pb = x.a * y.a - x.b * y.b, x.a * y.b + x.b * y.a
+        if e == d:
+            a, b = a + pa, b + pb
+        else:
+            g = gcd(d, e)
+            s, t = e // g, d // g
+            a, b, d = a * s + pa * t, b * s + pb * t, d * s
+    return _reduced(a, b, d)
+
+
+class _RationalSums(dict):
+    """The rational field's ``sums()``: the pairs of lists wait by key."""
+
+    def add(self, key, xs, ys):
+        self.setdefault(key, []).append((xs, ys))
+
+    def result(self):
+        return {key: [_sum_of_products(col)
+                      for col in zip(*(zip(xs, ys) for xs, ys in pairs))]
+                for key, pairs in self.items()}
+
+
+class _FloatSums:
+    """A float field's ``sums()``, which adds each product as it comes.  Its
+    result is a plain dict, which callers index faster than a subclass."""
+
+    __slots__ = ("acc", "start")
+
+    def __init__(self, start):
+        self.acc, self.start = {}, start
+
+    def add(self, key, xs, ys):
+        acc = self.acc
+        old = acc.get(key, self.start)
+        acc[key] = (list(map(mul, xs, ys)) if old is None
+                    else list(map(add, old, map(mul, xs, ys))))
+
+    def result(self):
+        return self.acc
+
+
 def _coerce(x):
     if isinstance(x, RationalComplex):
         return x
@@ -264,6 +320,9 @@ class RationalField:
 
     def factorial_inv(self, m):
         return _triple(1, 0, math.factorial(m))
+
+    def sums(self, from_zero=False):
+        return _RationalSums()
 
 
 class FloatField:
@@ -370,6 +429,9 @@ class FloatField:
 
     def factorial_inv(self, m):
         return self.one / math.factorial(m)
+
+    def sums(self, from_zero=False):
+        return _FloatSums(repeat(self.zero) if from_zero else None)
 
 
 def nan_max(values, default=0.0):

@@ -30,7 +30,6 @@ against it.
 """
 
 import math
-from operator import add, mul
 
 from .errors import PoleError, SchemaError
 from .series import MultiSeries, Orders, powers
@@ -190,10 +189,11 @@ class CschTaylor:
 def _next_order(f, t, c, d, kh, q):
     """Append order q + 1 to the rows ``t``, ``c`` and ``d``, from their
     orders 0..q; ``kh`` lists k/2 over the powers."""
-    sq = tc = [f.zero] * len(kh)
+    sums = f.sums(from_zero=True)
     for a in range(q + 1):
-        sq = list(map(add, sq, map(mul, t[a], t[q - a])))
-        tc = list(map(add, tc, map(mul, t[a], c[q - a])))
+        sums.add("sq", t[a], t[q - a])
+        sums.add("tc", t[a], c[q - a])
+    sq, tc = sums.result().values()
     inv = f.inv(f.from_int(q + 1))
     w = [x * inv for x in kh]
     if q == 0:

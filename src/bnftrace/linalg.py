@@ -152,6 +152,8 @@ def solve_lstsq(field, rows, rhs, residual_tol=1e-9):
 
     Raises RankDeficiencyError when the system cannot determine x or the
     equations are inconsistent beyond ``residual_tol`` (exact: beyond zero).
+    A float x of an inconsistent system solves the row-equilibrated least
+    squares problem of :class:`_FloatFactor`, not that of A x = b.
     """
     return factor_lstsq(field, rows).solve(rhs, residual_tol)
 
@@ -236,7 +238,8 @@ class _ExactFactor:
 
 class _FloatFactor:
     """The Householder QR factorization, in the field, of A with its rows
-    and then its columns scaled to a largest modulus of 1."""
+    and then its columns scaled to a largest modulus of 1.  An inconsistent
+    system's solve minimizes |D (A x - b)|, D the inverse row scales."""
 
     def __init__(self, field, rows):
         self.field = field

@@ -38,13 +38,13 @@ X and of f0(z) - f0(0) once per (N_z, N_h) (:meth:`QuantumBNF.trace_side`),
 and the powers k only scale and add them.
 
 One forward pass serves the engine's powers ks: every coefficient it
-forms is a list over ks, and each entry goes through the scalar
-operations of MultiSeries sums and products for that power alone, in
-their order (the first term of a sum is stored and later ones added), so
-a power's values do not depend on the other powers of the pass.  Only the
-final series drop zero coefficients: an intermediate one that is zero
-stays in its list, where per-power MultiSeries arithmetic would drop it,
-which can move only the sign of a zero part of a float result.
+forms is a list over ks, each entry a sum of products for that power
+alone, formed by ``field.sums()``: on a float field in the order of
+MultiSeries sums and products (the first term stored, later ones added),
+on the rational field exactly, reduced once.  Only the final series drop
+zero coefficients: an intermediate one that is zero stays in its list,
+where per-power MultiSeries arithmetic would drop it, which can move
+only the sign of a zero part of a float result.
 :func:`trace_powers` gives the whole expansion of each power,
 and :func:`make_trace_data` and the recovery's self-check take it in one
 call over all powers.  A recovery stage (h^j, z^m) reads coefficients at
@@ -65,7 +65,8 @@ part of the phase, exp(-ik (f0(z) - f0(0))), has polynomial coefficients
 and is multiplied into the stored series.
 """
 
-from operator import add, mul
+from itertools import repeat
+from operator import mul
 
 from . import hypcalc
 from .blocks import require_nonresonant
@@ -347,33 +348,21 @@ class TraceEngine:
                 factor = factors.get((j, a))
                 if factor is None:
                     d = self._derivatives(j, a + len(scaled[j]) - 1)
-                    factor = {}
+                    sums = self.field.sums()
                     for b, delta in enumerate(scaled[j]):
                         for ((), m, _l), c in delta.terms.items():
-                            _add_into(factor, m, [v * c for v in d[a + b]])
-                    factors[(j, a)] = factor
-                s = factor if j == 0 else _zproduct(s, factor, self.n_z)
+                            sums.add(m, d[a + b], repeat(c))
+                    factor = factors[(j, a)] = sums.result()
+                if j:  # the product with the factors before, cut at n_z
+                    sums = self.field.sums()
+                    for m1, v1 in s.items():
+                        for m2, v2 in factor.items():
+                            if m1 + m2 <= self.n_z:
+                                sums.add(m1 + m2, v1, v2)
+                    factor = sums.result()
+                s = factor
             products[alpha] = s
         return s
-
-
-def _add_into(acc, key, v):
-    """Add the per-power list ``v`` into ``acc`` at ``key`` as MultiSeries
-    sums do: a new key takes the list, an old one adds it, so no sum starts
-    from zero."""
-    old = acc.get(key)
-    acc[key] = v if old is None else list(map(add, old, v))
-
-
-def _zproduct(s, t, n_z):
-    """The product of two z-series of per-power lists, cut at z^n_z, in
-    the order of a MultiSeries product."""
-    out = {}
-    for m1, v1 in s.items():
-        for m2, v2 in t.items():
-            if m1 + m2 <= n_z:
-                _add_into(out, m1 + m2, list(map(mul, v1, v2)))
-    return out
 
 
 def trace_powers(bnf, orders, engine):
@@ -392,12 +381,12 @@ def trace_powers(bnf, orders, engine):
     if tps is None:
         phase, pz, applied = _forward(bnf, orders, engine)
         n_z, n_h = orders
-        coeffs = {}
+        sums = bnf.field.sums()
         for (_a, m1, l1), v1 in applied.items():
             for (_b, m2, l2), v2 in pz.items():
                 if m1 + m2 <= n_z and l1 + l2 <= n_h:
-                    _add_into(coeffs, ((), m1 + m2, l1 + l2),
-                              list(map(mul, v1, v2)))
+                    sums.add(((), m1 + m2, l1 + l2), v1, v2)
+        coeffs = sums.result()
         series_orders = Orders(0, n_z, n_h)
         tps = engine.trace_powers[form] = {
             k: TracePower(k, phase, MultiSeries._make(
@@ -435,17 +424,15 @@ def trace_layers(bnf, orders, engine, added=None):
     n_z, layer = orders
     _check_engine(bnf, orders, engine)
     _phase, pz, applied = _forward(bnf, orders, engine, layer, added)
-    zero = bnf.field.zero
     # added terms at z^m reach the orders above it
     lo = 1 + min((m for _a, m in added or ()), default=-1)
-    rows = [[zero] * len(engine.ks)] * lo
+    sums = bnf.field.sums(from_zero=True)  # in the order of pz
     for m in range(lo, n_z + 1):
-        terms = [list(map(mul, c, applied[key]))
-                 for ((), m2, _l), c in pz.items()
-                 if (key := ((), m - m2, layer)) in applied]
-        # per power, sum() from zero in the order of pz
-        rows.append([sum(col, zero) for col in zip(*terms)] if terms
-                    else [zero] * len(engine.ks))
+        for ((), m2, _l), c in pz.items():
+            if (key := ((), m - m2, layer)) in applied:
+                sums.add(m, c, applied[key])
+    done, zeros = sums.result(), [bnf.field.zero] * len(engine.ks)
+    rows = [done.get(m, zeros) for m in range(n_z + 1)]
     return {k: [row[i] for row in rows] for i, k in enumerate(engine.ks)}
 
 
@@ -485,14 +472,14 @@ def _forward(bnf, orders, engine, layer=None, added=None):
         pz = z_phases[ks] = _exp_from_powers(f0_powers, minus_ik)
 
     # apply the operator monomials to the csch product along mu(z)
-    applied = {}
+    sums = engine.field.sums()
     for (alpha, m, l), c in op.items():
         da = sum(alpha)
         factor = list(map(mul, c, engine.ik_power(da))) if da else c
         for m2, ec in engine.zseries(alpha, jets).items():
             if m + m2 <= n_z:
-                _add_into(applied, ((), m + m2, l), list(map(mul, factor, ec)))
-    return phase, pz, applied
+                sums.add(((), m + m2, l), factor, ec)
+    return phase, pz, sums.result()
 
 
 def _exp_from_powers(s_powers, ts, layer=None):
@@ -501,7 +488,7 @@ def _exp_from_powers(s_powers, ts, layer=None):
     each coefficient listed over ``ts``: scalings and sums only.  With
     ``layer`` = l, only the terms of h-order l."""
     f = s_powers[0].field
-    out = {}
+    sums = f.sums()
     w = tp = [f.one] * len(ts)
     for p, power in enumerate(s_powers):
         if p:
@@ -510,8 +497,8 @@ def _exp_from_powers(s_powers, ts, layer=None):
             w = [x * inv for x in tp]
         for key, c in power.terms.items():
             if layer is None or key[2] == layer:
-                _add_into(out, key, [x * c for x in w])
-    return out
+                sums.add(key, w, repeat(c))
+    return sums.result()
 
 
 def make_trace_data(bnf, action, maslov, k_max, orders, engine=None):

@@ -4,6 +4,7 @@ import cmath
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 
@@ -77,6 +78,26 @@ def n2_bnf():
         ((1, 0), 1, 3): q("-1/2"),
     })
     return QuantumBNF(blocks, jets, F)
+
+
+def n3_bnf():
+    """rh 3/2 + rh 2 + el (5+12i)/13, jets z/3, -z/5 and iz/4, and a
+    nonzero small rational in every F term a recovery at orders (3, 3)
+    solves for."""
+    rng = random.Random(0)
+    FR = RationalField()
+    q = FR.from_rational
+    blocks = SpectrumBlocks(FR, [REAL_HYPERBOLIC, REAL_HYPERBOLIC, ELLIPTIC],
+                            [q("3/2"), FR.from_int(2), q("5/13", "12/13")])
+    jets = [zseries(FR, 3, {1: c}) for c in (q("1/3"), q("-1/5"),
+                                                q(0, "1/4"))]
+    terms = {(alpha, m, l): q(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                       rng.randint(1, 9)))
+             for alpha in itertools.product(range(5), repeat=3)
+             for m in range(4) for l in range(4)
+             if l + sum(alpha) <= 4 and (l or sum(alpha) >= 2)}
+    return QuantumBNF(blocks, jets, MultiSeries(FR, 3, Orders(4, 3, 3),
+                                                terms))
 
 
 def mixed_float_fixture(seed, with_jets=False):

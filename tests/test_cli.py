@@ -1,6 +1,5 @@
 import argparse
 import cmath
-import itertools
 import json
 import math
 import os
@@ -12,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import (mixed_float_fixture, n1_bnf, n2_bnf,
+from helpers import (mixed_float_fixture, n1_bnf, n2_bnf, n3_bnf,
                      random_F_total_degree, rt1)
 
 from bnftrace import classify_eigenvalues, cli, jsonio, qbnf
@@ -189,25 +188,6 @@ def test_roundtrip_needs_the_k_of_its_plan(make, orders, K, stage, tmp_path,
     assert f"stage {stage} needs the trace powers k = 1..{K}," in err
 
 
-def _n3_bnf():
-    """rh 3/2 + rh 2 + el (5+12i)/13, jets z/3, -z/5 and iz/4, and a
-    nonzero small rational in every F term a recovery at orders (3, 3)
-    solves for."""
-    rng = random.Random(0)
-    q = FR.from_rational
-    blocks = SpectrumBlocks(FR, [REAL_HYPERBOLIC, REAL_HYPERBOLIC, ELLIPTIC],
-                            [q("3/2"), FR.from_int(2), q("5/13", "12/13")])
-    jets = [zseries(FR, 3, {1: c}) for c in (q("1/3"), q("-1/5"),
-                                                q(0, "1/4"))]
-    terms = {(alpha, m, l): q(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
-                                       rng.randint(1, 9)))
-             for alpha in itertools.product(range(5), repeat=3)
-             for m in range(4) for l in range(4)
-             if l + sum(alpha) <= 4 and (l or sum(alpha) >= 2)}
-    return QuantumBNF(blocks, jets, MultiSeries(FR, 3, Orders(4, 3, 3),
-                                                terms))
-
-
 @pytest.mark.parametrize("kmax", ["24", "16"])
 def test_short_n3_roundtrip_is_refused_before_any_forward(
         kmax, tmp_path, monkeypatch, capsys):
@@ -216,7 +196,7 @@ def test_short_n3_roundtrip_is_refused_before_any_forward(
     K = 16, which Prony alone would refuse asking for 18, are both refused
     at once, naming stage h3:z0 and its 34."""
     path = str(tmp_path / "n3.json")
-    bnf = _n3_bnf()
+    bnf = n3_bnf()
     assert len(bnf.F.terms) == 260
     jsonio.dump(path, jsonio.qbnf_to_json(bnf))
     _no_forward(monkeypatch)

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings
@@ -315,3 +316,122 @@ def test_rational_views_and_repr():
     assert RationalField().format(x) == ("-7/3", "11/3")
     with pytest.raises(AttributeError):
         x.re = 1
+
+
+def _rc(a, b, d):
+    return RationalComplex(Fraction(a, d), Fraction(b, d))
+
+
+# denominators that are equal, coprime (12 and 35) or share a factor;
+# a scalar factor comes as repeat(c), as the forward passes it
+pooled = st.builds(_rc, st.one_of(st.integers(-30, 30), st.integers(-BIG, BIG)),
+                   st.integers(-30, 30),
+                   st.sampled_from([1, 2, 3, 4, 6, 12, 35, 385]))
+sum_terms = st.lists(st.tuples(st.integers(0, 2),
+                               st.tuples(pooled, pooled),
+                               st.one_of(st.tuples(st.one_of(pooled, scalars),
+                                                   pooled),
+                                         scalars.map(repeat))),
+                     min_size=1, max_size=10)
+
+
+@PROPS
+@given(sum_terms)
+def test_rational_sums_equal_sums_of_reduced_products(terms):
+    """Each key's sums are those of the reduced products added left to
+    right, as canonical triples; a real one hashes like its Fraction."""
+    sums = RationalField().sums()
+    want = {}
+    for key, xs, ys in terms:
+        sums.add(key, xs, ys)
+        p = [x * y for x, y in zip(xs, ys)]
+        want[key] = (p if key not in want else
+                     [s + t for s, t in zip(want[key], p)])
+    got = sums.result()
+    assert list(got) == list(want)
+    for key, values in got.items():
+        assert values == want[key]
+        for x in values:
+            _canonical(x)
+            if x.b == 0:
+                assert hash(x) == hash(Fraction(x.a, x.d))
+
+
+@PROPS
+@given(scalars, scalars, st.integers(2, 99))
+def test_rational_sums_cancel_to_the_zero_triple(x, y, n):
+    """x y - (n x)(y / n) has two unreduced denominators, and x y - x y
+    one; both sums are the triple (0, 0, 1), and a single term is the
+    reduced product."""
+    sums = RationalField().sums()
+    sums.add("split", [x], [y])
+    sums.add("split", [x * n], [y / -n])
+    sums.add("equal", [x], [y])
+    sums.add("equal", [-x], [y])
+    sums.add("single", [x], [y])
+    got = sums.result()
+    for key in ("split", "equal"):
+        z = got[key][0]
+        assert (z.a, z.b, z.d) == (0, 0, 1) and hash(z) == hash(0)
+    assert _canonical(got["single"][0]) == x * y
+
+
+def test_rational_sums_over_coprime_and_shared_denominators():
+    """Products over the coprime denominators 60 and 77, and over 6 and
+    420, which share the factor 6."""
+    sums = RationalField().sums()
+    sums.add(0, [_rc(1, 1, 6), _rc(1, 1, 6)], [_rc(1, -1, 10), _rc(1, 0, 1)])
+    sums.add(0, [_rc(1, 0, 7), _rc(0, 1, 35)], [_rc(2, 0, 11), _rc(1, 0, 12)])
+    got = sums.result()[0]
+    assert [(v.a, v.b, v.d) for v in got] == [(137, 0, 2310), (70, 71, 420)]
+
+
+complexes = st.one_of(
+    st.complex_numbers(max_magnitude=1e6, allow_nan=False,
+                       allow_infinity=False),
+    st.sampled_from([complex(-0.0, 1.5), complex(0.25, -0.0),
+                     complex(-0.0, -0.0)]))
+float_terms = st.lists(st.tuples(st.integers(0, 2),
+                                 st.tuples(complexes, complexes),
+                                 st.one_of(st.tuples(complexes, complexes),
+                                           complexes.map(repeat))),
+                       min_size=1, max_size=10)
+
+
+def _bits(x):
+    if type(x) is complex:
+        return x.real.hex(), x.imag.hex()
+    return x.real._mpf_, x.imag._mpf_
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+@PROPS
+@given(float_terms, st.booleans())
+def test_float_sums_keep_the_order_of_each_site(bits, terms, from_zero):
+    """Products added as they come, from the first product or from zero,
+    bit for bit, signs of zero parts included."""
+    F = FloatField(bits)
+    value = (lambda c: c) if bits == 64 else F._mp.mpc
+    sums = F.sums(from_zero)
+    want = {}
+    for key, xs, ys in terms:
+        xs = list(map(value, xs))
+        ys = (repeat(value(next(ys))) if type(ys) is repeat
+              else list(map(value, ys)))
+        sums.add(key, xs, ys)
+        p = [x * y for x, y in zip(xs, ys)]
+        old = want.get(key, [F.zero] * len(p) if from_zero else None)
+        want[key] = p if old is None else [s + t for s, t in zip(old, p)]
+    got = sums.result()
+    assert list(got) == list(want)
+    for key, values in got.items():
+        assert list(map(_bits, values)) == list(map(_bits, want[key]))
+
+
+def test_float_sums_keep_a_negative_zero_first_product():
+    # (-0 + i)(1 + 0i) has the real part -0.0 - 0.0 = -0.0
+    for from_zero, sign in ((False, -1.0), (True, 1.0)):
+        sums = FloatField().sums(from_zero)
+        sums.add(0, [complex(-0.0, 1.0)], [1 + 0j])
+        (v,), = sums.result().values()
+        assert v == 1j and math.copysign(1.0, v.real) == sign

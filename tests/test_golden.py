@@ -14,7 +14,7 @@ eigendecomposition, so it pins that the products sum in a fixed order.
 
 import hashlib
 
-from helpers import mixed_float_fixture, n1_bnf, n2_bnf
+from helpers import mixed_float_fixture, n1_bnf, n2_bnf, n3_bnf
 
 from bnftrace import jsonio
 from bnftrace.blocks import ELLIPTIC, REAL_HYPERBOLIC, SpectrumBlocks
@@ -30,6 +30,8 @@ FORWARD_N2_SHA256 = \
     "e9ba4d524dbdfc6f937565bfcf29706baf6e8782a5b24fee9f4a5ed9879093c3"
 FORWARD_N2_FLOAT_SHA256 = \
     "2261b3d48d07f2f8147535f692fb695831a5da604a99050c0d72922bc9a19d56"
+FORWARD_N3_SHA256 = \
+    "a1ce7343da14712d307b00cc6bf91db2bd53ed1ac8ef9a4d9e3966f640f8441a"
 ROUNDTRIP_N1_REPORT_SHA256 = \
     "e0efa49c669333acd46adf30924fc9e7e2e0b294baab8c341e3fde2c60137fbb"
 CLASSICAL_BNF_REPORT_SHA256 = \
@@ -48,6 +50,19 @@ def test_forward_n2_trace_bytes(tmp_path):
                "--kmax", "12", "--out", str(out)])
     assert rc == 0
     assert _sha256(out) == FORWARD_N2_SHA256
+
+
+def test_forward_n3_trace_bytes(tmp_path):
+    """Exact n = 3 (two rh blocks and one elliptic, z-dependent jets, 260
+    F terms) at K = 8: every coefficient is a sum of many products whose
+    denominators differ, so the digest pins how exact sums are reduced."""
+    bnf = tmp_path / "bnf.json"
+    out = tmp_path / "traces.json"
+    jsonio.dump(bnf, jsonio.qbnf_to_json(n3_bnf()))
+    rc = main(["forward", "--bnf", str(bnf), "--orders", "4,3,3",
+               "--kmax", "8", "--out", str(out)])
+    assert rc == 0
+    assert _sha256(out) == FORWARD_N3_SHA256
 
 
 def test_forward_n2_float_trace_bytes(tmp_path):

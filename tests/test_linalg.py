@@ -271,3 +271,16 @@ def test_condition_numbers_are_computed_only_where_read(monkeypatch):
     got = extract_jets(pairings, basis, order, i0=FR.zero)
     assert got.i_jets == orbit.i_jets and got.a_jets == orbit.a_jets
     assert not conds
+
+
+def test_float_least_squares_is_that_of_the_row_equilibrated_system():
+    """x = 1, 10 x = 10 and x = 4: each row scaled to modulus 1 reads
+    x = 1, 1, 4, whose least-squares x is 2; the unweighted one of the
+    system as given is 105/102."""
+    x, rnorm = linalg.solve_lstsq(FF, [[1 + 0j], [10 + 0j], [1 + 0j]],
+                                  [1 + 0j, 10 + 0j, 4 + 0j], residual_tol=1)
+    assert x[0] == pytest.approx(2, rel=1e-14)
+    unweighted = np.linalg.lstsq(np.array([[1.0], [10.0], [1.0]]),
+                                 np.array([1.0, 10.0, 4.0]), rcond=None)[0]
+    assert unweighted[0] == pytest.approx(105 / 102, rel=1e-14)
+    assert rnorm == pytest.approx(0.5, rel=1e-14)
