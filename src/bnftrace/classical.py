@@ -41,8 +41,8 @@ from .blocks import (COMPLEX_HYPERBOLIC, ELLIPTIC, REAL_HYPERBOLIC,
 from .errors import MathError, SchemaError, SmallDenominatorError
 from .fields import FloatField, nan_max
 from .linalg import eigenpairs
-from .phasepoly import (Degree, PhasePoly, PolyMap, exp_ham,
-                        iota_poly_to_phase)
+from .phasepoly import (MAX_DEGREE, Degree, PhasePoly, PolyMap, exp_ham,
+                        exponents, iota_poly_to_phase, monomial)
 
 DEFAULT_TOL = 1e-9
 
@@ -60,20 +60,24 @@ class TaylorMap:
     __slots__ = ("field", "n", "degree", "pmap")
 
     def __init__(self, field, n, degree, components, validate=True):
+        if degree >= MAX_DEGREE:  # the normal form reaches degree + 1
+            raise SchemaError(f"map degree {degree} is above the limit "
+                              f"{MAX_DEGREE - 1} of the monomial keys")
         comps = []
         for c in components:
             if not isinstance(c, PhasePoly):
                 c = PhasePoly(field, 2 * n, degree, c)
             elif (c.field is not field or c.arity != 2 * n
                   or c.degree != degree):
-                c = PhasePoly(field, 2 * n, degree, c.terms)
+                c = PhasePoly(field, 2 * n, degree, {
+                    exponents(k, c.nvars): v for k, v in c.terms.items()})
             comps.append(c)
         self.field = field
         self.n = n
         self.degree = degree
         self.pmap = PolyMap(field, n, degree, comps)
         if validate:
-            zero_e = (0,) * (2 * n)
+            zero_e = monomial((0,) * (2 * n))
             for i, c in enumerate(comps):
                 if zero_e in c.terms:
                     raise SchemaError(
@@ -389,7 +393,7 @@ def _snap_linear_to_diagonal(pmap, lam_slots):
         for jv in range(nv):
             e = [0] * nv
             e[jv] = 1
-            e = tuple(e)
+            e = monomial(e)
             cur = terms.pop(e, f.zero)
             want = lam_slots[i] if jv == i else f.zero
             worst = nan_max([worst, f.abs(cur - want)])
@@ -493,7 +497,7 @@ def birkhoff_normal_form(tmap, iota_degree, small_denominator_tol=1e-8,
         for i in range(2 * n):
             part = i + n if i < n else i - n
             for K, c in eps_d[i].terms.items():
-                M = list(K)
+                M = list(exponents(K, 2 * n))
                 M[part] += 1
                 M = tuple(M)
                 if M[:n] == M[n:]:

@@ -21,6 +21,7 @@ import sys
 from .blocks import SpectrumBlocks
 from .errors import MathError, SchemaError
 from .fields import field_from_name, nan_max
+from .phasepoly import exponents
 from .qbnf import QuantumBNF, TraceData
 from .series import MultiSeries, Orders
 
@@ -226,9 +227,10 @@ def taylor_map_to_json(tm):
     comps = []
     for comp in tm.pmap.comps:
         entries = []
-        for exps in sorted(comp.terms):
-            re, im = f.format(comp.terms[exps])
-            entries.append({"exps": list(exps), "re": re, "im": im})
+        for key in sorted(comp.terms):
+            re, im = f.format(comp.terms[key])
+            entries.append({"exps": list(exponents(key, comp.nvars)),
+                            "re": re, "im": im})
         comps.append(entries)
     return {"field": f.name, "n": tm.n, "degree": tm.degree,
             "components": comps}
@@ -307,9 +309,10 @@ def render_report_text(rep):
 
 
 def dump(path, obj):
+    """Serialize ``obj``, then write it: a value json refuses writes no file."""
+    text = json.dumps(obj, indent=1, allow_nan=False) + "\n"
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, allow_nan=False)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load(path):

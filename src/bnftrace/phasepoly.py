@@ -12,21 +12,43 @@ field object from :mod:`bnftrace.fields`, so the same engine serves float
 maps and exact rational fixtures.
 
 :class:`PhasePoly` is a layout of the sparse core
-:class:`bnftrace.series.TruncatedPoly`, which does all its arithmetic.  Its
-keys are flat exponent tuples, its products room on the total degree,
-and its bound is that degree alone, so a product whose degree fits always
-fits.  ``derive`` keeps the degree: the Lie series in ``exp_ham`` adds
-brackets at one fixed degree.
+:class:`bnftrace.series.TruncatedPoly`, which does all its arithmetic.  A
+key packs an exponent tuple into one integer, a ``FIELD_BITS``-bit field
+per exponent above one for the total degree: a product key is the sum of
+the keys and a key's degree is ``key & DEGREE_MASK``.  x_1 sits in the top
+field so that integer order is the tuples' lexicographic order: the sorted
+walk of ``PolyMap.compose``, so the order of its sums, and the term order
+of map files stay as tuple keys had them.  :func:`monomial` and
+:func:`exponents` convert at the edges.  Products room on the total degree,
+the one bound (at most ``MAX_DEGREE``), so a product whose degree fits
+always fits and no field carries.  ``derive`` keeps the degree: the Lie
+series in ``exp_ham`` adds brackets at one fixed degree.
 """
 
 from collections import namedtuple
-from operator import add
 
 from .errors import DimensionMismatchError, SchemaError
 from .fields import nan_max
 from .series import TruncatedPoly
 
 Degree = namedtuple("Degree", ["total"])
+
+FIELD_BITS = 8  # one byte: exponents reads the bytes of a key
+DEGREE_MASK = MAX_DEGREE = (1 << FIELD_BITS) - 1
+
+
+def monomial(exps):
+    """The key of the exponent tuple ``exps``, of degree <= MAX_DEGREE."""
+    key = 0
+    for e in exps:
+        key = key << FIELD_BITS | e
+    return key << FIELD_BITS | sum(exps)
+
+
+def exponents(key, nvars):
+    """The exponent tuple of ``key`` in ``nvars`` variables: the key's
+    bytes but the last, as a field is one byte."""
+    return tuple(key.to_bytes(nvars + 1, "big")[:nvars])
 
 
 class PhasePoly(TruncatedPoly):
@@ -37,6 +59,9 @@ class PhasePoly(TruncatedPoly):
     degree = property(lambda self: self.bound.total)
 
     def __init__(self, field, nvars, degree, terms=None):
+        if degree > MAX_DEGREE:
+            raise SchemaError(f"polynomial degree {degree} is above the "
+                              f"limit {MAX_DEGREE} of its monomial keys")
         super().__init__(field, nvars, Degree(degree), terms)
 
     def _key(self, exps):
@@ -47,17 +72,17 @@ class PhasePoly(TruncatedPoly):
             )
         if any(e < 0 for e in exps):
             raise SchemaError(f"negative exponent {exps}")
-        return exps
+        return monomial(exps) if sum(exps) <= self.bound.total else None
 
-    _degree = staticmethod(sum)
-
-    @staticmethod
-    def _join(e1, e2, bound):
-        return tuple(map(add, e1, e2))
+    _degree = staticmethod(DEGREE_MASK.__and__)
 
     @staticmethod
-    def _fits(exps, bound):
-        return sum(exps) <= bound.total
+    def _join(k1, k2, bound):
+        return k1 + k2
+
+    @staticmethod
+    def _fits(key, bound):
+        return key & DEGREE_MASK <= bound.total
 
     @classmethod
     def scalar(cls, field, nvars, degree, value):
@@ -70,20 +95,22 @@ class PhasePoly(TruncatedPoly):
         return cls(field, nvars, degree, {tuple(e): field.one})
 
     def derive(self, i):
+        shift = FIELD_BITS * (self.arity - i)
+        step = (1 << shift) + 1  # one off x_i's field and one off the degree
         terms = {}
-        for e, c in self.terms.items():
-            if e[i] > 0:
-                ne = list(e)
-                ne[i] -= 1
-                terms[tuple(ne)] = c * self.field.from_int(e[i])
+        for k, c in self.terms.items():
+            e = k >> shift & DEGREE_MASK
+            if e:
+                terms[k - step] = c * self.field.from_int(e)
         return self._make(self.field, self.arity, self.bound, terms)
 
     def degree_part(self, d):
         return self._make(self.field, self.arity, self.bound,
-                          {e: c for e, c in self.terms.items() if sum(e) == d})
+                          {k: c for k, c in self.terms.items()
+                           if k & DEGREE_MASK == d})
 
     def min_degree(self):
-        return min((sum(e) for e in self.terms), default=None)
+        return min((k & DEGREE_MASK for k in self.terms), default=None)
 
     def max_coeff_abs(self):
         return nan_max(map(self.field.abs, self.terms.values()))
@@ -152,19 +179,21 @@ class PolyMap:
         # which components hold each monomial, with their coefficients
         holders = {}
         for i, comp in enumerate(self.comps):
-            for e, c in comp.terms.items():
-                holders.setdefault(e, []).append((i, c))
+            for k, c in comp.terms.items():
+                holders.setdefault(k, []).append((i, c))
+        keys = sorted(holders)
+        exps = [exponents(k, nv) for k in keys]
         # cache powers of the inner components
         pows = []
         for j in range(nv):
             lst = [PhasePoly.scalar(f, nv, deg, f.one)]
-            for _ in range(max((e[j] for e in holders), default=0)):
+            for _ in range(max((e[j] for e in exps), default=0)):
                 lst.append(lst[-1] * other.comps[j])
             pows.append(lst)
         out = [{} for _ in self.comps]
         stack = [None] * nv
         prev = None
-        for e in sorted(holders):
+        for k, e in zip(keys, exps):
             start = 0
             if prev is not None:
                 while e[start] == prev[start]:
@@ -177,8 +206,8 @@ class PolyMap:
                 stack[j] = value
             prev = e
             value_terms = (value.terms if value is not None
-                           else {(0,) * nv: f.one})
-            for i, c in holders[e]:
+                           else {k: f.one})
+            for i, c in holders[k]:
                 acc = out[i]
                 for key, v in value_terms.items():
                     t = c * v
@@ -201,7 +230,7 @@ class PolyMap:
             for j in range(nv):
                 e = [0] * nv
                 e[j] = 1
-                row.append(comp.terms.get(tuple(e), f.zero))
+                row.append(comp.terms.get(monomial(e), f.zero))
             rows.append(row)
         return rows
 

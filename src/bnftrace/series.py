@@ -7,12 +7,12 @@ arithmetic takes the fieldwise minimum, so a result never claims more
 precision than was computed.  The core owns construction, ``+``, ``-``,
 ``*``, ``scale``, ``is_zero`` and the arity check; a subclass supplies
 only its key layout through five hooks: ``_key`` (canonical key of
-outside input, checking arity and signs), ``_cap`` (the order of the
-bound that products room on), ``_degree`` (a key's degree in that
-order), ``_join`` (product key, or None when it leaves the other orders
-of the bound) and ``_fits`` (key inside a bound).  No stored coefficient
-equals the field zero, so equality is structural, and every operation is
-a pure function.
+outside input, checking arity and signs, or None for a term it drops),
+``_cap`` (the order of the bound that products room on), ``_degree`` (a
+key's degree in that order), ``_join`` (product key, or None when it
+leaves the other orders of the bound) and ``_fits`` (key inside a
+bound).  No stored coefficient equals the field zero, so equality is
+structural, and every operation is a pure function.
 
 A product pairs each left term only with the right terms whose degree
 fits its room, the cap minus its own degree; ``_join`` checks the rest
@@ -28,11 +28,13 @@ bit-identical on floats too.
 ``Orders``; it rooms on the h-order, where the powers of the operator
 part X bind: X^p starts at h^p, while X's iota budget never binds, so a
 room on the iota degree would visit every pair of X's terms.
-``phasepoly.PhasePoly`` is the other layout and rooms on its one bound,
-the total degree.  Both directions use a MultiSeries as a container for
-F(iota, z; h) and the trace expansions, combined by ``+``, ``*`` and
-``scale``; :func:`powers` lists the powers of a series, and
-:meth:`MultiSeries.exp_series` sums them into its exponential.
+``phasepoly.PhasePoly`` is the other layout: its keys are exponent tuples
+packed into integers, x_1 in the top field so that integer order is
+their lexicographic order, its ``_join`` is one integer add, and it rooms
+on its one bound, the total degree.  Both directions use a MultiSeries as
+a container for F(iota, z; h) and the trace expansions, combined by
+``+``, ``*`` and ``scale``; :func:`powers` lists the powers of a series,
+and :meth:`MultiSeries.exp_series` sums them into its exponential.
 """
 
 from collections import namedtuple
@@ -57,7 +59,8 @@ class TruncatedPoly:
         self.terms = {}
         for raw, coeff in (terms or {}).items():
             key = self._key(raw)
-            if self._fits(key, bound) and not field.is_zero(coeff):
+            if (key is not None and self._fits(key, bound)
+                    and not field.is_zero(coeff)):
                 self.terms[key] = coeff
 
     @classmethod

@@ -26,7 +26,7 @@ from bnftrace.classical import (TaylorMap, birkhoff_normal_form,
 from bnftrace.cli import main
 from bnftrace.fields import FloatField, RationalField
 from bnftrace.oscillatory import OrbitExpansion, TestJet, extract_jets, forward_pairing
-from bnftrace.phasepoly import PhasePoly, PolyMap, exp_ham
+from bnftrace.phasepoly import PhasePoly, PolyMap, exp_ham, exponents
 from bnftrace.qbnf import QuantumBNF, make_trace_data, trace_power
 from bnftrace.recover import recover_frequencies, recover_qbnf
 from bnftrace.series import MultiSeries, Orders, zseries
@@ -185,8 +185,8 @@ def _rotation_number_fit(tm, iters=10 ** 4):
     amps = np.linspace(1e-3, 1e-2, 10)
     x = np.sqrt(2 * amps)
     xi = np.zeros_like(x)
-    comp_terms = [[(e, complex(c).real) for e, c in c_.terms.items()]
-                  for c_ in tm.pmap.comps]
+    comp_terms = [[(exponents(k, 2), complex(c).real)
+                   for k, c in c_.terms.items()] for c_ in tm.pmap.comps]
     omegas = np.zeros_like(x)
     iotas = np.zeros_like(x)
     prev = np.arctan2(xi, x)

@@ -22,12 +22,18 @@ from bnftrace.classical import (TaylorMap, birkhoff_normal_form,
 from bnftrace.errors import (MathError, ResonanceError, SchemaError,
                              SmallDenominatorError)
 from bnftrace.fields import FloatField, RationalField
-from bnftrace.phasepoly import PhasePoly, PolyMap, exp_ham
+from bnftrace.phasepoly import (MAX_DEGREE, PhasePoly, PolyMap, exp_ham,
+                                exponents, monomial)
 from bnftrace.recover import recover_frequencies
 from bnftrace import hypcalc as hc
 
 FF = FloatField()
 FR = RationalField()
+
+
+def _terms(p):
+    """The terms of a PhasePoly keyed by exponent tuples, in dict order."""
+    return {exponents(k, p.nvars): c for k, c in p.terms.items()}
 
 
 def rotation(theta):
@@ -158,6 +164,16 @@ def test_symplectic_residual_reads_the_top_jacobian_degree():
         TaylorMap(field, 1, 2, comps)
 
 
+def test_taylor_map_degree_is_limited_by_the_monomial_keys():
+    """The normal form of a map of degree D bounds R's phase polynomial at
+    D + 1, so D = MAX_DEGREE - 1 is the largest map degree."""
+    comps = [{(1, 0): FF.one}, {(0, 1): FF.one}]
+    assert TaylorMap(FF, 1, MAX_DEGREE - 1, comps).degree == MAX_DEGREE - 1
+    with pytest.raises(SchemaError, match=f"map degree {MAX_DEGREE} is above "
+                                          f"the limit {MAX_DEGREE - 1}"):
+        TaylorMap(FF, 1, MAX_DEGREE, comps)
+
+
 def test_taylor_map_keeps_matching_components_and_rebuilds_others():
     """A PhasePoly of the map's field, arity and degree is kept as it is;
     one of a higher degree is truncated, one of another field object is
@@ -173,11 +189,11 @@ def test_taylor_map_keeps_matching_components_and_rebuilds_others():
     tm = TaylorMap(FF, 1, 4, [higher, foreign], validate=False)
     for comp in tm.pmap.comps:
         assert comp.field is FF and comp.degree == 4
-        assert comp.terms == {(1, 0): FF.one, (2, 1): FF.one * 0.5}
+        assert _terms(comp) == {(1, 0): FF.one, (2, 1): FF.one * 0.5}
     tm = TaylorMap(FF, 1, 5, [foreign, {(0, 1): FF.one}], validate=False)
     assert tm.pmap.comps[0] is not foreign
     assert tm.pmap.comps[0].field is FF
-    assert tm.pmap.comps[0].terms == terms
+    assert _terms(tm.pmap.comps[0]) == terms
     with pytest.raises(SchemaError):
         TaylorMap(FF, 1, 5, [{(1, -1): FF.one}, {(0, 1): FF.one}],
                   validate=False)
@@ -320,7 +336,7 @@ def test_bnf_twist_against_rotation_number_fit():
     amps = np.linspace(1e-3, 1e-2, 10)
     x = np.sqrt(2 * amps)
     xi = np.zeros_like(x)
-    comp_terms = [list(c.terms.items()) for c in tm.pmap.comps]
+    comp_terms = [list(_terms(c).items()) for c in tm.pmap.comps]
     omegas = np.zeros_like(x)
     iotas = np.zeros_like(x)
     prev = np.arctan2(xi, x)
@@ -365,7 +381,7 @@ def test_bnf_conjugation_invariance():
         [[FF.one * complex(x) for x in row]
          for row in np.linalg.inv(
              np.array([[FF.to_complex(c.terms.get(
-                 tuple(int(i == j) for i in range(2)), FF.zero)).real
+                 monomial([int(i == j) for i in range(2)]), FF.zero)).real
                  for j in range(2)] for c in L.comps]))])
     T = L.compose(exp_ham(chi_t, 1, 7))
     Tinv = exp_ham(chi_t.scale(-FF.one), 1, 7).compose(Li)
@@ -634,7 +650,7 @@ def _reference_compose(outer, inner):
     nv = 2 * outer.n
     max_exp = [0] * nv
     for comp in outer.comps:
-        for e in comp.terms:
+        for e in _terms(comp):
             for j, p in enumerate(e):
                 max_exp[j] = max(max_exp[j], p)
     pows = []
@@ -646,7 +662,7 @@ def _reference_compose(outer, inner):
     out = []
     for comp in outer.comps:
         acc = PhasePoly.zero(f, nv, deg)
-        for e, c in comp.terms.items():
+        for e, c in _terms(comp).items():
             factors = [pows[j][p] for j, p in enumerate(e) if p]
             term = (factors[0].scale(c) if factors
                     else PhasePoly.scalar(f, nv, deg, c))
@@ -657,33 +673,88 @@ def _reference_compose(outer, inner):
     return PolyMap(f, outer.n, deg, out)
 
 
+def _tuple_mul(a, b, deg, field):
+    """The product of two term dicts keyed by exponent tuples, truncated at
+    ``deg``: every pair in dict order, zero sums pruned."""
+    terms = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            if sum(e1) + sum(e2) <= deg:
+                e = tuple(x + y for x, y in zip(e1, e2))
+                v = c1 * c2
+                terms[e] = terms[e] + v if e in terms else v
+    return {e: c for e, c in terms.items() if not field.is_zero(c)}
+
+
+def _tuple_compose(outer, inner):
+    """The term dicts of outer(inner(w)) as PolyMap.compose sums them, on
+    exponent-tuple keys: monomials in sorted order, each built from the
+    powers of the inner components left to right."""
+    deg = min(outer.degree, inner.degree)
+    f = outer.field
+    nv = 2 * outer.n
+    holders = {}
+    for i, comp in enumerate(outer.comps):
+        for e, c in _terms(comp).items():
+            holders.setdefault(e, []).append((i, c))
+    pows = []
+    for j in range(nv):
+        lst = [{(0,) * nv: f.one}]
+        for _ in range(max((e[j] for e in holders), default=0)):
+            lst.append(_tuple_mul(lst[-1], _terms(inner.comps[j]), deg, f))
+        pows.append(lst)
+    out = [{} for _ in outer.comps]
+    for e in sorted(holders):
+        value = None
+        for j, p in enumerate(e):
+            if p:
+                value = (pows[j][p] if value is None
+                         else _tuple_mul(value, pows[j][p], deg, f))
+        if value is None:
+            value = {e: f.one}
+        for i, c in holders[e]:
+            acc = out[i]
+            for key, v in value.items():
+                t = c * v
+                acc[key] = acc[key] + t if key in acc else t
+    return [{e: c for e, c in acc.items() if not f.is_zero(c)}
+            for acc in out]
+
+
 _coeffs = st.builds(Fraction, st.integers(-9, 9).filter(bool),
                     st.integers(1, 7))
+# doubles whose products and sums round, -0.0 parts among them
+_double_coeffs = st.sampled_from([1.0 + 0j, -1.0 + 0j, 0.1 + 0j, -0.3j,
+                                  1 / 3 + 0j, 0.7 - 0.2j, complex(-0.0, 2.5)])
 
 
 @st.composite
-def _poly_map(draw, n, degree, unused=None):
-    """A random exact PolyMap; monomials avoid variable ``unused``."""
+def _poly_map(draw, n, degree, unused=None, field=FR):
+    """A random PolyMap, exact unless ``field`` is FF; monomials avoid
+    variable ``unused``."""
     nv = 2 * n
     monos = [e for e in itertools.product(range(degree + 1), repeat=nv)
              if sum(e) <= degree and (unused is None or e[unused] == 0)]
+    coeffs = (_double_coeffs if field is FF
+              else st.builds(FR.from_rational, _coeffs))
     comps = []
     for _ in range(nv):
         keys = draw(st.lists(st.sampled_from(monos), max_size=6, unique=True))
-        comps.append(PhasePoly(FR, nv, degree, {
-            e: FR.from_rational(draw(_coeffs)) for e in keys}))
-    return PolyMap(FR, n, degree, comps)
+        comps.append(PhasePoly(field, nv, degree, {
+            e: draw(coeffs) for e in keys}))
+    return PolyMap(field, n, degree, comps)
 
 
 @st.composite
-def _composable_pair(draw):
+def _composable_pair(draw, field=FR):
     n = draw(st.integers(1, 2))
     outer = draw(_poly_map(n, draw(st.integers(1, 5)),
-                           unused=draw(st.integers(0, 2 * n - 1))))
+                           unused=draw(st.integers(0, 2 * n - 1)),
+                           field=field))
     outer.comps[draw(st.integers(0, 2 * n - 1))] = PhasePoly.zero(
-        FR, 2 * n, outer.degree)
+        field, 2 * n, outer.degree)
     # the inner map may carry constant terms and has its own degree
-    inner = draw(_poly_map(n, draw(st.integers(1, 5))))
+    inner = draw(_poly_map(n, draw(st.integers(1, 5)), field=field))
     return outer, inner
 
 
@@ -696,6 +767,25 @@ def test_compose_matches_per_component_reference(pair):
     assert got.degree == ref.degree == min(outer.degree, inner.degree)
     assert [c.degree for c in got.comps] == [c.degree for c in ref.comps]
     assert [c.terms for c in got.comps] == [c.terms for c in ref.comps]
+
+
+def _bits(terms):
+    """The (key, coeff) pairs of a term dict in order, a double's parts by
+    their bits, so that -0.0 differs from 0.0."""
+    return [(e, (c.real.hex(), c.imag.hex()) if isinstance(c, complex) else c)
+            for e, c in terms.items()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([FR, FF]).flatmap(_composable_pair))
+def test_compose_matches_the_tuple_key_compose_bit_for_bit(pair):
+    """Packed keys change no sum: compose gives the terms that the same
+    algorithm on exponent tuples gives, in the same order, doubles bit for
+    bit."""
+    outer, inner = pair
+    got = outer.compose(inner)
+    assert ([_bits(_terms(c)) for c in got.comps]
+            == [_bits(t) for t in _tuple_compose(outer, inner)])
 
 
 def test_compose_of_flows_matches_reference_on_floats():
@@ -830,5 +920,5 @@ def test_classified_blocks_are_canonical_and_match_the_recovery(spec):
 
 def test_max_coeff_abs_keeps_a_nan_that_is_not_first():
     p = PhasePoly(FF, 2, 3, {(1, 0): FF.one, (2, 0): complex(math.nan)})
-    assert list(p.terms) == [(1, 0), (2, 0)]
+    assert list(_terms(p)) == [(1, 0), (2, 0)]
     assert math.isnan(p.max_coeff_abs())

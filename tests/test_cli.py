@@ -18,6 +18,7 @@ from bnftrace import classify_eigenvalues, cli, jsonio, qbnf
 from bnftrace.blocks import ELLIPTIC, REAL_HYPERBOLIC, SpectrumBlocks
 from bnftrace.cli import build_parser, main
 from bnftrace.fields import FloatField, RationalField
+from bnftrace.phasepoly import MAX_DEGREE
 from bnftrace.qbnf import QuantumBNF, make_trace_data
 from bnftrace.series import MultiSeries, Orders, zseries
 
@@ -634,6 +635,39 @@ def test_integer_cases_run_with_integers_in_place(tmp_path, capsys):
                              lambda doc: doc["maslov"].update({"1": value}))
         assert main(argv) == 0
         assert "recovery succeeded" in capsys.readouterr().out
+
+
+def test_map_degree_beyond_the_key_limit_exits_two(tmp_path, capsys):
+    """A map's normal form bounds polynomials at the map's degree + 1,
+    which a packed monomial key must hold: a rotation map of degree
+    MAX_DEGREE - 1 runs, and one of degree MAX_DEGREE or a sparse one of
+    degree 300 is an input error that names its degree and the limit."""
+    top = _rotation_argv(tmp_path, lambda doc: doc.update(
+        degree=MAX_DEGREE - 1))
+    assert main(top) == 0
+    capsys.readouterr()
+    for degree in (MAX_DEGREE, 300):
+        argv = _rotation_argv(tmp_path, lambda doc: doc.update(degree=degree))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err
+        assert (f"map degree {degree} is above the limit {MAX_DEGREE - 1}"
+                in err)
+
+
+def test_dump_leaves_no_file_for_a_value_json_refuses(tmp_path):
+    """dump serializes before it opens the file, so a nan, which no file
+    of the tool holds, is refused without leaving a truncated file, and a
+    file that was there keeps its bytes."""
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError):
+        jsonio.dump(path, {"a": [1, 2], "b": math.nan})
+    assert not path.exists()
+    jsonio.dump(path, {"a": [1, 2]})
+    assert path.read_bytes() == b'{\n "a": [\n  1,\n  2\n ]\n}\n'
+    with pytest.raises(ValueError):
+        jsonio.dump(path, {"a": [1, 2], "b": math.nan})
+    assert path.read_bytes() == b'{\n "a": [\n  1,\n  2\n ]\n}\n'
 
 
 def _action_argv(tmp, maslov):

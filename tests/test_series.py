@@ -1,14 +1,15 @@
 import math
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bnftrace.errors import DimensionMismatchError, SchemaError
 from bnftrace.fields import FloatField, RationalField
-from bnftrace.phasepoly import PhasePoly
+from bnftrace.phasepoly import MAX_DEGREE, PhasePoly, exponents, monomial
 from bnftrace.series import MultiSeries, Orders, powers, zseries
 
 F = RationalField()
@@ -170,9 +171,9 @@ def test_mixed_order_sum_and_product_drop_terms_beyond_joint_orders():
     q = PhasePoly.scalar(F, 2, 2, F.one)
     for s in (p + q, q + p, p * q, q * p):
         assert s.degree == 2
-        assert all(sum(e) <= 2 for e in s.terms)
-    assert (p + q).terms == {(1, 0): F.one, (0, 0): F.one}
-    assert (p * q).terms == {(1, 0): F.one}
+        assert all(sum(e) <= 2 for e in _terms(s))
+    assert _terms(p + q) == {(1, 0): F.one, (0, 0): F.one}
+    assert _terms(p * q) == {(1, 0): F.one}
 
 
 def test_phasepoly_arity_mismatch():
@@ -188,10 +189,70 @@ def test_phasepoly_arity_mismatch():
         PhasePoly(F, 2, 3, {(-1, 0): F.one})
 
 
+# -- PhasePoly's packed keys ---------------------------------------------------
+
+@st.composite
+def _exponent_lists(draw):
+    """Exponent tuples in 1 to 6 variables, each of degree <= MAX_DEGREE."""
+    nv = draw(st.integers(1, 6))
+
+    def one():
+        left, exps = MAX_DEGREE, []
+        for _ in range(nv):
+            exps.append(draw(st.integers(0, left)))
+            left -= exps[-1]
+        return tuple(exps)
+
+    return [one() for _ in range(draw(st.integers(1, 8)))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_exponent_lists())
+def test_packed_keys_follow_their_exponent_tuples(exps):
+    """A key unpacks to its exponents, a product key is the sum of the
+    keys, and keys sort as their exponent tuples do lexicographically."""
+    nv = len(exps[0])
+    keys = [monomial(e) for e in exps]
+    assert [exponents(k, nv) for k in keys] == exps
+    for e1, k1 in zip(exps, keys):
+        for e2, k2 in zip(exps, keys):
+            if sum(e1) + sum(e2) <= MAX_DEGREE:
+                assert monomial(tuple(map(add, e1, e2))) == k1 + k2
+    assert sorted(keys) == [monomial(e) for e in sorted(exps)]
+
+
+def test_phasepoly_degree_is_limited_by_its_key_fields():
+    """A bound above MAX_DEGREE is refused, naming bound and limit; a term
+    beyond the bound is dropped before it is packed, even one whose
+    exponents no field holds."""
+    with pytest.raises(SchemaError, match=f"degree {MAX_DEGREE + 1} is above "
+                                          f"the limit {MAX_DEGREE}"):
+        PhasePoly(F, 2, MAX_DEGREE + 1)
+    top = PhasePoly(F, 2, MAX_DEGREE, {(MAX_DEGREE, 0): F.one,
+                                       (0, MAX_DEGREE + 1): F.one,
+                                       (300, 300): F.one})
+    assert _terms(top) == {(MAX_DEGREE, 0): F.one}
+    assert _terms(top.derive(0)) == {(MAX_DEGREE - 1, 0):
+                                     F.from_int(MAX_DEGREE)}
+    assert (top * PhasePoly.variable(F, 2, MAX_DEGREE, 1)).is_zero()
+    assert _terms(PhasePoly(F, 2, 5, {(300, 0): F.one, (1, 4): F.one})) == {
+        (1, 4): F.one}
+
+
 # Reference algorithms: the per-pair loops each class ran before the core,
 # followed by the public constructor's truncation and zero pruning.  They
 # visit every pair, so they also stand for the product before it skipped
-# the right terms beyond a left term's room.
+# the right terms beyond a left term's room.  They read every polynomial
+# through exponent tuples, so on PhasePoly they also stand for the tuple
+# keys it had before its keys were packed.
+
+def _terms(p):
+    """The terms of ``p`` keyed by exponent tuples, in dict order: a
+    PhasePoly's packed keys unpacked, a MultiSeries' keys as they are."""
+    if isinstance(p, PhasePoly):
+        return {exponents(k, p.nvars): c for k, c in p.terms.items()}
+    return p.terms
+
 
 def _ref_clean(terms, fits, field):
     return {k: c for k, c in terms.items()
@@ -199,14 +260,14 @@ def _ref_clean(terms, fits, field):
 
 
 def _ref_add(a, b, fits):
-    terms = dict(a.terms)
-    for key, coeff in b.terms.items():
+    terms = dict(_terms(a))
+    for key, coeff in _terms(b).items():
         terms[key] = terms[key] + coeff if key in terms else coeff
     return _ref_clean(terms, fits, a.field)
 
 
 def _ref_scale(a, value):
-    return _ref_clean({k: value * c for k, c in a.terms.items()},
+    return _ref_clean({k: value * c for k, c in _terms(a).items()},
                       lambda k: True, a.field)
 
 
@@ -228,14 +289,22 @@ def _ref_series_mul(a, b, orders):
 
 def _ref_phase_mul(a, b, deg):
     terms = {}
-    for e1, c1 in a.terms.items():
+    for e1, c1 in _terms(a).items():
         d1 = sum(e1)
-        for e2, c2 in b.terms.items():
+        for e2, c2 in _terms(b).items():
             if d1 + sum(e2) > deg:
                 continue
             e = tuple(x + y for x, y in zip(e1, e2))
             v = c1 * c2
             terms[e] = terms[e] + v if e in terms else v
+    return _ref_clean(terms, lambda k: True, a.field)
+
+
+def _ref_derive(a, i):
+    terms = {}
+    for e, c in _terms(a).items():
+        if e[i]:
+            terms[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * a.field.from_int(e[i])
     return _ref_clean(terms, lambda k: True, a.field)
 
 
@@ -270,7 +339,10 @@ def _phase_pair(draw, field=F, coeffs=_coeffs, count=2, nv=None):
 
 
 def _items(d):
-    return list(d.items())
+    """The (key, coeff) pairs of ``d`` in order, a double's parts by their
+    bits, so that -0.0 differs from 0.0."""
+    return [(k, (c.real.hex(), c.imag.hex()) if isinstance(c, complex) else c)
+            for k, c in d.items()]
 
 
 def _check_series_core(a, b, value):
@@ -288,11 +360,18 @@ def _check_series_core(a, b, value):
 def _check_phasepoly_core(a, b, value):
     deg = min(a.degree, b.degree)
     fits = lambda e: sum(e) <= deg
-    assert _items((a + b).terms) == _items(_ref_add(a, b, fits))
-    assert _items((a - b).terms) == _items(_ref_add(a, -b, fits))
-    assert _items((a * b).terms) == _items(_ref_phase_mul(a, b, deg))
-    assert _items(a.scale(value).terms) == _items(_ref_scale(a, value))
+    assert _items(_terms(a + b)) == _items(_ref_add(a, b, fits))
+    assert _items(_terms(a - b)) == _items(_ref_add(a, -b, fits))
+    assert _items(_terms(a * b)) == _items(_ref_phase_mul(a, b, deg))
+    assert _items(_terms(a.scale(value))) == _items(_ref_scale(a, value))
     assert (a * b).degree == (a + b).degree == deg
+    for i in range(a.nvars):
+        assert _items(_terms(a.derive(i))) == _items(_ref_derive(a, i))
+    for d in range(a.degree + 1):
+        assert (_items(_terms(a.degree_part(d)))
+                == _items({e: c for e, c in _terms(a).items()
+                           if sum(e) == d}))
+    assert a.min_degree() == min(map(sum, _terms(a)), default=None)
 
 
 @settings(max_examples=150, deadline=None)
@@ -344,11 +423,11 @@ def test_reused_right_operand_matches_reference(data):
     before = _items(right.terms)
     for left in lefts + lefts[::-1]:
         deg = min(left.degree, right.degree)
-        assert (_items((left * right).terms)
+        assert (_items(_terms(left * right))
                 == _items(_ref_phase_mul(left, right, deg)))
     assert _items(right.terms) == before
     # the same operand on the left reads its terms directly
-    assert (_items((right * lefts[0]).terms)
+    assert (_items(_terms(right * lefts[0]))
             == _items(_ref_phase_mul(right, lefts[0],
                                      min(right.degree, lefts[0].degree))))
 
