@@ -3,9 +3,10 @@
 Exit codes: 0 success, 2 input/schema error, 3 mathematical failure
 (resonance, pole, rank deficiency, a float stage's cond * u > tol, ...).
 
-Subcommands: forward, recover, roundtrip, classical-bnf.
-Each option is checked by its argparse type, and each file by its reader
-in :mod:`bnftrace.jsonio`, which defines every file format.
+Subcommands: forward, recover, roundtrip, classical-bnf.  The recovery
+reads the number of blocks from the traces.  Each option is checked by
+its argparse type, and each file by its reader in :mod:`bnftrace.jsonio`,
+which defines every file format.
 """
 
 import argparse
@@ -114,7 +115,7 @@ def cmd_forward(args):
 def cmd_recover(args):
     td = jsonio.trace_data_from_json(jsonio.load(args.traces),
                                      args.float_precision)
-    rep = recover_qbnf(td, args.n, tol=args.tol_residual)
+    rep = recover_qbnf(td, tol=args.tol_residual)
     out = args.out or "bnf_recovered.json"
     jsonio.dump(out, jsonio.qbnf_to_json(rep.recovered))
     _report(args, rep)
@@ -138,7 +139,7 @@ def cmd_roundtrip(args):
     # serves the recovered blocks, as it does when the round trip is exact
     engine = TraceEngine(bnf.blocks, range(1, args.k_max + 1), args.orders[1])
     td = _forward_tracedata(args, bnf, engine)
-    rep = recover_qbnf(td, bnf.n, tol=args.tol_residual, engine=engine)
+    rep = recover_qbnf(td, tol=args.tol_residual, engine=engine)
     _report(args, rep)
     # exact on the rational field, whose closeness is equality
     if not rep.recovered.close_to(bnf, args.tol_residual):
@@ -183,7 +184,6 @@ def build_parser():
 
     p = sub.add_parser("recover", help="TraceData file -> QuantumBNF file")
     p.add_argument("--traces", required=True)
-    p.add_argument("--n", type=int, required=True)
     _add_options(p, "float_precision", "tol_residual", "out", "report")
     p.set_defaults(func=cmd_recover)
 

@@ -94,18 +94,20 @@ def scalar_from_json(field, obj):
     return x
 
 
-def _power(key, text):
+def _power(key, text, k_max):
     """The trace power k that the key ``text`` under ``key`` names; powers
-    start at k = 1."""
+    run from k = 1 to ``k_max``."""
     k = _parsed(key, int, text)
     if k < 1:
         raise SchemaError(f"key {key} names power {text!r}, below k = 1")
+    if k > k_max:
+        raise SchemaError(f"key {key} names power k={k} above k_max = {k_max}")
     return k
 
 
-def maslov_from_json(obj):
+def maslov_from_json(obj, k_max=math.inf):
     """The Maslov indices k -> m of a trace or action file."""
-    return {_power("'maslov'", k):
+    return {_power("'maslov'", k, k_max):
             _parsed(f"'maslov'/{k!r}", _integer, v) for k, v in obj.items()}
 
 
@@ -206,10 +208,10 @@ def trace_data_from_json(obj, precision=64):
     k_max = _need(obj, "k_max", int)
     action = series_from_json(_need(obj, "action", dict), field)
     phase = scalar_from_json(field, _need(obj, "phase", dict))
-    maslov = maslov_from_json(_need(obj, "maslov", dict))
+    maslov = maslov_from_json(_need(obj, "maslov", dict), k_max)
     coeffs = {}
     for k, s in _need(obj, "coefficients", dict).items():
-        coeffs[_power("'coefficients'", k)] = series_from_json(s, field)
+        coeffs[_power("'coefficients'", k, k_max)] = series_from_json(s, field)
     return TraceData(field, k_max, action, maslov, phase, coeffs)
 
 

@@ -22,16 +22,21 @@ value most kept roots agree on.  A damped Gauss-Newton refit of (c, E)
 against all samples then restores the full accuracy of the fit's
 precision.  Block types, pairs and order are :mod:`~bnftrace.blocks`' rules.
 
-The fit runs on a float field, on one ladder of rungs: in doubles and
-then at 240 bits for exact and double samples, at their own precision
-for extended-precision ones.  A double Hankel solve with a condition
-number above 1e12 passes to the next rung, as does a fit that fails or
-that the field does not accept.  The field judges a fit by its misfits
-model_k - s_k: a float field accepts it when every relative misfit is
-within tolerance (a NaN never is), the exact field when the fit,
-rationalized in Q(i), meets every sample exactly.  The exact Hankel solve
-gives the reported condition number and the annihilating polynomial.
-When no rung is accepted the recovery refuses; it never returns an
+Stage 0 finds n too.  A Hankel system of 2^n such terms is consistent
+at r = 2^n and no smaller r (Kronecker), so for n = 1, 2, .. while
+K >= 2^(n+1) + 2 it probes the Hankel system of r = 2^n in the samples'
+field; an inconsistent one skips n, as does a failed exact one.  The fit
+then runs on a float field, on a ladder of rungs: the samples' own
+precision, whose Hankel solve is the probe, or doubles for exact ones,
+then 240 bits for exact and double samples.  A double Hankel solve with
+a condition number above 1e12 passes to the next rung, as does a fit that
+fails or that the field does not accept.  The field judges a fit by its
+misfits model_k - s_k: a float field accepts it when every relative
+misfit is within tolerance (a NaN never is), the exact field when the
+fit, rationalized in Q(i), meets every sample exactly.  The exact Hankel
+solve gives the reported condition number and the annihilating
+polynomial.  The first accepted fit gives n.  With none the recovery
+refuses, naming the failure at the least n fitted; it never returns an
 inexact answer.  The phase phi = -i log c is taken in the field: it is
 zero, and its imaginary part is dropped, below the resolution at which
 the refit stops.  On the exact field c must be 1.
@@ -162,14 +167,12 @@ class FrequencyResult:
         self.conditioning = conditioning
 
 
-def _hankel_tail(field, samples, r, tol):
-    """The tail c_0..c_{r-1} of the monic polynomial annihilating r
-    exponentials in the samples s_1..s_K, and its condition number."""
+def _hankel(field, samples, r):
+    """The factored Hankel system of r exponentials in the samples s_1..s_K
+    and its right-hand side, solved by their annihilator's tail."""
     K = len(samples)
-    rows = [samples[t:t + r] for t in range(K - r)]
-    rhs = [-samples[t + r] for t in range(K - r)]
-    system = factor_lstsq(field, rows)
-    return system.solve(rhs, residual_tol=tol)[0], system.cond
+    return (factor_lstsq(field, [samples[t:t + r] for t in range(K - r)]),
+            [-samples[t + r] for t in range(K - r)])
 
 
 def _roots_and_weights(field, tail, samples, tol):
@@ -343,12 +346,10 @@ def _refit(field, samples, c, tags, exp_half):
 
 def _rungs(field):
     """The float fields that stage 0 fits in, each built when its turn
-    comes: doubles and then 240 bits for exact or double samples, the
-    field itself for extended-precision ones."""
-    if not field.exact and field.precision > 64:
-        yield field
-    else:
-        yield FloatField()
+    comes: the samples' own float field, or doubles for exact samples,
+    and then 240 bits for exact or double samples."""
+    yield FloatField() if field.exact else field
+    if field.exact or field.precision <= 64:
         yield FloatField(_RETRY_BITS)
 
 
@@ -365,19 +366,73 @@ def _in_field(field, fl, v):
                                Fraction(im).limit_denominator(bound))
 
 
-def recover_frequencies(field, a0, n, residual_tol=1e-6):
-    """Recover mu(0) and the common phase from the constant coefficients.
+def _fit(field, samples, residual_tol):
+    """The first fit (c, tags, E) of n = 1, 2, .. blocks that a rung
+    accepts, and its Hankel system (see the module docstring)."""
+    tol, K, failure = max(residual_tol, 1e-6), len(samples), ""
+    for n in itertools.count(1):
+        need = plan(n, 0, 0).stages[0].need
+        if need > K:
+            raise RankDeficiencyError(
+                f"no {'exact ' if field.exact else ''}fit of the samples"
+                f"{failure}; n = {n} needs the trace powers k = 1..{need}, "
+                f"have {K}")
+        try:  # the probe
+            system, rhs = _hankel(field, samples, 2 ** n)
+            tail = system.solve(rhs, residual_tol=tol)[0]
+        except RankDeficiencyError as exc:
+            if field.exact or system.full_rank:
+                continue
+            tail = exc  # only rank-deficient: refused on its own rung
+        for fl in _rungs(field):
+            try:
+                fit_samples = [fl.parse(*field.format(s)) for s in samples]
+                if fl is not field and not field.exact:
+                    system, rhs = _hankel(fl, fit_samples, 2 ** n)
+                    tail = system.solve(rhs, residual_tol=tol)[0]
+                if isinstance(tail, MathError):
+                    raise tail
+                fit_tail = ([fl.parse(*field.format(t)) for t in tail]
+                            if field.exact else tail)
+                # root magnitudes spread over many decades: the weakest
+                # roots' signal is lost to roundoff in doubles
+                if (not field.exact and fl.precision <= 64
+                        and system.cond > 1e12):
+                    raise ConditioningError(f"Hankel condition number "
+                                            f"{system.cond:.3e} above 1e12")
+                roots, weights = _roots_and_weights(fl, fit_tail, fit_samples,
+                                                    tol)
+                c, tags, exp_half = _cube_from_roots(fl, roots, weights, n)
+                c, exp_half = _refit(fl, fit_samples, c, tags, exp_half)
+            # exact samples or powers beyond the double range fail that rung
+            except (MathError, OverflowError) as exc:
+                last = f"the {fl.precision}-bit fit failed: {exc}"
+                continue
+            c, *exp_half = [_in_field(field, fl, v) for v in [c, *exp_half]]
+            misfits = _misfits(field, samples, c, exp_half)
+            if field.exact and all(map(field.is_zero, misfits)):
+                return c, tags, exp_half, system
+            rel = [field.abs(v) / max(1.0, field.abs(s))
+                   for v, s in zip(misfits, samples)]
+            # a NaN misfit fails the test and counts as the largest
+            if not field.exact and all(e <= residual_tol for e in rel):
+                return c, tags, exp_half, system
+            last = (f"the {fl.precision}-bit fit c = {c!r}, E = "
+                    f"{exp_half!r} misses the samples by {nan_max(rel):.3e}")
+        failure = failure or f": at n = {n}, {last}"
 
-    ``a0`` maps k = 1..K to a_{0k}(0); requires K >= 2^{n+1} + 2.  Forms
+
+def recover_frequencies(field, a0, residual_tol=1e-6):
+    """Recover n, mu(0) and the common phase from the constant coefficients.
+
+    ``a0`` maps k = 1..K to a_{0k}(0); requires K >= 6.  Forms
     s_k = 1/a0(k) and runs the exponential analysis (see the module
     docstring; on the exact field the result is verified exactly).
     Returns a :class:`FrequencyResult` with canonically ordered blocks.
     """
-    prony = plan(n, 0, 0)
     ks = sorted(a0)
     if ks != list(range(1, len(ks) + 1)):
         raise SchemaError("a0 must cover k = 1..K without gaps")
-    prony.require(len(ks))
     samples = []
     for k in ks:
         v = a0[k]
@@ -387,44 +442,7 @@ def recover_frequencies(field, a0, n, residual_tol=1e-6):
     if all(field.abs(s) == 0 for s in samples):
         raise RankDeficiencyError("constant zero samples: rank-deficient")
 
-    tol = max(residual_tol, 1e-6)
-    if field.exact:
-        tail, cond = _hankel_tail(field, samples, 2 ** n, tol)
-    for fl in _rungs(field):
-        try:
-            fit_samples = [fl.parse(*field.format(s)) for s in samples]
-            if field.exact:
-                fit_tail = [fl.parse(*field.format(t)) for t in tail]
-            else:
-                fit_tail, cond = _hankel_tail(fl, fit_samples, 2 ** n, tol)
-                # root magnitudes spread over many decades: the weakest
-                # roots' signal is lost to roundoff in doubles
-                if fl.precision <= 64 and cond > 1e12:
-                    raise ConditioningError(
-                        f"Hankel condition number {cond:.3e} above 1e12")
-            roots, weights = _roots_and_weights(fl, fit_tail, fit_samples, tol)
-            c, tags, exp_half = _cube_from_roots(fl, roots, weights, n)
-            c, exp_half = _refit(fl, fit_samples, c, tags, exp_half)
-        # exact samples or powers beyond the double range fail that rung
-        except (MathError, OverflowError) as exc:
-            failure = f"the {fl.precision}-bit fit failed: {exc}"
-            continue
-        c, *exp_half = [_in_field(field, fl, v) for v in [c, *exp_half]]
-        misfits = _misfits(field, samples, c, exp_half)
-        if field.exact and all(map(field.is_zero, misfits)):
-            break
-        rel = [field.abs(v) / max(1.0, field.abs(s))
-               for v, s in zip(misfits, samples)]
-        # a NaN misfit fails the test and counts as the largest
-        if not field.exact and all(e <= residual_tol for e in rel):
-            break
-        worst = nan_max(rel)
-        failure = (f"the {fl.precision}-bit fit c = {c!r}, E = {exp_half!r} "
-                   f"misses the samples by {worst:.3e}")
-    else:
-        raise RankDeficiencyError(
-            f"no {'exact ' if field.exact else ''}fit of the samples: "
-            f"{failure}")
+    c, tags, exp_half, system = _fit(field, samples, residual_tol)
     units = pair_conjugates(field, zip(tags, exp_half), NORMALIZATION_TOL)
     blocks, _perm = canonical_blocks(field, units)
 
@@ -447,7 +465,7 @@ def recover_frequencies(field, a0, n, residual_tol=1e-6):
     phi_value = field.to_complex(phi)
     if phi_value.imag == 0:
         phi_value = phi_value.real
-    return FrequencyResult(blocks, phi, phi_value, cond)
+    return FrequencyResult(blocks, phi, phi_value, system.cond)
 
 
 def recover_polynomial(engine, values, alpha_set, residual_tol=1e-8,
@@ -541,12 +559,6 @@ class Stage(namedtuple("Stage", "name kind n j m lo")):
         below = math.comb(self.lo - 1 + self.n, self.n) if self.lo else 0
         return math.comb(self.j + 1 + self.n, self.n) - below
 
-    def needs_more_than(self, K):
-        """need > K; Prony's power is not formed once n + 1 reaches K's bit
-        length, so a huge n costs nothing."""
-        return (self.kind == "prony" and self.n + 1 >= K.bit_length()
-                or self.need > K)
-
 
 class Plan(namedtuple("Plan", "h_cap stages")):
     """The stages in the order they run, and the top h-power h_cap of the
@@ -567,14 +579,10 @@ class Plan(namedtuple("Plan", "h_cap stages")):
         that needs the most; K < 1 is an input error."""
         if K < 1:
             raise SchemaError("k_max must be >= 1")
-        top = max(self.stages[1:], key=lambda s: s.need)
-        if self.stages[0].needs_more_than(top.need - 1):
-            top = self.stages[0]
-        if top.needs_more_than(K):
-            need = (f"2^{top.n + 1} + 2" if top.kind == "prony"
-                    and top.n >= 64 else top.need)
+        top = max(self.stages, key=lambda s: s.need)
+        if top.need > K:
             raise RankDeficiencyError(f"stage {top.name} needs the trace "
-                                      f"powers k = 1..{need}, have {K}")
+                                      f"powers k = 1..{top.need}, have {K}")
 
 
 def plan(n, n_z, n_h):
@@ -609,12 +617,12 @@ def require_recoverable(bnf, n_z, n_h, k_max):
     p.require(k_max)
 
 
-def recover_qbnf(tdata, n, tol=1e-8, engine=None):
+def recover_qbnf(tdata, tol=1e-8, engine=None):
     """Full order-by-order recovery of (mu(z), F) from TraceData.
 
-    Runs the stages of :func:`plan` (see the module docstring), after
-    checking K against it.  The self-check also compares the constant
-    phase of the recovered form with the traces'.
+    Runs the stages of :func:`plan` for the n that stage 0 finds (see the
+    module docstring), after checking K against it.  The self-check also
+    compares the constant phase of the recovered form with the traces'.
 
     ``engine`` is an optional :class:`~bnftrace.qbnf.TraceEngine` already
     built, such as the forward engine of a round trip; if it serves the
@@ -624,17 +632,17 @@ def recover_qbnf(tdata, n, tol=1e-8, engine=None):
     f = tdata.field
     t_orders = tdata.orders()
     n_z, n_h = t_orders.z, t_orders.h
-    p = plan(n, n_z, n_h)
-    p.require(tdata.k_max)
     notes = []
-    conditioning = {}
 
     # -- Stage 0: frequencies and phase constant -------------------------
     a0 = {k: tdata.coefficients[k].get((), 0, 0)
           for k in range(1, tdata.k_max + 1)}
-    freq = recover_frequencies(f, a0, n, residual_tol=max(tol, 1e-8))
-    blocks = freq.blocks
-    conditioning[p.stages[0].name] = freq.conditioning
+    freq = recover_frequencies(f, a0, residual_tol=max(tol, 1e-8))
+    blocks, n = freq.blocks, freq.blocks.n
+    # stage 0 runs no forward, so K is still checked before any
+    p = plan(n, n_z, n_h)
+    p.require(tdata.k_max)
+    conditioning = {p.stages[0].name: freq.conditioning}
     f00 = tdata.phase + freq.phi
     if not f.is_zero(freq.phi):
         notes.append(

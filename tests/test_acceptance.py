@@ -72,7 +72,7 @@ def test_criterion_2_exact_round_trip_rt1():
     F, bnf, action = rt1()
     t0 = time.time()
     td = make_trace_data(bnf, action, {}, 8, (3, 3))
-    rep = recover_qbnf(td, 1)
+    rep = recover_qbnf(td)
     elapsed = time.time() - t0
     assert not rep.failed
     assert rep.recovered.F == bnf.F
@@ -88,7 +88,7 @@ def test_criterion_3_float_round_trip_mixed_blocks():
     k_max = 12: coefficientwise rel err <= 1e-8, condition numbers <= 1e6."""
     F, bnf = mixed_float_fixture(2024)
     td = make_trace_data(bnf, zseries(F, 2, {1: F.one}), {}, 12, (2, 2))
-    rep = recover_qbnf(td, 2)
+    rep = recover_qbnf(td)
     assert not rep.failed
     worst = 0.0
     for key in set(bnf.F.terms) | set(rep.recovered.F.terms):
@@ -126,7 +126,7 @@ def test_criterion_4_fried_prony_recovery():
                 for m in mus:
                     v /= 2 * cmath.sinh(k * m / 2)
                 a0[k] = v
-            fr = recover_frequencies(FF, a0, n)
+            fr = recover_frequencies(FF, a0)
             got = sorted((cmath.exp(m) for m in fr.blocks.mu()),
                          key=lambda z: (abs(z), z.real, z.imag))
             want = sorted((cmath.exp(m) for m in mus),

@@ -909,7 +909,7 @@ def test_classified_blocks_are_canonical_and_match_the_recovery(spec):
         a0 = {k: 1 / math.prod(2 * cmath.sinh(k * m / 2) for m in mus)
               for k in range(1, 2 ** (len(mus) + 1) + 3)}
         try:
-            rec = recover_frequencies(FF, a0, len(mus)).blocks
+            rec = recover_frequencies(FF, a0).blocks
         except MathError:
             assert spec in _MAY_REFUSE
             continue

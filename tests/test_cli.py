@@ -63,7 +63,7 @@ def test_exact_roundtrip_self_check_reads_the_forward_it_made(
     traces = str(tmp_path / "traces.json")
     assert main(["forward", "--bnf", rt1_file, "--orders", "4,3,3",
                  "--kmax", "8", "--out", traces]) == 0
-    assert main(["recover", "--traces", traces, "--n", "1",
+    assert main(["recover", "--traces", traces,
                  "--out", str(tmp_path / "rec.json")]) == 0
     assert full == 2 * [tuple(range(1, 9))]
     capsys.readouterr()
@@ -79,7 +79,7 @@ def test_forward_then_recover_files(rt1_file, tmp_path, capsys):
     assert len(payload["coefficients"]) == 8
     out_bnf = str(tmp_path / "rec.json")
     report = str(tmp_path / "report.json")
-    rc = main(["recover", "--traces", traces, "--n", "1",
+    rc = main(["recover", "--traces", traces,
                "--out", out_bnf, "--report", report])
     assert rc == 0
     rec = jsonio.qbnf_from_json(jsonio.load(out_bnf))
@@ -138,9 +138,67 @@ def test_truncated_traces_exit_three_with_required_count(rt1_file, tmp_path,
     traces = str(tmp_path / "short.json")
     assert main(["forward", "--bnf", rt1_file, "--orders", "4,3,3",
                  "--kmax", "4", "--out", traces]) == 0
-    rc = main(["recover", "--traces", traces, "--n", "1"])
+    rc = main(["recover", "--traces", traces])
     assert rc == 3
     assert "1..6" in capsys.readouterr().err
+
+
+def test_n2_traces_cut_to_nine_powers_exit_three_naming_ten(tmp_path,
+                                                            capsys):
+    """Nine powers test n = 1 alone, which n = 2 traces do not fit: the
+    refusal names the k = 1..10 that n = 2 needs."""
+    path, traces = str(tmp_path / "n2.json"), str(tmp_path / "t.json")
+    jsonio.dump(path, jsonio.qbnf_to_json(_recoverable_part(n2_bnf(), 1, 1)))
+    assert main(["forward", "--bnf", path, "--orders", "2,1,1",
+                 "--kmax", "9", "--out", traces]) == 0
+    assert main(["recover", "--traces", traces,
+                 "--out", str(tmp_path / "r.json")]) == 3
+    assert "k = 1..10, have 9" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("make, orders, K", [(lambda: rt1()[1], "4,3,3", 10),
+                                             (n2_bnf, "2,1,1", 18)],
+                         ids=["rt1", "n2"])
+def test_recover_reads_n_from_traces_that_could_hold_n_plus_one(
+        make, orders, K, tmp_path, capsys):
+    """K = 2^(n+2) + 2 powers let stage 0 try n + 1 blocks as well: exact
+    traces of rt1 and of an n = 2 form still recover their own n, and the
+    recovered normal form equals the input."""
+    _iota, n_z, n_h = map(int, orders.split(","))
+    bnf = _recoverable_part(make(), n_z, n_h)
+    path, traces = str(tmp_path / "bnf.json"), str(tmp_path / "t.json")
+    out = str(tmp_path / "r.json")
+    jsonio.dump(path, jsonio.qbnf_to_json(bnf))
+    assert main(["forward", "--bnf", path, "--orders", orders,
+                 "--kmax", str(K), "--out", traces]) == 0
+    assert main(["recover", "--traces", traces, "--out", out]) == 0
+    got = jsonio.qbnf_from_json(jsonio.load(out))
+    assert got.n == bnf.n and got.close_to(bnf)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("key", ["coefficients", "maslov"])
+def test_trace_powers_above_k_max_are_an_input_error(key, rt1_file, tmp_path,
+                                                     capsys):
+    """A traces file of k_max 6 that lists the powers 1..8 under ``key`` is
+    refused, naming the first power above and k_max, not recovered from
+    six of them."""
+    traces = tmp_path / "traces.json"
+    assert main(["forward", "--bnf", rt1_file, "--kmax", "8",
+                 "--out", str(traces)]) == 0
+    doc = json.load(open(traces))
+    doc["k_max"] = 6
+    other = doc["maslov" if key == "coefficients" else "coefficients"]
+    for k in ("7", "8"):
+        del other[k]
+    jsonio.dump(traces, doc)
+    capsys.readouterr()
+    assert main(["recover", "--traces", str(traces),
+                 "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"key '{key}' names power k=7 above k_max = 6" in err
+    assert not (tmp_path / "r.json").exists()
 
 
 def _no_forward(monkeypatch):
@@ -205,21 +263,6 @@ def test_short_n3_roundtrip_is_refused_before_any_forward(
                  "--kmax", kmax]) == 3
     err = capsys.readouterr().err
     assert f"stage h3:z0 needs the trace powers k = 1..34, have {kmax}" in err
-
-
-@pytest.mark.parametrize("n, need", [(20000, "2^20001 + 2"),
-                                     (10 ** 100, f"2^{10 ** 100 + 1} + 2")])
-def test_recover_with_a_huge_block_count_is_refused_by_prony(
-        n, need, rt1_file, tmp_path, monkeypatch, capsys):
-    """Prony's need 2^(n+1) + 2 is compared with K by bit length, not
-    formed or printed in full."""
-    traces = str(tmp_path / "traces.json")
-    assert main(["forward", "--bnf", rt1_file, "--out", traces]) == 0
-    capsys.readouterr()
-    _no_forward(monkeypatch)
-    assert main(["recover", "--traces", traces, "--n", str(n)]) == 3
-    err = capsys.readouterr().err
-    assert f"stage prony needs the trace powers k = 1..{need}, have 8" in err
 
 
 # runs each argv of the JSON list argv[2] through cli.main, with numpy made
@@ -318,7 +361,7 @@ def test_recovery_runs_without_numpy(tmp_path, monkeypatch, capsys):
          "--report", "n1-report.json"],
         ["forward", "--bnf", n1, "--orders", "4,3,3", "--kmax", "8",
          "--out", "n1-traces.json"],
-        ["recover", "--traces", "n1-traces.json", "--n", "1",
+        ["recover", "--traces", "n1-traces.json",
          "--report", "n1-recover-report.json", "--out", "n1-recovered.json"],
         ["roundtrip", "--bnf", n2, "--orders", "3,2,2", "--kmax", "14",
          "--report", "n2-report.json"],
@@ -542,7 +585,7 @@ def _recover_argv(tmp, mutate):
     doc = jsonio.trace_data_to_json(make_trace_data(bnf, action, {}, 6,
                                                     (1, 1)))
     mutate(doc)
-    return ["recover", "--traces", _doc_file(tmp, doc), "--n", "1",
+    return ["recover", "--traces", _doc_file(tmp, doc),
             "--out", str(tmp / "t.json")]
 
 
@@ -856,7 +899,7 @@ def test_dump_refuses_a_non_finite_number(tmp_path):
 SUBCOMMAND_OPTIONS = {
     "forward": {"--bnf", "--action", "--precision", "--orders", "--kmax",
                 "--out"},
-    "recover": {"--traces", "--n", "--precision", "--tol-residual", "--out",
+    "recover": {"--traces", "--precision", "--tol-residual", "--out",
                 "--report"},
     "roundtrip": {"--bnf", "--action", "--precision", "--orders", "--kmax",
                   "--tol-residual", "--report"},
@@ -886,14 +929,16 @@ _DROPPED = {
     "forward-tol-pole": (lambda path: ["forward", "--bnf", path,
                                        "--tol-pole", "1e-9"],
                          "unrecognized arguments: --tol-pole 1e-9"),
-    "recover-tol-pole": (lambda path: ["recover", "--traces", path, "--n", "1",
+    "recover-n": (lambda path: ["recover", "--traces", path, "--n", "1"],
+                  "unrecognized arguments: --n 1"),
+    "recover-tol-pole": (lambda path: ["recover", "--traces", path,
                                        "--tol-pole", "1e-9"],
                          "unrecognized arguments: --tol-pole 1e-9"),
     "roundtrip-tol-pole": (lambda path: ["roundtrip", "--bnf", path,
                                          "--tol-pole", "1e-9"],
                            "unrecognized arguments: --tol-pole 1e-9"),
     "recover-tol-conditioning": (
-        lambda path: ["recover", "--traces", path, "--n", "1",
+        lambda path: ["recover", "--traces", path,
                       "--tol-conditioning", "1e8"],
         "unrecognized arguments: --tol-conditioning 1e8"),
     "roundtrip-tol-conditioning": (
@@ -932,17 +977,6 @@ def test_bad_truncation_options_are_input_errors(rt1_file, tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("n", ["0", "-1"])
-def test_recover_block_count_below_one_is_an_input_error(rt1_file, tmp_path,
-                                                          capsys, n):
-    traces = str(tmp_path / "traces.json")
-    assert main(["forward", "--bnf", rt1_file, "--out", traces]) == 0
-    capsys.readouterr()
-    rc = main(["recover", "--traces", traces, "--n", n])
-    assert rc == 2
-    assert "n must be >= 1" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("precision", ["0", "32"])
 def test_precision_below_64_is_an_input_error(rt1_file, tmp_path, capsys,
                                               precision):
@@ -974,7 +1008,7 @@ def test_non_finite_tolerance_is_an_input_error(rt1_file, tmp_path, capsys,
         capsys.readouterr()
     out = str(tmp_path / "out.json")
     argv = {"forward": ["forward", "--bnf", rt1_file, "--out", out],
-            "recover": ["recover", "--traces", traces, "--n", "1",
+            "recover": ["recover", "--traces", traces,
                         "--out", out],
             "roundtrip": ["roundtrip", "--bnf", rt1_file]}[cmd]
     try:
@@ -1139,7 +1173,7 @@ def test_float_stage_above_the_double_roundoff_is_refused(tmp_path, capsys,
         assert main(["forward", "--bnf", path, "--orders", "4,0,2",
                      "--kmax", "16", "--out", traces]) == 0
         capsys.readouterr()
-        rc = main(["recover", "--traces", traces, "--n", "2", "--out", out])
+        rc = main(["recover", "--traces", traces, "--out", out])
     stdout, err = capsys.readouterr()
     assert rc == 3
     assert ("stage h2:z0 has condition number 1.625e+09, which times the "
@@ -1305,7 +1339,7 @@ def test_malformed_number_in_traces_exits_two(rt1_file, tmp_path, capsys,
     _corrupt(doc, path, value)
     jsonio.dump(traces, doc)
     capsys.readouterr()
-    rc = main(["recover", "--traces", str(traces), "--n", "1",
+    rc = main(["recover", "--traces", str(traces),
                "--out", str(tmp_path / "rec.json")])
     err = capsys.readouterr().err
     assert rc == 2
@@ -1390,7 +1424,7 @@ def test_exact_recover_beyond_the_double_range(tmp_path):
     gives back the normal form exactly."""
     doc = _rt1_with_f("1e160")
     assert main(_forward_argv(tmp_path, doc)) == 0
-    assert main(["recover", "--traces", str(tmp_path / "t.json"), "--n", "1",
+    assert main(["recover", "--traces", str(tmp_path / "t.json"),
                  "--out", str(tmp_path / "r.json")]) == 0
     want = jsonio.qbnf_from_json(doc)
     got = jsonio.qbnf_from_json(jsonio.load(tmp_path / "r.json"))

@@ -241,23 +241,29 @@ def test_eigenpairs_of_a_non_finite_matrix_are_a_convergence_error(bad):
 
 def test_condition_numbers_are_computed_only_where_read(monkeypatch):
     """A recovery computes the condition number of each factorization it
-    reports, stage 0's Hankel tail and each stage matrix, and none for the
-    Prony weight fit or the refit steps; extract_jets computes none."""
+    reports, stage 0's Hankel tail and each stage matrix, and none for a
+    Hankel probe that fails, the Prony weight fit or the refit steps;
+    extract_jets computes none."""
     conds, factored, solved = [], [], []
 
     def counted(calls, fn):
         return lambda *args, **kwargs: calls.append(1) or fn(*args, **kwargs)
 
+    def factor(field, rows):
+        factored.append(linalg.factor_lstsq(field, rows))
+        return factored[-1]
+
     monkeypatch.setattr(linalg, "_cond", counted(conds, linalg._cond))
-    monkeypatch.setattr(recover_module, "factor_lstsq",
-                        counted(factored, linalg.factor_lstsq))
+    monkeypatch.setattr(recover_module, "factor_lstsq", factor)
     monkeypatch.setattr(recover_module, "solve_lstsq",
                         counted(solved, linalg.solve_lstsq))
     F, bnf = mixed_float_fixture(7)
     td = make_trace_data(bnf, zseries(F, 2, {1: F.one}), {}, 12, (2, 2))
-    rep = recover_qbnf(td, 2)
+    rep = recover_qbnf(td)
     assert not rep.failed
-    assert len(conds) == len(factored) >= 2 and len(solved) >= 2
+    # the n = 1 probe, two unknowns, is inconsistent for these n = 2 traces
+    assert len(factored[0].r) == 2 and "cond" not in vars(factored[0])
+    assert len(conds) == len(factored) - 1 >= 2 and len(solved) >= 2
 
     conds.clear()
     order, base = 3, FR.from_int(2)

@@ -47,7 +47,7 @@ def test_recover_frequencies_exact_geometric():
     # s_k = 2^k - 2^{-k}: roots {2, 1/2}, mu = 2 ln 2, phi = 0, all exact
     a0 = {k: FR.inv(FR.from_int(2) ** k - FR.inv(FR.from_int(2)) ** k)
           for k in range(1, 9)}
-    fr = recover_frequencies(FR, a0, 1)
+    fr = recover_frequencies(FR, a0)
     assert fr.blocks.tags == (REAL_HYPERBOLIC,)
     assert fr.blocks.exp_half[0] == FR.from_int(2)
     assert fr.phi == FR.zero
@@ -56,7 +56,7 @@ def test_recover_frequencies_exact_geometric():
 def test_recover_frequencies_pure_phase_shift():
     phi = math.pi / 5
     a0 = _a0_from_sinh(FF, [2 * math.log(2)], phi, 8)
-    fr = recover_frequencies(FF, a0, 1)
+    fr = recover_frequencies(FF, a0)
     assert abs(FF.to_complex(fr.blocks.exp_half[0]) - 2) < 1e-10
     assert abs(fr.phi_value - phi) < 1e-10
 
@@ -68,26 +68,26 @@ def test_recover_frequencies_phase_on_rational_raises():
         s = FR.i ** (k % 4) * (FR.from_int(2) ** k - FR.inv(FR.from_int(2)) ** k)
         a0[k] = FR.inv(s)
     with pytest.raises(FieldError):
-        recover_frequencies(FR, a0, 1)
+        recover_frequencies(FR, a0)
 
 
 def test_recover_frequencies_zero_samples():
     a0 = {k: FF.zero for k in range(1, 9)}
     with pytest.raises(RankDeficiencyError):
-        recover_frequencies(FF, a0, 1)
+        recover_frequencies(FF, a0)
 
 
 def test_recover_frequencies_needs_enough_samples():
     a0 = _a0_from_sinh(FF, [1.0], 0.0, 5)
     with pytest.raises(RankDeficiencyError) as exc:
-        recover_frequencies(FF, a0, 1)
+        recover_frequencies(FF, a0)
     assert "1..6" in str(exc.value)
 
 
 def test_recover_frequencies_mixed_classes():
     mus = [math.log(3), 1j]
     a0 = _a0_from_sinh(FF, mus, 0.35, 12)
-    fr = recover_frequencies(FF, a0, 2)
+    fr = recover_frequencies(FF, a0)
     assert fr.blocks.tags == (REAL_HYPERBOLIC, ELLIPTIC)
     got = fr.blocks.mu()
     assert abs(got[0] - math.log(3)) < 1e-9
@@ -98,7 +98,7 @@ def test_recover_frequencies_mixed_classes():
 def test_recover_frequencies_ch_pair():
     mus = [0.9 + 1.1j, 0.9 - 1.1j]
     a0 = _a0_from_sinh(FF, mus, -0.2, 12)
-    fr = recover_frequencies(FF, a0, 2)
+    fr = recover_frequencies(FF, a0)
     assert fr.blocks.tags == (COMPLEX_HYPERBOLIC, COMPLEX_HYPERBOLIC)
     got = fr.blocks.mu()
     assert abs(got[0] - (0.9 + 1.1j)) < 1e-9
@@ -110,8 +110,8 @@ def test_recover_frequencies_permutation_invariant():
     mus = [math.log(2), math.log(5)]
     a0a = _a0_from_sinh(FF, mus, 0.1, 12)
     a0b = _a0_from_sinh(FF, list(reversed(mus)), 0.1, 12)
-    fa = recover_frequencies(FF, a0a, 2)
-    fb = recover_frequencies(FF, a0b, 2)
+    fa = recover_frequencies(FF, a0a)
+    fb = recover_frequencies(FF, a0b)
     ea = [FF.to_complex(x) for x in fa.blocks.exp_half]
     eb = [FF.to_complex(x) for x in fb.blocks.exp_half]
     assert all(abs(x - y) < 1e-10 for x, y in zip(ea, eb))
@@ -121,7 +121,7 @@ def test_exponential_sum_model_validation():
     a0 = _a0_from_sinh(FF, [1.0], 0.0, 8)
     a0[5] *= 1.5  # corrupt one sample
     with pytest.raises(RankDeficiencyError):
-        recover_frequencies(FF, a0, 1)
+        recover_frequencies(FF, a0)
 
 
 def test_exponential_sum_residual_fails_on_nan(monkeypatch):
@@ -134,7 +134,7 @@ def test_exponential_sum_residual_fails_on_nan(monkeypatch):
                         (fl.one * float("nan"), exp_half))
     a0 = _a0_from_sinh(FF, [1.0], 0.0, 8)
     with pytest.raises(RankDeficiencyError) as exc:
-        recover_frequencies(FF, a0, 1)
+        recover_frequencies(FF, a0)
     assert "misses the samples by nan" in str(exc.value)
 
 
@@ -153,27 +153,32 @@ _ALWAYS_RECOVERED = {"rh", "el", "rh+el", "rh+rh", "el+el", "ch", "rh+rh+el",
 
 @pytest.mark.parametrize("mix", sorted(_MIXES))
 def test_stage0_recovers_or_refuses_on_block_mixes(mix):
-    """Five seeded well-separated inputs per mix, K = 2^{n+1} + 2: each one
-    recovers e^mu (best order) and e^{i phi} within 1e-8 or raises a
-    MathError, and the mixes in _ALWAYS_RECOVERED never refuse."""
+    """Five seeded well-separated inputs per mix, K = 2^{n+1} + 2 and
+    K = 34: each one finds the mix's n and recovers e^mu (best order) and
+    e^{i phi} within 1e-8, or raises a MathError, and the mixes in
+    _ALWAYS_RECOVERED never refuse."""
     rng = random.Random("stage0/" + mix)
     for _ in range(5):
         mus = well_separated_mus(_MIXES[mix], rng)
         assert mus is not None
         phi = rng.uniform(-math.pi, math.pi)
         n = len(mus)
-        a0 = _a0_from_sinh(FF, mus, phi, 2 ** (n + 1) + 2)
-        try:
-            fr = recover_frequencies(FF, a0, n)
-        except MathError:
-            assert mix not in _ALWAYS_RECOVERED, mus
-            continue
-        got = [cmath.exp(m) for m in fr.blocks.mu()]
-        want = [cmath.exp(m) for m in mus]
-        err = min(max(abs(g - w) / max(1.0, abs(w)) for g, w in zip(p, want))
-                  for p in itertools.permutations(got))
-        assert err <= 1e-8, mus
-        assert abs(cmath.exp(1j * fr.phi_value) - cmath.exp(1j * phi)) <= 1e-8
+        for K in (2 ** (n + 1) + 2, 34):
+            a0 = _a0_from_sinh(FF, mus, phi, K)
+            try:
+                fr = recover_frequencies(FF, a0)
+            except MathError:
+                assert mix not in _ALWAYS_RECOVERED, mus
+                continue
+            assert fr.blocks.n == n, (mus, K)
+            got = [cmath.exp(m) for m in fr.blocks.mu()]
+            want = [cmath.exp(m) for m in mus]
+            err = min(max(abs(g - w) / max(1.0, abs(w))
+                          for g, w in zip(p, want))
+                      for p in itertools.permutations(got))
+            assert err <= 1e-8, mus
+            assert abs(cmath.exp(1j * fr.phi_value)
+                       - cmath.exp(1j * phi)) <= 1e-8
 
 
 @pytest.mark.parametrize("mus", [[0.05j], [3.1j], [0.05], [0.5, 0.1j]])
@@ -183,7 +188,7 @@ def test_stage0_near_the_normalization_boundaries(mus):
     the 0.1 of the ratio classes."""
     n = len(mus)
     a0 = _a0_from_sinh(FF, mus, 0.3, 2 ** (n + 1) + 2)
-    fr = recover_frequencies(FF, a0, n)
+    fr = recover_frequencies(FF, a0)
     for got, want in zip(sorted(fr.blocks.mu(), key=abs), sorted(mus, key=abs)):
         assert abs(got - want) <= 1e-8
     assert abs(fr.phi_value - 0.3) <= 1e-8
@@ -226,7 +231,7 @@ def test_extended_stage0_is_refit_at_its_own_precision():
     a0 = {k: 1 / math.prod((2 * mp.sinh(k * m / 2) for m in mus),
                            start=F.one)
           for k in range(1, 33)}
-    got = recover_frequencies(F, a0, 3).blocks.exp_half
+    got = recover_frequencies(F, a0).blocks.exp_half
     for m in mus:
         assert min(abs(E - mp.exp(m / 2)) for E in got) <= 1e-30
 
@@ -242,7 +247,7 @@ def test_wide_real_hyperbolic_triple_recovers_or_refuses():
           / math.prod(2 * cmath.sinh(k * m / 2) for m in mus)
           for k in range(1, 19)}
     try:
-        fr = recover_frequencies(FF, a0, 3)
+        fr = recover_frequencies(FF, a0)
     except MathError:
         return
     got = sorted(cmath.exp(m).real for m in fr.blocks.mu())
@@ -265,7 +270,7 @@ def _exact_round_trip(tagged, jet_coeffs, F_terms):
                                                F_terms))
     td = make_trace_data(bnf, zseries(FR, 1, {1: FR.one}), {},
                          2 ** (n + 1) + 2, (1, 1))
-    rep = recover_qbnf(td, n)
+    rep = recover_qbnf(td)
     assert not rep.failed and rep.max_residual == 0
     got = rep.recovered
     assert got.blocks.tags == blocks.tags
@@ -394,7 +399,7 @@ def test_deflated_stage_values_equal_fresh_forwards(case):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(recover_module, "recover_polynomial", recording_solve)
-        rep = recover_qbnf(td, n)
+        rep = recover_qbnf(td)
     assert not rep.failed and rep.recovered.F == F
     stages = [key for key in rep.conditioning if key != "prony"]
     assert len(stages) == len(handed) == 5
@@ -423,7 +428,7 @@ def test_exact_fit_that_does_not_verify_refuses():
                               start=FR.one))
           for k in range(1, 11)}
     with pytest.raises(RankDeficiencyError) as exc:
-        recover_frequencies(FR, a0, 2)
+        recover_frequencies(FR, a0)
     msg = str(exc.value)
     assert "240-bit fit c = " in msg and "misses the samples by" in msg
 
@@ -653,11 +658,11 @@ def test_one_factorization_solves_each_rhs_like_a_fresh_solve(name, system):
 def test_extended_recovery_reports_the_double_condition_numbers(precision):
     F, bnf = mixed_float_fixture(7)
     td = make_trace_data(bnf, zseries(F, 2, {1: F.one}), {}, 12, (2, 2))
-    want = recover_qbnf(td, 2).conditioning
+    want = recover_qbnf(td).conditioning
     ext = jsonio.qbnf_from_json(jsonio.qbnf_to_json(bnf), precision)
     G = ext.field
     td = make_trace_data(ext, zseries(G, 2, {1: G.one}), {}, 12, (2, 2))
-    rep = recover_qbnf(td, 2)
+    rep = recover_qbnf(td)
     assert not rep.failed
     assert rep.conditioning.keys() == want.keys()
     for stage, cond in want.items():
@@ -710,7 +715,7 @@ def test_recover_qbnf_trivial_fixture():
     b = QuantumBNF(blocks, [zseries(FR, 3)],
                    MultiSeries.zero(FR, 1, Orders(4, 3, 3)))
     td = make_trace_data(b, zseries(FR, 3, {1: FR.one}), {}, 8, (3, 3))
-    rep = recover_qbnf(td, 1)
+    rep = recover_qbnf(td)
     assert not rep.failed
     assert rep.recovered.F.is_zero()
     assert all(j.is_zero() for j in rep.recovered.mu_jets)
@@ -721,7 +726,7 @@ def test_rt1_round_trip_exact():
     F, bnf, action = rt1()
     t0 = time.time()
     td = make_trace_data(bnf, action, {}, 8, (3, 3))
-    rep = recover_qbnf(td, 1)
+    rep = recover_qbnf(td)
     elapsed = time.time() - t0
     assert not rep.failed
     assert rep.max_residual == 0
@@ -734,7 +739,7 @@ def test_rt1_round_trip_exact():
 def test_float_mixed_round_trip():
     F, bnf = mixed_float_fixture(7)
     td = make_trace_data(bnf, zseries(F, 2, {1: F.one}), {}, 12, (2, 2))
-    rep = recover_qbnf(td, 2)
+    rep = recover_qbnf(td)
     assert not rep.failed
     keys = set(bnf.F.terms) | set(rep.recovered.F.terms)
     for key in keys:
@@ -747,7 +752,7 @@ def test_float_mixed_round_trip():
 def test_float_round_trip_with_mu_jets():
     F, bnf = mixed_float_fixture(31, with_jets=True)
     td = make_trace_data(bnf, zseries(F, 2, {1: F.one}), {}, 12, (2, 2))
-    rep = recover_qbnf(td, 2)
+    rep = recover_qbnf(td)
     assert not rep.failed
     for jet_in, jet_out in zip(bnf.mu_jets, rep.recovered.mu_jets):
         assert jet_out.close_to(jet_in, 1e-8)
@@ -764,7 +769,7 @@ def test_recover_with_phase_in_data():
         for k in td.coefficients
     }
     td2 = TraceData(F, td.k_max, td.action, td.maslov, F.zero, rebased)
-    rep = recover_qbnf(td2, 2)
+    rep = recover_qbnf(td2)
     assert not rep.failed
     f00_in = bnf.F.get((0, 0), 0, 1)
     f00_out = rep.recovered.F.get((0, 0), 0, 1)
@@ -776,7 +781,7 @@ def test_recovery_triangularity_on_rt1():
     recovered coefficient bit-identical (exact backend)."""
     F, bnf, action = rt1()
     td = make_trace_data(bnf, action, {}, 8, (3, 3))
-    base = recover_qbnf(td, 1)
+    base = recover_qbnf(td)
 
     eps = F.from_rational("1/1000")
     terms = dict(bnf.F.terms)
@@ -785,7 +790,7 @@ def test_recovery_triangularity_on_rt1():
     bnf2 = QuantumBNF(bnf.blocks, bnf.mu_jets,
                       MultiSeries(F, 1, bnf.F.orders, terms))
     td2 = make_trace_data(bnf2, action, {}, 8, (3, 3))
-    pert = recover_qbnf(td2, 1)
+    pert = recover_qbnf(td2)
 
     # earlier stages: the h^0 layer (f_0 z-jets and mu jets) are identical
     assert pert.recovered.mu_jets[0] == base.recovered.mu_jets[0]
@@ -825,7 +830,7 @@ def test_recovery_evaluates_each_block_once_per_engine(monkeypatch):
     K = 8
     td = make_trace_data(bnf, action, {}, K, (3, 3))
     engines, calls = _count_engines_and_tables(monkeypatch)
-    rep = recover_qbnf(td, 1)
+    rep = recover_qbnf(td)
     assert not rep.failed
     assert len(engines) == 1
     assert len(calls) == K * bnf.n
@@ -840,10 +845,10 @@ def test_recovery_evaluates_each_z_series_once(monkeypatch):
     forward = TraceEngine(bnf.blocks, range(1, K + 1), 3)
     td = make_trace_data(bnf, action, {}, K, (3, 3), engine=forward)
     engines, calls = _count_engines_and_tables(monkeypatch)
-    rep = recover_qbnf(td, 1, engine=forward)
+    rep = recover_qbnf(td, engine=forward)
     assert not rep.failed
     assert engines == [] and calls == []
-    fresh = recover_qbnf(td, 1)
+    fresh = recover_qbnf(td)
     assert len(engines) == 1
     assert rep.recovered.F == fresh.recovered.F
     assert rep.recovered.mu_jets == fresh.recovered.mu_jets
@@ -853,10 +858,10 @@ def test_recovery_evaluates_each_z_series_once(monkeypatch):
 def test_recovery_normalization_idempotent():
     F, bnf = mixed_float_fixture(11)
     td = make_trace_data(bnf, zseries(F, 2, {1: F.one}), {}, 12, (2, 2))
-    rep = recover_qbnf(td, 2)
+    rep = recover_qbnf(td)
     td2 = make_trace_data(rep.recovered, zseries(F, 2, {1: F.one}), {}, 12,
                           (2, 2))
-    rep2 = recover_qbnf(td2, 2)
+    rep2 = recover_qbnf(td2)
     assert rep2.recovered.blocks.tags == rep.recovered.blocks.tags
     for a, b in zip(rep2.recovered.blocks.exp_half,
                     rep.recovered.blocks.exp_half):
@@ -868,7 +873,7 @@ def test_recover_qbnf_insufficient_kmax():
     F, bnf, action = rt1()
     td = make_trace_data(bnf, action, {}, 4, (3, 3))
     with pytest.raises(RankDeficiencyError) as exc:
-        recover_qbnf(td, 1)
+        recover_qbnf(td)
     assert "1..6" in str(exc.value)
 
 
@@ -901,7 +906,7 @@ def test_each_recovery_stage_runs_at_its_own_orders(monkeypatch):
 
     monkeypatch.setattr(recover_module, "trace_powers", recording_powers)
     monkeypatch.setattr(recover_module, "trace_layers", recording_layers)
-    rep = recover_qbnf(td, 1)
+    rep = recover_qbnf(td)
     assert not rep.failed
     stages = [key for key in rep.conditioning if key != "prony"]
     assert len(stages) == 15
@@ -946,7 +951,7 @@ def test_plan_counts_each_stage_alpha_set(n, n_z, n_h):
 def test_plan_names_the_conditioning_keys_in_order():
     F, bnf, action = rt1()
     td = make_trace_data(bnf, action, {}, 8, (3, 2))
-    rep = recover_qbnf(td, 1)
+    rep = recover_qbnf(td)
     assert list(rep.conditioning) == [s.name for s in plan(1, 3, 2).stages
                                       if s.kind != "self-check"]
 
@@ -998,7 +1003,7 @@ def test_recovery_factors_each_alpha_set_once(monkeypatch):
     monkeypatch.setattr(recover_module, "factor_lstsq", counting_factor)
     monkeypatch.setattr(recover_module, "recover_polynomial",
                         recording_polynomial)
-    rep = recover_qbnf(td, 1)
+    rep = recover_qbnf(td)
     assert not rep.failed
     distinct = set(alpha_sets)
     assert len(alpha_sets) == 15 and len(distinct) == 4
@@ -1032,17 +1037,17 @@ def test_exact_late_stage_with_a_bumped_coefficient_is_inconsistent():
     bad = _bumped(td, 5, 2, 1, F.from_rational("1/1000"))
     with pytest.raises(RankDeficiencyError,
                        match="inconsistent linear system on the exact"):
-        recover_qbnf(bad, 1)
+        recover_qbnf(bad)
 
 
 def test_float_late_stage_with_a_bumped_coefficient_fails_the_residual():
     F, bnf = mixed_float_fixture(7)
     td = make_trace_data(bnf, zseries(F, 2, {1: F.one}), {}, 12, (2, 2))
-    assert not recover_qbnf(td, 2).failed
+    assert not recover_qbnf(td).failed
     bad = _bumped(td, 5, 2, 1, F.one * 1e-3)
     with pytest.raises(RankDeficiencyError,
                        match="inconsistent linear system: residual"):
-        recover_qbnf(bad, 2)
+        recover_qbnf(bad)
 
 
 def _h_order_zero_traces(F_terms):
@@ -1062,7 +1067,7 @@ def test_recovery_keeps_h1_terms_at_h_order_zero(F_terms):
     """Traces at h-order 0 fix f00 and f01, which are h^1 terms of F: the
     recovered F holds them, term for term."""
     F, td = _h_order_zero_traces(F_terms)
-    rep = recover_qbnf(td, 1)
+    rep = recover_qbnf(td)
     assert not rep.failed
     assert list(rep.recovered.F.terms.items()) == list(F.terms.items())
     assert rep.recovered.F.orders.h == 1
@@ -1080,7 +1085,7 @@ def test_self_check_compares_the_constant_phase(monkeypatch):
                 for k, tp in original(*args, **kwargs).items()}
 
     monkeypatch.setattr(recover_module, "trace_powers", shifted)
-    rep = recover_qbnf(td, 1)
+    rep = recover_qbnf(td)
     assert rep.failed
     assert all(v == 0 for v in rep.residuals.values())
     assert any("constant phase" in note for note in rep.normalization_notes)
@@ -1104,7 +1109,7 @@ def test_self_check_reports_a_nan_deviation_as_the_max_residual(monkeypatch):
                 for k, tp in original(*args, **kwargs).items()}
 
     monkeypatch.setattr(recover_module, "trace_powers", poisoned)
-    rep = recover_qbnf(td, 1)
+    rep = recover_qbnf(td)
     assert rep.failed
     assert math.isnan(rep.max_residual)
     doc = jsonio.recovery_report_to_json(rep)
@@ -1133,7 +1138,7 @@ def test_exact_self_check_fails_on_a_mismatch_below_the_double_range(
         return {k: shift(tp) for k, tp in original(*args, **kwargs).items()}
 
     monkeypatch.setattr(recover_module, "trace_powers", shifted)
-    rep = recover_qbnf(td, 1)
+    rep = recover_qbnf(td)
     assert rep.failed
     assert rep.max_residual == 0
     assert all(v == 0 for v in rep.residuals.values())
@@ -1167,7 +1172,7 @@ def test_extended_residual_phase_is_recovered_at_working_precision():
     double, so the residual phase 0.3 comes back to 1e-30."""
     F, _G, _jet, shift, td = _phase_shifted_n1_traces()
     a0 = {k: td.coefficients[k].get((), 0, 0) for k in td.coefficients}
-    fr = recover_frequencies(F, a0, 1)
+    fr = recover_frequencies(F, a0)
     assert F.abs(fr.phi - shift) <= 1e-30
     assert abs(fr.phi_value - 0.3) <= 1e-15
 
@@ -1176,7 +1181,7 @@ def test_extended_recovery_with_a_residual_phase_keeps_its_precision():
     """The same traces through recover_qbnf: the phase is folded into f00
     and the rebased stages recover F and the jet to 1e-28."""
     F, G, jet, _shift, td = _phase_shifted_n1_traces()
-    rep = recover_qbnf(td, 1)
+    rep = recover_qbnf(td)
     assert not rep.failed
     got = rep.recovered
     for want, have in ((G, got.F), (jet, got.mu_jets[0])):
