@@ -262,8 +262,11 @@ def _fraction(text):
     return Fraction(text)
 
 
-def _format_fraction(q):
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
+def _format_part(n, d):
+    """The text ``str(Fraction(n, d))`` of one part n/d, d > 0, from one
+    gcd."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 class RationalField:
@@ -287,7 +290,7 @@ class RationalField:
         return RationalComplex(_fraction(re_str), _fraction(im_str))
 
     def format(self, x):
-        return _format_fraction(x.re), _format_fraction(x.im)
+        return _format_part(x.a, x.d), _format_part(x.b, x.d)
 
     def is_zero(self, x):
         return x.a == 0 and x.b == 0

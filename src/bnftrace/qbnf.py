@@ -25,8 +25,9 @@ and grows on demand in the order, so a value at mu(0) is a product of
 table entries.  Along the jets delta_j(z) = mu_j(z) - mu_j(0) the block
 factor is d^a (1/2)csch(k mu_j(z)/2) = sum_b d^{a+b} (1/2)csch(k mu_j(0)/2)
 delta_j(z)^b / b!, and per jet state the engine keeps the powers of the
-jets, the block factors per (j, a) and their products over j per alpha.
-The caches live as long as the engine: the recovery uses one for every
+jets, the block factors per (j, a) and their products over each prefix
+of alpha, each formed only up to the highest z-order a forward has read:
+a term z^m d^alpha reads the csch side to z-order N_z - m.  The caches live as long as the engine: the recovery uses one for every
 stage and its self-check, and it also keeps the expansions of its
 powers, for an equal normal form.  The engine is the one holder of what a
 forward runs at: the trace functions read their powers from it.
@@ -280,6 +281,8 @@ class TraceEngine:
         self.ks = tuple(ks)
         if not self.ks or min(self.ks) < 1:
             raise SchemaError("k must be a positive integer")
+        if blocks.n < 1:
+            raise SchemaError("n must be >= 1")
         f = self.field = blocks.field
         self.exp_half = list(blocks.exp_half)
         self.n_z = n_z
@@ -323,8 +326,9 @@ class TraceEngine:
     def along(self, mu_jets):
         """The caches of :meth:`zseries` along ``mu_jets``, made on first
         use: per block the powers delta_j^b / b! of its jet at the engine's
-        z-order, and the block factors and products formed so far.  A
-        forward call looks them up once."""
+        z-order, and the block factors and partial products, each formed
+        once per jet state, up to the highest z-order a forward has read.
+        A forward call looks them up once."""
         key = tuple(tuple(sorted(jet.terms.items())) for jet in mu_jets)
         caches = self._jet_caches.get(key)
         if caches is None:
@@ -335,34 +339,49 @@ class TraceEngine:
             caches = self._jet_caches[key] = (scaled, {}, {})
         return caches
 
-    def zseries(self, alpha, jets):
-        """z-series of d^alpha prod_j (1/2)csch(k mu_j/2) along mu(z), as a
-        dict from z-order to the list of its coefficients over the engine's
-        powers, for the jets whose caches :meth:`along` gave.  Block j's
-        factor is sum_b d^{alpha_j + b} (1/2)csch(k mu_j(0)/2)
-        delta_j(z)^b / b!."""
+    def zseries(self, alpha, jets, top=None):
+        """z-series of d^alpha prod_j (1/2)csch(k mu_j/2) along mu(z) to
+        z-order ``top`` (the engine's if None), as a dict from z-order to
+        the list of its coefficients over the engine's powers, for the jets
+        whose caches :meth:`along` gave.  Block j's factor is
+        sum_b d^{alpha_j + b} (1/2)csch(k mu_j(0)/2) delta_j(z)^b / b!.
+        Factors and the products over each prefix of ``alpha`` are formed
+        once per jet state, up to the highest z-order read, and formed
+        again when a call reads higher; the series keeps the keys, values
+        and order of the engine's full-order series cut at ``top``."""
+        top = self.n_z if top is None else top
+        formed, s = self._product(alpha, jets, top)
+        return s if formed == top else {m: v for m, v in s.items() if m <= top}
+
+    def _product(self, alpha, jets, top):
+        """``(order, series)``: the product of block j's factors at
+        alpha_j over the blocks of ``alpha``, formed to z-order ``top`` or
+        above, cached by ``alpha``."""
         scaled, factors, products = jets
-        s = products.get(alpha)
-        if s is None:
-            for j, a in enumerate(alpha):
-                factor = factors.get((j, a))
-                if factor is None:
-                    d = self._derivatives(j, a + len(scaled[j]) - 1)
-                    sums = self.field.sums()
-                    for b, delta in enumerate(scaled[j]):
-                        for ((), m, _l), c in delta.terms.items():
-                            sums.add(m, d[a + b], repeat(c))
-                    factor = factors[(j, a)] = sums.result()
-                if j:  # the product with the factors before, cut at n_z
-                    sums = self.field.sums()
-                    for m1, v1 in s.items():
-                        for m2, v2 in factor.items():
-                            if m1 + m2 <= self.n_z:
-                                sums.add(m1 + m2, v1, v2)
-                    factor = sums.result()
-                s = factor
-            products[alpha] = s
-        return s
+        got = products.get(alpha)
+        if got is not None and got[0] >= top:
+            return got
+        j, a = len(alpha) - 1, alpha[-1]
+        factor = factors.get((j, a))
+        if factor is None or factor[0] < top:
+            # delta_j^b starts at z^b, so b <= top
+            deltas = scaled[j][:top + 1]
+            d = self._derivatives(j, a + len(deltas) - 1)
+            sums = self.field.sums()
+            for b, delta in enumerate(deltas):
+                for ((), m, _l), c in delta.terms.items():
+                    if m <= top:
+                        sums.add(m, d[a + b], repeat(c))
+            factor = factors[(j, a)] = (top, sums.result())
+        if j:  # the product with the factors before, cut at top
+            sums = self.field.sums()
+            for m1, v1 in self._product(alpha[:-1], jets, top)[1].items():
+                for m2, v2 in factor[1].items():
+                    if m1 + m2 <= top:
+                        sums.add(m1 + m2, v1, v2)
+            factor = (top, sums.result())
+        products[alpha] = factor
+        return factor
 
 
 def trace_powers(bnf, orders, engine):
@@ -471,12 +490,16 @@ def _forward(bnf, orders, engine, layer=None, added=None):
     if pz is None:
         pz = z_phases[ks] = _exp_from_powers(f0_powers, minus_ik)
 
-    # apply the operator monomials to the csch product along mu(z)
+    # apply the operator monomials to the csch product along mu(z), which
+    # the terms of each alpha read up to z-order n_z minus their lowest m
+    top = {}
+    for alpha, m, _l in op:
+        top[alpha] = max(top.get(alpha, 0), n_z - m)
     sums = engine.field.sums()
     for (alpha, m, l), c in op.items():
         da = sum(alpha)
         factor = list(map(mul, c, engine.ik_power(da))) if da else c
-        for m2, ec in engine.zseries(alpha, jets).items():
+        for m2, ec in engine.zseries(alpha, jets, top[alpha]).items():
             if m + m2 <= n_z:
                 sums.add(((), m + m2, l), factor, ec)
     return phase, pz, sums.result()

@@ -729,7 +729,8 @@ def recover_qbnf(tdata, tol=1e-8, engine=None):
             for j in range(n_h + 1):
                 a = coeffs[k].get((), m, j)
                 b = fwd.get((), m, j)
-                dev = f.abs(a - b) / max(1.0, f.abs(a))
+                dev = (0.0 if f.exact and a == b
+                       else f.abs(a - b) / max(1.0, f.abs(a)))
                 residuals[(j, k, m)] = dev
                 failed = failed or off(a, b, dev)
     # the constant phase, against the traces' phase with the residual

@@ -110,6 +110,21 @@ def test_missing_file_exits_two(tmp_path):
     assert rc == 2
 
 
+def test_forward_of_no_blocks_exits_two(tmp_path, capsys):
+    """A normal form with n = 0 has no trace to expand: forward refuses
+    it as roundtrip does, and writes no trace file."""
+    path, out = tmp_path / "n0.json", tmp_path / "n0_t.json"
+    jsonio.dump(path, {"field": "rational", "n": 0, "blocks": [],
+                       "mu_jets": [], "F": jsonio.series_to_json(
+                           MultiSeries.zero(FR, 0, Orders(2, 1, 1)))})
+    rc = main(["forward", "--bnf", str(path), "--orders", "2,1,1",
+               "--kmax", "8", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "n must be >= 1" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_resonant_fixture_exits_three_with_witness(tmp_path, capsys):
     theta = 2 * math.pi / 3
     blocks_json = [{

@@ -52,6 +52,24 @@ def test_rational_parse_format_roundtrip():
     assert F.parse(re, im) == x
 
 
+def test_rational_format_writes_each_part_as_fraction_does():
+    """Each part is written as str(Fraction) writes it: zero, negative,
+    integer and huge parts, and parts whose shared denominator each
+    reduces differently.  A part of more digits than Python writes as
+    text raises ValueError, as str(Fraction) does."""
+    F = RationalField()
+    parts = [Fraction(0), Fraction(-3, 4), Fraction(5), Fraction(-12),
+             Fraction(1, 2), Fraction(1, 3), Fraction(7, 10 ** 30),
+             Fraction(1 - 10 ** 40, 3)]
+    for re in parts:
+        for im in parts:
+            assert F.format(RationalComplex(re, im)) == (str(re), str(im))
+    for x in (RationalComplex(10 ** 5000, Fraction(1, 3)),
+              RationalComplex(Fraction(1, 3), -10 ** 5000)):
+        with pytest.raises(ValueError):
+            F.format(x)
+
+
 def test_rational_abs_does_not_square_out_of_range():
     """|x| is taken from the rounded parts, so a modulus near 1e200, whose
     square is 1e400, is still a float."""

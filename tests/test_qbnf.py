@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (brute_force_trace_coeffs, leading_term,
-                     mixed_float_fixture, random_F_total_degree,
+                     mixed_float_fixture, n3_bnf, random_F_total_degree,
                      random_hyperbolic_exp_half, rt1)
 
 from bnftrace.blocks import (COMPLEX_HYPERBOLIC, ELLIPTIC, REAL_HYPERBOLIC,
@@ -244,9 +244,10 @@ def test_mixed_fixture_forward_runs():
 class _ScratchEngine:
     """Stands in for TraceEngine with no caches at all: every z-series is
     built from scratch by apply_derivatives + eval_series_in_z, one power
-    at a time.  Its trace_powers memo starts empty, so its first
-    trace_powers runs the forward.  It takes the constants -ik and
-    (i/k)^d, which hold no csch values, from a TraceEngine."""
+    at a time, always to the full z-order: it accepts the z-order a
+    forward reads and ignores it.  Its trace_powers memo starts empty, so
+    its first trace_powers runs the forward.  It takes the constants -ik
+    and (i/k)^d, which hold no csch values, from a TraceEngine."""
 
     def __init__(self, blocks, ks, n_z):
         self.blocks = blocks
@@ -263,7 +264,7 @@ class _ScratchEngine:
     def along(self, mu_jets):
         return mu_jets
 
-    def zseries(self, alpha, mu_jets):
+    def zseries(self, alpha, mu_jets, _top=None):
         b, ks, out = self.blocks, self.ks, {}
         for i, k in enumerate(ks):
             expr = hc.apply_derivatives(hc.csch_product(b.field, b.n, k),
@@ -495,6 +496,56 @@ def test_one_engine_serves_every_jet_state():
         want = qbnf.trace_powers(bnf, (3, 3), TraceEngine(a.blocks, ks, 3))
         for k in ks:
             assert got[k].coeffs.terms == want[k].coeffs.terms
+
+
+def test_a_zseries_is_the_full_series_cut_at_its_order():
+    """zseries to z-order t has the keys, values and order of the full
+    series cut at t, whether the orders are asked rising or falling, on
+    the rational field and bit for bit on doubles."""
+    _F, float_bnf = mixed_float_fixture(3, with_jets=True)
+    for bnf in (*_rational_fixtures(), n3_bnf(), float_bnf):
+        n_z = bnf.mu_jets[0].orders.z
+        alphas = _alphas_up_to(bnf.n, 3)
+        full = TraceEngine(bnf.blocks, (1, 4), n_z)
+        jets = full.along(bnf.mu_jets)
+        want = {alpha: full.zseries(alpha, jets) for alpha in alphas}
+        for tops in (range(n_z + 1), range(n_z, -1, -1)):
+            engine = TraceEngine(bnf.blocks, (1, 4), n_z)
+            for top in tops:
+                for alpha in alphas:
+                    got = engine.zseries(alpha, engine.along(bnf.mu_jets), top)
+                    assert list(got.items()) == [
+                        (m, v) for m, v in want[alpha].items() if m <= top]
+
+
+def test_engine_caches_do_not_depend_on_call_order():
+    """The stage forwards (low layers, then an ``added`` deflation) and
+    the full forward give a fresh engine's values and key order, whichever
+    of them one engine serves first."""
+    ks = (1, 2, 3)
+    for bnf in (*_rational_fixtures(), n3_bnf()):
+        added = {((1,) + (0,) * (bnf.n - 1), 1): FR.from_rational("2/7")}
+        calls = [((m, 0), None) for m in range(4)]
+        calls += [((3, j), None) for j in (1, 2)] + [((3, 1), added)]
+
+        def fresh():
+            return TraceEngine(bnf.blocks, ks, 3)
+
+        def layers(engine=None):
+            return [list(qbnf.trace_layers(bnf, orders, engine or fresh(),
+                                           added=more).items())
+                    for orders, more in calls]
+
+        def forward(engine):
+            return [(k, list(tp.coeffs.terms.items())) for k, tp in
+                    qbnf.trace_powers(bnf, (3, 3), engine).items()]
+
+        want = layers(), forward(fresh())
+        engine = fresh()
+        assert (layers(engine), forward(engine)) == want
+        engine = fresh()
+        assert forward(engine) == want[1]
+        assert layers(engine) == want[0]
 
 
 @st.composite
