@@ -318,8 +318,12 @@ def dump(path, obj):
 
 
 def load(path):
+    """The JSON document in the file ``path``; a file that is not UTF-8
+    JSON, or is nested too deep to parse, is an input error."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"malformed JSON in {path}: {exc}") from exc
+    except RecursionError:
+        raise SchemaError(f"JSON in {path} is nested too deep") from None

@@ -34,9 +34,11 @@ forward runs at: the trace functions read their powers from it.
 
 The F side does not depend on k.  With X = sum_{j>=1} h^j f_j(z, y),
 exp(-ik X) = sum_m ((-ik)^m / m!) X^m, and likewise for the z-dependent
-phase, so each normal form computes the constant phase and the powers of
-X and of f0(z) - f0(0) once per (N_z, N_h) (:meth:`QuantumBNF.trace_side`),
-and the powers k only scale and add them.
+phase, so each forward splits F(h y, z; h)/h into the constant phase
+f0(0), f0plus = f0(z) - f0(0) and X, forms the powers of X once, and the
+powers k only scale and add them.  The engine keeps the z-phase
+exp(-ik f0plus) by N_z and the terms of f0plus, which the ``added``
+deflations of one h-order share with that layer's forward.
 
 One forward pass serves the engine's powers ks: every coefficient it
 forms is a list over ks, each entry a sum of products for that power
@@ -46,7 +48,8 @@ on the rational field exactly, reduced once.  Only the final series drop
 zero coefficients: an intermediate one that is zero stays in its list,
 where per-power MultiSeries arithmetic would drop it, which can move
 only the sign of a zero part of a float result.
-:func:`trace_powers` gives the whole expansion of each power,
+:func:`trace_powers` gives the whole expansion of each power, with the
+constant phase that they share,
 and :func:`make_trace_data` and the recovery's self-check take it in one
 call over all powers.  A recovery stage (h^j, z^m) reads coefficients at
 h^j, which depend on nothing of higher order, so :func:`trace_layers`
@@ -82,14 +85,13 @@ class QuantumBNF:
     the constants live in ``blocks`` as half-exponentials.
     """
 
-    __slots__ = ("field", "blocks", "mu_jets", "F", "_trace_sides")
+    __slots__ = ("field", "blocks", "mu_jets", "F")
 
     def __init__(self, blocks, mu_jets, F):
         self.field = blocks.field
         self.blocks = blocks
         self.mu_jets = list(mu_jets)
         self.F = F
-        self._trace_sides = {}
         self._validate()
 
     @property
@@ -121,62 +123,6 @@ class QuantumBNF:
                     f"offending term iota^{alpha}"
                 )
 
-    def f_series(self, n_h, n_z):
-        """Regroup F into sum_j h^j f_j(z, y) = F(h y, z; h)/h.
-
-        The iota slots of the result hold y-powers.  Terms with
-        l + |alpha| - 1 > n_h are dropped; products inside the exponential
-        can still reach y-degree 2 n_h, hence the wide iota budget.
-        """
-        f = self.field
-        orders = Orders(2 * n_h + 2, n_z, n_h)
-        terms = {}
-        for (alpha, m, l), c in self.F.terms.items():
-            j = l + sum(alpha) - 1
-            if j < 0:
-                raise SchemaError("F violates the O(iota^2) normalization")
-            if j > n_h or m > n_z:
-                continue
-            terms[(alpha, m, j)] = c
-        return MultiSeries(f, self.n, orders, terms)
-
-    def trace_side(self, n_z, n_h):
-        """The k-independent F side of :func:`trace_powers` at orders
-        (n_z, n_h), built on first use and kept for the instance's life.
-
-        Returns ``(phase, x_powers, f0_powers, z_phases)``: the constant
-        phase f0(0), the powers [1, X, X^2, ...] of the operator part
-        X = sum_{j>=1} h^j f_j(z, y) and of f0plus = f0(z) - f0(0), each up
-        to the first power that truncates to zero, and a dict that keeps
-        the terms of the z-phase exp(-ik f0plus) per tuple of powers k.
-        """
-        side = self._trace_sides.get((n_z, n_h))
-        if side is None:
-            side = self._build_trace_side(n_z, n_h)
-            self._trace_sides[(n_z, n_h)] = side
-        return side
-
-    def _build_trace_side(self, n_z, n_h):
-        f = self.field
-        fs = self.f_series(n_h, n_z)
-        # split off f_0(z): the h^0 layer, which must be y-independent
-        f0_terms = {}
-        for (alpha, m, l), c in fs.terms.items():
-            if l == 0:
-                if sum(alpha) != 0:
-                    raise SchemaError(
-                        "h^0 layer of F(hy,z;h)/h must be y-independent; "
-                        "the QuantumBNF is malformed"
-                    )
-                f0_terms[((), m, 0)] = c
-        # full order budget so later products do not truncate the h direction
-        f0 = MultiSeries(f, 0, Orders(0, n_z, n_h), f0_terms)
-        phase = f0.constant_term()
-        f0plus = f0 - MultiSeries.scalar(f, 0, f0.orders, phase)
-        x_terms = {key: c for key, c in fs.terms.items() if key[2] >= 1}
-        X = MultiSeries(f, self.n, fs.orders, x_terms)
-        return phase, powers(X), powers(f0plus), {}
-
     def close_to(self, other, tol=None):
         if self.n != other.n or self.blocks.tags != other.blocks.tags:
             return False
@@ -189,23 +135,6 @@ class QuantumBNF:
             a.close_to(b, tol) for a, b in zip(self.mu_jets, other.mu_jets)
         )
         return ok and self.F.close_to(other.F, tol)
-
-
-class TracePower:
-    """Result of one trace_power call: stored series plus phase metadata.
-
-    The represented trace is  e^{ikS(z)/h} * e^{-ik phase} * coeffs(z, h).
-    """
-
-    __slots__ = ("k", "phase", "coeffs")
-
-    def __init__(self, k, phase, coeffs):
-        self.k = k
-        self.phase = phase
-        self.coeffs = coeffs
-
-    def __repr__(self):
-        return f"<TracePower k={self.k} phase={self.phase!r}>"
 
 
 class TraceData:
@@ -253,28 +182,13 @@ class TraceData:
         return Orders(0, s.orders.z, s.orders.h)
 
 
-def _check_trace_orders(bnf, orders):
-    n_z, n_h = orders
-    For = bnf.F.orders
-    if n_h > For.h:
-        raise SchemaError(
-            f"trace h-order {n_h} exceeds F truncation h<={For.h}"
-        )
-    if n_h + 1 > For.iota:
-        raise SchemaError(
-            f"trace h-order {n_h} needs F iota-order >= {n_h + 1}, have {For.iota}"
-        )
-    if n_z > For.z:
-        raise SchemaError(
-            f"trace z-order {n_z} exceeds F truncation z<={For.z}"
-        )
-
-
 class TraceEngine:
     """The F-independent csch side of the trace expansion for one set of
     blocks and one tuple of powers ``ks``, up to z-order ``n_z`` (see the
     module docstring), cached for the engine's lifetime, with the
-    per-power constants -ik and (i/k)^d listed over ``ks``.
+    per-power constants -ik and (i/k)^d listed over ``ks``.  Its dicts
+    ``z_phases`` and ``trace_powers`` keep the z-phases and the expansions
+    that its forwards made.
     """
 
     def __init__(self, blocks, ks, n_z):
@@ -288,6 +202,7 @@ class TraceEngine:
         self.n_z = n_z
         self._tables = {}
         self._jet_caches = {}
+        self.z_phases = {}
         self.trace_powers = {}
         self.minus_ik = [-(f.i * f.from_int(k)) for k in self.ks]
         self._ik_inv = [f.i * f.inv(f.from_int(k)) for k in self.ks]
@@ -386,7 +301,9 @@ class TraceEngine:
 
 def trace_powers(bnf, orders, engine):
     """Expansions of tr U(z)^k for the powers k of ``engine`` to the given
-    (N_z, N_h) orders, as a dict from k to :class:`TracePower`.
+    (N_z, N_h) orders, as the pair ``(phase, {k: series})``: the constant
+    phase f0(0), which all powers share, and per power the plain z, h
+    series of its coefficients.
 
     See the module docstring for the exact phase convention.  ``engine``
     is a :class:`TraceEngine` built for the blocks of ``bnf`` at z-order
@@ -396,8 +313,8 @@ def trace_powers(bnf, orders, engine):
     _check_engine(bnf, orders, engine)
     form = (tuple(orders),
             *(tuple(sorted(s.terms.items())) for s in [bnf.F, *bnf.mu_jets]))
-    tps = engine.trace_powers.get(form)
-    if tps is None:
+    memo = engine.trace_powers.get(form)
+    if memo is None:
         phase, pz, applied = _forward(bnf, orders, engine)
         n_z, n_h = orders
         sums = bnf.field.sums()
@@ -407,25 +324,25 @@ def trace_powers(bnf, orders, engine):
                     sums.add(((), m1 + m2, l1 + l2), v1, v2)
         coeffs = sums.result()
         series_orders = Orders(0, n_z, n_h)
-        tps = engine.trace_powers[form] = {
-            k: TracePower(k, phase, MultiSeries._make(
-                bnf.field, 0, series_orders,
-                {key: v[i] for key, v in coeffs.items()}))
+        memo = engine.trace_powers[form] = phase, {
+            k: MultiSeries._make(bnf.field, 0, series_orders,
+                                 {key: v[i] for key, v in coeffs.items()})
             for i, k in enumerate(engine.ks)}
-    return tps
+    return memo
 
 
 def trace_power(bnf, k, orders):
     """Expansion of tr U(z)^k to the given (N_z, N_h) orders: the one-power
-    case of :func:`trace_powers`, on an engine of its own, as a
-    :class:`TracePower`."""
-    return trace_powers(bnf, orders, TraceEngine(bnf.blocks, (k,),
-                                                 orders[0]))[k]
+    case of :func:`trace_powers`, on an engine of its own, as the pair
+    ``(phase, series)``."""
+    phase, series = trace_powers(bnf, orders,
+                                 TraceEngine(bnf.blocks, (k,), orders[0]))
+    return phase, series[k]
 
 
 def trace_layers(bnf, orders, engine, added=None):
-    """The z^0..z^{N_z} coefficients at h^{N_h} of
-    ``trace_powers(bnf, orders, engine)[k].coeffs`` for the powers k of
+    """The z^0..z^{N_z} coefficients at h^{N_h} of the series of power k
+    in ``trace_powers(bnf, orders, engine)`` for the powers k of
     ``engine``, as a dict from k to the list of them.
 
     The z-phase exp(-ik f0plus) has z-terms only, so the z^m coefficient is
@@ -458,8 +375,21 @@ def trace_layers(bnf, orders, engine, added=None):
 def _check_engine(bnf, orders, engine):
     """Refuse orders that ``bnf`` cannot give, then an ``engine`` that
     does not serve its blocks at z-order N_z."""
-    _check_trace_orders(bnf, orders)
-    if not engine.serves(bnf.blocks, orders[0]):
+    n_z, n_h = orders
+    For = bnf.F.orders
+    if n_h > For.h:
+        raise SchemaError(
+            f"trace h-order {n_h} exceeds F truncation h<={For.h}"
+        )
+    if n_h + 1 > For.iota:
+        raise SchemaError(
+            f"trace h-order {n_h} needs F iota-order >= {n_h + 1}, have {For.iota}"
+        )
+    if n_z > For.z:
+        raise SchemaError(
+            f"trace z-order {n_z} exceeds F truncation z<={For.z}"
+        )
+    if not engine.serves(bnf.blocks, n_z):
         raise SchemaError(
             "trace engine was built for other blocks or a lower z-order"
         )
@@ -478,24 +408,43 @@ def _forward(bnf, orders, engine, layer=None, added=None):
     layer's part in them (see :func:`trace_layers`).
     """
     n_z, n_h = orders
-    ks = engine.ks
-    jets = engine.along(bnf.mu_jets)
-    phase, x_powers, f0_powers, z_phases = bnf.trace_side(n_z, n_h)
-    minus_ik = engine.minus_ik
-    # operator part exp(-ik X) and z-dependent scalar phase exp(-ik f0plus)
-    op = (_exp_from_powers(x_powers, minus_ik, layer) if added is None else
-          {(a, m, layer): [t * x for t in minus_ik]
-           for (a, m), x in added.items()})
-    pz = z_phases.get(ks)
+    f, minus_ik = bnf.field, engine.minus_ik
+    # split F(h y, z; h)/h = sum_j h^j f_j(z, y): a term iota^alpha z^m h^l
+    # goes to the layer j = l + |alpha| - 1, which F's O(iota^2) h^0 part
+    # keeps >= 0, and j = 0 holds only alpha = 0: f0(z) = f0(0) + f0plus
+    phase, f0plus, x_terms = f.zero, {}, {}
+    for (alpha, m, l), c in bnf.F.terms.items():
+        j = l + sum(alpha) - 1
+        if j > n_h or m > n_z:
+            continue
+        if j:
+            x_terms[(alpha, m, j)] = c
+        elif m:
+            f0plus[((), m, 0)] = c
+        else:
+            phase = c
+    # operator part exp(-ik X); its powers reach y-degree 2 n_h at most,
+    # inside X's iota budget
+    if added is None:
+        X = MultiSeries(f, bnf.n, Orders(2 * n_h + 2, n_z, n_h), x_terms)
+        op = _exp_from_powers(powers(X), minus_ik, layer)
+    else:
+        op = {(a, m, layer): [t * x for t in minus_ik]
+              for (a, m), x in added.items()}
+    # z-dependent scalar phase exp(-ik f0plus), kept on the engine
+    key = (n_z, tuple(f0plus.items()))
+    pz = engine.z_phases.get(key)
     if pz is None:
-        pz = z_phases[ks] = _exp_from_powers(f0_powers, minus_ik)
+        pz = engine.z_phases[key] = _exp_from_powers(
+            powers(MultiSeries(f, 0, Orders(0, n_z, 0), f0plus)), minus_ik)
+    jets = engine.along(bnf.mu_jets)
 
     # apply the operator monomials to the csch product along mu(z), which
     # the terms of each alpha read up to z-order n_z minus their lowest m
     top = {}
     for alpha, m, _l in op:
         top[alpha] = max(top.get(alpha, 0), n_z - m)
-    sums = engine.field.sums()
+    sums = f.sums()
     for (alpha, m, l), c in op.items():
         da = sum(alpha)
         factor = list(map(mul, c, engine.ik_power(da))) if da else c
@@ -542,8 +491,6 @@ def make_trace_data(bnf, action, maslov, k_max, orders, engine=None):
     elif engine.ks != ks:
         raise SchemaError(f"trace engine was built for the powers "
                           f"{list(engine.ks)}, not k = 1..{k_max}")
-    tps = trace_powers(bnf, orders, engine)
-    coefficients = {k: tp.coeffs for k, tp in tps.items()}
-    phase = tps[k_max].phase
+    phase, coefficients = trace_powers(bnf, orders, engine)
     maslov = {k: maslov.get(k, 0) for k in range(1, k_max + 1)}
     return TraceData(bnf.field, k_max, action, maslov, phase, coefficients)

@@ -721,10 +721,9 @@ def recover_qbnf(tdata, tol=1e-8, engine=None):
 
     residuals = {}
     failed = False
-    tps = trace_powers(recovered, (n_z, n_h), engine)
+    phase, fwds = trace_powers(recovered, (n_z, n_h), engine)
     for k in ks:
-        tp = tps[k]
-        fwd = tp.coeffs
+        fwd = fwds[k]
         for m in range(n_z + 1):
             for j in range(n_h + 1):
                 a = coeffs[k].get((), m, j)
@@ -735,9 +734,9 @@ def recover_qbnf(tdata, tol=1e-8, engine=None):
                 failed = failed or off(a, b, dev)
     # the constant phase, against the traces' phase with the residual
     # sample phase folded in, as the coefficients above were rebased by it
-    dev = f.abs(tp.phase - f00) / max(1.0, f.abs(f00))
-    if off(tp.phase, f00, dev):
-        notes.append(f"recovered constant phase {tp.phase!r} differs from "
+    dev = f.abs(phase - f00) / max(1.0, f.abs(f00))
+    if off(phase, f00, dev):
+        notes.append(f"recovered constant phase {phase!r} differs from "
                      f"the traces' phase {f00!r}")
         failed = True
     worst = nan_max([*residuals.values(), dev])

@@ -98,6 +98,27 @@ def test_malformed_json_exits_two(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{\x00}\x00",                 # UTF-16, not UTF-8
+    b"[" * 100000 + b"]" * 100000,        # nested beyond the parser's stack
+], ids=["not-utf8", "deep"])
+@pytest.mark.parametrize("reader", ["bnf", "action", "traces", "map"])
+def test_unreadable_json_is_an_input_error_naming_the_file(
+        reader, content, rt1_file, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    argv = {
+        "bnf": ["forward", "--bnf", str(bad)],
+        "action": ["forward", "--bnf", rt1_file, "--action", str(bad)],
+        "traces": ["recover", "--traces", str(bad)],
+        "map": ["classical-bnf", "--map", str(bad)],
+    }[reader]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("input error: ") and str(bad) in err
+
+
 def test_missing_key_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad2.json"
     bad.write_text(json.dumps({"field": "rational", "n": 1}))

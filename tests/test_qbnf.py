@@ -18,7 +18,7 @@ from bnftrace.errors import MathError, PoleError, ResonanceError, SchemaError
 from bnftrace.fields import FloatField, RationalField
 from bnftrace.qbnf import (QuantumBNF, TraceData, TraceEngine, make_trace_data,
                            trace_power)
-from bnftrace.series import MultiSeries, Orders, zseries
+from bnftrace.series import MultiSeries, Orders, powers, zseries
 from bnftrace import hypcalc as hc
 from bnftrace import qbnf
 
@@ -34,11 +34,11 @@ def _zero_bnf(field, blocks, orders=(4, 3, 3)):
 def test_trace_power_bare_product():
     blocks = SpectrumBlocks(FR, [REAL_HYPERBOLIC], [FR.from_int(2)])
     b = _zero_bnf(FR, blocks)
-    tp = trace_power(b, 1, (3, 3))
-    assert tp.phase == FR.zero
-    assert tp.coeffs.get((), 0, 0) == FR.from_rational("2/3")
-    assert all(l == 0 for (_a, _m, l) in tp.coeffs.terms)
-    assert all(m == 0 for (_a, m, _l) in tp.coeffs.terms)
+    phase, series = trace_power(b, 1, (3, 3))
+    assert phase == FR.zero
+    assert series.get((), 0, 0) == FR.from_rational("2/3")
+    assert all(l == 0 for (_a, _m, l) in series.terms)
+    assert all(m == 0 for (_a, m, _l) in series.terms)
 
 
 def test_trace_power_constant_h_term_is_pure_phase():
@@ -46,10 +46,9 @@ def test_trace_power_constant_h_term_is_pure_phase():
     c = FR.from_rational("2/7")
     F = MultiSeries(FR, 1, Orders(4, 3, 3), {((0,), 0, 1): c})
     b = QuantumBNF(blocks, [zseries(FR, 3)], F)
-    tp = trace_power(b, 3, (3, 3))
-    base = trace_power(_zero_bnf(FR, blocks), 3, (3, 3))
-    assert tp.phase == c
-    assert tp.coeffs == base.coeffs
+    phase, series = trace_power(b, 3, (3, 3))
+    assert phase == c
+    assert series == trace_power(_zero_bnf(FR, blocks), 3, (3, 3))[1]
 
 
 def test_trace_power_quadratic_operator_term():
@@ -58,8 +57,8 @@ def test_trace_power_quadratic_operator_term():
     beta = FR.from_rational("3/2")
     F = MultiSeries(FR, 1, Orders(4, 3, 3), {((2,), 0, 0): beta})
     b = QuantumBNF(blocks, [zseries(FR, 3)], F)
-    tp = trace_power(b, 1, (3, 3))
-    assert tp.coeffs.get((), 0, 1) == FR.i * beta * FR.from_rational("41/54")
+    _phase, series = trace_power(b, 1, (3, 3))
+    assert series.get((), 0, 1) == FR.i * beta * FR.from_rational("41/54")
 
 
 def test_qbnf_rejects_low_order_h0_terms():
@@ -109,9 +108,8 @@ def test_leading_term_magnitude_matches_trace_h0():
     b = _zero_bnf(FR, blocks)
     for k in range(1, 7):
         lt = leading_term(action, 0, blocks, k, 0)
-        tp = trace_power(b, k, (0, 0))
         lv = lt.series.get((), 0, 0)
-        tv = tp.coeffs.get((), 0, 0)
+        tv = trace_power(b, k, (0, 0))[1].get((), 0, 0)
         assert lv * lv.conjugate() == tv * tv.conjugate()
     # float: mixed block types
     blocks2 = SpectrumBlocks.from_mu(FF, [
@@ -121,9 +119,9 @@ def test_leading_term_magnitude_matches_trace_h0():
     b2 = _zero_bnf(FF, blocks2, orders=(3, 2, 2))
     for k in range(1, 7):
         lt = leading_term(action2, 0, blocks2, k, 0)
-        tp = trace_power(b2, k, (0, 0))
+        _phase, series = trace_power(b2, k, (0, 0))
         assert abs(abs(lt.series.get((), 0, 0)) -
-                   abs(tp.coeffs.get((), 0, 0))) < 1e-12
+                   abs(series.get((), 0, 0))) < 1e-12
     # z-dependent exponents (rh E = 2 and 3, jets z/3 + z^2/5 and -z/2):
     # with F = 0 and I(z) = z the whole z-series agrees, exactly
     blocks3 = SpectrumBlocks(FR, [REAL_HYPERBOLIC] * 2,
@@ -134,7 +132,7 @@ def test_leading_term_magnitude_matches_trace_h0():
     b3 = QuantumBNF(blocks3, jets, MultiSeries.zero(FR, 2, (4, 3, 3)))
     for k in range(1, 7):
         lt = leading_term(action, 0, blocks3, k, 3, mu_jets=jets)
-        assert lt.series == trace_power(b3, k, (3, 0)).coeffs
+        assert lt.series == trace_power(b3, k, (3, 0))[1]
 
 
 def test_scaling_law_f_zero_exact():
@@ -143,9 +141,8 @@ def test_scaling_law_f_zero_exact():
     for k in (2, 3):
         blocks_1 = SpectrumBlocks(FR, [REAL_HYPERBOLIC],
                                   [FR.from_int(2) ** k])
-        tp_k = trace_power(_zero_bnf(FR, blocks_k), k, (0, 3))
-        tp_1 = trace_power(_zero_bnf(FR, blocks_1), 1, (0, 3))
-        assert tp_k.coeffs == tp_1.coeffs
+        assert (trace_power(_zero_bnf(FR, blocks_k), k, (0, 3))[1]
+                == trace_power(_zero_bnf(FR, blocks_1), 1, (0, 3))[1])
 
 
 def test_scaling_law_monomial_F():
@@ -161,10 +158,10 @@ def test_scaling_law_monomial_F():
     F_1 = MultiSeries(FF, 1, Orders(4, 0, 3), {((2,), 0, 0): k * beta})
     b_k = QuantumBNF(blocks_k, [zseries(FF, 0)], F_k)
     b_1 = QuantumBNF(blocks_1, [zseries(FF, 0)], F_1)
-    tp_k = trace_power(b_k, k, (0, 3))
-    tp_1 = trace_power(b_1, 1, (0, 3))
-    assert abs(tp_k.phase - tp_1.phase) < 1e-14
-    assert tp_k.coeffs.close_to(tp_1.coeffs, 1e-12)
+    phase_k, series_k = trace_power(b_k, k, (0, 3))
+    phase_1, series_1 = trace_power(b_1, 1, (0, 3))
+    assert abs(phase_k - phase_1) < 1e-14
+    assert series_k.close_to(series_1, 1e-12)
 
 
 def test_h0_coefficient_never_vanishes():
@@ -175,8 +172,8 @@ def test_h0_coefficient_never_vanishes():
         F = random_F_total_degree(FF, n, rng)
         b = QuantumBNF(blocks, [zseries(FF, 0)] * n, F)
         for k in range(1, 7):
-            tp = trace_power(b, k, (0, 2))
-            assert abs(tp.coeffs.get((), 0, 0)) > 1e-6
+            _phase, series = trace_power(b, k, (0, 2))
+            assert abs(series.get((), 0, 0)) > 1e-6
 
 
 def test_oracle_agreement_low_h_orders():
@@ -189,11 +186,11 @@ def test_oracle_agreement_low_h_orders():
         F = random_F_total_degree(FF, n, rng, orders=(3, 0, 2))
         b = QuantumBNF(blocks, [zseries(FF, 0)] * n, F)
         for k in (1, 2, 3):
-            tp = trace_power(b, k, (0, 2))
+            phase, series = trace_power(b, k, (0, 2))
             oracle = brute_force_trace_coeffs(b, k, 2)
-            phase = cmath.exp(-1j * k * FF.to_complex(tp.phase))
+            phase = cmath.exp(-1j * k * FF.to_complex(phase))
             for j in range(3):
-                mine = phase * FF.to_complex(tp.coeffs.get((), 0, j))
+                mine = phase * FF.to_complex(series.get((), 0, j))
                 assert abs(mine - oracle[j]) <= 1e-8 * max(1.0, abs(oracle[j]))
 
 
@@ -245,15 +242,17 @@ class _ScratchEngine:
     """Stands in for TraceEngine with no caches at all: every z-series is
     built from scratch by apply_derivatives + eval_series_in_z, one power
     at a time, always to the full z-order: it accepts the z-order a
-    forward reads and ignores it.  Its trace_powers memo starts empty, so
-    its first trace_powers runs the forward.  It takes the constants -ik
-    and (i/k)^d, which hold no csch values, from a TraceEngine."""
+    forward reads and ignores it.  Its z-phase and trace_powers memos
+    start empty, so its first trace_powers runs the whole forward.  It
+    takes the constants -ik and (i/k)^d, which hold no csch values, from
+    a TraceEngine."""
 
     def __init__(self, blocks, ks, n_z):
         self.blocks = blocks
         self.field = blocks.field
         self.ks = tuple(ks)
         self.n_z = n_z
+        self.z_phases = {}
         self.trace_powers = {}
         constants = TraceEngine(blocks, ks, n_z)
         self.minus_ik, self.ik_power = constants.minus_ik, constants.ik_power
@@ -283,8 +282,10 @@ def _one_power(engine, k, alpha, jets):
 
 
 def _power(bnf, k, orders, engine):
-    """The expansion of power k from a pass over the engine's powers."""
-    return qbnf.trace_powers(bnf, orders, engine)[k]
+    """The phase and the expansion of power k from a pass over the
+    engine's powers."""
+    phase, series = qbnf.trace_powers(bnf, orders, engine)
+    return phase, series[k]
 
 
 def _rational_fixtures():
@@ -320,16 +321,15 @@ def test_engine_trace_power_matches_scratch_reference():
     ks = range(1, 9)
     for b in _rational_fixtures():
         engine = TraceEngine(b.blocks, ks, 3)
-        refs = qbnf.trace_powers(b, (3, 3), _ScratchEngine(b.blocks, ks, 3))
+        phase, refs = qbnf.trace_powers(b, (3, 3),
+                                        _ScratchEngine(b.blocks, ks, 3))
         for k in ks:
-            ref = refs[k]
+            ref = list(refs[k].terms.items())
             got = _power(b, k, (3, 3), engine)
             again = _power(b, k, (3, 3), engine)  # from cache
-            assert got.phase == ref.phase
-            assert list(got.coeffs.terms.items()) == \
-                list(ref.coeffs.terms.items())
-            assert list(again.coeffs.terms.items()) == \
-                list(ref.coeffs.terms.items())
+            assert got[0] == again[0] == phase
+            assert list(got[1].terms.items()) == ref
+            assert list(again[1].terms.items()) == ref
 
 
 def test_engine_matches_scratch_for_every_alpha():
@@ -452,8 +452,8 @@ def test_trace_power_rejects_engine_of_another_state():
     higher z-order."""
     _F, b, _a = rt1()
     own = TraceEngine(b.blocks, (1,), 3)
-    full = _power(b, 1, (3, 3), own).coeffs
-    low = _power(b, 1, (2, 3), own).coeffs
+    full = _power(b, 1, (3, 3), own)[1]
+    low = _power(b, 1, (2, 3), own)[1]
     assert low.orders == Orders(0, 2, 3)
     assert low == MultiSeries(FR, 0, Orders(0, 2, 3), full.terms)
     with pytest.raises(SchemaError):
@@ -492,10 +492,10 @@ def test_one_engine_serves_every_jet_state():
     ks = (1, 2, 3)
     engine = TraceEngine(a.blocks, ks, 3)
     for bnf in (a, b, a):
-        got = qbnf.trace_powers(bnf, (3, 3), engine)
-        want = qbnf.trace_powers(bnf, (3, 3), TraceEngine(a.blocks, ks, 3))
+        got = qbnf.trace_powers(bnf, (3, 3), engine)[1]
+        want = qbnf.trace_powers(bnf, (3, 3), TraceEngine(a.blocks, ks, 3))[1]
         for k in ks:
-            assert got[k].coeffs.terms == want[k].coeffs.terms
+            assert got[k].terms == want[k].terms
 
 
 def test_a_zseries_is_the_full_series_cut_at_its_order():
@@ -537,8 +537,9 @@ def test_engine_caches_do_not_depend_on_call_order():
                     for orders, more in calls]
 
         def forward(engine):
-            return [(k, list(tp.coeffs.terms.items())) for k, tp in
-                    qbnf.trace_powers(bnf, (3, 3), engine).items()]
+            phase, series = qbnf.trace_powers(bnf, (3, 3), engine)
+            return phase, [(k, list(s.terms.items()))
+                           for k, s in series.items()]
 
         want = layers(), forward(fresh())
         engine = fresh()
@@ -583,13 +584,12 @@ def test_trace_power_at_lower_orders_is_the_truncation(case):
                     {key: FR.from_rational(*c) for key, c in F_terms.items()})
     bnf = QuantumBNF(blocks, mu_jets, F)
     engine = TraceEngine(blocks, (k,), n_z)
-    full = _power(bnf, k, (n_z, n_h), engine)
+    phase, full = _power(bnf, k, (n_z, n_h), engine)
     for m in range(n_z + 1):
         for j in range(n_h + 1):
             low = _power(bnf, k, (m, j), engine)
-            assert low.phase == full.phase
-            assert low.coeffs == MultiSeries(FR, 0, Orders(0, m, j),
-                                             full.coeffs.terms)
+            assert low == (phase, MultiSeries(FR, 0, Orders(0, m, j),
+                                              full.terms))
 
 
 @st.composite
@@ -636,7 +636,7 @@ def test_a_layer_entry_is_the_trace_power_coefficient(case):
         engine = TraceEngine(blocks, (k,), n_z)
         for m in range(n_z + 1):
             for j in range(n_h + 1):
-                series = _power(bnf, k, (m, j), engine).coeffs
+                series = _power(bnf, k, (m, j), engine)[1]
                 want = series.get((), m, j)
                 got = qbnf.trace_layers(bnf, (m, j), engine)[k][m]
                 if field.exact:
@@ -655,7 +655,7 @@ def test_trace_layers_checks_like_trace_powers():
     with pytest.raises(SchemaError, match="k must be a positive integer"):
         TraceEngine(b.blocks, (0,), 1)
     assert qbnf.trace_layers(b, (2, 2), TraceEngine(b.blocks, (3,), 2))[3][2] \
-        == trace_power(b, 3, (3, 3)).coeffs.get((), 2, 2)
+        == trace_power(b, 3, (3, 3))[1].get((), 2, 2)
 
 
 def _per_k_trace_power(bnf, k, orders, engine):
@@ -664,7 +664,11 @@ def _per_k_trace_power(bnf, k, orders, engine):
     k-scaled series, as before the F side was shared between powers."""
     f = bnf.field
     n_z, n_h = orders
-    fs = bnf.f_series(n_h, n_z)
+    # F(h y, z; h)/h: iota^alpha z^m h^l goes to h^(l + |alpha| - 1)
+    fs = MultiSeries(f, bnf.n, Orders(2 * n_h + 2, n_z, n_h),
+                     {(alpha, m, l + sum(alpha) - 1): c
+                      for (alpha, m, l), c in bnf.F.terms.items()
+                      if l + sum(alpha) - 1 <= n_h})
     f0 = MultiSeries(f, 0, Orders(0, n_z, n_h),
                      {((), m, 0): c for (_a, m, l), c in fs.terms.items()
                       if l == 0})
@@ -705,9 +709,9 @@ def test_trace_power_matches_per_k_exp_series_exact():
         engine = TraceEngine(b.blocks, range(1, 9), 3)
         for k in range(1, 9):
             phase, coeffs = _per_k_trace_power(b, k, (3, 3), engine)
-            got = _power(b, k, (3, 3), engine)
-            assert got.phase == phase
-            assert got.coeffs.terms == coeffs.terms
+            got_phase, got = _power(b, k, (3, 3), engine)
+            assert got_phase == phase
+            assert got.terms == coeffs.terms
 
 
 def test_trace_power_matches_per_k_exp_series_float():
@@ -716,31 +720,66 @@ def test_trace_power_matches_per_k_exp_series_float():
     engine = TraceEngine(b.blocks, range(1, 9), 2)
     for k in range(1, 9):
         phase, coeffs = _per_k_trace_power(b, k, (2, 2), engine)
-        got = _power(b, k, (2, 2), engine)
-        assert FF.close(got.phase, phase, 1e-13)
-        assert got.coeffs.close_to(coeffs, 1e-13)
+        got_phase, got = _power(b, k, (2, 2), engine)
+        assert FF.close(got_phase, phase, 1e-13)
+        assert got.close_to(coeffs, 1e-13)
 
 
-def test_make_trace_data_builds_the_f_side_once(monkeypatch):
-    builds = []
-    build = QuantumBNF._build_trace_side
+def test_a_forward_raises_X_to_powers_once(monkeypatch):
+    """A forward forms the powers of X once for all the engine's powers,
+    and exp_series never; an ``added`` deflation forms no powers at all,
+    and reads the z-phase that its layer's forward left on the engine."""
+    raised = []
 
-    def counting(self, n_z, n_h):
-        builds.append((n_z, n_h))
-        return build(self, n_z, n_h)
+    def counting(s):
+        raised.append(s.n_actions)
+        return powers(s)
 
     def no_exp(self):
-        raise AssertionError("trace_power must not call exp_series")
+        raise AssertionError("a forward must not call exp_series")
 
-    monkeypatch.setattr(QuantumBNF, "_build_trace_side", counting)
+    monkeypatch.setattr(qbnf, "powers", counting)
     monkeypatch.setattr(MultiSeries, "exp_series", no_exp)
     for b in _rational_fixtures():
-        builds.clear()
-        td = make_trace_data(b, zseries(FR, 3, {1: FR.one}), {}, 8, (3, 3))
-        assert builds == [(3, 3)]
+        raised.clear()
+        b = _with_z_dependent_f0(b, FR.from_rational("-3/4"),
+                                 FR.from_rational("2/5"))
+        engine = TraceEngine(b.blocks, range(1, 9), 3)
+        td = make_trace_data(b, zseries(FR, 3, {1: FR.one}), {}, 8, (3, 3),
+                             engine=engine)
         assert sorted(td.coefficients) == list(range(1, 9))
-        trace_power(b, 2, (2, 3))
-        assert builds == [(3, 3), (2, 3)]
+        assert raised.count(b.n) == 1 and len(engine.z_phases) == 1
+        raised.clear()
+        qbnf.trace_layers(b, (3, 1), engine)
+        assert raised == [b.n]  # X alone: the z-phase is on the engine
+        z_phases = dict(engine.z_phases)
+        added = {((1,) + (0,) * (b.n - 1), 1): FR.from_rational("2/7")}
+        qbnf.trace_layers(b, (3, 1), engine, added=added)
+        assert raised == [b.n]
+        assert engine.z_phases == z_phases
+
+
+def test_each_f0_gets_its_own_z_phase():
+    """Two normal forms that differ in one f0 term z^m h^1 share an
+    engine: each gets its own z-phase, and its layers and expansions are
+    a fresh engine's in values and key order."""
+    ks = (1, 2, 3)
+    for b in _rational_fixtures():
+        c1 = FR.from_rational("-3/4")
+        forms = [_with_z_dependent_f0(b, c1, FR.from_rational(c2))
+                 for c2 in ("2/5", "1/5")]
+
+        def run(bnf, engine):
+            layers = [list(qbnf.trace_layers(bnf, (3, j), engine).items())
+                      for j in range(4)]
+            phase, series = qbnf.trace_powers(bnf, (3, 3), engine)
+            return layers, phase, [(k, list(s.terms.items()))
+                                   for k, s in series.items()]
+
+        engine = TraceEngine(b.blocks, ks, 3)
+        for bnf in (*forms, forms[0]):
+            assert run(bnf, engine) == run(bnf, TraceEngine(b.blocks, ks, 3))
+        assert len(engine.z_phases) == 2
 
 
 def _counting_forwards(monkeypatch):
@@ -772,20 +811,20 @@ def test_trace_power_memo_hits_only_an_equal_normal_form(monkeypatch):
     full = _counting_forwards(monkeypatch)
     _F, b, _a = rt1()
     engine = TraceEngine(b.blocks, (2,), 3)
-    tp = _power(b, 2, (3, 3), engine)
+    tp = _power(b, 2, (3, 3), engine)[1]
     again = QuantumBNF(b.blocks, [zseries(FR, 3, {1: FR.one})],
                        MultiSeries(FR, 1, b.F.orders, dict(b.F.terms)))
-    assert _power(again, 2, (3, 3), engine) is tp
+    assert _power(again, 2, (3, 3), engine)[1] is tp
     assert full == [2]
     other = _with_F_term(b, ((2,), 1, 1), FR.from_rational("1/9"))
-    assert _power(other, 2, (3, 3), engine) is not tp
-    assert trace_power(b, 3, (3, 3)) is not tp
-    assert _power(b, 2, (2, 3), engine) is not tp
+    assert _power(other, 2, (3, 3), engine)[1] is not tp
+    assert trace_power(b, 3, (3, 3))[1] is not tp
+    assert _power(b, 2, (2, 3), engine)[1] is not tp
     assert full == [2, 2, 3, 2]
 
     _F, fb = mixed_float_fixture(31, with_jets=True)
     engine = TraceEngine(fb.blocks, (1,), 2)
-    tp = _power(fb, 1, (2, 2), engine)
+    tp = _power(fb, 1, (2, 2), engine)[1]
     key, c = next(iter(fb.F.terms.items()))
     ulp = complex(math.nextafter(c.real, math.inf), c.imag)
     jet = fb.mu_jets[0]
@@ -793,7 +832,7 @@ def test_trace_power_memo_hits_only_an_equal_normal_form(monkeypatch):
         jet.get((), 1, 0).real, 1.0)), 2: jet.get((), 2, 0)})
     for nudged in (_with_F_term(fb, key, ulp),
                    QuantumBNF(fb.blocks, [jet_ulp, fb.mu_jets[1]], fb.F)):
-        assert _power(nudged, 1, (2, 2), engine) is not tp
+        assert _power(nudged, 1, (2, 2), engine)[1] is not tp
     assert full == [2, 2, 3, 2, 1, 1, 1]
 
 
@@ -810,9 +849,8 @@ def test_trace_power_memo_hit_equals_a_fresh_expansion(monkeypatch):
         for k in ks:
             hit = _power(b, k, orders, engine)
             fresh = trace_power(b, k, orders)
-            assert hit.phase == fresh.phase
-            assert list(hit.coeffs.terms.items()) == \
-                list(fresh.coeffs.terms.items())
+            assert hit[0] == fresh[0]
+            assert list(hit[1].terms.items()) == list(fresh[1].terms.items())
         with pytest.raises(SchemaError):
             _power(b, 1, (orders[0] + 1, orders[1]), engine)
 
@@ -829,12 +867,12 @@ def test_a_power_reads_the_same_in_any_pass():
         alone = {k: trace_power(b, k, orders) for k in range(1, 9)}
         for ks in (range(1, 9), (5, 2, 5, 1)):
             engine = TraceEngine(b.blocks, ks, orders[0])
-            tps = qbnf.trace_powers(b, orders, engine)
-            assert sorted(tps) == sorted(set(ks))
-            for k, tp in tps.items():
-                assert tp.phase == alone[k].phase
-                assert list(tp.coeffs.terms.items()) == \
-                    list(alone[k].coeffs.terms.items())
+            phase, series = qbnf.trace_powers(b, orders, engine)
+            assert sorted(series) == sorted(set(ks))
+            for k, s in series.items():
+                assert phase == alone[k][0]
+                assert list(s.terms.items()) == \
+                    list(alone[k][1].terms.items())
 
 
 def test_a_pole_at_one_power_is_named():

@@ -20,7 +20,7 @@ from bnftrace.fields import FloatField, RationalField
 from bnftrace import hypcalc as hc
 from bnftrace import jsonio, linalg
 from bnftrace import recover as recover_module
-from bnftrace.qbnf import (QuantumBNF, TraceData, TraceEngine, TracePower,
+from bnftrace.qbnf import (QuantumBNF, TraceData, TraceEngine,
                           make_trace_data, trace_layers)
 from bnftrace.recover import (_cube_from_roots, _misfits, _refit, plan,
                               recover_frequencies, recover_polynomial,
@@ -1080,9 +1080,8 @@ def test_self_check_compares_the_constant_phase(monkeypatch):
     original = recover_module.trace_powers
 
     def shifted(*args, **kwargs):
-        return {k: TracePower(k, tp.phase + FR.from_rational("1/7"),
-                              tp.coeffs)
-                for k, tp in original(*args, **kwargs).items()}
+        phase, series = original(*args, **kwargs)
+        return phase + FR.from_rational("1/7"), series
 
     monkeypatch.setattr(recover_module, "trace_powers", shifted)
     rep = recover_qbnf(td)
@@ -1104,9 +1103,10 @@ def test_self_check_reports_a_nan_deviation_as_the_max_residual(monkeypatch):
     original = recover_module.trace_powers
 
     def poisoned(*args, **kwargs):
-        return {k: TracePower(k, tp.phase, tp.coeffs + MultiSeries(
-                    FF, 0, tp.coeffs.orders, {((), 1, 1): complex(math.nan)}))
-                for k, tp in original(*args, **kwargs).items()}
+        phase, series = original(*args, **kwargs)
+        return phase, {k: s + MultiSeries(FF, 0, s.orders,
+                                          {((), 1, 1): complex(math.nan)})
+                       for k, s in series.items()}
 
     monkeypatch.setattr(recover_module, "trace_powers", poisoned)
     rep = recover_qbnf(td)
@@ -1128,14 +1128,12 @@ def test_exact_self_check_fails_on_a_mismatch_below_the_double_range(
     tiny = F.from_rational(Fraction(1, 10 ** 400))
     original = recover_module.trace_powers
 
-    def shift(tp):
-        if where == "phase":
-            return TracePower(tp.k, tp.phase + tiny, tp.coeffs)
-        bump = MultiSeries(F, 0, tp.coeffs.orders, {((), 1, 1): tiny})
-        return TracePower(tp.k, tp.phase, tp.coeffs + bump)
-
     def shifted(*args, **kwargs):
-        return {k: shift(tp) for k, tp in original(*args, **kwargs).items()}
+        phase, series = original(*args, **kwargs)
+        if where == "phase":
+            return phase + tiny, series
+        return phase, {k: s + MultiSeries(F, 0, s.orders, {((), 1, 1): tiny})
+                       for k, s in series.items()}
 
     monkeypatch.setattr(recover_module, "trace_powers", shifted)
     rep = recover_qbnf(td)
