@@ -530,11 +530,11 @@ def birkhoff_normal_form(tmap, iota_degree, small_denominator_tol=1e-8,
             chi_poly = PhasePoly(f, 2 * n, D, chi)
             generators.append(chi_poly)
             # at d = D chi has degree D + 1 and truncates to zero: its
-            # conjugation is the identity
+            # conjugation is the identity; else exp H_chi has identity
+            # linear part, so kc keeps its exact diagonal
             if not chi_poly.is_zero():
                 fwd, bwd = exp_ham(chi_poly, n, D, inverse=True)
                 kc = bwd.compose(kc.compose(fwd))
-                kc = _snap_linear_to_diagonal(kc, lam_slots)
 
     residual = nan_max(c.max_coeff_abs() for c in defect(kc).comps)
 
@@ -548,9 +548,7 @@ def birkhoff_normal_form(tmap, iota_degree, small_denominator_tol=1e-8,
     for m, c in R_terms.items():
         if sum(m) <= iota_degree:
             p_complex[m] = c
-    return BNFResult(blocks, p_complex, generators,
-                     min_denom if min_denom < math.inf else float("inf"),
-                     residual)
+    return BNFResult(blocks, p_complex, generators, min_denom, residual)
 
 
 def _twist_flow(field, n, degree, iota_terms):

@@ -190,10 +190,10 @@ def build_parser():
     p = sub.add_parser("roundtrip",
                        help="forward then recover; exit 0 iff equal")
     p.add_argument("--bnf", required=True)
-    p.add_argument("--action", default=None)
     _add_options(p, "float_precision", "orders", "k_max", "tol_residual",
                  "report")
-    p.set_defaults(func=cmd_roundtrip)
+    # the recovery reads no action file: forward with the default action
+    p.set_defaults(func=cmd_roundtrip, action=None)
 
     p = sub.add_parser("classical-bnf",
                        help="Birkhoff normal form of a TaylorMap file")

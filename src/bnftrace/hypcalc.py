@@ -12,9 +12,13 @@ t_j = coth(k mu_j/2) one has
     d/dmu_j csch(k mu_j/2) = -(k/2) t_j csch(k mu_j/2),
 
 so any derivative of B_k is (polynomial in t) * B_k and differentiation is
-closed on :class:`CschExpression`.  Evaluation happens last, through the
-half-exponentials E_j = exp(mu_j/2): every hyperbolic value is a Laurent
-monomial in E_j, which keeps the rational fixtures (E_j rational) exact.
+closed on :class:`CschExpression`, whose polynomial is a
+:class:`~bnftrace.phasepoly.PhasePoly` in t_1..t_n; each derivative
+raises its degree bound by one, so the monomial keys refuse a chain of
+more than 255 derivatives (SchemaError).  Evaluation happens last,
+through the half-exponentials E_j = exp(mu_j/2): every hyperbolic value
+is a Laurent monomial in E_j, which keeps the rational fixtures (E_j
+rational) exact.
 
 B_k is a product over blocks, so d^alpha B_k = prod_j d^{alpha_j}
 (1/2)csch(k mu_j/2), and d^a (1/2)csch(k mu_j/2) at mu_j(0) is a! times a
@@ -32,6 +36,7 @@ against it.
 import math
 
 from .errors import PoleError, SchemaError
+from .phasepoly import PhasePoly, exponents
 from .series import MultiSeries, Orders, powers
 
 # a float |sinh(k mu/2)| below this is a pole
@@ -39,61 +44,44 @@ POLE_TOL = 1e-9
 
 
 class CschExpression:
-    """A polynomial in t_j = coth(k mu_j/2) times the implicit base factor
-    prod_j (1/2) csch(k mu_j / 2)."""
+    """A polynomial ``poly`` in t_j = coth(k mu_j/2), a
+    :class:`~bnftrace.phasepoly.PhasePoly` in t_1..t_n, times the implicit
+    base factor prod_j (1/2) csch(k mu_j / 2)."""
 
-    __slots__ = ("field", "n", "k", "poly")
+    __slots__ = ("k", "poly")
+    field = property(lambda self: self.poly.field)
+    n = property(lambda self: self.poly.nvars)
 
-    def __init__(self, field, n, k, poly):
-        if n < 1:
+    def __init__(self, k, poly):
+        if poly.nvars < 1:
             raise SchemaError("need n >= 1")
         if k < 1:
             raise SchemaError("need k >= 1")
-        self.field = field
-        self.n = n
         self.k = k
-        # prune zeros so polynomial equality is structural
-        self.poly = {e: c for e, c in poly.items() if not field.is_zero(c)}
+        self.poly = poly
 
     def __repr__(self):
-        return f"<CschExpression n={self.n} k={self.k} terms={len(self.poly)}>"
+        return f"<CschExpression n={self.n} k={self.k} {self.poly!r}>"
 
 
 def csch_product(field, n, k):
     """The bare product prod_j (1/2) csch(k mu_j / 2)  (polynomial part 1)."""
-    return CschExpression(field, n, k, {(0,) * n: field.one})
+    return CschExpression(k, PhasePoly.scalar(field, n, 0, field.one))
 
 
 def apply_derivative(expr, j):
-    """d/dmu_j of the represented function, as a new CschExpression."""
+    """d/dmu_j of the represented function, as a new CschExpression:
+    (k/2)(dp/dt_j (1 - t_j^2) - t_j p), on a degree bound one higher, so
+    that no term is truncated."""
     if not 0 <= j < expr.n:
         raise SchemaError(f"variable index {j} out of range for n={expr.n}")
-    f = expr.field
-    kh = f.from_int(expr.k) * f.inv(f.from_int(2))  # k/2
-    out = {}
-
-    def add(exp, coeff):
-        if exp in out:
-            out[exp] = out[exp] + coeff
-        else:
-            out[exp] = coeff
-
-    for exps, c in expr.poly.items():
-        # chain rule on t_j: dp/dt_j * (k/2)(1 - t_j^2)
-        d = exps[j]
-        if d > 0:
-            base = c * f.from_int(d) * kh
-            lower = list(exps)
-            lower[j] -= 1
-            add(tuple(lower), base)
-            higher = list(exps)
-            higher[j] += 1
-            add(tuple(higher), -base)
-        # product rule on the csch factor: -(k/2) t_j * p
-        up = list(exps)
-        up[j] += 1
-        add(tuple(up), -(c * kh))
-    return CschExpression(f, expr.n, expr.k, out)
+    f, n, p = expr.field, expr.n, expr.poly
+    t = PhasePoly.variable(f, n, p.degree + 1, j)
+    p = PhasePoly._make(f, n, t.bound, p.terms)
+    one = PhasePoly.scalar(f, n, t.degree, f.one)
+    kh = f.from_int(expr.k) * f.inv(f.from_int(2))
+    return CschExpression(
+        expr.k, (p.derive(j) * (one - t * t) - t * p).scale(kh))
 
 
 def apply_derivatives(expr, alpha):
@@ -141,9 +129,9 @@ def eval_csch(expr, mu=None, exp_half=None):
         ts.append(c2 * f.inv(s2))       # coth = cosh/sinh
         base = base * f.inv(s2)         # (1/2)csch = 1/(2 sinh) = 1/s2
     total = f.zero
-    for exps, c in expr.poly.items():
+    for key, c in expr.poly.terms.items():
         term = c
-        for t, d in zip(ts, exps):
+        for t, d in zip(ts, exponents(key, expr.n)):
             for _ in range(d):
                 term = term * t
         total = total + term
@@ -249,9 +237,9 @@ def eval_series_in_z(expr, exp_half0, deltas, n_z):
         Ts.append(T)
         base = base * C.scale(half)
     total = MultiSeries.zero(f, 0, orders)
-    for exps, c in expr.poly.items():
+    for key, c in expr.poly.terms.items():
         term = MultiSeries.scalar(f, 0, orders, c)
-        for T, d in zip(Ts, exps):
+        for T, d in zip(Ts, exponents(key, expr.n)):
             for _ in range(d):
                 term = term * T
         total = total + term

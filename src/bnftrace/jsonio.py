@@ -94,21 +94,29 @@ def scalar_from_json(field, obj):
     return x
 
 
-def _power(key, text, k_max):
-    """The trace power k that the key ``text`` under ``key`` names; powers
-    run from k = 1 to ``k_max``."""
-    k = _parsed(key, int, text)
-    if k < 1:
-        raise SchemaError(f"key {key} names power {text!r}, below k = 1")
-    if k > k_max:
-        raise SchemaError(f"key {key} names power k={k} above k_max = {k_max}")
-    return k
+def _by_power(key, obj, k_max, read):
+    """``read(text, value)`` of each entry of ``obj``, keyed by the trace
+    power k = 1..``k_max`` that its key ``text`` under ``key`` names; two
+    keys that name one power, as "1" and "01" do, are refused."""
+    out, named = {}, {}
+    for text, v in obj.items():
+        k = _parsed(key, int, text)
+        if k < 1:
+            raise SchemaError(f"key {key} names power {text!r}, below k = 1")
+        if k > k_max:
+            raise SchemaError(f"key {key} names power k={k} above "
+                              f"k_max = {k_max}")
+        if named.setdefault(k, text) != text:
+            raise SchemaError(f"key {key} names power k={k} twice: "
+                              f"{named[k]!r} and {text!r}")
+        out[k] = read(text, v)
+    return out
 
 
 def maslov_from_json(obj, k_max=math.inf):
     """The Maslov indices k -> m of a trace or action file."""
-    return {_power("'maslov'", k, k_max):
-            _parsed(f"'maslov'/{k!r}", _integer, v) for k, v in obj.items()}
+    return _by_power("'maslov'", obj, k_max,
+                     lambda k, v: _parsed(f"'maslov'/{k!r}", _integer, v))
 
 
 def series_to_json(s):
@@ -209,9 +217,8 @@ def trace_data_from_json(obj, precision=64):
     action = series_from_json(_need(obj, "action", dict), field)
     phase = scalar_from_json(field, _need(obj, "phase", dict))
     maslov = maslov_from_json(_need(obj, "maslov", dict), k_max)
-    coeffs = {}
-    for k, s in _need(obj, "coefficients", dict).items():
-        coeffs[_power("'coefficients'", k, k_max)] = series_from_json(s, field)
+    coeffs = _by_power("'coefficients'", _need(obj, "coefficients", dict),
+                       k_max, lambda _k, s: series_from_json(s, field))
     return TraceData(field, k_max, action, maslov, phase, coeffs)
 
 

@@ -27,10 +27,12 @@ factor is d^a (1/2)csch(k mu_j(z)/2) = sum_b d^{a+b} (1/2)csch(k mu_j(0)/2)
 delta_j(z)^b / b!, and per jet state the engine keeps the powers of the
 jets, the block factors per (j, a) and their products over each prefix
 of alpha, each formed only up to the highest z-order a forward has read:
-a term z^m d^alpha reads the csch side to z-order N_z - m.  The caches live as long as the engine: the recovery uses one for every
-stage and its self-check, and it also keeps the expansions of its
-powers, for an equal normal form.  The engine is the one holder of what a
-forward runs at: the trace functions read their powers from it.
+a term z^m d^alpha reads the csch side to z-order N_z - m.  The caches
+live as long as the engine: the recovery uses one for every stage and
+its self-check, and it also keeps the expansions of its powers, for an
+equal normal form, and the recovery's factored stage matrices.  The
+engine is the one holder of what a forward runs at: the trace functions
+read their powers from it.
 
 The F side does not depend on k.  With X = sum_{j>=1} h^j f_j(z, y),
 exp(-ik X) = sum_m ((-ik)^m / m!) X^m, and likewise for the z-dependent
@@ -54,7 +56,8 @@ and :func:`make_trace_data` and the recovery's self-check take it in one
 call over all powers.  A recovery stage (h^j, z^m) reads coefficients at
 h^j, which depend on nothing of higher order, so :func:`trace_layers`
 forms the h^j layer of exp(-ik X) alone and convolves it with the
-z-phase, with no series product, through the same kernel, and it also
+z-phase, with no series product, through the same kernel, into the
+engine's rows, one per z-order listed over the powers, and it also
 gives the part that F terms of weight j + 1 add to that layer, linearly,
 above their own z-order.  :func:`trace_power` is the one-power case, on
 an engine of its own.  An engine serves every z-order up to its own, so
@@ -188,7 +191,8 @@ class TraceEngine:
     module docstring), cached for the engine's lifetime, with the
     per-power constants -ik and (i/k)^d listed over ``ks``.  Its dicts
     ``z_phases`` and ``trace_powers`` keep the z-phases and the expansions
-    that its forwards made.
+    that its forwards made, and ``systems`` the factored stage matrices of
+    :func:`~bnftrace.recover.recover_polynomial`, by alpha set.
     """
 
     def __init__(self, blocks, ks, n_z):
@@ -204,6 +208,7 @@ class TraceEngine:
         self._jet_caches = {}
         self.z_phases = {}
         self.trace_powers = {}
+        self.systems = {}
         self.minus_ik = [-(f.i * f.from_int(k)) for k in self.ks]
         self._ik_inv = [f.i * f.inv(f.from_int(k)) for k in self.ks]
         self._ik_powers = {}
@@ -341,9 +346,10 @@ def trace_power(bnf, k, orders):
 
 
 def trace_layers(bnf, orders, engine, added=None):
-    """The z^0..z^{N_z} coefficients at h^{N_h} of the series of power k
-    in ``trace_powers(bnf, orders, engine)`` for the powers k of
-    ``engine``, as a dict from k to the list of them.
+    """The z^0..z^{N_z} coefficients at h^{N_h} of the series
+    ``trace_powers(bnf, orders, engine)`` gives the powers of ``engine``,
+    as the engine's rows: per z-order, the list of them over
+    ``engine.ks``.
 
     The z-phase exp(-ik f0plus) has z-terms only, so the z^m coefficient is
     sum_{m2} pz_{m2} A_{m-m2}, where A is the h^{N_h} layer of the operator
@@ -353,23 +359,20 @@ def trace_layers(bnf, orders, engine, added=None):
 
     ``added`` maps (alpha, m) to x for F terms x iota^alpha z^m of weight
     N_h + 1 >= 2 that ``bnf`` lacks; the result is then what they add to
-    the layer above the lowest z-order m among them, and zero up to z^m.
-    They enter exp(-ik X) at h^{N_h} only linearly, through X: as
+    the layer, zero below the lowest z-order m among them.  They enter
+    exp(-ik X) at h^{N_h} only linearly, through X: as
     (-ik) x (i/k)^{|alpha|} z^m d^alpha prod_j (1/2)csch(k mu_j/2).
     """
     n_z, layer = orders
     _check_engine(bnf, orders, engine)
     _phase, pz, applied = _forward(bnf, orders, engine, layer, added)
-    # added terms at z^m reach the orders above it
-    lo = 1 + min((m for _a, m in added or ()), default=-1)
     sums = bnf.field.sums(from_zero=True)  # in the order of pz
-    for m in range(lo, n_z + 1):
+    for m in range(n_z + 1):
         for ((), m2, _l), c in pz.items():
             if (key := ((), m - m2, layer)) in applied:
                 sums.add(m, c, applied[key])
     done, zeros = sums.result(), [bnf.field.zero] * len(engine.ks)
-    rows = [done.get(m, zeros) for m in range(n_z + 1)]
-    return {k: [row[i] for row in rows] for i, k in enumerate(engine.ks)}
+    return [done.get(m, zeros) for m in range(n_z + 1)]
 
 
 def _check_engine(bnf, orders, engine):

@@ -65,17 +65,18 @@ change only in the j = 0 stages, and it keeps its z-series per jet state.
 The matrix entries above are products of the same table entries, a
 column per alpha (:meth:`~bnftrace.qbnf.TraceEngine.at_mu0`).  They
 depend only on mu(0), the k-set and the alpha set, not on the jets or the
-stage's right-hand side, so a recovery builds and factors the stage
-matrix of each h-order j once, and every m-stage of that j solves its own
-right-hand side with the factorization, in order of m: stage (j, m) reads
-the terms that stage (j, m - 1) found.  The engine is built at the full
-z-order and serves the lower orders (m, j) of the stages.  Every forward
-runs over all K powers at once.  A j = 0 stage computes only its own
-layer (:func:`~bnftrace.qbnf.trace_layers` at (m, 0)), as the jet terms it
+stage's right-hand side, so the engine keeps the factored stage matrix of
+each alpha set, built once, and every m-stage of an h-order j solves its
+own right-hand side with it, in order of m: stage (j, m) reads the terms
+that stage (j, m - 1) found.  The engine is built at the full z-order and
+serves the lower orders (m, j) of the stages.  Every forward runs over
+all K powers at once, and the stages read its layout: a row per z-order,
+listed over the powers.  A j = 0 stage computes only its own layer
+(:func:`~bnftrace.qbnf.trace_layers` at (m, 0)), as the jet terms it
 finds enter nonlinearly.  From j = 1 on, the weight-(j + 1) terms enter
 the h^j layer only linearly, through (-ik) X, so each h-order runs one
-layer forward, and each stage adds what its terms give to the z-orders
-above its own, exactly.  Only the self-check runs the whole expansion
+layer forward, and each stage adds the rows its terms give above its own
+z-order, exactly.  Only the self-check runs the whole expansion
 (:func:`~bnftrace.qbnf.trace_powers`), and on the exact field it compares
 exactly.  A caller may hand in an engine
 it already has (the round trip passes its forward engine), and it is used
@@ -468,43 +469,33 @@ def recover_frequencies(field, a0, residual_tol=1e-6):
     return FrequencyResult(blocks, phi, phi_value, system.cond)
 
 
-def recover_polynomial(engine, values, alpha_set, residual_tol=1e-8,
-                       systems=None):
+def recover_polynomial(engine, values, alpha_set, residual_tol=1e-8):
     """Solve for the coefficients a_alpha, alpha in ``alpha_set``, of p from
     the values of p(i k^{-1} d/dmu) prod_j (1/2)csch(k mu_j/2) at mu(0),
-    over the powers k of ``values``, which must be those of ``engine``.
+    a list over the powers k of ``engine``.
 
     The field, mu(0), the powers and the matrix columns come from
     ``engine``, a :class:`~bnftrace.qbnf.TraceEngine`
-    (:meth:`~bnftrace.qbnf.TraceEngine.at_mu0`).
-
-    The matrix is factored once and solved for this right-hand side
-    (:func:`~bnftrace.linalg.factor_lstsq`).  ``systems`` is a dict that
-    keeps the factored matrix of each alpha set across calls that share
-    the engine, as the stages of one recovery do: a matrix found there is
-    not built again, and one built here is stored there.  The consistency
-    or residual test and the returned condition number belong to each
-    call.
+    (:meth:`~bnftrace.qbnf.TraceEngine.at_mu0`).  The matrix is factored
+    once per alpha set and engine (:func:`~bnftrace.linalg.factor_lstsq`)
+    and kept in ``engine.systems``, so the stages of a recovery that share
+    the engine solve their right-hand sides with it.  The consistency or
+    residual test and the returned condition number belong to each call.
     """
-    field = engine.field
-    alpha_set = [tuple(a) for a in alpha_set]
-    ks = engine.ks
-    if sorted(values) != sorted(ks):
-        raise SchemaError(f"values for the powers {sorted(values)}, but the "
-                          f"trace engine serves {list(ks)}")
-    if systems is None:
-        systems = {}
-    key = tuple(alpha_set)
-    system = systems.get(key)
+    alpha_set = tuple(map(tuple, alpha_set))
+    if len(values) != len(engine.ks):
+        raise SchemaError(f"{len(values)} values, but the trace engine "
+                          f"serves the powers {list(engine.ks)}")
+    system = engine.systems.get(alpha_set)
     if system is None:
         columns = []
         for alpha in alpha_set:
             da, col = sum(alpha), engine.at_mu0(alpha)
             columns.append(list(map(mul, col, engine.ik_power(da))) if da
                            else col)
-        system = systems[key] = factor_lstsq(field, list(zip(*columns)))
-    sol, _res = system.solve([values[k] for k in ks],
-                             residual_tol=residual_tol)
+        system = engine.systems[alpha_set] = factor_lstsq(
+            engine.field, list(zip(*columns)))
+    sol, _res = system.solve(values, residual_tol=residual_tol)
     return dict(zip(alpha_set, sol)), system.cond
 
 
@@ -635,8 +626,8 @@ def recover_qbnf(tdata, tol=1e-8, engine=None):
     notes = []
 
     # -- Stage 0: frequencies and phase constant -------------------------
-    a0 = {k: tdata.coefficients[k].get((), 0, 0)
-          for k in range(1, tdata.k_max + 1)}
+    ks = tuple(range(1, tdata.k_max + 1))
+    a0 = {k: tdata.coefficients[k].get((), 0, 0) for k in ks}
     freq = recover_frequencies(f, a0, residual_tol=max(tol, 1e-8))
     blocks, n = freq.blocks, freq.blocks.n
     # stage 0 runs no forward, so K is still checked before any
@@ -650,16 +641,12 @@ def recover_qbnf(tdata, tol=1e-8, engine=None):
         )
 
     # rebase stored coefficients so their residual phase is zero: the
-    # samples carried e^{-ik phi}, so multiplying by e^{+ik phi} strips it
-    coeffs = {}
-    for k in range(1, tdata.k_max + 1):
-        c = tdata.coefficients[k]
-        if f.is_zero(freq.phi):
-            coeffs[k] = c
-        else:
-            coeffs[k] = c.scale(f.exp(f.i * f.from_int(k) * freq.phi))
-
-    ks = tuple(range(1, tdata.k_max + 1))
+    # samples carried e^{-ik phi}, so multiplying by e^{+ik phi} strips it;
+    # listed over the powers, as the engine's rows are
+    coeffs = [tdata.coefficients[k] for k in ks]
+    if not f.is_zero(freq.phi):
+        coeffs = [c.scale(f.exp(f.i * f.from_int(k) * freq.phi))
+                  for k, c in zip(ks, coeffs)]
     fhat_terms = {}
     if not f.is_zero(f00):
         fhat_terms[((0,) * n, 0, 1)] = f00
@@ -670,13 +657,12 @@ def recover_qbnf(tdata, tol=1e-8, engine=None):
         F = MultiSeries(f, n, Orders(n_h + 1, n_z, p.h_cap), fhat_terms)
         return QuantumBNF(blocks, jets, F)
 
-    # one engine for every stage and the self-check, and one factored
-    # matrix per alpha set (see the module docstring)
+    # one engine for every stage and the self-check, which keeps one
+    # factored matrix per alpha set (see the module docstring)
     if engine is None or engine.ks != ks or not engine.serves(blocks, n_z):
         engine = TraceEngine(blocks, ks, n_z)
-    systems = {}
     # the stage values are (stored - forward) / (-ik)
-    inv_minus_ik = dict(zip(ks, map(f.inv, engine.minus_ik)))
+    inv_minus_ik = list(map(f.inv, engine.minus_ik))
 
     # -- Stages (j, m): the coefficients of G of weight j + 1 ------------
     for stage in p.stages[1:-1]:
@@ -685,11 +671,11 @@ def recover_qbnf(tdata, tol=1e-8, engine=None):
         # of each h-order runs one layer forward, which each stage deflates
         if not (j and m):
             bnf = current_bnf()
-            fwd = trace_layers(bnf, (n_z if j else m, j), engine)
-        values = {k: (coeffs[k].get((), m, j) - fwd[k][m]) * inv_minus_ik[k]
-                  for k in ks}
+            rows = trace_layers(bnf, (n_z if j else m, j), engine)
+        values = [(c.get((), m, j) - v) * w
+                  for c, v, w in zip(coeffs, rows[m], inv_minus_ik)]
         sol, cond = recover_polynomial(engine, values, stage.alphas,
-                                       max(tol, 1e-8), systems)
+                                       max(tol, 1e-8))
         conditioning[stage.name] = cond
         # an exact solve verifies every equation
         if not (f.exact or cond * unit(f) <= tol):
@@ -708,8 +694,8 @@ def recover_qbnf(tdata, tol=1e-8, engine=None):
                 found[(alpha, m)] = val
         if j and found and m < n_z:  # they add only above z^m
             added = trace_layers(bnf, (n_z, j), engine, added=found)
-            for k in ks:
-                fwd[k][m + 1:] = map(add, fwd[k][m + 1:], added[k][m + 1:])
+            rows[m + 1:] = [list(map(add, a, b))
+                            for a, b in zip(rows[m + 1:], added[m + 1:])]
 
     recovered = current_bnf()
 
@@ -722,12 +708,10 @@ def recover_qbnf(tdata, tol=1e-8, engine=None):
     residuals = {}
     failed = False
     phase, fwds = trace_powers(recovered, (n_z, n_h), engine)
-    for k in ks:
-        fwd = fwds[k]
+    for k, c in zip(ks, coeffs):
         for m in range(n_z + 1):
             for j in range(n_h + 1):
-                a = coeffs[k].get((), m, j)
-                b = fwd.get((), m, j)
+                a, b = c.get((), m, j), fwds[k].get((), m, j)
                 dev = (0.0 if f.exact and a == b
                        else f.abs(a - b) / max(1.0, f.abs(a)))
                 residuals[(j, k, m)] = dev

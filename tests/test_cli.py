@@ -237,6 +237,27 @@ def test_trace_powers_above_k_max_are_an_input_error(key, rt1_file, tmp_path,
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("spelling", ["01", "+1", " 1"])
+@pytest.mark.parametrize("key", ["coefficients", "maslov"])
+def test_a_trace_power_named_twice_is_an_input_error(key, spelling, rt1_file,
+                                                     tmp_path, capsys):
+    """A second key under ``key`` that names power 1, holding power 2's
+    entry, is refused naming k and both keys, not read as the later one."""
+    traces = tmp_path / "traces.json"
+    assert main(["forward", "--bnf", rt1_file, "--kmax", "8",
+                 "--out", str(traces)]) == 0
+    doc = json.load(open(traces))
+    doc[key][spelling] = doc[key]["2"]
+    jsonio.dump(traces, doc)
+    capsys.readouterr()
+    assert main(["recover", "--traces", str(traces),
+                 "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert (f"input error: key '{key}' names power k=1 twice: '1' and "
+            f"{spelling!r}") in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def _no_forward(monkeypatch):
     """Make every forward an error, so that a refusal shows it came first."""
     def forward(*args, **kwargs):
@@ -937,7 +958,7 @@ SUBCOMMAND_OPTIONS = {
                 "--out"},
     "recover": {"--traces", "--precision", "--tol-residual", "--out",
                 "--report"},
-    "roundtrip": {"--bnf", "--action", "--precision", "--orders", "--kmax",
+    "roundtrip": {"--bnf", "--precision", "--orders", "--kmax",
                   "--tol-residual", "--report"},
     "classical-bnf": {"--map", "--degree", "--tol-resonance", "--report"},
 }
@@ -986,6 +1007,10 @@ _DROPPED = {
     "roundtrip-tol-resonance": (
         lambda path: ["roundtrip", "--bnf", path, "--tol-resonance", "1e-8"],
         "unrecognized arguments: --tol-resonance 1e-8"),
+    # the recovery reads neither the action nor the Maslov table
+    "roundtrip-action": (
+        lambda path: ["roundtrip", "--bnf", path, "--action", "x.json"],
+        "unrecognized arguments: --action x.json"),
 }
 
 

@@ -13,6 +13,7 @@ from helpers import lattice_sum_oracle, picard_coth_csch_series
 from bnftrace.errors import ConvergenceError, PoleError, SchemaError
 from bnftrace.fields import FloatField, RationalField
 from bnftrace import hypcalc as hc
+from bnftrace.phasepoly import MAX_DEGREE, PhasePoly
 from bnftrace.series import zseries
 
 FR = RationalField()
@@ -82,9 +83,17 @@ def test_second_derivative_matches_finite_differences():
 
 
 def test_derivative_of_zero_polynomial():
-    e = hc.CschExpression(FR, 1, 1, {})
+    e = hc.CschExpression(1, PhasePoly.zero(FR, 1, 0))
     d = hc.apply_derivative(e, 0)
-    assert d.poly == {}
+    assert d.poly.terms == {} and d.poly.degree == 1
+
+
+def test_a_derivative_past_the_key_limit_is_refused():
+    """Each derivative raises the degree bound by one, and a monomial key
+    holds degrees up to MAX_DEGREE = 255."""
+    e = hc.CschExpression(1, PhasePoly.scalar(FR, 1, MAX_DEGREE, FR.one))
+    with pytest.raises(SchemaError, match="degree 256 is above the limit 255"):
+        hc.apply_derivative(e, 0)
 
 
 def test_derivative_index_out_of_range():
@@ -96,7 +105,7 @@ def test_derivatives_commute_exactly():
     e = hc.csch_product(FR, 2, 3)
     ab = hc.apply_derivative(hc.apply_derivative(e, 0), 1)
     ba = hc.apply_derivative(hc.apply_derivative(e, 1), 0)
-    assert ab.poly == ba.poly
+    assert ab.poly.terms == ba.poly.terms
 
 
 def test_series_constant_exponent():

@@ -348,6 +348,25 @@ def test_engine_matches_scratch_for_every_alpha():
                                              exp_half=b.blocks.exp_half)
 
 
+def test_growing_degree_bound_keeps_every_term():
+    """Each derivative raises the degree bound of a CschExpression's
+    polynomial by one, so a chain truncates no term: on exact blocks of
+    n = 1..3 and |alpha| up to 10, eval_csch of the chain equals the
+    engine's table product exactly, and the polynomial's bound is |alpha|,
+    which its top term reaches."""
+    ks = (1, 2, 3)
+    for b in (*_rational_fixtures(), n3_bnf()):
+        engine = TraceEngine(b.blocks, ks, 0)
+        for alpha in itertools.product(range(11), repeat=b.n):
+            if not (sum(alpha) == 10 or max(alpha) <= 1):
+                continue
+            for k, value in zip(ks, engine.at_mu0(alpha), strict=True):
+                expr = hc.apply_derivatives(hc.csch_product(FR, b.n, k), alpha)
+                assert expr.poly.degree == sum(alpha)
+                assert expr.poly.degree_part(sum(alpha)).terms
+                assert hc.eval_csch(expr, exp_half=b.blocks.exp_half) == value
+
+
 def test_coth_polys_equal_apply_derivatives():
     """d^a (1/2)csch(k mu/2) at mu(0): the engine's table entry against
     the one-variable CschExpression calculus, evaluated by eval_csch."""
@@ -532,8 +551,8 @@ def test_engine_caches_do_not_depend_on_call_order():
             return TraceEngine(bnf.blocks, ks, 3)
 
         def layers(engine=None):
-            return [list(qbnf.trace_layers(bnf, orders, engine or fresh(),
-                                           added=more).items())
+            return [qbnf.trace_layers(bnf, orders, engine or fresh(),
+                                      added=more)
                     for orders, more in calls]
 
         def forward(engine):
@@ -638,7 +657,7 @@ def test_a_layer_entry_is_the_trace_power_coefficient(case):
             for j in range(n_h + 1):
                 series = _power(bnf, k, (m, j), engine)[1]
                 want = series.get((), m, j)
-                got = qbnf.trace_layers(bnf, (m, j), engine)[k][m]
+                (got,) = qbnf.trace_layers(bnf, (m, j), engine)[m]
                 if field.exact:
                     assert got == want
                     continue
@@ -654,8 +673,8 @@ def test_trace_layers_checks_like_trace_powers():
         qbnf.trace_layers(b, (4, 2), TraceEngine(b.blocks, (1,), 4))
     with pytest.raises(SchemaError, match="k must be a positive integer"):
         TraceEngine(b.blocks, (0,), 1)
-    assert qbnf.trace_layers(b, (2, 2), TraceEngine(b.blocks, (3,), 2))[3][2] \
-        == trace_power(b, 3, (3, 3))[1].get((), 2, 2)
+    assert qbnf.trace_layers(b, (2, 2), TraceEngine(b.blocks, (3,), 2))[2] \
+        == [trace_power(b, 3, (3, 3))[1].get((), 2, 2)]
 
 
 def _per_k_trace_power(bnf, k, orders, engine):
@@ -770,7 +789,7 @@ def test_each_f0_gets_its_own_z_phase():
                  for c2 in ("2/5", "1/5")]
 
         def run(bnf, engine):
-            layers = [list(qbnf.trace_layers(bnf, (3, j), engine).items())
+            layers = [qbnf.trace_layers(bnf, (3, j), engine)
                       for j in range(4)]
             phase, series = qbnf.trace_powers(bnf, (3, 3), engine)
             return layers, phase, [(k, list(s.terms.items()))

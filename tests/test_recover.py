@@ -394,7 +394,7 @@ def test_deflated_stage_values_equal_fresh_forwards(case):
     solve, handed = recover_module.recover_polynomial, []
 
     def recording_solve(engine, values, *args, **kwargs):
-        handed.append(dict(values))
+        handed.append((engine.ks, list(values)))
         return solve(engine, values, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -403,7 +403,7 @@ def test_deflated_stage_values_equal_fresh_forwards(case):
     assert not rep.failed and rep.recovered.F == F
     stages = [key for key in rep.conditioning if key != "prony"]
     assert len(stages) == len(handed) == 5
-    for key, values in zip(stages, handed):
+    for key, (ks, values) in zip(stages, handed):
         j, m = (int(part[1:]) for part in key.split(":"))
         part_jets = [MultiSeries(FR, 0, jet.orders, {
             t: c for t, c in jet.terms.items() if j or t[1] < m})
@@ -412,10 +412,10 @@ def test_deflated_stage_values_equal_fresh_forwards(case):
             (alpha, mm, l): c for (alpha, mm, l), c in F.terms.items()
             if l + sum(alpha) <= j or l + sum(alpha) == j + 1 and mm < m})
         partial = QuantumBNF(rep.recovered.blocks, part_jets, part_F)
-        layers = trace_layers(partial, (m, j),
-                              TraceEngine(partial.blocks, tuple(values), m))
-        for k, v in values.items():
-            fresh = td.coefficients[k].get((), m, j) - layers[k][m]
+        rows = trace_layers(partial, (m, j),
+                            TraceEngine(partial.blocks, ks, m))
+        for k, v, fwd in zip(ks, values, rows[m], strict=True):
+            fresh = td.coefficients[k].get((), m, j) - fwd
             assert v == fresh * FR.inv(-(FR.i * FR.from_int(k)))
 
 
@@ -441,14 +441,14 @@ def _engine_at(E, ks):
 
 
 def test_recover_polynomial_linear():
-    vals = {}
-    for k in (1, 2, 3):
+    ks, vals = (1, 2, 3), []
+    for k in ks:
         d = hc.eval_csch(
             hc.apply_derivatives(hc.csch_product(FR, 1, k), (1,)),
             exp_half=[FR.from_int(2)])
-        vals[k] = (FR.i * FR.inv(FR.from_int(k))) * d
-    assert vals[1] == FR.i.conjugate() * FR.from_rational("5/9")  # -5i/9
-    sol, cond = recover_polynomial(_engine_at(FR.from_int(2), vals), vals,
+        vals.append((FR.i * FR.inv(FR.from_int(k))) * d)
+    assert vals[0] == FR.i.conjugate() * FR.from_rational("5/9")  # -5i/9
+    sol, cond = recover_polynomial(_engine_at(FR.from_int(2), ks), vals,
                                    [(0,), (1,)])
     assert sol[(1,)] == FR.one
     assert sol[(0,)] == FR.zero
@@ -670,8 +670,8 @@ def test_extended_recovery_reports_the_double_condition_numbers(precision):
 
 
 def test_recover_polynomial_zero():
-    vals = {k: FR.zero for k in (1, 2, 3)}
-    sol, _ = recover_polynomial(_engine_at(FR.from_int(2), vals), vals,
+    vals = [FR.zero] * 3
+    sol, _ = recover_polynomial(_engine_at(FR.from_int(2), (1, 2, 3)), vals,
                                 [(0,), (1,)])
     assert all(v == FR.zero for v in sol.values())
 
@@ -679,35 +679,34 @@ def test_recover_polynomial_zero():
 def test_recover_polynomial_quadratic_exact():
     coeffs = {(0,): FR.from_rational("2/3"), (1,): FR.from_rational("-1/5"),
               (2,): FR.from_rational("7/4")}
-    vals = {}
-    for k in (1, 2, 3, 4):
+    ks, vals = (1, 2, 3, 4), []
+    for k in ks:
         total = FR.zero
         for alpha, c in coeffs.items():
             d = hc.eval_csch(
                 hc.apply_derivatives(hc.csch_product(FR, 1, k), alpha),
                 exp_half=[FR.from_int(2)])
             total = total + c * (FR.i * FR.inv(FR.from_int(k))) ** sum(alpha) * d
-        vals[k] = total
-    sol, _ = recover_polynomial(_engine_at(FR.from_int(2), vals), vals,
+        vals.append(total)
+    sol, _ = recover_polynomial(_engine_at(FR.from_int(2), ks), vals,
                                 [(0,), (1,), (2,)])
     assert sol == coeffs
 
 
 def test_recover_polynomial_needs_enough_powers():
-    vals = {1: FR.one, 2: FR.one}
+    vals = [FR.one, FR.one]
     with pytest.raises(RankDeficiencyError):
-        recover_polynomial(_engine_at(FR.from_int(2), vals), vals,
+        recover_polynomial(_engine_at(FR.from_int(2), (1, 2)), vals,
                            [(0,), (1,), (2,)])
 
 
 def test_recover_polynomial_refuses_other_powers():
-    """The rows of the matrix are the engine's powers, so values for fewer,
-    other or more powers are refused."""
+    """The rows of the matrix are the engine's powers, so a list of values
+    over fewer or more powers is refused."""
     engine = _engine_at(FR.from_int(2), (1, 2, 3))
-    for ks in ((1, 2), (1, 2, 4), (1, 2, 3, 4)):
+    for count in (2, 4):
         with pytest.raises(SchemaError, match="trace engine serves"):
-            recover_polynomial(engine, {k: FR.one for k in ks},
-                               [(0,), (1,)])
+            recover_polynomial(engine, [FR.one] * count, [(0,), (1,)])
 
 
 def test_recover_qbnf_trivial_fixture():
@@ -1014,6 +1013,38 @@ def test_recovery_factors_each_alpha_set_once(monkeypatch):
     stages = {f"h0:z{m}" for m in (1, 2, 3)} | {
         f"h{j}:z{m}" for j in (1, 2, 3) for m in range(4)}
     assert set(rep.conditioning) == {"prony"} | stages
+
+
+def test_recovery_factors_each_alpha_set_once_per_engine(monkeypatch):
+    """The engine keeps the factored stage matrices: a second recovery on
+    one engine, as a round trip's recovery reads its forward engine,
+    factors only stage 0's Hankel system and reports the same condition
+    numbers, and a new engine factors each alpha set again."""
+    _F, bnf, action = rt1()
+    K = 8
+    td = make_trace_data(bnf, action, {}, K, (3, 3))
+    factor, factored = recover_module.factor_lstsq, []
+
+    def counting_factor(field, rows):
+        factored.append(len(rows[0]))
+        return factor(field, rows)
+
+    monkeypatch.setattr(recover_module, "factor_lstsq", counting_factor)
+    alpha_sets = {tuple(s.alphas) for s in plan(1, 3, 3).stages[1:-1]}
+    # one for stage 0's Hankel tail, of 2^n columns
+    once = sorted([2] + [len(s) for s in alpha_sets])
+    engine, reports = TraceEngine(bnf.blocks, range(1, K + 1), 3), []
+    for want in (once, [2]):
+        factored.clear()
+        reports.append(recover_qbnf(td, engine=engine))
+        assert not reports[-1].failed
+        assert sorted(factored) == want
+        assert set(engine.systems) == alpha_sets
+    assert reports[0].conditioning == reports[1].conditioning
+    factored.clear()
+    assert not recover_qbnf(
+        td, engine=TraceEngine(bnf.blocks, range(1, K + 1), 3)).failed
+    assert sorted(factored) == once
 
 
 def _bumped(td, k, m, j, eps):
