@@ -17,6 +17,8 @@ e^{ikS(z)/h} e^{-ik*phase} sum_j c_{jk}(z) h^j.
 import json
 import math
 import sys
+from collections import Counter
+from json.encoder import encode_basestring_ascii
 
 from .blocks import SpectrumBlocks
 from .errors import MathError, SchemaError
@@ -317,20 +319,59 @@ def render_report_text(rep):
     return "\n".join(lines)
 
 
+def _encode(obj, indent=""):
+    """The text of ``json.dumps(obj, indent=1, allow_nan=False)`` for a
+    value nested at ``indent``, without the stdlib's pure-Python encoder
+    that an indent selects: containers are joined here, and every other
+    value goes to the C encoder.  Object keys are strings."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if type(obj) is int:
+        return int.__repr__(obj)
+    inner = indent + " "
+    if isinstance(obj, dict):
+        body = [f"{encode_basestring_ascii(k)}: {_encode(v, inner)}"
+                for k, v in obj.items()]
+        ends = "{}"
+    elif isinstance(obj, list) or isinstance(obj, tuple):
+        body = [_encode(v, inner) for v in obj]
+        ends = "[]"
+    else:
+        return json.dumps(obj, allow_nan=False)
+    if not body:
+        return ends
+    return (f"{ends[0]}\n{inner}" + f",\n{inner}".join(body)
+            + f"\n{indent}{ends[1]}")
+
+
 def dump(path, obj):
     """Serialize ``obj``, then write it: a value json refuses writes no file."""
-    text = json.dumps(obj, indent=1, allow_nan=False) + "\n"
+    text = _encode(obj) + "\n"
     with open(path, "w") as fh:
         fh.write(text)
 
 
+def _object(pairs):
+    """A JSON object as a dict; a key it repeats is an input error, where
+    json would keep the later value silently."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        counts = Counter(k for k, _v in pairs)
+        key = next(k for k, n in counts.items() if n > 1)
+        raise SchemaError(f"key {key!r} appears twice in one object")
+    return obj
+
+
 def load(path):
     """The JSON document in the file ``path``; a file that is not UTF-8
-    JSON, or is nested too deep to parse, is an input error."""
+    JSON, is nested too deep to parse or repeats a key in one object is
+    an input error."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_object)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"malformed JSON in {path}: {exc}") from exc
     except RecursionError:
         raise SchemaError(f"JSON in {path} is nested too deep") from None
+    except SchemaError as exc:
+        raise SchemaError(f"{exc} in {path}") from None

@@ -47,13 +47,11 @@ class TestJet:
         jet[m] = field.one
         return cls(field, base_point, jet)
 
-    def derivative(self, m):
-        if m >= len(self.jet):
-            raise SchemaError(
-                f"insufficient test jet: need derivative order {m}, "
-                f"jet has length {len(self.jet)}"
-            )
-        return self.jet[m]
+    def weights(self):
+        """(-i)^q g^(q) for each derivative q the jet holds: the factor a
+        pairing puts on the zeta^q moment."""
+        minus_i = -self.field.i
+        return [minus_i ** (q % 4) * d for q, d in enumerate(self.jet)]
 
 
 def _vanishes(field, a00):
@@ -117,12 +115,18 @@ def _moments(f, i_jets, a_jets, order):
     return moments
 
 
-def _pair(f, moments, g):
-    """sum_q c_q (-i)^q g^(q): one level's moments against a test jet."""
-    minus_i = -f.i
+def _pair(f, moments, weights):
+    """sum_q c_q (-i)^q g^(q): one level's moments against the
+    :meth:`TestJet.weights` of a test jet g.  A power of -i multiplies
+    exactly, so on doubles too the sum is the one of (c_q (-i)^q) g^(q)."""
     total = f.zero
     for q, c in moments.items():
-        total = total + c * minus_i ** (q % 4) * g.derivative(q)
+        if q >= len(weights):
+            raise SchemaError(
+                f"insufficient test jet: need derivative order {q}, "
+                f"jet has length {len(weights)}"
+            )
+        total = total + c * weights[q]
     return total
 
 
@@ -133,7 +137,9 @@ def forward_pairing(u, g, order):
     growth comes from the products inside exp(i sum h^j I_{j+1} zeta^{j+1})).
     """
     f = u.field
-    return [_pair(f, m, g) for m in _moments(f, u.i_jets, u.a_jets, order)]
+    weights = g.weights()
+    return [_pair(f, m, weights)
+            for m in _moments(f, u.i_jets, u.a_jets, order)]
 
 
 def extract_jets(pairings, basis, order, i0=None):
@@ -162,15 +168,16 @@ def extract_jets(pairings, basis, order, i0=None):
 
     i_jets = [i0 if i0 is not None else f.zero, base]
     a_jets = {}
+    weights = [g.weights() for g in basis]
 
     for p in range(order + 1):
         known = _moments(f, i_jets, a_jets, p)[p]
         columns = [{l: f.one} for l in range(p + 1)]
         if p:
             columns.append({p + 1: f.i * a_jets[(0, 0)]})
-        rows = [[_pair(f, col, g) for col in columns] for g in basis]
-        rhs = [pairings[b][p] - _pair(f, known, g)
-               for b, g in enumerate(basis)]
+        rows = [[_pair(f, col, w) for col in columns] for w in weights]
+        rhs = [pairings[b][p] - _pair(f, known, w)
+               for b, w in enumerate(weights)]
         sol, _res = solve_lstsq(f, rows, rhs)
         for l in range(p + 1):
             if not f.is_zero(sol[l]):

@@ -15,10 +15,11 @@ maps and exact rational fixtures.
 :class:`bnftrace.series.TruncatedPoly`, which does all its arithmetic.  A
 key packs an exponent tuple into one integer, a ``FIELD_BITS``-bit field
 per exponent above one for the total degree: a product key is the sum of
-the keys and a key's degree is ``key & DEGREE_MASK``.  x_1 sits in the top
-field so that integer order is the tuples' lexicographic order: the sorted
-walk of ``PolyMap.compose``, so the order of its sums, and the term order
-of map files stay as tuple keys had them.  :func:`monomial` and
+the keys, which the core adds inline (``_adds_keys``), and a key's degree
+is ``key & DEGREE_MASK``.  x_1 sits in the top field so that integer
+order is the tuples' lexicographic order: the sorted walk of
+``PolyMap.compose``, so the order of its sums, and the term order of map
+files stay as tuple keys had them.  :func:`monomial` and
 :func:`exponents` convert at the edges.  Products room on the total degree,
 the one bound (at most ``MAX_DEGREE``), so a product whose degree fits
 always fits and no field carries.  ``derive`` keeps the degree: the Lie
@@ -75,10 +76,7 @@ class PhasePoly(TruncatedPoly):
         return monomial(exps) if sum(exps) <= self.bound.total else None
 
     _degree = staticmethod(DEGREE_MASK.__and__)
-
-    @staticmethod
-    def _join(k1, k2, bound):
-        return k1 + k2
+    _adds_keys = True
 
     @staticmethod
     def _fits(key, bound):
@@ -101,7 +99,7 @@ class PhasePoly(TruncatedPoly):
         for k, c in self.terms.items():
             e = k >> shift & DEGREE_MASK
             if e:
-                terms[k - step] = c * self.field.from_int(e)
+                terms[k - step] = c * e
         return self._make(self.field, self.arity, self.bound, terms)
 
     def degree_part(self, d):
@@ -211,7 +209,8 @@ class PolyMap:
                 acc = out[i]
                 for key, v in value_terms.items():
                     t = c * v
-                    acc[key] = acc[key] + t if key in acc else t
+                    old = acc.get(key)
+                    acc[key] = t if old is None else old + t
         bound = Degree(deg)
         return PolyMap(f, self.n, deg,
                        [PhasePoly._make(f, nv, bound, acc) for acc in out])

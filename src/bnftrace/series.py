@@ -16,13 +16,17 @@ structural, and every operation is a pure function.
 
 A product pairs each left term only with the right terms whose degree
 fits its room, the cap minus its own degree; ``_join`` checks the rest
-of the bound pair by pair.  The right operand lists its (key, coeff)
-pairs per room, in its own dict order, the first time a product asks for
-that room, and keeps the lists: a polynomial is never changed after it
-is made, and a power or component is often the right operand of many
-products.  The visited pairs run in the same order as a scan of every
-pair would, so sums accumulate in the same order and results are
-bit-identical on floats too.
+of the bound pair by pair.  A left term whose room is below the right
+operand's lowest degree pairs with nothing and is skipped by one
+comparison.  The right operand lists its (key, coeff) pairs per room, in
+its own dict order, the first time a product asks for that room, and
+keeps the lists with its lowest degree: a polynomial is never changed
+after it is made, and a power or component is often the right operand
+of many products.  The visited pairs run in the same order as a scan of
+every pair would, so sums accumulate in the same order and results are
+bit-identical on floats too.  A layout whose keys join by plain addition,
+every pair inside a room fitting the bound, sets ``_adds_keys`` in place
+of a ``_join``: its product adds the keys inline, with no call per pair.
 
 :class:`MultiSeries` is the layout in (iota_1..iota_n, z, h), bound by
 ``Orders``; it rooms on the h-order, where the powers of the operator
@@ -30,13 +34,14 @@ part X bind: X^p starts at h^p, while X's iota budget never binds, so a
 room on the iota degree would visit every pair of X's terms.
 ``phasepoly.PhasePoly`` is the other layout: its keys are exponent tuples
 packed into integers, x_1 in the top field so that integer order is
-their lexicographic order, its ``_join`` is one integer add, and it rooms
-on its one bound, the total degree.  Both directions use a MultiSeries as
+their lexicographic order, it adds its keys, and it rooms on its one
+bound, the total degree.  Both directions use a MultiSeries as
 a container for F(iota, z; h) and the trace expansions, combined by
 ``+``, ``*`` and ``scale``; :func:`powers` lists the powers of a series,
 and :meth:`MultiSeries.exp_series` sums them into its exponential.
 """
 
+import math
 from collections import namedtuple
 from operator import add, attrgetter, itemgetter
 
@@ -114,12 +119,14 @@ class TruncatedPoly:
 
     def _rooms_index(self):
         """Start the per-room lists that products read this polynomial
-        through as a right operand: ``None`` maps to the top degree and
-        each term's degree, the top degree to the full list.  Kept on the
+        through as a right operand: ``None`` maps to the top degree, the
+        lowest degree (above every room when there are no terms) and each
+        term's degree, the top degree to the full list.  Kept on the
         instance, as ``terms`` never changes."""
-        degs = [self._degree(k) for k in self.terms]
+        degs = list(map(self._degree, self.terms))
         top = max(degs, default=0)
-        self._rooms = {None: (top, degs), top: list(self.terms.items())}
+        low = min(degs, default=math.inf)
+        self._rooms = {None: (top, low, degs), top: list(self.terms.items())}
         return self._rooms
 
     def _upto(self, room):
@@ -127,7 +134,7 @@ class TruncatedPoly:
         degree <= room, in dict order; a room at or above the top
         degree shares the full list."""
         rooms = self._rooms
-        top, degs = rooms[None]
+        top, _low, degs = rooms[None]
         if room >= top:
             pairs = rooms[top]
         else:
@@ -142,24 +149,35 @@ class TruncatedPoly:
         # visited pairs run in the dict order of both operands, so sums
         # accumulate in a fixed order
         bound = self._joint(other)
-        degree, join = self._degree, self._join
+        degree, adds = self._degree, self._adds_keys
+        join = None if adds else self._join
         rooms = other._rooms or other._rooms_index()
+        low = rooms[None][1]
         cap = self._cap(bound)
         terms = {}
         for k1, c1 in self.terms.items():
             room = cap - degree(k1)
-            pairs = rooms.get(room)
-            if pairs is None:
-                pairs = other._upto(room)
+            if room < low:
+                continue
+            pairs = rooms.get(room) or other._upto(room)
+            if adds:
+                for k2, c2 in pairs:
+                    key = k1 + k2
+                    prod = c1 * c2
+                    old = terms.get(key)
+                    terms[key] = prod if old is None else old + prod
+                continue
             for k2, c2 in pairs:
                 key = join(k1, k2, bound)
                 if key is None:
                     continue
                 prod = c1 * c2
-                terms[key] = terms[key] + prod if key in terms else prod
+                old = terms.get(key)
+                terms[key] = prod if old is None else old + prod
         return self._make(self.field, self.arity, bound, terms)
 
     _cap = staticmethod(itemgetter(0))
+    _adds_keys = False
 
     def scale(self, value):
         return self._make(self.field, self.arity, self.bound,

@@ -6,10 +6,13 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (mixed_float_fixture, n1_bnf, n2_bnf, n3_bnf,
                      random_F_total_degree, rt1)
@@ -17,6 +20,7 @@ from helpers import (mixed_float_fixture, n1_bnf, n2_bnf, n3_bnf,
 from bnftrace import classify_eigenvalues, cli, jsonio, qbnf
 from bnftrace.blocks import ELLIPTIC, REAL_HYPERBOLIC, SpectrumBlocks
 from bnftrace.cli import build_parser, main
+from bnftrace.errors import SchemaError
 from bnftrace.fields import FloatField, RationalField
 from bnftrace.phasepoly import MAX_DEGREE
 from bnftrace.qbnf import QuantumBNF, make_trace_data
@@ -756,18 +760,81 @@ def test_map_degree_beyond_the_key_limit_exits_two(tmp_path, capsys):
 
 
 def test_dump_leaves_no_file_for_a_value_json_refuses(tmp_path):
-    """dump serializes before it opens the file, so a nan, which no file
-    of the tool holds, is refused without leaving a truncated file, and a
-    file that was there keeps its bytes."""
+    """dump serializes before it opens the file, so a nan or an infinity,
+    which no file of the tool holds, is refused at any depth without
+    leaving a truncated file, and a file that was there keeps its bytes."""
     path = tmp_path / "out.json"
-    with pytest.raises(ValueError):
-        jsonio.dump(path, {"a": [1, 2], "b": math.nan})
-    assert not path.exists()
+    for bad in (math.nan, math.inf, -math.inf):
+        for doc in ({"a": [1, 2], "b": bad}, [[{"c": bad}]], bad):
+            with pytest.raises(ValueError):
+                jsonio.dump(path, doc)
+            assert not path.exists()
     jsonio.dump(path, {"a": [1, 2]})
     assert path.read_bytes() == b'{\n "a": [\n  1,\n  2\n ]\n}\n'
     with pytest.raises(ValueError):
         jsonio.dump(path, {"a": [1, 2], "b": math.nan})
     assert path.read_bytes() == b'{\n "a": [\n  1,\n  2\n ]\n}\n'
+
+
+# JSON values of every kind the writer meets: nested containers, empty
+# ones, text with non-ASCII and control characters, ints beyond 64 bits,
+# -0.0, subnormal and other finite floats, bools and null
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.integers(min_value=-10**60, max_value=10**60)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, -2.5e-310, 1e16, 1e-7])
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_values)
+def test_dump_writes_the_text_of_indented_json_dumps(value):
+    """The writer builds, byte for byte, the text json.dumps gives with
+    the indent and nan refusal that dump has always used."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.json")
+        jsonio.dump(path, value)
+        with open(path, "rb") as fh:
+            text = fh.read()
+    want = json.dumps(value, indent=1, allow_nan=False) + "\n"
+    assert text == want.encode("ascii")
+
+
+def test_a_repeated_key_is_an_input_error_naming_key_and_file(
+        rt1_file, tmp_path, capsys):
+    """Traces that write the key "1" twice under 'coefficients', the later
+    one holding power 2's series, are refused naming the key and the
+    file, not read as power 1 from the later value."""
+    traces = tmp_path / "traces.json"
+    assert main(["forward", "--bnf", rt1_file, "--kmax", "8",
+                 "--out", str(traces)]) == 0
+    doc = json.load(open(traces))
+    doc["coefficients"]["dup"] = doc["coefficients"]["2"]
+    text = json.dumps(doc).replace('"dup": {', '"1": {')
+    assert text.count('"1": {') == 2
+    traces.write_text(text)
+    capsys.readouterr()
+    assert main(["recover", "--traces", str(traces),
+                 "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert (f"input error: key '1' appears twice in one object in {traces}"
+            in err)
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_load_refuses_a_repeated_key_at_any_depth(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text('{"a": [{"b": 1, "c": 2, "b": 3}]}')
+    with pytest.raises(SchemaError) as exc:
+        jsonio.load(path)
+    assert str(exc.value) == f"key 'b' appears twice in one object in {path}"
+    path.write_text('{"a": [{"b": 1, "c": 2}], "b": {"b": 3}}')
+    assert jsonio.load(path) == {"a": [{"b": 1, "c": 2}], "b": {"b": 3}}
 
 
 def _action_argv(tmp, maslov):

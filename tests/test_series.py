@@ -455,3 +455,52 @@ def test_powers_visit_only_the_pairs_inside_the_h_order(monkeypatch):
     # one join per pair inside the h-order, for each product P * X made
     assert len(joined) == sum(1 for p in out for k1 in p.terms
                               for k2 in X.terms if k1[2] + k2[2] <= 2)
+
+
+def test_left_terms_below_the_lowest_right_degree_cost_no_product(
+        monkeypatch):
+    """A left term whose room is below the right operand's lowest degree
+    meets no right term: it costs no coefficient product and starts no
+    room list on the right operand.  A product whose left terms all lie
+    beyond the joint bound is zero, with that bound."""
+    from bnftrace.fields import RationalComplex
+
+    products = []
+    mul = RationalComplex.__mul__
+
+    def counting(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(RationalComplex, "__mul__", counting)
+    # right terms of degree 2 and 3, left terms of degree 0 to 6
+    right = PhasePoly(F, 2, 6, {(2, 0): F.one, (1, 2): F.from_int(2)})
+    left = PhasePoly(F, 2, 6, {(d, 0): F.from_int(d + 1) for d in range(7)})
+    out = left * right
+    assert len(products) == sum(1 for d1 in range(7) for d2 in (2, 3)
+                                if d1 + d2 <= 6)
+    assert _items(_terms(out)) == _items(_ref_phase_mul(left, right, 6))
+    assert set(right._rooms) - {None} == {6, 5, 4, 3, 2}
+
+    products.clear()
+    high = PhasePoly(F, 2, 9, {(7, 0): F.one, (4, 4): F.one})
+    zero = high * right
+    assert zero.is_zero() and zero.degree == 6 and not products
+    series = MultiSeries(F, 1, Orders(4, 2, 5), {((0,), 0, 4): F.one,
+                                                 ((1,), 1, 5): F.i})
+    zero = series * MultiSeries(F, 1, Orders(4, 2, 3), {((1,), 0, 0): F.one})
+    assert zero.is_zero() and zero.orders == Orders(4, 2, 3) and not products
+
+
+def test_derive_on_doubles_keeps_the_bits_of_the_reference():
+    """derive multiplies by the integer exponent, which rounds as the
+    product with the field's integer does, signed zeros included."""
+    parts = [0.0, -0.0, 5e-324, -2.5e-310, 0.1, -3.0]
+    coeffs = [complex(a, b) for a in parts for b in parts]
+    terms = {(a, b, c): coeffs[(5 * a + 3 * b + c) % len(coeffs)]
+             for a in range(4) for b in range(4) for c in range(4)}
+    p = PhasePoly(FF, 3, 9, terms)
+    for i in range(3):
+        got = _items(_terms(p.derive(i)))
+        assert got == _items(_ref_derive(p, i))
+        assert any("-0x0.0p+0" in c for _k, c in got)
