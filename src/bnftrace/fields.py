@@ -20,6 +20,13 @@ xs[i] * ys[i] to entry i of ``key``'s list and ``result()`` the dict of
 the lists.  A float field adds each product as it comes, from the first,
 as MultiSeries sums do, or ``sums(from_zero=True)`` from zero; the
 rational field reduces each sum once, not at every product and add).
+``partial()`` is ``result()`` left unreduced, and ``products(xs, ys)``
+the unreduced pairwise products: a computation hands them only to its own
+later ``sums().add``, as xs or ys, or to ``reduced(xs)``; they have no
+arithmetic, equality or hash, and none leaves it.  A float field's are
+``result()`` and plain products, and its ``reduced`` returns its list.
+The rational field's ``minus_products(xs, cs, ys)`` reduces each
+x - c * y once.
 The rational field has no sqrt or log: stage 0 of the recovery fits exact
 samples on float fields, in doubles and then at 240 bits, and verifies
 the rationalized fit exactly instead.
@@ -197,9 +204,30 @@ def _reduced(a, b, d):
     return _triple(a, b, d)
 
 
-def _sum_of_products(pairs):
-    """sum(x * y for x, y in pairs) with one reduction: the products stay
-    unreduced, their numerators summed over the lcm of their denominators."""
+class _Partial:
+    """An unreduced ``(a + b*i) / d``, ``d > 0``, from ``sums().partial()``
+    or ``products``.  It has no arithmetic, equality or hash: only a later
+    ``sums().add`` reads it."""
+
+    __slots__ = ("a", "b", "d")
+    __hash__ = None
+
+    def __eq__(self, other):
+        raise TypeError("a partial sum is not a field value")
+
+
+def _partial(a, b, d):
+    x = _new(_Partial)
+    x.a = a
+    x.b = b
+    x.d = d
+    return x
+
+
+def _sum_of_products(pairs, done=_reduced):
+    """sum(x * y for x, y in pairs) with one reduction (``done``): the
+    products stay unreduced, their numerators summed over the lcm of their
+    denominators."""
     a = b = 0
     d = 1
     for x, y in pairs:
@@ -211,7 +239,19 @@ def _sum_of_products(pairs):
             g = gcd(d, e)
             s, t = e // g, d // g
             a, b, d = a * s + pa * t, b * s + pb * t, d * s
-    return _reduced(a, b, d)
+    return done(a, b, d)
+
+
+def _minus_products(xs, cs, ys):
+    """[x - c * y for x, c, y in zip(xs, cs, ys)], each reduced once."""
+    out = []
+    for x, c, y in zip(xs, cs, ys):
+        d, e = x.d, c.d * y.d
+        g = gcd(d, e)
+        s, t = e // g, d // g
+        out.append(_reduced(x.a * s - (c.a * y.a - c.b * y.b) * t,
+                            x.b * s - (c.a * y.b + c.b * y.a) * t, d * s))
+    return out
 
 
 class _RationalSums(dict):
@@ -220,10 +260,13 @@ class _RationalSums(dict):
     def add(self, key, xs, ys):
         self.setdefault(key, []).append((xs, ys))
 
-    def result(self):
-        return {key: [_sum_of_products(col)
+    def result(self, done=_reduced):
+        return {key: [_sum_of_products(col, done)
                       for col in zip(*(zip(xs, ys) for xs, ys in pairs))]
                 for key, pairs in self.items()}
+
+    def partial(self):
+        return self.result(_partial)
 
 
 class _FloatSums:
@@ -243,6 +286,8 @@ class _FloatSums:
 
     def result(self):
         return self.acc
+
+    partial = result
 
 
 def _coerce(x):
@@ -326,6 +371,15 @@ class RationalField:
 
     def sums(self, from_zero=False):
         return _RationalSums()
+
+    def products(self, xs, ys):
+        return [_partial(x.a * y.a - x.b * y.b, x.a * y.b + x.b * y.a,
+                         x.d * y.d) for x, y in zip(xs, ys)]
+
+    def reduced(self, xs):
+        return [_reduced(x.a, x.b, x.d) for x in xs]
+
+    minus_products = staticmethod(_minus_products)
 
 
 class FloatField:
@@ -435,6 +489,12 @@ class FloatField:
 
     def sums(self, from_zero=False):
         return _FloatSums(repeat(self.zero) if from_zero else None)
+
+    def products(self, xs, ys):
+        return list(map(mul, xs, ys))
+
+    def reduced(self, xs):
+        return xs
 
 
 def nan_max(values, default=0.0):

@@ -17,7 +17,9 @@ The exact backend runs plain Gauss-Jordan elimination on the matrix,
 recording its row operations, and each solve replays them on b and then
 *verifies* the remaining equations, which is exact least squares for
 consistent overdetermined systems -- the only kind a correct recovery
-stage produces.  There the reported condition number, a diagnostic, is
+stage produces.  Each update x - f * y, in the elimination and in the
+replay, is reduced once (``minus_products``), before the next pivot
+reads it.  There the reported condition number, a diagnostic, is
 that of the matrix scaled as a float one is, off a double snapshot whose
 rows are first scaled exactly by powers of two.
 
@@ -32,6 +34,7 @@ complex QR.  All are pure Python, without numpy.
 import cmath
 import math
 from functools import cached_property
+from itertools import repeat
 from operator import mul
 
 from .errors import ConvergenceError, RankDeficiencyError
@@ -189,7 +192,7 @@ class _ExactFactor:
         self.rows = rows
         m, ncols = len(rows), len(rows[0])
         a = [list(row) for row in rows]
-        # per pivot column: (pivot row, inverse, [(row, elimination factor)])
+        # per pivot column: (pivot row, inverse, other rows, their factors)
         self.ops = []
         for r in range(ncols):
             pivot = None
@@ -206,14 +209,15 @@ class _ExactFactor:
             inv = field.inv(a[r][r])
             # only the columns right of the pivot are read again
             a[r][r + 1:] = [x * inv for x in a[r][r + 1:]]
-            factors = []
+            targets, factors = [], []
             for i in range(m):
                 if i != r and not field.is_zero(a[i][r]):
                     factor = a[i][r]
-                    a[i][r + 1:] = [x - factor * y for x, y in
-                                    zip(a[i][r + 1:], a[r][r + 1:])]
-                    factors.append((i, factor))
-            self.ops.append((pivot, inv, factors))
+                    a[i][r + 1:] = field.minus_products(
+                        a[i][r + 1:], repeat(factor), a[r][r + 1:])
+                    targets.append(i)
+                    factors.append(factor)
+            self.ops.append((pivot, inv, targets, factors))
 
     @cached_property
     def cond(self):
@@ -223,11 +227,13 @@ class _ExactFactor:
     def solve(self, rhs, residual_tol=1e-9):
         field = self.field
         b = list(rhs)
-        for r, (pivot, inv, factors) in enumerate(self.ops):
+        for r, (pivot, inv, targets, factors) in enumerate(self.ops):
             b[r], b[pivot] = b[pivot], b[r]
             b[r] = b[r] * inv
-            for i, factor in factors:
-                b[i] = b[i] - factor * b[r]
+            new = field.minus_products([b[i] for i in targets], factors,
+                                       repeat(b[r]))
+            for i, x in zip(targets, new):
+                b[i] = x
         r = len(self.ops)
         if not all(field.is_zero(v) for v in b[r:]):
             raise RankDeficiencyError(

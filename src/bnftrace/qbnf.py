@@ -46,7 +46,10 @@ One forward pass serves the engine's powers ks: every coefficient it
 forms is a list over ks, each entry a sum of products for that power
 alone, formed by ``field.sums()``: on a float field in the order of
 MultiSeries sums and products (the first term stored, later ones added),
-on the rational field exactly, reduced once.  Only the final series drop
+on the rational field exactly, its steps passing on unreduced sums
+(``partial()``, see :mod:`~bnftrace.fields`) and each value reduced once
+where it leaves: in :func:`trace_powers`, :func:`trace_layers` and
+:meth:`TraceEngine.zseries`.  Only the final series drop
 zero coefficients: an intermediate one that is zero stays in its list,
 where per-power MultiSeries arithmetic would drop it, which can move
 only the sign of a zero part of a float result.
@@ -190,9 +193,10 @@ class TraceEngine:
     blocks and one tuple of powers ``ks``, up to z-order ``n_z`` (see the
     module docstring), cached for the engine's lifetime, with the
     per-power constants -ik and (i/k)^d listed over ``ks``.  Its dicts
-    ``z_phases`` and ``trace_powers`` keep the z-phases and the expansions
-    that its forwards made, and ``systems`` the factored stage matrices of
-    :func:`~bnftrace.recover.recover_polynomial`, by alpha set.
+    ``z_phases`` and ``trace_powers`` keep the z-phases (unreduced) and
+    the expansions that its forwards made, and ``systems`` the factored
+    stage matrices of :func:`~bnftrace.recover.recover_polynomial`, by
+    alpha set.
     """
 
     def __init__(self, blocks, ks, n_z):
@@ -269,6 +273,13 @@ class TraceEngine:
         once per jet state, up to the highest z-order read, and formed
         again when a call reads higher; the series keeps the keys, values
         and order of the engine's full-order series cut at ``top``."""
+        reduced = self.field.reduced
+        return {m: reduced(v)
+                for m, v in self.partial_zseries(alpha, jets, top).items()}
+
+    def partial_zseries(self, alpha, jets, top=None):
+        """:meth:`zseries` as cached, its coefficients unreduced
+        (``partial()``): only a forward's sums read them."""
         top = self.n_z if top is None else top
         formed, s = self._product(alpha, jets, top)
         return s if formed == top else {m: v for m, v in s.items() if m <= top}
@@ -292,14 +303,14 @@ class TraceEngine:
                 for ((), m, _l), c in delta.terms.items():
                     if m <= top:
                         sums.add(m, d[a + b], repeat(c))
-            factor = factors[(j, a)] = (top, sums.result())
+            factor = factors[(j, a)] = (top, sums.partial())
         if j:  # the product with the factors before, cut at top
             sums = self.field.sums()
             for m1, v1 in self._product(alpha[:-1], jets, top)[1].items():
                 for m2, v2 in factor[1].items():
                     if m1 + m2 <= top:
                         sums.add(m1 + m2, v1, v2)
-            factor = (top, sums.result())
+            factor = (top, sums.partial())
         products[alpha] = factor
         return factor
 
@@ -450,11 +461,11 @@ def _forward(bnf, orders, engine, layer=None, added=None):
     sums = f.sums()
     for (alpha, m, l), c in op.items():
         da = sum(alpha)
-        factor = list(map(mul, c, engine.ik_power(da))) if da else c
-        for m2, ec in engine.zseries(alpha, jets, top[alpha]).items():
+        factor = f.products(c, engine.ik_power(da)) if da else c
+        for m2, ec in engine.partial_zseries(alpha, jets, top[alpha]).items():
             if m + m2 <= n_z:
                 sums.add(((), m + m2, l), factor, ec)
-    return phase, pz, sums.result()
+    return phase, pz, sums.partial()
 
 
 def _exp_from_powers(s_powers, ts, layer=None):
@@ -473,7 +484,7 @@ def _exp_from_powers(s_powers, ts, layer=None):
         for key, c in power.terms.items():
             if layer is None or key[2] == layer:
                 sums.add(key, w, repeat(c))
-    return sums.result()
+    return sums.partial()
 
 
 def make_trace_data(bnf, action, maslov, k_max, orders, engine=None):

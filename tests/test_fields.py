@@ -357,8 +357,11 @@ sum_terms = st.lists(st.tuples(st.integers(0, 2),
 @given(sum_terms)
 def test_rational_sums_equal_sums_of_reduced_products(terms):
     """Each key's sums are those of the reduced products added left to
-    right, as canonical triples; a real one hashes like its Fraction."""
-    sums = RationalField().sums()
+    right, as canonical triples; a real one hashes like its Fraction.  The
+    partial sums reduce to them, and read with the unreduced products as
+    a later sum's xs and ys give their cubes; a partial sum is no value."""
+    F = RationalField()
+    sums = F.sums()
     want = {}
     for key, xs, ys in terms:
         sums.add(key, xs, ys)
@@ -373,6 +376,14 @@ def test_rational_sums_equal_sums_of_reduced_products(terms):
             _canonical(x)
             if x.b == 0:
                 assert hash(x) == hash(Fraction(x.a, x.d))
+    partial, cubes = sums.partial(), F.sums()
+    for key, values in partial.items():
+        assert F.reduced(values) == got[key]
+        cubes.add(key, values, F.products(values, values))
+    for key, values in cubes.result().items():
+        assert list(map(_canonical, values)) == [x * x * x for x in got[key]]
+    with pytest.raises(TypeError):
+        partial[terms[0][0]][0] == got[terms[0][0]][0]
 
 
 @PROPS

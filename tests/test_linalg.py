@@ -17,7 +17,7 @@ from helpers import mixed_float_fixture
 
 from bnftrace import linalg
 from bnftrace import recover as recover_module
-from bnftrace.errors import ConvergenceError
+from bnftrace.errors import ConvergenceError, RankDeficiencyError
 from bnftrace.fields import FloatField, RationalField
 from bnftrace.oscillatory import (OrbitExpansion, TestJet, extract_jets,
                                   forward_pairing)
@@ -290,3 +290,78 @@ def test_float_least_squares_is_that_of_the_row_equilibrated_system():
                                  np.array([1.0, 10.0, 4.0]), rcond=None)[0]
     assert unweighted[0] == pytest.approx(105 / 102, rel=1e-14)
     assert rnorm == pytest.approx(0.5, rel=1e-14)
+
+
+def _mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _gauss_jordan(rows, rhs):
+    """A Gauss-Jordan reference on Gaussian rationals held as pairs of
+    Fractions, pivoting on the first nonzero entry at or below the
+    diagonal: the solution, or the text of its refusal."""
+    m, n = len(rows), len(rows[0])
+    a = [[*row, y] for row, y in zip(rows, rhs)]
+    for r in range(n):
+        pivot = next((i for i in range(r, m) if any(a[i][r])), None)
+        if pivot is None:
+            return f"rank-deficient recovery stage at column {r}: {n} unknowns"
+        a[r], a[pivot] = a[pivot], a[r]
+        norm = a[r][r][0] ** 2 + a[r][r][1] ** 2
+        inv = a[r][r][0] / norm, -a[r][r][1] / norm
+        a[r] = [_mul(x, inv) for x in a[r]]
+        for i in range(m):
+            if i != r:
+                f = a[i][r]
+                a[i] = [(x[0] - p[0], x[1] - p[1])
+                        for x, p in zip(a[i], (_mul(f, y) for y in a[r]))]
+    if any(any(a[i][n]) for i in range(n, m)):
+        return "inconsistent linear system on the exact backend"
+    return [a[i][n] for i in range(n)]
+
+
+_gaussian = st.tuples(st.fractions(-5, 5, max_denominator=6),
+                      st.fractions(-5, 5, max_denominator=6))
+_ZERO = (Fraction(0), Fraction(0))
+
+
+@st.composite
+def _exact_system(draw):
+    """A square or tall system A x = b with a third of A's entries zero,
+    its first column zero in a drawn number of leading rows, and b = A x
+    for a drawn x, or b with one entry moved."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(n, n + 3))
+    entry = st.one_of(st.just(_ZERO), _gaussian, _gaussian)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    for row in rows[:draw(st.integers(0, m))]:
+        row[0] = _ZERO
+    x = draw(st.lists(_gaussian, min_size=n, max_size=n))
+    rhs = [(sum(p[0] for p in map(_mul, row, x)),
+            sum(p[1] for p in map(_mul, row, x))) for row in rows]
+    if draw(st.booleans()):
+        i, (re, im) = draw(st.integers(0, m - 1)), draw(_gaussian)
+        rhs[i] = (rhs[i][0] + re, rhs[i][1] + im)
+    return rows, rhs
+
+
+@settings(max_examples=80, deadline=None)
+@given(_exact_system())
+def test_exact_solve_is_gauss_jordan_over_fractions(case):
+    """The exact factor and its solve, which form each update x - f y with
+    one reduction, give a Fraction Gauss-Jordan's solution exactly, in
+    canonical values; on a rank-deficient or inconsistent system they
+    raise its refusal text."""
+    rows, rhs = case
+    want = _gauss_jordan(rows, rhs)
+    a = [[FR.from_rational(*e) for e in row] for row in rows]
+    b = [FR.from_rational(*e) for e in rhs]
+    try:
+        x, residual = linalg.factor_lstsq(FR, a).solve(b)
+    except RankDeficiencyError as exc:
+        assert str(exc) == want
+        return
+    assert not isinstance(want, str) and residual == 0.0
+    assert x == [FR.from_rational(*e) for e in want]
+    assert all(v.d > 0 and math.gcd(v.a, v.b, v.d) == 1 for v in x)

@@ -15,7 +15,7 @@ from helpers import (brute_force_trace_coeffs, leading_term,
 from bnftrace.blocks import (COMPLEX_HYPERBOLIC, ELLIPTIC, REAL_HYPERBOLIC,
                              SpectrumBlocks)
 from bnftrace.errors import MathError, PoleError, ResonanceError, SchemaError
-from bnftrace.fields import FloatField, RationalField
+from bnftrace.fields import FloatField, RationalComplex, RationalField
 from bnftrace.qbnf import (QuantumBNF, TraceData, TraceEngine, make_trace_data,
                            trace_power)
 from bnftrace.series import MultiSeries, Orders, powers, zseries
@@ -272,6 +272,8 @@ class _ScratchEngine:
             for ((), m, _l), c in s.terms.items():
                 out.setdefault(m, [b.field.zero] * len(ks))[i] = c
         return out
+
+    partial_zseries = zseries  # a forward reads it; its values are reduced
 
 
 def _one_power(engine, k, alpha, jets):
@@ -731,6 +733,74 @@ def test_trace_power_matches_per_k_exp_series_exact():
             got_phase, got = _power(b, k, (3, 3), engine)
             assert got_phase == phase
             assert got.terms == coeffs.terms
+
+
+def _canonical(x):
+    assert type(x) is RationalComplex
+    assert x.d > 0 and math.gcd(x.a, x.b, x.d) == 1
+    return x
+
+
+@st.composite
+def _exact_forward_case(draw):
+    """One of the n <= 3 rational fixtures with an F term of weight
+    n_h + 1 set to a drawn x (``plus``) and removed (``base``), the
+    term's (alpha, m) and x, powers ks (K <= 3 at n = 3) and orders."""
+    forms = (*_rational_fixtures(), n3_bnf())
+    bnf = forms[draw(st.integers(0, len(forms) - 1))]
+    n_z, n_h = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    ks = draw(st.sets(st.integers(1, 3 if bnf.n == 3 else 8), min_size=1,
+                      max_size=2))
+    alpha = draw(st.sampled_from(
+        [a for a in itertools.product(range(n_h + 2), repeat=bnf.n)
+         if 1 <= sum(a) <= n_h + 1 and n_h + 1 - sum(a) <= bnf.F.orders.h]))
+    m = draw(st.integers(0, n_z))
+    x = FR.from_rational(draw(st.fractions(-3, 3, max_denominator=7)),
+                         draw(st.fractions(-3, 3, max_denominator=7)))
+    terms = dict(bnf.F.terms)
+    terms.pop((alpha, m, n_h + 1 - sum(alpha)), None)
+    base = QuantumBNF(bnf.blocks, bnf.mu_jets,
+                      MultiSeries(FR, bnf.n, bnf.F.orders, terms))
+    terms[(alpha, m, n_h + 1 - sum(alpha))] = x
+    plus = QuantumBNF(bnf.blocks, bnf.mu_jets,
+                      MultiSeries(FR, bnf.n, bnf.F.orders, terms))
+    return plus, base, (alpha, m), x, sorted(ks), (n_z, n_h)
+
+
+@settings(max_examples=12, deadline=None)
+@given(_exact_forward_case())
+def test_values_leave_the_exact_forward_canonical(case):
+    """The exact forward passes its sums unreduced between its steps, but
+    every value it hands out is a canonical RationalComplex: the
+    expansions, the layers with and without ``added``, the engine's
+    z-series and values at mu(0), and its csch tables.  The expansions and
+    layers equal the reduce-every-step reference, and the ``added`` layer
+    is what the term adds to the reference."""
+    plus, base, (alpha, m), x, ks, orders = case
+    n_z, n_h = orders
+    engine = TraceEngine(plus.blocks, ks, n_z)
+    phase, series = qbnf.trace_powers(plus, orders, engine)
+    layers = qbnf.trace_layers(plus, orders, engine)
+    added = qbnf.trace_layers(base, orders, engine, added={(alpha, m): x})
+    for i, k in enumerate(ks):
+        want_phase, want = _per_k_trace_power(plus, k, orders, engine)
+        without = _per_k_trace_power(base, k, orders, engine)[1]
+        assert _canonical(phase) == want_phase
+        assert series[k].terms == want.terms
+        assert [row[i] for row in layers] == [
+            want.get((), z, n_h) for z in range(n_z + 1)]
+        assert [row[i] for row in added] == [
+            want.get((), z, n_h) - without.get((), z, n_h)
+            for z in range(n_z + 1)]
+    jets = engine.along(plus.mu_jets)
+    rows = [*layers, *added]
+    for a in _alphas_up_to(plus.n, n_h + 1):
+        rows += [engine.at_mu0(a), *engine.zseries(a, jets).values()]
+    assert engine._tables
+    for table in engine._tables.values():
+        rows += [*table.t, *table.c, *table.d]
+    rows += [list(s.terms.values()) for s in series.values()]
+    assert all(_canonical(v) for row in rows for v in row)
 
 
 def test_trace_power_matches_per_k_exp_series_float():
