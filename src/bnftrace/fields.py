@@ -19,7 +19,8 @@ and ``sums()``: keyed sums of products, ``add(key, xs, ys)`` adding each
 xs[i] * ys[i] to entry i of ``key``'s list and ``result()`` the dict of
 the lists.  A float field adds each product as it comes, from the first,
 as MultiSeries sums do, or ``sums(from_zero=True)`` from zero; the
-rational field reduces each sum once, not at every product and add).
+rational field reduces each sum once, not at every product and add, and
+a key added once is its products, each formed and reduced alone).
 ``partial()`` is ``result()`` left unreduced, and ``products(xs, ys)``
 the unreduced pairwise products: a computation hands them only to its own
 later ``sums().add``, as xs or ys, or to ``reduced(xs)``; they have no
@@ -242,6 +243,12 @@ def _sum_of_products(pairs, done=_reduced):
     return done(a, b, d)
 
 
+def _products(xs, ys, done):
+    """[x * y for x, y in zip(xs, ys)], each product passed to ``done``."""
+    return [done(x.a * y.a - x.b * y.b, x.a * y.b + x.b * y.a, x.d * y.d)
+            for x, y in zip(xs, ys)]
+
+
 def _minus_products(xs, cs, ys):
     """[x - c * y for x, c, y in zip(xs, cs, ys)], each reduced once."""
     out = []
@@ -261,8 +268,10 @@ class _RationalSums(dict):
         self.setdefault(key, []).append((xs, ys))
 
     def result(self, done=_reduced):
-        return {key: [_sum_of_products(col, done)
-                      for col in zip(*(zip(xs, ys) for xs, ys in pairs))]
+        # a key added once is its products, with no transpose
+        return {key: _products(*pairs[0], done) if len(pairs) == 1 else
+                [_sum_of_products(col, done)
+                 for col in zip(*(zip(xs, ys) for xs, ys in pairs))]
                 for key, pairs in self.items()}
 
     def partial(self):
@@ -373,8 +382,7 @@ class RationalField:
         return _RationalSums()
 
     def products(self, xs, ys):
-        return [_partial(x.a * y.a - x.b * y.b, x.a * y.b + x.b * y.a,
-                         x.d * y.d) for x, y in zip(xs, ys)]
+        return _products(xs, ys, _partial)
 
     def reduced(self, xs):
         return [_reduced(x.a, x.b, x.d) for x in xs]

@@ -20,13 +20,15 @@ Every derivative it needs is a Taylor coefficient of (1/2)csch(k mu/2) at
 mu_j(0), which does not depend on the jets.  A :class:`TraceEngine` holds
 the csch side of one set of blocks for one tuple of powers ks, fixed
 when it is built: per block one table of those coefficients
-(:class:`~bnftrace.hypcalc.CschTaylor`), which lists each order over ks
-and grows on demand in the order, so a value at mu(0) is a product of
-table entries.  Along the jets delta_j(z) = mu_j(z) - mu_j(0) the block
-factor is d^a (1/2)csch(k mu_j(z)/2) = sum_b d^{a+b} (1/2)csch(k mu_j(0)/2)
-delta_j(z)^b / b!, and per jet state the engine keeps the powers of the
-jets, the block factors per (j, a) and their products over each prefix
-of alpha, each formed only up to the highest z-order a forward has read:
+(:class:`~bnftrace.hypcalc.CschClosedForm` on the rational field, the
+recurrence :class:`~bnftrace.hypcalc.CschTaylor` on floats), which lists
+each order over ks and grows on demand in the order, so a value at mu(0)
+is a product of table entries.  Along the jets delta_j(z) = mu_j(z) -
+mu_j(0) the block factor is d^a (1/2)csch(k mu_j(z)/2) =
+sum_b d^{a+b} (1/2)csch(k mu_j(0)/2) delta_j(z)^b / b!, and per jet state
+the engine keeps the powers of the jets, the block factors per (j, a)
+and their products over each prefix of alpha, each formed only up to
+the highest z-order a forward has read:
 a term z^m d^alpha reads the csch side to z-order N_z - m.  The caches
 live as long as the engine: the recovery uses one for every stage and
 its self-check, and it also keeps the expansions of its powers, for an
@@ -235,8 +237,10 @@ class TraceEngine:
         each listed over the engine's powers (its table, made on first use)."""
         table = self._tables.get(j)
         if table is None:
-            table = self._tables[j] = hypcalc.CschTaylor(
-                self.field, self.exp_half[j], self.ks)
+            E = self.exp_half[j]
+            table = self._tables[j] = (
+                hypcalc.CschClosedForm(E, self.ks) if self.field.exact
+                else hypcalc.CschTaylor(self.field, E, self.ks))
         return table.grow(p).d
 
     def at_mu0(self, alpha):

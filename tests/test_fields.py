@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bnftrace.errors import FieldError
 from bnftrace.fields import (FloatField, RationalComplex, RationalField,
-                             field_from_name)
+                             _Partial, field_from_name)
 
 
 def _random_rc(rng):
@@ -357,13 +357,17 @@ sum_terms = st.lists(st.tuples(st.integers(0, 2),
 @given(sum_terms)
 def test_rational_sums_equal_sums_of_reduced_products(terms):
     """Each key's sums are those of the reduced products added left to
-    right, as canonical triples; a real one hashes like its Fraction.  The
-    partial sums reduce to them, and read with the unreduced products as
-    a later sum's xs and ys give their cubes; a partial sum is no value."""
+    right, as canonical triples, for a key added once (the products alone)
+    or more often; a real one hashes like its Fraction.  The partial sums
+    reduce to them, and a later sum reads them as xs and ys, with the
+    unreduced products or a repeat(c), added once or twice; a partial sum
+    is no value."""
     F = RationalField()
     sums = F.sums()
     want = {}
-    for key, xs, ys in terms:
+    # "once" is added exactly once, with the first term's ys, which may be
+    # a repeat(c)
+    for key, xs, ys in [("once", *terms[0][1:]), *terms]:
         sums.add(key, xs, ys)
         p = [x * y for x, y in zip(xs, ys)]
         want[key] = (p if key not in want else
@@ -376,12 +380,25 @@ def test_rational_sums_equal_sums_of_reduced_products(terms):
             _canonical(x)
             if x.b == 0:
                 assert hash(x) == hash(Fraction(x.a, x.d))
-    partial, cubes = sums.partial(), F.sums()
+    partial, later = sums.partial(), F.sums()
+    c = terms[0][1][0]
     for key, values in partial.items():
+        assert all(type(x) is _Partial for x in values)
         assert F.reduced(values) == got[key]
-        cubes.add(key, values, F.products(values, values))
-    for key, values in cubes.result().items():
-        assert list(map(_canonical, values)) == [x * x * x for x in got[key]]
+        later.add(("cube", key), values, F.products(values, values))
+        later.add(("scaled", key), values, repeat(c))
+        later.add(("twice", key), values, repeat(c))
+        later.add(("twice", key), got[key], values)
+    read = later.result()
+    assert F.reduced([x for v in later.partial().values() for x in v]) == [
+        x for v in read.values() for x in v]
+    for key, values in got.items():
+        assert list(map(_canonical, read[("cube", key)])) == [
+            x * x * x for x in values]
+        assert list(map(_canonical, read[("scaled", key)])) == [
+            x * c for x in values]
+        assert list(map(_canonical, read[("twice", key)])) == [
+            x * c + x * x for x in values]
     with pytest.raises(TypeError):
         partial[terms[0][0]][0] == got[terms[0][0]][0]
 

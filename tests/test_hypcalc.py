@@ -184,6 +184,59 @@ def test_coth_csch_recurrence_equals_picard_sweeps(case):
                        <= 1e-13 * scale for key in keys)
 
 
+@st.composite
+def _exponent(draw):
+    """E of every kind the csch tables meet: rh E > 1, 0 < E < 1 and
+    E < 0, elliptic from a Pythagorean triple, or complex hyperbolic."""
+    small = st.integers(1, 6)
+    kind = draw(st.sampled_from(["rh", "rh<1", "neg", "el", "ch"]))
+    if kind in ("rh", "rh<1", "neg"):
+        q, r = draw(small), draw(small)
+        E = {"rh": Fraction(q + r, q), "rh<1": Fraction(q, q + r),
+             "neg": Fraction(-q, q + r) if r % 2 else Fraction(-q - r, q),
+             }[kind]
+        return FR.from_rational(E)
+    if kind == "el":
+        m = draw(st.integers(2, 6))
+        n = draw(st.integers(1, m - 1))
+        return FR.from_rational(Fraction(m * m - n * n, m * m + n * n),
+                                Fraction(2 * m * n, m * m + n * n))
+    re, im = draw(small), draw(small)
+    r = draw(small.filter(lambda r: r * r != re * re + im * im))
+    return FR.from_rational(Fraction(re, r), Fraction(im, r))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exponent(), st.sampled_from([(6, 5, 3), (2, 7, 1), (4,), (3, 1, 2)]),
+       st.integers(0, 12))
+def test_closed_form_rows_equal_the_recurrence(E, ks, p):
+    """The Eulerian closed form gives the coth/csch recurrence's rows
+    exactly, grown in one step or two, over unsorted powers."""
+    want = hc.CschTaylor(FR, E, ks).grow(p).d
+    got = hc.CschClosedForm(E, ks).grow(p // 2)
+    assert got.d == want[:p // 2 + 1]
+    assert got.grow(p).d == want
+    assert all((x.a, x.b, x.d) == (y.a, y.b, y.d)
+               for row, ref in zip(got.d, want) for x, y in zip(row, ref))
+
+
+def test_closed_form_refuses_the_recurrence_poles():
+    """E = i is a pole at even k: both tables name the first such power in
+    their order, with one text; odd powers alone make a table."""
+    for ks in ((6, 5, 3), (1, 3, 2, 4), (5, 4)):
+        texts = []
+        for make in (lambda: hc.CschTaylor(FR, FR.i, ks),
+                     lambda: hc.CschClosedForm(FR.i, ks)):
+            with pytest.raises(PoleError) as err:
+                make()
+            texts.append(str(err.value))
+        first = next(k for k in ks if k % 2 == 0)
+        assert texts[0] == texts[1]
+        assert texts[0].endswith(f"(E={FR.i!r}, k={first})")
+    assert (hc.CschClosedForm(FR.i, (3, 1)).grow(4).d
+            == hc.CschTaylor(FR, FR.i, (3, 1)).grow(4).d)
+
+
 def _to_mpc(x):
     return mpmath.mpc(mpmath.mpf(x.a) / x.d, mpmath.mpf(x.b) / x.d)
 

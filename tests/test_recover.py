@@ -802,7 +802,7 @@ def test_recovery_triangularity_on_rt1():
 
 def _count_engines_and_tables(monkeypatch):
     """Record each TraceEngine that recover_qbnf builds and each (E, k)
-    that sinh and cosh are formed for."""
+    that the exact csch tables are set up for."""
     engines, calls = [], []
 
     class RecordingEngine(TraceEngine):
@@ -810,21 +810,21 @@ def _count_engines_and_tables(monkeypatch):
             super().__init__(*args, **kwargs)
             engines.append(self)
 
-    sinh_cosh = hc._sinh_cosh_from_exp_half
+    head = hc._closed_form_head
 
-    def counting(field, E, k):
+    def counting(E, k):
         calls.append((E, k))
-        return sinh_cosh(field, E, k)
+        return head(E, k)
 
     monkeypatch.setattr(recover_module, "TraceEngine", RecordingEngine)
-    monkeypatch.setattr(hc, "_sinh_cosh_from_exp_half", counting)
+    monkeypatch.setattr(hc, "_closed_form_head", counting)
     return engines, calls
 
 
 def test_recovery_evaluates_each_block_once_per_engine(monkeypatch):
     """A recovery builds one engine for every stage and the self-check,
-    and its Taylor tables do not depend on the jets, so sinh and cosh are
-    formed from E^k once per (k, block) and never again."""
+    and its csch tables do not depend on the jets, so the closed form is
+    set up from E^k once per (k, block) and never again."""
     F, bnf, action = rt1()
     K = 8
     td = make_trace_data(bnf, action, {}, K, (3, 3))
@@ -832,13 +832,13 @@ def test_recovery_evaluates_each_block_once_per_engine(monkeypatch):
     rep = recover_qbnf(td)
     assert not rep.failed
     assert len(engines) == 1
-    assert len(calls) == K * bnf.n
+    assert len(set(calls)) == len(calls) == K * bnf.n
 
 
 def test_recovery_evaluates_each_z_series_once(monkeypatch):
     """A recovery handed an engine that serves its blocks, as the round
-    trip hands in its forward engine, builds none and forms no sinh or
-    cosh again; a new engine for the same blocks gives the same report."""
+    trip hands in its forward engine, builds none and sets up no csch
+    table again; a new engine for the same blocks gives the same report."""
     F, bnf, action = rt1()
     K = 8
     forward = TraceEngine(bnf.blocks, range(1, K + 1), 3)
